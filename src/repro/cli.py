@@ -914,8 +914,15 @@ def _cmd_bounds(args: argparse.Namespace) -> str:
 
 def _cmd_telemetry(args: argparse.Namespace) -> tuple:
     """``telemetry summarize/diff/check``; returns ``(text, exit_code)``."""
-    if args.telemetry_command == "summarize":
-        summary = telemetry.summarize_trace(telemetry.read_trace(args.trace))
+    command = args.telemetry_command
+    paths = (args.trace_a, args.trace_b) if command == "diff" else (args.trace,)
+    try:
+        traces = [telemetry.read_trace(path) for path in paths]
+    except (OSError, ValueError) as exc:  # missing, unreadable, not a trace
+        print(f"repro telemetry {command}: cannot read trace: {exc}", file=sys.stderr)
+        return "", 2
+    if command == "summarize":
+        summary = telemetry.summarize_trace(traces[0])
         lines = [
             f"trace {args.trace}: {summary['total_spans']} spans",
             f"{'span':28s} {'count':>7s} {'total_s':>10s} "
@@ -942,11 +949,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> tuple:
                 )
                 lines.append(f"  {name:36s} {data.get('type', '?')}: {detail}")
         return "\n".join(lines), 0
-    if args.telemetry_command == "diff":
-        rows = telemetry.diff_traces(
-            telemetry.read_trace(args.trace_a),
-            telemetry.read_trace(args.trace_b),
-        )
+    if command == "diff":
+        rows = telemetry.diff_traces(*traces)
         lines = [
             f"{args.trace_a} (a) vs {args.trace_b} (b)",
             f"{'span':28s} {'a_total_s':>10s} {'b_total_s':>10s} "
@@ -959,17 +963,15 @@ def _cmd_telemetry(args: argparse.Namespace) -> tuple:
                 f"{row['b_total_s']:10.4f} {row['delta_s']:+10.4f} {ratio:>7s}"
             )
         return "\n".join(lines), 0
-    if args.telemetry_command == "check":
-        problems = telemetry.check_trace(
-            telemetry.read_trace(args.trace), coverage=args.coverage
-        )
+    if command == "check":
+        problems = telemetry.check_trace(traces[0], coverage=args.coverage)
         if problems:
             lines = [f"trace {args.trace}: {len(problems)} problem(s)"]
             lines.extend(f"  {problem}" for problem in problems)
             return "\n".join(lines), 1
         return f"trace {args.trace}: OK", 0
     raise AssertionError(  # pragma: no cover - argparse enforces choices
-        f"unhandled telemetry command {args.telemetry_command}"
+        f"unhandled telemetry command {command}"
     )
 
 

@@ -101,8 +101,10 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib signature
         path, _ = self._route()
         if path == "/submit":
-            length = int(self.headers.get("Content-Length") or 0)
             try:
+                length = int(self.headers.get("Content-Length") or 0)
+                if length < 0:  # read(-1) would wait for the client to close
+                    raise ValueError("negative Content-Length")
                 request = json.loads(self.rfile.read(length) or b"{}")
                 job_id = self.service.submit(request)
             except (ValueError, KeyError, TypeError) as exc:

@@ -53,7 +53,7 @@ from ..sim.metrics import SimulationMetrics, SimulationResult
 from ..sim.rng import traffic_rng
 from ..traffic.batch import BatchTrafficGenerator
 from ..traffic.matrices import validate_matrix
-from .kernels.base import Departures, composite_argsort
+from .kernels.base import Departures, composite_argsort, segmented_running_max
 from .kernels.compiled import compiled_active, kernel_backend
 from .kernels.compiled.fold_pass import fold_running_max
 
@@ -100,8 +100,14 @@ def __getattr__(name: str):
 
 #: Target stacked-event count per seed group in the batched replication
 #: path: wide enough to amortize per-call overheads across seeds, small
-#: enough that the stacked working set stays cache-resident (measured
-#: optimum on the engine benchmark; see benchmarks/bench_engines.py).
+#: enough that the stacked working set stays cache-resident.  Re-measured
+#: after the level-major polled-queue peel (PR 12; six switches x 32 seeds,
+#: N=16, 1000 slots, 12 800 events per seed, so 1 << 14 stacks one seed per
+#: group; fastest of 9 passes, allocator pinned as in ``perf/``):
+#: 1 << 14: 1.21 s a pass, peak RSS 113 MiB; 1 << 15: 1.04 s, 121 MiB;
+#: 1 << 16: 1.04 s (pf 0.27 -> 0.20, foff 0.34 -> 0.26, polled-queue
+#: switches flat within 0.02 s), 143 MiB.  Wider groups buy 14 % of the
+#: pass with 6-26 % more memory, so the constant stays.
 _STACK_TARGET_EVENTS = 1 << 14
 
 
@@ -121,16 +127,13 @@ def _fold_reordering(
     ``prev_max`` carries each VOQ's running max across blocks (windows);
     it is seeded from and updated **in place**.  Returns ``(late_mask,
     prev)`` where ``prev`` is the per-packet predecessor max (for
-    displacement).  The segmented running max uses a monotone offset:
-    voq ids are sorted, so adding ``voq * (max seq + 1)`` makes the
-    global running max segment-local.
+    displacement).
     """
     if compiled_active():
         prev = np.empty(len(voq), dtype=np.int64)
         fold_running_max(voq, seq, prev_max, prev)
         return prev > seq, prev
-    big = int(seq.max()) + 1
-    run = np.maximum.accumulate(seq + voq * big) - voq * big
+    run = segmented_running_max(seq, voq)
     prev = np.empty(len(run), dtype=np.int64)
     prev[0] = -1
     prev[1:] = run[:-1]

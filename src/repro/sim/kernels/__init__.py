@@ -23,23 +23,23 @@ shared by PF and FOFF lives in :mod:`repro.sim.kernels.frames`.
 from .base import (
     Departures,
     composite_argsort,
-    fifo_service,
     mid_residues,
     periodic_fifo_service,
     replay_polled_queues,
     row_residues,
     segmented_fifo_service,
+    segmented_running_max,
     unit_completion,
 )
 
 __all__ = [
     "Departures",
     "composite_argsort",
-    "fifo_service",
     "mid_residues",
     "periodic_fifo_service",
     "replay_polled_queues",
     "row_residues",
     "segmented_fifo_service",
+    "segmented_running_max",
     "unit_completion",
 ]

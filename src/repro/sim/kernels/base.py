@@ -6,13 +6,15 @@ The recursions here are the whole toolkit the per-switch kernels build
 on:
 
 * ``service_k = max(ready_k, service_{k-1} + 1)`` — a FIFO served once
-  per slot — is a running maximum, one ``np.maximum.accumulate`` per
-  queue (:func:`fifo_service`, :func:`segmented_fifo_service`);
+  per slot — is a running maximum of ``ready_k - k``; offsets per queue
+  make one ``np.maximum.accumulate`` serve every queue of a bank
+  (:func:`segmented_running_max`, :func:`segmented_fifo_service`);
 * the same recursion over poll *indices* covers queues polled every
   ``n``-th slot (:func:`periodic_fifo_service`);
 * banks of periodic priority queues (the Largest-Stripe-First grids of
   Sprinklers, the per-output FIFOs at the intermediate stage) peel
-  exactly largest level first (:func:`replay_polled_queues`);
+  exactly, largest level first and level-major: one NumPy pass serves a
+  level in all queues (:func:`replay_polled_queues`);
 * stripe/frame completion instants are slices of the per-VOQ arrival
   sequence (:func:`unit_completion`).
 
@@ -40,12 +42,12 @@ __all__ = [
     "WindowStacker",
     "composite_argsort",
     "concat_ranges",
-    "fifo_service",
     "mid_residues",
     "periodic_fifo_service",
     "replay_polled_queues",
     "row_residues",
     "segmented_fifo_service",
+    "segmented_running_max",
     "stable_id_argsort",
     "unit_completion",
 ]
@@ -99,20 +101,6 @@ def composite_argsort(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
     return np.lexsort((minor, major))
 
 
-def fifo_service(ready: np.ndarray) -> np.ndarray:
-    """Service slots of a FIFO served once per slot, arrivals servable
-    the slot they become ready.
-
-    ``service_k = max(ready_k, service_{k-1} + 1)`` as a running max:
-    with ``u_k = service_k - k`` this is ``u_k = max(ready_k - k,
-    u_{k-1})``.
-    """
-    if len(ready) == 0:
-        return ready
-    k = np.arange(len(ready), dtype=np.int64)
-    return np.maximum.accumulate(ready - k) + k
-
-
 def periodic_fifo_service(
     ready: np.ndarray, residue: int, n: int
 ) -> np.ndarray:
@@ -127,6 +115,43 @@ def periodic_fifo_service(
     k = np.arange(len(ready), dtype=np.int64)
     polls = np.maximum.accumulate(first - k) + k
     return residue + polls * n
+
+
+def segmented_running_max(values: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    """Running max of ``values`` restarting wherever ``segment`` (sorted
+    nonnegative ids) changes.
+
+    Per-segment offsets spaced wider than the value range make one global
+    ``np.maximum.accumulate`` segment-local; if they would overflow an
+    int64, a doubling scan (log2 of the length passes) takes over.
+    """
+    if len(values) == 0:
+        return values
+    lo, hi = int(values.min()), int(values.max())
+    span = hi - lo + 1
+    if (int(segment[-1]) + 1) * span + max(hi, -lo) < np.iinfo(np.int64).max:
+        offset = segment * np.int64(span)
+        run = values + offset
+        np.maximum.accumulate(run, out=run)
+        run -= offset
+        return run
+    run, step = values.copy(), 1
+    while step < len(run):
+        same = segment[step:] == segment[:-step]
+        run[step:] = np.where(same, np.maximum(run[step:], run[:-step]), run[step:])
+        step *= 2
+    return run
+
+
+def segmented_fifo_service(segment: np.ndarray, ready: np.ndarray) -> np.ndarray:
+    """Per-segment FIFO served once per slot, arrivals servable the slot
+    they become ready (events pre-sorted within segment).
+
+    ``segment`` must be nondecreasing.  ``service_k = max(ready_k,
+    service_{k-1} + 1)`` is a running max of ``ready_k - k``.
+    """
+    k = np.arange(len(ready), dtype=np.int64)
+    return segmented_running_max(ready - k, segment) + k
 
 
 def replay_polled_queues(
@@ -148,17 +173,29 @@ def replay_polled_queues(
 
     The priority discipline peels exactly: packets of a level are never
     delayed by smaller levels, so levels replay largest-first, each as a
-    FIFO over the poll slots not consumed by larger levels.
+    FIFO over the polls larger levels left free — one pass per level for
+    all queues at once.  The polls already consumed are a sorted array
+    ``taken`` of keys ``queue * stride + poll``.  An event that could
+    first use poll ``w`` can first use the free poll of rank ``w - #{taken
+    polls of its queue below w}``; over ranks the level is a plain FIFO
+    (segmented running max); and with the queue's taken polls ``t_0 < t_1
+    < ...`` the free poll of rank ``r`` is poll ``r + #{i : t_i - i <=
+    r}``, as ``t_i - i`` free polls precede ``t_i``.  Both counts are one
+    ``searchsorted`` each (``taken - arange`` is sorted across queues
+    too), everything is integer arithmetic, and the result equals the
+    queue-by-queue replay bit for bit.
 
-    Parameters are parallel per-event arrays (queue id, size level, ready
-    slot, FIFO tie-break) plus the per-queue poll residue; returns the
-    per-event service slot, aligned with the inputs.
+    Parameters are parallel per-event arrays (queue id, size level in
+    ``[0, 16)``, ready slot, FIFO tie-break) plus the per-queue poll
+    residue; returns the per-event service slot, aligned with the inputs.
     """
     num_events = len(queues)
-    service = np.empty(num_events, dtype=np.int64)
     if num_events == 0:
-        return service
-    first_poll = np.maximum((ready - residues[queues] + n - 1) // n, 0)
+        return np.empty(0, dtype=np.int64)
+    level_lo, level_hi = int(levels.min()), int(levels.max())
+    if level_lo < 0 or level_hi > 15:
+        raise ValueError("levels must lie in [0, 16): they pack into 4 bits")
+    polls = np.maximum((ready - residues[queues] + n - 1) // n, 0)
     # Group by queue, then level ascending, then FIFO order.  Queue and
     # level pack into one sort key (level needs 4 bits up to n = 2^15).
     packed = (queues << 4) | levels
@@ -169,88 +206,49 @@ def replay_polled_queues(
         grouping = stable_id_argsort(packed, int(packed.max()) + 1)
     else:
         grouping = composite_argsort(packed, order)
-    packed_sorted = packed[grouping]
-    poll_sorted = first_poll[grouping]
-    queue_sorted = packed_sorted >> 4
-
+    # Both in grouped order from here; ``polls`` turns from each event's
+    # first usable poll into the poll that serves it.
+    packed = packed[grouping]
+    polls = polls[grouping]
     if compiled_active():
-        # Compiled backend: the same grouping feeds the scalar mirror of
-        # both disciplines below (single-level running max, multi-level
-        # largest-first peel); bit-identical by the parity grid.
-        polls = np.empty(num_events, dtype=np.int64)
-        serve_polled(packed_sorted, poll_sorted, polls)
-        service[grouping] = residues[queue_sorted] + polls * n
-        return service
-
-    # Fast path: one priority level everywhere (every non-Sprinklers
-    # switch) — each queue is a plain FIFO over its own polls, and all
-    # queues replay at once as a *segmented* running max: per-segment
-    # offsets spaced wider than the value range make one global
-    # ``np.maximum.accumulate`` segment-local.  No Python loop per queue.
-    if num_events and int(levels.min()) == int(levels.max()):
-        is_start = np.r_[True, queue_sorted[1:] != queue_sorted[:-1]]
-        segment = np.cumsum(is_start) - 1
-        seg_first = np.flatnonzero(is_start)
-        k = np.arange(num_events, dtype=np.int64) - seg_first[segment]
-        value = poll_sorted - k + num_events  # shifted nonnegative
-        stride = np.int64(int(poll_sorted.max()) + num_events + 1)
-        if int(segment[-1]) < (np.iinfo(np.int64).max - stride) // stride:
-            run = (
-                np.maximum.accumulate(value + segment * stride)
-                - segment * stride
-                - num_events
+        # Compiled backend: the same grouping feeds the scalar mirror
+        # (queue by queue); bit-identical by the parity grid.
+        serve_polled(packed, polls.copy(), polls)
+    else:
+        # No event is served past the latest first poll plus one poll per
+        # event, so the keys sort by queue, then poll.
+        stride = int(polls.max()) + num_events + 1
+        if int(packed[-1]) >> 4 >= np.iinfo(np.int64).max // stride - 1:
+            raise OverflowError("queue id x poll range overflows an int64")
+        single = level_lo == level_hi
+        present = [level_hi] if single else np.flatnonzero(np.bincount(levels))[::-1]
+        taken = None
+        for level in present:
+            at = slice(None) if single else np.flatnonzero(
+                (packed & 15) == level
             )
-            service[grouping] = residues[queue_sorted] + (run + k) * n
-            return service
-
-    queue_bounds = np.flatnonzero(
-        np.r_[True, queue_sorted[1:] != queue_sorted[:-1], True]
-    )
-    for b in range(len(queue_bounds) - 1):
-        lo, hi = queue_bounds[b], queue_bounds[b + 1]
-        qid = int(queue_sorted[lo])
-        residue = int(residues[qid])
-        lvl_slice = packed_sorted[lo:hi]
-        level_bounds = np.flatnonzero(
-            np.r_[True, lvl_slice[1:] != lvl_slice[:-1], True]
-        )
-        if len(level_bounds) == 2:
-            # Single level in this queue: a plain FIFO over its polls.
-            wanted = poll_sorted[lo:hi]
-            k = np.arange(hi - lo, dtype=np.int64)
-            taken = np.maximum.accumulate(wanted - k) + k
-            service[grouping[lo:hi]] = residue + taken * n
-            continue
-        # Poll indices the queue could ever use: the first poll of any
-        # event plus one poll per event is a safe upper bound.
-        cap = int(poll_sorted[lo:hi].max()) + (hi - lo) + 1
-        avail = np.arange(cap, dtype=np.int64)
-        # Largest level first; smaller levels see the leftover polls.
-        for s in range(len(level_bounds) - 2, -1, -1):
-            a, z = lo + level_bounds[s], lo + level_bounds[s + 1]
-            wanted = poll_sorted[a:z]
-            pos = np.searchsorted(avail, wanted, side="left")
-            k = np.arange(z - a, dtype=np.int64)
-            taken = np.maximum.accumulate(pos - k) + k
-            service[grouping[a:z]] = residue + avail[taken] * n
-            if s > 0:
-                avail = np.delete(avail, taken)
-    return service
-
-
-def segmented_fifo_service(
-    segment: np.ndarray, ready: np.ndarray
-) -> np.ndarray:
-    """Per-segment :func:`fifo_service` (events pre-sorted within segment).
-
-    ``segment`` must be nondecreasing; each segment is an independent FIFO
-    served once per slot.
-    """
-    service = np.empty(len(ready), dtype=np.int64)
-    bounds = np.flatnonzero(np.r_[True, segment[1:] != segment[:-1], True])
-    for b in range(len(bounds) - 1):
-        lo, hi = bounds[b], bounds[b + 1]
-        service[lo:hi] = fifo_service(ready[lo:hi])
+            queue = packed[at] >> 4
+            rank = polls[at]
+            if taken is not None:
+                base = queue * stride
+                before = np.searchsorted(taken, base)  # of earlier queues
+                rank -= np.searchsorted(taken, base + rank) - before
+            rank = segmented_fifo_service(queue, rank)
+            if taken is not None:
+                base += rank - before
+                rank += np.searchsorted(gaps, base, side="right") - before
+            polls[at] = rank
+            if level != present[-1]:
+                keys = queue * stride + rank
+                # Two sorted runs: the stable sort is one merge pass.
+                taken = keys if taken is None else np.sort(
+                    np.concatenate([taken, keys]), kind="stable"
+                )
+                gaps = taken - np.arange(len(taken), dtype=np.int64)
+    polls *= n
+    polls += residues[packed >> 4]
+    service = np.empty(num_events, dtype=np.int64)
+    service[grouping] = polls
     return service
 
 

@@ -37,6 +37,7 @@ from .base import (
     composite_argsort,
     mid_residues,
     replay_polled_queues,
+    segmented_running_max,
     stable_id_argsort,
 )
 from .frames import (
@@ -148,8 +149,7 @@ def departures(
     order = composite_argsort(batch.voqs, rank)
     voq_s = batch.voqs[order]
     wire_s = wire_slot[order]
-    offset = voq_s * (np.int64(wire_s.max()) + 1)
-    departure_s = np.maximum.accumulate(wire_s + offset) - offset
+    departure_s = segmented_running_max(wire_s, voq_s)
     # The trigger (the predecessor whose arrival releases the packet) is
     # the running argmax; its intermediate port is the oracle's
     # within-slot observation key.
@@ -301,8 +301,7 @@ class _FoffStream:
         p_first = np.flatnonzero(p_start)
         p_bounds = np.flatnonzero(np.r_[p_start, True])
         p_last = p_bounds[1:] - 1
-        big = np.int64(int(wire_p.max()) + 1)
-        run = np.maximum.accumulate(wire_p + voq_p * big) - voq_p * big
+        run = segmented_running_max(wire_p, voq_p)
         departure = np.maximum(run, self._run_max[voq_p])
         # The trigger (the packet whose arrival achieves the running
         # max) carries the observation tie-break mid; fall back to the

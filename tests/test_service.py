@@ -9,11 +9,14 @@ killed mid-shard has its shard re-queued and completed by a replacement.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import signal
 import threading
 import time
 from collections import Counter
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -353,6 +356,21 @@ class TestHTTPSurface:
             client.status("job-9999")
         with pytest.raises(ServiceError, match="unknown switch"):
             client.submit(small_request(switches=("nonesuch",)))
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, server, length):
+        split = urlsplit(server.address)
+        conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/submit")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            conn.close()
+        assert ServiceClient(server.address).health()["status"] == "ok"
 
     def test_unreachable_daemon_message(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)

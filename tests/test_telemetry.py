@@ -469,6 +469,18 @@ class TestCli:
         assert main(["telemetry", "check", str(path)]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["summarize", "check", "diff"])
+    def test_telemetry_unreadable_trace_exits_2(self, tmp_path, capsys, command):
+        garbage = tmp_path / "garbage.jsonl"
+        garbage.write_text("not a trace\n")
+        for bad in (tmp_path / "missing.jsonl", tmp_path, garbage):
+            paths = [str(bad)] * (2 if command == "diff" else 1)
+            assert main(["telemetry", command, *paths]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "cannot read trace" in captured.err
+
     def test_telemetry_check_fails_on_broken_trace(self, tmp_path, capsys):
         path = tmp_path / "broken.jsonl"
         path.write_text(
