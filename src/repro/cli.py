@@ -530,7 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--coverage",
         type=float,
         default=0.95,
-        help="required child coverage of the replay spans (default 0.95)",
+        help="required child coverage of the gated spans (default 0.95)",
+    )
+    t_check.add_argument(
+        "--span",
+        action="append",
+        metavar="NAME",
+        help="gate spans of this name instead of the replay spans "
+        "(repeatable), e.g. --span fabric.window",
     )
 
     lint_p = sub.add_parser(
@@ -964,7 +971,9 @@ def _cmd_telemetry(args: argparse.Namespace) -> tuple:
             )
         return "\n".join(lines), 0
     if command == "check":
-        problems = telemetry.check_trace(traces[0], coverage=args.coverage)
+        problems = telemetry.check_trace(
+            traces[0], coverage=args.coverage, covered_names=args.span
+        )
         if problems:
             lines = [f"trace {args.trace}: {len(problems)} problem(s)"]
             lines.extend(f"  {problem}" for problem in problems)

@@ -58,19 +58,15 @@ from .fast_engine import (
     _MetricsAccumulator,
     _fold_reordering,
     _observe_throughput,
+    _voq_observation_order,
 )
-from .kernels.base import Departures, composite_argsort
+from .kernels.base import Departures, composite_argsort, concat_ranges
 from .kernels.compiled import kernel_backend
 from .metrics import SimulationResult
 from .rng import derive_seed, traffic_rng
 from .stage import KernelStage, ObjectStage, Stage
 
 __all__ = ["run_fabric", "build_stages"]
-
-#: Sequence-number span packed into the pending-table key
-#: (``voq * _SEQ_SPAN + seq``): 2^40 sequence numbers per VOQ leaves
-#: 2^23 VOQ ids (n up to ~2900) before the int64 key overflows.
-_SEQ_SPAN = 1 << 40
 
 
 def _stage_seed(seed: int, k: int) -> int:
@@ -118,8 +114,14 @@ def build_stages(
 class _LinkCoupler:
     """One inter-stage link: departures in, arrival windows out.
 
-    Owns the link's per-VOQ sequence counters and the pending-identity
-    table of packets currently inside the downstream stage.
+    Owns the link's per-VOQ sequence numbering and the pending-identity
+    table of packets currently inside the downstream stage.  The table
+    is direct-indexed: its rows are (VOQ, link seq)-sorted and every
+    VOQ's rows carry consecutive sequence numbers starting at
+    ``_base[voq]``, so ``(voq, seq)`` names a row without a search.  A
+    row whose packet has left stays behind as a tombstone (``_gone``)
+    until every earlier row of its VOQ has left too — which is at once
+    for a downstream stage that keeps VOQ order.
     """
 
     def __init__(self, n: int, mapped: np.ndarray) -> None:
@@ -129,28 +131,32 @@ class _LinkCoupler:
                 f"port map has {len(mapped)} entries for a {n}-port link "
                 f"(stage sizes must match across the chain)"
             )
-        self._map = mapped
-        self._seq_next = np.zeros(n * n, dtype=np.int64)
-        # Pending identities, consolidated lazily at join time:
-        # key = voq_down * _SEQ_SPAN + seq_down.
-        self._keys = np.empty(0, dtype=np.int64)
+        # Destination-preserving routing, tabulated per upstream VOQ id:
+        # the packet keeps its output and enters at ``mapped[output]``.
+        self._outputs = np.arange(n * n) % n
+        self._inputs = mapped[self._outputs]
+        self._base = np.zeros(n * n, dtype=np.int64)  # seq of first row
+        self._held = np.zeros(n * n, dtype=np.int64)  # rows per VOQ
         self._orig = tuple(np.empty(0, dtype=np.int64) for _ in range(3))
-        self._chunks: List[Tuple[np.ndarray, ...]] = []
+        self._gone = np.empty(0, dtype=bool)
 
-    def _assign_seqs(self, voqs: np.ndarray) -> np.ndarray:
-        """Per-VOQ consecutive link sequence numbers, in link order
-        (mirrors :meth:`BatchTrafficGenerator._assign_seqs`)."""
-        seqs = np.empty(len(voqs), dtype=np.int64)
-        if len(voqs) == 0:
-            return seqs
-        order = stable_voq_argsort(voqs, self.n)
-        sorted_voqs = voqs[order]
-        counts = np.bincount(voqs, minlength=self.n * self.n)
-        group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        positions = np.arange(len(voqs)) - group_starts[sorted_voqs]
-        seqs[order] = positions + self._seq_next[sorted_voqs]
-        self._seq_next += counts
-        return seqs
+    def link_order(self, dep: Departures) -> np.ndarray:
+        """Link delivery order of ``dep``: ``(slot, input, wire)``.
+
+        Within one slot a stage emits at most one packet per output, so
+        inputs are distinct and the wire tie-break only orders
+        multi-release stages (FOFF), where wire is the global
+        observation rank — either way the key is window-invariant, and
+        ``(departure, wire)`` pairs are unique, so one packed sort is
+        exact.
+        """
+        return composite_argsort(
+            dep.departure * self.n + self._inputs[dep.voq], dep.wire
+        )
+
+    def _starts(self) -> np.ndarray:
+        """First table row of every VOQ."""
+        return np.cumsum(self._held) - self._held
 
     def couple(
         self,
@@ -159,82 +165,78 @@ class _LinkCoupler:
         start_slot: int,
         end_slot: int,
     ) -> ArrivalBatch:
-        """Turn finalized upstream departures into the downstream
-        arrival window ``[start_slot, end_slot)``."""
+        """Turn finalized upstream departures, rows in :meth:`link_order`,
+        into the downstream arrival window ``[start_slot, end_slot)``."""
         n = self.n
-        outputs = dep.voq % n  # destination-preserving routing
-        inputs = self._map[outputs]
-        # Link delivery order: (slot, input, wire).  Within one slot a
-        # stage emits at most one packet per output, so inputs are
-        # distinct and the wire tie-break only orders multi-release
-        # stages (FOFF), where wire is the global observation rank —
-        # either way the key is window-invariant.
-        order = np.lexsort((dep.wire, inputs, dep.departure))
-        slots = dep.departure[order]
-        inputs = inputs[order]
-        outputs = outputs[order]
-        voq_down = inputs * n + outputs
-        seqs = self._assign_seqs(voq_down)
-        if len(seqs) and int(self._seq_next.max()) >= _SEQ_SPAN:
-            raise OverflowError("link sequence numbers exceed key span")
-        self._chunks.append(
-            (
-                voq_down * _SEQ_SPAN + seqs,
-                orig[0][order],
-                orig[1][order],
-                orig[2][order],
-            )
+        outputs = self._outputs[dep.voq]
+        inputs = self._inputs[dep.voq]
+        voqs = inputs * n + outputs
+        # Held rows first, new ones in link order: one stable radix pass
+        # by VOQ keeps the table (VOQ, seq)-sorted, and a new row's place
+        # in its VOQ's run is its link sequence number (the downstream
+        # reordering detector watches the link order, as a wire would
+        # deliver).
+        held = len(self._gone)
+        order = stable_voq_argsort(
+            np.concatenate((np.repeat(np.arange(n * n), self._held), voqs)), n
         )
+        self._orig = tuple(
+            np.concatenate(pair)[order] for pair in zip(self._orig, orig)
+        )
+        self._gone = np.concatenate(
+            (self._gone, np.zeros(len(voqs), dtype=bool))
+        )[order]
+        self._held += np.bincount(voqs, minlength=n * n)
+        rows = np.empty(len(order), dtype=np.int64)
+        rows[order] = np.arange(len(order), dtype=np.int64)
+        seqs = rows[held:] - (self._starts() - self._base)[voqs]
         return ArrivalBatch(
             n=n,
             num_slots=end_slot - start_slot,
-            slots=slots,
+            slots=dep.departure,
             inputs=inputs,
             outputs=outputs,
             seqs=seqs,
             start_slot=start_slot,
         )
 
-    def _consolidate(self) -> None:
-        if not self._chunks:
-            return
-        keys = np.concatenate([self._keys] + [c[0] for c in self._chunks])
-        orig = tuple(
-            np.concatenate([self._orig[i]] + [c[i + 1] for c in self._chunks])
-            for i in range(3)
-        )
-        self._chunks = []
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._orig = tuple(a[order] for a in orig)
-
     def join(
         self, dep: Departures
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Original identities (voq, seq, arrival) of the downstream
         departures, aligned to ``dep``; drops them from the table."""
-        self._consolidate()
-        keys = dep.voq * _SEQ_SPAN + dep.seq
-        idx = np.searchsorted(self._keys, keys)
-        if len(keys) and (
-            np.any(idx >= len(self._keys))
-            or np.any(self._keys[np.minimum(idx, len(self._keys) - 1)] != keys)
-        ):
+        starts = self._starts()
+        offset = dep.seq - self._base[dep.voq]
+        rows = starts[dep.voq] + offset
+        before = self.pending
+        if not np.any((offset < 0) | (offset >= self._held[dep.voq])):
+            self._gone[rows] = True
+        pending = np.flatnonzero(~self._gone)
+        if before - len(pending) != len(rows):
             raise RuntimeError(
                 "downstream departure without a pending identity — "
-                "stage emitted a packet it was never fed"
+                "stage emitted a packet it was never fed, or twice"
             )
-        orig = tuple(a[idx] for a in self._orig)
-        keep = np.ones(len(self._keys), dtype=bool)
-        keep[idx] = False
-        self._keys = self._keys[keep]
+        orig = tuple(a[rows] for a in self._orig)
+        # Drop every VOQ's leading tombstones; its run restarts at its
+        # first pending row (at its end if none is left).
+        first = np.minimum(
+            np.append(pending, len(self._gone))[
+                np.searchsorted(pending, starts)
+            ],
+            starts + self._held,
+        )
+        self._base += first - starts
+        self._held -= first - starts
+        keep = concat_ranges(first, self._held)
         self._orig = tuple(a[keep] for a in self._orig)
+        self._gone = self._gone[keep]
         return orig
 
     @property
     def pending(self) -> int:
         """Packets currently inside the downstream stage."""
-        return len(self._keys) + sum(len(c[0]) for c in self._chunks)
+        return len(self._gone) - int(np.count_nonzero(self._gone))
 
 
 class _StageStats:
@@ -249,12 +251,14 @@ class _StageStats:
         self.delay_total = 0
         self.measured = 0
 
-    def add(self, dep: Departures, measured: np.ndarray) -> None:
+    def add(
+        self, dep: Departures, measured: np.ndarray, order: np.ndarray
+    ) -> None:
+        """Fold one window; ``order`` sorts its rows by (VOQ,
+        observation order)."""
         if len(dep.voq) == 0:
             return
         self.observed += len(dep.voq)
-        within = dep.wire if dep.wire_is_rank else dep.departure
-        order = composite_argsort(dep.voq, within)
         voq = dep.voq[order]
         seq = dep.seq[order]
         late, prev = _fold_reordering(voq, seq, self._prev_max)
@@ -280,6 +284,26 @@ class _StageStats:
         }
 
 
+def _reordered(
+    dep: Departures, orig: Tuple[np.ndarray, ...], order: np.ndarray
+) -> Tuple[Departures, Tuple[np.ndarray, ...]]:
+    """A departure block and its aligned original identities with rows
+    taken in ``order`` — an observation order, so ``wire`` becomes the
+    row's rank in the block."""
+    own = orig[0] is dep.voq  # stage 0: the block is its own identity
+    dep = Departures(
+        voq=dep.voq[order],
+        seq=dep.seq[order],
+        arrival=dep.arrival[order],
+        departure=dep.departure[order],
+        wire=np.arange(len(order), dtype=np.int64),
+        wire_is_rank=True,
+    )
+    if own:
+        return dep, (dep.voq, dep.seq, dep.arrival)
+    return dep, tuple(a[order] for a in orig)
+
+
 class _FabricRun:
     """One fabric execution: windows in, a :class:`SimulationResult` out.
 
@@ -287,9 +311,8 @@ class _FabricRun:
     it (:meth:`finish`), folding three views as it goes: per-stage
     reordering/delay stats, each stage's extras, and the end-to-end
     record — synthetic :class:`Departures` carrying the *original*
-    identity with the *final* departure slot and a global observation
-    rank at the fabric's outputs — into the same
-    :class:`_MetricsAccumulator` single-switch runs use.
+    identity with the last stage's departure slot and observation keys
+    — into the same :class:`_MetricsAccumulator` single-switch runs use.
     """
 
     def __init__(
@@ -303,6 +326,7 @@ class _FabricRun:
         engine: str,
     ) -> None:
         n = matrix.shape[0]
+        self.n = n
         self.warmup = warmup
         self.stages = build_stages(composite, matrix, num_slots, seed, engine)
         maps = composite.port_maps(n)
@@ -310,14 +334,12 @@ class _FabricRun:
         self.stats = [_StageStats(n) for _ in self.stages]
         self.stage_extras: List[Optional[Dict]] = [None] * len(self.stages)
         self.e2e = _MetricsAccumulator(n, warmup, keep_samples)
-        self._rank = 0
         self._boundary = 0
 
     def feed(self, window: ArrivalBatch) -> None:
         start, end = self._boundary, window.end_slot
         self._boundary = end
-        dep = self.stages[0].feed(window)
-        self._cascade(dep, start, end, final=False)
+        self._cascade(self.stages[0].feed(window), start, end, final=False)
 
     def finish(self, window: Optional[ArrivalBatch] = None) -> None:
         start = self._boundary
@@ -330,25 +352,34 @@ class _FabricRun:
         self, dep: Departures, start: int, end: int, final: bool
     ) -> None:
         orig = (dep.voq, dep.seq, dep.arrival)
-        for k in range(len(self.stages)):
-            self.stats[k].add(dep, orig[2] >= self.warmup)
+        for k, stats in enumerate(self.stats):
             if k == len(self.stages) - 1:
-                self._add_e2e(dep, orig)
+                with telemetry.trace("fabric.fold", stage=k):
+                    self._fold_last(dep, orig)
                 return
             coupler = self.couplers[k]
+            win_end = end
             if final:
                 # The drain tail can depart past the last window cut;
                 # stretch the final coupled window to cover it.
-                tail_end = max(end, start)
+                win_end = max(end, start)
                 if len(dep.voq):
-                    tail_end = max(tail_end, int(dep.departure.max()) + 1)
-                with telemetry.trace("fabric.couple", link=k):
-                    win = coupler.couple(dep, orig, start, tail_end)
+                    win_end = max(win_end, int(dep.departure.max()) + 1)
+            with telemetry.trace("fabric.couple", link=k):
+                dep, orig = _reordered(dep, orig, coupler.link_order(dep))
+                win = coupler.couple(dep, orig, start, win_end)
+            with telemetry.trace("fabric.fold", stage=k):
+                # Within a VOQ the link's delivery order is the stage's
+                # observation order, so grouping is one radix pass.
+                stats.add(
+                    dep, orig[2] >= self.warmup,
+                    stable_voq_argsort(dep.voq, self.n),
+                )
+            del dep, orig  # a window of arrays the next stage need not hold
+            if final:
                 dep, extras = self.stages[k + 1].finish(win)
                 self.stage_extras[k + 1] = extras
             else:
-                with telemetry.trace("fabric.couple", link=k):
-                    win = coupler.couple(dep, orig, start, end)
                 dep = self.stages[k + 1].feed(win)
             with telemetry.trace("fabric.join", link=k):
                 orig = coupler.join(dep)
@@ -359,28 +390,28 @@ class _FabricRun:
                     f"fabric.in_flight.stage{k + 1}", coupler.pending
                 )
 
-    def _add_e2e(
+    def _fold_last(
         self, dep: Departures, orig: Tuple[np.ndarray, ...]
     ) -> None:
-        count = len(dep.voq)
-        if count == 0:
-            return
-        # Observation rank at the fabric outputs: windows arrive in
-        # nondecreasing departure order, so a per-window (departure,
-        # wire) sort plus a running offset is the global order.
-        obs = composite_argsort(dep.departure, dep.wire)
-        rank = np.empty(count, dtype=np.int64)
-        rank[obs] = np.arange(self._rank, self._rank + count, dtype=np.int64)
-        self._rank += count
+        """The last stage's window: its own stats, and the end-to-end
+        record — its departures under their original identity."""
+        order = _voq_observation_order(dep)
+        self.stats[-1].add(dep, orig[2] >= self.warmup, order)
+        # An original VOQ leaves through one output, so inside one VOQ of
+        # the last stage (routing preserves destinations; a one-stage
+        # fabric's VOQs are the original ones): its rows are already in
+        # observation order, and one stable radix pass regroups them.
+        e2e_order = order[stable_voq_argsort(orig[0][order], self.n)]
         self.e2e.add(
             Departures(
                 voq=orig[0],
                 seq=orig[1],
                 arrival=orig[2],
                 departure=dep.departure,
-                wire=rank,
-                wire_is_rank=True,
-            )
+                wire=dep.wire,
+                wire_is_rank=dep.wire_is_rank,
+            ),
+            e2e_order,
         )
 
     def result(
@@ -461,6 +492,8 @@ def run_fabric(
         raise ValueError("num_slots must be positive")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
+    if window_slots is not None and window_slots <= 0:
+        raise ValueError("window_slots must be positive")
     matrix = validate_matrix(matrix)
     n = matrix.shape[0]
     if batch_traffic is None:
@@ -472,8 +505,6 @@ def run_fabric(
     run = _FabricRun(
         composite, matrix, num_slots, seed, warmup, keep_samples, engine
     )
-    if window_slots is not None and window_slots <= 0:
-        raise ValueError("window_slots must be positive")
     with telemetry.trace(
         "replay.fabric",
         fabric=composite.reported_name,

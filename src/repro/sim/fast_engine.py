@@ -146,6 +146,13 @@ def _fold_reordering(
     return prev > seq, prev
 
 
+def _voq_observation_order(dep: Departures) -> np.ndarray:
+    """Argsort of a departure block by VOQ, then observation order —
+    the order :func:`_fold_reordering` consumes."""
+    within = dep.wire if dep.wire_is_rank else dep.departure
+    return composite_argsort(dep.voq, within)
+
+
 class _MetricsAccumulator:
     """Streaming fold of :class:`Departures` into run metrics.
 
@@ -180,15 +187,20 @@ class _MetricsAccumulator:
         self.input_queue_total = 0
         self.transit_total = 0
 
-    def add(self, dep: Departures) -> None:
+    def add(
+        self, dep: Departures, order: Optional[np.ndarray] = None
+    ) -> None:
+        """Fold one finalized window; ``order`` is the argsort of its
+        rows by (VOQ, observation order) when the caller has it already
+        (the fabric path derives it from the last stage's)."""
         if len(dep.voq) == 0:
             return
         self.departed += len(dep.voq)
 
         # Reordering: per VOQ in observation order, a packet is late iff
         # the running max sequence number already exceeds its own.
-        within = dep.wire if dep.wire_is_rank else dep.departure
-        order = composite_argsort(dep.voq, within)
+        if order is None:
+            order = _voq_observation_order(dep)
         voq = dep.voq[order]
         seq = dep.seq[order]
         late, prev = _fold_reordering(voq, seq, self._prev_max)
@@ -337,8 +349,7 @@ class _StackedMetricsAccumulator:
         # (block is the VOQ id's high digits), so every per-seed
         # statistic below folds with prefix sums over block slices —
         # no scattered np.add.at passes.
-        within = dep.wire if dep.wire_is_rank else dep.departure
-        order = composite_argsort(dep.voq, within)
+        order = _voq_observation_order(dep)
         voq = dep.voq[order]
         seq = dep.seq[order]
         block = voq // n2

@@ -34,7 +34,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "Span",
@@ -366,22 +366,28 @@ def diff_traces(a: dict, b: dict) -> List[dict]:
     return rows
 
 
-def check_trace(trace: dict, coverage: float = 0.95) -> List[str]:
+def check_trace(
+    trace: dict,
+    coverage: float = 0.95,
+    covered_names: Optional[Sequence[str]] = None,
+) -> List[str]:
     """The CI gate: nesting is valid and children telescope to parents.
 
     For every span that has children, the children's summed durations
     must not exceed the parent (physically impossible for same-thread
-    nesting) and — for the replay spans, which are designed to be fully
-    covered by child spans — must reach at least ``coverage`` of it.
-    Returns a list of problem strings; empty means the trace passes.
+    nesting) and — for the spans named in ``covered_names`` (default:
+    the replay spans, which are designed to be fully covered by child
+    spans) — must reach at least ``coverage`` of it.  Returns a list of
+    problem strings; empty means the trace passes.
     """
+    if not covered_names:
+        covered_names = ("replay.stream", "replay.fabric")
     problems = validate_nesting(trace["spans"])
     children: Dict[int, float] = {}
     for span in trace["spans"]:
         parent = span.get("parent")
         if parent is not None and span.get("dur_s") is not None:
             children[parent] = children.get(parent, 0.0) + span["dur_s"]
-    covered_names = ("replay.stream", "replay.fabric")
     for span in trace["spans"]:
         dur = span.get("dur_s")
         if dur is None or span["id"] not in children:

@@ -210,16 +210,24 @@ class OnOffArrivals(ArrivalProcess):
         rng = self._rng
         flips = rng.random((num_slots, self.phases))
         emits = rng.random((num_slots, self.n)) < self.peak_rate
-        arrivals = np.zeros((num_slots, self.n), dtype=bool)
-        state = self._state_on
-        chain = self._chain
-        for t in range(num_slots):
-            arrivals[t] = state[chain] & emits[t]
-            switch_off = state & (flips[t] < self.p_off)
-            switch_on = ~state & (flips[t] < self.p_on)
-            state = (state & ~switch_off) | switch_on
-        self._state_on = state
-        rel_slots, inputs = np.nonzero(arrivals)
+        # Closed form of the per-slot chain step.  A flip below both exit
+        # thresholds toggles the chain whatever its state; one between
+        # them forces it into the state with the smaller exit threshold
+        # (the other state leaves, that one stays); the rest change
+        # nothing.  So the state after a slot is the last forced value —
+        # the carried state if none yet — XOR the parity of the toggles
+        # since: a running count, and a running max picking the count at
+        # the last force (counts never decrease, -1 marks "none").
+        toggle = flips < min(self.p_off, self.p_on)
+        force = (flips < max(self.p_off, self.p_on)) & ~toggle
+        toggles = np.cumsum(toggle, axis=0)
+        anchor = np.maximum.accumulate(np.where(force, toggles, -1), axis=0)
+        since = toggles - np.maximum(anchor, 0)
+        after = np.where(anchor >= 0, self.p_on > self.p_off, self._state_on)
+        after ^= (since & 1).astype(bool)
+        states = np.concatenate((self._state_on[None, :], after))
+        self._state_on = states[-1].copy()
+        rel_slots, inputs = np.nonzero(states[:-1, self._chain] & emits)
         return rel_slots + start_slot, inputs
 
 

@@ -205,27 +205,22 @@ class BatchTrafficGenerator:
         if window_slots <= 0:
             raise ValueError("window_slots must be positive")
         n = self.n
-        pending_slots = np.empty(0, np.int64)
-        pending_inputs = np.empty(0, np.int64)
-        pending_outputs = np.empty(0, np.int64)
+        # (slots, inputs, outputs) drawn but not yet emitted.
+        pending = tuple(np.empty(0, np.int64) for _ in range(3))
         covered = 0  # slots fully drawn so far
         emitted = 0  # slots already yielded as windows
         chunks = self._event_chunks(num_slots)
         while emitted < num_slots:
             window_end = min(emitted + window_slots, num_slots)
+            parts = [pending]
             while covered < window_end:
-                slots, inputs, dests = next(chunks)
+                parts.append(next(chunks))
                 covered = min(covered + self.chunk_slots, num_slots)
-                pending_slots = np.concatenate([pending_slots, slots])
-                pending_inputs = np.concatenate([pending_inputs, inputs])
-                pending_outputs = np.concatenate([pending_outputs, dests])
-            cut = int(np.searchsorted(pending_slots, window_end, side="left"))
-            w_slots = pending_slots[:cut]
-            w_inputs = pending_inputs[:cut]
-            w_outputs = pending_outputs[:cut]
-            pending_slots = pending_slots[cut:]
-            pending_inputs = pending_inputs[cut:]
-            pending_outputs = pending_outputs[cut:]
+            if len(parts) > 1:
+                pending = tuple(np.concatenate(f) for f in zip(*parts))
+            cut = int(np.searchsorted(pending[0], window_end, side="left"))
+            w_slots, w_inputs, w_outputs = (f[:cut] for f in pending)
+            pending = tuple(f[cut:] for f in pending)
             seqs = self._assign_seqs(w_inputs * n + w_outputs)
             self.generated += len(w_slots)
             yield ArrivalBatch(
@@ -241,16 +236,12 @@ class BatchTrafficGenerator:
 
     def _assign_seqs(self, voqs: np.ndarray) -> np.ndarray:
         """Per-VOQ consecutive sequence numbers, in generation order."""
-        seqs = np.empty(len(voqs), dtype=np.int64)
-        if len(voqs) == 0:
-            return seqs
-        order = stable_voq_argsort(voqs, self.n)
-        sorted_voqs = voqs[order]
         counts = np.bincount(voqs, minlength=self.n * self.n)
-        group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        # Rank within each voq group: position minus the group's start.
-        positions = np.arange(len(voqs)) - group_starts[sorted_voqs]
-        seqs[order] = positions + self._seq_next[sorted_voqs]
+        # Rank within each voq group: the packet's place in the
+        # VOQ-sorted batch minus where its group starts.
+        place = np.empty(len(voqs), dtype=np.int64)
+        place[stable_voq_argsort(voqs, self.n)] = np.arange(len(voqs))
+        seqs = place - (np.cumsum(counts) - counts - self._seq_next)[voqs]
         self._seq_next += counts
         return seqs
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traffic.arrivals import BernoulliArrivals, OnOffArrivals, TraceArrivals
 
@@ -72,6 +74,16 @@ class TestOnOff:
         proc.chunk(0, 100)
         assert (proc._state_on == first_states).all()
 
+    def test_empty_chunk_is_inert(self, rng):
+        proc = OnOffArrivals(3, peak_rate=0.9, mean_on=4, mean_off=2, rng=rng)
+        state = proc._state_on.copy()
+        before = rng.bit_generator.state
+        slots, inputs = proc.chunk(17, 0)
+        assert len(slots) == 0 and len(inputs) == 0
+        assert proc._state_on.dtype == bool
+        assert (proc._state_on == state).all()
+        assert rng.bit_generator.state == before
+
     def test_parameter_validation(self, rng):
         with pytest.raises(ValueError):
             OnOffArrivals(0, 0.5, 10, 10, rng)
@@ -79,6 +91,85 @@ class TestOnOff:
             OnOffArrivals(2, 1.5, 10, 10, rng)
         with pytest.raises(ValueError):
             OnOffArrivals(2, 0.5, 0.5, 10, rng)
+
+
+def _loop_chunk(proc, start_slot, num_slots):
+    """The slot-by-slot Markov step ``OnOffArrivals.chunk`` is the closed
+    form of — the reference the closed form must reproduce bit for bit,
+    RNG consumption included."""
+    rng = proc._rng
+    flips = rng.random((num_slots, proc.phases))
+    emits = rng.random((num_slots, proc.n)) < proc.peak_rate
+    arrivals = np.zeros((num_slots, proc.n), dtype=bool)
+    state = proc._state_on
+    for t in range(num_slots):
+        arrivals[t] = state[proc._chain] & emits[t]
+        switch_off = state & (flips[t] < proc.p_off)
+        switch_on = ~state & (flips[t] < proc.p_on)
+        state = (state & ~switch_off) | switch_on
+    proc._state_on = state
+    rel_slots, inputs = np.nonzero(arrivals)
+    return rel_slots + start_slot, inputs
+
+
+#: 1.0 is the edge where every flip is below the threshold (the chain
+#: leaves that state every slot); repeats make ``mean_on == mean_off``
+#: (no force band at all) a likely draw.
+_MEANS = st.sampled_from([1.0, 1.0, 1.5, 3.0, 3.0, 12.0, 40.0])
+
+
+@st.composite
+def _onoff_cases(draw):
+    n = draw(st.integers(1, 6))
+    phases = draw(st.sampled_from([None, 1, n, draw(st.integers(1, n))]))
+    if draw(st.booleans()):
+        peak = draw(st.floats(0.0, 1.0))
+    else:
+        peak = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    cuts = draw(st.lists(st.integers(0, 70), min_size=1, max_size=5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, peak, draw(_MEANS), draw(_MEANS), phases, cuts, seed
+
+
+class TestOnOffClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(_onoff_cases())
+    def test_matches_slot_loop(self, case):
+        n, peak, mean_on, mean_off, phases, cuts, seed = case
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        closed, loop = (
+            OnOffArrivals(n, peak, mean_on, mean_off, rng, phases=phases)
+            for rng in rngs
+        )
+        start = 0
+        for size in cuts:
+            got = closed.chunk(start, size)
+            want = _loop_chunk(loop, start, size)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(closed._state_on, loop._state_on)
+            # The destination draws that follow a chunk must not shift.
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            start += size
+
+    @pytest.mark.parametrize("mean_on,mean_off", [
+        (1.0, 1.0), (1.0, 5.0), (5.0, 1.0), (4.0, 4.0), (2.0, 9.0), (9.0, 2.0),
+    ])
+    @pytest.mark.parametrize("phases", [1, 3, 8])
+    def test_long_chunks_match_slot_loop(self, mean_on, mean_off, phases):
+        peak = np.linspace(0.2, 1.0, 8)
+        rngs = [np.random.default_rng(11) for _ in range(2)]
+        closed, loop = (
+            OnOffArrivals(8, peak, mean_on, mean_off, rng, phases=phases)
+            for rng in rngs
+        )
+        for start in (0, 3000):
+            got = closed.chunk(start, 3000)
+            want = _loop_chunk(loop, start, 3000)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(closed._state_on, loop._state_on)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 class TestTrace:

@@ -3,6 +3,8 @@ streaming equivalence, per-stage metrics, and run-path dispatch."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import models
 from repro.models import (
@@ -20,9 +22,11 @@ from repro.models.composite import (
     stage_matrices,
 )
 from repro.scenarios import resolve_scenario
-from repro.sim.composite import run_fabric
+from repro.sim import composite as composite_module
+from repro.sim.composite import _LinkCoupler, run_fabric
 from repro.sim.experiment import run_single
 from repro.sim.fast_engine import run_single_fast
+from repro.sim.kernels.base import Departures
 from repro.sim.replication import replicate
 from repro.traffic.batch import BatchTrafficGenerator
 from repro.traffic.matrices import uniform_matrix
@@ -277,6 +281,189 @@ class TestChainedReplay:
                 LEAF_SPINE, uniform_matrix(8, 0.5), 500,
                 batch_traffic=traffic,
             )
+
+
+def _chain_spec(*switches):
+    return FabricSpec(
+        name="chain-" + "-".join(switches),
+        stages=tuple({"switch": switch} for switch in switches),
+        links=tuple({"kind": "interleave"} for _ in switches[1:]),
+    )
+
+
+class TestChainsBeyondTheBuiltins:
+    """The shipped fabrics chain sprinklers/output-queued only.  These
+    put the other kernels upstream (FOFF's rank tie-break on the link,
+    the load-balanced switch's reordering) and downstream (identities
+    joined out of VOQ order, a ranked last stage under the end-to-end
+    fold)."""
+
+    @pytest.mark.parametrize("switches", [
+        ("foff", "sprinklers"),
+        ("pf", "output-queued"),
+        ("load-balanced", "sprinklers"),
+        ("sprinklers", "load-balanced"),
+        ("foff", "foff"),
+        ("load-balanced", "pf", "load-balanced"),
+    ])
+    def test_streamed_monolithic_object_agree(self, switches):
+        kwargs = dict(
+            matrix=uniform_matrix(8, 0.75), num_slots=1300, seed=6,
+        )
+        spec = _chain_spec(*switches)
+        mono = run_fabric(spec, **kwargs)
+        streamed = run_fabric(spec, window_slots=96, **kwargs)
+        ragged = run_fabric(spec, window_slots=411, **kwargs)
+        obj = run_fabric(spec, engine="object", **kwargs)
+        assert (
+            mono.to_dict() == streamed.to_dict() == ragged.to_dict()
+            == obj.to_dict()
+        )
+        assert 0 < mono.departed <= mono.injected
+        if switches[0] == "load-balanced":
+            assert mono.late_packets > 0  # the chain really reorders
+
+
+@st.composite
+def _link_blocks(draw):
+    """A stage's departure block: at most one packet per (slot, output)
+    with a port tie-break, or — ``ranked`` — several per output and
+    slot, ordered by a global observation rank (FOFF's multi-release)."""
+    n = draw(st.integers(2, 6))
+    ranked = draw(st.booleans())
+    count = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mapped = rng.permutation(n)
+    slots = rng.integers(40, 48, count)
+    outputs = rng.integers(0, n, count)
+    if ranked:
+        observed = np.lexsort((rng.random(count), slots))
+        wire = np.empty(count, dtype=np.int64)
+        wire[observed] = 1000 + np.arange(count)
+    else:
+        _, keep = np.unique(slots * n + outputs, return_index=True)
+        slots, outputs = slots[keep], outputs[keep]
+        wire = rng.permutation(n)[outputs]
+    voq = rng.integers(0, n, len(slots)) * n + outputs
+    shuffle = rng.permutation(len(slots))
+    dep = Departures(
+        voq=voq[shuffle], seq=np.arange(len(slots)),
+        arrival=np.zeros(len(slots), dtype=np.int64),
+        departure=slots[shuffle], wire=wire[shuffle], wire_is_rank=ranked,
+    )
+    return n, mapped, dep
+
+
+class TestLinkCoupler:
+    @settings(max_examples=200, deadline=None)
+    @given(_link_blocks())
+    def test_link_order_is_the_three_key_sort(self, block):
+        n, mapped, dep = block
+        inputs = mapped[dep.voq % n]
+        reference = np.lexsort((dep.wire, inputs, dep.departure))
+        np.testing.assert_array_equal(
+            _LinkCoupler(n, mapped).link_order(dep), reference
+        )
+
+    @staticmethod
+    def _fed(n=3):
+        """A coupler holding five packets of downstream VOQ 4 (output 1)
+        and one of VOQ 8 (output 2), with their original identities."""
+        coupler = _LinkCoupler(n, np.arange(n))
+        voq = np.array([1, 1, 1, 5, 1, 1])
+        up = Departures(
+            voq=voq, seq=np.arange(6), arrival=np.arange(6) * 10,
+            departure=np.arange(6) + 100, wire=voq % n,
+        )
+        orig = (voq + 100, np.arange(6) + 200, np.arange(6) + 300)
+        window = coupler.couple(up, orig, 100, 106)
+        assert window.voqs.tolist() == [4, 4, 4, 8, 4, 4]
+        assert window.seqs.tolist() == [0, 1, 2, 0, 3, 4]
+        return coupler
+
+    @staticmethod
+    def _leaving(voq, seq):
+        size = len(voq)
+        zeros = np.zeros(size, dtype=np.int64)
+        return Departures(
+            voq=np.array(voq), seq=np.array(seq), arrival=zeros,
+            departure=zeros, wire=np.arange(size),
+        )
+
+    def test_join_out_of_voq_order(self):
+        coupler = self._fed()
+        # Seqs 3 and 1 of VOQ 4 leave first: the table keeps them as
+        # tombstones behind the still-pending seq 0.
+        orig = coupler.join(self._leaving([4, 4], [3, 1]))
+        assert [a.tolist() for a in orig] == [
+            [101, 101], [204, 201], [304, 301],
+        ]
+        assert coupler.pending == 4
+        orig = coupler.join(self._leaving([8, 4, 4], [0, 0, 2]))
+        assert orig[0].tolist() == [105, 101, 101]
+        assert orig[1].tolist() == [203, 200, 202]
+        assert coupler.pending == 1
+        # New packets number on from where each VOQ stopped.
+        up = Departures(
+            voq=np.array([1, 5]), seq=np.arange(2), arrival=np.arange(2),
+            departure=np.array([200, 201]), wire=np.array([1, 2]),
+        )
+        window = coupler.couple(up, (up.voq, up.seq, up.arrival), 106, 202)
+        assert window.seqs.tolist() == [5, 1]
+        orig = coupler.join(self._leaving([4, 4, 8], [5, 4, 1]))
+        assert orig[1].tolist() == [0, 205, 1]
+        assert coupler.pending == 0
+
+    @pytest.mark.parametrize("voq,seq", [
+        ([4, 4], [2, 2]),   # the same packet twice in one block
+        ([4], [5]),         # a sequence number the link never assigned
+        ([0], [0]),         # a VOQ nothing was sent to
+        ([4], [-1]),
+    ])
+    def test_join_rejects_what_was_never_fed(self, voq, seq):
+        coupler = self._fed()
+        with pytest.raises(RuntimeError, match="never fed"):
+            coupler.join(self._leaving(voq, seq))
+
+    def test_join_rejects_a_second_departure(self):
+        coupler = self._fed()
+        coupler.join(self._leaving([4], [1]))
+        with pytest.raises(RuntimeError, match="never fed"):
+            coupler.join(self._leaving([4], [1]))
+
+    def test_doctored_stage_output_is_refused(self, monkeypatch):
+        # A downstream stage that emits one packet twice must not be
+        # folded into the metrics.
+        feed = composite_module.KernelStage.finish
+
+        def doubled(self, window=None):
+            dep, extras = feed(self, window)
+            if self.label.startswith("stage1") and len(dep.voq):
+                again = np.r_[np.arange(len(dep.voq)), 0]
+                dep = Departures(
+                    voq=dep.voq[again], seq=dep.seq[again],
+                    arrival=dep.arrival[again],
+                    departure=dep.departure[again],
+                    wire=np.r_[dep.wire, dep.wire.max() + 1],
+                )
+            return dep, extras
+
+        monkeypatch.setattr(composite_module.KernelStage, "finish", doubled)
+        with pytest.raises(RuntimeError, match="never fed"):
+            run_fabric(LEAF_SPINE, uniform_matrix(4, 0.6), 300, seed=1)
+
+
+class TestArgumentChecks:
+    def test_window_slots_checked_before_stages_are_built(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("stages built before arguments checked")
+
+        monkeypatch.setattr(composite_module, "build_stages", no_build)
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="window_slots"):
+                run_fabric(
+                    LEAF_SPINE, uniform_matrix(4, 0.5), 200, window_slots=bad
+                )
 
 
 class TestRunPathDispatch:

@@ -217,6 +217,28 @@ class TestSpans:
         assert any("ends after its parent" in p for p in problems)
 
 
+    def test_check_trace_gates_the_named_spans(self):
+        def span(span_id, parent, name, dur):
+            return {
+                "record": "span", "id": span_id, "parent": parent,
+                "depth": span_id, "name": name,
+                "start_s": 0.0, "dur_s": dur, "attrs": {},
+            }
+
+        trace = {
+            "meta": {},
+            "metrics": None,
+            "spans": [
+                span(0, None, "replay.fabric", 1.0),
+                span(1, 0, "fabric.window", 0.99),
+                span(2, 1, "stage.feed", 0.5),  # half the window unspanned
+            ],
+        }
+        assert check_trace(trace) == []
+        problems = check_trace(trace, covered_names=("fabric.window",))
+        assert len(problems) == 1 and "fabric.window" in problems[0]
+
+
 class TestRunProbes:
     """The wired probes: every family fires on an enabled run."""
 
@@ -265,8 +287,14 @@ class TestRunProbes:
         span_names = {s["name"] for s in trace["spans"]}
         assert {
             "run.fabric", "replay.fabric", "fabric.window",
-            "fabric.couple", "fabric.join", "fabric.finish", "stage.feed",
+            "fabric.couple", "fabric.join", "fabric.fold", "fabric.finish",
+            "stage.feed",
         } <= span_names
+        # One level below the replay span: a window is its stage feeds,
+        # link coupling/joining and metric folds, nothing unspanned.
+        assert check_trace(
+            trace, coverage=0.75, covered_names=("fabric.window",)
+        ) == []
         # Per-stage labels carry position + switch name.
         assert "stage.feed_s.stage0.sprinklers" in names
         assert "stage.feed_s.stage1.output-queued" in names
@@ -468,6 +496,11 @@ class TestCli:
         assert "metrics" in out
         assert main(["telemetry", "check", str(path)]) == 0
         assert "OK" in capsys.readouterr().out
+        # --span moves the coverage gate to the named spans: run.single's
+        # children can never cover 100.1 % of it.
+        gate = ["--span", "run.single", "--coverage", "1.001"]
+        assert main(["telemetry", "check", str(path), *gate]) == 1
+        assert "run.single" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["summarize", "check", "diff"])
     def test_telemetry_unreadable_trace_exits_2(self, tmp_path, capsys, command):
