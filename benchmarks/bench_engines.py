@@ -44,7 +44,7 @@ from benchmarks.conftest import bench_n, bench_slots, emit, write_bench_artifact
 #: Every switch with a registered vectorized kernel is benchmarked; a new
 #: kernel enrolls automatically (and the registry-coverage CI step fails
 #: if one silently disappears).
-FAST_ENGINE_SWITCHES = models.available(engine="vectorized")
+VECTORIZED_SWITCHES = models.available(engine="vectorized")
 
 #: Wall-clock ratio the fast engine must beat at paper scale (>= 100k
 #: slots); below that, fixed overheads make the bar meaningless.
@@ -133,7 +133,7 @@ def engine_rows():
     slots = bench_slots()
     matrix = uniform_matrix(n, LOAD)
     rows = []
-    for switch in FAST_ENGINE_SWITCHES:
+    for switch in VECTORIZED_SWITCHES:
         fast, t_fast = _time_run("vectorized", switch, matrix, slots, repeats=2)
         obj, t_obj = _time_run("object", switch, matrix, slots)
         rows.append(

@@ -15,25 +15,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
-from ..models import PAPER_SWITCHES, canonical_name, lookup_fabric
-from ..sim.experiment import (
-    TRAFFIC_PATTERNS,
-    delay_vs_load_sweep,
-    fabric_run_params,
-    single_run_params,
-)
-from ..store import cache_key, coerce_store
+from ..models import PAPER_SWITCHES
+from ..sim.experiment import delay_vs_load_sweep, plan_cell, resolve_pattern
+from ..store import coerce_store
 from .render import ascii_log_chart, format_table
 
 __all__ = ["generate", "render", "table_params", "DEFAULT_LOADS"]
 
 DEFAULT_LOADS: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
-
-
-def _reported_name(name: str) -> str:
-    """Canonical registry name of a switch *or* composite fabric."""
-    fabric = lookup_fabric(name)
-    return fabric.name if fabric is not None else canonical_name(name)
 
 
 def table_params(
@@ -49,52 +38,31 @@ def table_params(
     """The store cache-key parameters of one rendered figure table.
 
     Content-addressed over the figure spec *and* the constituent run
-    keys: the ``runs`` field lists the per-cell ``run_single`` cache keys
-    (exactly the keys the sweep consults), so any change that would
+    keys: the ``runs`` field lists the per-cell plan keys (the sweep
+    plans the same cells with the same helper), so any change that would
     recompute a cell — run-params schema bump included — also misses the
     rendered table, while bit-identical execution details that do not
     enter run keys (e.g. ``window_slots``) hit it.
     """
-    from ..scenarios.registry import resolve_scenario
-    from ..scenarios.spec import effective_matrix
-
-    spec = None
-    if not (isinstance(pattern, str) and pattern in TRAFFIC_PATTERNS):
-        spec = resolve_scenario(pattern)
-    run_keys = []
-    for load in loads:
-        matrix = (
-            TRAFFIC_PATTERNS[pattern](n, load)
-            if spec is None
-            else effective_matrix(spec, n, load)
-        )
-        for name in switches:
-            fabric = lookup_fabric(name)
-            run_keys.append(
-                cache_key(
-                    fabric_run_params(
-                        fabric, matrix, num_slots, seed,
-                        float(load), 0.1, False, engine, spec,
-                    )
-                    if fabric is not None
-                    else single_run_params(
-                        canonical_name(name), matrix, num_slots, seed,
-                        float(load), 0.1, False, engine, spec,
-                    )
-                )
-            )
+    pattern = resolve_pattern(pattern)
+    plans = [
+        plan_cell(pattern, name, n, load, num_slots, seed, engine=engine)
+        for load in loads
+        for name in switches
+    ]
     return {
         "schema": 1,
         "kind": "figure_table",
         "figure": figure_name,
-        "pattern": spec.to_dict() if spec is not None else pattern,
+        "pattern": pattern if isinstance(pattern, str) else pattern.to_dict(),
         "n": int(n),
         "loads": [float(load) for load in loads],
         "num_slots": int(num_slots),
         "seed": int(seed),
         "engine": engine,
-        "switches": [_reported_name(name) for name in switches],
-        "runs": run_keys,
+        # Load-major order: the first row names every switch.
+        "switches": [plan.subject for plan in plans[: len(switches)]],
+        "runs": [plan.key for plan in plans],
     }
 
 

@@ -19,21 +19,12 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..models import CompositeSwitchModel, resolve_fabric
-from ..sim.experiment import TRAFFIC_PATTERNS, fabric_run_params, run_single
-from ..store import cache_key, coerce_store
+from ..sim.experiment import execute, plan_cell, resolve_pattern
+from ..store import coerce_store
 from .delay_figures import DEFAULT_LOADS
 from .render import ascii_log_chart, format_table
 
 __all__ = ["generate", "render", "figure_params", "DEFAULT_LOADS"]
-
-
-def _resolve_pattern(pattern):
-    """``(spec, is_builtin_pattern)`` for a §6 pattern name or scenario."""
-    if isinstance(pattern, str) and pattern in TRAFFIC_PATTERNS:
-        return None, True
-    from ..scenarios.registry import resolve_scenario
-
-    return resolve_scenario(pattern), False
 
 
 def figure_params(
@@ -47,39 +38,28 @@ def figure_params(
 ) -> Dict:
     """Store cache-key parameters of one rendered decomposition figure.
 
-    Content-addressed over the figure spec and the per-load
-    ``fabric_run_params`` keys — the same any-cell-misses-the-table
-    discipline as :func:`repro.figures.delay_figures.table_params`.
+    Content-addressed over the figure spec and the per-load plan keys —
+    the same any-cell-misses-the-table discipline as
+    :func:`repro.figures.delay_figures.table_params`.
     """
-    from ..scenarios.spec import effective_matrix
-
-    spec, is_pattern = _resolve_pattern(pattern)
-    run_keys = []
-    for load in loads:
-        matrix = (
-            TRAFFIC_PATTERNS[pattern](n, load)
-            if is_pattern
-            else effective_matrix(spec, n, load)
-        )
-        run_keys.append(
-            cache_key(
-                fabric_run_params(
-                    fabric_spec, matrix, num_slots, seed,
-                    float(load), 0.1, False, engine, spec,
-                )
-            )
-        )
+    pattern = resolve_pattern(pattern)
     return {
         "schema": 1,
         "kind": "fabric_delay_figure",
         "fabric": fabric_spec.to_dict(),
-        "pattern": spec.to_dict() if spec is not None else pattern,
+        "pattern": pattern if isinstance(pattern, str) else pattern.to_dict(),
         "n": int(n),
         "loads": [float(load) for load in loads],
         "num_slots": int(num_slots),
         "seed": int(seed),
         "engine": engine,
-        "runs": run_keys,
+        "runs": [
+            plan_cell(
+                pattern, fabric_spec, n, float(load), num_slots, seed,
+                engine=engine,
+            ).key
+            for load in loads
+        ],
     }
 
 
@@ -105,34 +85,15 @@ def generate(
     fabric_spec = resolve_fabric(fabric)
     num_stages = fabric_spec.num_stages
     rows: List[Dict[str, float]] = []
-    spec, is_pattern = _resolve_pattern(pattern)
+    pattern = resolve_pattern(pattern)
     for load in loads:
-        if is_pattern:
-            result = run_single(
-                fabric_spec,
-                TRAFFIC_PATTERNS[pattern](n, load),
-                num_slots,
-                seed=seed,
-                load_label=float(load),
-                keep_samples=False,
-                engine=engine,
-                store=store,
-                window_slots=window_slots,
-            )
-        else:
-            result = run_single(
-                fabric_spec,
-                scenario=spec,
-                n=n,
-                load=float(load),
-                num_slots=num_slots,
-                seed=seed,
-                load_label=float(load),
-                keep_samples=False,
-                engine=engine,
-                store=store,
-                window_slots=window_slots,
-            )
+        result = execute(
+            plan_cell(
+                pattern, fabric_spec, n, float(load), num_slots, seed,
+                engine=engine, window_slots=window_slots,
+            ),
+            store,
+        )
         row: Dict[str, float] = {
             "load": float(load),
             "mean_delay": result.mean_delay,

@@ -25,9 +25,10 @@ or suppresses the whole family):
     methods annotated ``# requires: self._lock``).
 ``KEY``
     Key-path determinism — functions reachable from the store-key roots
-    (``resolve_run_params``, ``cache_key``/``canonical_params``,
-    ``expand_shards``) never call wall-clock, entropy, ``id()``, or
-    unsorted directory/set-iteration APIs.
+    (``plan_run``, ``RunPlan.store_params``,
+    ``cache_key``/``canonical_params``, ``expand_shards``) never call
+    wall-clock, entropy, ``id()``, or unsorted directory/set-iteration
+    APIs.
 ``TEL``
     Telemetry probe discipline — spans are context-managed, span names
     match the vocabulary regex, instruments are module-scope.

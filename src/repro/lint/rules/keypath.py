@@ -8,9 +8,9 @@ make the same logical run hash to different keys on different hosts (or
 the same host, twice), silently defeating dedup and cache reuse.
 
 The rule computes the project call graph reachable from the key roots
-(:func:`resolve_run_params`, the store's ``canonical_params`` /
-``cache_key``, and ``jobs.expand_shards``) and forbids the hazardous
-APIs anywhere in that set.
+(``plan_run`` and ``RunPlan.store_params``, the store's
+``canonical_params`` / ``cache_key``, and ``jobs.expand_shards``) and
+forbids the hazardous APIs anywhere in that set.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ __all__ = ["KEY_ROOTS", "check"]
 #: ``(module, function name)`` pairs whose reachable call graph must be
 #: deterministic.  Methods match by trailing name (``Cls.name``).
 KEY_ROOTS: Tuple[Tuple[str, str], ...] = (
-    ("repro.sim.experiment", "resolve_run_params"),
+    ("repro.sim.experiment", "plan_run"),
+    ("repro.sim.experiment", "RunPlan.store_params"),
     ("repro.store.store", "canonical_params"),
     ("repro.store.store", "cache_key"),
     ("repro.service.jobs", "expand_shards"),

@@ -34,11 +34,6 @@ Registering a custom switch::
 Third-party packages can instead expose a ``repro.switch_models`` entry
 point resolving to a :class:`SwitchModel` (or a factory / list thereof);
 the registry discovers those lazily on first use.
-
-The legacy names (``repro.sim.experiment.SWITCH_BUILDERS`` /
-``build_switch``, ``repro.sim.fast_engine.supports_fast_engine`` /
-``FAST_ENGINE_SWITCHES``) remain as deprecation shims backed by this
-registry.
 """
 
 from .model import Capability, ParamSpec, SwitchModel

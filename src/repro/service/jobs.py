@@ -3,13 +3,15 @@
 A :class:`JobRequest` is what a client submits — a sweep grid (workload x
 switches x loads x seeds).  The service decomposes it into
 :class:`ShardSpec` cells, one per (switch, load, seed): the unit of
-computation, queueing, and dedup.  Every shard is keyed by the exact
-:func:`repro.store.cache_key` its :func:`repro.sim.experiment.run_single`
-call would be cached under (via
-:func:`repro.sim.experiment.resolve_run_params`), which is what lets the
-service (a) serve already-stored shards without touching a worker and
-(b) collapse identical in-flight shards across concurrent requests into
-one computation.
+computation, queueing, and dedup.  A shard is an *unresolved* request;
+:func:`shard_run_kwargs` maps it to run arguments, and both the
+daemon's key (:func:`shard_params`) and the worker's run
+(:func:`execute_shard`) reach the same
+:class:`~repro.sim.experiment.RunPlan` through them.  Every shard is
+therefore keyed by exactly the :attr:`RunPlan.key` its result is saved
+under, which is what lets the service (a) serve already-stored shards
+without touching a worker and (b) collapse identical in-flight shards
+across concurrent requests into one computation.
 
 Both request and shard are plain JSON-serializable data (``to_dict`` /
 ``from_dict``): requests cross the HTTP boundary, shards cross the
@@ -25,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.experiment import TRAFFIC_PATTERNS, resolve_run_params, run_single
+from ..sim.experiment import cell_workload, resolve_run_params, run_single
 from ..store import cache_key
 
 __all__ = [
@@ -174,30 +176,20 @@ def shard_run_kwargs(shard: ShardSpec) -> Dict:
     """The :func:`~repro.sim.experiment.run_single` arguments for a shard.
 
     The one place the shard -> run mapping lives: the daemon keys shards
-    with it (through :func:`resolve_run_params`) and workers execute with
-    it, so planner and executor cannot disagree on what a shard means.
+    with it (:func:`shard_params`) and workers execute with it
+    (:func:`execute_shard`), so planner and executor build the same plan.
     """
-    kwargs: Dict = {
+    return {
         "switch_name": shard.switch,
         "num_slots": shard.num_slots,
         "seed": shard.seed,
         "keep_samples": False,
         "engine": shard.engine,
         "switch_params": shard.switch_params,
-        # Bit-identical either way: resolve_run_params validates the
-        # name and excludes it from the key, run_single executes under it.
+        # Validated at plan time, never part of the key.
         "backend": shard.backend,
+        **cell_workload(shard.workload, shard.n, shard.load),
     }
-    if shard.workload in TRAFFIC_PATTERNS:
-        kwargs["matrix"] = TRAFFIC_PATTERNS[shard.workload](
-            shard.n, shard.load
-        )
-        kwargs["load_label"] = shard.load
-    else:
-        kwargs["scenario"] = shard.workload
-        kwargs["n"] = shard.n
-        kwargs["load"] = shard.load
-    return kwargs
 
 
 def shard_params(shard: ShardSpec) -> Dict:
@@ -213,8 +205,8 @@ def shard_key(shard: ShardSpec) -> str:
     """The shard's experiment-store cache key.
 
     Exactly the key the worker's ``run_single(store=...)`` call will save
-    under — shard identity IS store identity, which is the whole dedup
-    story.
+    under (both are the plan's) — shard identity IS store identity,
+    which is the whole dedup story.
     """
     return cache_key(shard_params(shard))
 

@@ -19,18 +19,15 @@ __all__ = [
     "BatchMeansResult",
     "DelayStats",
     "ENGINES",
-    "FAST_ENGINE_SWITCHES",
     "PAPER_SWITCHES",
     "ReplicatedResult",
     "RngRegistry",
-    "SWITCH_BUILDERS",
     "SimulationEngine",
     "SimulationMetrics",
     "SweepJob",
     "SimulationResult",
     "TRAFFIC_PATTERNS",
     "batch_means",
-    "build_switch",
     "compare_means",
     "mser_truncation",
     "parallel_delay_sweep",
@@ -41,25 +38,5 @@ __all__ = [
     "run_single",
     "run_single_fast",
     "simulate",
-    "supports_fast_engine",
     "spawn_generator",
 ]
-
-#: Deprecated re-exports, resolved lazily so that importing ``repro.sim``
-#: does not itself emit DeprecationWarnings; accessing any of these names
-#: warns once at the access site (the shims live in their home modules).
-_DEPRECATED = {
-    "SWITCH_BUILDERS": "experiment",
-    "build_switch": "experiment",
-    "FAST_ENGINE_SWITCHES": "fast_engine",
-    "supports_fast_engine": "fast_engine",
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        from importlib import import_module
-
-        module = import_module(f".{_DEPRECATED[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -61,7 +61,6 @@ from .fast_engine import (
     _voq_observation_order,
 )
 from .kernels.base import Departures, composite_argsort, concat_ranges
-from .kernels.compiled import kernel_backend
 from .metrics import SimulationResult
 from .rng import derive_seed, traffic_rng
 from .stage import KernelStage, ObjectStage, Stage
@@ -445,7 +444,6 @@ def run_fabric(
     engine: str = "vectorized",
     batch_traffic: Optional[BatchTrafficGenerator] = None,
     window_slots: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> SimulationResult:
     """Run a multi-stage fabric; the composite analogue of
     :func:`repro.sim.experiment.run_single` /
@@ -469,17 +467,8 @@ def run_fabric(
     the stage means sum to the end-to-end mean), ``stage{k}_observed`` /
     ``stage{k}_late_packets`` / ``stage{k}_max_displacement`` (the
     stage-local reordering view), plus each stage's own kernel extras
-    under the same prefix.  ``backend`` scopes a kernel-backend
-    selection ("numpy"/"compiled") to this run; results are identical
-    either way.
+    under the same prefix.
     """
-    if backend is not None:
-        with kernel_backend(backend):
-            return run_fabric(
-                fabric, matrix, num_slots, seed, load_label,
-                warmup_fraction, keep_samples, engine, batch_traffic,
-                window_slots,
-            )
     spec = resolve_fabric(fabric)
     composite = CompositeSwitchModel(spec)
     if engine not in ("object", "vectorized"):

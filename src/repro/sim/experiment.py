@@ -1,21 +1,31 @@
-"""Experiment orchestration: engines, scenarios, caching, sweeps.
+"""Experiment orchestration: plan, key, execute; sweeps.
 
-This is the layer the figure generators and benchmarks sit on: it knows
-how to run any registered switch (:mod:`repro.models`) on either engine,
-how to run declarative workload scenarios (:mod:`repro.scenarios`), how
-to cache results in the experiment store (:mod:`repro.store`), and how
-to sweep load levels the way the paper's §6 does.
+This is the layer the figure generators and benchmarks sit on.  One
+experiment — a switch or fabric, an admissible workload, a seed — is
+described by exactly one value, a :class:`RunPlan`:
 
-Switch resolution goes through the switch-model registry exclusively;
-the historical names ``SWITCH_BUILDERS`` and ``build_switch`` remain as
-deprecation shims backed by it (see the module ``__getattr__`` below).
+* :func:`plan_run` turns loose arguments into a plan.  *All* validation,
+  alias canonicalization, fabric lookup and scenario resolution happen
+  here, before any store is consulted or any packet is drawn.
+* :meth:`RunPlan.store_params` / :attr:`RunPlan.key` are the plan's
+  identity in the experiment store (:mod:`repro.store`).  The
+  execution-detail fields ``window_slots`` and ``backend`` ride on the
+  plan but are not read by ``store_params``: they cannot enter a key.
+* :func:`execute` is fetch-or-simulate-and-save, for switches
+  (:mod:`repro.models`) and fabrics alike, on either engine.
+
+:func:`run_single` is ``execute(plan_run(...), store)`` and
+:func:`resolve_run_params` is ``plan_run(...).store_params()``, so the
+key a planner computes and the key a run is saved under are the same
+expression.  :func:`plan_cell` plans one cell of the paper's §6 grid
+(pattern x load x switch) for the sweeps and figure generators.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import warnings
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -30,21 +40,24 @@ from ..sim.fast_engine import run_single_fast
 from ..sim.kernels.compiled import KERNEL_BACKENDS, kernel_backend
 from ..sim.metrics import SimulationResult
 from ..sim.rng import traffic_rng
-from ..store import ExperimentStore, coerce_store
+from ..store import ExperimentStore, cache_key, coerce_store
+from ..traffic.batch import BatchTrafficGenerator
 from ..traffic.generator import TrafficGenerator
 from ..traffic.matrices import diagonal_matrix, uniform_matrix
 
 __all__ = [
     "ENGINES",
-    "SWITCH_BUILDERS",
     "PAPER_SWITCHES",
+    "RunPlan",
     "TRAFFIC_PATTERNS",
-    "build_switch",
-    "fabric_run_params",
+    "cell_workload",
+    "delay_vs_load_sweep",
+    "execute",
+    "plan_cell",
+    "plan_run",
+    "resolve_pattern",
     "resolve_run_params",
     "run_single",
-    "delay_vs_load_sweep",
-    "single_run_params",
 ]
 
 #: Simulation engines: the per-packet object model (the auditable
@@ -53,13 +66,6 @@ __all__ = [
 #: 200k-slot scale).
 ENGINES: Sequence[str] = ("object", "vectorized")
 
-
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        known = ", ".join(ENGINES)
-        raise ValueError(f"unknown engine {engine!r}; known: {known}")
-
-
 #: The two workload patterns of the paper's §6.
 TRAFFIC_PATTERNS: Dict[str, Callable[[int, float], np.ndarray]] = {
     "uniform": uniform_matrix,
@@ -67,152 +73,139 @@ TRAFFIC_PATTERNS: Dict[str, Callable[[int, float], np.ndarray]] = {
 }
 
 
-def build_switch(name: str, n: int, matrix: np.ndarray, seed: int):
-    """Instantiate a switch by registry name.
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """One fully resolved run: what :func:`execute` simulates and what
+    the store keys it by.  Build one with :func:`plan_run`, which
+    validates; the constructor does not.
 
-    .. deprecated::
-        Use ``repro.models.build(name, n, matrix, seed)`` (or
-        ``repro.models.get(name).build(...)`` for parameterized builds).
+    ``subject`` is the canonical switch name, or the fabric's name when
+    ``fabric`` is set.  ``spec`` / ``scenario_load`` are set for
+    declarative workloads (``matrix`` is then the scenario's effective
+    matrix, which provisions the switch).  Plans pickle, so they cross
+    process boundaries unchanged.
     """
-    warnings.warn(
-        "build_switch is deprecated; use repro.models.build / "
-        "repro.models.get(name).build",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return models.build(name, n, matrix, seed)
 
+    subject: str
+    fabric: Optional["models.FabricSpec"]
+    matrix: np.ndarray
+    num_slots: int
+    seed: int
+    load_label: float
+    warmup_fraction: float
+    keep_samples: bool
+    engine: str
+    spec: Optional[ScenarioSpec]
+    scenario_load: Optional[float]
+    switch_params: Dict
+    #: Execution detail: results are bit-identical whatever these are,
+    #: so :meth:`store_params` does not read them.
+    window_slots: Optional[int] = None
+    backend: Optional[str] = None
 
-def __getattr__(name: str):
-    if name == "SWITCH_BUILDERS":
-        warnings.warn(
-            "SWITCH_BUILDERS is deprecated; use repro.models.available() "
-            "and repro.models.get(name).build",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            switch: models.get(switch).builder
-            for switch in models.available()
+    @property
+    def n(self) -> int:
+        return int(self.matrix.shape[0])
+
+    def store_params(self) -> Dict:
+        """The experiment store's cache-key parameters for this run.
+
+        The workload identity is the scenario spec's dict form plus its
+        target load when the run is declarative, or a SHA-256 digest of
+        the raw matrix bytes plus the caller's load label for ad-hoc
+        matrices (see EXPERIMENTS.md, "cache-key scheme").  A fabric run
+        embeds its full spec: two fabrics sharing a name but differing
+        in stages, parameters, or port maps never collide.
+        """
+        if self.spec is not None:
+            workload: Dict = {"scenario": self.spec.to_dict()}
+            load = self.scenario_load
+        else:
+            digest = hashlib.sha256(
+                np.ascontiguousarray(self.matrix, dtype=float).tobytes()
+            ).hexdigest()
+            workload = {"matrix_sha256": digest}
+            load = self.load_label
+        params = {
+            "schema": 1,
+            "kind": "run_single",
+            "switch": self.subject,
+            "engine": self.engine,
+            "n": self.n,
+            "slots": int(self.num_slots),
+            "seed": int(self.seed),
+            "load": float(load),
+            "warmup_fraction": float(self.warmup_fraction),
+            "keep_samples": bool(self.keep_samples),
+            "workload": workload,
         }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        if self.switch_params:
+            # Only present when non-default, so default-parameter runs
+            # keep the keys they had before switches took parameters.
+            params["switch_params"] = dict(self.switch_params)
+        if self.fabric is not None:
+            params["kind"] = "run_fabric"
+            params["fabric"] = self.fabric.to_dict()
+        return params
 
+    @property
+    def key(self) -> str:
+        """The content address :func:`execute` saves this run under."""
+        return cache_key(self.store_params())
 
-def single_run_params(
-    switch_name: str,
-    matrix: np.ndarray,
-    num_slots: int,
-    seed: int,
-    load_label: float,
-    warmup_fraction: float,
-    keep_samples: bool,
-    engine: str,
-    spec: Optional[ScenarioSpec],
-    switch_params: Optional[Dict] = None,
-) -> Dict:
-    """The experiment store's cache-key parameters for one run.
-
-    The workload identity is the scenario spec's dict form when the run
-    is declarative, or a SHA-256 digest of the raw matrix bytes for ad-hoc
-    matrices (see EXPERIMENTS.md, "cache-key scheme").  ``load_label``
-    must be the workload-determining load for scenario runs (``run_single``
-    guarantees this by keying on the scenario's target load).
-    """
-    if spec is not None:
-        workload: Dict = {"scenario": spec.to_dict()}
-    else:
-        digest = hashlib.sha256(
-            np.ascontiguousarray(matrix, dtype=float).tobytes()
-        ).hexdigest()
-        workload = {"matrix_sha256": digest}
-    params = {
-        "schema": 1,
-        "kind": "run_single",
-        "switch": switch_name,
-        "engine": engine,
-        "n": int(matrix.shape[0]),
-        "slots": int(num_slots),
-        "seed": int(seed),
-        "load": float(load_label),
-        "warmup_fraction": float(warmup_fraction),
-        "keep_samples": bool(keep_samples),
-        "workload": workload,
-    }
-    if switch_params:
-        # Only present when non-default, so pre-existing cache keys (all
-        # default-parameter runs) are unchanged.
-        params["switch_params"] = dict(switch_params)
-    return params
-
-
-def fabric_run_params(
-    fabric_spec,
-    matrix: np.ndarray,
-    num_slots: int,
-    seed: int,
-    load_label: float,
-    warmup_fraction: float,
-    keep_samples: bool,
-    engine: str,
-    spec: Optional[ScenarioSpec],
-) -> Dict:
-    """Store cache-key parameters for a multi-stage fabric run.
-
-    Same scheme as :func:`single_run_params` with ``kind="run_fabric"``
-    and the full fabric spec embedded: two fabrics sharing a name but
-    differing in stages, parameters, or port maps never collide.
-    """
-    params = single_run_params(
-        fabric_spec.name, matrix, num_slots, seed, load_label,
-        warmup_fraction, keep_samples, engine, spec,
-    )
-    params["kind"] = "run_fabric"
-    params["fabric"] = fabric_spec.to_dict()
-    return params
-
-
-def _captured(span_name: str, execute: Callable[[], SimulationResult]) -> SimulationResult:
-    """Execute one run under a telemetry capture; when telemetry is on,
-    attach the capture payload (wall seconds, peak RSS, metrics snapshot
-    — process-cumulative at run exit) as ``extras["telemetry"]``.
-
-    The attach happens *before* any store save, so traces of cached
-    sweeps can tell computed runs from hits: a hit's result carries the
-    telemetry of the run that computed it, not of the fetch.  Disabled
-    telemetry leaves the result byte-identical to an uninstrumented run.
-    """
-    cap = telemetry.capture(span_name)
-    with cap:
-        result = execute()
-    if cap.result is not None:
-        result.extras["telemetry"] = cap.result
-    return result
-
-
-def _run_single_fabric(
-    fabric_spec,
-    matrix: Optional[np.ndarray],
-    num_slots: int,
-    seed: int,
-    load_label: float,
-    warmup_fraction: float,
-    keep_samples: bool,
-    engine: str,
-    scenario,
-    n: Optional[int],
-    load: Optional[float],
-    store,
-    switch_params: Optional[Dict],
-    window_slots: Optional[int],
-) -> SimulationResult:
-    """The fabric branch of :func:`run_single`: same workload resolution
-    and store protocol, execution through
-    :func:`repro.sim.composite.run_fabric`."""
-    if switch_params:
-        raise ValueError(
-            f"fabric {fabric_spec.name!r}: per-stage parameters belong in "
-            f"the FabricSpec stages, not switch_params"
+    def batch_traffic(self) -> Optional[BatchTrafficGenerator]:
+        """The scenario's batch packet source; ``None`` for a matrix run,
+        whose engine draws i.i.d. Bernoulli arrivals from the matrix."""
+        if self.spec is None:
+            return None
+        return build_batch_traffic(
+            self.spec, self.n, self.scenario_load, self.seed, self.num_slots
         )
+
+
+def plan_run(
+    switch_name,
+    matrix: Optional[np.ndarray] = None,
+    num_slots: int = 0,
+    seed: int = 0,
+    load_label: float = float("nan"),
+    warmup_fraction: float = 0.1,
+    keep_samples: bool = True,
+    engine: str = "object",
+    scenario=None,
+    n: Optional[int] = None,
+    load: Optional[float] = None,
+    switch_params: Optional[Dict] = None,
+    window_slots: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> RunPlan:
+    """Validate and resolve one run's arguments into a :class:`RunPlan`.
+
+    Arguments are :func:`run_single`'s (minus ``store``).  Every invalid
+    configuration raises its ``ValueError`` here — the same error
+    whatever the engine, the switch, or the contents of a store.
+    """
+    if backend is not None and backend not in KERNEL_BACKENDS:
+        raise ValueError(
+            f"unknown kernel backend {backend!r}; known: "
+            + ", ".join(KERNEL_BACKENDS)
+        )
+    if engine not in ENGINES:
+        known = ", ".join(ENGINES)
+        raise ValueError(f"unknown engine {engine!r}; known: {known}")
+    # Fabric and switch names share a namespace; a registered fabric
+    # name (or a FabricSpec) plans a multi-stage run.
+    fabric = models.lookup_fabric(switch_name)
+    if fabric is not None:
+        if switch_params:
+            raise ValueError(
+                f"fabric {fabric.name!r}: per-stage parameters belong in "
+                f"the FabricSpec stages, not switch_params"
+            )
+        subject = fabric.name
+    else:
+        subject = models.canonical_name(switch_name)
+        models.get(subject).validate_params(switch_params or {})
     spec: Optional[ScenarioSpec] = None
     if scenario is not None:
         if matrix is not None:
@@ -227,106 +220,113 @@ def _run_single_fabric(
         raise ValueError("need a matrix or a scenario")
     if num_slots <= 0:
         raise ValueError("num_slots must be positive")
-    spec_load = float(load) if load is not None else None
-
-    # Imported here, not at module scope: the fabric built-ins resolve
-    # their stage names against the switch registry, which is still
-    # filling in while this module first loads (models -> builtin ->
-    # kernels -> sim package -> here).
-    from ..sim.composite import run_fabric
-
-    def execute() -> SimulationResult:
-        batch_traffic = (
-            build_batch_traffic(
-                spec, matrix.shape[0], spec_load, seed, num_slots
-            )
-            if spec is not None
-            else None
-        )
-        return run_fabric(
-            fabric_spec,
-            matrix,
-            num_slots,
-            seed=seed,
-            load_label=load_label,
-            warmup_fraction=warmup_fraction,
-            keep_samples=keep_samples,
-            engine=engine,
-            batch_traffic=batch_traffic,
-            window_slots=window_slots,
-        )
-
-    cache = coerce_store(store)
-    if cache is None:
-        return _captured("run.fabric", execute)
-    params = fabric_run_params(
-        fabric_spec, matrix, num_slots, seed,
-        spec_load if spec is not None else load_label,
-        warmup_fraction, keep_samples, engine, spec,
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
+    if window_slots is not None and window_slots <= 0:
+        raise ValueError("window_slots must be positive")
+    return RunPlan(
+        subject=subject,
+        fabric=fabric,
+        matrix=matrix,
+        num_slots=num_slots,
+        seed=seed,
+        load_label=load_label,
+        warmup_fraction=warmup_fraction,
+        keep_samples=keep_samples,
+        engine=engine,
+        spec=spec,
+        scenario_load=float(load) if spec is not None else None,
+        switch_params=dict(switch_params or {}),
+        window_slots=window_slots,
+        backend=backend,
     )
-    cached = cache.fetch(params)
-    if cached is not None:
-        return cached
-    result = _captured("run.fabric", execute)
-    cache.save(params, result)
-    return result
 
 
-def _execute_single(
-    switch_name: str,
-    matrix: np.ndarray,
-    num_slots: int,
-    seed: int,
-    load_label: float,
-    warmup_fraction: float,
-    keep_samples: bool,
-    engine: str,
-    spec: Optional[ScenarioSpec],
-    spec_load: Optional[float] = None,
-    switch_params: Optional[Dict] = None,
-    window_slots: Optional[int] = None,
-) -> SimulationResult:
-    """The uncached simulation (the store wraps exactly this function)."""
-    n = matrix.shape[0]
-    model = models.get(switch_name)
-    switch_params = switch_params or {}
-    if engine == "vectorized" and model.supports_engine(
-        "vectorized", switch_params
-    ):
-        batch_traffic = (
-            build_batch_traffic(spec, n, spec_load, seed, num_slots)
-            if spec is not None
-            else None
+def _simulate(plan: RunPlan) -> SimulationResult:
+    """The uncached simulation (:func:`execute` wraps exactly this)."""
+    if plan.fabric is not None:
+        # Imported here, not at module scope: the fabric built-ins
+        # resolve their stage names against the switch registry, which
+        # is still filling in while this module first loads (models ->
+        # builtin -> kernels -> sim package -> here).
+        from ..sim.composite import run_fabric
+
+        return run_fabric(
+            plan.fabric,
+            plan.matrix,
+            plan.num_slots,
+            seed=plan.seed,
+            load_label=plan.load_label,
+            warmup_fraction=plan.warmup_fraction,
+            keep_samples=plan.keep_samples,
+            engine=plan.engine,
+            batch_traffic=plan.batch_traffic(),
+            window_slots=plan.window_slots,
         )
+    model = models.get(plan.subject)
+    if plan.engine == "vectorized" and model.supports_engine(
+        "vectorized", plan.switch_params
+    ):
         return run_single_fast(
-            switch_name,
-            matrix,
-            num_slots,
-            seed=seed,
-            load_label=load_label,
-            warmup_fraction=warmup_fraction,
-            keep_samples=keep_samples,
-            batch_traffic=batch_traffic,
-            switch_params=switch_params,
-            # The windowed replay is an execution detail (bit-identical
-            # results, bounded memory); switches without a stream kernel
-            # simply keep the monolithic replay.
+            plan.subject,
+            plan.matrix,
+            plan.num_slots,
+            seed=plan.seed,
+            load_label=plan.load_label,
+            warmup_fraction=plan.warmup_fraction,
+            keep_samples=plan.keep_samples,
+            batch_traffic=plan.batch_traffic(),
+            switch_params=plan.switch_params,
+            # A kernel without a stream form keeps the monolithic replay.
             window_slots=(
-                window_slots if model.stream_kernel is not None else None
+                plan.window_slots if model.stream_kernel is not None else None
             ),
         )
-    switch = model.build(n, matrix, seed, **switch_params)
-    if spec is not None:
-        traffic = build_traffic(spec, n, spec_load, seed, num_slots)
+    switch = model.build(plan.n, plan.matrix, plan.seed, **plan.switch_params)
+    if plan.spec is not None:
+        traffic = build_traffic(
+            plan.spec, plan.n, plan.scenario_load, plan.seed, plan.num_slots
+        )
     else:
-        traffic = TrafficGenerator(matrix, traffic_rng(seed))
+        traffic = TrafficGenerator(plan.matrix, traffic_rng(plan.seed))
     sim = SimulationEngine(
         switch,
         traffic,
-        warmup_fraction=warmup_fraction,
-        keep_samples=keep_samples,
+        warmup_fraction=plan.warmup_fraction,
+        keep_samples=plan.keep_samples,
     )
-    return sim.run(num_slots, load_label=load_label)
+    return sim.run(plan.num_slots, load_label=plan.load_label)
+
+
+def execute(
+    plan: RunPlan, store: Union[None, str, ExperimentStore] = None
+) -> SimulationResult:
+    """Fetch ``plan``'s result from ``store``, or simulate and save it.
+
+    The simulation runs under ``plan.backend`` and a telemetry capture;
+    when telemetry is on, the capture payload (wall seconds, peak RSS,
+    metrics snapshot — process-cumulative at run exit) is attached as
+    ``extras["telemetry"]`` *before* the save, so a later hit carries
+    the telemetry of the run that computed it, not of the fetch.
+    Disabled telemetry leaves the result byte-identical to an
+    uninstrumented run.
+    """
+    cache = coerce_store(store)
+    if cache is not None:
+        params = plan.store_params()
+        cached = cache.fetch(params)
+        if cached is not None:
+            return cached
+    cap = telemetry.capture(
+        "run.fabric" if plan.fabric is not None else "run.single"
+    )
+    with cap, kernel_backend(plan.backend):
+        result = _simulate(plan)
+    if cap.result is not None:
+        result.extras["telemetry"] = cap.result
+    if cache is not None:
+        cache.save(params, result)
+    return result
 
 
 def run_single(
@@ -346,15 +346,16 @@ def run_single(
     window_slots: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> SimulationResult:
-    """Build switch + traffic from a seed and simulate one configuration.
+    """Build switch + traffic from a seed and simulate one configuration:
+    ``execute(plan_run(...), store)``.
 
     ``switch_name`` is any name or alias in the switch-model registry
     (:func:`repro.models.available` lists them); aliases are canonicalized
-    before anything else, so store cache keys are alias-independent.  A
+    at plan time, so store cache keys are alias-independent.  A
     registered *fabric* name (:func:`repro.models.available_fabrics`) or
-    a :class:`~repro.models.FabricSpec` is also accepted and dispatches
-    to the multi-stage runner (:func:`repro.sim.composite.run_fabric`),
-    with per-stage metrics in the result's extras.
+    a :class:`~repro.models.FabricSpec` plans a multi-stage run
+    (:func:`repro.sim.composite.run_fabric`), with per-stage metrics in
+    the result's extras.
     ``switch_params`` passes schema-checked constructor parameters (e.g.
     ``{"threshold": 8}`` for PF) through the model; a vectorized run
     falls back to the object engine when a requested parameter is not in
@@ -379,78 +380,27 @@ def run_single(
     (CMS, hashing, adaptive Sprinklers), so mixed sweeps keep working.
 
     ``store`` (an :class:`~repro.store.ExperimentStore` or its directory
-    path) caches the result content-addressed by the full configuration;
-    a hit skips the simulation entirely.
+    path) caches the result content-addressed by :attr:`RunPlan.key`; a
+    hit skips the simulation entirely.
 
     ``window_slots`` streams the vectorized replay in windows of that
     many slots (bounded arrival memory, bit-identical results — see
-    :func:`repro.sim.fast_engine.run_single_fast`); because results are
-    identical it does not enter the store cache key, and engines or
-    switches that cannot stream simply ignore it.
-
-    ``backend`` selects the kernel backend ("numpy" or "compiled") for
-    this run (:mod:`repro.sim.kernels.compiled`); ``None`` keeps
-    whatever is globally active.  Compiled results are bit-identical to
-    NumPy's, so the backend never enters the store cache key — a run
-    computed on one backend is a cache hit for the other.
+    :func:`repro.sim.fast_engine.run_single_fast`) and ``backend``
+    selects the kernel backend ("numpy" or "compiled",
+    :mod:`repro.sim.kernels.compiled`; ``None`` keeps whatever is
+    globally active).  Both are validated with everything else but
+    change no result, so neither enters the store key — a run computed
+    one way is a cache hit for the other — and engines or switches that
+    cannot stream simply ignore ``window_slots``.
     """
-    if backend is not None:
-        with kernel_backend(backend):
-            return run_single(
-                switch_name, matrix, num_slots, seed, load_label,
-                warmup_fraction, keep_samples, engine, scenario, n, load,
-                store, switch_params, window_slots,
-            )
-    _check_engine(engine)
-    fabric_spec = models.lookup_fabric(switch_name)
-    if fabric_spec is not None:
-        # A registered fabric name (or FabricSpec) dispatches to the
-        # multi-stage runner; fabric and switch names share a namespace.
-        return _run_single_fabric(
-            fabric_spec, matrix, num_slots, seed, load_label,
-            warmup_fraction, keep_samples, engine, scenario, n, load,
-            store, switch_params, window_slots,
-        )
-    switch_name = models.canonical_name(switch_name)
-    models.get(switch_name).validate_params(switch_params or {})
-    spec: Optional[ScenarioSpec] = None
-    if scenario is not None:
-        if matrix is not None:
-            raise ValueError("pass either matrix or scenario, not both")
-        spec = resolve_scenario(scenario)
-        if n is None or load is None:
-            raise ValueError("scenario runs require n and load")
-        matrix = effective_matrix(spec, n, load)
-        if math.isnan(load_label):
-            load_label = float(load)
-    elif matrix is None:
-        raise ValueError("need a matrix or a scenario")
-    if num_slots <= 0:
-        raise ValueError("num_slots must be positive")
-
-    spec_load = float(load) if load is not None else None
-
-    def execute() -> SimulationResult:
-        return _execute_single(
+    return execute(
+        plan_run(
             switch_name, matrix, num_slots, seed, load_label,
-            warmup_fraction, keep_samples, engine, spec, spec_load,
-            switch_params, window_slots,
-        )
-
-    cache = coerce_store(store)
-    if cache is None:
-        return _captured("run.single", execute)
-    params = single_run_params(
-        switch_name, matrix, num_slots, seed,
-        spec_load if spec is not None else load_label,
-        warmup_fraction, keep_samples, engine, spec, switch_params,
+            warmup_fraction, keep_samples, engine, scenario, n, load,
+            switch_params, window_slots, backend,
+        ),
+        store,
     )
-    cached = cache.fetch(params)
-    if cached is not None:
-        return cached
-    result = _captured("run.single", execute)
-    cache.save(params, result)
-    return result
 
 
 def resolve_run_params(
@@ -469,59 +419,74 @@ def resolve_run_params(
     backend: Optional[str] = None,
 ) -> Dict:
     """The store cache-key parameters :func:`run_single` would use, without
-    running anything.
+    running anything: ``plan_run(...).store_params()``.
 
-    Performs the same resolution as :func:`run_single` — fabric dispatch,
-    alias canonicalization, parameter validation, scenario resolution,
-    workload-load keying — and returns the exact params dict the store
-    would be keyed by, so callers that plan work ahead of execution (the
-    simulation service's shard dedup) and :func:`run_single` itself can
-    never disagree on a key.  Raises the same errors for the same invalid
-    configurations.
-
-    ``backend`` is validated and then deliberately *excluded* from the
-    key: compiled and NumPy kernels produce bit-identical results, so
-    they must share cache entries.
+    Callers that plan work ahead of execution (the simulation service's
+    shard dedup) get the key from the same plan :func:`run_single`
+    executes, and the same errors for the same invalid configurations.
     """
-    if backend is not None and backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; known: "
-            + ", ".join(KERNEL_BACKENDS)
-        )
-    _check_engine(engine)
-    fabric_spec = models.lookup_fabric(switch_name)
-    if fabric_spec is not None and switch_params:
-        raise ValueError(
-            f"fabric {fabric_spec.name!r}: per-stage parameters belong in "
-            f"the FabricSpec stages, not switch_params"
-        )
-    if fabric_spec is None:
-        switch_name = models.canonical_name(switch_name)
-        models.get(switch_name).validate_params(switch_params or {})
-    spec: Optional[ScenarioSpec] = None
-    if scenario is not None:
-        if matrix is not None:
-            raise ValueError("pass either matrix or scenario, not both")
-        spec = resolve_scenario(scenario)
-        if n is None or load is None:
-            raise ValueError("scenario runs require n and load")
-        matrix = effective_matrix(spec, n, load)
-        if math.isnan(load_label):
-            load_label = float(load)
-    elif matrix is None:
-        raise ValueError("need a matrix or a scenario")
-    if num_slots <= 0:
-        raise ValueError("num_slots must be positive")
-    spec_load = float(load) if load is not None else None
-    key_load = spec_load if spec is not None else load_label
-    if fabric_spec is not None:
-        return fabric_run_params(
-            fabric_spec, matrix, num_slots, seed, key_load,
-            warmup_fraction, keep_samples, engine, spec,
-        )
-    return single_run_params(
-        switch_name, matrix, num_slots, seed, key_load,
-        warmup_fraction, keep_samples, engine, spec, switch_params,
+    return plan_run(
+        switch_name, matrix, num_slots, seed, load_label, warmup_fraction,
+        keep_samples, engine, scenario, n, load, switch_params,
+        backend=backend,
+    ).store_params()
+
+
+def resolve_pattern(pattern) -> Union[str, ScenarioSpec]:
+    """A sweep's ``pattern`` argument, checked and resolved once: a
+    :data:`TRAFFIC_PATTERNS` key comes back as is, any scenario
+    designator (registry name, spec file, ``trace:<path>``, dict, spec)
+    as its :class:`~repro.scenarios.spec.ScenarioSpec`."""
+    if isinstance(pattern, str):
+        if pattern in TRAFFIC_PATTERNS:
+            return pattern
+        is_file_or_trace = pattern.endswith(
+            (".toml", ".json")
+        ) or pattern.startswith("trace:")
+        if pattern not in SCENARIOS and not is_file_or_trace:
+            known = ", ".join(sorted(TRAFFIC_PATTERNS) + sorted(SCENARIOS))
+            raise ValueError(
+                f"unknown pattern {pattern!r}; known patterns and "
+                f"scenarios: {known}"
+            )
+    # File and validation errors propagate with their own messages.
+    return resolve_scenario(pattern)
+
+
+def cell_workload(pattern, n: int, load: float) -> Dict:
+    """:func:`run_single`'s workload arguments for one sweep cell: a §6
+    pattern name becomes its rate matrix, anything else is a scenario
+    designator run at ``n`` ports and target ``load``."""
+    if isinstance(pattern, str) and pattern in TRAFFIC_PATTERNS:
+        return {
+            "matrix": TRAFFIC_PATTERNS[pattern](n, load),
+            "load_label": load,
+        }
+    return {"scenario": pattern, "n": n, "load": load}
+
+
+def plan_cell(
+    pattern,
+    subject,
+    n: int,
+    load: float,
+    num_slots: int,
+    seed: int = 0,
+    keep_samples: bool = False,
+    engine: str = "object",
+    window_slots: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> RunPlan:
+    """The plan of one (pattern, load, switch-or-fabric) grid cell."""
+    return plan_run(
+        subject,
+        num_slots=num_slots,
+        seed=seed,
+        keep_samples=keep_samples,
+        engine=engine,
+        window_slots=window_slots,
+        backend=backend,
+        **cell_workload(pattern, n, load),
     )
 
 
@@ -548,68 +513,26 @@ def delay_vs_load_sweep(
     results, paper-scale wall-clock); ``store`` caches every cell so a
     repeated sweep recomputes nothing.
     """
-    spec: Optional[ScenarioSpec] = None
-    is_name = isinstance(pattern, str) and not pattern.endswith(
-        (".toml", ".json")
-    )
-    if is_name and pattern in TRAFFIC_PATTERNS:
-        pass  # the §6 matrix-family path
-    elif is_name and pattern not in SCENARIOS:
-        known = ", ".join(sorted(TRAFFIC_PATTERNS) + sorted(SCENARIOS))
-        raise ValueError(
-            f"unknown pattern {pattern!r}; known patterns and "
-            f"scenarios: {known}"
-        )
-    else:
-        # A registered name, spec file, dict, or ScenarioSpec; file and
-        # validation errors propagate with their own messages.
-        spec = resolve_scenario(pattern)
-    _check_engine(engine)
+    pattern = resolve_pattern(pattern)
     if switches is None:
         switches = PAPER_SWITCHES
     cache = coerce_store(store)
-    results: List[SimulationResult] = []
-    sweep_span = telemetry.trace(
+    with telemetry.trace(
         "sweep.delay_vs_load",
-        pattern=spec.name if spec is not None else str(pattern),
+        pattern=pattern if isinstance(pattern, str) else pattern.name,
         n=n,
         engine=engine,
         loads=len(loads),
         switches=len(switches),
-    )
-    with sweep_span, kernel_backend(backend):
-        results.extend(_sweep_cells(
-            spec, pattern, n, loads, switches, num_slots, seed,
-            keep_samples, engine, cache, window_slots,
-        ))
-    return results
-
-
-def _sweep_cells(
-    spec, pattern, n, loads, switches, num_slots, seed,
-    keep_samples, engine, cache, window_slots,
-) -> List[SimulationResult]:
-    """The sweep grid body of :func:`delay_vs_load_sweep`."""
-    results: List[SimulationResult] = []
-    for load in loads:
-        matrix = (
-            TRAFFIC_PATTERNS[pattern](n, load) if spec is None else None
-        )
-        for name in switches:
-            results.append(
-                run_single(
-                    name,
-                    matrix,
-                    num_slots,
-                    seed=seed,
-                    load_label=load,
-                    keep_samples=keep_samples,
-                    engine=engine,
-                    scenario=spec,
-                    n=n if spec is not None else None,
-                    load=load if spec is not None else None,
-                    store=cache,
-                    window_slots=window_slots,
-                )
+    ):
+        return [
+            execute(
+                plan_cell(
+                    pattern, name, n, load, num_slots, seed, keep_samples,
+                    engine, window_slots=window_slots, backend=backend,
+                ),
+                cache,
             )
-    return results
+            for load in loads
+            for name in switches
+        ]

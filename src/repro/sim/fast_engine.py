@@ -36,14 +36,10 @@ Two scaling modes sit on top of the kernels:
   seeds at once through one stream-kernel instance where the kernel
   supports a seed axis (:data:`~repro.models.Capability.SEED_BATCHED`),
   amortizing the array-setup overheads that dominate short replications.
-
-The legacy module attributes ``FAST_ENGINE_SWITCHES`` and
-``supports_fast_engine`` are deprecation shims over the registry.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -54,48 +50,13 @@ from ..sim.rng import traffic_rng
 from ..traffic.batch import BatchTrafficGenerator
 from ..traffic.matrices import validate_matrix
 from .kernels.base import Departures, composite_argsort, segmented_running_max
-from .kernels.compiled import compiled_active, kernel_backend
+from .kernels.compiled import compiled_active
 from .kernels.compiled.fold_pass import fold_running_max
 
 __all__ = [
-    "FAST_ENGINE_SWITCHES",
-    "supports_fast_engine",
     "run_single_fast",
     "run_replications_fast",
 ]
-
-
-def supports_fast_engine(switch_name: str) -> bool:
-    """Whether ``switch_name`` has a vectorized implementation.
-
-    .. deprecated::
-        Ask the registry instead:
-        ``repro.models.get(name).kernel is not None`` (or membership in
-        ``repro.models.available(engine="vectorized")``).  Unknown names
-        return False, as they always did.
-    """
-    warnings.warn(
-        "supports_fast_engine is deprecated; use repro.models.get(name)"
-        ".kernel / repro.models.available(engine='vectorized')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        return models.get(switch_name).kernel is not None
-    except ValueError:
-        return False
-
-
-def __getattr__(name: str):
-    if name == "FAST_ENGINE_SWITCHES":
-        warnings.warn(
-            "FAST_ENGINE_SWITCHES is deprecated; use "
-            "repro.models.available(engine='vectorized')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return models.available(engine="vectorized")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Target stacked-event count per seed group in the batched replication
@@ -513,7 +474,6 @@ def run_single_fast(
     batch_traffic: Optional[BatchTrafficGenerator] = None,
     switch_params: Optional[Dict] = None,
     window_slots: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> SimulationResult:
     """Vectorized counterpart of :func:`repro.sim.experiment.run_single`.
 
@@ -537,25 +497,7 @@ def run_single_fast(
     multi-million-slot runs that cannot materialize their arrivals at
     once.  Requires the model to declare
     :data:`~repro.models.Capability.STREAMING`.
-
-    ``backend`` selects the kernel backend for this run (``"numpy"`` or
-    ``"compiled"``; see :mod:`repro.sim.kernels.compiled`).  Results are
-    bit-identical across backends; ``None`` keeps whatever is active.
     """
-    if backend is not None:
-        with kernel_backend(backend):
-            return run_single_fast(
-                switch_name,
-                matrix,
-                num_slots,
-                seed=seed,
-                load_label=load_label,
-                warmup_fraction=warmup_fraction,
-                keep_samples=keep_samples,
-                batch_traffic=batch_traffic,
-                switch_params=switch_params,
-                window_slots=window_slots,
-            )
     switch_params = switch_params or {}
     model = _checked_model(switch_name, switch_params)
     if num_slots <= 0:
@@ -659,7 +601,6 @@ def run_replications_fast(
     batch_traffics: Optional[Sequence[BatchTrafficGenerator]] = None,
     switch_params: Optional[Dict] = None,
     window_slots: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[SimulationResult]:
     """Replay many seeds of one configuration in a single kernel pass.
 
@@ -680,23 +621,8 @@ def run_replications_fast(
 
     ``batch_traffics`` substitutes pre-built per-seed packet sources (one
     per seed, e.g. scenario traffic); ``window_slots`` bounds arrival
-    memory exactly as in :func:`run_single_fast` (default: one window);
-    ``backend`` selects the kernel backend exactly as there.
+    memory exactly as in :func:`run_single_fast` (default: one window).
     """
-    if backend is not None:
-        with kernel_backend(backend):
-            return run_replications_fast(
-                switch_name,
-                matrix,
-                num_slots,
-                seeds,
-                load_label=load_label,
-                warmup_fraction=warmup_fraction,
-                keep_samples=keep_samples,
-                batch_traffics=batch_traffics,
-                switch_params=switch_params,
-                window_slots=window_slots,
-            )
     switch_params = switch_params or {}
     model = _checked_model(switch_name, switch_params)
     if model.stream_kernel is None or not model.seed_batched:

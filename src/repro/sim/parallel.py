@@ -2,10 +2,12 @@
 
 The §6 grid (patterns x loads x switches) is embarrassingly parallel; this
 module fans :func:`repro.sim.experiment.run_single` out over a process
-pool.  Configurations are fully described by picklable primitives (switch
-name, matrix or scenario dict, seed, store path), so workers rebuild
-everything locally — no shared state, bit-identical to the sequential
-runner given the same seeds.  When a store directory is set, workers
+pool.  A :class:`SweepJob` is an *unresolved* request, fully described by
+picklable primitives (switch name, matrix or scenario dict, seed, store
+path); the worker plans and executes it locally (``run_single`` ->
+:func:`~repro.sim.experiment.plan_run`), so an invalid cell fails inside
+its own job — no shared state, bit-identical to the sequential runner
+given the same seeds.  When a store directory is set, workers
 share the cache through the filesystem (content addressing makes
 concurrent writes idempotent), so repeated parallel sweeps recompute
 nothing.
@@ -32,9 +34,8 @@ import numpy as np
 
 from .. import telemetry
 from ..models import PAPER_SWITCHES
-from ..scenarios.registry import resolve_scenario
 from ..store import ExperimentStore, store_dir
-from .experiment import TRAFFIC_PATTERNS, run_single
+from .experiment import cell_workload, resolve_pattern, run_single
 from .metrics import SimulationResult
 
 __all__ = [
@@ -110,13 +111,6 @@ class SweepError(RuntimeError):
 
 
 def _run_job(job: SweepJob) -> SimulationResult:
-    scenario_args = {}
-    if job.scenario is not None:
-        scenario_args = {
-            "scenario": job.scenario,
-            "n": job.n,
-            "load": job.load_label,
-        }
     return run_single(
         job.switch_name,
         job.matrix,
@@ -125,9 +119,11 @@ def _run_job(job: SweepJob) -> SimulationResult:
         load_label=job.load_label,
         keep_samples=False,
         engine=job.engine,
+        scenario=job.scenario,
+        n=job.n,
+        load=job.load_label,
         store=job.store,
         switch_params=job.switch_params,
-        **scenario_args,
     )
 
 
@@ -242,25 +238,18 @@ def parallel_delay_sweep(
     ``on_error`` follows :func:`run_jobs`: ``"record"`` returns
     :class:`FailedJob` records for bad cells instead of raising.
     """
+    pattern = resolve_pattern(pattern)  # raises with the known names
+    if not isinstance(pattern, str):
+        pattern = pattern.to_dict()  # jobs carry primitives only
     cache_dir = store_dir(store)
-    if isinstance(pattern, str) and pattern in TRAFFIC_PATTERNS:
-        make_matrix = TRAFFIC_PATTERNS[pattern]
-        jobs = [
+    jobs = []
+    for load in loads:
+        cell = cell_workload(pattern, n, load)
+        jobs.extend(
             SweepJob(
-                name, make_matrix(n, load), num_slots, seed, load, engine,
-                store=cache_dir,
+                name, cell.get("matrix"), num_slots, seed, load, engine,
+                scenario=cell.get("scenario"), n=n, store=cache_dir,
             )
-            for load in loads
             for name in switches
-        ]
-    else:
-        spec = resolve_scenario(pattern)  # raises with the known names
-        jobs = [
-            SweepJob(
-                name, None, num_slots, seed, load, engine,
-                scenario=spec.to_dict(), n=n, store=cache_dir,
-            )
-            for load in loads
-            for name in switches
-        ]
+        )
     return run_jobs(jobs, max_workers=max_workers, on_error=on_error)

@@ -11,13 +11,17 @@ Student-t confidence interval.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .. import telemetry
+from .. import models, telemetry
+from ..store import coerce_store, store_dir
+from .experiment import RunPlan, plan_run
+from .fast_engine import run_replications_fast
 from .metrics import SimulationResult
 from .parallel import SweepJob, run_jobs
 
@@ -40,72 +44,47 @@ class ReplicatedResult(NamedTuple):
         return (self.mean - self.half_width, self.mean + self.half_width)
 
 
-def _replicate_batched(
-    switch_name: str,
-    matrix: Optional[np.ndarray],
-    num_slots: int,
-    seeds: Sequence[int],
-    load_label: float,
-    spec,
-    n: Optional[int],
-    load: Optional[float],
-    store,
-    switch_params: Optional[dict],
-) -> List[SimulationResult]:
+def _replicate_batched(plans: Sequence[RunPlan], store) -> List[SimulationResult]:
     """All seeds in one stacked kernel pass, store-compatible per seed.
 
-    Cache keys are exactly the per-seed keys of the sequential path
-    (``run_single`` with ``keep_samples=False``), so batched and
-    sequential replications share hits; only the missing seeds run, as
-    one :func:`~repro.sim.fast_engine.run_replications_fast` call.
+    ``plans`` differ only in seed.  Each is keyed by its own
+    :meth:`~repro.sim.experiment.RunPlan.store_params` — exactly the
+    sequential path's keys — so batched and sequential replications
+    share hits; only the missing seeds run, as one
+    :func:`~repro.sim.fast_engine.run_replications_fast` call.
     """
-    from ..scenarios.build import build_batch_traffic
-    from ..scenarios.spec import effective_matrix
-    from ..store import coerce_store
-    from .experiment import single_run_params
-    from .fast_engine import run_replications_fast
-
-    if spec is not None:
-        matrix = effective_matrix(spec, n, load)
     cache = coerce_store(store)
     results = {}
     missing = []
-    params_by_seed = {}
-    for seed in seeds:
-        params = single_run_params(
-            switch_name, matrix, num_slots, seed,
-            float(load) if spec is not None else load_label,
-            0.1,  # run_single's warmup_fraction default, as the jobs use
-            False, "vectorized", spec, switch_params,
-        )
-        params_by_seed[seed] = params
+    for plan in plans:
+        params = plan.store_params()
         cached = cache.fetch(params) if cache is not None else None
         if cached is not None:
-            results[seed] = cached
+            results[plan.seed] = cached
         else:
-            missing.append(seed)
+            missing.append((plan, params))
     if missing:
-        traffics = None
-        if spec is not None:
-            traffics = [
-                build_batch_traffic(spec, n, load, seed, num_slots)
-                for seed in missing
-            ]
+        first = missing[0][0]
         fresh = run_replications_fast(
-            switch_name,
-            matrix,
-            num_slots,
-            missing,
-            load_label=load_label,
-            keep_samples=False,
-            batch_traffics=traffics,
-            switch_params=switch_params,
+            first.subject,
+            first.matrix,
+            first.num_slots,
+            [plan.seed for plan, _ in missing],
+            load_label=first.load_label,
+            warmup_fraction=first.warmup_fraction,
+            keep_samples=first.keep_samples,
+            batch_traffics=(
+                [plan.batch_traffic() for plan, _ in missing]
+                if first.spec is not None
+                else None
+            ),
+            switch_params=first.switch_params,
         )
-        for seed, result in zip(missing, fresh):
-            results[seed] = result
+        for (plan, params), result in zip(missing, fresh):
+            results[plan.seed] = result
             if cache is not None:
-                cache.save(params_by_seed[seed], result)
-    return [results[seed] for seed in seeds]
+                cache.save(params, result)
+    return [results[plan.seed] for plan in plans]
 
 
 def replicate(
@@ -141,7 +120,10 @@ def replicate(
     seed's result, so re-running (or widening) a replication study only
     simulates seeds it has not seen.  ``switch_params`` replicates a
     parameterized switch (e.g. PF at a custom ``threshold``), threaded
-    through every seed's job and cache key.
+    through every seed's job and cache key.  The configuration is
+    planned once in the caller (:func:`repro.sim.experiment.plan_run`),
+    so an invalid one raises its ``ValueError`` here, before any seed
+    runs.
 
     ``batch_seeds=True`` (vectorized engine only) replays all seeds in
     *one* stacked kernel pass where the switch supports a seed axis
@@ -161,36 +143,24 @@ def replicate(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for an interval")
-    from .. import models
-    from ..scenarios.registry import resolve_scenario
-    from ..store import store_dir
-
-    scenario_dict = None
-    spec = None
-    if scenario is not None:
-        if n is None or load is None:
-            raise ValueError("scenario replications require n and load")
-        spec = resolve_scenario(scenario)
-        scenario_dict = spec.to_dict()
-        # The job's load_label doubles as the scenario's target load.
-        load_label = float(load)
     if batch_seeds and engine != "vectorized":
         raise ValueError(
             "batch_seeds requires engine='vectorized' (the object engine "
             "has no seed axis)"
         )
-    seeds = [base_seed + r for r in range(replications)]
-    # A fabric name replicates seed-by-seed through run_single's fabric
-    # dispatch (no stacked seed axis across a coupled chain yet); the
-    # scenario / store / pool machinery works unchanged because the job
-    # carries the name.
-    fabric_spec = models.lookup_fabric(switch_name)
-    if fabric_spec is not None:
-        model = None
-        canonical = fabric_spec.name
-    else:
-        canonical = models.canonical_name(switch_name)
-        model = models.get(canonical)
+    # One plan validates and resolves the configuration once, up front;
+    # every seed's run differs from it in the seed alone.
+    first = plan_run(
+        switch_name, matrix, num_slots, base_seed,
+        # A scenario replication is always labeled with its target load.
+        float("nan") if scenario is not None else load_label,
+        keep_samples=False, engine=engine, scenario=scenario, n=n,
+        load=load, switch_params=switch_params,
+    )
+    seeds = range(base_seed, base_seed + replications)
+    # A fabric replicates seed-by-seed (no stacked seed axis across a
+    # coupled chain yet), as does a switch without the capability.
+    model = models.get(first.subject) if first.fabric is None else None
     batched = (
         model is not None
         and batch_seeds
@@ -199,22 +169,25 @@ def replicate(
     )
     with telemetry.trace(
         "run.replicate",
-        switch=canonical,
+        switch=first.subject,
         replications=replications,
         engine=engine,
         batched=batched,
     ):
         if batched:
             results = _replicate_batched(
-                canonical, matrix, num_slots, seeds, load_label,
-                spec, n, load, store, switch_params,
+                [dataclasses.replace(first, seed=seed) for seed in seeds],
+                store,
             )
         else:
+            spec = first.spec
             jobs = [
                 SweepJob(
-                    canonical, matrix, num_slots, seed, load_label,
-                    engine, scenario=scenario_dict, n=n,
-                    store=store_dir(store), switch_params=switch_params,
+                    first.subject,
+                    first.matrix if spec is None else None,
+                    num_slots, seed, first.load_label, engine,
+                    scenario=spec.to_dict() if spec is not None else None,
+                    n=n, store=store_dir(store), switch_params=switch_params,
                 )
                 for seed in seeds
             ]

@@ -1,0 +1,216 @@
+"""Golden store keys: the cache key of every key-producing configuration.
+
+``tests/data/golden_keys.json`` pins the experiment-store key of each
+configuration below.  A refactor of the run-resolution path must leave
+the file byte-identical — a changed key silently orphans every stored
+result and breaks the service's shard dedup.
+
+Regenerate (only when a key change is intended and documented)::
+
+    PYTHONPATH=src:. python tests/test_golden_keys.py --regen
+
+The keys come from public entry points only (``resolve_run_params``,
+``shard_key``, the two figure-table key functions), so the generator
+runs unchanged on any commit that has them.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict
+
+from repro.figures import delay_figures, fabric_delay
+from repro.models import FabricSpec, get_fabric
+from repro.scenarios import get_scenario
+from repro.scenarios.spec import save_scenario_file
+from repro.service.jobs import ShardSpec, shard_key
+from repro.sim.experiment import resolve_run_params
+from repro.store import cache_key
+from repro.traffic.matrices import diagonal_matrix, uniform_matrix
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_keys.json"
+
+KERNEL_SWITCHES = (
+    "sprinklers", "ufs", "pf", "foff", "load-balanced", "output-queued",
+)
+
+TWO_STAGE = FabricSpec(
+    name="golden-two-stage",
+    stages=({"switch": "sprinklers"}, {"switch": "output-queued"}),
+)
+
+
+def run_configs(spec_file: Path) -> Dict[str, Dict]:
+    """``name -> resolve_run_params kwargs`` for every run-key shape the
+    suite exercises."""
+    matrix = uniform_matrix(4, 0.5)
+    base = dict(matrix=matrix, num_slots=500, seed=3, load_label=0.5)
+    scenario = dict(n=4, load=0.6, num_slots=500, seed=3)
+    configs = {
+        f"switch/{name}": dict(switch_name=name, **base)
+        for name in KERNEL_SWITCHES + ("cms",)
+    }
+    configs.update({
+        "alias/oq": dict(switch_name="oq", **base),
+        "params/absent": dict(switch_name="pf", **base),
+        "params/empty": dict(switch_name="pf", switch_params={}, **base),
+        "params/threshold": dict(
+            switch_name="pf", switch_params={"threshold": 2}, **base
+        ),
+        "workload/matrix-diagonal": dict(
+            switch_name="ufs", **{**base, "matrix": diagonal_matrix(4, 0.5)}
+        ),
+        "workload/registry": dict(
+            switch_name="ufs", scenario="mmpp-bursty", **scenario
+        ),
+        "workload/spec-object": dict(
+            switch_name="ufs", scenario=get_scenario("mmpp-bursty"),
+            **scenario
+        ),
+        "workload/spec-dict": dict(
+            switch_name="ufs",
+            scenario=get_scenario("mmpp-bursty").to_dict(), **scenario
+        ),
+        "workload/spec-file": dict(
+            switch_name="ufs", scenario=str(spec_file), **scenario
+        ),
+        "workload/scenario-load-label": dict(
+            switch_name="ufs", scenario="mmpp-bursty", load_label=0.9,
+            **scenario
+        ),
+        "samples/dropped": dict(
+            switch_name="sprinklers", keep_samples=False, **base
+        ),
+        "engine/vectorized": dict(
+            switch_name="sprinklers", engine="vectorized", **base
+        ),
+        "engine/vectorized-cms": dict(
+            switch_name="cms", engine="vectorized", **base
+        ),
+        "load/nan-default": dict(
+            switch_name="sprinklers", matrix=matrix, num_slots=500, seed=3
+        ),
+        "warmup/custom": dict(
+            switch_name="sprinklers", warmup_fraction=0.25, **base
+        ),
+        "fabric/name": dict(
+            switch_name="leaf-spine", engine="vectorized", **base
+        ),
+        "fabric/spec": dict(
+            switch_name=TWO_STAGE, engine="vectorized", **base
+        ),
+        "fabric/registered-spec": dict(
+            switch_name=get_fabric("leaf-spine"), engine="vectorized", **base
+        ),
+        "fabric/scenario": dict(
+            switch_name="dual-sprinklers", engine="vectorized",
+            scenario="ring-allreduce", **scenario
+        ),
+    })
+    return configs
+
+
+SHARDS = {
+    "shard/pattern": ShardSpec(
+        switch="sprinklers", workload="diagonal", n=4, load=0.7,
+        num_slots=400, seed=2, engine="vectorized",
+    ),
+    "shard/scenario": ShardSpec(
+        switch="pf", workload="incast", n=4, load=0.7, num_slots=400,
+        seed=2, switch_params={"threshold": 3},
+    ),
+    "shard/fabric": ShardSpec(
+        switch="leaf-spine", workload="uniform", n=4, load=0.7,
+        num_slots=400, seed=2, engine="vectorized",
+    ),
+}
+
+
+def artifact_params() -> Dict[str, Dict]:
+    loads = (0.3, 0.8)
+    return {
+        "figure/table-pattern": delay_figures.table_params(
+            "uniform", "Fig. 6", 4, loads, 300,
+            ("sprinklers", "oq", "leaf-spine"), 1, "vectorized",
+        ),
+        "figure/table-scenario": delay_figures.table_params(
+            "hotspot-4x", "Fig. S", 4, loads, 300, ("ufs", "cms"), 1,
+            "object",
+        ),
+        "figure/fabric-pattern": fabric_delay.figure_params(
+            get_fabric("leaf-spine"), "diagonal", 4, loads, 300, 1,
+            "vectorized",
+        ),
+        "figure/fabric-scenario": fabric_delay.figure_params(
+            TWO_STAGE, "ring-allreduce", 4, loads, 300, 1, "vectorized",
+        ),
+    }
+
+
+def compute_keys() -> Dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_file = save_scenario_file(
+            get_scenario("mmpp-bursty"), Path(tmp) / "bursty.json"
+        )
+        keys = {
+            name: cache_key(resolve_run_params(**kwargs))
+            for name, kwargs in run_configs(spec_file).items()
+        }
+    keys.update({name: shard_key(shard) for name, shard in SHARDS.items()})
+    keys.update(
+        {name: cache_key(params) for name, params in artifact_params().items()}
+    )
+    return keys
+
+
+def render(keys: Dict[str, str]) -> str:
+    return json.dumps(keys, indent=2, sort_keys=True) + "\n"
+
+
+def test_keys_match_golden_file_byte_for_byte():
+    assert render(compute_keys()) == GOLDEN_PATH.read_text()
+
+
+def test_equivalent_designators_share_a_key():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert golden["alias/oq"] == golden["switch/output-queued"]
+    assert golden["params/empty"] == golden["params/absent"] == golden["switch/pf"]
+    assert golden["params/threshold"] != golden["params/absent"]
+    assert (
+        golden["workload/registry"]
+        == golden["workload/spec-object"]
+        == golden["workload/spec-dict"]
+        == golden["workload/spec-file"]
+        # A scenario run is keyed by its target load, never the label.
+        == golden["workload/scenario-load-label"]
+    )
+    assert golden["fabric/name"] == golden["fabric/registered-spec"]
+
+
+def test_execution_detail_never_changes_a_key(tmp_path):
+    from repro.sim.experiment import plan_run
+
+    golden = json.loads(GOLDEN_PATH.read_text())
+    spec_file = save_scenario_file(
+        get_scenario("mmpp-bursty"), tmp_path / "bursty.json"
+    )
+    for name, kwargs in run_configs(spec_file).items():
+        for detail in (
+            {"window_slots": 64},
+            {"backend": "compiled"},
+            {"window_slots": 1, "backend": "numpy"},
+        ):
+            assert plan_run(**kwargs, **detail).key == golden[name], (
+                name, detail,
+            )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit(__doc__)
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(render(compute_keys()))
+    print(f"wrote {GOLDEN_PATH}")

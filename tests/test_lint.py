@@ -241,16 +241,23 @@ def test_key001_wall_clock_reachable_from_key_root(tmp_path):
             def _stamp():
                 return time.time()
 
-            def resolve_run_params(params):
+            def plan_run(params):
                 return dict(params, at=_stamp())
+
+            class RunPlan:
+                def store_params(self):
+                    return {"at": time.time()}
 
             def unrelated():
                 return time.time_ns()
         """,
     }, select=["KEY"])
-    # The helper is reachable from the root; ``unrelated`` is not.
-    assert codes(result) == ["KEY001"]
-    assert "_stamp" in result.findings[0].message
+    # The helper is reachable from a root and the method is a root;
+    # ``unrelated`` is neither.
+    assert codes(result) == ["KEY001", "KEY001"]
+    messages = [finding.message for finding in result.findings]
+    assert any("_stamp" in message for message in messages)
+    assert any("RunPlan.store_params" in message for message in messages)
 
 
 def test_key002_unsorted_listing_fires_and_sorted_is_clean(tmp_path):

@@ -150,21 +150,18 @@ class TestBuiltinRegistry:
             )
 
     def test_switch_params_change_cache_key(self):
-        from repro.sim.experiment import single_run_params
-        from repro.store import cache_key
+        from repro.sim.experiment import plan_run
 
         common = dict(
             switch_name="pf", matrix=uniform_matrix(4, 0.5), num_slots=500,
             seed=0, load_label=0.5, warmup_fraction=0.1, keep_samples=True,
-            engine="object", spec=None,
+            engine="object",
         )
-        base = cache_key(single_run_params(**common))
-        tuned = cache_key(
-            single_run_params(**common, switch_params={"threshold": 2})
-        )
+        base = plan_run(**common).key
+        tuned = plan_run(**common, switch_params={"threshold": 2}).key
         assert base != tuned
         # Explicit empty params hash like the historical no-params form.
-        assert base == cache_key(single_run_params(**common, switch_params={}))
+        assert base == plan_run(**common, switch_params={}).key
 
     def test_kernel_params_must_be_declared(self):
         with pytest.raises(ValueError, match="not in the declared"):

@@ -66,22 +66,18 @@ class TestRunJobs:
         """Default-parameter jobs must hit the same store entries as
         before the switch_params field existed (key only present when
         non-default)."""
-        from repro.sim.experiment import run_single, single_run_params
+        from repro.sim.experiment import plan_run
 
-        matrix = uniform_matrix(4, 0.6)
-        params_none = single_run_params(
-            "pf", matrix, 600, 2, 0.6, 0.1, False, "object", None, None
-        )
-        params_empty = single_run_params(
-            "pf", matrix, 600, 2, 0.6, 0.1, False, "object", None, {}
-        )
-        assert params_none == params_empty
+        def params(switch_params):
+            return plan_run(
+                "pf", uniform_matrix(4, 0.6), 600, 2, 0.6, 0.1, False,
+                "object", switch_params=switch_params,
+            ).store_params()
+
+        params_none = params(None)
+        assert params_none == params({})
         assert "switch_params" not in params_none
-        custom = single_run_params(
-            "pf", matrix, 600, 2, 0.6, 0.1, False, "object", None,
-            {"threshold": 3},
-        )
-        assert custom["switch_params"] == {"threshold": 3}
+        assert params({"threshold": 3})["switch_params"] == {"threshold": 3}
 
 
 class TestFailureCapture:

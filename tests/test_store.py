@@ -17,11 +17,7 @@ import numpy as np
 import pytest
 
 import repro.sim.experiment as experiment
-from repro.sim.experiment import (
-    delay_vs_load_sweep,
-    run_single,
-    single_run_params,
-)
+from repro.sim.experiment import delay_vs_load_sweep, plan_run, run_single
 from repro.sim.metrics import SimulationResult
 from repro.sim.replication import replicate
 from repro.scenarios import get_scenario
@@ -55,10 +51,9 @@ def params_for(**overrides):
         warmup_fraction=0.1,
         keep_samples=True,
         engine="object",
-        spec=None,
     )
     base.update(overrides)
-    return single_run_params(**base)
+    return plan_run(**base).store_params()
 
 
 class TestCacheKeys:
@@ -78,7 +73,7 @@ class TestCacheKeys:
 
     def test_scenario_workload_identity(self):
         spec = get_scenario("paper-uniform")
-        with_spec = params_for(spec=spec)
+        with_spec = params_for(matrix=None, scenario=spec, n=4, load=0.5)
         assert with_spec["workload"] == {"scenario": spec.to_dict()}
         assert cache_key(with_spec) != cache_key(params_for())
 
@@ -190,13 +185,13 @@ class TestZeroRecompute:
     @pytest.fixture()
     def counting_execute(self, monkeypatch):
         calls = []
-        real = experiment._execute_single
+        real = experiment._simulate
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+        def counted(plan):
+            calls.append(plan.subject)
+            return real(plan)
 
-        monkeypatch.setattr(experiment, "_execute_single", counted)
+        monkeypatch.setattr(experiment, "_simulate", counted)
         return calls
 
     @pytest.mark.parametrize("engine", ["object", "vectorized"])

@@ -22,12 +22,8 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
-from repro.sim.experiment import (
-    delay_vs_load_sweep,
-    run_single,
-    single_run_params,
-)
-from repro.store import ExperimentStore, cache_key
+from repro.sim.experiment import delay_vs_load_sweep, plan_run, run_single
+from repro.store import ExperimentStore
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.spans import (
     Tracer,
@@ -410,17 +406,16 @@ class TestParity:
             assert "telemetry" not in base.extras
 
     def test_store_keys_unchanged(self):
-        params = single_run_params(
+        key_disabled = plan_run(
             "sprinklers", uniform_matrix(4, 0.5), 400, 0, 0.5,
-            0.1, False, "vectorized", None,
-        )
-        key_disabled = cache_key(params)
+            0.1, False, "vectorized",
+        ).key
         with telemetry.scope():
-            params_enabled = single_run_params(
+            key_enabled = plan_run(
                 "sprinklers", uniform_matrix(4, 0.5), 400, 0, 0.5,
-                0.1, False, "vectorized", None,
-            )
-        assert cache_key(params_enabled) == key_disabled
+                0.1, False, "vectorized",
+            ).key
+        assert key_enabled == key_disabled
 
     def test_hits_serve_identical_results_under_telemetry(self, tmp_path):
         store = ExperimentStore(tmp_path)
