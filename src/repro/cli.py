@@ -1155,6 +1155,19 @@ def _dispatch(args: argparse.Namespace) -> tuple:
     )
 
 
+def _run(args: argparse.Namespace) -> tuple:
+    """:func:`_dispatch`, with a bad name or path typed by the user
+    (``ValueError`` / ``OSError``) reported as one stderr sentence and
+    exit code 2 instead of a traceback."""
+    try:
+        return _dispatch(args)
+    except BrokenPipeError:
+        raise  # a closed pipe is main()'s business, not a user error
+    except (ValueError, OSError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return "", 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     try:
@@ -1178,13 +1191,13 @@ def _main(argv: Optional[List[str]] = None) -> int:
         # tracer/registry even if REPRO_TELEMETRY already enabled it)
         # and exports the span trace on the way out.
         with telemetry.scope(memory=telemetry.memory_from_env()):
-            output, code = _dispatch(args)
+            output, code = _run(args)
             spans = telemetry.export_jsonl(trace_path)
         if output:
             print(output)
         print(f"[trace: {spans} spans -> {trace_path}]", file=sys.stderr)
         return code
-    output, code = _dispatch(args)
+    output, code = _run(args)
     # Streaming commands (watch, submit --watch) print as they go and
     # return empty output; don't append a blank line to their JSONL.
     if output:

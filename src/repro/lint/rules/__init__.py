@@ -68,20 +68,20 @@ RULE_DOCS: Dict[str, str] = {
         "counters/gauges/histograms once at module scope"
     ),
     "REG001": (
-        "switch-model capability declaration inconsistent with its "
-        "kernel module (STREAMING/SEED_BATCHED/COMPOSABLE/EXACT_REPLAY)"
+        "feedback-coupled switch model carries a kernel, or a registered "
+        "stream_kernel does not produce a StreamKernel"
     ),
     "REG002": (
         "vectorized coverage floor regressed — a paper-grid switch lost "
-        "its exact kernel or its streamed form"
+        "its exact kernel"
     ),
     "REG003": (
         "built-in fabric no longer resolves or lost vectorized support"
     ),
     "REG004": "__all__ does not match the module's public definitions",
     "REG005": (
-        "switch advertises the COMPILED capability but its kernel module "
-        "does not resolve compiled pass implementations"
+        "vectorized switch's kernel module does not resolve compiled "
+        "pass implementations"
     ),
     "SUP001": "unused `# repro: lint-ignore[...]` suppression",
 }

@@ -1,11 +1,12 @@
 """Registry-consistency rules (REG001-REG005).
 
 REG001-REG003 and REG005 are *dynamic* cross-checks: they import the
-switch registry and verify that what the models declare matches what
-their kernel modules actually provide, that the paper-grid coverage
-floor holds, that the built-in fabrics resolve, and that every switch
-advertising the COMPILED capability resolves compiled pass
-implementations (:func:`repro.sim.kernels.compiled.resolve_compiled_passes`).
+switch registry and verify that no feedback-coupled model carries a
+kernel and every registered stream kernel honors the
+:class:`~repro.sim.kernels.base.StreamKernel` contract, that the
+paper-grid coverage floor holds, that the built-in fabrics resolve, and
+that every kernel module resolves compiled pass implementations
+(:func:`repro.sim.kernels.compiled.resolve_compiled_passes`).
 They replace the ad-hoc shell gates the CI tier-1 job used to carry and
 only run when the linted file set includes ``repro/models/builtin.py``
 (so fixture-only lint runs in tests stay hermetic).
@@ -18,14 +19,13 @@ defined (or re-exported), and every public ``def``/``class`` is listed.
 from __future__ import annotations
 
 import ast
-import sys
 from typing import List, Optional, Set
 
 from ..core import Finding, ModuleSource, Project
 
 __all__ = ["check"]
 
-#: The switches whose vectorized + streamed coverage is the CI floor
+#: The switches whose vectorized coverage is the CI floor
 #: (the five paper curves plus the output-queued reference).
 COVERAGE_FLOOR = (
     "sprinklers",
@@ -68,12 +68,15 @@ def check(project: Project, active: Set[str]) -> List[Finding]:
 def _check_registry(builtin: ModuleSource) -> List[Finding]:
     findings: List[Finding] = []
     try:
+        import numpy as np
+
         from repro import models
         from repro.models.composite import (
             CompositeSwitchModel,
             get_fabric,
         )
         from repro.models.model import Capability
+        from repro.sim.kernels.base import StreamKernel
     except Exception as exc:  # registry import must itself succeed
         return [
             Finding(
@@ -89,60 +92,33 @@ def _check_registry(builtin: ModuleSource) -> List[Finding]:
             Finding(code=code, message=message, path=builtin.relpath, line=1)
         )
 
-    # REG001 — per-model capability coherence against the kernel module.
+    # REG001 — what a registration can still get wrong.
     for name in models.available():
         model = models.get(name)
-        caps = model.capabilities
-        if Capability.STREAMING in caps and model.stream_kernel is None:
-            fail(
-                "REG001",
-                "switch %r declares streaming but has no stream kernel"
-                % name,
-            )
-        if Capability.FEEDBACK_COUPLED in caps and model.kernel is not None:
+        if (
+            Capability.FEEDBACK_COUPLED in model.capabilities
+            and model.kernel is not None
+        ):
             fail(
                 "REG001",
                 "switch %r declares feedback-coupled yet carries an "
                 "exact kernel" % name,
             )
-        if model.kernel is not None and Capability.EXACT_REPLAY not in caps:
-            fail(
-                "REG001",
-                "switch %r has a vectorized kernel but does not declare "
-                "exact-replay — either the kernel is parity-tested "
-                "(declare it) or it must not be registered" % name,
-            )
         if model.stream_kernel is not None:
-            kmod = sys.modules.get(model.stream_kernel.__module__)
-            streamer_classes = [
-                obj
-                for obj in vars(kmod).values()
-                if isinstance(obj, type)
-                and hasattr(obj, "feed")
-                and hasattr(obj, "finish")
-            ] if kmod is not None else []
-            if Capability.COMPOSABLE in caps and not streamer_classes:
+            try:
+                streamer = model.stream_kernel(np.full((2, 2), 0.25), [0], 4)
+            except Exception as exc:
+                streamer = exc
+            if not isinstance(streamer, StreamKernel):
                 fail(
                     "REG001",
-                    "switch %r declares composable but its kernel module "
-                    "%s has no feed/finish streamer class"
-                    % (name, model.stream_kernel.__module__),
-                )
-            if Capability.SEED_BATCHED in caps and not any(
-                hasattr(c, "finish_stacked") for c in streamer_classes
-            ):
-                fail(
-                    "REG001",
-                    "switch %r declares seed-batched but no streamer "
-                    "class in %s implements finish_stacked"
-                    % (name, model.stream_kernel.__module__),
+                    "switch %r: stream_kernel(matrix, seeds, total_slots) "
+                    "produced %r, not a repro.sim.kernels.base.StreamKernel"
+                    % (name, streamer),
                 )
 
-    # REG002 — the vectorized + streamed coverage floor.
+    # REG002 — the vectorized coverage floor.
     vectorized = set(models.available(engine="vectorized"))
-    streaming = set(
-        models.available(engine="vectorized", capability="streaming")
-    )
     for name in COVERAGE_FLOOR:
         if name not in vectorized:
             fail(
@@ -150,19 +126,6 @@ def _check_registry(builtin: ModuleSource) -> List[Finding]:
                 "coverage floor: switch %r lost its vectorized kernel"
                 % name,
             )
-        elif name not in streaming:
-            fail(
-                "REG002",
-                "coverage floor: switch %r lost its streamed (windowed) "
-                "kernel form" % name,
-            )
-    missing_stream = vectorized - streaming
-    if missing_stream:
-        fail(
-            "REG002",
-            "vectorized switches missing a stream kernel: %s"
-            % sorted(missing_stream),
-        )
 
     # REG003 — built-in fabrics resolve and support the vectorized engine.
     for fname in FABRIC_FLOOR:
@@ -177,35 +140,26 @@ def _check_registry(builtin: ModuleSource) -> List[Finding]:
                 % (fname, exc),
             )
 
-    # REG005 — a switch advertising COMPILED must resolve compiled
-    # implementations for its kernel module's hot passes.
+    # REG005 — every kernel module must resolve compiled implementations
+    # for its hot passes.
     from repro.sim.kernels.compiled import resolve_compiled_passes
 
-    for name in models.available():
-        model = models.get(name)
-        if Capability.COMPILED not in model.capabilities:
-            continue
-        if model.kernel is None:
-            fail(
-                "REG005",
-                "switch %r advertises the compiled backend but has no "
-                "vectorized kernel to accelerate" % name,
-            )
-            continue
+    for name in sorted(vectorized):
+        kernel_module = models.get(name).kernel.__module__
         try:
-            passes = resolve_compiled_passes(model.kernel.__module__)
+            passes = resolve_compiled_passes(kernel_module)
         except Exception as exc:
             fail(
                 "REG005",
                 "switch %r: compiled passes for kernel module %s do not "
-                "resolve: %s" % (name, model.kernel.__module__, exc),
+                "resolve: %s" % (name, kernel_module, exc),
             )
             continue
         if not passes or not all(callable(p) for p in passes):
             fail(
                 "REG005",
                 "switch %r: kernel module %s resolved no compiled pass "
-                "implementations" % (name, model.kernel.__module__),
+                "implementations" % (name, kernel_module),
             )
     return findings
 

@@ -90,12 +90,8 @@ register(SwitchModel(
     ),
     builder=_build_sprinklers,
     kernel=_k_sprinklers.departures,
-    stream_kernel=_k_sprinklers.stream,
-    capabilities={
-        Capability.EXACT_REPLAY,
-        Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
-    },
+    stream_kernel=_k_sprinklers.Stream,
+    capabilities={Capability.SUPPORTS_DRIFT},
 ))
 
 register(SwitchModel(
@@ -118,12 +114,8 @@ register(SwitchModel(
     description="Uniform Frame Spreading: full-frame aggregation (§2.2).",
     builder=_build_ufs,
     kernel=_k_ufs.departures,
-    stream_kernel=_k_ufs.stream,
-    capabilities={
-        Capability.EXACT_REPLAY,
-        Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
-    },
+    stream_kernel=_k_ufs.Stream,
+    capabilities={Capability.SUPPORTS_DRIFT},
     params=(
         ParamSpec("input_buffer", int, None,
                   "per-input buffer cap (packets); None = infinite"),
@@ -138,12 +130,8 @@ register(SwitchModel(
     ),
     builder=_build_foff,
     kernel=_k_foff.departures,
-    stream_kernel=_k_foff.stream,
-    capabilities={
-        Capability.EXACT_REPLAY,
-        Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
-    },
+    stream_kernel=_k_foff.Stream,
+    capabilities={Capability.SUPPORTS_DRIFT},
 ))
 
 register(SwitchModel(
@@ -154,12 +142,8 @@ register(SwitchModel(
     ),
     builder=_build_pf,
     kernel=_k_pf.departures,
-    stream_kernel=_k_pf.stream,
-    capabilities={
-        Capability.EXACT_REPLAY,
-        Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
-    },
+    stream_kernel=_k_pf.Stream,
+    capabilities={Capability.SUPPORTS_DRIFT},
     params=(
         ParamSpec("threshold", int, None,
                   "minimum VOQ length to pad (default N // 2)"),
@@ -175,14 +159,10 @@ register(SwitchModel(
     ),
     builder=_build_lb,
     kernel=_k_lb.departures,
-    stream_kernel=_k_lb.stream,
+    stream_kernel=_k_lb.Stream,
     reported_name="baseline-lb",
     aliases=("baseline-lb",),
-    capabilities={
-        Capability.EXACT_REPLAY,
-        Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
-    },
+    capabilities={Capability.SUPPORTS_DRIFT},
     params=(
         ParamSpec("input_buffer", int, None,
                   "per-input buffer cap (packets); None = infinite"),
@@ -194,13 +174,9 @@ register(SwitchModel(
     description="Ideal output-queued reference (the delay lower bound).",
     builder=lambda n, matrix, seed: OutputQueuedSwitch(n),
     kernel=_k_oq.departures,
-    stream_kernel=_k_oq.stream,
+    stream_kernel=_k_oq.Stream,
     aliases=("oq",),
-    capabilities={
-        Capability.EXACT_REPLAY,
-        Capability.SUPPORTS_DRIFT,
-        Capability.SEED_BATCHED,
-    },
+    capabilities={Capability.SUPPORTS_DRIFT},
 ))
 
 register(SwitchModel(

@@ -6,10 +6,9 @@ through a per-link **port map** (stage-k output ``j`` feeds stage-(k+1)
 input ``map[j]``), e.g. a two-tier leaf/spine where leaf outputs are
 interleaved across spine inputs.  Any registered
 :class:`~repro.models.SwitchModel` can be a stage on the object engine;
-the vectorized chained replay additionally requires every stage to be
-:data:`~repro.models.Capability.COMPOSABLE` (derived from having a
-resumable stream kernel — the windowed interface *is* the composition
-surface).
+the vectorized chained replay additionally requires every stage to
+have a resumable stream kernel — the windowed interface *is* the
+composition surface.
 
 Specs are declarative and picklable (plain dicts of primitives), so
 fabrics flow through sweeps, the process pool, and store cache keys the
@@ -35,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import registry
-from .model import Capability, SwitchModel
+from .model import SwitchModel
 
 __all__ = [
     "CompositeSwitchModel",
@@ -261,9 +260,9 @@ class CompositeSwitchModel:
 
     The runnable form: stage models resolved, parameters validated, and
     engine support derived (``object`` always; ``vectorized`` iff every
-    stage is :data:`~repro.models.Capability.COMPOSABLE` with its params
-    inside the kernel schema).  ``reported_name`` — the label on
-    results — is the fabric name.
+    stage has a stream kernel and keeps its params inside the kernel
+    schema).  ``reported_name`` — the label on results — is the fabric
+    name.
     """
 
     def __init__(self, spec: FabricSpec) -> None:
@@ -290,8 +289,7 @@ class CompositeSwitchModel:
             return True
         if engine == "vectorized":
             return all(
-                Capability.COMPOSABLE in m.capabilities
-                and set(p) <= set(m.kernel_params)
+                m.supports_engine("vectorized", p)
                 for m, p in zip(self.models, self.stage_params)
             )
         raise ValueError(
@@ -305,9 +303,9 @@ class CompositeSwitchModel:
         for k, (model, params) in enumerate(
             zip(self.models, self.stage_params)
         ):
-            if Capability.COMPOSABLE not in model.capabilities:
+            if not model.supports_engine("vectorized"):
                 composable = ", ".join(
-                    registry.available(capability=Capability.COMPOSABLE)
+                    registry.available(engine="vectorized")
                 )
                 raise ValueError(
                     f"fabric {self.name!r} stage {k} ({model.name!r}) is "

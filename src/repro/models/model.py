@@ -19,12 +19,11 @@ __all__ = ["Capability", "ParamSpec", "SwitchModel"]
 
 
 class Capability(str, enum.Enum):
-    """Declared properties of a switch model (informational and load-
-    bearing: engine routing and future schedulers key off these)."""
+    """Declared properties that distinguish switch models (informational
+    and load-bearing: engine routing keys off ``FEEDBACK_COUPLED``).
+    Whether a switch replays on the vectorized engine is not one of them
+    — ask :meth:`SwitchModel.supports_engine`."""
 
-    #: The vectorized kernel reproduces the object engine bit-identically
-    #: (per-packet departure slots, reordering counts, delay breakdown).
-    EXACT_REPLAY = "exact-replay"
     #: The control loop feeds back on queue state (EWMA rate estimates,
     #: clearance feedback), so a feed-forward array replay cannot model
     #: it; such switches stay on the object engine.
@@ -37,28 +36,6 @@ class Capability(str, enum.Enum):
     #: Has an online adaptation mode (e.g. Sprinklers' adaptive stripe
     #: resizing).
     SUPPORTS_ADAPTIVE = "supports-adaptive"
-    #: The vectorized kernel has a resumable (windowed) form: the run
-    #: can replay window-by-window with O(window) peak arrival memory
-    #: and bit-identical results (``stream_kernel`` is set).  Derived
-    #: automatically from the ``stream_kernel`` field at registration.
-    STREAMING = "streaming"
-    #: The stream kernel accepts a *list* of seeds and replays them in
-    #: one pass over disjoint per-seed id blocks (multi-seed batched
-    #: replication).  Requires ``stream_kernel``.
-    SEED_BATCHED = "seed-batched"
-    #: The switch can serve as one stage of a multi-stage fabric
-    #: (:mod:`repro.models.composite`): its finalized slot-windows of
-    #: departures are a valid arrival stream for a downstream stage.
-    #: Derived automatically from ``stream_kernel`` — the resumable
-    #: window interface *is* the composition surface.
-    COMPOSABLE = "composable"
-    #: The vectorized kernel's hot scalar-recursion passes have compiled
-    #: (numba ``@njit``) implementations selectable via
-    #: ``backend="compiled"``, bit-identical to the NumPy reference.
-    #: Derived automatically from the ``kernel`` field — every
-    #: vectorized kernel funnels through the shared compiled passes
-    #: (:mod:`repro.sim.kernels.compiled`).
-    COMPILED = "compiled"
 
 
 class ParamSpec:
@@ -85,9 +62,10 @@ SwitchBuilder = Callable[..., object]
 #: ``(batch, matrix, seed, **params) -> (Departures, extras | None)``.
 VectorizedKernel = Callable[..., tuple]
 #: Stream-kernel factory signature: ``(matrix, seeds, total_slots,
-#: **params) -> streamer`` where the streamer exposes
-#: ``feed(windows) -> [Departures]`` and ``finish() -> ([Departures],
-#: [extras])`` — one entry per seed.
+#: **params) -> streamer`` — in practice a subclass of
+#: :class:`repro.sim.kernels.base.StreamKernel`, whose
+#: ``feed(windows) -> Departures`` and ``finish(windows=None) ->
+#: (Departures, [extras per seed])`` carry the seed-stacked record.
 StreamKernel = Callable[..., object]
 
 
@@ -108,9 +86,10 @@ class SwitchModel:
     description: str = ""
     aliases: Tuple[str, ...] = ()
     reported_name: Optional[str] = None
+    #: The monolithic replay (one seed, the whole run in one pass) and the
+    #: resumable windowed / multi-seed form of the same data path: a
+    #: vectorized switch carries both, an object-only switch neither.
     kernel: Optional[VectorizedKernel] = None
-    #: Optional resumable (windowed / multi-seed) form of the kernel;
-    #: setting it implies :data:`Capability.STREAMING`.
     stream_kernel: Optional[StreamKernel] = None
     capabilities: frozenset = field(default_factory=frozenset)
     params: Tuple[ParamSpec, ...] = ()
@@ -134,41 +113,11 @@ class SwitchModel:
                 f"switch model {self.name!r}: a feedback-coupled control "
                 f"loop cannot have an exact vectorized kernel"
             )
-        if self.kernel is not None:
-            object.__setattr__(
-                self, "capabilities", self.capabilities | {Capability.COMPILED}
-            )
-        elif Capability.COMPILED in self.capabilities:
+        if (self.kernel is None) != (self.stream_kernel is None):
             raise ValueError(
-                f"switch model {self.name!r} declares "
-                f"{Capability.COMPILED.value!r} but has no vectorized kernel"
-            )
-        if self.stream_kernel is not None:
-            if self.kernel is None:
-                raise ValueError(
-                    f"switch model {self.name!r}: a stream kernel requires "
-                    f"the monolithic kernel (it is the parity oracle)"
-                )
-            object.__setattr__(
-                self,
-                "capabilities",
-                self.capabilities
-                | {Capability.STREAMING, Capability.COMPOSABLE},
-            )
-        else:
-            for derived in (Capability.STREAMING, Capability.COMPOSABLE):
-                if derived in self.capabilities:
-                    raise ValueError(
-                        f"switch model {self.name!r} declares "
-                        f"{derived.value!r} but has no stream_kernel"
-                    )
-        if (
-            Capability.SEED_BATCHED in self.capabilities
-            and self.stream_kernel is None
-        ):
-            raise ValueError(
-                f"switch model {self.name!r} declares "
-                f"{Capability.SEED_BATCHED.value!r} but has no stream_kernel"
+                f"switch model {self.name!r}: kernel and stream_kernel "
+                f"must be set together (the engine picks between them by "
+                f"window and seed count)"
             )
         declared = {p.name for p in self.params}
         stray = set(self.kernel_params) - declared
@@ -179,11 +128,6 @@ class SwitchModel:
             )
 
     # -- engine support --------------------------------------------------------
-
-    @property
-    def seed_batched(self) -> bool:
-        """Whether the stream kernel replays multiple seeds in one pass."""
-        return Capability.SEED_BATCHED in self.capabilities
 
     def supports_engine(self, engine: str, params: Optional[Dict] = None) -> bool:
         """Whether this switch runs natively on ``engine`` (with the

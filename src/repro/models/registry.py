@@ -77,20 +77,13 @@ def get(name: str) -> SwitchModel:
     return _MODELS[canonical_name(name)]
 
 
-def available(
-    engine: Optional[str] = None, capability=None
-) -> Tuple[str, ...]:
+def available(engine: Optional[str] = None) -> Tuple[str, ...]:
     """Registered switch names (canonical, sorted), optionally filtered.
 
-    ``engine="vectorized"`` lists the switches with an exact kernel;
-    ``engine="object"`` lists all.  ``capability`` further restricts to
-    models declaring that :class:`~repro.models.Capability` (name or
-    enum) — e.g. ``available(engine="vectorized",
-    capability="streaming")`` are the switches the windowed replay can
-    run.
+    ``engine="vectorized"`` lists the switches with an exact kernel (and
+    its stream form: monolithic, windowed and multi-seed replay alike);
+    ``engine="object"`` lists all.
     """
-    from .model import Capability
-
     _ensure_discovered()
     names = _MODELS
     if engine is not None:
@@ -100,11 +93,6 @@ def available(
             )
         names = {
             n: m for n, m in names.items() if m.supports_engine(engine)
-        }
-    if capability is not None:
-        wanted = Capability(capability)
-        names = {
-            n: m for n, m in names.items() if wanted in m.capabilities
         }
     return tuple(sorted(names))
 

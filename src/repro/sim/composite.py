@@ -457,10 +457,9 @@ def run_fabric(
     bit-for-bit.  ``window_slots`` streams the whole chain — every stage
     advances window by window, so peak arrival memory is O(window), and
     results are bit-identical to the monolithic replay.  ``engine`` is
-    ``"vectorized"`` (every stage must be
-    :data:`~repro.models.Capability.COMPOSABLE`) or ``"object"`` (any
-    registered switch; same coupling, object switches behind
-    :class:`~repro.sim.stage.ObjectStage`).
+    ``"vectorized"`` (every stage must have a stream kernel) or
+    ``"object"`` (any registered switch; same coupling, object switches
+    behind :class:`~repro.sim.stage.ObjectStage`).
 
     The result is labeled with the fabric name and carries per-stage
     extras: ``stage{k}_mean_delay`` (gated on fabric-ingress warm-up, so

@@ -277,10 +277,7 @@ def _simulate(plan: RunPlan) -> SimulationResult:
             keep_samples=plan.keep_samples,
             batch_traffic=plan.batch_traffic(),
             switch_params=plan.switch_params,
-            # A kernel without a stream form keeps the monolithic replay.
-            window_slots=(
-                plan.window_slots if model.stream_kernel is not None else None
-            ),
+            window_slots=plan.window_slots,
         )
     switch = model.build(plan.n, plan.matrix, plan.seed, **plan.switch_params)
     if plan.spec is not None:

@@ -11,11 +11,10 @@ slot.
 Per-switch data paths live in :mod:`repro.sim.kernels` and are resolved
 through the switch-model registry (:mod:`repro.models`): a switch is
 vectorizable iff its :class:`~repro.models.SwitchModel` carries a kernel,
-and every kernel declares :data:`~repro.models.Capability.EXACT_REPLAY`
-— given the same seed it reproduces the object engine's per-packet
-departure slots *exactly* (pinned by the engine-equivalence tests).  The
-object engine remains the ordering-audit oracle because it exercises the
-real data-path code.
+and a kernel is an exact replay — given the same seed it reproduces the
+object engine's per-packet departure slots *exactly* (pinned by the
+engine-equivalence tests).  The object engine remains the ordering-audit
+oracle because it exercises the real data-path code.
 
 Vectorized today: ``sprinklers`` (oracle sizing), ``ufs``, ``pf``
 (padding is deterministic given frame formation), ``foff`` (resequencer
@@ -25,17 +24,21 @@ rather than hardcoding the list.  Switches whose control loops are
 feedback-coupled (adaptive Sprinklers) or not yet modeled (CMS, hashing)
 keep the object engine.
 
-Two scaling modes sit on top of the kernels:
+Three replay shapes, selected by what the call can observe (window and
+seed count), never by a flag:
 
-* **Windowed (streaming) replay** — ``run_single_fast(...,
-  window_slots=W)`` draws and replays the run in consecutive ``W``-slot
-  windows through the switch's resumable stream kernel
-  (:data:`~repro.models.Capability.STREAMING`), with bit-identical
+* **Monolithic** — one seed, one window: ``run_single_fast`` replays the
+  whole run through the model's ``kernel`` (the observed-fastest
+  one-window path).
+* **Windowed (streaming)** — ``run_single_fast(..., window_slots=W)``
+  with ``W`` below the run length draws and replays consecutive
+  ``W``-slot windows through the model's stream kernel
+  (:class:`~repro.sim.kernels.base.StreamKernel`), with bit-identical
   results and O(``W``) peak arrival-array memory instead of O(run).
-* **Multi-seed batching** — :func:`run_replications_fast` replays many
-  seeds at once through one stream-kernel instance where the kernel
-  supports a seed axis (:data:`~repro.models.Capability.SEED_BATCHED`),
-  amortizing the array-setup overheads that dominate short replications.
+* **Grouped stacked flush** — :func:`run_replications_fast` replays many
+  seeds at once, each group of seeds as one ``finish`` of one
+  stream-kernel instance, amortizing the array-setup overheads that
+  dominate short replications.
 """
 
 from __future__ import annotations
@@ -263,7 +266,7 @@ class _MetricsAccumulator:
 class _StackedMetricsAccumulator:
     """Per-seed metrics from one *stacked* multi-seed departure record.
 
-    The seed-batched replay keeps all seeds in one event block (VOQ ids
+    The multi-seed replay keeps all seeds in one event block (VOQ ids
     ``seed * n^2 + voq``); folding metrics per seed with segmented
     reductions (``np.add.at`` / ``bincount`` keyed by the seed block)
     costs a handful of stacked passes instead of R per-seed accumulator
@@ -410,24 +413,6 @@ class _StackedMetricsAccumulator:
         return out
 
 
-def _result_from_departures(
-    switch_name: str,
-    n: int,
-    dep: Departures,
-    injected: int,
-    num_slots: int,
-    warmup_fraction: float,
-    load_label: float,
-    keep_samples: bool,
-    extras: Optional[Dict[str, float]] = None,
-) -> SimulationResult:
-    """Build a :class:`SimulationResult` from one monolithic replay."""
-    warmup = int(num_slots * warmup_fraction)
-    acc = _MetricsAccumulator(n, warmup, keep_samples)
-    acc.add(dep)
-    return acc.result(switch_name, injected, num_slots, load_label, extras)
-
-
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
@@ -490,13 +475,13 @@ def run_single_fast(
     ``switch_params`` must be parameters the model's kernel declares in
     ``kernel_params`` (this entry point raises rather than falling back).
 
-    ``window_slots`` switches to the *streaming* replay: traffic is drawn
-    and replayed in consecutive windows of that many slots through the
-    model's resumable stream kernel, producing a bit-identical result
-    with O(``window_slots``) peak arrival-array memory — the mode for
-    multi-million-slot runs that cannot materialize their arrivals at
-    once.  Requires the model to declare
-    :data:`~repro.models.Capability.STREAMING`.
+    ``window_slots`` below ``num_slots`` switches to the *streaming*
+    replay: traffic is drawn and replayed in consecutive windows of that
+    many slots through the model's resumable stream kernel, producing a
+    bit-identical result with O(``window_slots``) peak arrival-array
+    memory — the mode for multi-million-slot runs that cannot
+    materialize their arrivals at once.  A window covering the whole run
+    is the monolithic replay.
     """
     switch_params = switch_params or {}
     model = _checked_model(switch_name, switch_params)
@@ -504,14 +489,19 @@ def run_single_fast(
         raise ValueError("num_slots must be positive")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
+    if window_slots is not None and window_slots <= 0:
+        raise ValueError("window_slots must be positive")
     matrix = validate_matrix(matrix)
     n = matrix.shape[0]
     if batch_traffic is None:
         batch_traffic = BatchTrafficGenerator(matrix, traffic_rng(seed))
     if batch_traffic.n != n:
         raise ValueError("batch traffic size does not match matrix")
+    acc = _MetricsAccumulator(
+        n, int(num_slots * warmup_fraction), keep_samples
+    )
 
-    if window_slots is None:
+    if window_slots is None or window_slots >= num_slots:
         with telemetry.trace(
             "replay.monolithic", switch=model.reported_name, slots=num_slots
         ) as run_span:
@@ -523,67 +513,40 @@ def run_single_fast(
                 )
             run_span.set(packets=len(batch))
         _observe_throughput(run_span.span, num_slots, len(batch))
-        return _result_from_departures(
-            model.reported_name,
-            n,
-            dep,
-            injected=len(batch),
-            num_slots=num_slots,
-            warmup_fraction=warmup_fraction,
-            load_label=load_label,
-            keep_samples=keep_samples,
-            extras=extras,
+        acc.add(dep)
+        return acc.result(
+            model.reported_name, len(batch), num_slots, load_label, extras
         )
 
-    if window_slots <= 0:
-        raise ValueError("window_slots must be positive")
-    if model.stream_kernel is None:
-        known = ", ".join(
-            models.available(engine="vectorized", capability="streaming")
-        )
-        raise ValueError(
-            f"switch {switch_name!r} has no streaming kernel "
-            f"(streaming switches: {known}); drop window_slots"
-        )
     # The windowed replay runs through the Stage adapter — the same
     # window-in / finalized-departures-out interface the multi-stage
     # fabrics compose (repro.sim.stage / repro.sim.composite).
     from .stage import KernelStage
 
     stage = KernelStage(model, matrix, seed, num_slots, switch_params)
-    warmup = int(num_slots * warmup_fraction)
-    acc = _MetricsAccumulator(n, warmup, keep_samples)
     with telemetry.trace(
         "replay.stream",
         switch=model.reported_name,
         slots=num_slots,
         window_slots=window_slots,
     ):
-        if window_slots >= num_slots:
-            # One window is the whole run: a single flush pass does it all.
-            with telemetry.trace("traffic.draw"):
-                batch = batch_traffic.draw(num_slots)
-            injected = len(batch)
-            final, extras = stage.finish(batch)
-        else:
-            injected = 0
-            windows = telemetry.traced_iter(
-                "traffic.draw",
-                batch_traffic.draw_chunks(num_slots, window_slots),
-            )
-            for window in windows:
-                injected += len(window)
-                with telemetry.trace(
-                    "replay.window",
-                    slots=window.num_slots,
-                    packets=len(window),
-                ) as span:
-                    acc.add(stage.feed(window))
-                _observe_throughput(span.span, window.num_slots, len(window))
-                telemetry.count("replay.windows")
+        injected = 0
+        windows = telemetry.traced_iter(
+            "traffic.draw",
+            batch_traffic.draw_chunks(num_slots, window_slots),
+        )
+        for window in windows:
+            injected += len(window)
+            with telemetry.trace(
+                "replay.window",
+                slots=window.num_slots,
+                packets=len(window),
+            ) as span:
+                acc.add(stage.feed(window))
+            _observe_throughput(span.span, window.num_slots, len(window))
+            telemetry.count("replay.windows")
         with telemetry.trace("replay.finish"):
-            if window_slots < num_slots:
-                final, extras = stage.finish()
+            final, extras = stage.finish()
             acc.add(final)
     return acc.result(
         model.reported_name, injected, num_slots, load_label, extras
@@ -597,42 +560,30 @@ def run_replications_fast(
     seeds: Sequence[int],
     load_label: float = float("nan"),
     warmup_fraction: float = 0.1,
-    keep_samples: bool = True,
     batch_traffics: Optional[Sequence[BatchTrafficGenerator]] = None,
     switch_params: Optional[Dict] = None,
-    window_slots: Optional[int] = None,
 ) -> List[SimulationResult]:
-    """Replay many seeds of one configuration in a single kernel pass.
+    """Replay many seeds of one configuration in stacked kernel passes.
 
-    All seeds' traffic is drawn window-by-window and stacked into one
-    event block per window; the switch's stream kernel replays the stack
-    with a leading seed axis (disjoint per-seed id blocks, so the seeds'
-    dynamics stay exactly independent).  Per-seed results are
-    bit-identical to ``run_single_fast`` run seed-by-seed — what changes
-    is wall-clock: one array pass over R seeds' events amortizes the
-    per-call overheads that dominate short replications.
-
-    Requires the model to declare
-    :data:`~repro.models.Capability.SEED_BATCHED` — which every
-    vectorized switch does, the frame-at-a-time PF/FOFF included: their
-    array-stepped formation engine treats each (seed, input) pair as one
-    more lane, so stacking seeds widens the per-cycle vector step
-    instead of multiplying the step count.
+    Each seed's traffic is drawn for the whole run and a group of seeds
+    is stacked into one event block; the switch's stream kernel replays
+    the stack in a single ``finish`` with a leading seed axis (disjoint
+    per-seed id blocks, so the seeds' dynamics stay exactly independent
+    — the frame-at-a-time PF/FOFF included: their array-stepped
+    formation engine treats each (seed, input) pair as one more lane, so
+    stacking seeds widens the per-cycle vector step instead of
+    multiplying the step count) and the per-seed metrics fold with
+    segmented reductions over the stack.  Per-seed results are
+    bit-identical to ``run_single_fast(..., keep_samples=False)`` run
+    seed-by-seed — what changes is wall-clock: one array pass over a
+    group's events amortizes the per-call overheads that dominate short
+    replications.
 
     ``batch_traffics`` substitutes pre-built per-seed packet sources (one
-    per seed, e.g. scenario traffic); ``window_slots`` bounds arrival
-    memory exactly as in :func:`run_single_fast` (default: one window).
+    per seed, e.g. scenario traffic).
     """
     switch_params = switch_params or {}
     model = _checked_model(switch_name, switch_params)
-    if model.stream_kernel is None or not model.seed_batched:
-        known = ", ".join(
-            models.available(engine="vectorized", capability="seed-batched")
-        )
-        raise ValueError(
-            f"switch {switch_name!r} has no seed-batched kernel "
-            f"(seed-batched switches: {known}); replicate seed-by-seed"
-        )
     if num_slots <= 0:
         raise ValueError("num_slots must be positive")
     if not 0.0 <= warmup_fraction < 1.0:
@@ -650,69 +601,36 @@ def run_replications_fast(
     for traffic in batch_traffics:
         if traffic.n != n:
             raise ValueError("batch traffic size does not match matrix")
-    window = window_slots if window_slots is not None else num_slots
-    if window <= 0:
-        raise ValueError("window_slots must be positive")
 
     warmup = int(num_slots * warmup_fraction)
-    if window >= num_slots and not keep_samples:
-        # One window is the whole run and nobody wants samples: draw each
-        # seed monolithically, flush the stacked replay in a single pass,
-        # and fold per-seed metrics with segmented reductions over the
-        # stack — the default (and fastest) multi-seed batching mode.
-        # Seeds are stacked in cache-sized groups: stacking amortizes
-        # per-call overheads, but an over-wide stack spills the working
-        # set out of cache and loses more than it amortizes.
-        per_seed = max(1.0, float(np.sum(matrix)) * num_slots)
-        group = max(1, min(len(seeds), int(_STACK_TARGET_EVENTS / per_seed)))
-        results: List[SimulationResult] = []
-        for lo in range(0, len(seeds), group):
-            chunk = seeds[lo : lo + group]
-            with telemetry.trace(
-                "replay.seed_batch", seeds=len(chunk), slots=num_slots
-            ):
-                streamer = model.stream_kernel(
-                    matrix, chunk, num_slots, **switch_params
-                )
-                batches = [
-                    t.draw(num_slots)
-                    for t in batch_traffics[lo : lo + group]
-                ]
-                dep, extras = streamer.finish_stacked(batches)
-                acc = _StackedMetricsAccumulator(n, len(chunk), warmup)
-                acc.add(dep)
-            results.extend(
-                acc.results(
-                    model.reported_name,
-                    [len(b) for b in batches],
-                    num_slots,
-                    load_label,
-                    extras,
-                )
+    # Seeds are stacked in cache-sized groups: stacking amortizes
+    # per-call overheads, but an over-wide stack spills the working
+    # set out of cache and loses more than it amortizes.
+    per_seed = max(1.0, float(np.sum(matrix)) * num_slots)
+    group = max(1, min(len(seeds), int(_STACK_TARGET_EVENTS / per_seed)))
+    results: List[SimulationResult] = []
+    for lo in range(0, len(seeds), group):
+        chunk = seeds[lo : lo + group]
+        with telemetry.trace(
+            "replay.seed_batch", seeds=len(chunk), slots=num_slots
+        ):
+            streamer = model.stream_kernel(
+                matrix, chunk, num_slots, **switch_params
             )
-        return results
-    streamer = model.stream_kernel(matrix, seeds, num_slots, **switch_params)
-    accs = [
-        _MetricsAccumulator(n, warmup, keep_samples) for _ in seeds
-    ]
-    injected = [0] * len(seeds)
-    if window >= num_slots:
-        batches = [t.draw(num_slots) for t in batch_traffics]
-        injected = [len(b) for b in batches]
-        final, extras = streamer.finish(batches)
-    else:
-        draws = [t.draw_chunks(num_slots, window) for t in batch_traffics]
-        for windows in zip(*draws):
-            for r, w in enumerate(windows):
-                injected[r] += len(w)
-            for r, dep in enumerate(streamer.feed(list(windows))):
-                accs[r].add(dep)
-        final, extras = streamer.finish()
-    for r, dep in enumerate(final):
-        accs[r].add(dep)
-    return [
-        accs[r].result(
-            model.reported_name, injected[r], num_slots, load_label, extras[r]
+            batches = [
+                t.draw(num_slots)
+                for t in batch_traffics[lo : lo + group]
+            ]
+            dep, extras = streamer.finish(batches)
+            acc = _StackedMetricsAccumulator(n, len(chunk), warmup)
+            acc.add(dep)
+        results.extend(
+            acc.results(
+                model.reported_name,
+                [len(b) for b in batches],
+                num_slots,
+                load_label,
+                extras,
+            )
         )
-        for r in range(len(seeds))
-    ]
+    return results

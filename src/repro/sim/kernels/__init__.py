@@ -8,7 +8,10 @@ callable
     kernel(batch, matrix, seed) -> (Departures, extras | None)
 
 that replays the switch's dynamics exactly (same seeds, same per-packet
-departure slots as the object engine in :mod:`repro.switching`) and is
+departure slots as the object engine in :mod:`repro.switching`); beside
+it each module carries ``Stream``, the same data path as a resumable
+:class:`~repro.sim.kernels.base.StreamKernel` (windowed and multi-seed
+replay).  Both are
 attached to a :class:`~repro.models.SwitchModel` in the switch registry;
 :func:`repro.sim.fast_engine.run_single_fast` dispatches through that
 registry, so adding a vectorized switch means writing one module here and

@@ -38,6 +38,7 @@ from .compiled.polled_pass import serve_polled
 __all__ = [
     "Departures",
     "PolledQueueBank",
+    "StreamKernel",
     "UnitAssembler",
     "WindowStacker",
     "composite_argsort",
@@ -397,6 +398,9 @@ class Departures:
 #   multi-seed replay (block ``s`` uses VOQ ids ``s * n^2 + voq``; queues
 #   of different blocks never interact, so one replay pass serves every
 #   seed at once).
+#
+# :class:`StreamKernel` is the contract the six per-switch stream kernels
+# share: stacked windows in, one stacked :class:`Departures` record out.
 
 
 class PolledQueueBank:
@@ -598,3 +602,51 @@ class WindowStacker:
             np.concatenate(parts_g),
             windows[0].end_slot,
         )
+
+
+class StreamKernel:
+    """The stream-kernel contract: stacked windows in, stacked record out.
+
+    A stream kernel replays one switch for a *list* of seeds at once.
+    ``feed(windows)`` takes one arrival window per seed (all covering the
+    same slot range) and returns the :class:`Departures` now finalized —
+    departing strictly before the windows' end, never re-emitted;
+    ``finish(windows=None)`` takes the optional last windows, flushes all
+    carried state and returns ``(Departures, [extras per seed])``.  The
+    record is always the seed-stacked one: seed block ``b`` owns VOQ ids
+    ``b * n^2 + voq`` and every other field is per-packet data, so for
+    one seed it *is* the plain record.  Passing the whole run to
+    ``finish`` replays it in a single pass (what multi-seed replication
+    does).
+
+    Subclasses supply :meth:`_replay` and, when the switch reports
+    extras, :meth:`_extras`; ``feed`` / ``finish`` are not overridden.
+    """
+
+    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
+        self.n = int(matrix.shape[0])
+        self.num_blocks = len(seeds)
+        self._stacker = WindowStacker(self.num_blocks)
+
+    def _replay(
+        self, events: Tuple[np.ndarray, ...], boundary: Optional[int]
+    ) -> Departures:
+        """Advance the data path over ``events`` — ``(block, slots,
+        inputs, outputs, seqs, gidx)`` in generation order per block —
+        finalizing everything below ``boundary`` (``None``: flush)."""
+        raise NotImplementedError
+
+    def _extras(self) -> list:
+        """Per-seed extras dicts of the finished run."""
+        return [None] * self.num_blocks
+
+    def feed(self, windows) -> Departures:
+        *events, end = self._stacker.stack(windows)
+        return self._replay(tuple(events), end)
+
+    def finish(self, windows=None) -> Tuple[Departures, list]:
+        if windows is None:
+            events = [np.empty(0, dtype=np.int64)] * 6
+        else:
+            *events, _ = self._stacker.stack(windows)
+        return self._replay(tuple(events), None), self._extras()

@@ -106,9 +106,9 @@ def resolve_compiled_passes(
     Every vectorized kernel funnels polled-queue service and the
     reordering fold; the frame-at-a-time kernels (anything importing
     :mod:`repro.sim.kernels.frames`) additionally run the formation
-    stepper.  The REG005 lint rule calls this to verify that a switch
-    advertising the COMPILED capability actually resolves compiled
-    implementations for its passes.
+    stepper.  The REG005 lint rule calls this to verify that every
+    vectorized switch actually resolves compiled implementations for its
+    passes.
     """
     module = importlib.import_module(kernel_module)
     passes: Tuple[Callable[..., object], ...] = (

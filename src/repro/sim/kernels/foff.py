@@ -33,12 +33,11 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
-    WindowStacker,
+    StreamKernel,
     composite_argsort,
     mid_residues,
     replay_polled_queues,
     segmented_running_max,
-    stable_id_argsort,
 )
 from .frames import (
     FrameFormationStream,
@@ -50,7 +49,7 @@ from .frames import (
     frame_membership,
 )
 
-__all__ = ["departures", "stream"]
+__all__ = ["Stream", "departures"]
 
 
 def _resequencer_peak(
@@ -210,7 +209,7 @@ def _voq_first_seq(batch: ArrivalBatch) -> np.ndarray:
     return first[batch.voqs]
 
 
-class _FoffStream:
+class Stream(StreamKernel):
     """Windowed (and seed-stacked) replay of the FOFF switch.
 
     The input side streams like PF without padding; the new carried
@@ -223,11 +222,9 @@ class _FoffStream:
     """
 
     def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
+        super().__init__(matrix, seeds, total_slots)
+        n = self.n
         num_voqs = self.num_blocks * n * n
-        self._stacker = WindowStacker(self.num_blocks)
         self._formation = FrameFormationStream(
             n, self.num_blocks, foff_rule()
         )
@@ -392,30 +389,22 @@ class _FoffStream:
         if held.any():
             np.maximum.at(self._peak, block[held], occupancy[held])
 
-    def _cut_released(self, released, final: bool):
-        """The released packets an emit may observe: past the object
-        engine's finite drain horizon, packets stay in the resequencers
-        there, unobserved.  Shared by both emit paths so the per-seed
-        and stacked records can never diverge on the cut."""
+    def _emit(self, released, final: bool):
+        """The stacked Departures record with per-block observation ranks
+        (the metrics fold compares ranks only within a block, so a
+        block-major composite sort assigns them in one pass).
+        """
+        n = self.n
         (voq_p, rank_p, wire_p, mid_p, seq_p, slot_p, asm_p, tx_p,
          departure, t_mid, new_p) = released
         if final:
+            # Past the object engine's finite drain horizon, packets
+            # stay in the resequencers there, unobserved.
             ok = departure <= self._cut
             (voq_p, rank_p, seq_p, slot_p, asm_p, tx_p, departure, t_mid) = (
                 voq_p[ok], rank_p[ok], seq_p[ok], slot_p[ok], asm_p[ok],
                 tx_p[ok], departure[ok], t_mid[ok],
             )
-        return voq_p, rank_p, seq_p, slot_p, asm_p, tx_p, departure, t_mid
-
-    def _emit_stacked(self, released, final: bool):
-        """One seed-extended Departures record with per-block observation
-        ranks (the stacked metrics fold compares ranks only within a
-        block, so a block-major composite sort assigns them in one pass).
-        """
-        n = self.n
-        (voq_p, rank_p, seq_p, slot_p, asm_p, tx_p, departure, t_mid) = (
-            self._cut_released(released, final)
-        )
         block = voq_p // (n * n)
         observation = composite_argsort(
             (block * np.int64(self._cut + 2) + departure) * n + t_mid, rank_p
@@ -441,59 +430,18 @@ class _FoffStream:
             wire_is_rank=True,
         )
 
-    def _emit(self, released, final: bool):
-        """Build per-block Departures with global observation ranks.
-
-        One stable sort by seed block plus contiguous slices (the
-        :func:`~repro.sim.kernels.sprinklers._split_blocks` pattern)
-        instead of one boolean-mask pass per seed; within-block order is
-        preserved, so the per-block records are unchanged.
-        """
+    def _replay(self, events, boundary):
         n = self.n
-        (voq_p, rank_p, seq_p, slot_p, asm_p, tx_p, departure, t_mid) = (
-            self._cut_released(released, final)
+        block, slots, inputs, outputs, seqs, gidx = events
+        schedule = self._formation.feed(
+            block, slots, inputs, outputs, boundary
         )
-        block = voq_p // (n * n)
-        order = stable_id_argsort(block, self.num_blocks)
-        voq_s = voq_p[order] % (n * n)
-        seq_s = seq_p[order]
-        slot_s = slot_p[order]
-        asm_s = asm_p[order]
-        tx_s = tx_p[order]
-        dep_s = departure[order]
-        mid_s = t_mid[order]
-        rank_s = rank_p[order]
-        bounds = np.concatenate((
-            [0], np.cumsum(np.bincount(block, minlength=self.num_blocks)),
-        ))
-        deps = []
-        for b in range(self.num_blocks):
-            lo, hi = bounds[b], bounds[b + 1]
-            observation = composite_argsort(
-                dep_s[lo:hi] * n + mid_s[lo:hi], rank_s[lo:hi]
+        voq_x, slot, seq, gidx, rank, assembled, position = (
+            self._packets.feed(
+                block * n * n + inputs * n + outputs, slots, seqs, gidx,
+                schedule,
             )
-            wire = np.empty(len(observation), dtype=np.int64)
-            wire[observation] = self._obs_next[b] + np.arange(
-                len(observation), dtype=np.int64
-            )
-            self._obs_next[b] += len(observation)
-            deps.append(
-                Departures(
-                    voq=voq_s[lo:hi],
-                    seq=seq_s[lo:hi],
-                    arrival=slot_s[lo:hi],
-                    departure=dep_s[lo:hi],
-                    wire=wire,
-                    assembled=asm_s[lo:hi],
-                    tx=tx_s[lo:hi],
-                    wire_is_rank=True,
-                )
-            )
-        return deps
-
-    def _advance(self, schedule, framed, boundary, stacked: bool = False):
-        n = self.n
-        voq_x, slot, seq, gidx, rank, assembled, position = framed
+        )
         tx = assembled + position
         block = voq_x // (n * n)
         out = voq_x % n
@@ -511,63 +459,20 @@ class _FoffStream:
         released, held_events = result[:11], result[11:]
         final = boundary is None
         self._occupancy_events(released, held_events, final)
-        if stacked:
-            return self._emit_stacked(released, final)
+        if final:
+            # FOFF never leaves a packet behind: partial frames sweep
+            # every nonempty VOQ, so the whole stream must have been
+            # framed and every wire arrival released.
+            assert self._packets.pending() == 0, (
+                "FOFF frame formation left packets unframed"
+            )
+            assert len(self._held[0]) == 0, (
+                "FOFF resequencer replay left packets in flight"
+            )
         return self._emit(released, final)
-
-    def _round(self, windows, final: bool, stacked: bool = False):
-        n = self.n
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            voq_x = block * n * n + inputs * n + outputs
-        else:
-            block = slots = inputs = outputs = seqs = gidx = voq_x = (
-                np.empty(0, dtype=np.int64)
-            )
-        schedule = self._formation.feed(
-            block, slots, inputs, outputs, boundary
-        )
-        framed = self._packets.feed(voq_x, slots, seqs, gidx, schedule)
-        return self._advance(schedule, framed, boundary, stacked=stacked)
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def _check_drained(self):
-        # FOFF never leaves a packet behind: partial frames sweep every
-        # nonempty VOQ, so the whole stream must have been framed and
-        # every wire arrival released.
-        assert self._packets.pending() == 0, (
-            "FOFF frame formation left packets unframed"
-        )
-        assert len(self._held[0]) == 0, (
-            "FOFF resequencer replay left packets in flight"
-        )
 
     def _extras(self):
         return [
             {"max_resequencer": float(self._peak[b])}
             for b in range(self.num_blocks)
         ]
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        self._check_drained()
-        return deps, self._extras()
-
-    def finish_stacked(self, windows=None):
-        """Like :meth:`finish`, but returns the seed-extended stacked
-        record (no per-seed split) for the stacked metrics fold."""
-        dep = self._round(windows, final=True, stacked=True)
-        self._check_drained()
-        return dep, self._extras()
-
-
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _FoffStream:
-    """Resumable multi-seed FOFF replay (see :class:`_FoffStream`)."""
-    return _FoffStream(matrix, seeds, total_slots)

@@ -10,13 +10,13 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
-    WindowStacker,
+    StreamKernel,
     mid_residues,
     replay_polled_queues,
     segmented_fifo_service,
 )
 
-__all__ = ["departures", "stream"]
+__all__ = ["Stream", "departures"]
 
 
 def departures(
@@ -51,7 +51,7 @@ def departures(
     return dep, None
 
 
-class _LoadBalancedStream:
+class Stream(StreamKernel):
     """Windowed (and seed-stacked) replay of the baseline LB switch.
 
     Stage 1 is a bank of per-input FIFOs served every slot — a
@@ -60,10 +60,8 @@ class _LoadBalancedStream:
     """
 
     def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
-        self._stacker = WindowStacker(self.num_blocks)
+        super().__init__(matrix, seeds, total_slots)
+        n = self.n
         # Stage-1 events arrive in generation order — FIFO order within
         # every input queue — so the bank can group by radix sort alone.
         self._stage1 = PolledQueueBank(
@@ -73,7 +71,7 @@ class _LoadBalancedStream:
             np.tile(mid_residues(n), self.num_blocks), n
         )
 
-    def _advance(self, events, boundary):
+    def _replay(self, events, boundary):
         n = self.n
         block, slots, inputs, outputs, seqs, gidx = events
         voq_x = block * n * n + inputs * n + outputs
@@ -106,37 +104,3 @@ class _LoadBalancedStream:
             wire=mid,
             tx=tx,
         )
-
-    def _round(self, windows, final: bool, split: bool = True):
-        from .sprinklers import _split_blocks
-
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            events = (block, slots, inputs, outputs, seqs, gidx)
-        else:
-            events = (np.empty(0, dtype=np.int64),) * 6
-        dep = self._advance(events, boundary)
-        return (
-            _split_blocks(dep, self.n, self.num_blocks) if split else dep
-        )
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        return deps, [None] * self.num_blocks
-
-    def finish_stacked(self, windows=None):
-        dep = self._round(windows, final=True, split=False)
-        return dep, [None] * self.num_blocks
-
-
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _LoadBalancedStream:
-    """Resumable multi-seed LB replay (see :class:`_LoadBalancedStream`)."""
-    return _LoadBalancedStream(matrix, seeds, total_slots)

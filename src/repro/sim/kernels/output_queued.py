@@ -10,11 +10,11 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
-    WindowStacker,
+    StreamKernel,
     segmented_fifo_service,
 )
 
-__all__ = ["departures", "stream"]
+__all__ = ["Stream", "departures"]
 
 
 def departures(
@@ -36,22 +36,20 @@ def departures(
     return dep, None
 
 
-class _OutputQueuedStream:
+class Stream(StreamKernel):
     """Windowed (and seed-stacked) replay of the OQ reference switch:
     one period-1 FIFO bank keyed by (seed block, output)."""
 
     def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
-        self._stacker = WindowStacker(self.num_blocks)
+        super().__init__(matrix, seeds, total_slots)
+        n = self.n
         # Arrivals reach the bank in generation order — FIFO order
         # within every output queue — so radix grouping suffices.
         self._bank = PolledQueueBank(
             np.zeros(self.num_blocks * n, dtype=np.int64), 1, presorted=True
         )
 
-    def _advance(self, events, boundary):
+    def _replay(self, events, boundary):
         n = self.n
         block, slots, inputs, outputs, seqs, gidx = events
         voq_x = block * n * n + inputs * n + outputs
@@ -73,37 +71,3 @@ class _OutputQueuedStream:
             departure=service + 1,
             wire=outputs,
         )
-
-    def _round(self, windows, final: bool, split: bool = True):
-        from .sprinklers import _split_blocks
-
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            events = (block, slots, inputs, outputs, seqs, gidx)
-        else:
-            events = (np.empty(0, dtype=np.int64),) * 6
-        dep = self._advance(events, boundary)
-        return (
-            _split_blocks(dep, self.n, self.num_blocks) if split else dep
-        )
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        return deps, [None] * self.num_blocks
-
-    def finish_stacked(self, windows=None):
-        dep = self._round(windows, final=True, split=False)
-        return dep, [None] * self.num_blocks
-
-
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _OutputQueuedStream:
-    """Resumable multi-seed OQ replay (see :class:`_OutputQueuedStream`)."""
-    return _OutputQueuedStream(matrix, seeds, total_slots)

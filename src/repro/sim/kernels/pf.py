@@ -28,7 +28,7 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
-    WindowStacker,
+    StreamKernel,
     concat_ranges,
     mid_residues,
     replay_polled_queues,
@@ -43,7 +43,7 @@ from .frames import (
     pf_rule,
 )
 
-__all__ = ["departures", "stream"]
+__all__ = ["Stream", "departures"]
 
 
 def _check_threshold(n: int, threshold: Optional[int]) -> int:
@@ -140,7 +140,7 @@ def _fake_cells(schedule, n: int):
     return fake_pos * n + fake_out, fake_tx, block
 
 
-class _PfStream:
+class Stream(StreamKernel):
     """Windowed (and seed-stacked) replay of the Padded Frames switch.
 
     Frame formation streams cycle-by-cycle (:class:`FrameFormationStream`),
@@ -157,11 +157,9 @@ class _PfStream:
         total_slots: int,
         threshold: Optional[int] = None,
     ) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
+        super().__init__(matrix, seeds, total_slots)
+        n = self.n
         threshold = _check_threshold(n, threshold)
-        self._stacker = WindowStacker(self.num_blocks)
         self._formation = FrameFormationStream(
             n, self.num_blocks, pf_rule(threshold)
         )
@@ -175,9 +173,18 @@ class _PfStream:
         self._fakes_departed = np.zeros(self.num_blocks, dtype=np.int64)
         self._real_departed = np.zeros(self.num_blocks, dtype=np.int64)
 
-    def _advance(self, schedule, new_packets, boundary):
+    def _replay(self, events, boundary):
         n = self.n
-        voq_x, slot, seq, gidx, rank, assembled, position = new_packets
+        block, slots, inputs, outputs, seqs, gidx = events
+        schedule = self._formation.feed(
+            block, slots, inputs, outputs, boundary
+        )
+        voq_x, slot, seq, gidx, rank, assembled, position = (
+            self._packets.feed(
+                block * n * n + inputs * n + outputs, slots, seqs, gidx,
+                schedule,
+            )
+        )
         tx = assembled + position
         block = voq_x // (n * n)
         out = voq_x % n
@@ -231,32 +238,6 @@ class _PfStream:
             tx=tx[real],
         )
 
-    def _round(self, windows, final: bool, split: bool = True):
-        from .sprinklers import _split_blocks
-
-        n = self.n
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            voq_x = block * n * n + inputs * n + outputs
-        else:
-            block = slots = inputs = outputs = seqs = gidx = voq_x = (
-                np.empty(0, dtype=np.int64)
-            )
-        schedule = self._formation.feed(
-            block, slots, inputs, outputs, boundary
-        )
-        framed = self._packets.feed(voq_x, slots, seqs, gidx, schedule)
-        dep = self._advance(schedule, framed, boundary)
-        return _split_blocks(dep, n, self.num_blocks) if split else dep
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
     def _extras(self):
         extras = []
         for b in range(self.num_blocks):
@@ -267,23 +248,3 @@ class _PfStream:
                 )
             })
         return extras
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        return deps, self._extras()
-
-    def finish_stacked(self, windows=None):
-        """Like :meth:`finish`, but returns the seed-extended stacked
-        record (no per-seed split) for the stacked metrics fold."""
-        dep = self._round(windows, final=True, split=False)
-        return dep, self._extras()
-
-
-def stream(
-    matrix: np.ndarray,
-    seeds,
-    total_slots: int,
-    threshold: Optional[int] = None,
-) -> _PfStream:
-    """Resumable multi-seed PF replay (see :class:`_PfStream`)."""
-    return _PfStream(matrix, seeds, total_slots, threshold=threshold)

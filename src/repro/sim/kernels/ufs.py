@@ -10,8 +10,8 @@ from ...traffic.batch import ArrivalBatch
 from .base import (
     Departures,
     PolledQueueBank,
+    StreamKernel,
     UnitAssembler,
-    WindowStacker,
     composite_argsort,
     mid_residues,
     periodic_fifo_service,
@@ -19,7 +19,7 @@ from .base import (
     unit_completion,
 )
 
-__all__ = ["departures", "stream"]
+__all__ = ["Stream", "departures"]
 
 
 def departures(
@@ -85,7 +85,7 @@ def departures(
     return dep, None
 
 
-class _UfsStream:
+class Stream(StreamKernel):
     """Windowed (and seed-stacked) replay of Uniform Frame Spreading.
 
     Full frames assemble in a :class:`UnitAssembler`; each completed
@@ -96,10 +96,8 @@ class _UfsStream:
     """
 
     def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        n = matrix.shape[0]
-        self.n = n
-        self.num_blocks = len(seeds)
-        self._stacker = WindowStacker(self.num_blocks)
+        super().__init__(matrix, seeds, total_slots)
+        n = self.n
         self._assembler = UnitAssembler(
             np.full(self.num_blocks * n * n, n, dtype=np.int64)
         )
@@ -119,26 +117,33 @@ class _UfsStream:
         empty = np.empty(0, dtype=np.int64)
         self._parked = (empty,) * 6  # fkey, voq_x, seq, slot, pos, c_slot
 
-    def _frame_key(self, block: np.ndarray, c_order: np.ndarray) -> np.ndarray:
-        return c_order * self.num_blocks + block
-
-    def _advance(self, frames, parked_new, boundary):
-        """Run the frame-start FIFO and stage 2 up to ``boundary``."""
+    def _replay(self, events, boundary):
+        """Assemble frames, then run the frame-start FIFO and stage 2 up
+        to ``boundary``."""
         n = self.n
+        block, slots, inputs, outputs, seqs, gidx = events
+        voq_c, slot_c, seq_c, _, pos_c, c_slot, c_order = self._assembler.feed(
+            block * n * n + inputs * n + outputs, slots, seqs, gidx
+        )
+        blk_c = voq_c // (n * n)
+        fkey = c_order * self.num_blocks + blk_c
+        last = pos_c == n - 1
         # Frame events: queue = block * n + input, ready = completion
         # slot, FIFO order = completion index (per-input completion
         # order, as in the monolithic kernel).
-        f_queue, f_ready, f_order, f_key = frames
+        f_queue = blk_c[last] * n + (voq_c[last] % (n * n)) // n
         start, _, payload = self._frame_bank.feed(
             f_queue, np.zeros(len(f_queue), dtype=np.int64),
-            f_ready, f_order, (f_key,), boundary,
+            c_slot[last], c_order[last], (fkey[last],), boundary,
         )
         (done_key,) = payload
 
         # Park the new frames' packets, keep the store (fkey, pos)-sorted.
         fkey, voq_x, seq, slot, pos, c_slot = tuple(
             np.concatenate([old, new])
-            for old, new in zip(self._parked, parked_new)
+            for old, new in zip(
+                self._parked, (fkey, voq_c, seq_c, slot_c, pos_c, c_slot)
+            )
         )
         order = composite_argsort(fkey, pos) if len(fkey) else fkey
         fkey, voq_x, seq, slot, pos, c_slot = (
@@ -188,51 +193,3 @@ class _UfsStream:
             assembled=c_slot,
             tx=tx,
         )
-
-    def _round(self, windows, final: bool, split: bool = True):
-        from .sprinklers import _split_blocks
-
-        n = self.n
-        boundary = None
-        if windows is not None:
-            block, slots, inputs, outputs, seqs, gidx, end = (
-                self._stacker.stack(windows)
-            )
-            if not final:
-                boundary = end
-            voq_x = block * n * n + inputs * n + outputs
-            voq_c, slot_c, seq_c, g_c, pos_c, c_slot, c_order = (
-                self._assembler.feed(voq_x, slots, seqs, gidx)
-            )
-            blk_c = voq_c // (n * n)
-            fkey = self._frame_key(blk_c, c_order)
-            last = pos_c == n - 1
-            frames = (
-                blk_c[last] * n + (voq_c[last] % (n * n)) // n,
-                c_slot[last],
-                c_order[last],
-                fkey[last],
-            )
-            parked_new = (fkey, voq_c, seq_c, slot_c, pos_c, c_slot)
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            frames = (empty,) * 4
-            parked_new = (empty,) * 6
-        dep = self._advance(frames, parked_new, boundary)
-        return _split_blocks(dep, n, self.num_blocks) if split else dep
-
-    def feed(self, windows):
-        return self._round(windows, final=False)
-
-    def finish(self, windows=None):
-        deps = self._round(windows, final=True)
-        return deps, [None] * self.num_blocks
-
-    def finish_stacked(self, windows=None):
-        dep = self._round(windows, final=True, split=False)
-        return dep, [None] * self.num_blocks
-
-
-def stream(matrix: np.ndarray, seeds, total_slots: int) -> _UfsStream:
-    """Resumable multi-seed UFS replay (see :class:`_UfsStream`)."""
-    return _UfsStream(matrix, seeds, total_slots)

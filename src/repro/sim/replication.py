@@ -72,7 +72,6 @@ def _replicate_batched(plans: Sequence[RunPlan], store) -> List[SimulationResult
             [plan.seed for plan, _ in missing],
             load_label=first.load_label,
             warmup_fraction=first.warmup_fraction,
-            keep_samples=first.keep_samples,
             batch_traffics=(
                 [plan.batch_traffic() for plan, _ in missing]
                 if first.spec is not None
@@ -125,15 +124,13 @@ def replicate(
     so an invalid one raises its ``ValueError`` here, before any seed
     runs.
 
-    ``batch_seeds=True`` (vectorized engine only) replays all seeds in
-    *one* stacked kernel pass where the switch supports a seed axis
-    (:data:`~repro.models.Capability.SEED_BATCHED` — every vectorized
-    switch, the frame-at-a-time PF/FOFF included: the array-stepped
-    formation engine stacks seeds as extra lanes, widening each cycle
-    step instead of multiplying the step count) — exactly the same
-    per-seed values, but the array-setup overheads that dominate short
-    replications are paid once instead of R times.  Switches without
-    the capability silently fall back to per-seed runs.
+    ``batch_seeds=True`` (vectorized engine only) replays the seeds in
+    stacked kernel passes (:func:`~repro.sim.fast_engine.
+    run_replications_fast` — a stream kernel takes a seed list by
+    contract) — exactly the same per-seed values, but the array-setup
+    overheads that dominate short replications are paid once per group
+    of seeds instead of R times.  A fabric, an object-only switch or
+    object-only ``switch_params`` silently fall back to per-seed runs.
 
     >>> from repro.traffic.matrices import uniform_matrix
     >>> res = replicate("load-balanced", uniform_matrix(4, 0.5), 800,
@@ -159,13 +156,13 @@ def replicate(
     )
     seeds = range(base_seed, base_seed + replications)
     # A fabric replicates seed-by-seed (no stacked seed axis across a
-    # coupled chain yet), as does a switch without the capability.
-    model = models.get(first.subject) if first.fabric is None else None
+    # coupled chain yet), as does a run the kernels do not model.
     batched = (
-        model is not None
-        and batch_seeds
-        and model.seed_batched
-        and model.supports_engine("vectorized", switch_params)
+        batch_seeds
+        and first.fabric is None
+        and models.get(first.subject).supports_engine(
+            "vectorized", switch_params
+        )
     )
     with telemetry.trace(
         "run.replicate",

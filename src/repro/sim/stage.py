@@ -7,7 +7,7 @@ contract explicit as the :class:`Stage` interface and gives it one
 adapter per engine:
 
 * :class:`KernelStage` wraps a switch model's resumable stream kernel
-  (:data:`~repro.models.Capability.STREAMING`) — the vectorized replay;
+  (:class:`~repro.sim.kernels.base.StreamKernel`) — the vectorized replay;
 * :class:`ObjectStage` wraps an object-engine switch instance, stepping
   it slot by slot over each window's packets.
 
@@ -70,9 +70,10 @@ class KernelStage(Stage):
     interface.
 
     Thin single-seed adapter over the kernel's multi-seed streamer:
-    ``feed``/``finish`` windows are wrapped in one-element lists and the
-    per-seed result lists unwrapped, so the Stage contract and the
-    stream-kernel contract are the same thing seen from two sides.
+    windows are wrapped in one-element lists and the one-seed extras
+    list unwrapped; the seed-stacked record of one seed *is* the plain
+    record, so the Stage contract and the stream-kernel contract are the
+    same thing seen from two sides.
     """
 
     def __init__(
@@ -100,9 +101,9 @@ class KernelStage(Stage):
 
     def feed(self, window: ArrivalBatch) -> Departures:
         if not telemetry.enabled():
-            return self._streamer.feed([window])[0]
+            return self._streamer.feed([window])
         with telemetry.trace("stage.feed", stage=self.label) as span:
-            dep = self._streamer.feed([window])[0]
+            dep = self._streamer.feed([window])
             span.set(packets=len(window), finalized=len(dep.voq))
         telemetry.observe(self._feed_metric, span.span.dur_s)
         return dep
@@ -110,18 +111,15 @@ class KernelStage(Stage):
     def finish(
         self, window: Optional[ArrivalBatch] = None
     ) -> Tuple[Departures, Optional[Dict[str, float]]]:
+        windows = [window] if window is not None else None
         if not telemetry.enabled():
-            final, extras = self._streamer.finish(
-                [window] if window is not None else None
-            )
-            return final[0], extras[0]
+            final, extras = self._streamer.finish(windows)
+            return final, extras[0]
         with telemetry.trace("stage.finish", stage=self.label) as span:
-            final, extras = self._streamer.finish(
-                [window] if window is not None else None
-            )
-            span.set(finalized=len(final[0].voq))
+            final, extras = self._streamer.finish(windows)
+            span.set(finalized=len(final.voq))
         telemetry.observe(self._finish_metric, span.span.dur_s)
-        return final[0], extras[0]
+        return final, extras[0]
 
 
 class ObjectStage(Stage):

@@ -134,6 +134,23 @@ class TestScenarioCommands:
         assert "sprinklers" in out
 
 
+class TestBadNamesAndPaths:
+    @pytest.mark.parametrize("argv", [
+        ["switches", "show", "nope"],
+        ["scenarios", "run", "--scenario", "nope"],
+        ["scenarios", "run", "--scenario", "/nonexistent.json", "--n", "8"],
+        ["fabrics", "run", "--fabric", "nope", "--n", "8", "--slots", "100"],
+    ])
+    def test_one_stderr_line_and_exit_2(self, argv, capsys):
+        """A name or path the user typed wrong is outside input: one
+        sentence on stderr and exit code 2, never a traceback."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro {argv[0]}: ")
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestSwitchesCommands:
     def test_switches_list_all(self, capsys):
         assert main(["switches", "list"]) == 0
@@ -156,7 +173,7 @@ class TestSwitchesCommands:
     def test_switches_show(self, capsys):
         assert main(["switches", "show", "foff"]) == 0
         out = capsys.readouterr().out
-        assert "exact-replay" in out
+        assert "supports-drift" in out
         assert "vectorized" in out
 
     def test_switches_show_alias(self, capsys):

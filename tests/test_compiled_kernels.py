@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models.model import Capability, SwitchModel
 from repro.sim.experiment import resolve_run_params, run_single
 from repro.sim.kernels.compiled import (
     KERNEL_BACKENDS,
@@ -180,24 +179,6 @@ class TestBackendSelection:
             models.get("output-queued").kernel.__module__
         )
         assert len(pf_passes) == len(oq_passes) + 1
-
-
-class TestCapability:
-    def test_compiled_derived_from_kernel(self):
-        from repro import models
-
-        for name in KERNEL_SWITCHES:
-            assert Capability.COMPILED in models.get(name).capabilities, name
-        for name in ("cms", "tcp-hashing", "sprinklers-adaptive"):
-            assert Capability.COMPILED not in models.get(name).capabilities
-
-    def test_compiled_without_kernel_rejected(self):
-        with pytest.raises(ValueError, match="compiled"):
-            SwitchModel(
-                name="bogus",
-                builder=lambda n, matrix, seed: None,
-                capabilities=frozenset({Capability.COMPILED}),
-            )
 
 
 class TestStoreKeyInvariance:

@@ -160,7 +160,7 @@ class TestCompositeModel:
         composite = CompositeSwitchModel(LEAF_SPINE)
         for model in composite.models:
             assert composite.capabilities <= model.capabilities
-        assert models.Capability.COMPOSABLE in composite.capabilities
+        assert composite.supports_engine("vectorized")
 
     def test_vectorized_requires_composable_stages(self):
         spec = FabricSpec(

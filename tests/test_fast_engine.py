@@ -64,10 +64,11 @@ class TestRegistryCoverage:
             "pf", "foff",
         }
 
-    def test_every_kernel_declares_exact_replay(self):
+    def test_every_kernel_has_both_forms(self):
         for name in FAST_SWITCHES:
             model = models.get(name)
-            assert models.Capability.EXACT_REPLAY in model.capabilities, name
+            assert model.kernel is not None, name
+            assert model.stream_kernel is not None, name
 
 
 class TestSeededParity:

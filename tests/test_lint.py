@@ -393,6 +393,28 @@ def test_reg004_lazy_getattr_module_skips_undefined_names(tmp_path):
     assert result.ok, codes(result)
 
 
+def test_reg001_stream_kernel_must_honor_the_contract(monkeypatch):
+    from repro import models
+    from repro.models import registry as registry_module
+
+    monkeypatch.setattr(
+        registry_module, "_MODELS", dict(registry_module._MODELS)
+    )
+    models.register(models.SwitchModel(
+        name="loose-stream",
+        builder=lambda n, matrix, seed: None,
+        kernel=lambda batch, matrix, seed: None,
+        stream_kernel=lambda matrix, seeds, total_slots: object(),
+    ))
+    result = lint_paths(
+        [REPO_ROOT / "src" / "repro" / "models" / "builtin.py"],
+        root=REPO_ROOT, select=["REG001"],
+    )
+    assert codes(result) == ["REG001"]
+    assert "'loose-stream'" in result.findings[0].message
+    assert "StreamKernel" in result.findings[0].message
+
+
 # -- Suppressions --------------------------------------------------------------
 
 

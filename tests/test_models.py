@@ -164,13 +164,25 @@ class TestBuiltinRegistry:
         assert base == plan_run(**common, switch_params={}).key
 
     def test_kernel_params_must_be_declared(self):
+        kernels = dict(
+            kernel=lambda batch, matrix, seed: None,
+            stream_kernel=lambda matrix, seeds, total_slots: None,
+        )
         with pytest.raises(ValueError, match="not in the declared"):
             SwitchModel(
                 name="mismatched",
                 builder=lambda n, matrix, seed: None,
-                kernel=lambda batch, matrix, seed: None,
                 kernel_params=("ghost",),
+                **kernels,
             )
+        # A vectorized switch carries both kernel forms or neither.
+        for field, value in kernels.items():
+            with pytest.raises(ValueError, match="set together"):
+                SwitchModel(
+                    name="half",
+                    builder=lambda n, matrix, seed: None,
+                    **{field: value},
+                )
 
     def test_run_single_accepts_alias(self):
         """Aliases canonicalize before execution (and before cache keys)."""

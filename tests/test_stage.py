@@ -68,14 +68,17 @@ class TestKernelStage:
         for a, b in zip(mono[:4], windowed[:4]):
             np.testing.assert_array_equal(a, b)
 
-    def test_departures_finalized_before_window_end(self):
+    @pytest.mark.parametrize("name", models.available(engine="vectorized"))
+    def test_departures_finalized_before_window_end(self, name):
         matrix = uniform_matrix(8, 0.7)
-        stage = _kernel_stage("sprinklers", matrix, 0, 1000)
+        stage = _kernel_stage(name, matrix, 0, 1000)
         traffic = _traffic(matrix)
         for window in traffic.draw_chunks(1000, 100):
             dep = stage.feed(window)
             if len(dep.departure):
                 assert dep.departure.max() < window.end_slot
+                # One seed's stacked record is the plain record.
+                assert dep.voq.max() < 8 * 8
 
 
 class TestObjectStage:

@@ -6,8 +6,8 @@ departure slots, same extras, same retained delay samples in the same
 observation order — while materializing only O(W) arrival slots at a
 time.  Multi-seed batching (``run_replications_fast`` /
 ``replicate(batch_seeds=True)``) claims the same per seed while stacking
-all seeds into one kernel pass.  These tests pin both claims across every
-streaming switch, switch sizes, workloads, and window sizes (including
+seeds into one kernel pass.  These tests pin both claims across every
+vectorized switch, switch sizes, workloads, and window sizes (including
 windows that do not divide the run and windows larger than the run).
 
 The monolithic vectorized path is itself pinned against the object
@@ -22,19 +22,16 @@ import math
 import numpy as np
 import pytest
 
-from repro import models
+from repro import models, telemetry
 from repro.sim.experiment import run_single
 from repro.sim.fast_engine import run_replications_fast, run_single_fast
 from repro.sim.replication import replicate
 from repro.traffic.batch import BatchTrafficGenerator
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
-STREAMING_SWITCHES = list(
-    models.available(engine="vectorized", capability="streaming")
-)
-SEED_BATCHED_SWITCHES = list(
-    models.available(engine="vectorized", capability="seed-batched")
-)
+#: Every vectorized switch streams and stacks seeds: a stream kernel
+#: takes a seed list and a window list by contract.
+VECTORIZED_SWITCHES = list(models.available(engine="vectorized"))
 
 #: (name, kwargs-for-run_single) — two §6 matrix families plus two
 #: registered scenarios (one bursty: the OnOff process carries Markov
@@ -110,22 +107,21 @@ def assert_identical(a, b):
 
 
 class TestWindowedParity:
-    """The acceptance grid: every streaming switch x N x workload x W."""
+    """The acceptance grid: every vectorized switch x N x workload x W."""
 
     @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("n", [2, 8, 32])
-    @pytest.mark.parametrize("switch", STREAMING_SWITCHES)
+    @pytest.mark.parametrize("switch", VECTORIZED_SWITCHES)
     def test_streamed_equals_monolithic(self, switch, n, workload, window):
         streamed = _run(switch, workload, n, seed=11, window_slots=window)
         assert_identical(_baseline(switch, workload, n, seed=11), streamed)
 
     def test_every_vectorized_switch_streams(self):
-        """The ISSUE-4 bar: the whole vectorized roster gains a
-        resumable form."""
-        assert set(STREAMING_SWITCHES) == set(
-            models.available(engine="vectorized")
-        )
+        """The ISSUE-4 bar: the whole vectorized roster has a resumable
+        form."""
+        for name in VECTORIZED_SWITCHES:
+            assert models.get(name).stream_kernel is not None, name
 
     def test_tiny_windows(self):
         """Single-digit windows exercise the carried state hardest."""
@@ -134,7 +130,13 @@ class TestWindowedParity:
             assert_identical(_baseline(switch, "uniform", 4, seed=3), streamed)
 
     def test_window_larger_than_run(self):
-        streamed = _run("sprinklers", "uniform", 8, seed=5, window_slots=10 * SLOTS)
+        """One window covering the run *is* the monolithic replay."""
+        with telemetry.scope() as tel:
+            streamed = _run(
+                "sprinklers", "uniform", 8, seed=5, window_slots=10 * SLOTS
+            )
+        assert tel.tracer.find("replay.monolithic")
+        assert not tel.tracer.find("replay.stream")
         assert_identical(_baseline("sprinklers", "uniform", 8, seed=5), streamed)
 
     def test_pf_threshold_streams(self):
@@ -147,23 +149,6 @@ class TestWindowedParity:
             window_slots=150,
         )
         assert_identical(mono, streamed)
-
-    def test_streaming_requires_stream_kernel(self):
-        model = models.get("sprinklers")
-        stripped = models.SwitchModel(
-            name="mono-only",
-            builder=model.builder,
-            kernel=model.kernel,
-            capabilities={models.Capability.EXACT_REPLAY},
-        )
-        assert not stripped.capabilities >= {models.Capability.STREAMING}
-        with pytest.raises(ValueError, match="streaming"):
-            models.SwitchModel(
-                name="bad",
-                builder=model.builder,
-                kernel=model.kernel,
-                capabilities={models.Capability.STREAMING},
-            )
 
 
 class TestDrawChunks:
@@ -206,7 +191,7 @@ class TestDrawChunks:
 class TestSeedBatched:
     """Multi-seed stacking: per-seed results identical to one-at-a-time."""
 
-    @pytest.mark.parametrize("switch", SEED_BATCHED_SWITCHES)
+    @pytest.mark.parametrize("switch", VECTORIZED_SWITCHES)
     def test_stacked_equals_sequential(self, switch):
         matrix = uniform_matrix(8, 0.85)
         seeds = list(range(4, 9))
@@ -214,67 +199,19 @@ class TestSeedBatched:
             switch, matrix, SLOTS, seeds, load_label=0.85
         )
         for seed, got in zip(seeds, stacked):
+            # The stacked fold retains no samples (replications never do).
             want = run_single_fast(
-                switch, matrix, SLOTS, seed=seed, load_label=0.85
+                switch, matrix, SLOTS, seed=seed, load_label=0.85,
+                keep_samples=False,
             )
             assert_identical(want, got)
 
-    def test_stacked_windowed(self):
-        matrix = diagonal_matrix(8, 0.6)
-        seeds = [1, 2, 3]
-        stacked = run_replications_fast(
-            "sprinklers", matrix, SLOTS, seeds, load_label=0.6,
-            window_slots=113,
-        )
-        for seed, got in zip(seeds, stacked):
-            want = run_single_fast(
-                "sprinklers", matrix, SLOTS, seed=seed, load_label=0.6
-            )
-            assert_identical(want, got)
 
     def test_frame_switches_are_seed_batched(self):
         """The ISSUE-5 bar: the array-stepped formation engine lets the
         frame-at-a-time switches stack seeds too — the whole vectorized
         roster replicates in one pass."""
-        assert set(SEED_BATCHED_SWITCHES) == set(
-            models.available(engine="vectorized")
-        )
-        assert {"pf", "foff"} <= set(SEED_BATCHED_SWITCHES)
-
-    @pytest.mark.parametrize("switch", ["pf", "foff"])
-    def test_frame_switch_stacked_windowed(self, switch):
-        matrix = diagonal_matrix(8, 0.7)
-        seeds = [1, 2, 3]
-        stacked = run_replications_fast(
-            switch, matrix, SLOTS, seeds, load_label=0.7,
-            window_slots=113,
-        )
-        for seed, got in zip(seeds, stacked):
-            want = run_single_fast(
-                switch, matrix, SLOTS, seed=seed, load_label=0.7
-            )
-            assert_identical(want, got)
-
-    def test_non_batched_switch_raises(self):
-        model = models.get("sprinklers")
-        try:
-            models.register(
-                models.SwitchModel(
-                    name="stream-only-test",
-                    builder=model.builder,
-                    kernel=model.kernel,
-                    stream_kernel=model.stream_kernel,
-                    capabilities={models.Capability.EXACT_REPLAY},
-                )
-            )
-            with pytest.raises(ValueError, match="seed-batched"):
-                run_replications_fast(
-                    "stream-only-test", uniform_matrix(4, 0.5), 500, [0, 1]
-                )
-        finally:
-            from repro.models import registry as registry_module
-
-            registry_module._MODELS.pop("stream-only-test", None)
+        assert {"pf", "foff"} <= set(VECTORIZED_SWITCHES)
 
 
 class TestBatchedReplicate:
@@ -376,29 +313,6 @@ class TestRunSingleIntegration:
             window_slots=50,
         )
         assert a.to_dict() == b.to_dict()
-
-    def test_explicit_streaming_raises_without_kernel(self):
-        """run_single_fast is the strict entry point: asking a
-        non-streaming model to stream is an error, not a fallback."""
-        model = models.get("sprinklers")
-        try:
-            models.register(
-                models.SwitchModel(
-                    name="mono-only-test",
-                    builder=model.builder,
-                    kernel=model.kernel,
-                    capabilities={models.Capability.EXACT_REPLAY},
-                )
-            )
-            with pytest.raises(ValueError, match="streaming"):
-                run_single_fast(
-                    "mono-only-test", uniform_matrix(4, 0.5), 400,
-                    window_slots=100,
-                )
-        finally:
-            from repro.models import registry as registry_module
-
-            registry_module._MODELS.pop("mono-only-test", None)
 
     def test_delay_ci_identical_after_windowing(self):
         """The order-sensitive downstream statistic agrees end to end."""
