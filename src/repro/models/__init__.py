@@ -49,9 +49,9 @@ from .registry import (
 
 #: The five curves of the paper's Figs. 6-7, in the paper's legend order.
 #: Defined here (not in .builtin) so the layers that import it during
-#: package initialization — sim.experiment, sim.parallel, the figures —
-#: find it on the partially initialized module while .builtin below pulls
-#: those very layers in for the kernels.
+#: package initialization — sim.experiment, the figures — find it on
+#: the partially initialized module while .builtin below pulls those
+#: very layers in for the kernels.
 PAPER_SWITCHES = (
     "load-balanced",
     "ufs",

@@ -187,7 +187,7 @@ class FabricSpec:
         )
 
     def to_dict(self) -> Dict:
-        """Plain-primitive form (store cache keys, SweepJob transport)."""
+        """Plain-primitive form (store cache keys, ``from_dict``)."""
         stages = []
         for stage in self.stages:
             entry: Dict[str, object] = {

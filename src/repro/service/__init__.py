@@ -14,14 +14,15 @@ Layers, bottom-up:
 * :mod:`repro.service.pool` — the claim/complete worker pool that
   survives worker crashes by requeueing claimed shards.
 * :mod:`repro.service.core` — :class:`SimulationService`: submission,
-  dedup, job event logs, streaming.
+  dedup, job event logs, streaming; :func:`run_sweep`, its blocking
+  in-process form (how a local sweep runs across processes).
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — the local
   HTTP surface (`submit`/`status`/`watch`/`results`) and its stdlib
   client, used by the ``repro submit|status|watch|results`` commands.
 """
 
 from .client import DEFAULT_URL, ServiceClient, ServiceError
-from .core import SimulationService
+from .core import SimulationService, run_sweep
 from .daemon import ServiceServer, serve
 from .jobs import (
     JobRequest,
@@ -45,6 +46,7 @@ __all__ = [
     "WorkerPool",
     "execute_shard",
     "expand_shards",
+    "run_sweep",
     "serve",
     "shard_key",
     "shard_params",

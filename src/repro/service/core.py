@@ -28,11 +28,15 @@ failures, and requeues.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import threading
 import time
+from contextlib import ExitStack
 from typing import Dict, Iterator, List, Optional, Union
 
 from .. import telemetry
+from ..sim.metrics import SimulationResult
 from ..store import ExperimentStore, cache_key, coerce_store, store_dir
 from .jobs import (
     JobRequest,
@@ -44,7 +48,7 @@ from .jobs import (
 )
 from .pool import WorkerPool
 
-__all__ = ["JobState", "ShardState", "SimulationService"]
+__all__ = ["JobState", "ShardState", "SimulationService", "run_sweep"]
 
 logger = telemetry.get_logger(__name__)
 
@@ -432,6 +436,44 @@ class SimulationService:
                 entry["result"] = result.to_dict(include_samples=False)
                 entry["status"] = "done"
             yield entry
+
+
+def run_sweep(
+    request: Union[JobRequest, Dict],
+    store: Union[None, str, ExperimentStore] = None,
+    workers: Optional[int] = None,
+) -> List[SimulationResult]:
+    """Run a sweep grid across ``workers`` processes (default: one per
+    CPU) and return one result per distinct cell, in cell order.
+
+    The blocking, in-process form of ``repro serve`` + ``repro submit``:
+    the same shards, store keys, dedup and crash recovery, and results
+    ``to_dict()``-identical to :func:`~repro.sim.experiment.
+    delay_vs_load_sweep`.  ``store`` is shared with every other run path
+    (a repeated sweep recomputes nothing); without one the results live
+    in a temporary directory for the duration of the call.  An invalid
+    grid raises its ``ValueError`` before any worker starts; failed
+    cells raise one ``RuntimeError`` naming each with its worker-side
+    message, after every other cell has completed (and been stored).
+    """
+    with ExitStack() as stack:
+        if store is None:
+            store = stack.enter_context(tempfile.TemporaryDirectory())
+        service = SimulationService(store, workers or os.cpu_count() or 1)
+        job_id = service.submit(request)  # validates the whole grid
+        with service:
+            service.wait(job_id)
+        cells = list(service.results(job_id))
+    failed = [cell for cell in cells if "result" not in cell]
+    if failed:
+        lines = [f"{len(failed)} of {len(cells)} sweep cells failed:"]
+        lines.extend(
+            f"  {cell['switch']} @ load {cell['load']} seed {cell['seed']}: "
+            f"{cell.get('error')}"
+            for cell in failed
+        )
+        raise RuntimeError("\n".join(lines))
+    return [SimulationResult.from_dict(cell["result"]) for cell in cells]
 
 
 #: Condition-wait slice: bounds stream latency for follow/wait loops.

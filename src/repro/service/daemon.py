@@ -5,7 +5,8 @@ one handler thread per connection.  Endpoints:
 
 ``POST /submit``
     Body: a :class:`~repro.service.jobs.JobRequest` dict.  Response:
-    ``{"job_id": ...}`` (400 with an ``error`` body for invalid grids).
+    ``{"job_id": ...}`` (400 with an ``error`` body for invalid grids,
+    413 — before the body is read — above :data:`MAX_BODY_BYTES`).
 ``GET /status`` / ``GET /status?job=ID``
     All jobs' progress, or one job's.
 ``GET /watch?job=ID[&timeout=S]``
@@ -38,6 +39,9 @@ from .core import SimulationService
 __all__ = ["ServiceServer", "serve"]
 
 logger = telemetry.get_logger(__name__)
+
+#: Largest ``/submit`` body accepted (a request is a few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -105,6 +109,11 @@ class _Handler(BaseHTTPRequestHandler):
                 length = int(self.headers.get("Content-Length") or 0)
                 if length < 0:  # read(-1) would wait for the client to close
                     raise ValueError("negative Content-Length")
+                if length > MAX_BODY_BYTES:
+                    self._send_error_json(
+                        413, f"request body over {MAX_BODY_BYTES} bytes"
+                    )
+                    return
                 request = json.loads(self.rfile.read(length) or b"{}")
                 job_id = self.service.submit(request)
             except (ValueError, KeyError, TypeError) as exc:

@@ -15,17 +15,17 @@ across concurrent requests into one computation.
 
 Both request and shard are plain JSON-serializable data (``to_dict`` /
 ``from_dict``): requests cross the HTTP boundary, shards cross the
-worker-process boundary.  Workloads are named — a §6 pattern
-(``uniform``/``diagonal``), a registered scenario, a spec-file path, or
-a ``trace:<path>`` designator — never raw matrices, so a shard stays a
-few hundred bytes no matter the port count.
+worker-process boundary.  Workloads are declarative — a §6 pattern
+(``uniform``/``diagonal``), a registered scenario, a spec-file path, a
+``trace:<path>`` designator, or a scenario spec dict — never raw
+matrices, so a shard stays a few hundred bytes no matter the port count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..sim.experiment import cell_workload, resolve_run_params, run_single
 from ..store import cache_key
@@ -46,7 +46,7 @@ class ShardSpec:
     """One (switch, load, seed) cell: the service's unit of work."""
 
     switch: str
-    workload: str
+    workload: Union[str, Dict]
     n: int
     load: float
     num_slots: int
@@ -92,12 +92,13 @@ class JobRequest:
     """A submitted sweep: the grid a client wants simulated.
 
     ``workload`` names a §6 pattern, registered scenario, spec file, or
-    ``trace:<path>``; ``seeds`` is the seed block (one full grid per
-    seed).  ``switch_params``, when given, applies to every switch in
-    the request — parameter studies submit one request per setting.
+    ``trace:<path>``, or is a scenario spec dict; ``seeds`` is the seed
+    block (one full grid per seed).  ``switch_params``, when given,
+    applies to every switch in the request — parameter studies submit
+    one request per setting.
     """
 
-    workload: str
+    workload: Union[str, Dict]
     switches: Tuple[str, ...]
     loads: Tuple[float, ...]
     n: int = 16

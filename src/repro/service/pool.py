@@ -1,10 +1,10 @@
 """A crash-tolerant process worker pool with a claim/complete protocol.
 
-``concurrent.futures`` kills the whole pool when one worker dies
-(``BrokenProcessPool``) — unacceptable for a long-running service where
-a worker OOM-ing on one shard must not abandon every queued job.  This
-pool runs plain ``multiprocessing`` workers over a task queue with an
-explicit protocol:
+The repo's one process pool: local sweeps
+(:func:`repro.service.run_sweep`) and the daemon both run on it.  A
+worker OOM-ing on one shard must not abandon every queued cell — the
+stdlib executor pool's ``BrokenProcessPool`` — so this pool runs plain
+``multiprocessing`` workers over a task queue with an explicit protocol:
 
 ``("claim", pid, task_id)``
     Sent by a worker the moment it dequeues a task, *before* running it.
@@ -21,7 +21,9 @@ between dequeue and claim would orphan that one task; the window is a
 few instructions wide and crash-requeue is best-effort recovery, not a
 transactional queue.)  Callers must therefore tolerate duplicate
 completions — a task can finish twice when a worker is killed after
-completing but before the parent drains its message.
+completing but before the parent drains its message.  A task that has
+killed :attr:`WorkerPool.MAX_ATTEMPTS` workers is a poison shard: it is
+failed (``on_failed``) instead of requeued, so it cannot cycle forever.
 
 Workers are ``fork``-started: tasks need no pickling round-trip beyond
 the queue itself, and tests can monkeypatch the runner before workers
@@ -79,6 +81,8 @@ class WorkerPool:
 
     #: Liveness-check cadence; also bounds shutdown latency.
     POLL_SECONDS = 0.2
+    #: Workers one task may kill before it is failed instead of requeued.
+    MAX_ATTEMPTS = 3
 
     def __init__(
         self,
@@ -102,6 +106,7 @@ class WorkerPool:
         self._procs: Dict[int, mp.Process] = {}  # guarded by: self._lock
         self._claims: Dict[int, str] = {}  # guarded by: self._lock
         self._pending: Dict[str, object] = {}  # guarded by: self._lock
+        self._kills: Dict[str, int] = {}  # guarded by: self._lock
         self._lock = threading.Lock()
         self._stopping = threading.Event()
         self._collector: Optional[threading.Thread] = None
@@ -193,6 +198,7 @@ class WorkerPool:
             if self._claims.get(pid) == task_id:
                 del self._claims[pid]
             self._pending.pop(task_id, None)
+            self._kills.pop(task_id, None)
 
     def _reap_dead_workers(self) -> None:
         """Requeue claims held by dead workers; keep the pool at size."""
@@ -226,6 +232,19 @@ class WorkerPool:
             self._requeue(task_id, payload)
 
     def _requeue(self, task_id: str, payload) -> None:
+        with self._lock:
+            kills = self._kills[task_id] = self._kills.get(task_id, 0) + 1
+            poison = kills >= self.MAX_ATTEMPTS
+            if poison:
+                self._pending.pop(task_id, None)
+                del self._kills[task_id]
+        if poison:
+            logger.warning("task %s killed %d workers", task_id, kills)
+            if self.on_failed is not None:
+                self.on_failed(
+                    task_id, f"WorkerLost: killed {kills} workers", ""
+                )
+            return
         self.requeues += 1
         telemetry.count("service.shard_requeues")
         logger.warning("requeueing task %s from dead worker", task_id)

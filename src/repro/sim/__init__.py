@@ -10,7 +10,6 @@ from .experiment import (
 )
 from .fast_engine import run_single_fast
 from .metrics import DelayStats, SimulationMetrics, SimulationResult
-from .parallel import SweepJob, parallel_delay_sweep, run_jobs
 from .replication import ReplicatedResult, replicate
 from .stats import BatchMeansResult, batch_means, compare_means, mser_truncation
 from .rng import RngRegistry, derive_seed, spawn_generator
@@ -24,17 +23,14 @@ __all__ = [
     "RngRegistry",
     "SimulationEngine",
     "SimulationMetrics",
-    "SweepJob",
     "SimulationResult",
     "TRAFFIC_PATTERNS",
     "batch_means",
     "compare_means",
     "mser_truncation",
-    "parallel_delay_sweep",
     "delay_vs_load_sweep",
     "derive_seed",
     "replicate",
-    "run_jobs",
     "run_single",
     "run_single_fast",
     "simulate",

@@ -4,9 +4,9 @@ Batch means (``sim/stats.py``) error-bars a *single* run; independent
 replications — the same configuration under ``R`` different seeds —
 additionally capture run-to-run variability (placement randomness,
 traffic randomness), which for Sprinklers is exactly where the §4
-probability statements live.  This module runs replications (optionally
-in parallel) and summarizes any result metric across them with a
-Student-t confidence interval.
+probability statements live.  This module runs replications and
+summarizes any result metric across them with a Student-t confidence
+interval.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .. import models, telemetry
-from ..store import coerce_store, store_dir
-from .experiment import RunPlan, plan_run
+from ..store import coerce_store
+from .experiment import RunPlan, execute, plan_run
 from .fast_engine import run_replications_fast
 from .metrics import SimulationResult
-from .parallel import SweepJob, run_jobs
 
 __all__ = ["ReplicatedResult", "replicate"]
 
@@ -96,7 +95,6 @@ def replicate(
     metric_name: str = "mean_delay",
     confidence: float = 0.95,
     load_label: float = float("nan"),
-    max_workers: Optional[int] = 1,
     engine: str = "object",
     scenario=None,
     n: Optional[int] = None,
@@ -119,7 +117,7 @@ def replicate(
     seed's result, so re-running (or widening) a replication study only
     simulates seeds it has not seen.  ``switch_params`` replicates a
     parameterized switch (e.g. PF at a custom ``threshold``), threaded
-    through every seed's job and cache key.  The configuration is
+    through every seed's plan and cache key.  The configuration is
     planned once in the caller (:func:`repro.sim.experiment.plan_run`),
     so an invalid one raises its ``ValueError`` here, before any seed
     runs.
@@ -154,7 +152,10 @@ def replicate(
         keep_samples=False, engine=engine, scenario=scenario, n=n,
         load=load, switch_params=switch_params,
     )
-    seeds = range(base_seed, base_seed + replications)
+    plans = [
+        dataclasses.replace(first, seed=seed)
+        for seed in range(base_seed, base_seed + replications)
+    ]
     # A fabric replicates seed-by-seed (no stacked seed axis across a
     # coupled chain yet), as does a run the kernels do not model.
     batched = (
@@ -172,23 +173,10 @@ def replicate(
         batched=batched,
     ):
         if batched:
-            results = _replicate_batched(
-                [dataclasses.replace(first, seed=seed) for seed in seeds],
-                store,
-            )
+            results = _replicate_batched(plans, store)
         else:
-            spec = first.spec
-            jobs = [
-                SweepJob(
-                    first.subject,
-                    first.matrix if spec is None else None,
-                    num_slots, seed, first.load_label, engine,
-                    scenario=spec.to_dict() if spec is not None else None,
-                    n=n, store=store_dir(store), switch_params=switch_params,
-                )
-                for seed in seeds
-            ]
-            results = run_jobs(jobs, max_workers=max_workers)
+            cache = coerce_store(store)
+            results = [execute(plan, cache) for plan in plans]
     values = [float(metric(result)) for result in results]
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1)) / math.sqrt(replications)

@@ -19,7 +19,8 @@ flipping the flag cannot perturb results or store keys
 Process pools: workers inherit the flag (fork) or re-read the
 environment (spawn); each process records into its own tracer and
 registry.  Cross-process aggregation is the caller's job (the parent
-folds what the results carry — see ``repro.sim.parallel``).
+folds what the results carry — see ``repro.service.core``, which
+records each shard's worker-side wall time as it lands).
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ import pytest
 from repro import models
 from repro.sim.experiment import ENGINES, run_single
 from repro.sim.fast_engine import run_single_fast
-from repro.sim.parallel import SweepJob, run_jobs
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
 FAST_SWITCHES = list(models.available(engine="vectorized"))
@@ -210,18 +209,16 @@ class TestEngineRouting:
         with pytest.raises(ValueError, match="unknown switch"):
             run_single_fast("warp-fabric", uniform_matrix(4, 0.5), 100)
 
-    def test_sweep_jobs_carry_engine(self):
+    def test_run_single_engine_parity(self):
         matrix = uniform_matrix(8, 0.7)
-        jobs = [
-            SweepJob("sprinklers", matrix, 1200, 3, 0.7, "object"),
-            SweepJob("sprinklers", matrix, 1200, 3, 0.7, "vectorized"),
-        ]
-        obj, fast = run_jobs(jobs, max_workers=1)
+        obj, fast = (
+            run_single(
+                "sprinklers", matrix, 1200, seed=3, load_label=0.7,
+                keep_samples=False, engine=engine,
+            )
+            for engine in ("object", "vectorized")
+        )
         _assert_results_identical(obj, fast)
-
-    def test_sweepjob_engine_defaults_to_object(self):
-        job = SweepJob("ufs", uniform_matrix(4, 0.5), 400, 1, 0.5)
-        assert job.engine == "object"
 
     def test_replicate_engine_parity(self):
         """Identical per-seed results make identical confidence intervals."""

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.figures.burst_sensitivity import generate as burst_generate
+from repro.models import FabricSpec
+from repro.sim.experiment import run_single
 from repro.sim.replication import replicate
+from repro.store import ExperimentStore
 from repro.traffic.matrices import uniform_matrix
 
 
@@ -20,8 +23,6 @@ class TestReplicate:
     def test_interval_covers_long_run_value(self):
         # The replication CI for baseline delay should cover the estimate
         # from a much longer single run.
-        from repro.sim.experiment import run_single
-
         matrix = uniform_matrix(8, 0.5)
         rep = replicate(
             "load-balanced", matrix, 4000, replications=8, base_seed=10,
@@ -49,8 +50,6 @@ class TestReplicate:
     def test_switch_params_replicated(self):
         """Regression: replicate() dropped switch_params, so a
         parameterized switch could not be replicated at all."""
-        from repro.sim.experiment import run_single
-
         matrix = uniform_matrix(4, 0.6)
         result = replicate(
             "pf", matrix, 800, replications=3,
@@ -63,6 +62,48 @@ class TestReplicate:
         assert result.values[0] == float(want.mean_delay)
         plain = replicate("pf", matrix, 800, replications=3)
         assert result.values != plain.values
+
+    @pytest.mark.parametrize(
+        "subject, engine, workload",
+        [
+            ("sprinklers", "object", {"matrix": uniform_matrix(4, 0.6)}),
+            (
+                "leaf-spine", "vectorized",
+                {"scenario": "ring-allreduce", "n": 4, "load": 0.6},
+            ),
+            (
+                # An unregistered fabric travels as the spec itself.
+                FabricSpec(name="solo-test", stages=({"switch": "ufs"},)),
+                "object",
+                {"scenario": "paper-uniform", "n": 4, "load": 0.6},
+            ),
+        ],
+        ids=["object-switch", "fabric", "fabric-spec"],
+    )
+    def test_per_seed_runs_are_run_single(
+        self, subject, engine, workload, tmp_path
+    ):
+        """Non-batched replication is ``run_single(seed=s)`` per seed:
+        the same values under the same store keys."""
+        rep_store = ExperimentStore(tmp_path / "replicate")
+        rep = replicate(
+            subject, num_slots=400, replications=3, base_seed=5,
+            engine=engine, store=rep_store, **workload,
+        )
+        run_store = ExperimentStore(tmp_path / "run-single")
+        singles = [
+            run_single(
+                subject, num_slots=400, seed=seed, keep_samples=False,
+                engine=engine, store=run_store, **workload,
+            )
+            for seed in (5, 6, 7)
+        ]
+        assert rep.values == tuple(float(r.mean_delay) for r in singles)
+        keys = [
+            sorted(record["key"] for record in store.manifest_records())
+            for store in (rep_store, run_store)
+        ]
+        assert keys[0] == keys[1] and len(keys[0]) == 3
 
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):

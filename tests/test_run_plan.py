@@ -163,3 +163,18 @@ def test_plan_survives_pickling(kind, tmp_path):
     experiment.execute(clone, store)
     assert experiment.execute(plan, store).to_dict() == direct.to_dict()
     assert store.stats().saves == 1 and store.hits == 1
+
+
+def test_switch_params_enter_the_key_only_when_non_default():
+    """Default-parameter plans keep the store keys they had before
+    switches took parameters."""
+
+    def params(switch_params):
+        return experiment.plan_run(
+            "pf", uniform_matrix(4, 0.6), 600, 2, 0.6, 0.1, False,
+            "object", switch_params=switch_params,
+        ).store_params()
+
+    assert params(None) == params({})
+    assert "switch_params" not in params(None)
+    assert params({"threshold": 3})["switch_params"] == {"threshold": 3}

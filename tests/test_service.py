@@ -5,6 +5,8 @@ perform each shard's computation **exactly once** (asserted against the
 store manifest — one save per key), partial results stream as cells
 complete (event order ``job`` -> ``shard``* -> ``done``), and a worker
 killed mid-shard has its shard re-queued and completed by a replacement.
+ISSUE 23 adds :func:`repro.service.run_sweep` — the service as the one
+way a local grid runs across processes — and the poison-shard cap.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import signal
 import threading
 import time
 from collections import Counter
+from functools import partial
 from urllib.parse import urlsplit
 
 import pytest
@@ -27,12 +30,21 @@ from repro.service import (
     ShardSpec,
     SimulationService,
     WorkerPool,
+    execute_shard,
     expand_shards,
+    run_sweep,
     serve,
     shard_key,
     shard_run_kwargs,
 )
-from repro.sim.experiment import run_single
+from repro.scenarios import resolve_scenario
+from repro.service import core as service_core
+from repro.service.daemon import MAX_BODY_BYTES
+from repro.sim.experiment import (
+    TRAFFIC_PATTERNS,
+    delay_vs_load_sweep,
+    run_single,
+)
 from repro.store import ExperimentStore
 
 
@@ -58,6 +70,7 @@ class TestJobModel:
         assert len(cells) == 8
 
     def test_round_trip_dicts(self):
+        assert small_request().engine == "object"
         request = small_request(engine="vectorized")
         assert JobRequest.from_dict(request.to_dict()) == request
         shard = expand_shards(request)[0]
@@ -203,6 +216,10 @@ class TestShardFailures:
             assert service.status(again)["sources"]["new"] == 1
 
 
+#: How long a self-killing runner waits first, so that its worker's
+#: ``claim`` has reached the parent (an unclaimed task is not requeued).
+_CLAIM_FLUSH_SECONDS = 0.2
+
 #: Consumed-once crash flag: the first worker to see the file removes it
 #: and hangs (to be killed); the respawned worker runs normally.
 _CRASH_FLAG_ENV = "REPRO_TEST_CRASH_FLAG"
@@ -291,6 +308,190 @@ class TestWorkerCrashRecovery:
             assert service.store.fetch_by_key(key) is not None
 
 
+def _die_on_pf_execute(payload):
+    """A poison shard: every worker that runs a PF cell is SIGKILLed."""
+    if payload["shard"]["switch"] == "pf":
+        time.sleep(_CLAIM_FLUSH_SECONDS)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_shard(payload)
+
+
+def _die_once_execute(payload):
+    """The first worker to see the crash flag consumes it and is
+    SIGKILLed mid-shard; every later run is normal."""
+    flag = os.environ[_CRASH_FLAG_ENV]
+    if os.path.exists(flag):
+        os.unlink(flag)
+        time.sleep(_CLAIM_FLUSH_SECONDS)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_shard(payload)
+
+
+def _explode_on_ufs_execute(payload):
+    if payload["shard"]["switch"] == "ufs":
+        raise RuntimeError("shard exploded")
+    return execute_shard(payload)
+
+
+def _sweep_with(monkeypatch, runner):
+    """Make ``run_sweep``'s service execute shards with ``runner``."""
+    monkeypatch.setattr(
+        service_core, "SimulationService",
+        partial(SimulationService, runner=runner),
+    )
+
+
+class TestPoisonShard:
+    """A shard that kills every worker it touches fails; it is not
+    requeued forever (bounded by ``MAX_ATTEMPTS`` x ``POLL_SECONDS``)."""
+
+    def test_poison_shard_fails_its_job_in_bounded_time(self, tmp_path):
+        with SimulationService(
+            tmp_path, workers=2, runner=_die_on_pf_execute
+        ) as service:
+            jid = service.submit(small_request(loads=(0.3,)))
+            assert service.wait(jid, timeout=30), "poison shard cycled"
+            assert service.status(jid)["status"] == "failed"
+            by_switch = {
+                event["switch"]: event
+                for event in service.events(jid)
+                if event["event"] == "shard"
+            }
+            assert by_switch["pf"]["status"] == "failed"
+            assert "killed 3 workers" in by_switch["pf"]["error"]
+            assert by_switch["sprinklers"]["status"] == "done"
+            assert service.pool.requeues == 2
+            assert service.pool.outstanding() == 0
+
+    def test_run_sweep_raises_instead_of_hanging(
+        self, tmp_path, monkeypatch
+    ):
+        _sweep_with(monkeypatch, _die_on_pf_execute)
+        with pytest.raises(
+            RuntimeError, match="pf @ load 0.3 seed 0: .*killed 3 workers"
+        ):
+            run_sweep(small_request(loads=(0.3,)), tmp_path, workers=2)
+
+
+class TestRunSweep:
+    """``run_sweep`` == ``delay_vs_load_sweep`` cell for cell, on the
+    service's workers (what ``sim/parallel.py``'s tests pinned)."""
+
+    GRID = dict(n=4, loads=(0.4, 0.7), num_slots=500)
+    SWITCHES = ("load-balanced", "sprinklers")
+
+    def _request(self, workload, **overrides):
+        return JobRequest(**{
+            "workload": workload, "switches": self.SWITCHES, "seeds": (3,),
+            **self.GRID, **overrides,
+        })
+
+    @staticmethod
+    def _keys(store):
+        records = ExperimentStore(store).manifest_records()
+        return sorted(record["key"] for record in records)
+
+    @pytest.mark.parametrize("engine", ["object", "vectorized"])
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            "uniform",
+            "mmpp-bursty",
+            {**resolve_scenario("hotspot-4x").to_dict(), "name": "ad-hoc"},
+        ],
+        ids=["pattern", "scenario", "spec-dict"],
+    )
+    def test_matches_sequential_sweep(self, workload, engine, tmp_path):
+        pooled = run_sweep(
+            self._request(workload, engine=engine),
+            tmp_path / "pooled", workers=2,
+        )
+        sequential = delay_vs_load_sweep(
+            workload, switches=self.SWITCHES, seed=3, engine=engine,
+            store=tmp_path / "sequential", **self.GRID,
+        )
+        assert len(pooled) == len(sequential) == 4
+        for a, b in zip(pooled, sequential):
+            assert a.to_dict() == b.to_dict()
+        assert self._keys(tmp_path / "pooled") == self._keys(
+            tmp_path / "sequential"
+        )
+
+    def test_switch_params_reach_the_run(self):
+        by_threshold = {}
+        for threshold in (1, 4):
+            params = {"threshold": threshold}
+            (pooled,) = run_sweep(
+                self._request(
+                    "uniform", switches=("pf",), loads=(0.6,),
+                    switch_params=params,
+                ),
+                workers=1,
+            )
+            want = run_single(
+                "pf", TRAFFIC_PATTERNS["uniform"](4, 0.6), 500, seed=3,
+                load_label=0.6, keep_samples=False, switch_params=params,
+            )
+            assert pooled.to_dict() == want.to_dict()
+            by_threshold[threshold] = pooled.mean_delay
+        # Thresholds 1 and 4 genuinely produce different dynamics, so the
+        # parameter demonstrably arrived (it is not defaulted away).
+        assert by_threshold[1] != by_threshold[4]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"workload": "bogus"}, "unknown scenario 'bogus'"),
+            ({"switches": ("sprinklers", "nonesuch")}, "unknown switch"),
+        ],
+        ids=["pattern", "switch"],
+    )
+    def test_invalid_grid_raises_before_any_worker_starts(
+        self, overrides, message, monkeypatch
+    ):
+        monkeypatch.setattr(
+            WorkerPool, "start",
+            lambda self: pytest.fail("a worker pool was started"),
+        )
+        with pytest.raises(ValueError, match=message):
+            run_sweep(self._request(**{"workload": "uniform", **overrides}))
+
+    def test_failed_cell_is_named_and_the_others_are_stored(
+        self, tmp_path, monkeypatch
+    ):
+        _sweep_with(monkeypatch, _explode_on_ufs_execute)
+        request = self._request(
+            "uniform", switches=("sprinklers", "ufs", "pf"), loads=(0.5,)
+        )
+        with pytest.raises(RuntimeError) as excinfo:
+            run_sweep(request, tmp_path, workers=2)
+        message = str(excinfo.value)
+        assert "1 of 3 sweep cells failed" in message
+        assert "ufs @ load 0.5 seed 3: RuntimeError: shard exploded" in message
+        store = ExperimentStore(tmp_path)
+        for shard in expand_shards(request):
+            stored = store.fetch_by_key(shard_key(shard))
+            if shard.switch == "ufs":
+                assert stored is None
+            else:
+                want = run_single(**shard_run_kwargs(shard))
+                assert stored.to_dict() == want.to_dict()
+
+    def test_survives_a_sigkilled_worker(self, tmp_path, monkeypatch):
+        flag = tmp_path / "crash-flag"
+        flag.touch()
+        monkeypatch.setenv(_CRASH_FLAG_ENV, str(flag))
+        _sweep_with(monkeypatch, _die_once_execute)
+        pooled = run_sweep(self._request("uniform"), workers=2)
+        assert not flag.exists(), "no worker was killed"
+        sequential = delay_vs_load_sweep(
+            "uniform", switches=self.SWITCHES, seed=3, **self.GRID
+        )
+        assert [r.to_dict() for r in pooled] == [
+            r.to_dict() for r in sequential
+        ]
+
+
 class TestHTTPSurface:
     @pytest.fixture()
     def server(self, tmp_path):
@@ -357,8 +558,13 @@ class TestHTTPSurface:
         with pytest.raises(ServiceError, match="unknown switch"):
             client.submit(small_request(switches=("nonesuch",)))
 
-    @pytest.mark.parametrize("length", ["abc", "-1"])
-    def test_malformed_content_length_is_400(self, server, length):
+    @pytest.mark.parametrize(
+        "length, status",
+        # The oversized body is never sent: 413 must not wait to read it.
+        [("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)],
+        ids=["abc", "-1", "oversized"],
+    )
+    def test_bad_content_length_is_rejected(self, server, length, status):
         split = urlsplit(server.address)
         conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
         try:
@@ -366,7 +572,7 @@ class TestHTTPSurface:
             conn.putheader("Content-Length", length)
             conn.endheaders()
             response = conn.getresponse()
-            assert response.status == 400
+            assert response.status == status
             assert "error" in json.loads(response.read())
         finally:
             conn.close()

@@ -327,23 +327,24 @@ class TestRunProbes:
             assert tel.registry.counter("store.hit").value == 1
             assert tel.registry.histogram("store.fetch_s").count == 1
 
-    def test_parallel_pool_utilization(self):
-        from repro.sim.parallel import SweepJob, run_jobs
+    def test_sweep_pool_telemetry(self):
+        from repro.service import JobRequest, run_sweep
 
-        jobs = [
-            SweepJob("ufs", uniform_matrix(4, 0.5), 300, seed, 0.5, "object")
-            for seed in range(3)
-        ]
+        request = JobRequest(
+            "uniform", ("ufs",), (0.5,), n=4, num_slots=300, seeds=(0, 1, 2)
+        )
         with telemetry.scope() as tel:
-            results = run_jobs(jobs, max_workers=2)
-            util = tel.registry.gauge("parallel.utilization").snapshot()
-            job_s = tel.registry.histogram("parallel.job_s").count
-            pool_spans = tel.tracer.find("sweep.pool")
+            results = run_sweep(request, workers=2)
+            shard_s = tel.registry.histogram("service.shard_s").count
+            shard_spans = tel.tracer.find("service.shard")
+            job_spans = tel.tracer.find("service.job")
         assert len(results) == 3
-        assert job_s == 3
-        assert 0.0 < util["value"] <= 1.0
-        assert len(pool_spans) == 1
-        assert pool_spans[0].attrs == {"jobs": 3, "workers": 2}
+        assert shard_s == 3
+        assert sorted(span.attrs["seed"] for span in shard_spans) == [0, 1, 2]
+        assert all(span.attrs["wall_s"] > 0 for span in shard_spans)
+        assert len(job_spans) == 1
+        assert job_spans[0].attrs["shards"] == 3
+        assert job_spans[0].attrs["failed"] == 0
 
     def test_replicate_span(self):
         from repro.sim.replication import replicate
