@@ -53,6 +53,8 @@ __all__ = [
     "unit_completion",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated index ranges ``[starts[i], starts[i] + counts[i])``.
@@ -86,18 +88,38 @@ def stable_id_argsort(ids: np.ndarray, id_space: int) -> np.ndarray:
 
 
 def composite_argsort(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Argsort by ``(major, minor)``.
+    """Argsort by ``(major, minor)`` of nonnegative keys.
 
-    When both keys are nonnegative and their packed product fits an int64,
-    a single-key quicksort is several times faster than a two-key
-    ``np.lexsort`` (one sort pass instead of two stable passes); callers
-    must pass unique pairs (stability is not guaranteed).
+    Three paths, fastest first:
+
+    * **value sort** — when the packed key ``major * span + minor``
+      shifted left by ``bits = (P - 1).bit_length()`` still fits an
+      int64, the row index rides in the low bits: ``key << bits | row``
+      is sorted *by value* in place (no index array to carry, which is
+      what makes NumPy's argsort several times slower than its sort) and
+      the rows are masked back out.  Equal pairs break ties by row, so
+      this path is stable;
+    * **packed argsort** — one int64 quicksort of the packed key when it
+      fits but the row bits do not;
+    * **lexsort** — two stable passes otherwise.
+
+    Callers pass unique pairs, so every path returns the same order.
     """
-    if len(major) == 0:
+    num = len(major)
+    if num == 0:
         return np.empty(0, dtype=np.intp)
     hi = int(major.max())
     span = int(minor.max()) + 1
-    if hi < (np.iinfo(np.int64).max // max(span, 1)) - 1:
+    bits = (num - 1).bit_length()
+    if hi * span + span - 1 <= _INT64_MAX >> bits:
+        key = major * np.int64(span)
+        key += minor
+        key <<= bits
+        key |= np.arange(num, dtype=np.int64)
+        key.sort()
+        key &= (1 << bits) - 1
+        return key
+    if hi < (_INT64_MAX // span) - 1:
         return np.argsort(major * span + minor)
     return np.lexsort((minor, major))
 

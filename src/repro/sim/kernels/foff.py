@@ -47,6 +47,7 @@ from .frames import (
     drain_horizon,
     foff_rule,
     frame_membership,
+    voq_grouping,
 )
 
 __all__ = ["Stream", "departures"]
@@ -70,8 +71,8 @@ def _resequencer_peak(
     Resequencer`'s accounting.
 
     ``grouping`` is any ``(voq, departure)``-sorted order; the caller
-    passes its ``(voq, rank)`` sort, which qualifies because departures
-    are a per-VOQ running max over rank — no second full-size argsort.
+    passes its ``(voq, rank)`` order, which qualifies because departures
+    are a per-VOQ running max over rank — no full-size argsort.
     """
     if len(outs) == 0:
         return 0
@@ -126,7 +127,9 @@ def departures(
         return dep, {"max_resequencer": 0.0}
 
     schedule = build_frame_schedule(batch, foff_rule())
-    member, assembled, position = frame_membership(batch, schedule)
+    voqs = batch.voqs
+    grouping = voq_grouping(batch)
+    member, assembled, position = frame_membership(grouping, schedule)
     # FOFF never leaves a packet behind: partial frames sweep every
     # nonempty VOQ, so the whole batch is framed.
     assert bool(member.all()), "FOFF frame formation left packets unframed"
@@ -143,10 +146,12 @@ def departures(
     )
 
     # Resequencer replay: per VOQ in sequence order, a packet departs at
-    # the latest wire arrival among itself and its predecessors.
-    rank = batch.seqs - _voq_first_seq(batch)
-    order = composite_argsort(batch.voqs, rank)
-    voq_s = batch.voqs[order]
+    # the latest wire arrival among itself and its predecessors.  The
+    # (voq, rank) order is the inverse of the grouping's placement.
+    rank = grouping.rank
+    order = np.empty(len(rank), dtype=np.int64)
+    order[grouping.place] = np.arange(len(rank), dtype=np.int64)
+    voq_s = voqs[order]
     wire_s = wire_slot[order]
     departure_s = segmented_running_max(wire_s, voq_s)
     # The trigger (the predecessor whose arrival releases the packet) is
@@ -180,10 +185,10 @@ def departures(
     wire[observation] = np.arange(len(observation), dtype=np.int64)
 
     peak = _resequencer_peak(
-        batch.outputs, batch.voqs, wire_slot, departure, cut, order
+        batch.outputs, voqs, wire_slot, departure, cut, order
     )
     dep = Departures(
-        voq=batch.voqs[released],
+        voq=voqs[released],
         seq=batch.seqs[released],
         arrival=batch.slots[released],
         departure=departure[released],
@@ -193,20 +198,6 @@ def departures(
         wire_is_rank=True,
     )
     return dep, {"max_resequencer": float(peak)}
-
-
-def _voq_first_seq(batch: ArrivalBatch) -> np.ndarray:
-    """Each packet's VOQ base sequence number (0 for a fresh generator,
-    nonzero when a batch continues an earlier draw's numbering).
-
-    Sequence numbers ascend per VOQ in batch order, so the minimum is
-    each VOQ's *first* occurrence: a reversed scatter assignment (last
-    write wins) lands it without a slow ``np.minimum.at`` pass.
-    """
-    n = batch.n
-    first = np.zeros(n * n, dtype=np.int64)
-    first[batch.voqs[::-1]] = batch.seqs[::-1]
-    return first[batch.voqs]
 
 
 class Stream(StreamKernel):

@@ -27,11 +27,13 @@ multiplying the step count — which is what makes PF/FOFF seed-batchable.
 :func:`build_frame_schedule` runs the engine over a monolithic batch;
 :class:`FrameFormationStream` is its resumable (windowed / multi-seed)
 form; :func:`frame_membership` maps every packet to its frame with one
-composite searchsorted.  The original per-input scalar recursion
-(:class:`_InputFormation` driven by :data:`Picker` closures) is retained
-as the *test-only reference* — :func:`reference_frame_schedule` /
-:class:`ReferenceFormationStream` — and the formation parity suite pins
-the vectorized engine against it frame for frame.
+scatter over VOQ-grouped positions, which the batch's sequence numbers
+already encode (:func:`voq_grouping`, :func:`frame_ids`).  The original
+per-input scalar recursion (:class:`_InputFormation` driven by
+:data:`Picker` closures) is retained as the *test-only reference* —
+:func:`reference_frame_schedule` / :class:`ReferenceFormationStream` —
+and the formation parity suite pins the vectorized engine against it
+frame for frame.
 
 The formation loop runs past the arrival horizon until a cycle forms no
 frame, mirroring the object engine's drain phase: with no new arrivals a
@@ -47,7 +49,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ... import telemetry
-from ...traffic.batch import ArrivalBatch, stable_voq_argsort
+from ...traffic.batch import ArrivalBatch
 from .base import concat_ranges, stable_id_argsort
 from .compiled import compiled_active
 from .compiled.frames_pass import form_lanes
@@ -59,15 +61,19 @@ __all__ = [
     "FramedPacketBuffer",
     "FrameSchedule",
     "ReferenceFormationStream",
+    "VoqGrouping",
     "build_frame_schedule",
     "drain_cut",
     "drain_horizon",
     "foff_picker",
     "foff_rule",
+    "frame_ids",
     "frame_membership",
     "pf_picker",
     "pf_rule",
     "reference_frame_schedule",
+    "voq_grouping",
+    "voq_ranks",
 ]
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -798,48 +804,83 @@ def reference_frame_schedule(
     )
 
 
+class VoqGrouping(NamedTuple):
+    """A batch's stable grouping by VOQ, read off its sequence numbers.
+
+    ``rank`` is each packet's index inside its VOQ (arrival order),
+    ``place`` its index in the VOQ-grouped order (VOQ ascending, then
+    rank), and ``starts`` the grouped index where each VOQ's run begins.
+    ``place`` is a permutation, so scattering through it groups an array
+    without a sort.
+    """
+
+    rank: np.ndarray
+    place: np.ndarray
+    starts: np.ndarray
+
+
+def voq_ranks(voqs: np.ndarray, seqs: np.ndarray, num_voqs: int) -> np.ndarray:
+    """Each packet's rank inside its VOQ: its seq minus the VOQ's first.
+
+    Every arrival source numbers a VOQ's packets consecutively in array
+    order (:meth:`~repro.traffic.batch.BatchTrafficGenerator.draw`, trace
+    replay, the fabric link coupler), possibly continuing an earlier
+    draw, so the rank needs no sort.  The first seq is a
+    ``np.minimum.at`` reduction, which — unlike a repeated-index
+    assignment — does not depend on which write NumPy applies last.
+    """
+    first = np.full(num_voqs, _INT64_MAX, dtype=np.int64)
+    np.minimum.at(first, voqs, seqs)
+    return seqs - first[voqs]
+
+
+def voq_grouping(batch: ArrivalBatch) -> VoqGrouping:
+    """The :class:`VoqGrouping` of a monolithic batch, in O(P)."""
+    num_voqs = batch.n * batch.n
+    voqs = batch.voqs
+    rank = voq_ranks(voqs, batch.seqs, num_voqs)
+    counts = np.bincount(voqs, minlength=num_voqs)
+    starts = np.cumsum(counts) - counts
+    return VoqGrouping(rank=rank, place=starts[voqs] + rank, starts=starts)
+
+
+def frame_ids(
+    rank0: np.ndarray, schedule: FrameSchedule, size: int
+) -> np.ndarray:
+    """The frame covering each index of a VOQ-grouped packet array (-1: none).
+
+    ``rank0[v]`` is where rank 0 of VOQ ``v`` would sit in the grouped
+    array (its run start minus the first rank the run holds).  A VOQ's
+    frames tile its ranks contiguously — each frame starts at the running
+    count taken before it — so frame ``f`` covers grouped indices
+    ``rank0[f.voq] + f.start + [0, f.size)``: one scatter, no search.
+    """
+    fid = np.full(size, -1, dtype=np.int64)
+    if len(schedule):
+        covered = concat_ranges(
+            rank0[schedule.voq] + schedule.start, schedule.size
+        )
+        fid[covered] = np.repeat(
+            np.arange(len(schedule), dtype=np.int64), schedule.size
+        )
+    return fid
+
+
 def frame_membership(
-    batch: ArrivalBatch, schedule: FrameSchedule
+    grouping: VoqGrouping, schedule: FrameSchedule
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map each packet to its frame: ``(member, assembled_slot, position)``.
 
-    A frame covers a contiguous rank range of its VOQ (packets are taken
-    oldest-first), so membership is one searchsorted over the composite
-    ``(voq, start_rank)`` key.  ``member`` is False for packets never
-    framed (PF leaves sub-threshold VOQ tails behind); ``assembled_slot``
-    and ``position`` are meaningful only where ``member`` holds.
+    ``member`` is False for packets never framed (PF leaves
+    sub-threshold VOQ tails behind); ``assembled_slot`` and ``position``
+    are meaningful only where ``member`` holds.
     """
-    num_packets = len(batch)
-    member = np.zeros(num_packets, dtype=bool)
-    assembled = np.zeros(num_packets, dtype=np.int64)
-    position = np.zeros(num_packets, dtype=np.int64)
+    num_packets = len(grouping.rank)
     if num_packets == 0 or len(schedule) == 0:
-        return member, assembled, position
-    n = batch.n
-    voq = batch.voqs
-    order = stable_voq_argsort(voq, n)
-    counts = np.bincount(voq, minlength=n * n)
-    group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rank = np.empty(num_packets, dtype=np.int64)
-    rank[order] = np.arange(num_packets, dtype=np.int64) - group_starts[voq[order]]
-
-    # Frames of one VOQ are appended in formation order, so their start
-    # ranks ascend within a VOQ; a stable sort by VOQ yields a globally
-    # sorted composite (voq, start) key.
-    f_order = np.argsort(schedule.voq, kind="stable")
-    big = np.int64(num_packets + 1)
-    frame_key = schedule.voq[f_order] * big + schedule.start[f_order]
-    packet_key = voq * big + rank
-    at = np.searchsorted(frame_key, packet_key, side="right") - 1
-    valid = at >= 0
-    at = np.maximum(at, 0)
-    f_voq = schedule.voq[f_order][at]
-    f_start = schedule.start[f_order][at]
-    f_size = schedule.size[f_order][at]
-    member = valid & (f_voq == voq) & (rank < f_start + f_size)
-    assembled = schedule.slot[f_order][at]
-    position = rank - f_start
-    return member, assembled, position
+        zeros = np.zeros(num_packets, dtype=np.int64)
+        return np.zeros(num_packets, dtype=bool), zeros, zeros.copy()
+    at = frame_ids(grouping.starts, schedule, num_packets)[grouping.place]
+    return at >= 0, schedule.slot[at], grouping.rank - schedule.start[at]
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1026,9 @@ class FramedPacketBuffer:
 
     def __init__(self, num_voqs: int) -> None:
         self._num = num_voqs
+        #: Per VOQ: the first unframed rank and the next rank to arrive;
+        #: the buffer holds exactly the ranks in between.
+        self._rank_lo = np.zeros(num_voqs, dtype=np.int64)
         self._rank_next = np.zeros(num_voqs, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
         self._buf = (empty, empty, empty, empty, empty)
@@ -1003,64 +1047,45 @@ class FramedPacketBuffer:
     ) -> Tuple[np.ndarray, ...]:
         """Add packets and frames; return the newly framed packets.
 
-        Returns ``(voq, slot, seq, gidx, rank, assembled, position)``.
+        Returns ``(voq, slot, seq, gidx, rank, assembled, position)``,
+        grouped by VOQ in rank order.
         """
-        ranks = np.empty(len(voqs), dtype=np.int64)
-        if len(voqs):
-            order = stable_id_argsort(voqs, self._num)
-            counts = np.bincount(voqs, minlength=self._num)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            ranks[order] = (
-                np.arange(len(voqs), dtype=np.int64) - starts[voqs[order]]
-            ) + self._rank_next[voqs[order]]
-            self._rank_next += counts
-        b_voq, b_rank, b_slot, b_seq, b_g = self._buf
-        voq = np.concatenate([b_voq, voqs])
-        rank = np.concatenate([b_rank, ranks])
-        slot = np.concatenate([b_slot, slots])
-        seq = np.concatenate([b_seq, seqs])
-        g = np.concatenate([b_g, gidx])
-        empty = np.empty(0, dtype=np.int64)
+        ranks = voq_ranks(voqs, seqs, self._num) + self._rank_next[voqs]
+        self._rank_next += np.bincount(voqs, minlength=self._num)
+        union = tuple(
+            np.concatenate(pair)
+            for pair in zip(self._buf, (voqs, ranks, slots, seqs, gidx))
+        )
+        voq, rank = union[:2]
         if len(voq) == 0:
-            return (empty,) * 7
-        order = stable_id_argsort(voq, self._num)
-        voq_s = voq[order]
-        rank_s = rank[order]
-        slot_s = slot[order]
-        seq_s = seq[order]
-        g_s = g[order]
-        if len(schedule) == 0:
-            self._buf = (voq_s, rank_s, slot_s, seq_s, g_s)
-            return (empty,) * 7
-        # Frames of one VOQ form in ascending start order, so a stable
-        # sort by VOQ yields a sorted composite (voq, start) key.
-        f_order = np.argsort(schedule.voq, kind="stable")
-        f_voq = schedule.voq[f_order]
-        f_start = schedule.start[f_order]
-        f_size = schedule.size[f_order]
-        f_slot = schedule.slot[f_order]
-        big = np.int64(
-            max(int(rank_s.max()), int(f_start.max())) + 2
-        )
-        at = np.searchsorted(f_voq * big + f_start, voq_s * big + rank_s,
-                             side="right") - 1
-        valid = at >= 0
-        at = np.maximum(at, 0)
-        member = (
-            valid
-            & (f_voq[at] == voq_s)
-            & (rank_s < f_start[at] + f_size[at])
-        )
+            return (np.empty(0, dtype=np.int64),) * 7
+        # Each VOQ's buffered ranks run contiguously from its first
+        # unframed one, so a packet's grouped index is its VOQ's run
+        # start plus its rank offset: the union groups by one scatter.
+        counts = self._rank_next - self._rank_lo
+        rank0 = np.cumsum(counts) - counts - self._rank_lo
+        place = rank0[voq] + rank
+        grouped = []
+        for column in union:
+            out = np.empty_like(column)
+            out[place] = column
+            grouped.append(out)
+        voq_s, rank_s, slot_s, seq_s, g_s = grouped
+        at = frame_ids(rank0, schedule, len(voq))
+        member = at >= 0
+        np.add.at(self._rank_lo, schedule.voq, schedule.size)
         keep = ~member
         self._buf = (
             voq_s[keep], rank_s[keep], slot_s[keep], seq_s[keep], g_s[keep]
         )
+        at = at[member]
+        rank_m = rank_s[member]
         return (
             voq_s[member],
             slot_s[member],
             seq_s[member],
             g_s[member],
-            rank_s[member],
-            f_slot[at][member],
-            (rank_s - f_start[at])[member],
+            rank_m,
+            schedule.slot[at],
+            rank_m - schedule.start[at],
         )

@@ -41,6 +41,7 @@ from .frames import (
     drain_horizon,
     frame_membership,
     pf_rule,
+    voq_grouping,
 )
 
 __all__ = ["Stream", "departures"]
@@ -66,7 +67,9 @@ def departures(
     n = batch.n
     threshold = _check_threshold(n, threshold)
     schedule = build_frame_schedule(batch, pf_rule(threshold))
-    member, assembled, position = frame_membership(batch, schedule)
+    member, assembled, position = frame_membership(
+        voq_grouping(batch), schedule
+    )
 
     tx = assembled[member] + position[member]
     mid = position[member]

@@ -16,7 +16,6 @@ import math
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .. import models, telemetry
 from ..store import coerce_store
@@ -180,6 +179,9 @@ def replicate(
     values = [float(metric(result)) for result in results]
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1)) / math.sqrt(replications)
+    # Imported here: scipy is most of the package's cold-start cost.
+    from scipy import stats as scipy_stats
+
     t_crit = float(
         scipy_stats.t.ppf(0.5 + confidence / 2.0, df=replications - 1)
     )

@@ -19,7 +19,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = [
     "MIN_MSER_TAIL",
@@ -111,6 +110,9 @@ def batch_means(
     means = trimmed.reshape(batches, batch_size).mean(axis=1)
     grand = float(means.mean())
     stderr = float(means.std(ddof=1)) / math.sqrt(batches)
+    # Imported here: scipy is most of the package's cold-start cost.
+    from scipy import stats as scipy_stats
+
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=batches - 1))
     return BatchMeansResult(
         mean=grand,

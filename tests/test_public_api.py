@@ -1,6 +1,10 @@
 """The public API surface: imports, exports, and the README's quickstart."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,3 +49,27 @@ class TestReadmeQuickstart:
         result = simulate(switch, traffic, num_slots=3000, load_label=0.8)
         assert result.is_ordered
         assert result.mean_delay > 0
+
+
+class TestColdStart:
+    def test_service_and_replication_import_without_scipy(self):
+        """scipy is most of a cold start, and only the Student-t quantile
+        of a confidence interval needs it: importing the run, service and
+        store layers must not pull it in."""
+        code = (
+            "import sys\n"
+            "import repro, repro.service, repro.sim.experiment\n"
+            "import repro.sim.replication, repro.store\n"
+            "assert 'scipy' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
