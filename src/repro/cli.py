@@ -6,15 +6,15 @@ Usage (also installed as the ``sprinklers`` console script)::
     python -m repro fig5
     python -m repro fig6 --slots 200000 --n 32
     python -m repro fig7 --loads 0.1 0.5 0.9
-    python -m repro fig6 --scenario mmpp-bursty --engine vectorized
+    python -m repro fig6 --scenario mmpp-bursty
     python -m repro demo --n 16 --load 0.8
     python -m repro bounds --rho 0.93 --n 2048
     python -m repro scenarios list
     python -m repro scenarios run --scenario hotspot-4x --switch sprinklers
-    python -m repro switches list --engine vectorized
+    python -m repro switches list
     python -m repro fabrics list
     python -m repro fabrics run --fabric leaf-spine --scenario ring-allreduce
-    python -m repro fabrics delay --fabric leaf-spine --engine vectorized
+    python -m repro fabrics delay --fabric leaf-spine
     python -m repro store stats
     python -m repro store gc --max-age-days 30 --max-size-mb 512
     python -m repro fabrics run --fabric leaf-spine --trace trace.jsonl
@@ -35,7 +35,9 @@ the rendered table/chart.  Simulation commands accept ``--store [DIR]``
 ``.repro-store`` or ``$REPRO_STORE_DIR``) and ``--no-store``.
 Simulation commands also accept ``--trace PATH`` (enable telemetry for
 the command, write the JSONL span trace to PATH — see ``telemetry
-summarize``) and the global ``-v``/``--quiet`` logging switches.
+summarize``) and the global ``-v``/``--quiet`` logging switches.  Every
+simulation runs on the vectorized engine wherever the switch has a
+kernel; only ``demo --engine object`` asks for the per-packet oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .figures.delay_figures import DEFAULT_LOADS
 from .figures.render import rows_to_csv
 from .models import PAPER_SWITCHES
 from .scenarios import apply_overrides, list_scenarios, resolve_scenario
-from .sim.experiment import ENGINES, run_single
+from .sim.experiment import ENGINES, execute, plan_run, run_single
 from .sim.kernels.compiled import KERNEL_BACKENDS, kernel_backend
 from .traffic.matrices import uniform_matrix
 
@@ -162,16 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--csv", action="store_true", help="emit CSV rows")
         p.add_argument(
-            "--engine",
-            choices=ENGINES,
-            default="object",
-            help=(
-                "simulation engine: the per-packet object model or the "
-                "NumPy batch engine (same seeds, same results, built for "
-                "paper-scale --slots)"
-            ),
-        )
-        p.add_argument(
             "--scenario",
             default=None,
             help=(
@@ -210,7 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--load", type=float, default=0.8)
     demo.add_argument("--slots", type=int, default=20_000)
     demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument("--engine", choices=ENGINES, default="object")
+    demo.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default=None,
+        help=(
+            "force one engine (default: vectorized wherever the switch "
+            "has a kernel; 'object' runs the per-packet oracle)"
+        ),
+    )
     _add_trace_flag(demo)
 
     bounds = sub.add_parser("bounds", help="overload bound for one (rho, N)")
@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--load", type=float, default=0.8, help="target load")
     run.add_argument("--slots", type=int, default=20_000)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--engine", choices=ENGINES, default="object")
     run.add_argument(
         "--window-slots",
         type=int,
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     fab_run.add_argument("--load", type=float, default=0.8, help="target load")
     fab_run.add_argument("--slots", type=int, default=20_000)
     fab_run.add_argument("--seed", type=int, default=0)
-    fab_run.add_argument("--engine", choices=ENGINES, default="vectorized")
     fab_run.add_argument(
         "--window-slots",
         type=int,
@@ -378,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="load levels to sweep",
     )
     fab_delay.add_argument("--csv", action="store_true", help="emit CSV rows")
-    fab_delay.add_argument("--engine", choices=ENGINES, default="vectorized")
     fab_delay.add_argument(
         "--window-slots", type=int, default=None, metavar="W",
     )
@@ -474,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, nargs="+", default=[0],
         help="seed block (one full grid per seed)",
     )
-    submit_p.add_argument("--engine", choices=ENGINES, default="object")
     _add_backend_kernel_flag(submit_p)
     submit_p.add_argument(
         "--watch", action="store_true",
@@ -585,7 +581,6 @@ def _cmd_fig(args: argparse.Namespace, module) -> str:
         loads=loads,
         num_slots=args.slots,
         seed=args.seed,
-        engine=args.engine,
         scenario=args.scenario,
         fabrics=tuple(args.fabrics),
         store=_resolve_store(args),
@@ -610,7 +605,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> str:
             lines.append(f"{name:20s} {summary}")
         lines.append(
             "\nrun one: python -m repro scenarios run --scenario NAME "
-            "[--switch sprinklers] [--engine vectorized]"
+            "[--switch sprinklers]"
         )
         return "\n".join(lines)
     if args.scenario_command == "show":
@@ -619,22 +614,21 @@ def _cmd_scenarios(args: argparse.Namespace) -> str:
         spec = resolve_scenario(args.scenario)
         if args.overrides:
             spec = apply_overrides(spec, args.overrides)
-        result = run_single(
+        plan = plan_run(
             args.switch,
             scenario=spec,
             n=args.n,
             load=args.load,
             num_slots=args.slots,
             seed=args.seed,
-            engine=args.engine,
-            store=_resolve_store(args),
             window_slots=args.window_slots,
             backend=args.backend_kernel,
         )
+        result = execute(plan, _resolve_store(args))
         lines = [
             f"Scenario {spec.name!r} on {args.switch} "
             f"(N={args.n}, load {args.load}, {args.slots} slots, "
-            f"engine {args.engine})",
+            f"engine {plan.engine})",
         ]
         for key, value in result.as_row().items():
             lines.append(f"  {key:20s} {value}")
@@ -700,7 +694,7 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
             lines.append(f"{name:20s} {chain:28s} {summary}")
         lines.append(
             "\nrun one: python -m repro fabrics run --fabric NAME "
-            "[--scenario ring-allreduce] [--engine vectorized]"
+            "[--scenario ring-allreduce]"
         )
         return "\n".join(lines)
     if args.fabrics_command == "show":
@@ -731,22 +725,21 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
         return "\n".join(lines)
     if args.fabrics_command == "run":
         spec = resolve_scenario(args.scenario)
-        result = run_single(
+        plan = plan_run(
             args.fabric,
             scenario=spec,
             n=args.n,
             load=args.load,
             num_slots=args.slots,
             seed=args.seed,
-            engine=args.engine,
-            store=_resolve_store(args),
             window_slots=args.window_slots,
             backend=args.backend_kernel,
         )
+        result = execute(plan, _resolve_store(args))
         lines = [
             f"Scenario {spec.name!r} on fabric {args.fabric} "
             f"(N={args.n}, load {args.load}, {args.slots} slots, "
-            f"engine {args.engine})",
+            f"engine {plan.engine})",
         ]
         for key, value in result.as_row().items():
             lines.append(f"  {key:28s} {value}")
@@ -762,7 +755,6 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
             loads=loads,
             num_slots=args.slots,
             seed=args.seed,
-            engine=args.engine,
             store=_resolve_store(args),
             window_slots=args.window_slots,
         )
@@ -1048,7 +1040,6 @@ def _cmd_service_client(args: argparse.Namespace) -> tuple:
             "n": args.n,
             "num_slots": args.slots,
             "seeds": args.seeds,
-            "engine": args.engine,
             "backend": args.backend_kernel,
         })
         if not args.watch:

@@ -33,7 +33,6 @@ def table_params(
     num_slots: int,
     switches: Sequence[str],
     seed: int,
-    engine: str,
 ) -> Dict:
     """The store cache-key parameters of one rendered figure table.
 
@@ -42,11 +41,11 @@ def table_params(
     plans the same cells with the same helper), so any change that would
     recompute a cell — run-params schema bump included — also misses the
     rendered table, while bit-identical execution details that do not
-    enter run keys (e.g. ``window_slots``) hit it.
+    enter run keys (the engine, ``window_slots``) hit it.
     """
     pattern = resolve_pattern(pattern)
     plans = [
-        plan_cell(pattern, name, n, load, num_slots, seed, engine=engine)
+        plan_cell(pattern, name, n, load, num_slots, seed)
         for load in loads
         for name in switches
     ]
@@ -59,7 +58,6 @@ def table_params(
         "loads": [float(load) for load in loads],
         "num_slots": int(num_slots),
         "seed": int(seed),
-        "engine": engine,
         # Load-major order: the first row names every switch.
         "switches": [plan.subject for plan in plans[: len(switches)]],
         "runs": [plan.key for plan in plans],
@@ -73,17 +71,15 @@ def generate(
     num_slots: int = 50_000,
     switches: Sequence[str] = PAPER_SWITCHES,
     seed: int = 0,
-    engine: str = "object",
     store=None,
     window_slots=None,
 ) -> List[Dict[str, float]]:
     """One row per (switch, load): mean delay plus ordering diagnostics.
 
-    ``pattern`` is a §6 pattern name or any registered scenario.
-    ``engine="vectorized"`` regenerates the figure at the paper's full
-    scale in a fraction of the object engine's wall-clock (same seeds,
-    same numbers for the switches both engines model); ``store`` caches
-    every cell so re-rendering a figure is free.  ``window_slots``
+    ``pattern`` is a §6 pattern name or any registered scenario.  Every
+    cell runs on the vectorized engine where its switch has a kernel
+    (the object engine's numbers, at the paper's full scale); ``store``
+    caches every cell so re-rendering a figure is free.  ``window_slots``
     streams the vectorized replay in bounded-memory windows (identical
     numbers — it exists so multi-million-slot points fit in RAM).
     """
@@ -94,7 +90,6 @@ def generate(
         num_slots=num_slots,
         switches=switches,
         seed=seed,
-        engine=engine,
         store=store,
         window_slots=window_slots,
     )
@@ -120,7 +115,6 @@ def render(
     num_slots: int = 50_000,
     switches: Sequence[str] = PAPER_SWITCHES,
     seed: int = 0,
-    engine: str = "object",
     store=None,
     window_slots=None,
 ) -> str:
@@ -136,8 +130,7 @@ def render(
     params: Optional[Dict] = None
     if cache is not None:
         params = table_params(
-            pattern, figure_name, n, loads, num_slots, switches,
-            seed, engine,
+            pattern, figure_name, n, loads, num_slots, switches, seed,
         )
         cached = cache.fetch_artifact(params)
         if cached is not None:
@@ -147,13 +140,13 @@ def render(
     ):
         return _render_uncached(
             pattern, figure_name, n, loads, num_slots, switches, seed,
-            engine, cache, params, window_slots,
+            cache, params, window_slots,
         )
 
 
 def _render_uncached(
-    pattern, figure_name, n, loads, num_slots, switches, seed, engine,
-    cache, params, window_slots,
+    pattern, figure_name, n, loads, num_slots, switches, seed, cache,
+    params, window_slots,
 ) -> str:
     """The table build behind :func:`render`'s artifact cache."""
     rows = generate(
@@ -163,7 +156,6 @@ def _render_uncached(
         num_slots=num_slots,
         switches=switches,
         seed=seed,
-        engine=engine,
         store=cache,
         window_slots=window_slots,
     )

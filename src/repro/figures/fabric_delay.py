@@ -34,7 +34,6 @@ def figure_params(
     loads: Sequence[float],
     num_slots: int,
     seed: int,
-    engine: str,
 ) -> Dict:
     """Store cache-key parameters of one rendered decomposition figure.
 
@@ -52,11 +51,9 @@ def figure_params(
         "loads": [float(load) for load in loads],
         "num_slots": int(num_slots),
         "seed": int(seed),
-        "engine": engine,
         "runs": [
             plan_cell(
-                pattern, fabric_spec, n, float(load), num_slots, seed,
-                engine=engine,
+                pattern, fabric_spec, n, float(load), num_slots, seed
             ).key
             for load in loads
         ],
@@ -70,7 +67,6 @@ def generate(
     loads: Sequence[float] = DEFAULT_LOADS,
     num_slots: int = 20_000,
     seed: int = 0,
-    engine: str = "vectorized",
     store=None,
     window_slots: Optional[int] = None,
 ) -> List[Dict[str, float]]:
@@ -90,7 +86,7 @@ def generate(
         result = execute(
             plan_cell(
                 pattern, fabric_spec, n, float(load), num_slots, seed,
-                engine=engine, window_slots=window_slots,
+                window_slots=window_slots,
             ),
             store,
         )
@@ -115,7 +111,6 @@ def render(
     loads: Sequence[float] = DEFAULT_LOADS,
     num_slots: int = 20_000,
     seed: int = 0,
-    engine: str = "vectorized",
     store=None,
     window_slots: Optional[int] = None,
 ) -> str:
@@ -130,7 +125,7 @@ def render(
     params: Optional[Dict] = None
     if cache is not None:
         params = figure_params(
-            fabric_spec, pattern, n, loads, num_slots, seed, engine,
+            fabric_spec, pattern, n, loads, num_slots, seed,
         )
         cached = cache.fetch_artifact(params)
         if cached is not None:
@@ -148,7 +143,6 @@ def render(
             loads=loads,
             num_slots=num_slots,
             seed=seed,
-            engine=engine,
             store=cache,
             window_slots=window_slots,
         )

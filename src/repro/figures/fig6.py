@@ -15,7 +15,6 @@ def generate(
     loads: Sequence[float] = DEFAULT_LOADS,
     num_slots: int = 50_000,
     seed: int = 0,
-    engine: str = "object",
     scenario: Optional[str] = None,
     fabrics: Sequence[str] = (),
     store=None,
@@ -29,7 +28,6 @@ def generate(
         num_slots=num_slots,
         switches=tuple(PAPER_SWITCHES) + tuple(fabrics),
         seed=seed,
-        engine=engine,
         store=store,
         window_slots=window_slots,
     )
@@ -40,7 +38,6 @@ def render(
     loads: Sequence[float] = DEFAULT_LOADS,
     num_slots: int = 50_000,
     seed: int = 0,
-    engine: str = "object",
     scenario: Optional[str] = None,
     fabrics: Sequence[str] = (),
     store=None,
@@ -55,7 +52,6 @@ def render(
         num_slots=num_slots,
         switches=tuple(PAPER_SWITCHES) + tuple(fabrics),
         seed=seed,
-        engine=engine,
         store=store,
         window_slots=window_slots,
     )

@@ -82,7 +82,7 @@ def available(engine: Optional[str] = None) -> Tuple[str, ...]:
 
     ``engine="vectorized"`` lists the switches with an exact kernel (and
     its stream form: monolithic, windowed and multi-seed replay alike);
-    ``engine="object"`` lists all.
+    the object engine runs them all.
     """
     _ensure_discovered()
     names = _MODELS

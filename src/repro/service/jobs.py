@@ -51,10 +51,10 @@ class ShardSpec:
     load: float
     num_slots: int
     seed: int
-    engine: str = "object"
+    #: Engine and kernel backend ("numpy"/"compiled") the worker should
+    #: run under; results (and therefore shard keys) are invariant to both.
+    engine: Optional[str] = None
     switch_params: Optional[Dict] = None
-    #: Kernel backend ("numpy"/"compiled") the worker should run under;
-    #: results (and therefore shard keys) are backend-invariant.
     backend: Optional[str] = None
 
     def to_dict(self) -> Dict:
@@ -81,7 +81,7 @@ class ShardSpec:
             load=float(data["load"]),
             num_slots=int(data["num_slots"]),
             seed=int(data["seed"]),
-            engine=data.get("engine", "object"),
+            engine=data.get("engine") or None,
             switch_params=data.get("switch_params") or None,
             backend=data.get("backend") or None,
         )
@@ -104,7 +104,7 @@ class JobRequest:
     n: int = 16
     num_slots: int = 2_000
     seeds: Tuple[int, ...] = (0,)
-    engine: str = "object"
+    engine: Optional[str] = None
     switch_params: Optional[Dict] = None
     backend: Optional[str] = None
 
@@ -147,7 +147,7 @@ class JobRequest:
             n=int(data.get("n", 16)),
             num_slots=int(data.get("num_slots", 2_000)),
             seeds=tuple(data.get("seeds") or (0,)),
-            engine=data.get("engine", "object"),
+            engine=data.get("engine") or None,
             switch_params=data.get("switch_params") or None,
             backend=data.get("backend") or None,
         )
@@ -185,9 +185,9 @@ def shard_run_kwargs(shard: ShardSpec) -> Dict:
         "num_slots": shard.num_slots,
         "seed": shard.seed,
         "keep_samples": False,
-        "engine": shard.engine,
         "switch_params": shard.switch_params,
         # Validated at plan time, never part of the key.
+        "engine": shard.engine,
         "backend": shard.backend,
         **cell_workload(shard.workload, shard.n, shard.load),
     }

@@ -9,10 +9,12 @@ described by exactly one value, a :class:`RunPlan`:
   here, before any store is consulted or any packet is drawn.
 * :meth:`RunPlan.store_params` / :attr:`RunPlan.key` are the plan's
   identity in the experiment store (:mod:`repro.store`).  The
-  execution-detail fields ``window_slots`` and ``backend`` ride on the
-  plan but are not read by ``store_params``: they cannot enter a key.
+  execution-detail fields ``engine``, ``window_slots`` and ``backend``
+  ride on the plan but are not read by ``store_params``: they cannot
+  enter a key.
 * :func:`execute` is fetch-or-simulate-and-save, for switches
-  (:mod:`repro.models`) and fabrics alike, on either engine.
+  (:mod:`repro.models`) and fabrics alike, on the engine the plan
+  resolved.
 
 :func:`run_single` is ``execute(plan_run(...), store)`` and
 :func:`resolve_run_params` is ``plan_run(...).store_params()``, so the
@@ -63,7 +65,9 @@ __all__ = [
 #: Simulation engines: the per-packet object model (the auditable
 #: reference and ordering oracle) and the NumPy batch replay of
 #: :mod:`repro.sim.fast_engine` (identical results, built for the paper's
-#: 200k-slot scale).
+#: 200k-slot scale).  :func:`plan_run` runs the vectorized engine
+#: wherever its kernels model the run; naming ``"object"`` selects the
+#: oracle explicitly.
 ENGINES: Sequence[str] = ("object", "vectorized")
 
 #: The two workload patterns of the paper's §6.
@@ -94,12 +98,13 @@ class RunPlan:
     load_label: float
     warmup_fraction: float
     keep_samples: bool
-    engine: str
     spec: Optional[ScenarioSpec]
     scenario_load: Optional[float]
     switch_params: Dict
     #: Execution detail: results are bit-identical whatever these are,
-    #: so :meth:`store_params` does not read them.
+    #: so :meth:`store_params` does not read them.  ``engine`` is the
+    #: engine that runs, already resolved by :func:`plan_run`.
+    engine: str
     window_slots: Optional[int] = None
     backend: Optional[str] = None
 
@@ -127,10 +132,9 @@ class RunPlan:
             workload = {"matrix_sha256": digest}
             load = self.load_label
         params = {
-            "schema": 1,
+            "schema": 2,
             "kind": "run_single",
             "switch": self.subject,
-            "engine": self.engine,
             "n": self.n,
             "slots": int(self.num_slots),
             "seed": int(self.seed),
@@ -171,7 +175,7 @@ def plan_run(
     load_label: float = float("nan"),
     warmup_fraction: float = 0.1,
     keep_samples: bool = True,
-    engine: str = "object",
+    engine: Optional[str] = None,
     scenario=None,
     n: Optional[int] = None,
     load: Optional[float] = None,
@@ -183,14 +187,17 @@ def plan_run(
 
     Arguments are :func:`run_single`'s (minus ``store``).  Every invalid
     configuration raises its ``ValueError`` here — the same error
-    whatever the engine, the switch, or the contents of a store.
+    whatever the engine, the switch, or the contents of a store.  The
+    plan's ``engine`` is the one that runs: vectorized whenever the
+    kernels model the switch (every stage, for a fabric) with its
+    parameters, else object; an explicit ``"object"`` forces the oracle.
     """
     if backend is not None and backend not in KERNEL_BACKENDS:
         raise ValueError(
             f"unknown kernel backend {backend!r}; known: "
             + ", ".join(KERNEL_BACKENDS)
         )
-    if engine not in ENGINES:
+    if engine is not None and engine not in ENGINES:
         known = ", ".join(ENGINES)
         raise ValueError(f"unknown engine {engine!r}; known: {known}")
     # Fabric and switch names share a namespace; a registered fabric
@@ -203,9 +210,14 @@ def plan_run(
                 f"the FabricSpec stages, not switch_params"
             )
         subject = fabric.name
+        vectorizable = models.CompositeSwitchModel(fabric).supports_engine(
+            "vectorized"
+        )
     else:
         subject = models.canonical_name(switch_name)
-        models.get(subject).validate_params(switch_params or {})
+        model = models.get(subject)
+        model.validate_params(switch_params or {})
+        vectorizable = model.supports_engine("vectorized", switch_params)
     spec: Optional[ScenarioSpec] = None
     if scenario is not None:
         if matrix is not None:
@@ -233,10 +245,12 @@ def plan_run(
         load_label=load_label,
         warmup_fraction=warmup_fraction,
         keep_samples=keep_samples,
-        engine=engine,
         spec=spec,
         scenario_load=float(load) if spec is not None else None,
         switch_params=dict(switch_params or {}),
+        engine=(
+            "vectorized" if vectorizable and engine != "object" else "object"
+        ),
         window_slots=window_slots,
         backend=backend,
     )
@@ -263,10 +277,7 @@ def _simulate(plan: RunPlan) -> SimulationResult:
             batch_traffic=plan.batch_traffic(),
             window_slots=plan.window_slots,
         )
-    model = models.get(plan.subject)
-    if plan.engine == "vectorized" and model.supports_engine(
-        "vectorized", plan.switch_params
-    ):
+    if plan.engine == "vectorized":
         return run_single_fast(
             plan.subject,
             plan.matrix,
@@ -279,7 +290,9 @@ def _simulate(plan: RunPlan) -> SimulationResult:
             switch_params=plan.switch_params,
             window_slots=plan.window_slots,
         )
-    switch = model.build(plan.n, plan.matrix, plan.seed, **plan.switch_params)
+    switch = models.get(plan.subject).build(
+        plan.n, plan.matrix, plan.seed, **plan.switch_params
+    )
     if plan.spec is not None:
         traffic = build_traffic(
             plan.spec, plan.n, plan.scenario_load, plan.seed, plan.num_slots
@@ -334,7 +347,7 @@ def run_single(
     load_label: float = float("nan"),
     warmup_fraction: float = 0.1,
     keep_samples: bool = True,
-    engine: str = "object",
+    engine: Optional[str] = None,
     scenario=None,
     n: Optional[int] = None,
     load: Optional[float] = None,
@@ -354,11 +367,11 @@ def run_single(
     (:func:`repro.sim.composite.run_fabric`), with per-stage metrics in
     the result's extras.
     ``switch_params`` passes schema-checked constructor parameters (e.g.
-    ``{"threshold": 8}`` for PF) through the model; a vectorized run
-    falls back to the object engine when a requested parameter is not in
-    the kernel's declared ``kernel_params`` (UFS's finite
-    ``input_buffer`` drops packets, which the array replay does not
-    model), and parameterized runs get their own store cache keys.
+    ``{"threshold": 8}`` for PF) through the model; the run falls back
+    to the object engine when a requested parameter is not in the
+    kernel's declared ``kernel_params`` (UFS's finite ``input_buffer``
+    drops packets, which the array replay does not model), and
+    parameterized runs get their own store cache keys.
 
     Workload selection — exactly one of:
 
@@ -370,11 +383,12 @@ def run_single(
       built by :mod:`repro.scenarios.build` (identically for both
       engines).
 
-    ``engine="vectorized"`` routes through the NumPy batch engine
+    The run goes through the NumPy batch engine
     (:mod:`repro.sim.fast_engine`) whenever the switch's registered model
     carries a kernel — which reproduces the object engine's results
-    exactly — and transparently falls back to the object engine otherwise
-    (CMS, hashing, adaptive Sprinklers), so mixed sweeps keep working.
+    exactly — and falls back to the object engine otherwise (CMS,
+    hashing, adaptive Sprinklers), so mixed sweeps keep working.
+    ``engine`` ``"object"`` runs the per-packet oracle regardless.
 
     ``store`` (an :class:`~repro.store.ExperimentStore` or its directory
     path) caches the result content-addressed by :attr:`RunPlan.key`; a
@@ -385,10 +399,10 @@ def run_single(
     :func:`repro.sim.fast_engine.run_single_fast`) and ``backend``
     selects the kernel backend ("numpy" or "compiled",
     :mod:`repro.sim.kernels.compiled`; ``None`` keeps whatever is
-    globally active).  Both are validated with everything else but
-    change no result, so neither enters the store key — a run computed
-    one way is a cache hit for the other — and engines or switches that
-    cannot stream simply ignore ``window_slots``.
+    globally active).  These and ``engine`` are validated with
+    everything else but change no result, so none enters the store key
+    — a run computed one way is a cache hit for the other — and engines
+    or switches that cannot stream simply ignore ``window_slots``.
     """
     return execute(
         plan_run(
@@ -408,7 +422,7 @@ def resolve_run_params(
     load_label: float = float("nan"),
     warmup_fraction: float = 0.1,
     keep_samples: bool = True,
-    engine: str = "object",
+    engine: Optional[str] = None,
     scenario=None,
     n: Optional[int] = None,
     load: Optional[float] = None,
@@ -470,7 +484,7 @@ def plan_cell(
     num_slots: int,
     seed: int = 0,
     keep_samples: bool = False,
-    engine: str = "object",
+    engine: Optional[str] = None,
     window_slots: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> RunPlan:
@@ -495,7 +509,7 @@ def delay_vs_load_sweep(
     switches: Optional[Sequence[str]] = None,
     seed: int = 0,
     keep_samples: bool = False,
-    engine: str = "object",
+    engine: Optional[str] = None,
     store: Union[None, str, ExperimentStore] = None,
     window_slots: Optional[int] = None,
     backend: Optional[str] = None,
@@ -505,10 +519,9 @@ def delay_vs_load_sweep(
     ``pattern`` is a :data:`TRAFFIC_PATTERNS` key ("uniform" for Fig. 6,
     "diagonal" for Fig. 7) or any scenario designator accepted by
     :func:`repro.scenarios.resolve_scenario` (registry name or spec-file
-    path).  Returns one result per (switch, load).  ``engine="vectorized"``
-    runs each supported switch on the fast batch engine (same seeds, same
-    results, paper-scale wall-clock); ``store`` caches every cell so a
-    repeated sweep recomputes nothing.
+    path).  Returns one result per (switch, load), each cell on the
+    engine :func:`plan_run` resolves for it; ``store`` caches every cell
+    so a repeated sweep recomputes nothing.
     """
     pattern = resolve_pattern(pattern)
     if switches is None:
@@ -518,7 +531,6 @@ def delay_vs_load_sweep(
         "sweep.delay_vs_load",
         pattern=pattern if isinstance(pattern, str) else pattern.name,
         n=n,
-        engine=engine,
         loads=len(loads),
         switches=len(switches),
     ):

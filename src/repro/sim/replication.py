@@ -17,7 +17,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .. import models, telemetry
+from .. import telemetry
 from ..store import coerce_store
 from .experiment import RunPlan, execute, plan_run
 from .fast_engine import run_replications_fast
@@ -94,7 +94,7 @@ def replicate(
     metric_name: str = "mean_delay",
     confidence: float = 0.95,
     load_label: float = float("nan"),
-    engine: str = "object",
+    engine: Optional[str] = None,
     scenario=None,
     n: Optional[int] = None,
     load: Optional[float] = None,
@@ -106,9 +106,10 @@ def replicate(
 
     Seeds are ``base_seed .. base_seed + R - 1``; each seed independently
     redraws the placement *and* the traffic, so the interval covers both
-    sources of randomness.  ``engine="vectorized"`` runs each replication
-    on the batch engine — identical per-seed results, so identical
-    intervals, at paper-scale speed.
+    sources of randomness.  Each replication runs on the engine
+    :func:`~repro.sim.experiment.plan_run` resolves — the batch engine
+    wherever the kernels model the run: identical per-seed results, so
+    identical intervals, at paper-scale speed.
 
     The workload is either an explicit ``matrix`` or a declarative
     ``scenario`` with ``n`` and ``load`` (see
@@ -121,13 +122,13 @@ def replicate(
     so an invalid one raises its ``ValueError`` here, before any seed
     runs.
 
-    ``batch_seeds=True`` (vectorized engine only) replays the seeds in
+    ``batch_seeds=True`` replays the seeds of a vectorized plan in
     stacked kernel passes (:func:`~repro.sim.fast_engine.
     run_replications_fast` — a stream kernel takes a seed list by
     contract) — exactly the same per-seed values, but the array-setup
     overheads that dominate short replications are paid once per group
-    of seeds instead of R times.  A fabric, an object-only switch or
-    object-only ``switch_params`` silently fall back to per-seed runs.
+    of seeds instead of R times.  A fabric or an object-engine plan
+    falls back to per-seed runs.
 
     >>> from repro.traffic.matrices import uniform_matrix
     >>> res = replicate("load-balanced", uniform_matrix(4, 0.5), 800,
@@ -137,11 +138,6 @@ def replicate(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for an interval")
-    if batch_seeds and engine != "vectorized":
-        raise ValueError(
-            "batch_seeds requires engine='vectorized' (the object engine "
-            "has no seed axis)"
-        )
     # One plan validates and resolves the configuration once, up front;
     # every seed's run differs from it in the seed alone.
     first = plan_run(
@@ -156,19 +152,15 @@ def replicate(
         for seed in range(base_seed, base_seed + replications)
     ]
     # A fabric replicates seed-by-seed (no stacked seed axis across a
-    # coupled chain yet), as does a run the kernels do not model.
+    # coupled chain yet), as does an object-engine plan.
     batched = (
-        batch_seeds
-        and first.fabric is None
-        and models.get(first.subject).supports_engine(
-            "vectorized", switch_params
-        )
+        batch_seeds and first.engine == "vectorized" and first.fabric is None
     )
     with telemetry.trace(
         "run.replicate",
         switch=first.subject,
         replications=replications,
-        engine=engine,
+        engine=first.engine,
         batched=batched,
     ):
         if batched:

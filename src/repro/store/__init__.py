@@ -2,8 +2,8 @@
 
 Caches :class:`~repro.sim.metrics.SimulationResult` payloads keyed by the
 full simulation configuration — scenario (or matrix digest), switch,
-engine, N, slots, seed, measurement knobs — so re-running an identical
-sweep, replication, or figure performs zero simulation recomputation.
+N, slots, seed, measurement knobs — so re-running an identical sweep,
+replication, or figure performs zero simulation recomputation.
 See :class:`~repro.store.store.ExperimentStore` for the key scheme and
 on-disk layout (documented in EXPERIMENTS.md).  ``repro store stats`` /
 ``repro store gc`` expose :meth:`~repro.store.store.ExperimentStore.

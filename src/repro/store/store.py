@@ -4,10 +4,12 @@ Key scheme
 ----------
 A run's cache key is ``sha256(canonical_json(params))`` where ``params``
 is the *complete* simulation configuration: a schema version, the switch
-registry name, the engine, N, slots, seed, warm-up fraction, sample
-retention, the load label, and the workload identity — either the
-scenario spec's dict form (declarative workloads are self-describing) or
-a SHA-256 digest of the raw rate matrix bytes (ad-hoc matrices).
+registry name, N, slots, seed, warm-up fraction, sample retention, the
+load label, and the workload identity — either the scenario spec's dict
+form (declarative workloads are self-describing) or a SHA-256 digest of
+the raw rate matrix bytes (ad-hoc matrices).  Execution details that
+change no result — the engine, the kernel backend, the replay window —
+are not part of it.
 Canonical JSON sorts keys and uses minimal separators, so semantically
 identical configurations hash identically across processes and runs.
 
@@ -234,7 +236,6 @@ class ExperimentStore:
                 "key": key,
                 "created": time.time(),
                 "switch": params.get("switch"),
-                "engine": params.get("engine"),
                 "n": params.get("n"),
                 "slots": params.get("slots"),
                 "seed": params.get("seed"),

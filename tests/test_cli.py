@@ -1,8 +1,13 @@
 """Tests for the command-line interface (cli.py)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.figures.delay_figures import DEFAULT_LOADS
+from repro.models import PAPER_SWITCHES
+from repro.sim import experiment
 
 
 class TestParser:
@@ -51,6 +56,15 @@ class TestCommands:
         assert "sprinklers" in out
         assert "output-queued" in out
 
+    def test_demo_oracle_engine_agrees(self, capsys):
+        """``demo --engine object`` is the per-packet oracle; the default
+        (vectorized wherever a kernel exists) prints the same table."""
+        argv = ["demo", "--n", "4", "--load", "0.6", "--slots", "500"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--engine", "object"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_bounds(self, capsys):
         assert main(["bounds", "--rho", "0.93", "--n", "1024"]) == 0
         out = capsys.readouterr().out
@@ -73,6 +87,46 @@ class TestCommands:
         assert args.command == "bursts"
 
 
+class TestEngineResolution:
+    def test_paper_scale_fig6_plans_the_vectorized_engine(
+        self, monkeypatch, capsys
+    ):
+        """The command a reader types first runs the fast engine for all
+        five paper switches, with no engine flag to remember."""
+        plans = []
+
+        def record(plan):
+            plans.append(plan)
+            return SimpleNamespace(
+                switch_name=plan.subject, load=plan.load_label,
+                mean_delay=1.0, late_packets=0, measured_packets=1,
+                extras={},
+            )
+
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        monkeypatch.setattr(experiment, "_simulate", record)
+        assert main(["fig6", "--n", "32", "--slots", "200000"]) == 0
+        assert "Figure 6" in capsys.readouterr().out
+        assert {plan.subject for plan in plans} == set(PAPER_SWITCHES)
+        assert len(plans) == len(PAPER_SWITCHES) * len(DEFAULT_LOADS)
+        assert {(plan.n, plan.num_slots) for plan in plans} == {(32, 200_000)}
+        assert {plan.engine for plan in plans} == {"vectorized"}
+
+    @pytest.mark.parametrize("argv", [
+        ["fig6"],
+        ["fig7"],
+        ["scenarios", "run", "--scenario", "paper-uniform"],
+        ["fabrics", "run"],
+        ["fabrics", "delay"],
+        ["submit"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_removed_engine_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--engine", "vectorized"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+
 class TestScenarioCommands:
     def test_scenarios_list(self, capsys):
         assert main(["scenarios", "list"]) == 0
@@ -86,25 +140,28 @@ class TestScenarioCommands:
         out = capsys.readouterr().out
         assert '"family": "hotspot"' in out
 
-    def test_scenarios_run_both_engines_agree(self, capsys):
-        outputs = {}
-        for engine in ("object", "vectorized"):
-            assert main([
-                "scenarios", "run", "--scenario", "load-ramp",
-                "--switch", "sprinklers", "--n", "4", "--load", "0.6",
-                "--slots", "500", "--engine", engine,
-            ]) == 0
-            out = capsys.readouterr().out
-            outputs[engine] = out.split("\n", 1)[1]  # drop the header line
-        assert "mean_delay" in outputs["object"]
-        assert outputs["object"] == outputs["vectorized"]
+    @pytest.mark.parametrize("switch, engine", [
+        ("sprinklers", "vectorized"),
+        ("cms", "object"),
+    ])
+    def test_scenarios_run_prints_the_resolved_engine(
+        self, switch, engine, capsys
+    ):
+        assert main([
+            "scenarios", "run", "--scenario", "load-ramp",
+            "--switch", switch, "--n", "4", "--load", "0.6",
+            "--slots", "500",
+        ]) == 0
+        header, body = capsys.readouterr().out.split("\n", 1)
+        assert header.endswith(f"engine {engine})")
+        assert "mean_delay" in body
 
     def test_scenarios_run_with_override_and_store(self, tmp_path, capsys):
         argv = [
             "scenarios", "run", "--scenario", "load-sine",
             "--set", "schedule.depth=0.2",
             "--switch", "ufs", "--n", "4", "--load", "0.5",
-            "--slots", "400", "--engine", "vectorized",
+            "--slots", "400",
             "--store", str(tmp_path / "store"),
         ]
         assert main(argv) == 0
@@ -126,8 +183,7 @@ class TestScenarioCommands:
     def test_fig6_scenario_csv(self, capsys):
         assert main([
             "fig6", "--n", "4", "--slots", "400", "--loads", "0.5",
-            "--scenario", "quasi-diagonal", "--engine", "vectorized",
-            "--csv",
+            "--scenario", "quasi-diagonal", "--csv",
         ]) == 0
         out = capsys.readouterr().out
         assert out.startswith("switch,load,")
@@ -186,8 +242,7 @@ class TestStoreCommands:
         argv = [
             "scenarios", "run", "--scenario", "paper-uniform",
             "--switch", "ufs", "--n", "4", "--load", "0.5",
-            "--slots", "300", "--engine", "vectorized",
-            "--store", store_dir,
+            "--slots", "300", "--store", store_dir,
         ]
         assert main(argv) == 0
         assert main(argv) == 0  # second run hits the cache

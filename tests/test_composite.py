@@ -24,7 +24,7 @@ from repro.models.composite import (
 from repro.scenarios import resolve_scenario
 from repro.sim import composite as composite_module
 from repro.sim.composite import _LinkCoupler, run_fabric
-from repro.sim.experiment import run_single
+from repro.sim.experiment import plan_run, run_single
 from repro.sim.fast_engine import run_single_fast
 from repro.sim.kernels.base import Departures
 from repro.sim.replication import replicate
@@ -174,6 +174,22 @@ class TestCompositeModel:
             composite.require_engine("vectorized")
         with pytest.raises(ValueError, match="not composable"):
             run_fabric(spec, uniform_matrix(4, 0.4), 100, engine="vectorized")
+
+    def test_object_only_stage_falls_back_like_a_switch(self):
+        """A fabric the kernels cannot chain plans the object engine, as
+        a kernel-less switch does, instead of raising at run time."""
+        spec = FabricSpec(
+            name="cms-head-test",
+            stages=({"switch": "cms"}, {"switch": "output-queued"}),
+        )
+        kwargs = dict(
+            scenario="paper-uniform", n=4, load=0.6, num_slots=400, seed=1
+        )
+        assert plan_run(spec, **kwargs).engine == "object"
+        assert plan_run(spec, engine="vectorized", **kwargs).engine == "object"
+        default = run_single(spec, **kwargs)
+        oracle = run_single(spec, engine="object", **kwargs)
+        assert default.to_dict() == oracle.to_dict()
 
     def test_stage_matrices_preserve_columns(self):
         matrix = uniform_matrix(8, 0.7)
@@ -522,7 +538,7 @@ class TestRunPathDispatch:
 
         rows = generate(
             "uniform", n=8, loads=(0.5,), num_slots=500,
-            switches=("sprinklers", "leaf-spine"), engine="vectorized",
+            switches=("sprinklers", "leaf-spine"),
         )
         names = {row["switch"] for row in rows}
         assert names == {"sprinklers", "leaf-spine"}

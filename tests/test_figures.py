@@ -89,8 +89,7 @@ class TestRenderedTableMemoization:
     experiment store: same figure spec + same constituent run keys =>
     the second render is one artifact fetch, zero sweep work."""
 
-    KW = dict(n=4, loads=(0.4, 0.7), num_slots=400, seed=2,
-              engine="vectorized")
+    KW = dict(n=4, loads=(0.4, 0.7), num_slots=400, seed=2)
 
     def _render_counting_sweeps(self, monkeypatch, store):
         from repro.figures import delay_figures
@@ -130,15 +129,15 @@ class TestRenderedTableMemoization:
 
         base = table_params(
             "uniform", "Figure 6", 4, (0.4,), 400,
-            ("sprinklers",), 2, "vectorized",
+            ("sprinklers",), 2,
         )
         longer = table_params(
             "uniform", "Figure 6", 4, (0.4,), 800,
-            ("sprinklers",), 2, "vectorized",
+            ("sprinklers",), 2,
         )
         scenario = table_params(
             "mmpp-bursty", "Figure 6 [mmpp-bursty]", 4, (0.4,), 400,
-            ("sprinklers",), 2, "vectorized",
+            ("sprinklers",), 2,
         )
         keys = {cache_key(p) for p in (base, longer, scenario)}
         assert len(keys) == 3

@@ -16,6 +16,8 @@ runs unchanged on any commit that has them.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import sys
 import tempfile
@@ -27,7 +29,7 @@ from repro.models import FabricSpec, get_fabric
 from repro.scenarios import get_scenario
 from repro.scenarios.spec import save_scenario_file
 from repro.service.jobs import ShardSpec, shard_key
-from repro.sim.experiment import resolve_run_params
+from repro.sim.experiment import plan_cell, resolve_run_params
 from repro.store import cache_key
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
@@ -84,30 +86,20 @@ def run_configs(spec_file: Path) -> Dict[str, Dict]:
         "samples/dropped": dict(
             switch_name="sprinklers", keep_samples=False, **base
         ),
-        "engine/vectorized": dict(
-            switch_name="sprinklers", engine="vectorized", **base
-        ),
-        "engine/vectorized-cms": dict(
-            switch_name="cms", engine="vectorized", **base
-        ),
         "load/nan-default": dict(
             switch_name="sprinklers", matrix=matrix, num_slots=500, seed=3
         ),
         "warmup/custom": dict(
             switch_name="sprinklers", warmup_fraction=0.25, **base
         ),
-        "fabric/name": dict(
-            switch_name="leaf-spine", engine="vectorized", **base
-        ),
-        "fabric/spec": dict(
-            switch_name=TWO_STAGE, engine="vectorized", **base
-        ),
+        "fabric/name": dict(switch_name="leaf-spine", **base),
+        "fabric/spec": dict(switch_name=TWO_STAGE, **base),
         "fabric/registered-spec": dict(
-            switch_name=get_fabric("leaf-spine"), engine="vectorized", **base
+            switch_name=get_fabric("leaf-spine"), **base
         ),
         "fabric/scenario": dict(
-            switch_name="dual-sprinklers", engine="vectorized",
-            scenario="ring-allreduce", **scenario
+            switch_name="dual-sprinklers", scenario="ring-allreduce",
+            **scenario
         ),
     })
     return configs
@@ -116,7 +108,7 @@ def run_configs(spec_file: Path) -> Dict[str, Dict]:
 SHARDS = {
     "shard/pattern": ShardSpec(
         switch="sprinklers", workload="diagonal", n=4, load=0.7,
-        num_slots=400, seed=2, engine="vectorized",
+        num_slots=400, seed=2,
     ),
     "shard/scenario": ShardSpec(
         switch="pf", workload="incast", n=4, load=0.7, num_slots=400,
@@ -124,7 +116,7 @@ SHARDS = {
     ),
     "shard/fabric": ShardSpec(
         switch="leaf-spine", workload="uniform", n=4, load=0.7,
-        num_slots=400, seed=2, engine="vectorized",
+        num_slots=400, seed=2,
     ),
 }
 
@@ -134,18 +126,16 @@ def artifact_params() -> Dict[str, Dict]:
     return {
         "figure/table-pattern": delay_figures.table_params(
             "uniform", "Fig. 6", 4, loads, 300,
-            ("sprinklers", "oq", "leaf-spine"), 1, "vectorized",
+            ("sprinklers", "oq", "leaf-spine"), 1,
         ),
         "figure/table-scenario": delay_figures.table_params(
             "hotspot-4x", "Fig. S", 4, loads, 300, ("ufs", "cms"), 1,
-            "object",
         ),
         "figure/fabric-pattern": fabric_delay.figure_params(
             get_fabric("leaf-spine"), "diagonal", 4, loads, 300, 1,
-            "vectorized",
         ),
         "figure/fabric-scenario": fabric_delay.figure_params(
-            TWO_STAGE, "ring-allreduce", 4, loads, 300, 1, "vectorized",
+            TWO_STAGE, "ring-allreduce", 4, loads, 300, 1,
         ),
     }
 
@@ -206,6 +196,29 @@ def test_execution_detail_never_changes_a_key(tmp_path):
             assert plan_run(**kwargs, **detail).key == golden[name], (
                 name, detail,
             )
+
+
+def test_the_engine_never_changes_a_key(tmp_path, monkeypatch):
+    """Every golden run, shard and figure case keys the same on the
+    object oracle as on the default (resolved) engine."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    spec_file = save_scenario_file(
+        get_scenario("mmpp-bursty"), tmp_path / "bursty.json"
+    )
+    for name, kwargs in run_configs(spec_file).items():
+        for engine in ("object", "vectorized"):
+            params = resolve_run_params(**kwargs, engine=engine)
+            assert cache_key(params) == golden[name], (name, engine)
+    for name, shard in SHARDS.items():
+        oracle = dataclasses.replace(shard, engine="object")
+        assert shard_key(oracle) == golden[name], name
+    # The figure keys list their cells' run keys: plan those on the
+    # oracle and the figure keys must not move.
+    oracle_cell = functools.partial(plan_cell, engine="object")
+    monkeypatch.setattr(delay_figures, "plan_cell", oracle_cell)
+    monkeypatch.setattr(fabric_delay, "plan_cell", oracle_cell)
+    for name, params in artifact_params().items():
+        assert cache_key(params) == golden[name], name
 
 
 if __name__ == "__main__":

@@ -91,9 +91,10 @@ class TestBuiltinRegistry:
         honored by the kernel (parity holds), and a non-default threshold
         actually changes the physics."""
         matrix = uniform_matrix(8, 0.4)
-        default = run_single("pf", matrix, 1500, seed=3)
+        default = run_single("pf", matrix, 1500, seed=3, engine="object")
         tight = run_single(
-            "pf", matrix, 1500, seed=3, switch_params={"threshold": 1}
+            "pf", matrix, 1500, seed=3, engine="object",
+            switch_params={"threshold": 1},
         )
         assert tight.extras["padding_overhead"] > default.extras[
             "padding_overhead"
@@ -113,7 +114,9 @@ class TestBuiltinRegistry:
 
         matrix = uniform_matrix(4, 0.9)
         params = {"input_buffer": 8}
-        obj = run_single("ufs", matrix, 2000, seed=2, switch_params=params)
+        obj = run_single(
+            "ufs", matrix, 2000, seed=2, engine="object", switch_params=params
+        )
         routed = run_single(
             "ufs", matrix, 2000, seed=2, engine="vectorized",
             switch_params=params,

@@ -70,11 +70,20 @@ class TestJobModel:
         assert len(cells) == 8
 
     def test_round_trip_dicts(self):
-        assert small_request().engine == "object"
+        assert small_request().engine is None  # resolved per plan
         request = small_request(engine="vectorized")
         assert JobRequest.from_dict(request.to_dict()) == request
         shard = expand_shards(request)[0]
         assert ShardSpec.from_dict(shard.to_dict()) == shard
+
+    def test_engine_never_splits_a_shard(self):
+        """Object and vectorized submissions of one cell are one shard
+        key, so the service computes the cell once."""
+        keys = {
+            shard_key(expand_shards(small_request(engine=engine))[0])
+            for engine in (None, "object", "vectorized")
+        }
+        assert len(keys) == 1
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

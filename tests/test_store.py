@@ -64,12 +64,18 @@ class TestCacheKeys:
         base = cache_key(params_for())
         assert cache_key(params_for(seed=1)) != base
         assert cache_key(params_for(num_slots=600)) != base
-        assert cache_key(params_for(engine="vectorized")) != base
         assert cache_key(params_for(switch_name="sprinklers")) != base
         assert cache_key(params_for(keep_samples=False)) != base
         assert (
             cache_key(params_for(matrix=uniform_matrix(4, 0.6))) != base
         )
+
+    def test_engine_is_not_an_axis(self):
+        """Both engines compute the same result, so they share one key:
+        an object-engine run is a cache hit for a vectorized one."""
+        assert params_for(engine="vectorized") == params_for()
+        assert params_for(engine=None) == params_for()
+        assert "engine" not in params_for()
 
     def test_scenario_workload_identity(self):
         spec = get_scenario("paper-uniform")

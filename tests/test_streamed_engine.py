@@ -276,12 +276,22 @@ class TestBatchedReplicate:
         assert stats.entries == 3
         assert stats.hits >= 3
 
-    def test_batch_seeds_requires_vectorized(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            replicate(
-                "sprinklers", uniform_matrix(4, 0.5), 500,
-                replications=2, batch_seeds=True,
+    def test_batch_seeds_follows_the_plan_engine(self):
+        """batch_seeds stacks the default (vectorized) plan and runs an
+        object-engine plan seed by seed: the same values either way."""
+        kw = dict(replications=2, batch_seeds=True)
+        matrix = uniform_matrix(4, 0.5)
+        with telemetry.scope():
+            stacked = replicate("sprinklers", matrix, 500, **kw)
+            oracle = replicate(
+                "sprinklers", matrix, 500, engine="object", **kw
             )
+            spans = telemetry.state().tracer.find("run.replicate")
+        assert [span.attrs["batched"] for span in spans] == [True, False]
+        assert [span.attrs["engine"] for span in spans] == [
+            "vectorized", "object",
+        ]
+        assert stacked.values == oracle.values
 
 
 class TestRunSingleIntegration:

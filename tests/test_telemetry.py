@@ -481,7 +481,7 @@ class TestCli:
             [
                 "scenarios", "run", "--scenario", "paper-uniform",
                 "--n", "4", "--slots", "400", "--no-store",
-                "--engine", "vectorized", "--trace", str(path),
+                "--trace", str(path),
             ]
         )
         capsys.readouterr()
