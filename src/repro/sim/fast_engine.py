@@ -43,7 +43,7 @@ seed count), never by a flag:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,13 +65,15 @@ __all__ = [
 #: Target stacked-event count per seed group in the batched replication
 #: path: wide enough to amortize per-call overheads across seeds, small
 #: enough that the stacked working set stays cache-resident.  Re-measured
-#: after the level-major polled-queue peel (PR 12; six switches x 32 seeds,
-#: N=16, 1000 slots, 12 800 events per seed, so 1 << 14 stacks one seed per
-#: group; fastest of 9 passes, allocator pinned as in ``perf/``):
-#: 1 << 14: 1.21 s a pass, peak RSS 113 MiB; 1 << 15: 1.04 s, 121 MiB;
-#: 1 << 16: 1.04 s (pf 0.27 -> 0.20, foff 0.34 -> 0.26, polled-queue
-#: switches flat within 0.02 s), 143 MiB.  Wider groups buy 14 % of the
-#: pass with 6-26 % more memory, so the constant stays.
+#: once the monolithic kernels freed each per-packet column at its last
+#: use, on the ``replicate_short`` benchmark workload (six switches x 32
+#: seeds, N=16, 1000 slots, 12 800 events per seed, so 1 << 14 stacks one
+#: seed per group; medians of four runs, allocator pinned as in ``perf/``,
+#: 2-vCPU Xeon): 1 << 14: 2.41 M packets/s, peak RSS 125.1 MiB (125.0
+#: before); 1 << 15: 2.68 M, 132.1 MiB; 1 << 16: 2.77 M, 153.0 MiB.  The
+#: stacked flush runs the stream kernels, whose working set is unchanged,
+#: so wider groups still buy 10-15 % of the throughput with 6-22 % more
+#: memory, and the constant stays.
 _STACK_TARGET_EVENTS = 1 << 14
 
 
@@ -103,10 +105,9 @@ def _fold_reordering(
     prev[1:] = run[:-1]
     first = np.r_[True, voq[1:] != voq[:-1]]
     prev[first] = -1
-    prev = np.maximum(prev, prev_max[voq])
-    bounds = np.flatnonzero(np.r_[first, True])
-    last = bounds[1:] - 1
-    prev_max[voq[last]] = np.maximum(run, prev)[last]
+    np.maximum(prev, prev_max[voq], out=prev)
+    last = np.flatnonzero(np.r_[first[1:], True])
+    prev_max[voq[last]] = np.maximum(run[last], prev[last])
     return prev > seq, prev
 
 
@@ -160,19 +161,7 @@ class _MetricsAccumulator:
         if len(dep.voq) == 0:
             return
         self.departed += len(dep.voq)
-
-        # Reordering: per VOQ in observation order, a packet is late iff
-        # the running max sequence number already exceeds its own.
-        if order is None:
-            order = _voq_observation_order(dep)
-        voq = dep.voq[order]
-        seq = dep.seq[order]
-        late, prev = _fold_reordering(voq, seq, self._prev_max)
-        if late.any():
-            self.late += int(late.sum())
-            self.displacement = max(
-                self.displacement, int(np.max(prev[late] - seq[late]))
-            )
+        self._add_reordering(dep, order)
 
         # Delay statistics over measured (post-warm-up arrival) packets.
         measured = dep.arrival >= self.warmup
@@ -215,6 +204,23 @@ class _MetricsAccumulator:
             )
             self.transit_total += int(
                 (dep.departure[measured] - dep.tx[measured]).sum()
+            )
+
+    def _add_reordering(
+        self, dep: Departures, order: Optional[np.ndarray]
+    ) -> None:
+        """Per VOQ in observation order, a packet is late iff the running
+        max sequence number already exceeds its own."""
+        if order is None:
+            order = _voq_observation_order(dep)
+        voq = dep.voq[order]
+        seq = dep.seq[order]
+        del order  # a sorted copy of each column is all the fold needs
+        late, prev = _fold_reordering(voq, seq, self._prev_max)
+        if late.any():
+            self.late += int(late.sum())
+            self.displacement = max(
+                self.displacement, int(np.max(prev[late] - seq[late]))
             )
 
     def result(
@@ -448,6 +454,31 @@ def _checked_model(switch_name: str, switch_params: Dict) -> "models.SwitchModel
     return model
 
 
+def _replay_whole_run(
+    model: "models.SwitchModel",
+    batch_traffic: BatchTrafficGenerator,
+    matrix: np.ndarray,
+    seed: int,
+    num_slots: int,
+    switch_params: Dict,
+) -> Tuple[Departures, Optional[Dict[str, float]], int]:
+    """Draw a whole run and replay it in one kernel pass.
+
+    Returns ``(departures, extras, injected)``; the arrival batch dies
+    here, before the metrics fold, which reads nothing from it.
+    """
+    with telemetry.trace(
+        "replay.monolithic", switch=model.reported_name, slots=num_slots
+    ) as run_span:
+        with telemetry.trace("traffic.draw"):
+            batch = batch_traffic.draw(num_slots)
+        with telemetry.trace("kernel.replay"):
+            dep, extras = model.kernel(batch, matrix, seed, **switch_params)
+        run_span.set(packets=len(batch))
+    _observe_throughput(run_span.span, num_slots, len(batch))
+    return dep, extras, len(batch)
+
+
 def run_single_fast(
     switch_name: str,
     matrix,
@@ -502,20 +533,12 @@ def run_single_fast(
     )
 
     if window_slots is None or window_slots >= num_slots:
-        with telemetry.trace(
-            "replay.monolithic", switch=model.reported_name, slots=num_slots
-        ) as run_span:
-            with telemetry.trace("traffic.draw"):
-                batch = batch_traffic.draw(num_slots)
-            with telemetry.trace("kernel.replay"):
-                dep, extras = model.kernel(
-                    batch, matrix, seed, **switch_params
-                )
-            run_span.set(packets=len(batch))
-        _observe_throughput(run_span.span, num_slots, len(batch))
+        dep, extras, injected = _replay_whole_run(
+            model, batch_traffic, matrix, seed, num_slots, switch_params
+        )
         acc.add(dep)
         return acc.result(
-            model.reported_name, len(batch), num_slots, load_label, extras
+            model.reported_name, injected, num_slots, load_label, extras
         )
 
     # The windowed replay runs through the Stage adapter — the same

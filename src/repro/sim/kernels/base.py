@@ -26,7 +26,7 @@ engine's.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,11 +40,13 @@ __all__ = [
     "PolledQueueBank",
     "StreamKernel",
     "UnitAssembler",
+    "Units",
     "WindowStacker",
     "composite_argsort",
     "concat_ranges",
     "mid_residues",
     "periodic_fifo_service",
+    "port_fifo_service",
     "replay_polled_queues",
     "row_residues",
     "segmented_fifo_service",
@@ -70,9 +72,9 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if total == 0:
         return np.empty(0, dtype=np.int64)
     ends = np.cumsum(counts)
-    return np.repeat(starts - (ends - counts), counts) + np.arange(
-        total, dtype=np.int64
-    )
+    out = np.repeat(starts - (ends - counts), counts)
+    out += np.arange(total, dtype=np.int64)
+    return out
 
 
 def stable_id_argsort(ids: np.ndarray, id_space: int) -> np.ndarray:
@@ -87,7 +89,9 @@ def stable_id_argsort(ids: np.ndarray, id_space: int) -> np.ndarray:
     return np.argsort(ids, kind="stable")
 
 
-def composite_argsort(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+def composite_argsort(
+    major: np.ndarray, minor: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Argsort by ``(major, minor)`` of nonnegative keys.
 
     Three paths, fastest first:
@@ -104,21 +108,27 @@ def composite_argsort(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
     * **lexsort** — two stable passes otherwise.
 
     Callers pass unique pairs, so every path returns the same order.
+    ``minor=None`` breaks ties by row instead: a stable argsort of
+    ``major``, with no tie-break column to build.
     """
     num = len(major)
     if num == 0:
         return np.empty(0, dtype=np.intp)
     hi = int(major.max())
-    span = int(minor.max()) + 1
+    span = 1 if minor is None else int(minor.max()) + 1
     bits = (num - 1).bit_length()
     if hi * span + span - 1 <= _INT64_MAX >> bits:
         key = major * np.int64(span)
-        key += minor
+        if minor is not None:
+            key += minor
+        del major, minor  # frees them here when the caller passed temporaries
         key <<= bits
         key |= np.arange(num, dtype=np.int64)
         key.sort()
         key &= (1 << bits) - 1
         return key
+    if minor is None:
+        return np.argsort(major, kind="stable")
     if hi < (_INT64_MAX // span) - 1:
         return np.argsort(major * span + minor)
     return np.lexsort((minor, major))
@@ -140,25 +150,35 @@ def periodic_fifo_service(
     return residue + polls * n
 
 
-def segmented_running_max(values: np.ndarray, segment: np.ndarray) -> np.ndarray:
+def segmented_running_max(
+    values: np.ndarray, segment: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Running max of ``values`` restarting wherever ``segment`` (sorted
     nonnegative ids) changes.
 
     Per-segment offsets spaced wider than the value range make one global
     ``np.maximum.accumulate`` segment-local; if they would overflow an
     int64, a doubling scan (log2 of the length passes) takes over.
+    ``out`` (``values`` itself allowed) receives the result instead of a
+    new array.
     """
     if len(values) == 0:
-        return values
+        return values if out is None else out
     lo, hi = int(values.min()), int(values.max())
     span = hi - lo + 1
     if (int(segment[-1]) + 1) * span + max(hi, -lo) < np.iinfo(np.int64).max:
         offset = segment * np.int64(span)
-        run = values + offset
+        run = np.add(values, offset, out=out)
         np.maximum.accumulate(run, out=run)
         run -= offset
         return run
-    run, step = values.copy(), 1
+    if out is None:
+        run = values.copy()
+    else:
+        run = out
+        if out is not values:
+            np.copyto(out, values)
+    step = 1
     while step < len(run):
         same = segment[step:] == segment[:-step]
         run[step:] = np.where(same, np.maximum(run[step:], run[:-step]), run[step:])
@@ -166,15 +186,34 @@ def segmented_running_max(values: np.ndarray, segment: np.ndarray) -> np.ndarray
     return run
 
 
-def segmented_fifo_service(segment: np.ndarray, ready: np.ndarray) -> np.ndarray:
+def segmented_fifo_service(
+    segment: np.ndarray, ready: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Per-segment FIFO served once per slot, arrivals servable the slot
     they become ready (events pre-sorted within segment).
 
     ``segment`` must be nondecreasing.  ``service_k = max(ready_k,
-    service_{k-1} + 1)`` is a running max of ``ready_k - k``.
+    service_{k-1} + 1)`` is a running max of ``ready_k - k``.  ``out``
+    (``ready`` itself allowed) receives the result instead of a new array.
     """
-    k = np.arange(len(ready), dtype=np.int64)
-    return segmented_running_max(ready - k, segment) + k
+    run = np.subtract(ready, np.arange(len(ready), dtype=np.int64), out=out)
+    segmented_running_max(run, segment, out=run)
+    run += np.arange(len(ready), dtype=np.int64)
+    return run
+
+
+def port_fifo_service(
+    ports: np.ndarray, ready: np.ndarray, num_ports: int
+) -> np.ndarray:
+    """:func:`segmented_fifo_service` of one FIFO per port, events in
+    FIFO order within each port (generation order, for arrivals), results
+    aligned with the inputs."""
+    order = stable_id_argsort(ports, num_ports)
+    served = ready[order]
+    segmented_fifo_service(ports[order], served, out=served)
+    service = np.empty_like(served)
+    service[order] = served
+    return service
 
 
 def replay_polled_queues(
@@ -211,6 +250,9 @@ def replay_polled_queues(
     Parameters are parallel per-event arrays (queue id, size level in
     ``[0, 16)``, ready slot, FIFO tie-break) plus the per-queue poll
     residue; returns the per-event service slot, aligned with the inputs.
+    The inputs are never written; a bank with one level may pass a
+    zero-stride ``np.broadcast_to(0, num_events)``, and arguments the
+    caller holds no other reference to are freed as soon as they are read.
     """
     num_events = len(queues)
     if num_events == 0:
@@ -218,10 +260,21 @@ def replay_polled_queues(
     level_lo, level_hi = int(levels.min()), int(levels.max())
     if level_lo < 0 or level_hi > 15:
         raise ValueError("levels must lie in [0, 16): they pack into 4 bits")
-    polls = np.maximum((ready - residues[queues] + n - 1) // n, 0)
-    # Group by queue, then level ascending, then FIFO order.  Queue and
-    # level pack into one sort key (level needs 4 bits up to n = 2^15).
-    packed = (queues << 4) | levels
+    present = (
+        [level_hi] if level_lo == level_hi
+        else np.flatnonzero(np.bincount(levels))[::-1]
+    )
+    # Each event's first usable poll; queue and level pack into one sort
+    # key (level needs 4 bits up to n = 2^15).
+    polls = residues[queues]
+    np.subtract(ready, polls, out=polls)
+    polls += n - 1
+    polls //= n
+    np.maximum(polls, 0, out=polls)
+    packed = queues << 4
+    packed |= levels
+    del queues, levels, ready  # temporaries a caller passed free here
+    # Group by queue, then level ascending, then FIFO order.
     if presorted:
         # Caller promises events already sit in (level, order) order
         # within each queue, so a *stable* sort by queue alone suffices —
@@ -229,6 +282,7 @@ def replay_polled_queues(
         grouping = stable_id_argsort(packed, int(packed.max()) + 1)
     else:
         grouping = composite_argsort(packed, order)
+    del order
     # Both in grouped order from here; ``polls`` turns from each event's
     # first usable poll into the poll that serves it.
     packed = packed[grouping]
@@ -238,41 +292,76 @@ def replay_polled_queues(
         # (queue by queue); bit-identical by the parity grid.
         serve_polled(packed, polls.copy(), polls)
     else:
-        # No event is served past the latest first poll plus one poll per
-        # event, so the keys sort by queue, then poll.
-        stride = int(polls.max()) + num_events + 1
-        if int(packed[-1]) >> 4 >= np.iinfo(np.int64).max // stride - 1:
-            raise OverflowError("queue id x poll range overflows an int64")
-        single = level_lo == level_hi
-        present = [level_hi] if single else np.flatnonzero(np.bincount(levels))[::-1]
-        taken = None
-        for level in present:
-            at = slice(None) if single else np.flatnonzero(
-                (packed & 15) == level
-            )
-            queue = packed[at] >> 4
-            rank = polls[at]
-            if taken is not None:
-                base = queue * stride
-                before = np.searchsorted(taken, base)  # of earlier queues
-                rank -= np.searchsorted(taken, base + rank) - before
-            rank = segmented_fifo_service(queue, rank)
-            if taken is not None:
-                base += rank - before
-                rank += np.searchsorted(gaps, base, side="right") - before
-            polls[at] = rank
-            if level != present[-1]:
-                keys = queue * stride + rank
-                # Two sorted runs: the stable sort is one merge pass.
-                taken = keys if taken is None else np.sort(
-                    np.concatenate([taken, keys]), kind="stable"
-                )
-                gaps = taken - np.arange(len(taken), dtype=np.int64)
+        _peel_levels(packed, polls, present)
     polls *= n
-    polls += residues[packed >> 4]
+    packed >>= 4
+    polls += residues[packed]
+    del packed
     service = np.empty(num_events, dtype=np.int64)
     service[grouping] = polls
     return service
+
+
+def _peel_levels(packed: np.ndarray, polls: np.ndarray, present) -> None:
+    """The level-major peel of :func:`replay_polled_queues`, in place.
+
+    ``packed`` / ``polls`` are in grouped order; ``present`` lists the
+    levels largest first.  On return ``polls`` holds each event's serving
+    poll.
+    """
+    single = len(present) == 1
+    # No event is served past the latest first poll plus one poll per
+    # event, so the keys sort by queue, then poll.
+    stride = int(polls.max()) + len(polls) + 1
+    if int(packed[-1]) >> 4 >= np.iinfo(np.int64).max // stride - 1:
+        raise OverflowError("queue id x poll range overflows an int64")
+    taken = gaps = None
+    for level in present:
+        if single:
+            # One level: the packed keys segment like the queue ids, and
+            # the level's FIFO is served in place.
+            queue, rank = packed, polls
+        else:
+            at = np.flatnonzero((packed & 15) == level)
+            queue = packed[at]
+            queue >>= 4
+            rank = polls[at]
+        _serve_level(queue, rank, stride, taken, gaps)
+        if not single:
+            polls[at] = rank
+        if level != present[-1]:
+            keys = queue * stride
+            keys += rank
+            if taken is not None:
+                # Two sorted runs: the stable sort is one merge pass.
+                keys = np.concatenate([taken, keys])
+                keys.sort(kind="stable")
+            taken = keys
+            gaps = taken - np.arange(len(taken), dtype=np.int64)
+
+
+def _serve_level(
+    queue: np.ndarray,
+    rank: np.ndarray,
+    stride: int,
+    taken: Optional[np.ndarray],
+    gaps: Optional[np.ndarray],
+) -> None:
+    """Serve one level of :func:`_peel_levels` in place: ``rank`` goes
+    from each event's first usable poll to its serving poll, over the
+    polls the ``taken`` keys (``gaps = taken - arange``) leave free."""
+    if taken is None:
+        segmented_fifo_service(queue, rank, out=rank)
+        return
+    base = queue * stride
+    before = np.searchsorted(taken, base)  # of earlier queues
+    rank -= np.searchsorted(taken, base + rank)
+    rank += before
+    segmented_fifo_service(queue, rank, out=rank)
+    base += rank
+    base -= before
+    rank += np.searchsorted(gaps, base, side="right")
+    rank -= before
 
 
 def row_residues(n: int) -> np.ndarray:
@@ -291,52 +380,55 @@ def mid_residues(n: int) -> np.ndarray:
     return ((ports[:, None] - ports[None, :]) % n).ravel()
 
 
-def unit_completion(
-    batch: ArrivalBatch, unit_size: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Completion data of each packet's aggregation unit (stripe/frame).
+class Units(NamedTuple):
+    """The packets of a batch's completed aggregation units, one row each.
+
+    Rows are grouped by VOQ (VOQ ascending, arrival order within), so a
+    unit is a contiguous run of rows.  Row order carries no meaning
+    downstream: every replay keys its decisions on queue ids and FIFO
+    keys, never on rows.
+    """
+
+    #: Batch row of the packet.
+    packet: np.ndarray
+    voq: np.ndarray
+    #: Position within the unit.
+    pos: np.ndarray
+    #: Completion slot of the unit.
+    c_slot: np.ndarray
+    #: Batch row of the unit's completing packet: a global completion
+    #: tie-break, since generation order *is* per-input acceptance order.
+    c_order: np.ndarray
+
+
+def unit_completion(batch: ArrivalBatch, unit_size: np.ndarray) -> Units:
+    """The :class:`Units` of a batch's aggregation units (stripes/frames).
 
     ``unit_size[voq]`` packets of a VOQ form one unit, cut in arrival
-    order; the unit completes when its last packet arrives.  Returns
-    ``(complete, c_slot, c_order, pos)`` per packet: whether the packet's
-    unit ever completes inside the batch, the completion slot, a global
-    completion tie-break (the completing packet's generation index —
-    generation order *is* per-input acceptance order), and the packet's
-    position within its unit.
+    order; the unit completes when its last packet arrives, so a VOQ's
+    completed units are its first ``count - count % unit_size`` packets
+    and the packets after them never leave their VOQ inside the batch.
     """
-    voq = batch.voqs
-    num_packets = len(voq)
-    if num_packets == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=bool), empty, empty, empty
     n = batch.n
-    # Group packets by VOQ (stable, so in-group order is arrival order);
-    # every unit is then a contiguous run of `unit_size` grouped packets
-    # and its completing packet is an in-group index away — no searching.
-    order = stable_voq_argsort(voq, n)
-    sorted_voq = voq[order]
+    voq = batch.voqs
     counts = np.bincount(voq, minlength=n * n)
-    group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rank = np.arange(num_packets, dtype=np.int64) - group_starts[sorted_voq]
-    size = unit_size[sorted_voq]
-    pos_g = rank % size
-    completer_rank = rank - pos_g + size - 1  # in-group index of unit's last packet
-    complete_g = completer_rank < counts[sorted_voq]
-    completer_at = group_starts[sorted_voq] + np.minimum(
-        completer_rank, counts[sorted_voq] - 1
-    )
-    c_slot_g = np.where(complete_g, batch.slots[order][completer_at], 0)
-    c_order_g = np.where(complete_g, order[completer_at], 0)
-    # Scatter back to generation order.
-    complete = np.empty(num_packets, dtype=bool)
-    c_slot = np.empty(num_packets, dtype=np.int64)
-    c_order = np.empty(num_packets, dtype=np.int64)
-    pos = np.empty(num_packets, dtype=np.int64)
-    complete[order] = complete_g
-    c_slot[order] = c_slot_g
-    c_order[order] = c_order_g
-    pos[order] = pos_g
-    return complete, c_slot, c_order, pos
+    full = counts - counts % unit_size
+    packet = stable_voq_argsort(voq, n)[
+        concat_ranges(np.cumsum(counts) - counts, full)
+    ]
+    voq = np.repeat(np.arange(n * n, dtype=np.int64), full)
+    rows = np.arange(len(packet), dtype=np.int64)
+    pos = (np.cumsum(full) - full)[voq]
+    np.subtract(rows, pos, out=pos)
+    size = unit_size[voq]
+    pos %= size
+    # A unit's completing packet is its last row.
+    rows -= pos
+    rows += size
+    rows -= 1
+    c_order = packet[rows]
+    del rows, size
+    return Units(packet, voq, pos, batch.slots[c_order], c_order)
 
 
 class Departures:

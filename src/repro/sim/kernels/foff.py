@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...traffic.batch import ArrivalBatch
+from ...traffic.batch import ArrivalBatch, stable_voq_argsort
 from .base import (
     Departures,
     PolledQueueBank,
@@ -54,12 +54,11 @@ __all__ = ["Stream", "departures"]
 
 
 def _resequencer_peak(
-    outs: np.ndarray,
     voq: np.ndarray,
     wire_slot: np.ndarray,
     departure: np.ndarray,
     cut: int,
-    grouping: np.ndarray,
+    n: int,
 ) -> int:
     """Peak occupancy across the per-output resequencing buffers.
 
@@ -69,54 +68,97 @@ def _resequencer_peak(
     its arrival releases.  The peak is recorded at hold instants, after
     the increment — exactly :class:`~repro.switching.resequencer.
     Resequencer`'s accounting.
-
-    ``grouping`` is any ``(voq, departure)``-sorted order; the caller
-    passes its ``(voq, rank)`` order, which qualifies because departures
-    are a per-VOQ running max over rank — no full-size argsort.
     """
-    if len(outs) == 0:
-        return 0
     held = departure > wire_slot
-    # Release-group sizes: all packets of a VOQ sharing a departure slot
-    # are released together by the one packet that arrived last.
-    g_voq = voq[grouping]
-    g_dep = departure[grouping]
-    new_group = np.r_[
-        True, (g_voq[1:] != g_voq[:-1]) | (g_dep[1:] != g_dep[:-1])
-    ]
-    group_id = np.cumsum(new_group) - 1
-    group_size = np.bincount(group_id)[group_id]
-    sizes = np.empty(len(outs), dtype=np.int64)
-    sizes[grouping] = group_size
-    delta = np.where(held, 1, -(sizes - 1))
-
+    delta = _release_deltas(voq, departure, held)
     # Wire arrivals past the drain horizon never reach the output in the
     # object engine; their occupancy events do not exist there.
-    live = np.flatnonzero(wire_slot <= cut)
-    if live.size == 0:
+    live = wire_slot <= cut
+    if not live.all():
+        voq, wire_slot, delta, held = (
+            voq[live], wire_slot[live], delta[live], held[live]
+        )
+    if not held.any():
         return 0
-    events = live[composite_argsort(outs[live], wire_slot[live])]
-    delta_e = delta[events]
-    held_e = held[events]
-    out_e = outs[events]
-    running = np.cumsum(delta_e)
-    starts = np.r_[True, out_e[1:] != out_e[:-1]]
-    # Per-output prefix sums: subtract the running total just before each
-    # output's first event (forward-filled via a running index max).
-    start_at = np.maximum.accumulate(
-        np.where(starts, np.arange(len(events)), -1)
-    )
-    before = np.r_[0, running[:-1]]
-    occupancy = running - before[start_at]
-    if not held_e.any():
-        return 0
-    return int(occupancy[held_e].max())
+    per_output = np.bincount(voq % n, minlength=n)
+    # Events output-major, in wire-arrival order within an output.
+    events = composite_argsort(voq % n, wire_slot)
+    delta, held = delta[events], held[events]
+    del events
+    return int(_output_prefix_sums(delta, per_output)[held].max())
+
+
+def _release_deltas(
+    voq: np.ndarray, departure: np.ndarray, held: np.ndarray
+) -> np.ndarray:
+    """Each wire arrival's resequencer occupancy change: +1 if held, else
+    minus the buffered packets it releases.
+
+    Rows are VOQ-grouped in sequence order, so departures (a per-VOQ
+    running max) are sorted within each VOQ and a release group — the
+    packets of a VOQ sharing a departure slot, released together by the
+    one that arrived last — is a run of rows.
+    """
+    new_group = np.empty(len(voq), dtype=bool)
+    new_group[0] = True
+    np.not_equal(voq[1:], voq[:-1], out=new_group[1:])
+    new_group[1:] |= departure[1:] != departure[:-1]
+    group = np.cumsum(new_group)
+    group -= 1
+    delta = np.bincount(group)[group]  # the release group's size
+    np.subtract(1, delta, out=delta)
+    delta[held] = 1
+    return delta
+
+
+def _output_prefix_sums(
+    delta: np.ndarray, per_output: np.ndarray
+) -> np.ndarray:
+    """Per-output prefix sums of output-major ``delta``, in place:
+    ``per_output[j]`` consecutive events belong to output ``j``."""
+    running = np.cumsum(delta, out=delta)
+    first = np.cumsum(per_output) - per_output
+    # Subtract the running total just before each output's first event.
+    before = np.where(first > 0, running[first - 1], 0)
+    running -= np.repeat(before, per_output)
+    return running
+
+
+def _trigger_mids(
+    wire_slot: np.ndarray,
+    departure: np.ndarray,
+    tx: np.ndarray,
+    assembled: np.ndarray,
+) -> np.ndarray:
+    """Intermediate port of each packet's release trigger.
+
+    The trigger (the predecessor whose arrival releases the packet) is
+    the running argmax of the wire arrivals along the VOQ-grouped rows;
+    its intermediate port is the oracle's within-slot observation key.
+    """
+    trigger = np.arange(len(departure), dtype=np.int64)
+    trigger[wire_slot != departure] = -1
+    np.maximum.accumulate(trigger, out=trigger)
+    mid = tx - assembled
+    return mid[trigger]
+
+
+def _ranks(key: np.ndarray) -> np.ndarray:
+    """Each row's rank in the stable order of ``key``."""
+    order = composite_argsort(key)
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order), dtype=np.int64)
+    return ranks
 
 
 def departures(
     batch: ArrivalBatch, matrix: np.ndarray, seed: int
 ) -> Tuple[Departures, Optional[Dict[str, float]]]:
-    """Replay the FOFF switch, resequencing included."""
+    """Replay the FOFF switch, resequencing included.
+
+    The replay runs in VOQ-grouped rows (:func:`voq_grouping`), where a
+    VOQ's sequence order — the resequencer's — is the row order.
+    """
     n = batch.n
     if len(batch) == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -127,18 +169,17 @@ def departures(
         return dep, {"max_resequencer": 0.0}
 
     schedule = build_frame_schedule(batch, foff_rule())
-    voqs = batch.voqs
     grouping = voq_grouping(batch)
-    member, assembled, position = frame_membership(grouping, schedule)
+    rows, assembled, tx = frame_membership(grouping, schedule)
     # FOFF never leaves a packet behind: partial frames sweep every
     # nonempty VOQ, so the whole batch is framed.
-    assert bool(member.all()), "FOFF frame formation left packets unframed"
-
-    tx = assembled + position
-    mid = position
+    assert len(rows) == len(batch), "FOFF frame formation left packets unframed"
+    del rows, schedule
+    tx += assembled  # position -> crossing slot; the mid port is tx - assembled
+    voq = grouping.voqs()
     wire_slot = replay_polled_queues(
-        mid * n + batch.outputs,
-        np.zeros(len(tx), dtype=np.int64),
+        (tx - assembled) * n + voq % n,
+        np.broadcast_to(0, len(tx)),
         tx + 1,
         tx,
         mid_residues(n),
@@ -146,55 +187,39 @@ def departures(
     )
 
     # Resequencer replay: per VOQ in sequence order, a packet departs at
-    # the latest wire arrival among itself and its predecessors.  The
-    # (voq, rank) order is the inverse of the grouping's placement.
-    rank = grouping.rank
-    order = np.empty(len(rank), dtype=np.int64)
-    order[grouping.place] = np.arange(len(rank), dtype=np.int64)
-    voq_s = voqs[order]
-    wire_s = wire_slot[order]
-    departure_s = segmented_running_max(wire_s, voq_s)
-    # The trigger (the predecessor whose arrival releases the packet) is
-    # the running argmax; its intermediate port is the oracle's
-    # within-slot observation key.
-    is_trigger = wire_s == departure_s
-    trigger_at = np.maximum.accumulate(
-        np.where(is_trigger, np.arange(len(order)), -1)
-    )
-    trigger_mid_s = mid[order][trigger_at]
-    departure = np.empty_like(wire_slot)
-    trigger_mid = np.empty_like(mid)
-    departure[order] = departure_s
-    trigger_mid[order] = trigger_mid_s
+    # the latest wire arrival among itself and its predecessors.
+    departure = segmented_running_max(wire_slot, voq)
+    cut = drain_horizon(batch)
+    peak = _resequencer_peak(voq, wire_slot, departure, cut, n)
+    # Observation order: departure slot, then the trigger's intermediate
+    # port (fabric 2 scans mid ports in order), then sequence within a
+    # release group.  One (departure, mid) pair names one wire arrival,
+    # so one VOQ, whose sequence order is the row order: the key sorts
+    # stably.  Stored as a global rank so (departure, wire) is a unique
+    # sort key downstream.
+    key = _trigger_mids(wire_slot, departure, tx, assembled)
+    del wire_slot
+    key += departure * n
 
     # The object engine's drain phase is finite: packets released after
     # its horizon stay in the resequencers there, unobserved.
-    cut = drain_horizon(batch)
     released = departure <= cut
-
-    # Observation order: departure slot, then the trigger's intermediate
-    # port (fabric 2 scans mid ports in order), then sequence within a
-    # release group.  Stored as a global rank so (departure, wire) is a
-    # unique sort key downstream.  (departure, trigger_mid) packs into
-    # one key — trigger_mid < n — and composite_argsort handles the
-    # rank tie-break, falling back to a stable lexsort on overflow.
-    observation = composite_argsort(
-        departure[released] * n + trigger_mid[released], rank[released]
-    )
-    wire = np.empty(len(observation), dtype=np.int64)
-    wire[observation] = np.arange(len(observation), dtype=np.int64)
-
-    peak = _resequencer_peak(
-        batch.outputs, voqs, wire_slot, departure, cut, order
-    )
+    packet = stable_voq_argsort(batch.voqs, n)  # grouped rows -> batch rows
+    if not released.all():
+        voq, departure, assembled, tx, packet, key = (
+            voq[released], departure[released], assembled[released],
+            tx[released], packet[released], key[released],
+        )
+    wire = _ranks(key)
+    del key
     dep = Departures(
-        voq=voqs[released],
-        seq=batch.seqs[released],
-        arrival=batch.slots[released],
-        departure=departure[released],
+        voq=voq,
+        seq=batch.seqs[packet],
+        arrival=batch.slots[packet],
+        departure=departure,
         wire=wire,
-        assembled=assembled[released],
-        tx=tx[released],
+        assembled=assembled,
+        tx=tx,
         wire_is_rank=True,
     )
     return dep, {"max_resequencer": float(peak)}

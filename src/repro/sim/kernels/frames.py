@@ -26,9 +26,9 @@ multiplying the step count — which is what makes PF/FOFF seed-batchable.
 
 :func:`build_frame_schedule` runs the engine over a monolithic batch;
 :class:`FrameFormationStream` is its resumable (windowed / multi-seed)
-form; :func:`frame_membership` maps every packet to its frame with one
-scatter over VOQ-grouped positions, which the batch's sequence numbers
-already encode (:func:`voq_grouping`, :func:`frame_ids`).  The original
+form; :func:`frame_membership` maps the VOQ-grouped packets to their
+frames with one scatter, since a VOQ's frames tile its run of grouped
+rows (:func:`voq_grouping`, :func:`frame_ids`).  The original
 per-input scalar recursion (:class:`_InputFormation` driven by
 :data:`Picker` closures) is retained as the *test-only reference* —
 :func:`reference_frame_schedule` / :class:`ReferenceFormationStream` —
@@ -283,13 +283,12 @@ class _LaneFormation:
         self._rrtab = (self._cols()[None, :] - self._cols()[:, None]) % n
         empty = np.empty(0, dtype=np.int64)
         # Pending arrivals: cycle-major tags + occupancy cells behind the
-        # global cursor ``_g``, and the lane-major key/tag arrays the
-        # decline jumps binary-search.
+        # global cursor ``_g``, and the lane-major keys the decline jumps
+        # binary-search.
         self._ctag = empty
         self._ccell = empty
         self._g = 0
         self._lkey = empty
-        self._ltag = empty
         self._stride = 2
 
     def _cols(self) -> np.ndarray:
@@ -309,29 +308,28 @@ class _LaneFormation:
         16 bits (any realistic window) and falls back to a full argsort.
         """
         n = self.n
-        carried = self._ccell[self._g :]
-        lane = np.concatenate([carried // n, lanes])
-        tag = np.concatenate([self._ctag[self._g :], tags])
-        out = np.concatenate([carried % n, outs])
+        g = self._g
+        lane = np.concatenate([self._ccell[g:] // n, lanes])
+        cell = np.concatenate([self._ccell[g:], lanes * n + outs])
+        tag = np.concatenate([self._ctag[g:], tags])
+        del lanes, tags, outs  # temporaries a caller passed free here
+        self._g = 0
         if len(tag) == 0:
             empty = np.empty(0, dtype=np.int64)
-            self._ctag = self._ccell = self._lkey = self._ltag = empty
-            self._g = 0
+            self._ctag = self._ccell = self._lkey = empty
             self._stride = 2
             return
-        cell = lane * n + out
-        rel = tag - int(tag.min())
-        if int(rel.max()) <= np.iinfo(np.uint16).max:
-            order = np.argsort(rel.astype(np.uint16), kind="stable")
-        else:
-            order = np.argsort(rel, kind="stable")
+        lo, hi = int(tag.min()), int(tag.max())
+        order = stable_id_argsort(tag - lo, hi - lo + 1)
         self._ctag = tag[order]
         self._ccell = cell[order]
-        self._g = 0
+        del order, cell
         lorder = stable_id_argsort(lane, self.num_lanes)
-        self._stride = int(tag.max()) + 2
-        self._ltag = tag[lorder]
-        self._lkey = lane[lorder] * self._stride + self._ltag
+        self._stride = hi + 2
+        # Lane-major (lane, tag) keys; a key's tag is ``key % stride``.
+        self._lkey = lane[lorder]
+        self._lkey *= self._stride
+        self._lkey += tag[lorder]
 
     def run(self, limit: Optional[np.ndarray]) -> FrameSchedule:
         """Advance every lane below its ``limit`` cycle (exclusive).
@@ -448,11 +446,11 @@ class _LaneFormation:
                         ld * self._stride + min(c, self._stride - 1),
                         side="right",
                     )
-                    idx_c = np.minimum(idx, len(self._lkey) - 1)
+                    key = self._lkey[np.minimum(idx, len(self._lkey) - 1)]
                     have = (idx < len(self._lkey)) & (
-                        self._lkey[idx_c] // self._stride == ld
+                        key // self._stride == ld
                     )
-                    nxt = self._ltag[idx_c]
+                    nxt = key % self._stride
                 else:
                     have = np.zeros(len(ld), dtype=bool)
                     nxt = ld
@@ -611,7 +609,10 @@ def arrival_tags(
     after the arrival slot; arrivals in the boundary slot itself are
     visible to that cycle's pick (the slot protocol accepts before
     serving).  Never negative since slots >= 0 > residue - n."""
-    return (slots - residue + n - 1) // n
+    tags = slots - residue
+    tags += n - 1
+    tags //= n
+    return tags
 
 
 def build_frame_schedule(
@@ -620,8 +621,11 @@ def build_frame_schedule(
     """Run the array-stepped formation engine over one monolithic batch."""
     n = batch.n
     form = _make_formation(n, 1, rule)
-    tags = arrival_tags(batch.slots, form.residue[batch.inputs], n)
-    form.absorb(batch.inputs, tags, batch.outputs)
+    form.absorb(
+        batch.inputs,
+        arrival_tags(batch.slots, form.residue[batch.inputs], n),
+        batch.outputs,
+    )
     return form.run(None)
 
 
@@ -805,18 +809,24 @@ def reference_frame_schedule(
 
 
 class VoqGrouping(NamedTuple):
-    """A batch's stable grouping by VOQ, read off its sequence numbers.
+    """A batch's stable grouping by VOQ, as per-VOQ runs.
 
-    ``rank`` is each packet's index inside its VOQ (arrival order),
-    ``place`` its index in the VOQ-grouped order (VOQ ascending, then
-    rank), and ``starts`` the grouped index where each VOQ's run begins.
-    ``place`` is a permutation, so scattering through it groups an array
-    without a sort.
+    Grouped row ``starts[v] + r`` holds rank ``r`` (arrival order) of VOQ
+    ``v``, which runs ``counts[v]`` rows — the order of
+    :func:`~repro.traffic.batch.stable_voq_argsort`, which maps grouped
+    rows back to batch rows.  The monolithic framed kernels replay in this
+    order: a VOQ's frames tile its run and its resequencing order is the
+    row order.
     """
 
-    rank: np.ndarray
-    place: np.ndarray
+    counts: np.ndarray
     starts: np.ndarray
+
+    def voqs(self) -> np.ndarray:
+        """The VOQ id of every grouped row."""
+        return np.repeat(
+            np.arange(len(self.counts), dtype=np.int64), self.counts
+        )
 
 
 def voq_ranks(voqs: np.ndarray, seqs: np.ndarray, num_voqs: int) -> np.ndarray:
@@ -835,13 +845,9 @@ def voq_ranks(voqs: np.ndarray, seqs: np.ndarray, num_voqs: int) -> np.ndarray:
 
 
 def voq_grouping(batch: ArrivalBatch) -> VoqGrouping:
-    """The :class:`VoqGrouping` of a monolithic batch, in O(P)."""
-    num_voqs = batch.n * batch.n
-    voqs = batch.voqs
-    rank = voq_ranks(voqs, batch.seqs, num_voqs)
-    counts = np.bincount(voqs, minlength=num_voqs)
-    starts = np.cumsum(counts) - counts
-    return VoqGrouping(rank=rank, place=starts[voqs] + rank, starts=starts)
+    """The :class:`VoqGrouping` of a monolithic batch (one bincount)."""
+    counts = np.bincount(batch.voqs, minlength=batch.n * batch.n)
+    return VoqGrouping(counts=counts, starts=np.cumsum(counts) - counts)
 
 
 def frame_ids(
@@ -869,18 +875,21 @@ def frame_ids(
 def frame_membership(
     grouping: VoqGrouping, schedule: FrameSchedule
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map each packet to its frame: ``(member, assembled_slot, position)``.
+    """Map the grouped packets to their frames: ``(rows, assembled_slot,
+    position)``.
 
-    ``member`` is False for packets never framed (PF leaves
-    sub-threshold VOQ tails behind); ``assembled_slot`` and ``position``
-    are meaningful only where ``member`` holds.
+    ``rows`` are the grouped rows of the framed packets, ascending (PF
+    leaves sub-threshold VOQ tails unframed); ``assembled_slot`` and
+    ``position`` are per framed packet.
     """
-    num_packets = len(grouping.rank)
-    if num_packets == 0 or len(schedule) == 0:
-        zeros = np.zeros(num_packets, dtype=np.int64)
-        return np.zeros(num_packets, dtype=bool), zeros, zeros.copy()
-    at = frame_ids(grouping.starts, schedule, num_packets)[grouping.place]
-    return at >= 0, schedule.slot[at], grouping.rank - schedule.start[at]
+    fid = frame_ids(grouping.starts, schedule, int(grouping.counts.sum()))
+    rows = np.flatnonzero(fid >= 0)
+    if len(rows) < len(fid):
+        fid = fid[rows]
+    # Frame f covers grouped rows starts[f.voq] + f.start + [0, f.size).
+    position = (grouping.starts[schedule.voq] + schedule.start)[fid]
+    np.subtract(rows, position, out=position)
+    return rows, schedule.slot[fid], position
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from .base import (
     PolledQueueBank,
     StreamKernel,
     mid_residues,
+    port_fifo_service,
     replay_polled_queues,
-    segmented_fifo_service,
 )
 
 __all__ = ["Stream", "departures"]
@@ -26,15 +26,12 @@ def departures(
     n = batch.n
     # Stage 1: one FIFO per input, served every slot.  Arrivals are
     # already (slot, input)-sorted, hence in FIFO order within each input.
-    order = np.argsort(batch.inputs, kind="stable")
-    tx = np.empty(len(batch.slots), dtype=np.int64)
-    tx[order] = segmented_fifo_service(
-        batch.inputs[order], batch.slots[order]
-    )
-    mid = (batch.inputs + tx) % n
+    tx = port_fifo_service(batch.inputs, batch.slots, n)
+    mid = batch.inputs + tx
+    mid %= n
     departure = replay_polled_queues(
         mid * n + batch.outputs,
-        np.zeros(len(tx), dtype=np.int64),
+        np.broadcast_to(0, len(tx)),
         tx + 1,
         tx,
         mid_residues(n),

@@ -11,7 +11,7 @@ from .base import (
     Departures,
     PolledQueueBank,
     StreamKernel,
-    segmented_fifo_service,
+    port_fifo_service,
 )
 
 __all__ = ["Stream", "departures"]
@@ -21,16 +21,13 @@ def departures(
     batch: ArrivalBatch, matrix: np.ndarray, seed: int
 ) -> Tuple[Departures, Optional[Dict[str, float]]]:
     """Replay the ideal output-queued reference switch."""
-    order = np.argsort(batch.outputs, kind="stable")
-    service = np.empty(len(batch.slots), dtype=np.int64)
-    service[order] = segmented_fifo_service(
-        batch.outputs[order], batch.slots[order]
-    )
+    departure = port_fifo_service(batch.outputs, batch.slots, batch.n)
+    departure += 1  # cut-through floor of 1 slot
     dep = Departures(
         voq=batch.voqs,
         seq=batch.seqs,
         arrival=batch.slots,
-        departure=service + 1,  # cut-through floor of 1 slot
+        departure=departure,
         wire=batch.outputs,  # OQ departures are observed in output order
     )
     return dep, None

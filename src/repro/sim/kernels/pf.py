@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...traffic.batch import ArrivalBatch
+from ...traffic.batch import ArrivalBatch, stable_voq_argsort
 from .base import (
     Departures,
     PolledQueueBank,
@@ -63,60 +63,46 @@ def departures(
     seed: int,
     threshold: Optional[int] = None,
 ) -> Tuple[Departures, Optional[Dict[str, float]]]:
-    """Replay the Padded Frames switch."""
+    """Replay the Padded Frames switch (in VOQ-grouped rows, like FOFF)."""
     n = batch.n
     threshold = _check_threshold(n, threshold)
     schedule = build_frame_schedule(batch, pf_rule(threshold))
-    member, assembled, position = frame_membership(
-        voq_grouping(batch), schedule
-    )
-
-    tx = assembled[member] + position[member]
-    mid = position[member]
-    out = batch.outputs[member]
-
-    # Fake cells fill positions size .. n-1 of their frame, heading to the
-    # padded VOQ's output.
-    padded = schedule.fakes > 0
-    reps = schedule.fakes[padded]
-    num_fakes = int(reps.sum())
-    if num_fakes:
-        fake_pos = concat_ranges(schedule.size[padded], reps)
-        fake_tx = np.repeat(schedule.slot[padded], reps) + fake_pos
-        fake_out = np.repeat(schedule.voq[padded] % n, reps)
-        queues = np.concatenate([mid * n + out, fake_pos * n + fake_out])
-        ready = np.concatenate([tx, fake_tx]) + 1
-        fifo_order = np.concatenate([tx, fake_tx])
-    else:
-        queues = mid * n + out
-        ready = tx + 1
-        fifo_order = tx
-
+    grouping = voq_grouping(batch)
+    rows, assembled, tx = frame_membership(grouping, schedule)
+    # Real cell k of a frame crosses to intermediate k at assembled + k.
+    tx += assembled
+    voq = grouping.voqs()[rows]
+    fake_queue, fake_tx, _ = _fake_cells(schedule, n)
     service = replay_polled_queues(
-        queues,
-        np.zeros(len(queues), dtype=np.int64),
-        ready,
-        fifo_order,
+        np.concatenate([(tx - assembled) * n + voq % n, fake_queue]),
+        np.broadcast_to(0, len(tx) + len(fake_tx)),
+        np.concatenate([tx, fake_tx]) + 1,
+        np.concatenate([tx, fake_tx]),
         mid_residues(n),
         n,
     )
     # The object engine's drain phase is finite: cells that would depart
     # after its horizon stay in flight there and are never observed.
     cut = drain_horizon(batch)
-    num_real = len(tx)
-    real_service = service[:num_real]
-    departed = real_service <= cut
-    fakes_departed = int(np.sum(service[num_real:] <= cut))
+    departure = service[: len(tx)]
+    departed = departure <= cut
+    fakes_departed = int(np.count_nonzero(service[len(tx) :] <= cut))
+    packet = stable_voq_argsort(batch.voqs, n)[rows]  # framed rows -> batch rows
+    if not departed.all():
+        voq, departure, assembled, tx, packet = (
+            voq[departed], departure[departed], assembled[departed],
+            tx[departed], packet[departed],
+        )
     dep = Departures(
-        voq=batch.voqs[member][departed],
-        seq=batch.seqs[member][departed],
-        arrival=batch.slots[member][departed],
-        departure=real_service[departed],
-        wire=mid[departed],
-        assembled=assembled[member][departed],
-        tx=tx[departed],
+        voq=voq,
+        seq=batch.seqs[packet],
+        arrival=batch.slots[packet],
+        departure=departure,
+        wire=tx - assembled,
+        assembled=assembled,
+        tx=tx,
     )
-    sent = int(departed.sum()) + fakes_departed
+    sent = len(departure) + fakes_departed
     extras = {"padding_overhead": fakes_departed / sent if sent else 0.0}
     return dep, extras
 

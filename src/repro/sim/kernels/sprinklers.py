@@ -28,7 +28,8 @@ def _placement_tables(matrix: np.ndarray, seed: int):
 
     Drawn from the same derived seed as the object-engine builder
     (``derive_seed(seed, "sprinklers-placement")``), so the placement —
-    and therefore every departure slot — is identical.
+    and therefore every departure slot — is identical.  Levels are below
+    16 (the polled-queue replay packs them into 4 bits): one byte each.
     """
     n = matrix.shape[0]
     placement_rng = np.random.default_rng(
@@ -44,7 +45,7 @@ def _placement_tables(matrix: np.ndarray, seed: int):
             interval = assignment.interval(i, j)
             sizes[i * n + j] = interval.size
             starts[i * n + j] = interval.start
-    return sizes, starts, np.log2(sizes).astype(np.int64)
+    return sizes, starts, np.log2(sizes).astype(np.uint8)
 
 
 def departures(
@@ -58,26 +59,10 @@ def departures(
     """
     n = batch.n
     sizes, starts, levels_tab = _placement_tables(matrix, seed)
-
-    complete, c_slot, c_order, pos = unit_completion(batch, sizes)
-    voq = batch.voqs[complete]
-    inp = batch.inputs[complete]
-    out = batch.outputs[complete]
-    size = sizes[voq]
-    start = starts[voq]
+    # Only packets of completed stripes ever leave their VOQ.
+    packet, voq, row, c, g = unit_completion(batch, sizes)
+    row += starts[voq]  # position in the stripe -> LSF row
     level = levels_tab[voq]
-    row = start + pos[complete]
-    c = c_slot[complete]
-    g = c_order[complete]
-
-    # Safe insertion (§3.4.2): a completed stripe enters the input's LSF
-    # grid at the first slot, from completion on, at which the fabric-1
-    # pointer is not strictly inside its interval; while the pointer is at
-    # start+1 .. start+size-1 the stripe waits until the pointer reaches
-    # the interval's end.
-    pointer = (inp + c) % n
-    inside = (pointer > start) & (pointer < start + size)
-    t_ins = c + np.where(inside, start + size - pointer, 0)
 
     # Stage 1: input i's LSF row `row` is polled by fabric 1 at slots
     # t ≡ row - i (mod n), serving the largest stripe class first; within
@@ -85,26 +70,59 @@ def departures(
     # one class covering a row share one dyadic interval, hence one safe-
     # insertion schedule, so insertion order equals completion order).
     tx = replay_polled_queues(
-        inp * n + row, level, t_ins, g, row_residues(n), n
+        voq // n * n + row,
+        level,
+        _insertion_slots(voq, c, sizes, starts, n),
+        g,
+        row_residues(n),
+        n,
     )
+    del g
 
     # Stage 2: the packet crosses to intermediate port `row` at tx and is
     # delivered next slot; intermediate m serves output j at slots
     # t ≡ m - j (mod n), again largest class first, FIFO by delivery
     # order (at most one delivery per intermediate per slot).
     departure = replay_polled_queues(
-        row * n + out, level, tx + 1, tx, mid_residues(n), n
+        row * n + voq % n, level, tx + 1, tx, mid_residues(n), n
     )
     dep = Departures(
         voq=voq,
-        seq=batch.seqs[complete],
-        arrival=batch.slots[complete],
+        seq=batch.seqs[packet],
+        arrival=batch.slots[packet],
         departure=departure,
         wire=row,
         assembled=c,
         tx=tx,
     )
     return dep, {"resizes": 0.0}  # oracle sizing never resizes
+
+
+def _insertion_slots(
+    voq: np.ndarray,
+    c: np.ndarray,
+    sizes: np.ndarray,
+    starts: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Safe insertion (§3.4.2) of the stripes completed at slots ``c``.
+
+    A completed stripe enters the input's LSF grid at the first slot,
+    from completion on, at which the fabric-1 pointer is not strictly
+    inside its interval; while the pointer is at start+1 .. start+size-1
+    the stripe waits until the pointer reaches the interval's end.
+    """
+    # The fabric-1 pointer (input + slot, mod n) less the interval start.
+    offset = voq // n
+    offset += c
+    offset %= n
+    offset -= starts[voq]
+    wait = sizes[voq]
+    inside = (offset > 0) & (offset < wait)
+    wait -= offset
+    wait *= inside
+    wait += c
+    return wait
 
 
 class Stream(StreamKernel):
@@ -140,20 +158,11 @@ class Stream(StreamKernel):
         voq_x, slot, seq, gidx, pos, c_slot, c_order = self._assembler.feed(
             block * n * n + inputs * n + outputs, slots, seqs, gidx
         )
-        inp = (voq_x % (n * n)) // n
-        size = self._sizes[voq_x]
-        start = self._starts[voq_x]
-        row = start + pos
-
-        # Safe insertion (§3.4.2), as in the monolithic kernel.
-        pointer = (inp + c_slot) % n
-        inside = (pointer > start) & (pointer < start + size)
-        t_ins = c_slot + np.where(inside, start + size - pointer, 0)
-
+        row = self._starts[voq_x] + pos
         tx, _, payload = self._stage1.feed(
-            (voq_x // (n * n)) * n * n + inp * n + row,
+            voq_x // n * n + row,
             self._levels[voq_x],
-            t_ins,
+            _insertion_slots(voq_x, c_slot, self._sizes, self._starts, n),
             c_order,
             (voq_x, seq, slot, row, c_slot),
             boundary,

@@ -27,26 +27,49 @@ def departures(
 ) -> Tuple[Departures, Optional[Dict[str, float]]]:
     """Replay Uniform Frame Spreading (full-frame aggregation)."""
     n = batch.n
-    frame_size = np.full(batch.n * batch.n, n, dtype=np.int64)
-    complete, c_slot, c_order, pos = unit_completion(batch, frame_size)
+    # Only packets of completed frames ever leave their VOQ.  Each VOQ
+    # contributes whole frames, so frame f is rows [f * n, f * n + n).
+    packet, voq, mid, c = unit_completion(
+        batch, np.full(n * n, n, dtype=np.int64)
+    )[:4]
+    # Packet `mid` of a frame crosses to intermediate port `mid` at
+    # start + mid.
+    tx = np.repeat(_frame_starts(voq, c, packet, n), n)
+    tx += mid
+    departure = replay_polled_queues(
+        mid * n + voq % n,
+        np.broadcast_to(0, len(tx)),
+        tx + 1,
+        tx,
+        mid_residues(n),
+        n,
+    )
+    dep = Departures(
+        voq=voq,
+        seq=batch.seqs[packet],
+        arrival=batch.slots[packet],
+        departure=departure,
+        wire=mid,
+        assembled=c,
+        tx=tx,
+    )
+    return dep, None
 
-    voq = batch.voqs[complete]
-    inp = batch.inputs[complete]
-    out = batch.outputs[complete]
-    c = c_slot[complete]
-    g = c_order[complete]
-    p = pos[complete]
 
-    # Frame spreading is cycle-aligned: a frame starts only when fabric 1
-    # connects the input to intermediate 0 (t ≡ -i mod n), frames FCFS per
-    # input by completion, back to back at best (one poll cycle apart).
-    # Compute each frame's start via the running-max recursion over the
-    # per-input frame sequence, then scatter to packets.
-    frame_last = p == n - 1
-    f_inp = inp[frame_last]
-    f_c = c[frame_last]
-    f_g = g[frame_last]
-    f_sort = np.lexsort((f_g, f_inp))
+def _frame_starts(
+    voq: np.ndarray, c: np.ndarray, packet: np.ndarray, n: int
+) -> np.ndarray:
+    """Start slot of every completed frame (frame f: rows f*n .. f*n+n-1).
+
+    Frame spreading is cycle-aligned: a frame starts only when fabric 1
+    connects the input to intermediate 0 (t ≡ -i mod n), frames FCFS per
+    input by completion, back to back at best (one poll cycle apart) —
+    the running-max recursion over each input's frame sequence.
+    """
+    last = slice(n - 1, None, n)  # each frame's completing packet
+    f_inp = voq[last] // n
+    f_c = c[last]
+    f_sort = np.lexsort((packet[last], f_inp))
     start = np.empty(len(f_inp), dtype=np.int64)
     # No completed frame at all (short run / tiny load): nothing departs.
     bounds = np.flatnonzero(
@@ -58,31 +81,7 @@ def departures(
         residue = (-i) % n
         ready = f_c[f_sort[lo:hi]]
         start[f_sort[lo:hi]] = periodic_fifo_service(ready, residue, n)
-    # Map each packet to its frame's start: frames are keyed like units.
-    f_key_sorted = np.argsort(f_g)
-    pkt_frame = np.searchsorted(f_g[f_key_sorted], g)
-    frame_start = start[f_key_sorted][pkt_frame]
-
-    tx = frame_start + p  # packet `p` of the frame crosses to intermediate p
-    mid = p
-    departure = replay_polled_queues(
-        mid * n + out,
-        np.zeros(len(tx), dtype=np.int64),
-        tx + 1,
-        tx,
-        mid_residues(n),
-        n,
-    )
-    dep = Departures(
-        voq=voq,
-        seq=batch.seqs[complete],
-        arrival=batch.slots[complete],
-        departure=departure,
-        wire=mid,
-        assembled=c,
-        tx=tx,
-    )
-    return dep, None
+    return start
 
 
 class Stream(StreamKernel):

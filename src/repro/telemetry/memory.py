@@ -3,7 +3,7 @@
 ``resource.getrusage`` is effectively free, so the peak-RSS figure is
 recorded whenever telemetry is on.  ``tracemalloc`` costs real
 throughput (every allocation is traced), so it only runs when the run
-opted in (``REPRO_TELEMETRY_MEM=1`` or ``telemetry.capture(memory=True)``)
+opted in (``REPRO_TELEMETRY_MEM=1`` or ``telemetry.enable(memory=True)``)
 — never implicitly.
 """
 
@@ -39,9 +39,11 @@ def peak_rss_bytes() -> Optional[int]:
 class MemoryProbe:
     """Bracket a region: peak RSS delta plus optional tracemalloc peak.
 
-    The tracemalloc section is careful not to stomp an outer trace: if
-    tracing was already started (e.g. by ``benchmarks/bench_memory.py``)
-    the probe only reads the peak, never stops tracing.
+    The tracemalloc section never touches an outer trace: if tracing was
+    already started (e.g. by ``benchmarks/bench_memory.py`` or
+    ``tests/test_memory_budget.py``), the region's own peak cannot be
+    read without resetting the outer one, so the probe neither resets nor
+    stops tracing and reports no ``tracemalloc_peak_bytes``.
     """
 
     __slots__ = ("_use_tracemalloc", "_started_tracemalloc", "_rss_before", "result")
@@ -54,12 +56,9 @@ class MemoryProbe:
 
     def __enter__(self) -> "MemoryProbe":
         self._rss_before = peak_rss_bytes()
-        if self._use_tracemalloc:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
-            else:
-                tracemalloc.reset_peak()
+        if self._use_tracemalloc and not tracemalloc.is_tracing():
+            tracemalloc.start()
+            self._started_tracemalloc = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -71,9 +70,8 @@ class MemoryProbe:
                 # ru_maxrss is a high-water mark; the delta is 0 when
                 # this region did not push a new peak.
                 out["peak_rss_delta_bytes"] = max(0, rss_after - self._rss_before)
-        if self._use_tracemalloc and tracemalloc.is_tracing():
+        if self._started_tracemalloc:
             _, traced_peak = tracemalloc.get_traced_memory()
             out["tracemalloc_peak_bytes"] = int(traced_peak)
-            if self._started_tracemalloc:
-                tracemalloc.stop()
+            tracemalloc.stop()
         self.result = out

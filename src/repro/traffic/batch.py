@@ -49,6 +49,14 @@ def stable_voq_argsort(voqs: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(voqs, kind="stable")
 
 
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """Concatenate ``parts`` and empty the list, so the chunks free as
+    soon as the whole column exists."""
+    whole = np.concatenate(parts) if parts else np.empty(0, np.int64)
+    parts.clear()
+    return whole
+
+
 class ArrivalBatch(NamedTuple):
     """One batch of arrivals in structure-of-arrays form.
 
@@ -150,29 +158,21 @@ class BatchTrafficGenerator:
                 dests,
             )
 
+    def _chunk_columns(self, num_slots: int) -> List[List[np.ndarray]]:
+        """A run's ``(slots, inputs, outputs)`` chunks, one list each."""
+        columns: List[List[np.ndarray]] = [[], [], []]
+        for chunk in self._event_chunks(num_slots):
+            for parts, values in zip(columns, chunk):
+                parts.append(values)
+        return columns
+
     def draw(self, num_slots: int) -> ArrivalBatch:
         """Draw ``num_slots`` slots of arrivals as one batch of arrays."""
         if num_slots <= 0:
             raise ValueError("num_slots must be positive")
         n = self.n
-        slot_parts: List[np.ndarray] = []
-        input_parts: List[np.ndarray] = []
-        output_parts: List[np.ndarray] = []
-        for slots, inputs, dests in self._event_chunks(num_slots):
-            slot_parts.append(slots)
-            input_parts.append(inputs)
-            output_parts.append(dests)
-
-        slots_all = (
-            np.concatenate(slot_parts) if slot_parts else np.empty(0, np.int64)
-        )
-        inputs_all = (
-            np.concatenate(input_parts) if input_parts else np.empty(0, np.int64)
-        )
-        outputs_all = (
-            np.concatenate(output_parts)
-            if output_parts
-            else np.empty(0, np.int64)
+        slots_all, inputs_all, outputs_all = (
+            _joined(parts) for parts in self._chunk_columns(num_slots)
         )
         seqs = self._assign_seqs(inputs_all * n + outputs_all)
         self.generated += len(slots_all)
@@ -239,9 +239,9 @@ class BatchTrafficGenerator:
         counts = np.bincount(voqs, minlength=self.n * self.n)
         # Rank within each voq group: the packet's place in the
         # VOQ-sorted batch minus where its group starts.
-        place = np.empty(len(voqs), dtype=np.int64)
-        place[stable_voq_argsort(voqs, self.n)] = np.arange(len(voqs))
-        seqs = place - (np.cumsum(counts) - counts - self._seq_next)[voqs]
+        seqs = np.empty(len(voqs), dtype=np.int64)
+        seqs[stable_voq_argsort(voqs, self.n)] = np.arange(len(voqs))
+        seqs -= (np.cumsum(counts) - counts - self._seq_next)[voqs]
         self._seq_next += counts
         return seqs
 

@@ -11,8 +11,10 @@ bank of periodic priority queues must agree on every generated case:
 
 Plus: :class:`PolledQueueBank` fed under random window cuts equals one
 monolithic call, levels that do not fit the 4-bit packing are rejected,
-and :func:`segmented_running_max` equals a Python loop on both of its
-branches.
+a zero-stride level column replays like a real one,
+:func:`segmented_running_max` equals a Python loop on both of its
+branches (in place too), and :func:`unit_completion` /
+:func:`port_fifo_service` equal per-VOQ / per-port Python walks.
 """
 
 from __future__ import annotations
@@ -24,10 +26,15 @@ from hypothesis import strategies as st
 
 from repro.sim.kernels.base import (
     PolledQueueBank,
+    Units,
+    port_fifo_service,
     replay_polled_queues,
     segmented_running_max,
+    unit_completion,
 )
 from repro.sim.kernels.compiled.polled_pass import serve_polled
+from repro.traffic.batch import BatchTrafficGenerator
+from repro.traffic.matrices import diagonal_matrix
 
 
 @st.composite
@@ -161,6 +168,20 @@ class TestReplayPolledQueues:
         empty = np.empty(0, dtype=np.int64)
         assert len(replay_polled_queues(empty, empty, empty, empty, empty, 4)) == 0
 
+    def test_zero_stride_levels_equal_a_level_column(self):
+        rng = np.random.default_rng(3)
+        queues = rng.integers(0, 6, 300)
+        ready = rng.integers(0, 80, 300)
+        order = rng.permutation(300)
+        residues = np.array([0, 1, 2, 0, 1, 2])
+        want = replay_polled_queues(
+            queues, np.full(300, 5), ready, order, residues, 3
+        )
+        got = replay_polled_queues(
+            queues, np.broadcast_to(5, 300), ready, order, residues, 3
+        )
+        np.testing.assert_array_equal(got, want)
+
 
 class TestPolledQueueBank:
     @settings(max_examples=200, deadline=None)
@@ -223,5 +244,66 @@ class TestSegmentedRunningMax:
                 segment.append(seg)
                 expected.append(best)
         values = np.array(values, dtype=np.int64)
-        got = segmented_running_max(values, np.array(segment, dtype=np.int64))
-        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64))
+        segment = np.array(segment, dtype=np.int64)
+        expected = np.array(expected, dtype=np.int64)
+        got = segmented_running_max(values, segment)
+        np.testing.assert_array_equal(got, expected)
+        assert segmented_running_max(values, segment, out=values) is values
+        np.testing.assert_array_equal(values, expected)
+
+
+def arrivals(n, load, seed, slots):
+    matrix = diagonal_matrix(n, load)
+    return BatchTrafficGenerator(matrix, np.random.default_rng(seed)).draw(slots)
+
+
+class TestUnitCompletion:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2 ** 16),
+        slots=st.integers(1, 120),
+        data=st.data(),
+    )
+    def test_equals_a_per_voq_walk(self, n, seed, slots, data):
+        batch = arrivals(n, 0.9, seed, slots)
+        unit_size = np.array(
+            data.draw(st.lists(st.integers(1, 4), min_size=n * n,
+                               max_size=n * n)),
+            dtype=np.int64,
+        )
+        want = {field: [] for field in Units._fields}
+        voqs = batch.voqs
+        for voq in range(n * n):
+            rows = np.flatnonzero(voqs == voq)
+            size = int(unit_size[voq])
+            for rank in range(len(rows) - len(rows) % size):
+                last = rows[rank - rank % size + size - 1]
+                want["packet"].append(rows[rank])
+                want["voq"].append(voq)
+                want["pos"].append(rank % size)
+                want["c_slot"].append(batch.slots[last])
+                want["c_order"].append(last)
+        got = unit_completion(batch, unit_size)
+        for field in Units._fields:
+            np.testing.assert_array_equal(
+                getattr(got, field), np.array(want[field], dtype=np.int64)
+            )
+
+
+class TestPortFifoService:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2 ** 16),
+        slots=st.integers(1, 120),
+    )
+    def test_equals_a_per_port_walk(self, n, seed, slots):
+        batch = arrivals(n, 0.9, seed, slots)
+        want = np.empty(len(batch), dtype=np.int64)
+        free = [0] * n  # first slot each output's FIFO is free
+        for k, (port, ready) in enumerate(zip(batch.outputs, batch.slots)):
+            want[k] = max(int(ready), free[port])
+            free[port] = want[k] + 1
+        got = port_fifo_service(batch.outputs, batch.slots, n)
+        np.testing.assert_array_equal(got, want)

@@ -9,10 +9,12 @@ code it replaced:
 
 * :func:`composite_argsort` equals ``np.lexsort`` on unique pairs on all
   three of its paths (value sort, packed argsort, lexsort), with keys
-  that just fit and just miss the value-sort bound;
-* the scatter :func:`frame_membership` equals a searchsorted copy of the
-  old implementation kept here — PF's never-framed tails and batches
-  whose seqs continue an earlier draw included;
+  that just fit and just miss the value-sort bound, and a stable argsort
+  without a minor key;
+* the scatter :func:`frame_membership` over VOQ-grouped rows equals a
+  searchsorted copy of the old per-packet implementation kept here —
+  PF's never-framed tails and batches whose seqs continue an earlier
+  draw included;
 * :class:`FramedPacketBuffer` fed under random window cuts, with one and
   with several seed blocks, frames every packet exactly as the
   monolithic membership does.
@@ -102,6 +104,21 @@ class TestCompositeArgsort:
         empty = np.empty(0, dtype=np.int64)
         assert len(composite_argsort(empty, empty)) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        major=st.lists(st.integers(0, INT64_MAX), min_size=1, max_size=40),
+        ties=st.booleans(),
+    )
+    def test_rows_break_ties_without_minor(self, major, ties):
+        """No minor: a stable argsort, by value sort while the row bits
+        fit beside the key and by NumPy's stable argsort otherwise."""
+        major = np.array(major, dtype=np.int64)
+        if ties:
+            major %= 5
+        np.testing.assert_array_equal(
+            composite_argsort(major), np.argsort(major, kind="stable")
+        )
+
 
 def searchsorted_membership(batch, schedule):
     """The pre-scatter ``frame_membership``: a stable VOQ argsort for the
@@ -155,6 +172,27 @@ def rule_for(name, n):
     return pf_rule(max(1, n // 2) if name == "pf-half" else n)
 
 
+def batch_membership(batch, schedule):
+    """:func:`frame_membership` mapped back to batch rows:
+    ``(member, assembled, position, rank)`` per packet."""
+    grouping = voq_grouping(batch)
+    rows, assembled, position = frame_membership(grouping, schedule)
+    # Grouped row r holds batch row order[r]: the stable VOQ grouping.
+    order = np.argsort(batch.voqs, kind="stable")
+    np.testing.assert_array_equal(grouping.voqs(), batch.voqs[order])
+    framed = order[rows]
+    member = np.zeros(len(batch), dtype=bool)
+    member[framed] = True
+    by_packet = []
+    for values in (assembled, position):
+        column = np.zeros(len(batch), dtype=np.int64)
+        column[framed] = values
+        by_packet.append(column)
+    rank = np.empty(len(batch), dtype=np.int64)
+    rank[order] = np.arange(len(batch)) - grouping.starts[grouping.voqs()]
+    return (member, *by_packet, rank)
+
+
 class TestFrameMembership:
     @settings(max_examples=150, deadline=None)
     @given(case=cases, continued=st.booleans())
@@ -167,19 +205,14 @@ class TestFrameMembership:
             # minus a nonzero per-VOQ base.
             batch = gen.draw(case["slots"])
         schedule = build_frame_schedule(batch, rule_for(case["rule"], n))
-        grouping = voq_grouping(batch)
-        member, assembled, position = frame_membership(grouping, schedule)
+        member, assembled, position, rank = batch_membership(batch, schedule)
         want_member, want_assembled, want_position, want_rank = (
             searchsorted_membership(batch, schedule)
         )
-        np.testing.assert_array_equal(grouping.rank, want_rank)
+        np.testing.assert_array_equal(rank, want_rank)
         np.testing.assert_array_equal(member, want_member)
         np.testing.assert_array_equal(assembled[member], want_assembled[member])
         np.testing.assert_array_equal(position[member], want_position[member])
-        # place is the stable VOQ grouping's inverse permutation.
-        np.testing.assert_array_equal(
-            np.argsort(grouping.place), np.argsort(batch.voqs, kind="stable")
-        )
         if case["rule"] == "foff":
             assert member.all()
 
@@ -202,11 +235,9 @@ class TestFramedPacketBuffer:
         # Monolithic membership per block, keyed by generation index.
         want = []
         for batch in batches:
-            grouping = voq_grouping(batch)
-            member, assembled, position = frame_membership(
-                grouping, build_frame_schedule(batch, rule)
+            want.append(
+                batch_membership(batch, build_frame_schedule(batch, rule))
             )
-            want.append((member, assembled, position, grouping.rank))
 
         formation = FrameFormationStream(n, blocks, rule)
         buffer = FramedPacketBuffer(blocks * n * n)

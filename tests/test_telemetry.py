@@ -385,6 +385,29 @@ class TestRunProbes:
         # as_row stays flat: the nested payload never leaks into tables.
         assert "telemetry" not in result.as_row()
 
+    def test_memory_capture_keeps_an_outer_tracemalloc_peak(self):
+        """A memory-telemetry run inside someone else's tracemalloc
+        bracket leaves that bracket's peak alone (it used to reset it)."""
+        import tracemalloc
+
+        import numpy as np
+
+        tracemalloc.start()
+        try:
+            block = np.ones(4 << 20)  # 32 MiB, far above the run's peak
+            del block
+            _, before = tracemalloc.get_traced_memory()
+            with telemetry.scope(memory=True):
+                result = run_single("ufs", uniform_matrix(4, 0.5), 300)
+            _, after = tracemalloc.get_traced_memory()
+            assert tracemalloc.is_tracing()  # the outer trace still runs
+        finally:
+            tracemalloc.stop()
+        assert after >= before >= 32 << 20
+        payload = result.extras["telemetry"]
+        assert "tracemalloc_peak_bytes" not in payload
+        assert payload["peak_rss_bytes"] > 0
+
 
 class TestParity:
     """Telemetry observes; it must never change what runs compute."""
