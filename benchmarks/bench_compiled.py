@@ -1,9 +1,11 @@
-"""Benchmark: compiled kernel backend vs the NumPy reference.
+"""Benchmark: compiled kernel passes vs the NumPy passes.
 
-The compiled backend (``repro.sim.kernels.compiled``) replaces the three
+The compiled passes (``repro.sim.kernels.compiled``) replace the three
 hot scalar-recursion passes of the vectorized replay — frame formation,
 polled-queue service, the per-VOQ reordering fold — with numba ``@njit``
-loops.  This module pins the two claims that make it shippable:
+loops, and run exactly when numba imports.  This module flips the
+``compiled.ACTIVE`` seam to time both on one host, and pins the two
+claims that make the compiled passes shippable:
 
 * **bit parity, always**: every row asserts ``to_dict()`` equality
   between the NumPy and compiled runs (extras included), on every
@@ -28,12 +30,13 @@ import os
 import time
 
 from repro.sim.experiment import run_single
+from repro.sim.kernels import compiled
 from repro.sim.kernels.compiled import compiled_available
 from repro.traffic.matrices import uniform_matrix
 
 from benchmarks.conftest import bench_n, bench_slots, emit, write_bench_artifact
 
-#: The switches the compiled backend accelerates hardest: the frame
+#: The switches the compiled passes accelerate hardest: the frame
 #: switches run the per-cycle formation stepper (the bar applies to
 #: these) and sprinklers exercises the polled-service + fold passes.
 FRAME_SWITCHES = ("pf", "foff")
@@ -49,13 +52,14 @@ MIN_SPEEDUP = os.environ.get("REPRO_BENCH_MIN_SPEEDUP_COMPILED")
 FALLBACK_SLOTS_CAP = 2_000
 
 
-def _time_backend(switch, matrix, slots, backend, repeats=2):
-    """Min-of-N wall clock for one (switch, backend) cell.
+def _time_passes(monkeypatch, switch, matrix, slots, active, repeats=2):
+    """Min-of-N wall clock for one switch, compiled passes on or off.
 
     Minimum-of-N is the steady-state estimator the other bench modules
-    use; for the compiled backend the first call additionally absorbs
+    use; for the compiled passes the first call additionally absorbs
     numba's JIT compilation, which min-of-N discards by design.
     """
+    monkeypatch.setattr(compiled, "ACTIVE", active)
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -68,13 +72,12 @@ def _time_backend(switch, matrix, slots, backend, repeats=2):
             load_label=LOAD,
             keep_samples=False,
             engine="vectorized",
-            backend=backend,
         )
         best = min(best, time.perf_counter() - start)
     return result, best
 
 
-def test_compiled_backend_speedup():
+def test_compiled_backend_speedup(monkeypatch):
     n = bench_n()
     slots = bench_slots()
     have_numba = compiled_available()
@@ -83,8 +86,8 @@ def test_compiled_backend_speedup():
     matrix = uniform_matrix(n, LOAD)
     rows = []
     for switch in SWITCHES:
-        ref, t_ref = _time_backend(switch, matrix, slots, "numpy")
-        com, t_com = _time_backend(switch, matrix, slots, "compiled")
+        ref, t_ref = _time_passes(monkeypatch, switch, matrix, slots, False)
+        com, t_com = _time_passes(monkeypatch, switch, matrix, slots, True)
         # Bit parity is the contract, everywhere: the compiled loops are
         # the same decisions and the same arithmetic as the NumPy
         # passes, so the *entire* result payload must agree.
@@ -106,7 +109,7 @@ def test_compiled_backend_speedup():
             f"{row['compiled_s']:8.3f}s {row['speedup']:7.1f}x"
         )
     emit(
-        f"Compiled-backend shoot-out (N={n}, load {LOAD}, {slots} slots, "
+        f"Compiled-pass shoot-out (N={n}, load {LOAD}, {slots} slots, "
         f"numba={'yes' if have_numba else 'no — pure-Python fallback'})",
         "\n".join(lines),
     )

@@ -55,7 +55,6 @@ from .figures.render import rows_to_csv
 from .models import PAPER_SWITCHES
 from .scenarios import apply_overrides, list_scenarios, resolve_scenario
 from .sim.experiment import ENGINES, execute, plan_run, run_single
-from .sim.kernels.compiled import KERNEL_BACKENDS, kernel_backend
 from .traffic.matrices import uniform_matrix
 
 __all__ = ["main", "build_parser"]
@@ -80,20 +79,6 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
         "--no-store",
         action="store_true",
         help="disable the experiment store (overrides --store and the env)",
-    )
-
-
-def _add_backend_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend-kernel",
-        choices=KERNEL_BACKENDS,
-        default=None,
-        metavar="NAME",
-        help=(
-            "kernel backend for the vectorized engine's hot passes: "
-            "'numpy' (the reference) or 'compiled' (numba-jitted, "
-            "bit-identical results; runs as pure Python without numba)"
-        ),
     )
 
 
@@ -193,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "paper's switches (repeatable; see `fabrics list`)"
             ),
         )
-        _add_backend_kernel_flag(p)
         _add_store_flags(p)
         _add_trace_flag(p)
 
@@ -296,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(e.g. --set schedule.kind=sine --set schedule.depth=0.4)"
         ),
     )
-    _add_backend_kernel_flag(run)
     _add_store_flags(run)
     _add_trace_flag(run)
 
@@ -355,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
             "identical results)"
         ),
     )
-    _add_backend_kernel_flag(fab_run)
     _add_store_flags(fab_run)
     _add_trace_flag(fab_run)
     fab_delay = fabrics_sub.add_parser(
@@ -379,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     fab_delay.add_argument(
         "--window-slots", type=int, default=None, metavar="W",
     )
-    _add_backend_kernel_flag(fab_delay)
     _add_store_flags(fab_delay)
     _add_trace_flag(fab_delay)
 
@@ -471,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, nargs="+", default=[0],
         help="seed block (one full grid per seed)",
     )
-    _add_backend_kernel_flag(submit_p)
     submit_p.add_argument(
         "--watch", action="store_true",
         help="stream the job's JSONL events until it completes",
@@ -586,10 +566,9 @@ def _cmd_fig(args: argparse.Namespace, module) -> str:
         store=_resolve_store(args),
         window_slots=args.window_slots,
     )
-    with kernel_backend(args.backend_kernel):
-        if args.csv:
-            return rows_to_csv(module.generate(**kwargs))
-        return module.render(**kwargs)
+    if args.csv:
+        return rows_to_csv(module.generate(**kwargs))
+    return module.render(**kwargs)
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> str:
@@ -622,7 +601,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> str:
             num_slots=args.slots,
             seed=args.seed,
             window_slots=args.window_slots,
-            backend=args.backend_kernel,
         )
         result = execute(plan, _resolve_store(args))
         lines = [
@@ -733,7 +711,6 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
             num_slots=args.slots,
             seed=args.seed,
             window_slots=args.window_slots,
-            backend=args.backend_kernel,
         )
         result = execute(plan, _resolve_store(args))
         lines = [
@@ -758,10 +735,9 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
             store=_resolve_store(args),
             window_slots=args.window_slots,
         )
-        with kernel_backend(args.backend_kernel):
-            if args.csv:
-                return rows_to_csv(fabric_delay.generate(**kwargs))
-            return fabric_delay.render(**kwargs)
+        if args.csv:
+            return rows_to_csv(fabric_delay.generate(**kwargs))
+        return fabric_delay.render(**kwargs)
     raise AssertionError(  # pragma: no cover - argparse enforces choices
         f"unhandled fabrics command {args.fabrics_command}"
     )
@@ -1040,7 +1016,6 @@ def _cmd_service_client(args: argparse.Namespace) -> tuple:
             "n": args.n,
             "num_slots": args.slots,
             "seeds": args.seeds,
-            "backend": args.backend_kernel,
         })
         if not args.watch:
             return json.dumps({"job_id": job_id}), 0

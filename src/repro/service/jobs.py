@@ -19,6 +19,8 @@ worker-process boundary.  Workloads are declarative — a §6 pattern
 (``uniform``/``diagonal``), a registered scenario, a spec-file path, a
 ``trace:<path>`` designator, or a scenario spec dict — never raw
 matrices, so a shard stays a few hundred bytes no matter the port count.
+``from_dict`` ignores keys it does not read, such as the ``backend`` an
+older client still sends.
 """
 
 from __future__ import annotations
@@ -51,11 +53,10 @@ class ShardSpec:
     load: float
     num_slots: int
     seed: int
-    #: Engine and kernel backend ("numpy"/"compiled") the worker should
-    #: run under; results (and therefore shard keys) are invariant to both.
+    #: Engine the worker should run under; results (and therefore shard
+    #: keys) are invariant to it.
     engine: Optional[str] = None
     switch_params: Optional[Dict] = None
-    backend: Optional[str] = None
 
     def to_dict(self) -> Dict:
         return {
@@ -69,7 +70,6 @@ class ShardSpec:
             "switch_params": (
                 dict(self.switch_params) if self.switch_params else None
             ),
-            "backend": self.backend,
         }
 
     @classmethod
@@ -83,7 +83,6 @@ class ShardSpec:
             seed=int(data["seed"]),
             engine=data.get("engine") or None,
             switch_params=data.get("switch_params") or None,
-            backend=data.get("backend") or None,
         )
 
 
@@ -106,7 +105,6 @@ class JobRequest:
     seeds: Tuple[int, ...] = (0,)
     engine: Optional[str] = None
     switch_params: Optional[Dict] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "switches", tuple(self.switches))
@@ -135,7 +133,6 @@ class JobRequest:
             "switch_params": (
                 dict(self.switch_params) if self.switch_params else None
             ),
-            "backend": self.backend,
         }
 
     @classmethod
@@ -149,7 +146,6 @@ class JobRequest:
             seeds=tuple(data.get("seeds") or (0,)),
             engine=data.get("engine") or None,
             switch_params=data.get("switch_params") or None,
-            backend=data.get("backend") or None,
         )
 
 
@@ -165,7 +161,6 @@ def expand_shards(request: JobRequest) -> List[ShardSpec]:
             seed=seed,
             engine=request.engine,
             switch_params=request.switch_params,
-            backend=request.backend,
         )
         for seed in request.seeds
         for load in request.loads
@@ -188,7 +183,6 @@ def shard_run_kwargs(shard: ShardSpec) -> Dict:
         "switch_params": shard.switch_params,
         # Validated at plan time, never part of the key.
         "engine": shard.engine,
-        "backend": shard.backend,
         **cell_workload(shard.workload, shard.n, shard.load),
     }
 

@@ -9,9 +9,11 @@ described by exactly one value, a :class:`RunPlan`:
   here, before any store is consulted or any packet is drawn.
 * :meth:`RunPlan.store_params` / :attr:`RunPlan.key` are the plan's
   identity in the experiment store (:mod:`repro.store`).  The
-  execution-detail fields ``engine``, ``window_slots`` and ``backend``
-  ride on the plan but are not read by ``store_params``: they cannot
-  enter a key.
+  execution-detail fields ``engine`` and ``window_slots`` ride on the
+  plan but are not read by ``store_params``: they cannot enter a key.
+  Which kernel passes run (compiled where numba imports, NumPy
+  otherwise; :mod:`repro.sim.kernels.compiled`) is a fact of the host,
+  not of the plan.
 * :func:`execute` is fetch-or-simulate-and-save, for switches
   (:mod:`repro.models`) and fabrics alike, on the engine the plan
   resolved.
@@ -39,7 +41,6 @@ from ..scenarios.registry import SCENARIOS, resolve_scenario
 from ..scenarios.spec import ScenarioSpec, effective_matrix
 from ..sim.engine import SimulationEngine
 from ..sim.fast_engine import run_single_fast
-from ..sim.kernels.compiled import KERNEL_BACKENDS, kernel_backend
 from ..sim.metrics import SimulationResult
 from ..sim.rng import traffic_rng
 from ..store import ExperimentStore, cache_key, coerce_store
@@ -106,7 +107,6 @@ class RunPlan:
     #: engine that runs, already resolved by :func:`plan_run`.
     engine: str
     window_slots: Optional[int] = None
-    backend: Optional[str] = None
 
     @property
     def n(self) -> int:
@@ -181,7 +181,6 @@ def plan_run(
     load: Optional[float] = None,
     switch_params: Optional[Dict] = None,
     window_slots: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> RunPlan:
     """Validate and resolve one run's arguments into a :class:`RunPlan`.
 
@@ -192,11 +191,6 @@ def plan_run(
     kernels model the switch (every stage, for a fabric) with its
     parameters, else object; an explicit ``"object"`` forces the oracle.
     """
-    if backend is not None and backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; known: "
-            + ", ".join(KERNEL_BACKENDS)
-        )
     if engine is not None and engine not in ENGINES:
         known = ", ".join(ENGINES)
         raise ValueError(f"unknown engine {engine!r}; known: {known}")
@@ -252,7 +246,6 @@ def plan_run(
             "vectorized" if vectorizable and engine != "object" else "object"
         ),
         window_slots=window_slots,
-        backend=backend,
     )
 
 
@@ -313,8 +306,7 @@ def execute(
 ) -> SimulationResult:
     """Fetch ``plan``'s result from ``store``, or simulate and save it.
 
-    The simulation runs under ``plan.backend`` and a telemetry capture;
-    when telemetry is on, the capture payload (wall seconds, peak RSS,
+    The simulation runs under a telemetry capture; when telemetry is on, the capture payload (wall seconds, peak RSS,
     metrics snapshot — process-cumulative at run exit) is attached as
     ``extras["telemetry"]`` *before* the save, so a later hit carries
     the telemetry of the run that computed it, not of the fetch.
@@ -330,7 +322,7 @@ def execute(
     cap = telemetry.capture(
         "run.fabric" if plan.fabric is not None else "run.single"
     )
-    with cap, kernel_backend(plan.backend):
+    with cap:
         result = _simulate(plan)
     if cap.result is not None:
         result.extras["telemetry"] = cap.result
@@ -354,7 +346,6 @@ def run_single(
     store: Union[None, str, ExperimentStore] = None,
     switch_params: Optional[Dict] = None,
     window_slots: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> SimulationResult:
     """Build switch + traffic from a seed and simulate one configuration:
     ``execute(plan_run(...), store)``.
@@ -396,19 +387,17 @@ def run_single(
 
     ``window_slots`` streams the vectorized replay in windows of that
     many slots (bounded arrival memory, bit-identical results — see
-    :func:`repro.sim.fast_engine.run_single_fast`) and ``backend``
-    selects the kernel backend ("numpy" or "compiled",
-    :mod:`repro.sim.kernels.compiled`; ``None`` keeps whatever is
-    globally active).  These and ``engine`` are validated with
-    everything else but change no result, so none enters the store key
-    — a run computed one way is a cache hit for the other — and engines
-    or switches that cannot stream simply ignore ``window_slots``.
+    :func:`repro.sim.fast_engine.run_single_fast`).  It and ``engine``
+    are validated with everything else but change no result, so neither
+    enters the store key — a run computed one way is a cache hit for the
+    other — and engines or switches that cannot stream simply ignore
+    ``window_slots``.
     """
     return execute(
         plan_run(
             switch_name, matrix, num_slots, seed, load_label,
             warmup_fraction, keep_samples, engine, scenario, n, load,
-            switch_params, window_slots, backend,
+            switch_params, window_slots,
         ),
         store,
     )
@@ -427,7 +416,6 @@ def resolve_run_params(
     n: Optional[int] = None,
     load: Optional[float] = None,
     switch_params: Optional[Dict] = None,
-    backend: Optional[str] = None,
 ) -> Dict:
     """The store cache-key parameters :func:`run_single` would use, without
     running anything: ``plan_run(...).store_params()``.
@@ -439,7 +427,6 @@ def resolve_run_params(
     return plan_run(
         switch_name, matrix, num_slots, seed, load_label, warmup_fraction,
         keep_samples, engine, scenario, n, load, switch_params,
-        backend=backend,
     ).store_params()
 
 
@@ -486,7 +473,6 @@ def plan_cell(
     keep_samples: bool = False,
     engine: Optional[str] = None,
     window_slots: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> RunPlan:
     """The plan of one (pattern, load, switch-or-fabric) grid cell."""
     return plan_run(
@@ -496,7 +482,6 @@ def plan_cell(
         keep_samples=keep_samples,
         engine=engine,
         window_slots=window_slots,
-        backend=backend,
         **cell_workload(pattern, n, load),
     )
 
@@ -512,7 +497,6 @@ def delay_vs_load_sweep(
     engine: Optional[str] = None,
     store: Union[None, str, ExperimentStore] = None,
     window_slots: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[SimulationResult]:
     """The paper's §6 experiment grid: all switches across a load sweep.
 
@@ -538,7 +522,7 @@ def delay_vs_load_sweep(
             execute(
                 plan_cell(
                     pattern, name, n, load, num_slots, seed, keep_samples,
-                    engine, window_slots=window_slots, backend=backend,
+                    engine, window_slots=window_slots,
                 ),
                 cache,
             )

@@ -53,7 +53,7 @@ from ..sim.rng import traffic_rng
 from ..traffic.batch import BatchTrafficGenerator
 from ..traffic.matrices import validate_matrix
 from .kernels.base import Departures, composite_argsort, segmented_running_max
-from .kernels.compiled import compiled_active
+from .kernels import compiled
 from .kernels.compiled.fold_pass import fold_running_max
 
 __all__ = [
@@ -95,7 +95,7 @@ def _fold_reordering(
     prev)`` where ``prev`` is the per-packet predecessor max (for
     displacement).
     """
-    if compiled_active():
+    if compiled.ACTIVE:
         prev = np.empty(len(voq), dtype=np.int64)
         fold_running_max(voq, seq, prev_max, prev)
         return prev > seq, prev

@@ -32,7 +32,7 @@ import numpy as np
 
 from ... import telemetry
 from ...traffic.batch import ArrivalBatch, stable_voq_argsort
-from .compiled import compiled_active
+from . import compiled
 from .compiled.polled_pass import serve_polled
 
 __all__ = [
@@ -287,9 +287,9 @@ def replay_polled_queues(
     # first usable poll into the poll that serves it.
     packed = packed[grouping]
     polls = polls[grouping]
-    if compiled_active():
-        # Compiled backend: the same grouping feeds the scalar mirror
-        # (queue by queue); bit-identical by the parity grid.
+    if compiled.ACTIVE:
+        # numba imports: the same grouping feeds the compiled scalar
+        # mirror (queue by queue); bit-identical by the parity grid.
         serve_polled(packed, polls.copy(), polls)
     else:
         _peel_levels(packed, polls, present)

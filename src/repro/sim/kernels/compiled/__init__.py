@@ -1,101 +1,55 @@
-"""Optional compiled kernel backend for the hot scalar-recursion passes.
+"""Compiled implementations of the hot scalar-recursion passes.
 
 Three per-element recursions dominate the vectorized replay at scale:
 frame formation (:mod:`.frames_pass`), polled-queue service
 (:mod:`.polled_pass`), and the per-VOQ reordering fold
 (:mod:`.fold_pass`).  Each is reimplemented here as a numba ``@njit``
 scalar loop that is *bit-identical* to its NumPy counterpart — same
-decisions, same arithmetic, same outputs — so switching backend never
-changes a result (and store cache keys deliberately ignore it).
+decisions, same arithmetic, same outputs — so which one runs never
+changes a result (and store cache keys never see it).
 
-Backend selection is process-global, mirroring how the telemetry switch
-works: ``set_kernel_backend("compiled")`` flips every subsequent replay,
-and :func:`kernel_backend` scopes a selection to a ``with`` block (the
-form ``run_single(..., backend=...)`` and the CLI's ``--backend-kernel``
-use).  Without numba installed the compiled passes run as plain Python —
-the same code path, orders of magnitude slower — which keeps the parity
-grid meaningful everywhere; :func:`compiled_available` reports whether
-the real speedup is on the table.
+Which one runs is a platform fact, not a choice: the compiled passes run
+exactly when numba imports (:data:`ACTIVE`), and the NumPy passes
+otherwise.  The three dispatch points read ``compiled.ACTIVE`` as a
+module attribute at call time, which is the test seam: the parity
+suites ``monkeypatch.setattr`` it to pin one implementation against the
+other.  Without numba the compiled passes still run — as plain Python,
+exact but slow — which is how those suites exercise them on every host.
+:func:`compiled_available` / :func:`get_kernel_backend` report which
+path a host's runs take.
 """
 
 from __future__ import annotations
 
 import importlib
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Tuple
 
 from . import fold_pass, frames_pass, polled_pass
 from ._jit import HAVE_NUMBA
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "compiled_active",
+    "ACTIVE",
     "compiled_available",
     "fold_pass",
     "frames_pass",
     "get_kernel_backend",
-    "kernel_backend",
     "polled_pass",
     "resolve_compiled_passes",
-    "set_kernel_backend",
 ]
 
-#: The selectable kernel backends.  "numpy" is the pinned reference the
-#: parity suites define correctness against; "compiled" must match it
-#: bit for bit.
-KERNEL_BACKENDS: Tuple[str, ...] = ("numpy", "compiled")
-
-_backend = "numpy"
+#: Whether the replay dispatches the compiled passes: exactly when numba
+#: imports.  Set once at import; nothing in the library assigns it.
+ACTIVE: bool = HAVE_NUMBA
 
 
 def compiled_available() -> bool:
-    """Whether numba is importable (the compiled passes actually compile).
-
-    The "compiled" backend is selectable either way — without numba the
-    passes run as pure Python, exact but slow, which is how the parity
-    grid exercises them on minimal installs.
-    """
+    """Whether numba is importable (the compiled passes actually compile)."""
     return HAVE_NUMBA
 
 
 def get_kernel_backend() -> str:
-    """The currently selected backend name."""
-    return _backend
-
-
-def compiled_active() -> bool:
-    """True when the compiled passes should be dispatched (the hot check
-    the kernel branch points call once per pass)."""
-    return _backend == "compiled"
-
-
-def set_kernel_backend(name: str) -> None:
-    """Select the process-global kernel backend."""
-    if name not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; known: "
-            + ", ".join(KERNEL_BACKENDS)
-        )
-    global _backend
-    _backend = name
-
-
-@contextmanager
-def kernel_backend(name: Optional[str] = None) -> Iterator[None]:
-    """Scope a backend selection to a ``with`` block.
-
-    ``None`` is a no-op (keep whatever is active) so call sites can
-    thread an optional ``backend=`` argument through unconditionally.
-    """
-    if name is None:
-        yield
-        return
-    previous = _backend
-    set_kernel_backend(name)
-    try:
-        yield
-    finally:
-        set_kernel_backend(previous)
+    """The passes replays run on: ``"compiled"`` or ``"numpy"``."""
+    return "compiled" if ACTIVE else "numpy"
 
 
 def resolve_compiled_passes(

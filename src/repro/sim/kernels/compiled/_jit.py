@@ -1,10 +1,12 @@
 """The numba shim: ``@njit`` when numba is importable, identity otherwise.
 
 The compiled passes are written as scalar loops under :func:`njit`.  With
-numba installed they compile to machine code (the ``backend="compiled"``
-fast path); without it they run as plain Python — slow, but *exactly* the
-same arithmetic, which is what lets the parity grid exercise the compiled
-code path on machines that never installed numba.
+numba installed they compile to machine code, and :data:`HAVE_NUMBA`
+makes the replay dispatch them (``repro.sim.kernels.compiled.ACTIVE``);
+without it the replay runs the NumPy passes, and the compiled ones stay
+callable as plain Python — slow, but *exactly* the same arithmetic,
+which is what lets the parity suites exercise them on machines that
+never installed numba.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Compiled per-lane frame-formation stepper (scalar mirror of
 :class:`repro.sim.kernels.frames._LaneFormation`).
 
-Each lane runs the reference per-input recursion — absorb arrivals up to
+Each lane runs the per-input recursion — absorb arrivals up to
 the current cycle, evaluate the PF/FOFF pick, form or jump — as one
 compiled loop over *all* of the lane's cycles, instead of the NumPy
 engine's one vector pass per global cycle index.  Lanes are independent
@@ -13,7 +13,7 @@ is explicitly unspecified.
 
 Pending arrivals arrive as lane-major CSR arrays (``pstart`` offsets into
 ``(lane, tag)``-sorted tag/output arrays).  The loop absorbs with
-``tag <= c``, which is exactly the reference's ``tag == c``: a lane's
+``tag <= c``, which only ever meets ``tag == c``: a lane's
 unconsumed tags are never below its cycle (absorption is in tag order and
 declines jump straight to the next tag), so the relaxed test can never
 absorb early.

@@ -11,7 +11,7 @@ switch), and occupancies are arrivals-so-far minus packets already taken
 — no feedback from the rest of the switch.  Frame formation is therefore
 *sequential per input but exactly replayable*.
 
-The production path is the **array-stepped formation engine**
+The NumPy path is the **array-stepped formation engine**
 (:class:`_LaneFormation`): every ``(seed block, input)`` pair is one
 *lane*, and all lanes advance through their cycle recursions in lock-step
 — one NumPy pass per cycle index covering every lane at that cycle
@@ -28,12 +28,12 @@ multiplying the step count — which is what makes PF/FOFF seed-batchable.
 :class:`FrameFormationStream` is its resumable (windowed / multi-seed)
 form; :func:`frame_membership` maps the VOQ-grouped packets to their
 frames with one scatter, since a VOQ's frames tile its run of grouped
-rows (:func:`voq_grouping`, :func:`frame_ids`).  The original
-per-input scalar recursion (:class:`_InputFormation` driven by
-:data:`Picker` closures) is retained as the *test-only reference* —
-:func:`reference_frame_schedule` / :class:`ReferenceFormationStream` —
-and the formation parity suite pins the vectorized engine against it
-frame for frame.
+rows (:func:`voq_grouping`, :func:`frame_ids`).  Where numba imports,
+both run :class:`_CompiledLaneFormation` instead: the same lanes, each
+stepped through its cycles by the scalar per-lane recursion
+:func:`~repro.sim.kernels.compiled.frames_pass.form_lanes`.  That
+recursion is also the independent reference the formation parity suite
+pins the NumPy engine against, frame for frame, on every host.
 
 The formation loop runs past the arrival horizon until a cycle forms no
 frame, mirroring the object engine's drain phase: with no new arrivals a
@@ -44,14 +44,14 @@ quiescence the drain detects.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ... import telemetry
 from ...traffic.batch import ArrivalBatch
+from . import compiled
 from .base import concat_ranges, stable_id_argsort
-from .compiled import compiled_active
 from .compiled.frames_pass import form_lanes
 
 __all__ = [
@@ -60,18 +60,14 @@ __all__ = [
     "arrival_tags",
     "FramedPacketBuffer",
     "FrameSchedule",
-    "ReferenceFormationStream",
     "VoqGrouping",
     "build_frame_schedule",
     "drain_cut",
     "drain_horizon",
-    "foff_picker",
     "foff_rule",
     "frame_ids",
     "frame_membership",
-    "pf_picker",
     "pf_rule",
-    "reference_frame_schedule",
     "voq_grouping",
     "voq_ranks",
 ]
@@ -100,26 +96,18 @@ def drain_horizon(batch: ArrivalBatch) -> int:
 
 
 class FormationRule(NamedTuple):
-    """Declarative frame chooser, shared by both formation paths.
+    """Declarative frame chooser, shared by both formation engines.
 
     ``kind`` is ``"pf"`` (full frames behind a round-robin pointer, else
     pad the longest VOQ of at least ``threshold`` packets up to a full
     frame) or ``"foff"`` (full frames RR first, else the next nonempty
     VOQ behind a second round-robin pointer, taken whole).  The rule is
-    plain data so the vectorized engine can dispatch on it per step and
-    the scalar reference can build the equivalent :data:`Picker`.
+    plain data so the NumPy engine can dispatch on it per step and the
+    compiled stepper can take it as two scalars.
     """
 
     kind: str
     threshold: int = 0
-
-    def make_picker(self, n: int) -> "Picker":
-        """The scalar reference chooser for one input (test-only path)."""
-        if self.kind == "pf":
-            return pf_picker(n, self.threshold)
-        if self.kind == "foff":
-            return foff_picker(n)
-        raise ValueError(f"unknown formation rule kind {self.kind!r}")
 
 
 def pf_rule(threshold: int) -> FormationRule:
@@ -132,19 +120,6 @@ def foff_rule() -> FormationRule:
     return FormationRule("foff")
 
 
-#: One cycle's frame decision: ``(voq_output, real_packets, fake_cells)``
-#: or None when the input stays idle this cycle.
-Pick = Optional[Tuple[int, int, int]]
-#: Per-input frame chooser of the scalar *reference* path:
-#: ``pick(avail, total, full_count)`` consumes the VOQ occupancy list
-#: plus its maintained aggregates (total backlog, number of full-frame
-#: VOQs), may mutate its round-robin pointers, and returns the cycle's
-#: :data:`Pick`.  The production kernels run :class:`_LaneFormation`
-#: instead; pickers survive as the independent implementation the
-#: formation parity tests check the array engine against.
-Picker = Callable[[List[int], int, int], Pick]
-
-
 class FrameSchedule(NamedTuple):
     """Every frame formed during a run, across all inputs.
 
@@ -154,8 +129,8 @@ class FrameSchedule(NamedTuple):
     which it began transmitting (packet ``k`` crosses at ``slot + k`` to
     intermediate port ``k``).  Within one VOQ, entries appear in
     formation order (ascending ``start``); the global order across VOQs
-    is unspecified (the array engine emits cycle-major, the scalar
-    reference input-major) and nothing downstream may depend on it.
+    is unspecified (the NumPy engine emits cycle-major, the compiled
+    stepper lane-major) and nothing downstream may depend on it.
     """
 
     voq: np.ndarray
@@ -168,67 +143,8 @@ class FrameSchedule(NamedTuple):
         return len(self.voq)
 
 
-def pf_picker(n: int, threshold: int) -> Picker:
-    """The Padded Frames frame chooser (full frames RR, else pad the
-    longest VOQ of at least ``threshold`` packets up to a full frame)."""
-    state = {"full_rr": 0}
-
-    def pick(avail: List[int], total: int, full_count: int) -> Pick:
-        if full_count:
-            pointer = state["full_rr"]
-            for offset in range(n):
-                j = pointer + offset
-                if j >= n:
-                    j -= n
-                if avail[j] >= n:
-                    state["full_rr"] = j + 1 if j + 1 < n else 0
-                    return j, n, 0
-        if total < threshold:
-            return None
-        # VoqBank.longest: strictly longest, ties to the lowest index.
-        best, longest = 0, -1
-        for j in range(n):
-            if avail[j] > best:
-                best, longest = avail[j], j
-        if longest < 0 or best < threshold:
-            return None
-        return longest, best, n - best
-
-    return pick
-
-
-def foff_picker(n: int) -> Picker:
-    """The FOFF frame chooser (full frames RR first, else the next
-    nonempty VOQ behind a second round-robin pointer, taken whole)."""
-    state = {"full_rr": 0, "partial_rr": 0}
-
-    def pick(avail: List[int], total: int, full_count: int) -> Pick:
-        if total == 0:
-            return None
-        if full_count:
-            pointer = state["full_rr"]
-            for offset in range(n):
-                j = pointer + offset
-                if j >= n:
-                    j -= n
-                if avail[j] >= n:
-                    state["full_rr"] = j + 1 if j + 1 < n else 0
-                    return j, n, 0
-        pointer = state["partial_rr"]
-        for offset in range(n):
-            j = pointer + offset
-            if j >= n:
-                j -= n
-            if avail[j]:
-                state["partial_rr"] = j + 1 if j + 1 < n else 0
-                return j, avail[j], 0
-        raise AssertionError("nonzero backlog with no nonempty VOQ")
-
-    return pick
-
-
 # ---------------------------------------------------------------------------
-# The array-stepped formation engine (the production path)
+# The formation engines: NumPy lock-step lanes, compiled per-lane stepper
 # ---------------------------------------------------------------------------
 
 
@@ -257,7 +173,8 @@ class _LaneFormation:
     The cursor then moves to the smallest pending lane cycle, so spans
     where no lane crosses a decision threshold are skipped in one jump —
     a lane's sequence of (cycle, decision) pairs is *identical* to the
-    scalar reference recursion, step-skipping included.
+    scalar per-lane recursion of :class:`_CompiledLaneFormation`,
+    step-skipping included.
     """
 
     def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
@@ -595,9 +512,9 @@ class _CompiledLaneFormation:
 
 
 def _make_formation(n: int, num_blocks: int, rule: FormationRule):
-    """The active backend's formation engine (NumPy lock-step lanes, or
-    the compiled per-lane stepper when ``backend="compiled"``)."""
-    if compiled_active():
+    """The formation engine replays run on: the compiled per-lane
+    stepper where numba imports, NumPy lock-step lanes otherwise."""
+    if compiled.ACTIVE:
         return _CompiledLaneFormation(n, num_blocks, rule)
     return _LaneFormation(n, num_blocks, rule)
 
@@ -618,7 +535,7 @@ def arrival_tags(
 def build_frame_schedule(
     batch: ArrivalBatch, rule: FormationRule
 ) -> FrameSchedule:
-    """Run the array-stepped formation engine over one monolithic batch."""
+    """Run the formation engine over one monolithic batch."""
     n = batch.n
     form = _make_formation(n, 1, rule)
     form.absorb(
@@ -627,185 +544,6 @@ def build_frame_schedule(
         batch.outputs,
     )
     return form.run(None)
-
-
-# ---------------------------------------------------------------------------
-# The scalar reference recursion (test-only)
-# ---------------------------------------------------------------------------
-
-
-class _InputFormation:
-    """Resumable frame-formation recursion of one input (reference path).
-
-    The per-cycle decision loop of the object engine's frame-at-a-time
-    inputs, restartable at any cycle boundary: the carried state is the
-    VOQ occupancy list, its aggregates, the picker's round-robin
-    pointers, the cycle cursor, and the not-yet-absorbed arrival buffer.
-    ``run`` advances to (exclusive) ``limit_cycle``; ``drain`` runs the
-    quiescence loop of the object engine's drain phase.
-
-    This was the production formation path before the array-stepped
-    engine; it survives because it is a genuinely independent
-    implementation (plain Python ints, per-input closures) that the
-    formation parity suite pins :class:`_LaneFormation` against.  Cycles
-    at which the pick declines and no arrival lands are skipped in one
-    jump (the pick is a pure function of unchanged state), exactly like
-    the vector engine's idle-span skip.
-    """
-
-    __slots__ = (
-        "n", "residue", "pick", "avail", "taken", "total", "full_count",
-        "cycle", "arrival_cycle", "arrival_out", "at",
-    )
-
-    def __init__(self, n: int, residue: int, pick: Picker) -> None:
-        self.n = n
-        self.residue = residue
-        self.pick = pick
-        self.avail = [0] * n
-        self.taken = [0] * n
-        self.total = 0
-        self.full_count = 0
-        self.cycle = 0
-        self.arrival_cycle: List[int] = []
-        self.arrival_out: List[int] = []
-        self.at = 0
-
-    def absorb(self, cycles, outs) -> None:
-        """Buffer arrivals (cycle-tagged, in acceptance order)."""
-        self.arrival_cycle.extend(int(c) for c in cycles)
-        self.arrival_out.extend(int(j) for j in outs)
-
-    def _step(self, limit_cycle: Optional[int], sink) -> None:
-        f_out, f_start, f_size, f_fakes, f_slot = sink
-        n = self.n
-        residue = self.residue
-        pick = self.pick
-        avail = self.avail
-        taken = self.taken
-        total = self.total
-        full_count = self.full_count
-        arrival_cycle = self.arrival_cycle
-        arrival_out = self.arrival_out
-        at = self.at
-        num_arrivals = len(arrival_cycle)
-        c = self.cycle
-        while True:
-            if limit_cycle is not None and c >= limit_cycle:
-                break
-            while at < num_arrivals and arrival_cycle[at] == c:
-                j = arrival_out[at]
-                at += 1
-                avail[j] += 1
-                total += 1
-                if avail[j] == n:
-                    full_count += 1
-            picked = pick(avail, total, full_count)
-            if picked is not None:
-                j, k, fakes = picked
-                f_out.append(j)
-                f_start.append(taken[j])
-                f_size.append(k)
-                f_fakes.append(fakes)
-                f_slot.append(residue + c * n)
-                taken[j] += k
-                before = avail[j]
-                avail[j] = before - k
-                total -= k
-                if before >= n and avail[j] < n:
-                    full_count -= 1
-                c += 1
-                continue
-            # No frame this cycle.  The pick is a pure function of
-            # (avail, pointers), which an empty cycle leaves untouched,
-            # so every cycle until the next arrival declines too.
-            if at >= num_arrivals:
-                if limit_cycle is None:
-                    # Drain quiescence: no arrivals to come and the pick
-                    # declines — the object engine's drain sees the same.
-                    break
-                c = limit_cycle
-            else:
-                nxt = arrival_cycle[at]
-                c = nxt if limit_cycle is None else min(nxt, limit_cycle)
-        # Save state; drop the consumed arrival prefix.
-        self.cycle = c
-        self.total = total
-        self.full_count = full_count
-        if at:
-            del arrival_cycle[:at]
-            del arrival_out[:at]
-        self.at = 0
-
-    def run(self, limit_cycle: int, sink) -> None:
-        """Advance through every cycle strictly below ``limit_cycle``,
-        appending formed frames to the ``sink`` lists."""
-        if limit_cycle > self.cycle:
-            self._step(limit_cycle, sink)
-
-    def drain(self, sink) -> None:
-        """Run the post-arrival quiescence loop (object-engine drain)."""
-        self._step(None, sink)
-
-
-def _input_frames(
-    n: int,
-    residue: int,
-    cycles: np.ndarray,
-    outs: np.ndarray,
-    pick: Picker,
-) -> Tuple[List[int], List[int], List[int], List[int], List[int]]:
-    """Replay one input's frame decisions over its cycle boundaries.
-
-    ``cycles``/``outs`` are the input's arrivals in acceptance order,
-    tagged with the first cycle index whose start slot is >= the arrival
-    slot (arrivals in the boundary slot itself are visible to that
-    cycle's pick — the slot protocol accepts before serving).
-    """
-    state = _InputFormation(n, residue, pick)
-    state.absorb(cycles, outs)
-    sink: Tuple[List[int], ...] = ([], [], [], [], [])
-    state.drain(sink)
-    return sink
-
-
-def reference_frame_schedule(
-    batch: ArrivalBatch, rule: FormationRule
-) -> FrameSchedule:
-    """The scalar reference formation (test-only; see :class:`_InputFormation`).
-
-    Runs every input's per-cycle recursion with the rule's scalar picker
-    and collects the schedule input-major.  The formation parity tests
-    compare :func:`build_frame_schedule` against this frame for frame.
-    """
-    n = batch.n
-    order = np.argsort(batch.inputs, kind="stable")
-    counts = np.bincount(batch.inputs, minlength=n)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    voq_l: List[int] = []
-    start_l: List[int] = []
-    size_l: List[int] = []
-    fakes_l: List[int] = []
-    slot_l: List[int] = []
-    for i in range(n):
-        idx = order[offsets[i] : offsets[i + 1]]
-        residue = (-i) % n
-        cycles = (batch.slots[idx] - residue + n - 1) // n
-        f_out, f_start, f_size, f_fakes, f_slot = _input_frames(
-            n, residue, cycles, batch.outputs[idx], rule.make_picker(n)
-        )
-        voq_l.extend(i * n + j for j in f_out)
-        start_l.extend(f_start)
-        size_l.extend(f_size)
-        fakes_l.extend(f_fakes)
-        slot_l.extend(f_slot)
-    return FrameSchedule(
-        voq=np.asarray(voq_l, dtype=np.int64),
-        start=np.asarray(start_l, dtype=np.int64),
-        size=np.asarray(size_l, dtype=np.int64),
-        fakes=np.asarray(fakes_l, dtype=np.int64),
-        slot=np.asarray(slot_l, dtype=np.int64),
-    )
 
 
 class VoqGrouping(NamedTuple):
@@ -900,8 +638,8 @@ def frame_membership(
 class FrameFormationStream:
     """Resumable frame formation across all inputs (and seed blocks).
 
-    The windowed form of the array-stepped engine: one
-    :class:`_LaneFormation` lane per (block, input); block ``b`` of a
+    The windowed form of :func:`build_frame_schedule`: one formation
+    lane per (block, input); block ``b`` of a
     multi-seed replay owns VOQ ids ``b * n^2 + i * n + j``.  ``feed``
     absorbs one window of arrivals and forms every frame whose cycle
     boundary slot is strictly below the window's end (later cycles could
@@ -940,86 +678,6 @@ class FrameFormationStream:
     def finish(self) -> FrameSchedule:
         """Form every remaining frame (the object engine's drain loop)."""
         return self._form.run(None)
-
-
-class ReferenceFormationStream:
-    """Scalar-reference counterpart of :class:`FrameFormationStream`.
-
-    Test-only: one :class:`_InputFormation` per (block, input), advanced
-    through the same feed/finish contract.  The streamed formation
-    parity tests pin the array engine's windowed schedules against this.
-    """
-
-    def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
-        self.n = n
-        self.num_blocks = num_blocks
-        self._states = [
-            _InputFormation(n, (-i) % n, rule.make_picker(n))
-            for _ in range(num_blocks)
-            for i in range(n)
-        ]
-
-    def _collect(self, advance) -> FrameSchedule:
-        n = self.n
-        voq_l: List[int] = []
-        start_l: List[int] = []
-        size_l: List[int] = []
-        fakes_l: List[int] = []
-        slot_l: List[int] = []
-        for b in range(self.num_blocks):
-            for i in range(n):
-                state = self._states[b * n + i]
-                sink: Tuple[List[int], ...] = ([], [], [], [], [])
-                advance(state, sink)
-                f_out, f_start, f_size, f_fakes, f_slot = sink
-                base = b * n * n + i * n
-                voq_l.extend(base + j for j in f_out)
-                start_l.extend(f_start)
-                size_l.extend(f_size)
-                fakes_l.extend(f_fakes)
-                slot_l.extend(f_slot)
-        return FrameSchedule(
-            voq=np.asarray(voq_l, dtype=np.int64),
-            start=np.asarray(start_l, dtype=np.int64),
-            size=np.asarray(size_l, dtype=np.int64),
-            fakes=np.asarray(fakes_l, dtype=np.int64),
-            slot=np.asarray(slot_l, dtype=np.int64),
-        )
-
-    def feed(
-        self,
-        blocks: np.ndarray,
-        slots: np.ndarray,
-        inputs: np.ndarray,
-        outputs: np.ndarray,
-        boundary: Optional[int],
-    ) -> FrameSchedule:
-        """Absorb one window's arrivals; form frames for cycles < boundary."""
-        n = self.n
-        if len(blocks):
-            key = blocks * n + inputs
-            order = np.argsort(key, kind="stable")
-            counts = np.bincount(key, minlength=self.num_blocks * n)
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            for k in range(self.num_blocks * n):
-                idx = order[offsets[k] : offsets[k + 1]]
-                if len(idx):
-                    state = self._states[k]
-                    residue = state.residue
-                    cycles = (slots[idx] - residue + n - 1) // n
-                    state.absorb(cycles, outputs[idx])
-        if boundary is None:
-            return self._collect(lambda state, sink: state.drain(sink))
-
-        def advance(state: _InputFormation, sink) -> None:
-            limit = (boundary - state.residue + n - 1) // n
-            state.run(limit, sink)
-
-        return self._collect(advance)
-
-    def finish(self) -> FrameSchedule:
-        """Form every remaining frame (the object engine's drain loop)."""
-        return self._collect(lambda state, sink: state.drain(sink))
 
 
 class FramedPacketBuffer:

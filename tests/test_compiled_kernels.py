@@ -1,18 +1,20 @@
-"""Compiled kernel backend: bit parity, selection plumbing, key invariance.
+"""Compiled kernel passes: bit parity with NumPy, and no way to choose.
 
-The compiled backend (``repro.sim.kernels.compiled``) must be
-indistinguishable from the NumPy reference in every observable — the
-parity grid here compares the *entire* ``to_dict`` payload (extras
-included) across every kernel switch, switch size, workload shape, and
-both the monolithic and streamed replay forms.  Without numba installed
-(the default container) the compiled passes run as pure Python, which is
-the same arithmetic, so these tests are meaningful everywhere.
+The compiled passes (``repro.sim.kernels.compiled``) must be
+indistinguishable from the NumPy passes in every observable — the parity
+grid here compares the *entire* ``to_dict`` payload (extras included)
+across every kernel switch, switch size, workload shape, and both the
+monolithic and streamed replay forms.  Which passes a run takes is a fact
+of the host (compiled exactly when numba imports); the grid flips it
+through the ``compiled.ACTIVE`` test seam.  Without numba installed (the
+default container) the compiled passes run as pure Python, which is the
+same arithmetic, so these tests are meaningful everywhere.
 
-The remaining classes pin the plumbing around the kernels: backend
-selection (global, scoped, per-run), the deliberate *exclusion* of the
-backend from store cache keys, the fused-metrics histogram contract
-(exact percentiles with and without retained samples), serialization
-round-trips, and the service shard transport.
+The remaining classes pin what surrounds the kernels: pass resolution,
+store keys that do not depend on which passes ran, the fused-metrics
+histogram contract (exact percentiles with and without retained
+samples), serialization round-trips, old clients that still send a
+``backend``, and the CLI's rejection of the removed flag.
 """
 
 import math
@@ -22,14 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.sim.experiment import resolve_run_params, run_single
+from repro.sim.kernels import compiled
 from repro.sim.kernels.compiled import (
-    KERNEL_BACKENDS,
-    compiled_active,
+    compiled_available,
     get_kernel_backend,
-    kernel_backend,
     resolve_compiled_passes,
-    set_kernel_backend,
 )
 from repro.sim.metrics import DelayStats, SimulationResult
 from repro.store import ExperimentStore, cache_key
@@ -59,26 +60,17 @@ WORKLOADS = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _numpy_backend_restored():
-    """Every test starts and ends on the reference backend."""
-    set_kernel_backend("numpy")
-    yield
-    set_kernel_backend("numpy")
+@pytest.fixture
+def run_on(monkeypatch):
+    """``run_on(active, switch, matrix, slots, **kwargs)``: one vectorized
+    run with the compiled passes on or off (restored after the test)."""
 
+    def run(active, switch, matrix, slots, **kwargs):
+        monkeypatch.setattr(compiled, "ACTIVE", active)
+        kwargs = {"seed": 7, "load_label": 0.8, "keep_samples": True, **kwargs}
+        return run_single(switch, matrix, slots, engine="vectorized", **kwargs)
 
-def _run(switch, matrix, slots, backend, window_slots=None):
-    return run_single(
-        switch,
-        matrix,
-        slots,
-        seed=7,
-        load_label=0.8,
-        engine="vectorized",
-        keep_samples=True,
-        backend=backend,
-        window_slots=window_slots,
-    )
+    return run
 
 
 class TestParityGrid:
@@ -86,85 +78,45 @@ class TestParityGrid:
 
     @pytest.mark.parametrize("n", (2, 8, 32))
     @pytest.mark.parametrize("switch", KERNEL_SWITCHES)
-    def test_backend_parity(self, switch, n):
+    def test_backend_parity(self, run_on, switch, n):
         slots = 24 * n + 160
         for label, make in WORKLOADS:
             matrix = make(n)
-            ref = _run(switch, matrix, slots, "numpy")
-            com = _run(switch, matrix, slots, "compiled")
+            ref = run_on(False, switch, matrix, slots)
+            com = run_on(True, switch, matrix, slots)
             assert com.to_dict() == ref.to_dict(), (switch, n, label)
             # The streamed (windowed) replay dispatches the same compiled
             # passes window by window; parity must survive the carry
             # state (pending CSR tags, polled cursors, fold prev-max).
-            strm = _run(switch, matrix, slots, "compiled", window_slots=48)
+            strm = run_on(True, switch, matrix, slots, window_slots=48)
             assert strm.to_dict() == ref.to_dict(), (switch, n, label)
 
-    def test_parameterized_kernel_parity(self):
+    def test_parameterized_kernel_parity(self, run_on):
         # PF's threshold is declared kernel-honored; the compiled
         # formation must follow it identically.
         matrix = uniform_matrix(8, 0.9)
         for threshold in (1, 3, 8):
-            ref = run_single(
-                "pf", matrix, 400, seed=3, engine="vectorized",
-                switch_params={"threshold": threshold},
-            )
-            com = run_single(
-                "pf", matrix, 400, seed=3, engine="vectorized",
-                switch_params={"threshold": threshold}, backend="compiled",
-            )
+            kwargs = dict(seed=3, switch_params={"threshold": threshold})
+            ref = run_on(False, "pf", matrix, 400, **kwargs)
+            com = run_on(True, "pf", matrix, 400, **kwargs)
             assert com.to_dict() == ref.to_dict(), threshold
 
-    def test_compiled_matches_object_oracle(self):
+    def test_compiled_matches_object_oracle(self, run_on):
         matrix = diagonal_matrix(8, 0.9)
         obj = run_single(
             "sprinklers", matrix, 500, seed=7, load_label=0.8,
             engine="object",
         )
-        com = _run("sprinklers", matrix, 500, "compiled")
+        com = run_on(True, "sprinklers", matrix, 500)
         assert com.to_dict() == obj.to_dict()
 
 
 class TestBackendSelection:
-    def test_known_backends(self):
-        assert KERNEL_BACKENDS == ("numpy", "compiled")
-        assert get_kernel_backend() == "numpy"
-        assert not compiled_active()
-
-    def test_set_and_reset(self):
-        set_kernel_backend("compiled")
-        assert compiled_active()
-        set_kernel_backend("numpy")
-        assert not compiled_active()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_kernel_backend("fortran")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            run_single(
-                "sprinklers", uniform_matrix(2, 0.5), 50,
-                engine="vectorized", backend="fortran",
-            )
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_run_params(
-                "sprinklers", uniform_matrix(2, 0.5), 50, backend="fortran"
-            )
-
-    def test_context_manager_scopes_and_restores(self):
-        with kernel_backend("compiled"):
-            assert compiled_active()
-            with kernel_backend(None):  # None = keep whatever is active
-                assert compiled_active()
-        assert not compiled_active()
-
-    def test_context_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with kernel_backend("compiled"):
-                raise RuntimeError("boom")
-        assert get_kernel_backend() == "numpy"
-
-    def test_run_single_backend_does_not_leak(self):
-        _run("sprinklers", uniform_matrix(2, 0.5), 60, "compiled")
-        assert get_kernel_backend() == "numpy"
+    def test_backend_is_whatever_imports(self):
+        assert compiled.ACTIVE == compiled_available()
+        assert get_kernel_backend() == (
+            "compiled" if compiled_available() else "numpy"
+        )
 
     def test_resolve_compiled_passes(self):
         from repro import models
@@ -180,30 +132,38 @@ class TestBackendSelection:
         )
         assert len(pf_passes) == len(oq_passes) + 1
 
+    def test_run_single_backend_does_not_leak(self, run_on):
+        # A run reads the platform's choice and never writes it, and
+        # get_kernel_backend() reports the passes that actually ran.
+        for active in (False, True):
+            run_on(active, "sprinklers", uniform_matrix(2, 0.5), 60)
+            assert compiled.ACTIVE is active
+            assert get_kernel_backend() == (
+                "compiled" if active else "numpy"
+            )
+
 
 class TestStoreKeyInvariance:
-    def test_backend_not_in_cache_key(self):
-        matrix = uniform_matrix(4, 0.7)
-        base = resolve_run_params("sprinklers", matrix, 200, seed=1)
-        for backend in KERNEL_BACKENDS:
-            params = resolve_run_params(
-                "sprinklers", matrix, 200, seed=1, backend=backend
-            )
-            assert params == base
-            assert cache_key(params) == cache_key(base)
+    """Which passes ran is not part of a result's identity: a store filled
+    on a numba host serves a host without it, and vice versa."""
 
-    def test_compiled_run_is_cache_hit_for_numpy(self, tmp_path):
+    def test_backend_not_in_cache_key(self, monkeypatch):
+        matrix = uniform_matrix(4, 0.7)
+        keys = []
+        for active in (False, True):
+            monkeypatch.setattr(compiled, "ACTIVE", active)
+            params = resolve_run_params("sprinklers", matrix, 200, seed=1)
+            assert "backend" not in params
+            keys.append(cache_key(params))
+        assert keys[0] == keys[1]
+
+    def test_compiled_run_is_cache_hit_for_numpy(self, run_on, tmp_path):
         store = ExperimentStore(tmp_path / "store")
         matrix = uniform_matrix(4, 0.8)
-        kwargs = dict(
-            num_slots=240, seed=2, load_label=0.8, engine="vectorized",
-            store=store,
-        )
-        first = run_single(
-            "sprinklers", matrix, backend="compiled", **kwargs
-        )
+        kwargs = dict(seed=2, store=store)
+        first = run_on(True, "sprinklers", matrix, 240, **kwargs)
         assert store.stats().saves == 1
-        second = run_single("sprinklers", matrix, backend="numpy", **kwargs)
+        second = run_on(False, "sprinklers", matrix, 240, **kwargs)
         assert store.stats().saves == 1  # hit, not a recompute
         assert second.to_dict() == first.to_dict()
 
@@ -299,28 +259,41 @@ class TestSerialization:
         assert payload["result"]["delay_histogram"]
 
 
+class TestOlderClients:
+    def test_backend_field_is_ignored(self):
+        """A request from a client that still sends ``"backend"`` parses,
+        and expands to shards keyed exactly like one that does not."""
+        from repro.service.jobs import JobRequest, expand_shards, shard_key
+
+        request = JobRequest(
+            workload="uniform", switches=("sprinklers",), loads=(0.5,),
+            n=4, num_slots=100,
+        )
+        old = JobRequest.from_dict(
+            {**request.to_dict(), "backend": "compiled"}
+        )
+        assert old == request
+        assert [shard_key(s) for s in expand_shards(old)] == [
+            shard_key(s) for s in expand_shards(request)
+        ]
+
+
 class TestShardTransport:
     def test_shard_round_trip_with_backend(self):
         from repro.service.jobs import JobRequest, ShardSpec, expand_shards
 
         request = JobRequest(
-            workload="uniform",
-            switches=("sprinklers",),
-            loads=(0.5,),
-            n=4,
-            num_slots=100,
-            engine="vectorized",
-            backend="compiled",
+            workload="uniform", switches=("sprinklers",), loads=(0.5,),
+            n=4, num_slots=100, engine="vectorized",
         )
         assert JobRequest.from_dict(request.to_dict()) == request
         (shard,) = expand_shards(request)
-        assert shard.backend == "compiled"
         assert ShardSpec.from_dict(shard.to_dict()) == shard
-        # Legacy payloads (no backend field) still parse.
-        legacy = {
-            k: v for k, v in shard.to_dict().items() if k != "backend"
-        }
-        assert ShardSpec.from_dict(legacy).backend is None
+        # An older client's payload parses, and re-serializes without
+        # the field that no longer means anything.
+        legacy = ShardSpec.from_dict({**shard.to_dict(), "backend": "numpy"})
+        assert legacy.to_dict() == shard.to_dict()
+        assert "backend" not in legacy.to_dict()
 
     def test_shard_key_invariant_to_backend(self):
         from repro.service.jobs import ShardSpec, shard_key
@@ -329,8 +302,25 @@ class TestShardTransport:
             switch="sprinklers", workload="uniform", n=4, load=0.5,
             num_slots=100, seed=0, engine="vectorized",
         )
-        keys = {
-            shard_key(ShardSpec(backend=backend, **base))
+        keys = {shard_key(ShardSpec(**base))} | {
+            shard_key(ShardSpec.from_dict(
+                {**ShardSpec(**base).to_dict(), "backend": backend}
+            ))
             for backend in (None, "numpy", "compiled")
         }
         assert len(keys) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig6"],
+    ["fig7"],
+    ["scenarios", "run", "--scenario", "paper-uniform"],
+    ["fabrics", "run"],
+    ["fabrics", "delay"],
+    ["submit"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_backend_kernel_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--backend-kernel", "compiled"])
+    assert exc.value.code == 2
+    assert "--backend-kernel" in capsys.readouterr().err

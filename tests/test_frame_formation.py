@@ -1,15 +1,16 @@
-"""Formation parity: the array-stepped engine vs the scalar reference.
+"""Formation parity: the NumPy lane engine vs the scalar per-lane stepper.
 
-The vectorized PF/FOFF kernels replaced their per-input, per-cycle Python
-recursion with the lock-step lane engine of
-:mod:`repro.sim.kernels.frames` (:class:`_LaneFormation`).  The original
-scalar recursion (:data:`Picker` closures driving
-:class:`_InputFormation`) survives as a genuinely independent
-implementation, and this suite pins the engine against it *frame for
-frame*: the same (VOQ, start rank, size, fake cells, formation slot)
-multiset — and the same per-VOQ formation order — for PF and FOFF across
-switch sizes, workloads, and monolithic vs streamed (windowed) replay,
-drain quiescence included.
+:mod:`repro.sim.kernels.frames` has two formation engines behind one
+seam: the lock-step NumPy engine (:class:`_LaneFormation`) and
+:class:`_CompiledLaneFormation`, which steps each lane through its cycles
+with the scalar recursion
+:func:`~repro.sim.kernels.compiled.frames_pass.form_lanes` (plain Python
+without numba).  The two share no code, so the scalar stepper is this
+suite's reference, reached by flipping ``compiled.ACTIVE``.  The suite
+pins the NumPy engine against it *frame for frame*: the same (VOQ, start
+rank, size, fake cells, formation slot) multiset — and the same per-VOQ
+formation order — for PF and FOFF across switch sizes, workloads, and
+monolithic vs streamed (windowed) replay, drain quiescence included.
 
 Frame-for-frame equality is strictly stronger than the engine parity
 tests (which compare end-of-pipeline metrics): a formation bug that
@@ -23,14 +24,13 @@ import pytest
 
 from repro.scenarios.build import build_batch_traffic
 from repro.scenarios.registry import get_scenario
+from repro.sim.kernels import compiled
 from repro.sim.kernels.frames import (
     FormationRule,
     FrameFormationStream,
-    ReferenceFormationStream,
     build_frame_schedule,
     foff_rule,
     pf_rule,
-    reference_frame_schedule,
 )
 from repro.sim.rng import derive_seed
 from repro.traffic.batch import BatchTrafficGenerator
@@ -67,6 +67,27 @@ def rules_for(n: int):
     }
 
 
+@pytest.fixture
+def engine(monkeypatch):
+    """``engine(reference)``: select the scalar per-lane stepper (True) or
+    the NumPy lane engine (False) for the formations built next."""
+
+    def select(reference: bool) -> None:
+        monkeypatch.setattr(compiled, "ACTIVE", reference)
+
+    return select
+
+
+def numpy_schedule(engine, batch, rule):
+    engine(False)
+    return build_frame_schedule(batch, rule)
+
+
+def reference_schedule(engine, batch, rule):
+    engine(True)
+    return build_frame_schedule(batch, rule)
+
+
 def canonical(schedule):
     """Frames sorted by (voq, start) — the only order the kernels rely on."""
     order = np.lexsort((schedule.start, schedule.voq))
@@ -96,9 +117,9 @@ def assert_schedules_equal(got, want):
         assert bool(np.all(start_s[1:][same_voq] > start_s[:-1][same_voq]))
 
 
-def stream_schedule(stream_cls, rule, n, batches, windows):
+def stream_schedule(rule, n, batches, windows):
     """Feed a run through a formation stream; concatenate the schedules."""
-    stream = stream_cls(n, 1, rule)
+    stream = FrameFormationStream(n, 1, rule)
     parts = []
     for batch in batches:
         parts.append(
@@ -126,46 +147,46 @@ class TestMonolithicParity:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("n", [2, 8, 32])
     @pytest.mark.parametrize("kind", ["pf", "pf-thr2", "foff"])
-    def test_engine_matches_reference(self, kind, n, workload):
+    def test_engine_matches_reference(self, engine, kind, n, workload):
         batch = WORKLOADS[workload](n, 7, SLOTS).draw(SLOTS)
         rule = rules_for(n)[kind]
-        got = build_frame_schedule(batch, rule)
-        want = reference_frame_schedule(batch, rule)
+        got = numpy_schedule(engine, batch, rule)
+        want = reference_schedule(engine, batch, rule)
         assert_schedules_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 8, 32])
-    def test_pf_fake_cell_counts(self, n):
+    def test_pf_fake_cell_counts(self, engine, n):
         """PF's padding accounting: every non-full frame carries exactly
         n - size fakes, full frames none — on both implementations."""
         batch = WORKLOADS["uniform"](n, 3, SLOTS).draw(SLOTS)
         rule = pf_rule(max(1, n // 2))
         for schedule in (
-            build_frame_schedule(batch, rule),
-            reference_frame_schedule(batch, rule),
+            numpy_schedule(engine, batch, rule),
+            reference_schedule(engine, batch, rule),
         ):
             np.testing.assert_array_equal(
                 schedule.fakes, n - schedule.size
             )
 
-    def test_empty_batch(self):
+    def test_empty_batch(self, engine):
         gen = BatchTrafficGenerator(
             uniform_matrix(4, 0.0), np.random.default_rng(0)
         )
         empty = gen.draw(50)
         assert len(empty) == 0
         for rule in (pf_rule(2), foff_rule()):
-            assert len(build_frame_schedule(empty, rule)) == 0
-            assert len(reference_frame_schedule(empty, rule)) == 0
+            assert len(numpy_schedule(engine, empty, rule)) == 0
+            assert len(reference_schedule(engine, empty, rule)) == 0
 
-    def test_drain_quiescence_forms_trailing_frames(self):
+    def test_drain_quiescence_forms_trailing_frames(self, engine):
         """Backlog left at the arrival horizon must drain: FOFF forms
         frames past the last arrival slot until every VOQ is empty, and
         both implementations agree on those trailing cycles."""
         gen = WORKLOADS["incast"](8, 11, 300)
         batch = gen.draw(300)
         rule = foff_rule()
-        got = build_frame_schedule(batch, rule)
-        want = reference_frame_schedule(batch, rule)
+        got = numpy_schedule(engine, batch, rule)
+        want = reference_schedule(engine, batch, rule)
         assert_schedules_equal(got, want)
         # FOFF sweeps every packet into a frame.
         assert int(got.size.sum()) == len(batch)
@@ -180,30 +201,33 @@ class TestStreamedParity:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("n", [2, 8, 32])
     @pytest.mark.parametrize("kind", ["pf", "foff"])
-    def test_windowed_matches_monolithic(self, kind, n, workload, window):
+    def test_windowed_matches_monolithic(
+        self, engine, kind, n, workload, window
+    ):
         rule = rules_for(n)[kind]
-        mono = build_frame_schedule(
-            WORKLOADS[workload](n, 5, SLOTS).draw(SLOTS), rule
+        mono = reference_schedule(
+            engine, WORKLOADS[workload](n, 5, SLOTS).draw(SLOTS), rule
         )
         batches = list(
             WORKLOADS[workload](n, 5, SLOTS).draw_chunks(SLOTS, window)
         )
-        streamed = stream_schedule(
-            FrameFormationStream, rule, n, batches, windows=True
-        )
+        engine(False)
+        streamed = stream_schedule(rule, n, batches, windows=True)
         assert_schedules_equal(streamed, mono)
 
     @pytest.mark.parametrize("kind", ["pf", "foff"])
-    def test_windowed_matches_scalar_reference_stream(self, kind):
-        """The scalar reference stream, fed the same windows, must agree
+    def test_windowed_matches_scalar_reference_stream(self, engine, kind):
+        """The scalar stepper's stream, fed the same windows, must agree
         window for window (not just on the final union)."""
         n, window = 8, 113
         rule = rules_for(n)[kind]
         batches = list(
             WORKLOADS["mmpp-bursty"](n, 9, SLOTS).draw_chunks(SLOTS, window)
         )
+        engine(False)
         vec = FrameFormationStream(n, 1, rule)
-        ref = ReferenceFormationStream(n, 1, rule)
+        engine(True)
+        ref = FrameFormationStream(n, 1, rule)
         zeros = lambda b: np.zeros(len(b), dtype=np.int64)  # noqa: E731
         for batch in batches:
             got = vec.feed(
@@ -217,33 +241,26 @@ class TestStreamedParity:
             assert_schedules_equal(got, want)
         assert_schedules_equal(vec.finish(), ref.finish())
 
-    def test_tiny_windows(self):
+    def test_tiny_windows(self, engine):
         """Single-digit windows maximize carried-state churn."""
         n, rule = 4, foff_rule()
-        mono = build_frame_schedule(
-            WORKLOADS["uniform"](n, 2, 200).draw(200), rule
+        mono = reference_schedule(
+            engine, WORKLOADS["uniform"](n, 2, 200).draw(200), rule
         )
         batches = list(
             WORKLOADS["uniform"](n, 2, 200).draw_chunks(200, 7)
         )
-        streamed = stream_schedule(
-            FrameFormationStream, rule, n, batches, windows=True
-        )
+        engine(False)
+        streamed = stream_schedule(rule, n, batches, windows=True)
         assert_schedules_equal(streamed, mono)
 
 
 class TestRuleValidation:
-    def test_unknown_rule_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown formation rule"):
-            build_frame_schedule(
-                BatchTrafficGenerator(
-                    uniform_matrix(4, 0.5), np.random.default_rng(0)
-                ).draw(10),
-                FormationRule("warp", 0),
-            )
-
-    def test_rule_picker_round_trip(self):
-        assert pf_rule(3).make_picker(8) is not None
-        assert foff_rule().make_picker(8) is not None
-        with pytest.raises(ValueError):
-            FormationRule("warp").make_picker(8)
+    def test_unknown_rule_kind_rejected(self, engine):
+        batch = BatchTrafficGenerator(
+            uniform_matrix(4, 0.5), np.random.default_rng(0)
+        ).draw(10)
+        for reference in (False, True):
+            engine(reference)
+            with pytest.raises(ValueError, match="unknown formation rule"):
+                build_frame_schedule(batch, FormationRule("warp", 0))

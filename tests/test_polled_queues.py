@@ -13,8 +13,10 @@ Plus: :class:`PolledQueueBank` fed under random window cuts equals one
 monolithic call, levels that do not fit the 4-bit packing are rejected,
 a zero-stride level column replays like a real one,
 :func:`segmented_running_max` equals a Python loop on both of its
-branches (in place too), and :func:`unit_completion` /
-:func:`port_fifo_service` equal per-VOQ / per-port Python walks.
+branches (in place too), :func:`unit_completion` /
+:func:`port_fifo_service` equal per-VOQ / per-port Python walks, and the
+un-jitted ``compiled.fold_pass.fold_running_max`` equals the NumPy
+reordering fold window by window.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.sim.fast_engine import _fold_reordering
+from repro.sim.kernels import compiled
 from repro.sim.kernels.base import (
     PolledQueueBank,
     Units,
@@ -32,6 +36,7 @@ from repro.sim.kernels.base import (
     segmented_running_max,
     unit_completion,
 )
+from repro.sim.kernels.compiled.fold_pass import fold_running_max
 from repro.sim.kernels.compiled.polled_pass import serve_polled
 from repro.traffic.batch import BatchTrafficGenerator
 from repro.traffic.matrices import diagonal_matrix
@@ -250,6 +255,47 @@ class TestSegmentedRunningMax:
         np.testing.assert_array_equal(got, expected)
         assert segmented_running_max(values, segment, out=values) is values
         np.testing.assert_array_equal(values, expected)
+
+
+@st.composite
+def fold_windows(draw):
+    """``(num_voqs, [(voq, seq), ...])``: nonempty windows of events,
+    each grouped by VOQ ascending (the fold's input order) with draw
+    order as observation order.  Some seqs are ~2^62 wide, which sends
+    the NumPy fold's running max down its doubling-scan branch."""
+    num_voqs = draw(st.integers(1, 6))
+    seqs = st.one_of(st.integers(0, 40), st.integers(0, 2 ** 62))
+    windows = []
+    for events in draw(st.lists(
+        st.lists(st.tuples(st.integers(0, num_voqs - 1), seqs),
+                 min_size=1, max_size=30),
+        min_size=1, max_size=4,
+    )):
+        voq = np.array([v for v, _ in events], dtype=np.int64)
+        seq = np.array([q for _, q in events], dtype=np.int64)
+        grouped = np.argsort(voq, kind="stable")
+        windows.append((voq[grouped], seq[grouped]))
+    return num_voqs, windows
+
+
+class TestFoldRunningMax:
+    @settings(max_examples=100, deadline=None)
+    @given(case=fold_windows())
+    def test_scalar_pass_equals_numpy_fold(self, case):
+        """Window by window, carrying ``prev_max``: same late mask, same
+        predecessor max, same carried state."""
+        num_voqs, windows = case
+        numpy_max = np.full(num_voqs, -1, dtype=np.int64)
+        scalar_max = numpy_max.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compiled, "ACTIVE", False)
+            for voq, seq in windows:
+                late, prev = _fold_reordering(voq, seq, numpy_max)
+                want = np.empty(len(voq), dtype=np.int64)
+                fold_running_max.py_func(voq, seq, scalar_max, want)
+                np.testing.assert_array_equal(prev, want)
+                np.testing.assert_array_equal(late, want > seq)
+                np.testing.assert_array_equal(numpy_max, scalar_max)
 
 
 def arrivals(n, load, seed, slots):

@@ -34,8 +34,8 @@ INVALID = {
     "warmup_fraction": (
         {"warmup_fraction": 1.5}, r"warmup_fraction must be in \[0, 1\)"
     ),
-    "backend": ({"backend": "fortran"}, "unknown kernel backend 'fortran'"),
     "num_slots": ({"num_slots": 0}, "num_slots must be positive"),
+    "no_workload": ({"matrix": None}, "need a matrix or a scenario"),
     "matrix_and_scenario": (
         {"scenario": "paper-uniform", "n": 4, "load": 0.5},
         "pass either matrix or scenario, not both",
@@ -62,7 +62,7 @@ def via_run_single_miss(subject, engine, tmp_path, **kwargs):
 
 def via_run_single_hit(subject, engine, tmp_path, **kwargs):
     # The valid configuration is already stored; for an execution-detail
-    # override (window_slots, backend) the invalid call maps to its key.
+    # override (window_slots) the invalid call maps to its key.
     store = ExperimentStore(tmp_path / "warm")
     run_single(subject, engine=engine, store=store, **base_kwargs())
     assert store.stats().saves == 1
@@ -99,8 +99,8 @@ ENTRY_POINTS = {
     via_run_single_hit: (),
     via_plan_run: (),
     via_resolve_run_params: ("window_slots",),
-    via_replicate: ("window_slots", "warmup_fraction", "backend"),
-    via_replicate_batched: ("window_slots", "warmup_fraction", "backend"),
+    via_replicate: ("window_slots", "warmup_fraction"),
+    via_replicate_batched: ("window_slots", "warmup_fraction"),
 }
 
 
@@ -138,7 +138,7 @@ def _plans():
         ),
         "scenario": experiment.plan_run(
             "sprinklers", num_slots=300, seed=2, scenario="mmpp-bursty",
-            n=4, load=0.6, backend="numpy",
+            n=4, load=0.6,
         ),
         "fabric": experiment.plan_run(
             "leaf-spine", num_slots=300, seed=2, engine="vectorized",
@@ -153,9 +153,7 @@ def test_plan_survives_pickling(kind, tmp_path):
     clone = pickle.loads(pickle.dumps(plan))
     assert clone.store_params() == plan.store_params()
     assert clone.key == plan.key
-    assert (clone.window_slots, clone.backend) == (
-        plan.window_slots, plan.backend
-    )
+    assert clone.window_slots == plan.window_slots
     direct = experiment.execute(plan)
     assert experiment.execute(clone).to_dict() == direct.to_dict()
     # ... and the clone's save is the original's hit.
