@@ -61,7 +61,7 @@ class ShardState:
     def __init__(self, spec: ShardSpec, key: str) -> None:
         self.spec = spec
         self.key = key
-        self.status = "queued"  # queued | running | done | failed
+        self.status = "queued"  # queued | done | failed
         self.summary: Optional[Dict] = None
         self.error: Optional[str] = None
         #: Jobs subscribed while the shard is in flight.
@@ -137,7 +137,6 @@ class SimulationService:
             workers=workers,
             on_done=self._on_shard_done,
             on_failed=self._on_shard_failed,
-            on_claim=self._on_shard_claim,
         )
         self._started = False
 
@@ -208,7 +207,7 @@ class SimulationService:
     ) -> None:
         """Route one shard: attach, serve from store, or enqueue."""
         state = self._shards.get(key)
-        if state is not None and state.status in ("queued", "running"):
+        if state is not None and state.status == "queued":
             state.jobs.append(job.job_id)
             job.sources[key] = "shared"
             job.pending.add(key)
@@ -243,17 +242,11 @@ class SimulationService:
 
     # -- pool callbacks (collector thread) ---------------------------------
 
-    def _on_shard_claim(self, key: str) -> None:
-        with self._lock:
-            state = self._shards.get(key)
-            if state is not None and state.status == "queued":
-                state.status = "running"
-
     def _on_shard_done(self, key: str, payload: Dict) -> None:
         with self._lock:
             state = self._shards.get(key)
             if state is None or state.status in ("done", "failed"):
-                return  # late duplicate from a crash-requeued shard
+                return  # settled already
             state.status = "done"
             state.summary = payload.get("row")
             wall_s = payload.get("wall_s")

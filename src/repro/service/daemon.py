@@ -15,7 +15,7 @@ one handler thread per connection.  Endpoints:
     sweep runs), one terminal ``done`` event — flushing per line.  The
     response carries no Content-Length and closes when the job ends:
     HTTP/1.0 close-delimited framing, which every stdlib client reads
-    incrementally.
+    incrementally.  A malformed or non-finite ``timeout`` is a 400.
 ``GET /results?job=ID``
     JSONL of full per-shard store payloads (lossless result dicts).
 ``POST /shutdown``
@@ -28,6 +28,7 @@ one handler thread per connection.  Endpoints:
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -141,7 +142,17 @@ class _Handler(BaseHTTPRequestHandler):
         job_id = query.get("job")
         if not job_id:
             raise ValueError("watch requires ?job=ID")
-        timeout = float(query["timeout"]) if "timeout" in query else None
+        timeout = None
+        if "timeout" in query:
+            try:
+                timeout = float(query["timeout"])
+            except ValueError:
+                timeout = math.nan
+            if not math.isfinite(timeout):
+                self._send_error_json(
+                    400, f"timeout must be finite seconds: {query['timeout']!r}"
+                )
+                return
         self.service.status(job_id)  # validate before committing a 200
         self._start_stream()
         for event in self.service.events(

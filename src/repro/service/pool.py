@@ -1,44 +1,40 @@
-"""A crash-tolerant process worker pool with a claim/complete protocol.
+"""A crash-tolerant process worker pool with parent-side assignment.
 
 The repo's one process pool: local sweeps
 (:func:`repro.service.run_sweep`) and the daemon both run on it.  A
-worker OOM-ing on one shard must not abandon every queued cell — the
-stdlib executor pool's ``BrokenProcessPool`` — so this pool runs plain
-``multiprocessing`` workers over a task queue with an explicit protocol:
+worker OOM-ing on one shard must not abandon every queued cell (the
+stdlib executor pool's ``BrokenProcessPool``), so this pool runs plain
+``multiprocessing`` workers, each on its own pipe.  The parent keeps
+the unassigned tasks in a FIFO and hands the next to an idle worker,
+recording the assignment *before* it sends.  The worker answers with
+``("done", task_id, payload)`` or ``("failed", task_id, error, tb)``;
+``failed`` carries the worker-side traceback (task exceptions never kill
+a worker).
 
-``("claim", pid, task_id)``
-    Sent by a worker the moment it dequeues a task, *before* running it.
-``("done", pid, task_id, payload)`` / ``("failed", pid, task_id, error, tb)``
-    Sent when the task finishes; ``failed`` carries the worker-side
-    traceback (task exceptions never kill a worker).
+A collector thread waits on every pipe and every process sentinel.  A
+worker's death (crash, OOM kill, SIGKILL) is seen by its sentinel, not
+by pipe EOF: forked siblings can hold copies of each other's pipe ends.
+The parent drains the dead worker's pipe, so a result sent before the
+death is delivered and not run again, then requeues the task the worker
+held and spawns a replacement.  Execution is thus exactly-once except
+for a worker killed mid-run, whose task runs again elsewhere: the
+service's at-least-once guarantee.  A task that has killed
+:attr:`WorkerPool.MAX_ATTEMPTS` workers is a poison shard: it is failed
+(``on_failed``) instead of requeued, so it cannot cycle forever.
 
-A collector thread in the parent consumes these messages and watches
-worker liveness: a dead worker (crash, OOM kill, SIGKILL) with an
-outstanding claim gets its task **re-queued** and a replacement worker
-spawned, so the shard runs again elsewhere — the service's
-at-least-once execution guarantee.  (A worker dying in the instant
-between dequeue and claim would orphan that one task; the window is a
-few instructions wide and crash-requeue is best-effort recovery, not a
-transactional queue.)  Callers must therefore tolerate duplicate
-completions — a task can finish twice when a worker is killed after
-completing but before the parent drains its message.  A task that has
-killed :attr:`WorkerPool.MAX_ATTEMPTS` workers is a poison shard: it is
-failed (``on_failed``) instead of requeued, so it cannot cycle forever.
-
-Workers are ``fork``-started: tasks need no pickling round-trip beyond
-the queue itself, and tests can monkeypatch the runner before workers
-spawn.  The runner executes simulation shards which re-open the
-experiment store by path, so forked state stays trivial.
+Workers are ``fork``-started: the runner needs no pickling, and tests
+can monkeypatch it before workers spawn.  Shards re-open the experiment
+store by path, so forked state stays trivial.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
-import queue
 import threading
 import traceback
-from typing import Callable, Dict, Optional
+from collections import deque
+from multiprocessing.connection import Connection, wait
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from .. import telemetry
 
@@ -46,28 +42,24 @@ __all__ = ["WorkerPool"]
 
 logger = telemetry.get_logger(__name__)
 
+#: One task as the parent holds it: ``(task_id, payload)``.
+Task = Tuple[str, object]
 
-def _worker_main(runner: Callable, tasks, results) -> None:
-    """Worker process body: claim, run, report; ``None`` poisons."""
-    pid = os.getpid()
+
+def _worker_main(runner: Callable, conn: Connection) -> None:
+    """Worker process body: run each assigned task, report; ``None`` stops."""
     while True:
-        item = tasks.get()
+        item = conn.recv()
         if item is None:
             return
         task_id, payload = item
-        results.put(("claim", pid, task_id))
         try:
             out = runner(payload)
         except BaseException as exc:
-            results.put((
-                "failed",
-                pid,
-                task_id,
-                f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(),
-            ))
+            error = f"{type(exc).__name__}: {exc}"
+            conn.send(("failed", task_id, error, traceback.format_exc()))
         else:
-            results.put(("done", pid, task_id, out))
+            conn.send(("done", task_id, out))
 
 
 class WorkerPool:
@@ -75,11 +67,10 @@ class WorkerPool:
 
     ``on_done(task_id, payload)`` / ``on_failed(task_id, error, tb)``
     fire in the collector thread as completions arrive (callers do their
-    own locking); ``on_claim(task_id)`` fires when a worker picks a task
-    up.  ``requeues`` counts crash-recovered tasks.
+    own locking).  ``requeues`` counts crash-recovered tasks.
     """
 
-    #: Liveness-check cadence; also bounds shutdown latency.
+    #: Collector wake-up cadence; bounds shutdown latency.
     POLL_SECONDS = 0.2
     #: Workers one task may kill before it is failed instead of requeued.
     MAX_ATTEMPTS = 3
@@ -90,7 +81,6 @@ class WorkerPool:
         workers: int = 2,
         on_done: Optional[Callable] = None,
         on_failed: Optional[Callable] = None,
-        on_claim: Optional[Callable] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -98,14 +88,11 @@ class WorkerPool:
         self.workers = workers
         self.on_done = on_done
         self.on_failed = on_failed
-        self.on_claim = on_claim
         self.requeues = 0
         self._ctx = mp.get_context("fork")
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
-        self._procs: Dict[int, mp.Process] = {}  # guarded by: self._lock
-        self._claims: Dict[int, str] = {}  # guarded by: self._lock
-        self._pending: Dict[str, object] = {}  # guarded by: self._lock
+        self._workers: Dict[int, Tuple[mp.Process, Connection]] = {}  # guarded by: self._lock
+        self._assigned: Dict[int, Task] = {}  # guarded by: self._lock
+        self._queue: Deque[Task] = deque()  # guarded by: self._lock
         self._kills: Dict[str, int] = {}  # guarded by: self._lock
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -122,130 +109,120 @@ class WorkerPool:
         self._collector.start()
 
     def stop(self) -> None:
-        """Drain-free shutdown: poison workers, join everything."""
+        """Drain-free shutdown: stop the collector, then every worker."""
         self._stopping.set()
+        if self._collector is not None:
+            self._collector.join(timeout=5.0)
         with self._lock:
-            procs = list(self._procs.values())
-        for _ in procs:
-            self._tasks.put(None)
-        for proc in procs:
+            workers = list(self._workers.values())
+        for _, conn in workers:
+            try:
+                conn.send(None)
+            except OSError:  # already dead
+                pass
+        for proc, conn in workers:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=1.0)
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
+            conn.close()
 
     def _spawn(self) -> None:
+        conn, child = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_worker_main,
-            args=(self.runner, self._tasks, self._results),
-            daemon=True,
+            target=_worker_main, args=(self.runner, child), daemon=True
         )
         proc.start()
+        child.close()  # the worker's end lives in the worker alone
         with self._lock:
-            self._procs[proc.pid] = proc
+            self._workers[proc.pid] = (proc, conn)
+            self._dispatch()
 
     # -- task flow ---------------------------------------------------------
 
     def submit(self, task_id: str, payload) -> None:
         """Queue one task.  ``task_id`` must be unique among live tasks."""
         with self._lock:
-            self._pending[task_id] = payload
-        self._tasks.put((task_id, payload))
+            self._queue.append((task_id, payload))
+            self._dispatch()
 
     def outstanding(self) -> int:
-        """Tasks submitted but not yet completed (queued or claimed)."""
+        """Tasks submitted but not yet completed (queued or assigned)."""
         with self._lock:
-            return len(self._pending)
+            return len(self._queue) + len(self._assigned)
+
+    # requires: self._lock
+    def _dispatch(self) -> None:
+        """Hand queued tasks to idle workers, recording each first."""
+        for pid, (_, conn) in self._workers.items():
+            if not self._queue or self._stopping.is_set():
+                return
+            if pid in self._assigned:
+                continue
+            task = self._assigned[pid] = self._queue.popleft()
+            try:
+                conn.send(task)
+            except OSError:  # dead already: its sentinel requeues the task
+                pass
 
     def _collect(self) -> None:
         while not self._stopping.is_set():
-            try:
-                msg = self._results.get(timeout=self.POLL_SECONDS)
-            except queue.Empty:
-                self._reap_dead_workers()
-                continue
-            kind = msg[0]
-            if kind == "claim":
-                _, pid, task_id = msg
-                requeue = None
-                with self._lock:
-                    if pid in self._procs:
-                        self._claims[pid] = task_id
-                    elif task_id in self._pending:
-                        # The claim outlived its worker (killed between
-                        # claiming and the liveness sweep that already
-                        # reaped it): requeue straight away.
-                        requeue = (task_id, self._pending[task_id])
-                if requeue is not None:
-                    self._requeue(*requeue)
-                if self.on_claim is not None:
-                    self.on_claim(task_id)
-            elif kind == "done":
-                _, pid, task_id, payload = msg
-                self._complete(pid, task_id)
-                if self.on_done is not None:
-                    self.on_done(task_id, payload)
-            elif kind == "failed":
-                _, pid, task_id, error, tb = msg
-                self._complete(pid, task_id)
-                if self.on_failed is not None:
-                    self.on_failed(task_id, error, tb)
+            owners: Dict[object, int] = {}
+            with self._lock:
+                for pid, (proc, conn) in self._workers.items():
+                    owners[conn] = owners[proc.sentinel] = pid
+            ready = wait(list(owners), timeout=self.POLL_SECONDS)
+            # Messages first: a worker buried below has no pipe left.
+            for conn in [r for r in ready if isinstance(r, Connection)]:
+                self._receive(owners[conn], conn)
+            for sentinel in [r for r in ready if isinstance(r, int)]:
+                self._bury(owners[sentinel])
 
-    def _complete(self, pid: int, task_id: str) -> None:
+    def _receive(self, pid: int, conn: Connection) -> bool:
+        """Deliver one message from ``pid``; False if its pipe is dead."""
+        try:
+            kind, task_id, *result = conn.recv()
+        except (EOFError, OSError):  # the worker died: see _bury
+            return False
         with self._lock:
-            if self._claims.get(pid) == task_id:
-                del self._claims[pid]
-            self._pending.pop(task_id, None)
+            self._assigned.pop(pid, None)
             self._kills.pop(task_id, None)
+            self._dispatch()
+        callback = self.on_done if kind == "done" else self.on_failed
+        if callback is not None:
+            callback(task_id, *result)
+        return True
 
-    def _reap_dead_workers(self) -> None:
-        """Requeue claims held by dead workers; keep the pool at size."""
+    def _bury(self, pid: int) -> None:
+        """A worker died: deliver what it sent, requeue what it held,
+        and spawn its replacement."""
+        with self._lock:  # out of _workers first: nothing new is sent it
+            proc, conn = self._workers.pop(pid)
+        while conn.poll() and self._receive(pid, conn):
+            pass
         with self._lock:
-            dead = [
-                (pid, proc)
-                for pid, proc in self._procs.items()
-                if not proc.is_alive()
-            ]
-            for pid, _ in dead:
-                del self._procs[pid]
-            orphans = [
-                (pid, self._claims.pop(pid))
-                for pid, _ in dead
-                if pid in self._claims
-            ]
-            resubmit = [
-                (task_id, self._pending[task_id])
-                for _, task_id in orphans
-                if task_id in self._pending
-            ]
-        for pid, proc in dead:
-            proc.join(timeout=0.1)
-            logger.warning(
-                "worker %d died (exitcode %s); respawning",
-                pid, proc.exitcode,
-            )
-            if not self._stopping.is_set():
-                self._spawn()
-        for task_id, payload in resubmit:
-            self._requeue(task_id, payload)
+            task = self._assigned.pop(pid, None)
+        proc.join(timeout=0.1)
+        conn.close()
+        logger.warning("worker %d died (exitcode %s)", pid, proc.exitcode)
+        if task is not None:
+            self._requeue(*task)
+        if not self._stopping.is_set():
+            self._spawn()
 
     def _requeue(self, task_id: str, payload) -> None:
         with self._lock:
             kills = self._kills[task_id] = self._kills.get(task_id, 0) + 1
-            poison = kills >= self.MAX_ATTEMPTS
-            if poison:
-                self._pending.pop(task_id, None)
+            if kills < self.MAX_ATTEMPTS:
+                self.requeues += 1
+                self._queue.append((task_id, payload))
+                self._dispatch()
+            else:
                 del self._kills[task_id]
-        if poison:
-            logger.warning("task %s killed %d workers", task_id, kills)
-            if self.on_failed is not None:
-                self.on_failed(
-                    task_id, f"WorkerLost: killed {kills} workers", ""
-                )
+        if kills < self.MAX_ATTEMPTS:
+            telemetry.count("service.shard_requeues")
+            logger.warning("requeueing task %s from dead worker", task_id)
             return
-        self.requeues += 1
-        telemetry.count("service.shard_requeues")
-        logger.warning("requeueing task %s from dead worker", task_id)
-        self._tasks.put((task_id, payload))
+        logger.warning("task %s killed %d workers", task_id, kills)
+        if self.on_failed is not None:
+            self.on_failed(task_id, f"WorkerLost: killed {kills} workers", "")

@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import signal
+import sys
 import threading
 import time
 from collections import Counter
@@ -225,10 +226,6 @@ class TestShardFailures:
             assert service.status(again)["sources"]["new"] == 1
 
 
-#: How long a self-killing runner waits first, so that its worker's
-#: ``claim`` has reached the parent (an unclaimed task is not requeued).
-_CLAIM_FLUSH_SECONDS = 0.2
-
 #: Consumed-once crash flag: the first worker to see the file removes it
 #: and hangs (to be killed); the respawned worker runs normally.
 _CRASH_FLAG_ENV = "REPRO_TEST_CRASH_FLAG"
@@ -261,6 +258,56 @@ def _wait_for(predicate, timeout, message):
     raise AssertionError(message)
 
 
+def _double_runner(payload):
+    return 2 * payload
+
+
+class TestPoolConcurrency:
+    def test_concurrent_submits_complete_exactly_once(self):
+        """Eight threads submit while six workers (more than this host's
+        cores) complete, under a short switch interval: every task is
+        assigned, run and delivered exactly once."""
+        threads, per_thread = 8, 25
+        total = threads * per_thread
+        delivered = Counter()
+        lock = threading.Lock()
+        finished = threading.Event()
+
+        def on_done(task_id, payload):
+            with lock:
+                delivered[(task_id, payload)] += 1
+                if sum(delivered.values()) == total:
+                    finished.set()
+
+        def submit(first):
+            for k in range(first, first + per_thread):
+                pool.submit(f"task-{k}", k)
+
+        pool = WorkerPool(_double_runner, workers=6, on_done=on_done)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool.start()
+            submitters = [
+                threading.Thread(target=submit, args=(t * per_thread,))
+                for t in range(threads)
+            ]
+            for t in submitters:
+                t.start()
+            for t in submitters:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert finished.wait(timeout=60), "a task was never delivered"
+            assert pool.outstanding() == 0
+        finally:
+            sys.setswitchinterval(interval)
+            pool.stop()
+        assert delivered == Counter(
+            {(f"task-{k}", 2 * k): 1 for k in range(total)}
+        )
+        assert pool.requeues == 0
+
+
 class TestWorkerCrashRecovery:
     def test_pool_requeues_shard_of_killed_worker(self, tmp_path):
         flag = tmp_path / "crash-flag"
@@ -281,7 +328,7 @@ class TestWorkerCrashRecovery:
                 "worker never picked the task up",
             )
             with pool._lock:
-                (victim,) = list(pool._procs)
+                (victim,) = list(pool._workers)
             os.kill(victim, signal.SIGKILL)
             assert done.wait(timeout=30), "requeued shard never completed"
             assert pool.requeues == 1
@@ -305,7 +352,7 @@ class TestWorkerCrashRecovery:
                 "worker never picked the shard up",
             )
             with service.pool._lock:
-                (victim,) = list(service.pool._procs)
+                (victim,) = list(service.pool._workers)
             os.kill(victim, signal.SIGKILL)
             assert service.wait(jid, timeout=60)
             status = service.status(jid)
@@ -316,11 +363,32 @@ class TestWorkerCrashRecovery:
             (key,) = service._jobs[jid].shard_keys
             assert service.store.fetch_by_key(key) is not None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_killed_on_its_first_shard(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """The worker dies the instant it gets a shard, before it could
+        tell anyone: the parent assigned the shard, so it is requeued."""
+        flag = tmp_path / "crash-flag"
+        flag.touch()
+        monkeypatch.setenv(_CRASH_FLAG_ENV, str(flag))
+        with SimulationService(
+            tmp_path / "store", workers=workers, runner=_die_once_execute
+        ) as service:
+            jid = service.submit(small_request())
+            assert service.wait(jid, timeout=60), "a shard was orphaned"
+            assert not flag.exists(), "no worker was killed"
+            status = service.status(jid)
+            assert status["status"] == "done"
+            assert status["failed"] == 0
+            assert service.pool.requeues == 1
+            for key in service._jobs[jid].shard_keys:
+                assert service.store.fetch_by_key(key) is not None
+
 
 def _die_on_pf_execute(payload):
     """A poison shard: every worker that runs a PF cell is SIGKILLed."""
     if payload["shard"]["switch"] == "pf":
-        time.sleep(_CLAIM_FLUSH_SECONDS)
         os.kill(os.getpid(), signal.SIGKILL)
     return execute_shard(payload)
 
@@ -331,7 +399,6 @@ def _die_once_execute(payload):
     flag = os.environ[_CRASH_FLAG_ENV]
     if os.path.exists(flag):
         os.unlink(flag)
-        time.sleep(_CLAIM_FLUSH_SECONDS)
         os.kill(os.getpid(), signal.SIGKILL)
     return execute_shard(payload)
 
@@ -352,7 +419,8 @@ def _sweep_with(monkeypatch, runner):
 
 class TestPoisonShard:
     """A shard that kills every worker it touches fails; it is not
-    requeued forever (bounded by ``MAX_ATTEMPTS`` x ``POLL_SECONDS``)."""
+    requeued forever (bounded by ``MAX_ATTEMPTS`` worker deaths, each
+    seen at once by its process sentinel)."""
 
     def test_poison_shard_fails_its_job_in_bounded_time(self, tmp_path):
         with SimulationService(
@@ -586,6 +654,23 @@ class TestHTTPSurface:
         finally:
             conn.close()
         assert ServiceClient(server.address).health()["status"] == "ok"
+
+    @pytest.mark.parametrize("timeout", ["abc", "nan", "inf", "-inf"])
+    def test_bad_watch_timeout_is_rejected(self, server, timeout):
+        """Answered 400 before the stream starts (``nan`` used to make a
+        watch that never expires)."""
+        job_id = ServiceClient(server.address).submit(
+            small_request(switches=("sprinklers",), loads=(0.3,))
+        )
+        split = urlsplit(server.address)
+        conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
+        try:
+            conn.request("GET", f"/watch?job={job_id}&timeout={timeout}")
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "timeout" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
 
     def test_unreachable_daemon_message(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
