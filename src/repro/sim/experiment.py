@@ -46,7 +46,7 @@ from ..sim.rng import traffic_rng
 from ..store import ExperimentStore, cache_key, coerce_store
 from ..traffic.batch import BatchTrafficGenerator
 from ..traffic.generator import TrafficGenerator
-from ..traffic.matrices import diagonal_matrix, uniform_matrix
+from ..traffic.matrices import diagonal_matrix, uniform_matrix, validate_matrix
 
 __all__ = [
     "ENGINES",
@@ -224,6 +224,7 @@ def plan_run(
             load_label = float(load)
     elif matrix is None:
         raise ValueError("need a matrix or a scenario")
+    matrix = validate_matrix(matrix)
     if num_slots <= 0:
         raise ValueError("num_slots must be positive")
     if not 0.0 <= warmup_fraction < 1.0:

@@ -18,6 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "CHUNK_SLOTS",
     "ArrivalProcess",
     "BernoulliArrivals",
     "ModulatedBernoulliArrivals",
@@ -26,6 +27,18 @@ __all__ = [
 ]
 
 Chunk = Tuple[np.ndarray, np.ndarray]
+
+#: Slots per arrival chunk: the RNG-consumption unit of every run (see
+#: :meth:`ArrivalProcess.events`).  Both traffic generators step their
+#: arrival process through chunks of this size, so it is one constant —
+#: two generators chunking differently would draw different streams.
+CHUNK_SLOTS = 4096
+
+
+def _check_probabilities(values: np.ndarray, what: str) -> None:
+    """Reject probabilities outside ``[0, 1]``, NaN included."""
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError(f"{what} must be in [0, 1]")
 
 
 class ArrivalProcess:
@@ -42,7 +55,9 @@ class ArrivalProcess:
         """
         raise NotImplementedError
 
-    def events(self, num_slots: int, chunk_slots: int = 4096) -> Iterator[Chunk]:
+    def events(
+        self, num_slots: int, chunk_slots: int = CHUNK_SLOTS
+    ) -> Iterator[Chunk]:
         """Iterate chunks covering ``[0, num_slots)``.
 
         The chunking here is the *RNG-consumption unit* of a run: every
@@ -55,6 +70,8 @@ class ArrivalProcess:
         stepped through one ``events`` sweep per run for the same
         reason.
         """
+        if chunk_slots <= 0:
+            raise ValueError("chunk_slots must be positive")
         start = 0
         while start < num_slots:
             size = min(chunk_slots, num_slots - start)
@@ -73,8 +90,7 @@ class BernoulliArrivals(ArrivalProcess):
         loads = np.asarray(loads, dtype=float)
         if loads.ndim != 1:
             raise ValueError("loads must be a 1-D sequence (one per input)")
-        if np.any((loads < 0) | (loads > 1)):
-            raise ValueError("per-slot arrival probabilities must be in [0, 1]")
+        _check_probabilities(loads, "per-slot arrival probabilities")
         self.n = len(loads)
         self.loads = loads
         self._rng = rng
@@ -111,8 +127,7 @@ class ModulatedBernoulliArrivals(ArrivalProcess):
         loads = np.asarray(loads, dtype=float)
         if loads.ndim != 1:
             raise ValueError("loads must be a 1-D sequence (one per input)")
-        if np.any((loads < 0) | (loads > 1)):
-            raise ValueError("per-slot arrival probabilities must be in [0, 1]")
+        _check_probabilities(loads, "per-slot arrival probabilities")
         if not hasattr(schedule, "multipliers"):
             raise TypeError(
                 "schedule must expose multipliers(start_slot, num_slots)"
@@ -132,8 +147,7 @@ class ModulatedBernoulliArrivals(ArrivalProcess):
                 f"schedule returned shape {mult.shape}, "
                 f"expected ({num_slots},)"
             )
-        if np.any((mult < 0) | (mult > 1)):
-            raise ValueError("schedule multipliers must be in [0, 1]")
+        _check_probabilities(mult, "schedule multipliers")
         probs = self.loads[None, :] * mult[:, None]
         rel_slots, inputs = np.nonzero(draws < probs)
         return rel_slots + start_slot, inputs
@@ -182,10 +196,11 @@ class OnOffArrivals(ArrivalProcess):
         peak = np.asarray(peak_rate, dtype=float)
         if peak.ndim not in (0, 1) or (peak.ndim == 1 and len(peak) != n):
             raise ValueError("peak_rate must be a scalar or one value per input")
-        if np.any((peak < 0.0) | (peak > 1.0)):
-            raise ValueError("peak_rate must be in [0, 1]")
-        if mean_on < 1.0 or mean_off < 1.0:
-            raise ValueError("mean sojourn times must be at least one slot")
+        _check_probabilities(peak, "peak_rate")
+        if not all(1.0 <= m < np.inf for m in (mean_on, mean_off)):
+            raise ValueError(
+                "mean sojourn times must be finite and at least one slot"
+            )
         if phases is None:
             phases = n
         if not 1 <= phases <= n:

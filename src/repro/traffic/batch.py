@@ -8,10 +8,13 @@ vectorized engine, which wants the whole workload as flat NumPy arrays.
 :class:`BatchTrafficGenerator` produces exactly the same arrival stream as
 ``TrafficGenerator`` for the same random generator and matrix — it draws
 from the RNG in the identical order (arrival-process chunks of
-``chunk_slots`` slots, then one destination draw per input present in the
-chunk, inputs in ascending order) — but returns an :class:`ArrivalBatch`
-of arrays instead of objects.  That equivalence is what makes seeded
-object-vs-vectorized engine parity *exact*, and it is pinned by tests.
+:data:`~repro.traffic.arrivals.CHUNK_SLOTS` slots, each followed by its
+destination draw: one uniform per arrival, inputs ascending, taken as one
+block for the whole chunk by the shared destination sampler) — but
+returns an :class:`ArrivalBatch` of arrays instead of objects.  That
+equivalence is what makes seeded object-vs-vectorized engine parity
+*exact*, and it is pinned by tests.  Per-VOQ sequence numbers are
+assigned chunk by chunk in arrival order (:func:`assign_voq_seqs`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
-from .arrivals import ArrivalProcess, BernoulliArrivals
+from .arrivals import CHUNK_SLOTS, ArrivalProcess, BernoulliArrivals
 from .generator import (
     DestinationSampler,
     MatrixDestinations,
@@ -30,6 +33,7 @@ from .generator import (
 __all__ = [
     "ArrivalBatch",
     "BatchTrafficGenerator",
+    "assign_voq_seqs",
     "bernoulli_batch",
     "stable_voq_argsort",
 ]
@@ -47,6 +51,29 @@ def stable_voq_argsort(voqs: np.ndarray, n: int) -> np.ndarray:
     if n * n <= np.iinfo(np.uint16).max:
         return np.argsort(voqs.astype(np.uint16), kind="stable")
     return np.argsort(voqs, kind="stable")
+
+
+def assign_voq_seqs(
+    voqs: np.ndarray, seq_next: np.ndarray, n: int
+) -> np.ndarray:
+    """Per-VOQ consecutive sequence numbers of ``voqs``, in their order.
+
+    Numbering starts at ``seq_next[voq]`` and ``seq_next`` is advanced in
+    place, so successive calls continue each VOQ's count.  A packet's
+    number is its place in the VOQ-grouped order minus where its group
+    starts there, plus the group's ``seq_next``: computed in grouped
+    order and scattered back once.
+    """
+    counts = np.bincount(voqs, minlength=n * n)
+    offsets = np.cumsum(counts)
+    offsets -= counts
+    offsets -= seq_next
+    seqs = np.empty(len(voqs), dtype=np.int64)
+    seqs[stable_voq_argsort(voqs, n)] = np.arange(len(voqs)) - np.repeat(
+        offsets, counts
+    )
+    seq_next += counts
+    return seqs
 
 
 def _joined(parts: List[np.ndarray]) -> np.ndarray:
@@ -116,14 +143,12 @@ class BatchTrafficGenerator:
         matrix,
         rng: np.random.Generator,
         arrivals: Optional[ArrivalProcess] = None,
-        chunk_slots: int = 4096,
         destinations: Optional[DestinationSampler] = None,
     ) -> None:
         matrix, row_sums, dest_dists = destination_distributions(matrix)
         self.n = matrix.shape[0]
         self.matrix = matrix
         self._rng = rng
-        self._dest_dists = dest_dists
         self._destinations = (
             destinations
             if destinations is not None
@@ -134,54 +159,45 @@ class BatchTrafficGenerator:
         if arrivals.n != self.n:
             raise ValueError("arrival process size does not match matrix")
         self.arrivals = arrivals
-        self.chunk_slots = chunk_slots
         self._seq_next = np.zeros(self.n * self.n, dtype=np.int64)
         self.generated = 0
 
     def _event_chunks(self, num_slots: int):
-        """Iterate ``(slots, inputs, outputs)`` arrival chunks of one run.
+        """Iterate ``(slots, inputs, outputs, seqs)`` chunks of one run.
 
         This is *the* RNG-consumption unit shared by :meth:`draw` and
         :meth:`draw_chunks`: the arrival process is stepped in chunks of
-        ``chunk_slots`` slots and each chunk's destinations are drawn
-        immediately after it, so how callers re-window the events can
-        never perturb the stream.  (`np.nonzero` emits chunk events in
-        row-major ``(slot, input)`` order already; destinations come from
-        the same shared sampler — hence the same RNG consumption — as
-        ``TrafficGenerator.slots()``.)
+        :data:`~repro.traffic.arrivals.CHUNK_SLOTS` slots and each chunk's
+        destinations are drawn immediately after it, so how callers
+        re-window the events can never perturb the stream.  (`np.nonzero`
+        emits chunk events in row-major ``(slot, input)`` order already;
+        destinations come from the same shared sampler — hence the same
+        RNG consumption — as ``TrafficGenerator.slots()``.)  Sequence
+        numbers continue from chunk to chunk, so they are numbered here,
+        where a chunk's columns are still small enough to sort in cache.
         """
-        for slots, inputs in self.arrivals.events(num_slots, self.chunk_slots):
-            dests = self._destinations.draw(self._rng, slots, inputs, self.n)
-            yield (
-                np.asarray(slots, dtype=np.int64),
-                np.asarray(inputs, dtype=np.int64),
-                dests,
-            )
-
-    def _chunk_columns(self, num_slots: int) -> List[List[np.ndarray]]:
-        """A run's ``(slots, inputs, outputs)`` chunks, one list each."""
-        columns: List[List[np.ndarray]] = [[], [], []]
-        for chunk in self._event_chunks(num_slots):
-            for parts, values in zip(columns, chunk):
-                parts.append(values)
-        return columns
+        n = self.n
+        for slots, inputs in self.arrivals.events(num_slots):
+            outputs = self._destinations.draw(self._rng, slots, inputs, n)
+            seqs = assign_voq_seqs(inputs * n + outputs, self._seq_next, n)
+            yield slots, inputs, outputs, seqs
 
     def draw(self, num_slots: int) -> ArrivalBatch:
         """Draw ``num_slots`` slots of arrivals as one batch of arrays."""
         if num_slots <= 0:
             raise ValueError("num_slots must be positive")
-        n = self.n
-        slots_all, inputs_all, outputs_all = (
-            _joined(parts) for parts in self._chunk_columns(num_slots)
-        )
-        seqs = self._assign_seqs(inputs_all * n + outputs_all)
-        self.generated += len(slots_all)
+        columns: List[List[np.ndarray]] = [[], [], [], []]
+        for chunk in self._event_chunks(num_slots):
+            for parts, values in zip(columns, chunk):
+                parts.append(values)
+        slots, inputs, outputs, seqs = (_joined(parts) for parts in columns)
+        self.generated += len(slots)
         return ArrivalBatch(
-            n=n,
+            n=self.n,
             num_slots=num_slots,
-            slots=slots_all,
-            inputs=inputs_all,
-            outputs=outputs_all,
+            slots=slots,
+            inputs=inputs,
+            outputs=outputs,
             seqs=seqs,
         )
 
@@ -194,19 +210,19 @@ class BatchTrafficGenerator:
         ``[window_slots, 2 * window_slots)``, … (the last window may be
         shorter), with *identical RNG consumption* to a single
         ``draw(num_slots)`` — the arrival process is still stepped in
-        ``chunk_slots`` units internally and the windows are sliced from
-        the buffered events, so concatenating the windows' arrays
-        reproduces the monolithic batch field-for-field (per-VOQ sequence
-        numbers continue across windows).  Peak buffered-event memory is
-        O(``window_slots + chunk_slots``) instead of O(``num_slots``).
+        :data:`~repro.traffic.arrivals.CHUNK_SLOTS` units internally and
+        the windows are sliced from the buffered events, so concatenating
+        the windows' arrays reproduces the monolithic batch field-for-field
+        (per-VOQ sequence numbers continue across windows).  Peak
+        buffered-event memory is O(``window_slots + CHUNK_SLOTS``) instead
+        of O(``num_slots``).
         """
         if num_slots <= 0:
             raise ValueError("num_slots must be positive")
         if window_slots <= 0:
             raise ValueError("window_slots must be positive")
-        n = self.n
-        # (slots, inputs, outputs) drawn but not yet emitted.
-        pending = tuple(np.empty(0, np.int64) for _ in range(3))
+        # (slots, inputs, outputs, seqs) drawn but not yet emitted.
+        pending = tuple(np.empty(0, np.int64) for _ in range(4))
         covered = 0  # slots fully drawn so far
         emitted = 0  # slots already yielded as windows
         chunks = self._event_chunks(num_slots)
@@ -215,35 +231,23 @@ class BatchTrafficGenerator:
             parts = [pending]
             while covered < window_end:
                 parts.append(next(chunks))
-                covered = min(covered + self.chunk_slots, num_slots)
+                covered = min(covered + CHUNK_SLOTS, num_slots)
             if len(parts) > 1:
                 pending = tuple(np.concatenate(f) for f in zip(*parts))
             cut = int(np.searchsorted(pending[0], window_end, side="left"))
-            w_slots, w_inputs, w_outputs = (f[:cut] for f in pending)
+            w_slots, w_inputs, w_outputs, w_seqs = (f[:cut] for f in pending)
             pending = tuple(f[cut:] for f in pending)
-            seqs = self._assign_seqs(w_inputs * n + w_outputs)
             self.generated += len(w_slots)
             yield ArrivalBatch(
-                n=n,
+                n=self.n,
                 num_slots=window_end - emitted,
                 slots=w_slots,
                 inputs=w_inputs,
                 outputs=w_outputs,
-                seqs=seqs,
+                seqs=w_seqs,
                 start_slot=emitted,
             )
             emitted = window_end
-
-    def _assign_seqs(self, voqs: np.ndarray) -> np.ndarray:
-        """Per-VOQ consecutive sequence numbers, in generation order."""
-        counts = np.bincount(voqs, minlength=self.n * self.n)
-        # Rank within each voq group: the packet's place in the
-        # VOQ-sorted batch minus where its group starts.
-        seqs = np.empty(len(voqs), dtype=np.int64)
-        seqs[stable_voq_argsort(voqs, self.n)] = np.arange(len(voqs))
-        seqs -= (np.cumsum(counts) - counts - self._seq_next)[voqs]
-        self._seq_next += counts
-        return seqs
 
     def voq_rate(self, input_port: int, output_port: int) -> float:
         """The configured arrival rate of VOQ (input, output)."""

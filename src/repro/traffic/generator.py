@@ -12,12 +12,12 @@ per-slot Python work is a dictionary lookup plus object construction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..switching.packet import Packet
-from .arrivals import ArrivalProcess, BernoulliArrivals
+from .arrivals import CHUNK_SLOTS, ArrivalProcess, BernoulliArrivals
 from .matrices import validate_matrix
 
 __all__ = [
@@ -56,64 +56,107 @@ def destination_distributions(matrix):
     return matrix, row_sums, dists
 
 
-def _row_cdfs(
-    dest_dists: List[Optional[np.ndarray]],
-) -> List[Optional[np.ndarray]]:
-    """Normalized CDF right-edges per destination distribution.
+class _CdfTable(NamedTuple):
+    """Every row's inverse CDF at once: ``searchsorted(cdf_i, u, "right")``.
 
-    Exactly the cumulative table ``np.random.Generator.choice`` builds
-    internally for a weighted draw — precomputing it once per generator
-    removes choice's per-call validation and cumsum from the hot path
-    while consuming the *same* uniforms and returning the *same* values
-    (pinned by tests).
+    ``cdf`` holds the ``n x n`` right-edge table flattened row-major;
+    ``guide`` holds, flattened the same way, ``n x buckets`` lower bounds
+    ``guide[i, k] = searchsorted(cdf_i, k / buckets, "right")``.
+    ``buckets`` is a power of two, so ``u * buckets`` is exact and
+    ``floor(u * buckets) == k`` exactly when ``k / buckets <= u <
+    (k + 1) / buckets``: the bucket's guide entry never overshoots the
+    answer for any ``u`` in it, and :meth:`invert` steps up from there.
+    Rows without a rate (``rated`` False) hold all-ones edges and are
+    never looked up for a real draw.
     """
-    cdfs: List[Optional[np.ndarray]] = []
-    for dist in dest_dists:
-        if dist is None:
-            cdfs.append(None)
-        else:
-            cdf = dist.cumsum()
-            cdf /= cdf[-1]
-            cdfs.append(cdf)
-    return cdfs
+
+    n: int
+    cdf: np.ndarray
+    guide: np.ndarray
+    buckets: int
+    rated: np.ndarray
+
+    def invert(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Destination of each uniform ``u`` (in ``[0, 1)``) on its row."""
+        base = rows * self.n
+        bucket = (u * self.buckets).astype(np.intp)
+        bucket += rows * self.buckets
+        pos = base + self.guide[bucket]
+        # Step past every edge <= u.  Each row's last edge is exactly 1.0
+        # > u, so no position leaves its row; repeated edges (zero-rate
+        # entries) are stepped over like any other.
+        live = np.flatnonzero(self.cdf[pos] <= u)
+        while live.size:
+            pos[live] += 1
+            live = live[self.cdf[pos[live]] <= u[live]]
+        pos -= base
+        return pos
+
+
+def _cdf_table(dest_dists: List[Optional[np.ndarray]]) -> _CdfTable:
+    """The :class:`_CdfTable` of ``n`` destination distributions.
+
+    Each row's edges are exactly the cumulative table
+    ``np.random.Generator.choice`` builds internally for a weighted draw
+    (``cumsum``, then divide by the last entry), so inverting one
+    uniform per arrival consumes the *same* uniforms and returns the
+    *same* values as ``choice`` (pinned by tests).  Built once per
+    sampler: nothing here depends on the draw.
+    """
+    n = len(dest_dists)
+    rated = np.array([dist is not None for dist in dest_dists], dtype=bool)
+    cdf = np.ones((n, n))
+    if rated.any():
+        sums = np.cumsum([d for d in dest_dists if d is not None], axis=1)
+        cdf[rated] = sums / sums[:, -1:]
+    buckets = 1 << (4 * n - 1).bit_length()  # a power of two >= 4n
+    # Edge c counts toward guide[i, k] iff c <= k / buckets, i.e. from
+    # bucket ceil(c * buckets) on (exact: buckets is a power of two).
+    first = np.ceil(cdf * buckets).astype(np.intp)
+    first += np.arange(n)[:, None] * (buckets + 1)
+    hits = np.bincount(first.ravel(), minlength=n * (buckets + 1))
+    guide = np.cumsum(
+        hits.reshape(n, buckets + 1)[:, :buckets],
+        axis=1,
+        dtype=np.min_scalar_type(n - 1),
+    )
+    return _CdfTable(n, cdf.ravel(), guide.ravel(), buckets, rated)
 
 
 def _draw_from_cdfs(
-    rng: np.random.Generator,
-    inputs: np.ndarray,
-    cdfs: List[Optional[np.ndarray]],
-    n: int,
+    rng: np.random.Generator, inputs: np.ndarray, table: _CdfTable
 ) -> np.ndarray:
-    """Destination draws against precomputed CDFs (see :func:`_row_cdfs`).
+    """Destination draws for one chunk against a :class:`_CdfTable`.
 
-    One vectorized draw per input present, inputs ascending — the
-    canonical consumption order.  Events are grouped per input with one
-    radix sort instead of one boolean-mask pass per input.
+    The consumption order is inputs ascending: input ``i``'s arrivals
+    take the next ``count_i`` uniforms (or, for a row without a rate,
+    ``rng.integers(0, n, count_i)``).  Consecutive uniform draws
+    concatenate — ``rng.random(a)`` then ``rng.random(b)`` yields exactly
+    ``rng.random(a + b)`` — so every run of rated inputs between two
+    rate-less ones is one block draw, and a chunk of matrix traffic is a
+    single ``rng.random(P)``.  Events are grouped per input with one
+    radix sort.
     """
     dests = np.empty(len(inputs), dtype=np.int64)
     if len(inputs) == 0:
         return dests
-    order = np.argsort(
-        inputs.astype(np.uint16) if n <= np.iinfo(np.uint16).max else inputs,
-        kind="stable",
-    )
+    n = table.n
+    order = np.argsort(inputs.astype(np.min_scalar_type(n - 1)), kind="stable")
     counts = np.bincount(inputs, minlength=n)
-    sorted_dests = np.empty(len(inputs), dtype=np.int64)
+    ends = np.cumsum(counts)
+    u = np.empty(len(inputs))
+    picks = []
     at = 0
-    for inp in np.flatnonzero(counts):
-        count = int(counts[inp])
-        cdf = cdfs[int(inp)]
-        if cdf is None:
-            # repro: lint-ignore[RNG004] -- branch is per-input configuration (uniform row), not data-dependent; parity-pinned
-            sorted_dests[at : at + count] = rng.integers(0, n, size=count)
-        else:
-            # Generator.choice(n, size, p) ≡ inverse-CDF over one
-            # uniform block: identical stream consumption and values.
-            sorted_dests[at : at + count] = cdf.searchsorted(
-                # repro: lint-ignore[RNG004] -- same configuration-determined branch; consumption parity asserted in tests
-                rng.random(count), side="right"
-            )
-        at += count
+    for inp in np.flatnonzero((counts > 0) & ~table.rated):
+        start, end = ends[inp] - counts[inp], ends[inp]
+        rng.random(out=u[at:start])
+        u[start:end] = 0.0  # inverted below, then overwritten
+        picks.append((start, end, rng.integers(0, n, size=end - start)))
+        at = end
+    rng.random(out=u[at:])
+    sorted_dests = table.invert(np.repeat(np.arange(n), counts), u)
+    for start, end, values in picks:
+        sorted_dests[start:end] = values
     dests[order] = sorted_dests
     return dests
 
@@ -127,14 +170,18 @@ def draw_destinations(
     """Destination ports for one chunk of arrival events.
 
     This is the *canonical RNG consumption order* both traffic generators
-    follow: one vectorized draw per input present in the chunk, inputs
-    ascending.  An input with no configured rate can only see arrivals
-    from a custom arrival process; those are spread uniformly so they are
-    not silently dropped.  Draws are bit-identical to the historical
-    ``rng.choice(n, size=count, p=dist)`` calls (same uniforms, same
-    values) — the per-row CDFs are just precomputed.
+    follow: inputs ascending, each input present in the chunk taking one
+    uniform per arrival — drawn for the whole chunk as one block wherever
+    the inputs have rates.  An input with no configured rate can only see
+    arrivals from a custom arrival process; those are spread uniformly by
+    one ``rng.integers`` call at that input's place in the order, so they
+    are not silently dropped.  Draws are bit-identical to the historical
+    per-input ``rng.choice(n, size=count, p=dist)`` calls (same uniforms,
+    same values).
     """
-    return _draw_from_cdfs(rng, inputs, _row_cdfs(dest_dists), n)
+    if len(dest_dists) != n:
+        raise ValueError("need one destination distribution per input")
+    return _draw_from_cdfs(rng, inputs, _cdf_table(dest_dists))
 
 
 class DestinationSampler:
@@ -162,15 +209,14 @@ class DestinationSampler:
 class MatrixDestinations(DestinationSampler):
     """Stationary destinations from a fixed rate matrix (the default).
 
-    Delegates to :func:`draw_destinations`, i.e. the exact historical RNG
-    consumption: one vectorized draw per input present in the chunk,
-    inputs ascending.  Seeded runs predating the sampler abstraction are
-    bit-identical.
+    Draws exactly as :func:`draw_destinations` does — the historical RNG
+    consumption, inputs ascending, one uniform per arrival — but builds
+    the inverse-CDF table once, here, instead of once per chunk.  Seeded
+    runs predating the sampler abstraction are bit-identical.
     """
 
     def __init__(self, dest_dists: List[Optional[np.ndarray]]) -> None:
-        self._dest_dists = dest_dists
-        self._cdfs = _row_cdfs(dest_dists)
+        self._table = _cdf_table(dest_dists)
 
     def draw(
         self,
@@ -179,7 +225,7 @@ class MatrixDestinations(DestinationSampler):
         inputs: np.ndarray,
         n: int,
     ) -> np.ndarray:
-        return _draw_from_cdfs(rng, inputs, self._cdfs, n)
+        return _draw_from_cdfs(rng, inputs, self._table)
 
 
 class DriftingDestinations(DestinationSampler):
@@ -351,7 +397,6 @@ class TrafficGenerator:
         self.n = matrix.shape[0]
         self.matrix = matrix
         self._rng = rng
-        self._dest_dists = dest_dists
         self._destinations = (
             destinations
             if destinations is not None
@@ -374,19 +419,17 @@ class TrafficGenerator:
         self._seq[key] = seq + 1
         return seq
 
-    def slots(
-        self, num_slots: int, chunk_slots: int = 4096
-    ) -> Iterator[Tuple[int, List[Packet]]]:
+    def slots(self, num_slots: int) -> Iterator[Tuple[int, List[Packet]]]:
         """Yield ``(slot, packets_arriving_in_slot)`` for each slot in order.
 
         Slots with no arrivals are yielded with an empty list so callers can
         drive switches that must step every slot.
         """
         slot_cursor = 0
-        for slots, inputs in self.arrivals.events(num_slots, chunk_slots):
+        for slots, inputs in self.arrivals.events(num_slots):
             packets_by_slot: Dict[int, List[Packet]] = {}
-            # Draw destinations for the whole chunk (one vectorized call
-            # per input present), then build packets input by input.
+            # Draw destinations for the whole chunk, then build packets
+            # input by input.
             all_dests = self._destinations.draw(
                 self._rng, slots, inputs, self.n
             )
@@ -405,10 +448,7 @@ class TrafficGenerator:
                         )
                     packets_by_slot.setdefault(int(slot), []).append(pkt)
                     self.generated += 1
-            chunk_end = min(
-                slot_cursor + chunk_slots,
-                num_slots,
-            )
+            chunk_end = min(slot_cursor + CHUNK_SLOTS, num_slots)
             # numpy nonzero order is row-major -> already sorted by slot,
             # but arrivals in the same slot across inputs must keep a
             # deterministic order: sort each slot's list by input port.

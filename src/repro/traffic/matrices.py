@@ -39,10 +39,12 @@ __all__ = [
 
 
 def validate_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Check shape/nonnegativity and return the matrix as a float array."""
+    """Check shape, finiteness and nonnegativity; return a float array."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"traffic matrix must be square, got {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("traffic matrix entries must be finite")
     if np.any(matrix < 0):
         raise ValueError("traffic matrix entries must be nonnegative")
     return matrix

@@ -24,7 +24,7 @@ import numpy as np
 from .. import telemetry
 from ..switching.packet import Packet
 from .arrivals import TraceArrivals
-from .batch import ArrivalBatch, stable_voq_argsort
+from .batch import ArrivalBatch, assign_voq_seqs
 from .generator import TrafficGenerator
 
 logger = telemetry.get_logger(__name__)
@@ -219,23 +219,6 @@ class TraceBatchSource:
         if beyond:
             _report_truncation(beyond, self._total, num_slots)
 
-    def _assign_seqs(
-        self, voqs: np.ndarray, seq_next: np.ndarray
-    ) -> np.ndarray:
-        """Per-VOQ consecutive sequence numbers in delivery order
-        (mirrors :meth:`BatchTrafficGenerator._assign_seqs`)."""
-        seqs = np.empty(len(voqs), dtype=np.int64)
-        if len(voqs) == 0:
-            return seqs
-        order = stable_voq_argsort(voqs, self.n)
-        sorted_voqs = voqs[order]
-        counts = np.bincount(voqs, minlength=self.n * self.n)
-        group_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        positions = np.arange(len(voqs)) - group_starts[sorted_voqs]
-        seqs[order] = positions + seq_next[sorted_voqs]
-        seq_next += counts
-        return seqs
-
     def _window(
         self,
         start_slot: int,
@@ -246,7 +229,7 @@ class TraceBatchSource:
         slots = self._slots[lo:hi]
         inputs = self._inputs[lo:hi]
         outputs = self._outputs[lo:hi]
-        seqs = self._assign_seqs(inputs * self.n + outputs, seq_next)
+        seqs = assign_voq_seqs(inputs * self.n + outputs, seq_next, self.n)
         self.generated += len(slots)
         return ArrivalBatch(
             n=self.n,

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic.arrivals import BernoulliArrivals, OnOffArrivals, TraceArrivals
+from repro.scenarios import ConstantSchedule
+from repro.traffic.arrivals import (
+    BernoulliArrivals,
+    ModulatedBernoulliArrivals,
+    OnOffArrivals,
+    TraceArrivals,
+)
 
 
 class TestBernoulli:
@@ -40,6 +46,37 @@ class TestBernoulli:
             BernoulliArrivals([1.2], rng)
         with pytest.raises(ValueError):
             BernoulliArrivals([[0.5]], rng)
+
+    @pytest.mark.parametrize("chunk_slots", [0, -64])
+    def test_events_reject_nonpositive_chunk(self, rng, chunk_slots):
+        """A chunk of no slots would never advance the sweep."""
+        proc = BernoulliArrivals([0.5] * 2, rng)
+        with pytest.raises(ValueError, match="chunk_slots must be positive"):
+            next(proc.events(100, chunk_slots=chunk_slots))
+
+
+#: A non-finite rate never compares below a uniform, so it would silently
+#: idle its input instead of failing.
+_NON_FINITE = [
+    ("bernoulli-load", lambda rng: BernoulliArrivals([0.5, np.nan], rng)),
+    (
+        "modulated-load",
+        lambda rng: ModulatedBernoulliArrivals(
+            [np.nan, 0.5], ConstantSchedule(1.0), rng
+        ),
+    ),
+    ("onoff-peak", lambda rng: OnOffArrivals(2, [0.5, np.nan], 10, 10, rng)),
+    ("onoff-mean-on", lambda rng: OnOffArrivals(2, 0.5, np.nan, 10, rng)),
+    ("onoff-mean-off", lambda rng: OnOffArrivals(2, 0.5, 10, np.inf, rng)),
+]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in _NON_FINITE], ids=[i for i, _ in _NON_FINITE]
+)
+def test_non_finite_parameters_rejected(rng, build):
+    with pytest.raises(ValueError):
+        build(rng)
 
 
 class TestOnOff:

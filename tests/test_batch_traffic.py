@@ -46,7 +46,7 @@ class TestStreamIdentity:
         ids=["uniform-hot", "uniform-cold", "diagonal"],
     )
     def test_bernoulli_identical(self, matrix):
-        num_slots = 6000  # spans two rng chunks (chunk_slots = 4096)
+        num_slots = 6000  # spans two rng chunks (CHUNK_SLOTS = 4096)
         obj = TrafficGenerator(matrix, np.random.default_rng(42))
         bat = BatchTrafficGenerator(matrix, np.random.default_rng(42))
         assert _object_stream(obj, num_slots) == _batch_stream(

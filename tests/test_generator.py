@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.traffic.arrivals import TraceArrivals
-from repro.traffic.generator import FlowModel, TrafficGenerator, bernoulli_traffic
+from repro.traffic.generator import (
+    FlowModel,
+    TrafficGenerator,
+    _cdf_table,
+    _draw_from_cdfs,
+    bernoulli_traffic,
+    destination_distributions,
+)
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
 
@@ -42,6 +51,147 @@ class TestDrawDestinations:
             [None, None], 2,
         )
         assert set(np.unique(dests)) <= {0, 1}
+
+
+def _loop_row_cdfs(dest_dists):
+    """The per-row CDF list the per-input loop below consumes."""
+    cdfs = []
+    for dist in dest_dists:
+        if dist is None:
+            cdfs.append(None)
+        else:
+            cdf = dist.cumsum()
+            cdf /= cdf[-1]
+            cdfs.append(cdf)
+    return cdfs
+
+
+def _loop_draw_from_cdfs(rng, inputs, cdfs, n):
+    """The per-input destination draw ``_draw_from_cdfs`` replaces: one
+    ``searchsorted`` over its own uniform block per input present, inputs
+    ascending.  The reference the block draw must reproduce bit for bit,
+    RNG state included."""
+    dests = np.empty(len(inputs), dtype=np.int64)
+    if len(inputs) == 0:
+        return dests
+    order = np.argsort(
+        inputs.astype(np.uint16) if n <= np.iinfo(np.uint16).max else inputs,
+        kind="stable",
+    )
+    counts = np.bincount(inputs, minlength=n)
+    sorted_dests = np.empty(len(inputs), dtype=np.int64)
+    at = 0
+    for inp in np.flatnonzero(counts):
+        count = int(counts[inp])
+        cdf = cdfs[int(inp)]
+        if cdf is None:
+            sorted_dests[at : at + count] = rng.integers(0, n, size=count)
+        else:
+            sorted_dests[at : at + count] = cdf.searchsorted(
+                rng.random(count), side="right"
+            )
+        at += count
+    dests[order] = sorted_dests
+    return dests
+
+
+#: Row shapes: rate-less, dense, zeros at the ends and inside (repeated
+#: CDF edges), weights spread down to 1e-300, one non-zero entry.
+_ROW_KINDS = ("idle", "dense", "zeros", "tiny", "single")
+
+
+def _matrix(n, kinds, rng):
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        kind = kinds[i % len(kinds)]
+        row = rng.random(n) + 1e-3
+        if kind == "idle":
+            continue
+        if kind == "zeros":
+            lead, trail = rng.integers(0, n, 2)
+            row[:lead] = 0.0
+            row[n - trail :] = 0.0
+            row[rng.random(n) < 0.3] = 0.0
+            row[rng.integers(0, n)] = 1.0
+        elif kind == "tiny":
+            row = 10.0 ** rng.uniform(-300.0, 0.0, n)
+        elif kind == "single":
+            row = np.zeros(n)
+            row[rng.integers(0, n)] = 1.0
+        matrix[i] = row * (rng.uniform(0.01, 1.0) / row.sum())
+    return matrix
+
+
+@st.composite
+def _draw_cases(draw):
+    n = draw(st.integers(1, 300))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=6))
+    chunks = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=4))
+    return n, kinds, chunks, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBlockDraw:
+    """``_draw_from_cdfs`` (one uniform block per chunk, guide-table
+    inverse CDF) against the per-input loop it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_draw_cases())
+    @example((1, ["dense", "idle"], [0, 7, 0], 1))
+    @example((256, list(_ROW_KINDS), [3000, 0], 2))
+    @example((257, ["zeros", "idle", "tiny"], [0, 3000], 3))
+    def test_matches_per_input_loop(self, case):
+        n, kinds, chunks, seed = case
+        data = np.random.default_rng(seed)
+        _, _, dists = destination_distributions(_matrix(n, kinds, data))
+        table, cdfs = _cdf_table(dists), _loop_row_cdfs(dists)
+        block_rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
+        for size in chunks:  # successive chunks share one stream
+            inputs = data.integers(0, n, size)
+            got = _draw_from_cdfs(block_rng, inputs, table)
+            want = _loop_draw_from_cdfs(loop_rng, inputs, cdfs, n)
+            np.testing.assert_array_equal(got, want)
+            assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Dyadic edges land exactly on bucket bounds k / K; zeros at
+            # the front, inside and at the back repeat edges.
+            [[1, 1, 1, 1], [0, 1, 0, 1], [1, 0, 0, 0], [3, 1, 0, 4]],
+            # Edges strictly inside buckets need the step-up.
+            [[1, 2, 3, 7], [1e-300, 1, 0, 1], [5, 0, 0, 1], [0, 0, 0, 1]],
+            [[1, 1, 1], [0, 2, 1], [1, 1e-12, 0]],
+        ],
+        ids=["dyadic", "inside", "thirds"],
+    )
+    def test_inverse_at_bucket_bounds(self, rows):
+        """Exactly ``searchsorted(cdf, u, "right")`` for ``u`` on each
+        bucket bound ``k / K``, one ulp below it and one above."""
+        dists = [np.asarray(r, dtype=float) / sum(r) for r in rows]
+        table = _cdf_table(dists)
+        bounds = np.arange(table.buckets) / table.buckets
+        u = np.concatenate((
+            bounds,
+            np.nextafter(bounds, 0.0),
+            np.nextafter(bounds, 1.0),
+            [np.nextafter(1.0, 0.0)],
+        ))
+        for i, cdf in enumerate(_loop_row_cdfs(dists)):
+            got = table.invert(np.full(len(u), i), u)
+            np.testing.assert_array_equal(
+                got, np.searchsorted(cdf, u, side="right")
+            )
+
+    def test_guide_is_a_lower_bound_table(self):
+        """``guide[i, k]`` is the answer at the bucket's lower bound."""
+        _, _, dists = destination_distributions(diagonal_matrix(5, 0.9))
+        table = _cdf_table(dists)
+        bounds = np.arange(table.buckets) / table.buckets
+        guide = table.guide.reshape(5, table.buckets)
+        for i, cdf in enumerate(_loop_row_cdfs(dists)):
+            np.testing.assert_array_equal(
+                guide[i], np.searchsorted(cdf, bounds, side="right")
+            )
 
 
 class TestTrafficGenerator:

@@ -115,3 +115,10 @@ class TestHelpers:
     def test_validate_rejects_negative(self):
         with pytest.raises(ValueError):
             validate_matrix(np.array([[-0.1]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_rejects_non_finite(self, bad):
+        matrix = uniform_matrix(4, 0.8)
+        matrix[1, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            validate_matrix(matrix)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.sim import experiment
@@ -28,6 +29,13 @@ SUBJECTS = (
     ("leaf-spine", "vectorized"),
 )
 
+def _with_nan(matrix):
+    """``matrix`` with one NaN rate: unchecked, every engine would run it
+    with that input silently idle."""
+    matrix[1, 2] = np.nan
+    return matrix
+
+
 #: name -> (overrides of the valid base configuration, error text).
 INVALID = {
     "window_slots": ({"window_slots": -5}, "window_slots must be positive"),
@@ -35,6 +43,10 @@ INVALID = {
         {"warmup_fraction": 1.5}, r"warmup_fraction must be in \[0, 1\)"
     ),
     "num_slots": ({"num_slots": 0}, "num_slots must be positive"),
+    "nan_matrix": (
+        {"matrix": _with_nan(uniform_matrix(4, 0.5))},
+        "traffic matrix entries must be finite",
+    ),
     "no_workload": ({"matrix": None}, "need a matrix or a scenario"),
     "matrix_and_scenario": (
         {"scenario": "paper-uniform", "n": 4, "load": 0.5},
