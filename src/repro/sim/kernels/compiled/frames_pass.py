@@ -1,15 +1,16 @@
-"""Compiled per-lane frame-formation stepper (scalar mirror of
-:class:`repro.sim.kernels.frames._LaneFormation`).
+"""Compiled per-lane frame-formation stepper, the scalar counterpart of
+:class:`repro.sim.kernels.frames._TableFormation`.
 
 Each lane runs the per-input recursion — absorb arrivals up to
 the current cycle, evaluate the PF/FOFF pick, form or jump — as one
-compiled loop over *all* of the lane's cycles, instead of the NumPy
-engine's one vector pass per global cycle index.  Lanes are independent
+compiled loop over *all* of the lane's cycles, where the NumPy engine
+gives every lane one decision per vector step.  Lanes are independent
 (each owns its VOQ row exclusively), so iterating lane-major emits every
 frame of a lane in ascending cycle order — which preserves the only
 ordering the :class:`~repro.sim.kernels.frames.FrameSchedule` contract
 requires (ascending ``start`` within a VOQ); the global cross-VOQ order
-is explicitly unspecified.
+is explicitly unspecified.  Written independently of the NumPy engine,
+it is the reference the formation parity suite pins that engine against.
 
 Pending arrivals arrive as lane-major CSR arrays (``pstart`` offsets into
 ``(lane, tag)``-sorted tag/output arrays).  The loop absorbs with

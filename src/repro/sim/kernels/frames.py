@@ -11,18 +11,17 @@ switch), and occupancies are arrivals-so-far minus packets already taken
 — no feedback from the rest of the switch.  Frame formation is therefore
 *sequential per input but exactly replayable*.
 
-The NumPy path is the **array-stepped formation engine**
-(:class:`_LaneFormation`): every ``(seed block, input)`` pair is one
-*lane*, and all lanes advance through their cycle recursions in lock-step
-— one NumPy pass per cycle index covering every lane at that cycle
-(occupancy deltas gathered from the cycle-sorted arrival buffer, the
-PF/FOFF pickers as masked argmax/argmin selections, round-robin pointers
-as vectors).  Cycle indices at which no lane has a decision to make are
-skipped in one jump: the global cursor moves to the smallest pending
-lane cycle, so quiescent spans between arrivals cost nothing.  A run's
-formation is O(num_cycles) vector steps instead of O(num_slots) Python
-iterations, and stacking seeds widens the per-step arrays instead of
-multiplying the step count — which is what makes PF/FOFF seed-batchable.
+The NumPy path is the **table formation engine**
+(:class:`_TableFormation`): every ``(seed block, input)`` pair is one
+*lane*, and each NumPy step gives every lane one decision at its own
+cycle — that cycle's arrivals come from a dense ``(lane, cycle, VOQ)``
+count table built once per window, the PF/FOFF pickers are one argmax
+over per-VOQ scores, and round-robin pointers are vectors.  A lane that
+declines jumps straight to its next arrival cycle, so quiescent spans
+cost nothing.  A run's formation is O(num_cycles) vector steps instead
+of O(num_slots) Python iterations, and stacking seeds widens the
+per-step arrays instead of multiplying the step count — which is what
+makes PF/FOFF seed-batchable.
 
 :func:`build_frame_schedule` runs the engine over a monolithic batch;
 :class:`FrameFormationStream` is its resumable (windowed / multi-seed)
@@ -44,7 +43,7 @@ quiescence the drain detects.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +61,7 @@ __all__ = [
     "FrameSchedule",
     "VoqGrouping",
     "build_frame_schedule",
+    "check_rule",
     "drain_cut",
     "drain_horizon",
     "foff_rule",
@@ -129,7 +129,7 @@ class FrameSchedule(NamedTuple):
     which it began transmitting (packet ``k`` crosses at ``slot + k`` to
     intermediate port ``k``).  Within one VOQ, entries appear in
     formation order (ascending ``start``); the global order across VOQs
-    is unspecified (the NumPy engine emits cycle-major, the compiled
+    is unspecified (the NumPy engine emits step-major, the compiled
     stepper lane-major) and nothing downstream may depend on it.
     """
 
@@ -144,268 +144,247 @@ class FrameSchedule(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# The formation engines: NumPy lock-step lanes, compiled per-lane stepper
+# The formation engines: NumPy per-lane table steps, compiled stepper
 # ---------------------------------------------------------------------------
 
 
-class _LaneFormation:
-    """Lock-step frame formation across all ``(block, input)`` lanes.
+class _TableFormation:
+    """Frame formation with every lane stepping at its own cycle.
 
     Carried state is flat per-lane arrays: the ``(lane, voq)`` occupancy
-    and taken grids, the round-robin pointers, and each lane's current
-    cycle index.  Pending arrivals live in two parallel views of the
-    same event set — cycle-major (tag-sorted, consumed by one global
-    cursor) for occupancy absorption, lane-major (``(lane, tag)``-sorted)
-    for the decline jumps.  One :meth:`run` step serves every lane whose
-    cycle equals the global cursor ``c``:
+    and taken grids (cell ``lane * n + j`` is the block-extended VOQ id),
+    the round-robin pointers and each lane's current cycle.  Pending
+    arrivals live in a dense ``(block, cycle, input, voq)`` count table
+    (cycle-major within a block, uint8 unless a count outgrows it, one
+    all-zero row closing each block) and a next-arrival table: per
+    ``(lane, cycle)``, the lane's next cycle with arrivals.  One
+    :meth:`run` step gives every lane below its limit one decision at
+    its own cycle ``c``:
 
-    1. absorb every arrival with tag <= ``c`` (one scalar searchsorted
-       on the cycle-major tags + one bincount scatter into the occupancy
-       grid — eager for lanes ahead of the cursor, which is safe because
-       a lane's next pick absorbs everything up to its own cycle anyway);
-    2. evaluate the rule's pick as masked vector selections — the
-       cyclic-RR choice is an argmin of ``(j - pointer) mod n`` over the
-       eligible mask, PF's longest-VOQ fallback a plain argmax;
-    3. record the formed frames and update occupancies / pointers; lanes
-       that decline jump straight to their next pending arrival tag (or
-       the window limit / quiescence).
+    1. add the table row ``(lane, c)`` to the lane's occupancies (cycles
+       past the table clamp to the zero row);
+    2. pick the VOQ of highest score: a full VOQ scores ``3n`` minus its
+       round-robin offset ``(j - pointer) mod n``, above every fallback
+       — PF's occupancy (the longest VOQ, ties to the lowest index,
+       padded only from ``threshold`` up), FOFF's ``2n`` minus the
+       second pointer's offset for a nonempty VOQ — and an empty VOQ 0;
+    3. a lane that forms moves to ``c + 1``; one that declines jumps to
+       its next arrival cycle (or its limit, or drain quiescence): the
+       pick is a pure function of state an arrival-free cycle leaves
+       untouched.
 
-    The cursor then moves to the smallest pending lane cycle, so spans
-    where no lane crosses a decision threshold are skipped in one jump —
-    a lane's sequence of (cycle, decision) pairs is *identical* to the
-    scalar per-lane recursion of :class:`_CompiledLaneFormation`,
-    step-skipping included.
+    A lane's cycle only increases, by one or by a jump to its next
+    arrival cycle, so it visits every cycle at which it has arrivals and
+    absorbing that row on the visit is exact: each lane's sequence of
+    (cycle, decision) pairs is *identical* to the scalar per-lane
+    recursion of :class:`_CompiledLaneFormation`, step-skipping included.
     """
 
     def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
-        if rule.kind not in ("pf", "foff"):
-            raise ValueError(f"unknown formation rule kind {rule.kind!r}")
         self.n = n
+        self.num_blocks = num_blocks
         self.num_lanes = num_blocks * n
         self.rule = rule
         lanes = np.arange(self.num_lanes, dtype=np.int64)
-        inputs = lanes % n
         #: Cycle-boundary slot of lane cycle ``c`` is ``residue + c * n``.
-        self.residue = (n - inputs) % n
-        self.voq_base = (lanes // n) * n * n + inputs * n
+        self.residue = (n - lanes % n) % n
         self.avail = np.zeros(self.num_lanes * n, dtype=np.int64)
-        self._avail2d = self.avail.reshape(self.num_lanes, n)
-        self.taken = np.zeros((self.num_lanes, n), dtype=np.int64)
+        self.taken = np.zeros(self.num_lanes * n, dtype=np.int64)
         self.full_rr = np.zeros(self.num_lanes, dtype=np.int64)
         self.partial_rr = np.zeros(self.num_lanes, dtype=np.int64)
         self.cycle = np.zeros(self.num_lanes, dtype=np.int64)
-        #: ``_RRTAB[p, j] = (j - p) mod n``: the cyclic-RR preference of
-        #: VOQ ``j`` behind pointer ``p`` — one row gather per step
-        #: instead of a broadcast subtract + mod.
-        self._rrtab = (self._cols()[None, :] - self._cols()[:, None]) % n
-        empty = np.empty(0, dtype=np.int64)
-        # Pending arrivals: cycle-major tags + occupancy cells behind the
-        # global cursor ``_g``, and the lane-major keys the decline jumps
-        # binary-search.
-        self._ctag = empty
-        self._ccell = empty
-        self._g = 0
-        self._lkey = empty
-        self._stride = 2
+        self._lane_cell = lanes * n
+        cols = np.arange(n, dtype=np.int64)
+        #: Pick scores behind each pointer ``p`` (one row gather a step).
+        offset = (cols[None, :] - cols[:, None]) % n
+        self._full_score = 3 * n - offset
+        self._partial_score = 2 * n - offset
+        self._succ = (cols + 1) % n
+        #: ``_size[min(occupancy, n)]`` is the frame the picked VOQ
+        #: yields, 0 for a decline.
+        self._size = np.arange(n + 1, dtype=np.int64)
+        self._size[: rule.threshold] = 0
+        self._install(np.zeros((num_blocks, 1, n, n), dtype=np.uint8), 0)
 
-    def _cols(self) -> np.ndarray:
-        return np.arange(self.n, dtype=np.int64)
+    def _install(self, table: np.ndarray, c0: int) -> None:
+        """Adopt a count table whose row ``r`` is cycle ``c0 + r`` and
+        derive its next-arrival table (absolute cycles, INT64_MAX for
+        none) with one reverse running minimum."""
+        num_blocks, rows, n, _ = table.shape
+        self._table, self._c0, self._last = table, c0, rows - 1
+        lanes = np.arange(self.num_lanes, dtype=np.int64)
+        #: Row ``(block, c0, input)`` of the table viewed as ``(-1, n)``.
+        self._row0 = (lanes // n) * rows * n + lanes % n
+        nxt = np.full((num_blocks, rows, n), _INT64_MAX, dtype=np.int64)
+        np.copyto(
+            nxt[:, :-1],
+            np.arange(c0 + 1, c0 + rows, dtype=np.int64)[:, None],
+            where=table[:, 1:].any(axis=3),
+        )
+        backward = nxt[:, ::-1]
+        np.minimum.accumulate(backward, axis=1, out=backward)
+        self._next = nxt.reshape(-1)
 
     def absorb(
         self, lanes: np.ndarray, tags: np.ndarray, outs: np.ndarray
     ) -> None:
-        """Buffer one window's arrivals (per-lane tags nondecreasing).
+        """Table one window's arrivals (no tag below its lane's cycle).
 
-        The not-yet-absorbed remainder is merged with the new events and
-        both sorted views rebuilt.  Carried tags never exceed incoming
-        ones on the same lane (a pending tag is at most the lane's limit
-        cycle, which a new window's arrivals start from), so a stable
-        radix sort by lane re-sorts the union by ``(lane, tag)``; the
-        cycle-major view radix-sorts cursor-relative tags where they fit
-        16 bits (any realistic window) and falls back to a full argsort.
+        Rows a lane has not reached carry over from the previous table.
+        New arrivals are counted in slabs of at most a sixteenth of the
+        table's cells and half its arrivals, so for slot-ordered input
+        (every caller's) no int64 count array near the table's size
+        exists; the dtype widens only when a count outgrows it.
         """
-        n = self.n
-        g = self._g
-        lane = np.concatenate([self._ccell[g:] // n, lanes])
-        cell = np.concatenate([self._ccell[g:], lanes * n + outs])
-        tag = np.concatenate([self._ctag[g:], tags])
-        del lanes, tags, outs  # temporaries a caller passed free here
-        self._g = 0
-        if len(tag) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            self._ctag = self._ccell = self._lkey = empty
-            self._stride = 2
-            return
-        lo, hi = int(tag.min()), int(tag.max())
-        order = stable_id_argsort(tag - lo, hi - lo + 1)
-        self._ctag = tag[order]
-        self._ccell = cell[order]
-        del order, cell
-        lorder = stable_id_argsort(lane, self.num_lanes)
-        self._stride = hi + 2
-        # Lane-major (lane, tag) keys; a key's tag is ``key % stride``.
-        self._lkey = lane[lorder]
-        self._lkey *= self._stride
-        self._lkey += tag[lorder]
+        n, nn = self.n, self.n * self.n
+        old, c_old = self._table, self._c0
+        end = c_old + self._last
+        lo, hi = int(self.cycle.min()), end - 1
+        if len(tags):
+            lo, hi = min(lo, int(tags.min())), max(hi, int(tags.max()))
+        if hi < lo:
+            lo, hi = 0, -1
+        rows = hi - lo + 2
+        table = np.zeros((self.num_blocks, rows, n, n), dtype=old.dtype)
+        first = max(lo, c_old)
+        if first < end:
+            # A lane has absorbed exactly its rows below its cycle.
+            keep = np.arange(first, end)[:, None] >= self.cycle.reshape(
+                self.num_blocks, 1, n
+            )
+            table[:, first - lo : end - lo] = (
+                old[:, first - c_old : end - c_old] * keep[..., None]
+            )
+        del old
+        flat = table.reshape(-1)
+        lane_base = (self._lane_cell // nn) * rows * nn
+        lane_base += self._lane_cell % nn - lo * nn
+        slab = max(1 << 12, min(len(flat) // 16, len(tags) // 2))
+        step = max(1, len(tags) * slab // len(flat))
+        for s in range(0, len(tags), step):
+            key = tags[s : s + step] * nn
+            key += lane_base[lanes[s : s + step]]
+            key += outs[s : s + step]
+            k0 = int(key.min())
+            key -= k0
+            count = np.bincount(key)
+            del key
+            count += flat[k0 : k0 + len(count)]
+            top = int(count.max())
+            if top > np.iinfo(table.dtype).max:
+                table = table.astype(np.min_scalar_type(top))
+                flat = table.reshape(-1)
+            flat[k0 : k0 + len(count)] = count
+        self._install(table, lo)
 
     def run(self, limit: Optional[np.ndarray]) -> FrameSchedule:
         """Advance every lane below its ``limit`` cycle (exclusive).
 
         ``limit=None`` runs the drain instead: lanes advance until the
-        pick declines with no pending arrivals (the object engine's
+        pick declines with no arrivals to come (the object engine's
         post-arrival quiescence).
         """
-        n = self.n
-        rule = self.rule
-        is_pf = rule.kind == "pf"
-        threshold = rule.threshold
-        cycle = self.cycle
-        rrtab = self._rrtab
-        ctag = self._ctag
-        ccell = self._ccell
-        num_events = len(ctag)
-        num_cells = self.num_lanes * n
-        lim = (
-            np.full(self.num_lanes, _INT64_MAX, dtype=np.int64)
-            if limit is None
-            else limit
-        )
-        parts: Tuple[List[np.ndarray], ...] = ([], [], [], [], [])
-        voq_parts, start_parts, size_parts, fakes_parts, slot_parts = parts
-        g = self._g
-        # Formation-loop telemetry, accumulated as plain ints per cycle
-        # (negligible next to the ~20 array ops each iteration runs) and
-        # flushed to the counters once, after the loop, when enabled.
-        lane_advances = 0
-        cursor_jumps = 0
+        n, num_lanes = self.n, self.num_lanes
+        drain = limit is None
+        lim = np.full(num_lanes, _INT64_MAX) if drain else limit
+        cycle, avail, taken = self.cycle, self.avail, self.taken
+        full_rr, partial_rr = self.full_rr, self.partial_rr
+        grid = avail.reshape(num_lanes, n)
+        rows = self._table.reshape(-1, n)
+        nxt, last = self._next, self._c0 + self._last
+        row0 = self._row0 - self._c0 * n
+        full_score, partial_score = self._full_score, self._partial_score
+        succ, size, lane_cell = self._succ, self._size, self._lane_cell
+        is_pf = self.rule.kind == "pf"
+        everyone = slice(None)
+        # Every step writes its lanes' (VOQ cell, size, cycle, start) —
+        # size 0 for a decline — straight into one growing buffer: one
+        # block instead of four small arrays a step, which would pin heap
+        # holes the replay's per-packet arrays need.
+        rec = np.empty((4, num_lanes * (self._last + 64)), dtype=np.int64)
+        pos = 0
         while True:
-            pending = np.where(cycle < lim, cycle, _INT64_MAX)
-            c = int(pending.min())
-            if c == _INT64_MAX:
-                break
-            act = np.flatnonzero(pending == c)
-
-            # Absorb every arrival with tag <= c: one cursor advance over
-            # the cycle-major events.  Lanes ahead of the cursor absorb
-            # early, which cannot change any pick — their next decision
-            # is at their own cycle >= the arrival's tag.
-            if g < num_events:
-                g2 = int(np.searchsorted(ctag, c, side="right"))
-                if g2 > g:
-                    self.avail += np.bincount(
-                        ccell[g:g2], minlength=num_cells
-                    )
-                    g = g2
-
-            rows = self._avail2d[act]
-
-            # The pick, as masked selections.  Cyclic round-robin choice:
-            # the eligible j minimizing (j - pointer) mod n.
-            full = rows >= n
-            rr = self.full_rr[act]
-            off = np.where(full, rrtab[rr], n).min(axis=1)
-            has_full = off < n
-            j_full = (off + rr) % n
+            live = cycle < lim
+            if np.count_nonzero(live) == num_lanes:
+                # Every lane steps: ``[sel]`` gives views, so the in-place
+                # updates below write the state arrays directly.
+                sel = everyone
+                m = num_lanes
+            else:
+                sel = np.flatnonzero(live)
+                m = len(sel)
+                if not m:
+                    break
+            if pos + m > rec.shape[1]:
+                rec = np.concatenate([rec, np.empty_like(rec)], axis=1)
+            q, k, cyc, start = rec[:, pos : pos + m]
+            pos += m
+            np.copyto(cyc, cycle[sel])
+            t = np.minimum(cyc, last)
+            t *= n
+            t += row0[sel]
+            occ = grid[sel]
+            occ += rows.take(t, axis=0)
+            rr, rr2 = full_rr[sel], partial_rr[sel]
+            if sel is not everyone:
+                grid[sel] = occ
             if is_pf:
-                best = rows.max(axis=1)
-                j_alt = rows.argmax(axis=1)  # ties to the lowest index
-                formed = has_full | (best >= threshold)
-                j = np.where(has_full, j_full, j_alt)
-                k = np.where(has_full, n, best)
+                score = occ
             else:
-                rr2 = self.partial_rr[act]
-                off2 = np.where(rows > 0, rrtab[rr2], n).min(axis=1)
-                formed = off2 < n
-                j_alt = (off2 + rr2) % n
-                j = np.where(has_full, j_full, j_alt)
-                k = np.where(has_full, n, rows[np.arange(len(act)), j])
-
-            if formed.all():
-                lf, jf, kf, took_full = act, j, k, has_full
-                fsel = None
-            else:
-                fsel = np.flatnonzero(formed)
-                lf = act[fsel]
-                jf = j[fsel]
-                kf = k[fsel]
-                took_full = has_full[fsel]
-            if len(lf):
-                lane_advances += len(lf)
-                voq_parts.append(self.voq_base[lf] + jf)
-                start_parts.append(self.taken[lf, jf])
-                size_parts.append(kf)
-                # Full frames pad nothing (k = n), so PF's fake-cell
-                # count is n - k in both pick branches.
-                fakes_parts.append(
-                    n - kf if is_pf else np.zeros(len(lf), dtype=np.int64)
-                )
-                slot_parts.append(self.residue[lf] + c * n)
-                self.taken[lf, jf] += kf
-                self._avail2d[lf, jf] -= kf
-                tf = np.flatnonzero(took_full)
-                if len(tf):
-                    self.full_rr[lf[tf]] = (jf[tf] + 1) % n
-                if not is_pf:
-                    tp = np.flatnonzero(~took_full)
-                    if len(tp):
-                        self.partial_rr[lf[tp]] = (jf[tp] + 1) % n
-                cycle[lf] = c + 1
-
-            if fsel is not None:
-                # Declining lanes jump to their next pending arrival —
-                # the idle-span skip; the pick is a pure function of
-                # state an empty cycle leaves untouched.
-                ld = act[~formed]
-                cursor_jumps += len(ld)
-                if len(self._lkey):
-                    idx = np.searchsorted(
-                        self._lkey,
-                        ld * self._stride + min(c, self._stride - 1),
-                        side="right",
-                    )
-                    key = self._lkey[np.minimum(idx, len(self._lkey) - 1)]
-                    have = (idx < len(self._lkey)) & (
-                        key // self._stride == ld
-                    )
-                    nxt = key % self._stride
-                else:
-                    have = np.zeros(len(ld), dtype=bool)
-                    nxt = ld
-                if limit is None:
-                    # Drain quiescence: no arrivals to come and the pick
-                    # declines — the object engine's drain sees the same.
-                    cycle[ld] = np.where(have, nxt, _INT64_MAX)
-                else:
-                    cycle[ld] = np.where(
-                        have, np.minimum(nxt, lim[ld]), lim[ld]
-                    )
-        self._g = g
+                score = partial_score.take(rr2, axis=0)
+                np.multiply(score, occ.astype(bool), out=score)
+            full = occ >= n
+            if np.count_nonzero(full):
+                score = np.where(full, full_score.take(rr, axis=0), score)
+            j = score.argmax(axis=1)
+            np.add(lane_cell[sel], j, out=q)
+            have = avail[q]
+            size.take(have, mode="clip", out=k)
+            taken.take(q, out=start)
+            taken[q] = start + k
+            avail[q] = have - k
+            took = have >= n
+            formed = k.astype(bool)
+            sj = succ.take(j)
+            np.copyto(rr, sj, where=took)
+            if not is_pf:
+                np.copyto(rr2, sj, where=formed ^ took)
+            jump = nxt.take(t)
+            if not drain:
+                np.minimum(jump, lim[sel], out=jump)
+            np.copyto(jump, cyc + 1, where=formed)
+            cycle[sel] = jump
+            if sel is not everyone:
+                full_rr[sel], partial_rr[sel] = rr, rr2
+        del rows, nxt
+        if drain:
+            # Every lane is parked for good: no table row is read again.
+            self._install(np.zeros((self.num_blocks, 1, n, n), np.uint8), 0)
+        formed = np.flatnonzero(rec[1, :pos])
+        voq, k, cyc, start = rec[:, formed]
+        del rec
         if telemetry.enabled():
-            telemetry.count("kernel.frames.lane_advances", lane_advances)
-            telemetry.count("kernel.frames.cursor_jumps", cursor_jumps)
-        empty = np.empty(0, dtype=np.int64)
-        return FrameSchedule(
-            voq=np.concatenate(voq_parts) if voq_parts else empty,
-            start=np.concatenate(start_parts) if start_parts else empty,
-            size=np.concatenate(size_parts) if size_parts else empty,
-            fakes=np.concatenate(fakes_parts) if fakes_parts else empty,
-            slot=np.concatenate(slot_parts) if slot_parts else empty,
-        )
+            telemetry.count("kernel.frames.lane_advances", len(formed))
+            telemetry.count("kernel.frames.cursor_jumps", pos - len(formed))
+        slot = self.residue[voq // n]
+        slot += cyc * n
+        # Full frames pad nothing (k = n), so PF's fake-cell count is n - k
+        # in both pick branches.
+        fakes = n - k if is_pf else np.zeros(len(k), dtype=np.int64)
+        return FrameSchedule(voq, start, k, fakes, slot)
 
 
 class _CompiledLaneFormation:
-    """Drop-in for :class:`_LaneFormation` backed by the compiled per-lane
+    """Drop-in for :class:`_TableFormation` backed by the compiled per-lane
     stepper (:func:`repro.sim.kernels.compiled.frames_pass.form_lanes`).
 
     Carries the same per-lane state grids; pending arrivals live in one
-    lane-major CSR buffer instead of the NumPy engine's two sorted views
-    (and are absorbed lazily, per lane, rather than eagerly under the
-    global cursor — unobservable, because a lane's pick only reads
-    occupancy after absorbing every tag at or below its own cycle).
-    Schedules come out lane-major instead of cycle-major; the
-    :class:`FrameSchedule` contract leaves the cross-VOQ order
-    unspecified, and within a VOQ — owned by exactly one lane — frames
-    still appear in ascending formation order.
+    lane-major CSR buffer instead of the NumPy engine's count table, and
+    each lane runs all its cycles in one scalar loop.  Schedules come
+    out lane-major instead of step-major; the :class:`FrameSchedule`
+    contract leaves the cross-VOQ order unspecified, and within a VOQ —
+    owned by exactly one lane — frames still appear in ascending
+    formation order.
     """
 
     def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
@@ -435,10 +414,9 @@ class _CompiledLaneFormation:
     ) -> None:
         """Buffer one window's arrivals (per-lane tags nondecreasing).
 
-        Same merge invariant as :meth:`_LaneFormation.absorb`: a carried
-        tag is at most the lane's limit cycle, which a new window's tags
-        start from, so a stable sort by lane re-sorts the union by
-        ``(lane, tag)``.
+        A carried tag is at most the lane's limit cycle, which a new
+        window's tags start from, so a stable sort by lane re-sorts the
+        union by ``(lane, tag)``.
         """
         lane = np.concatenate([self._plane, lanes])
         tag = np.concatenate([self._ptag, tags])
@@ -511,12 +489,29 @@ class _CompiledLaneFormation:
         )
 
 
+def check_rule(rule: FormationRule, n: int) -> None:
+    """Reject a rule no ``n``-port formation can run.
+
+    Same contract as :class:`~repro.switching.pf.PaddedFramesSwitch`: a
+    PF threshold of 0 would pad empty VOQs forever, one above ``n`` would
+    never pad at all.
+    """
+    if rule.kind not in ("pf", "foff"):
+        raise ValueError(f"unknown formation rule kind {rule.kind!r}")
+    if rule.kind == "pf" and not 1 <= rule.threshold <= n:
+        raise ValueError(
+            f"threshold must be in [1, {n}], got {rule.threshold}"
+        )
+
+
 def _make_formation(n: int, num_blocks: int, rule: FormationRule):
-    """The formation engine replays run on: the compiled per-lane
-    stepper where numba imports, NumPy lock-step lanes otherwise."""
+    """The formation engine replays run on, for a checked rule: the
+    compiled per-lane stepper where numba imports, the NumPy table
+    engine otherwise."""
+    check_rule(rule, n)
     if compiled.ACTIVE:
         return _CompiledLaneFormation(n, num_blocks, rule)
-    return _LaneFormation(n, num_blocks, rule)
+    return _TableFormation(n, num_blocks, rule)
 
 
 def arrival_tags(

@@ -37,6 +37,7 @@ from .frames import (
     FrameFormationStream,
     FramedPacketBuffer,
     build_frame_schedule,
+    check_rule,
     drain_cut,
     drain_horizon,
     frame_membership,
@@ -50,10 +51,7 @@ __all__ = ["Stream", "departures"]
 def _check_threshold(n: int, threshold: Optional[int]) -> int:
     if threshold is None:
         threshold = max(1, n // 2)
-    if not 1 <= threshold <= n:
-        # Same contract as PaddedFramesSwitch: threshold 0 would pad
-        # empty VOQs forever, threshold > n would never pad at all.
-        raise ValueError(f"threshold must be in [1, {n}], got {threshold}")
+    check_rule(pf_rule(threshold), n)
     return threshold
 
 

@@ -1,7 +1,8 @@
-"""Formation parity: the NumPy lane engine vs the scalar per-lane stepper.
+"""Formation parity: the NumPy table engine vs the scalar per-lane stepper.
 
 :mod:`repro.sim.kernels.frames` has two formation engines behind one
-seam: the lock-step NumPy engine (:class:`_LaneFormation`) and
+seam: the NumPy engine (:class:`_TableFormation`), which advances every
+lane at its own cycle over a dense per-cycle arrival table, and
 :class:`_CompiledLaneFormation`, which steps each lane through its cycles
 with the scalar recursion
 :func:`~repro.sim.kernels.compiled.frames_pass.form_lanes` (plain Python
@@ -10,7 +11,10 @@ suite's reference, reached by flipping ``compiled.ACTIVE``.  The suite
 pins the NumPy engine against it *frame for frame*: the same (VOQ, start
 rank, size, fake cells, formation slot) multiset — and the same per-VOQ
 formation order — for PF and FOFF across switch sizes, workloads, and
-monolithic vs streamed (windowed) replay, drain quiescence included.
+monolithic vs streamed (windowed) replay, drain quiescence included.  A
+generated test adds stacked seed blocks, raw event bursts (counts past
+a uint8 table cell), empty lanes and random window cuts, and also pins
+the two formation counters.
 
 Frame-for-frame equality is strictly stronger than the engine parity
 tests (which compare end-of-pipeline metrics): a formation bug that
@@ -21,7 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.scenarios.build import build_batch_traffic
 from repro.scenarios.registry import get_scenario
 from repro.sim.kernels import compiled
@@ -70,7 +77,7 @@ def rules_for(n: int):
 @pytest.fixture
 def engine(monkeypatch):
     """``engine(reference)``: select the scalar per-lane stepper (True) or
-    the NumPy lane engine (False) for the formations built next."""
+    the NumPy table engine (False) for the formations built next."""
 
     def select(reference: bool) -> None:
         monkeypatch.setattr(compiled, "ACTIVE", reference)
@@ -264,3 +271,94 @@ class TestRuleValidation:
             engine(reference)
             with pytest.raises(ValueError, match="unknown formation rule"):
                 build_frame_schedule(batch, FormationRule("warp", 0))
+
+    @pytest.mark.parametrize("threshold", [0, -1, 5])
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_pf_threshold_outside_one_to_n_rejected(
+        self, engine, reference, threshold
+    ):
+        """At 0 or below every pick would form, zero-size frames
+        forever; above n no frame would ever pad.  Both entry points
+        reject it the way PaddedFramesSwitch does."""
+        batch = BatchTrafficGenerator(
+            uniform_matrix(4, 0.5), np.random.default_rng(0)
+        ).draw(200)
+        engine(reference)
+        with pytest.raises(ValueError, match=r"threshold must be in \[1, 4\]"):
+            build_frame_schedule(batch, pf_rule(threshold))
+        with pytest.raises(ValueError, match=r"threshold must be in \[1, 4\]"):
+            FrameFormationStream(4, 2, pf_rule(threshold))
+
+
+#: The formation-loop counters both engines report: frames formed, and
+#: declines (each a jump to the lane's next arrival cycle, its window
+#: limit, or drain quiescence).
+COUNTERS = ("kernel.frames.lane_advances", "kernel.frames.cursor_jumps")
+
+
+@st.composite
+def formation_runs(draw):
+    """``(n, num_blocks, rule, windows)`` of one generated formation run.
+
+    ``windows`` is a list of ``(boundary, events)``: ``events`` rows are
+    ``(block, slot, input, output)`` in window-stacker order (block, then
+    slot), ``boundary`` the window's end slot, or ``None`` for a single
+    monolithic feed that drains.  An event row repeats up to 4 times or
+    250-270 times — the latter overflows a uint8 table cell — and inputs
+    or whole blocks without events leave lanes empty.
+    """
+    n = draw(st.integers(2, 12))
+    num_blocks = draw(st.integers(1, 3))
+    threshold = draw(st.integers(0, n))
+    rule = foff_rule() if threshold == 0 else pf_rule(threshold)
+    horizon = draw(st.integers(1, 90))
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(0, num_blocks - 1),
+            st.integers(0, horizon - 1),
+            st.integers(0, n - 1),
+            st.integers(0, n - 1),
+            st.integers(1, 4) | st.integers(250, 270),
+        ),
+        max_size=25,
+    ))
+    events = np.array(
+        [row[:4] for row in sorted(rows) for _ in range(row[4])],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    if draw(st.booleans()):
+        return n, num_blocks, rule, [(None, events)]
+    cuts = sorted(set(draw(st.lists(st.integers(1, horizon), max_size=6))))
+    windows, lo = [], 0
+    for end in cuts + [horizon + 1]:
+        inside = (events[:, 1] >= lo) & (events[:, 1] < end)
+        windows.append((end, events[inside]))
+        lo = end
+    return n, num_blocks, rule, windows
+
+
+def formation_run(reference, n, num_blocks, rule, windows):
+    """Every window's schedule (then the drain's) and the counters."""
+    with pytest.MonkeyPatch.context() as patch, telemetry.scope() as tel:
+        patch.setattr(compiled, "ACTIVE", reference)
+        stream = FrameFormationStream(n, num_blocks, rule)
+        schedules = [
+            stream.feed(*events.T, boundary) for boundary, events in windows
+        ]
+        if windows[-1][0] is not None:
+            schedules.append(stream.finish())
+        counts = [tel.registry.counter(name).value for name in COUNTERS]
+    return schedules, counts
+
+
+class TestGeneratedFormation:
+    @settings(deadline=None)
+    @given(case=formation_runs())
+    def test_numpy_engine_matches_scalar_stepper(self, case):
+        """Window for window, frame for frame, counter for counter."""
+        got, got_counts = formation_run(False, *case)
+        want, want_counts = formation_run(True, *case)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_schedules_equal(a, b)
+        assert got_counts == want_counts
