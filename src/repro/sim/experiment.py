@@ -1,6 +1,6 @@
 """Experiment orchestration: plan, key, execute; sweeps.
 
-This is the layer the figure generators and benchmarks sit on.  One
+This is the layer the figure generators and the benchmark sit on.  One
 experiment — a switch or fabric, an admissible workload, a seed — is
 described by exactly one value, a :class:`RunPlan`:
 

@@ -3,8 +3,9 @@
 The observability layer for the whole run path.  Zero dependencies
 (stdlib only), disabled by default, and engineered so that the disabled
 probes cost a single flag check — the replay kernels instrumented here
-stay within noise of their uninstrumented throughput
-(``benchmarks/bench_telemetry.py`` asserts it).
+stay within noise of their uninstrumented throughput (measured, not
+asserted: the ``perf`` benchmark reports the enabled cost as
+``driver.trace_overhead_share``).
 
 Quick tour::
 

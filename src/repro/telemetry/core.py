@@ -11,10 +11,10 @@ Why a module-level flag and not a config object threaded through every
 call: the probes sit on the replay hot paths (per window, per store
 access, per formation cycle) and the *disabled* cost must be one
 attribute check — that is what lets the instrumented kernels stay within
-noise of the uninstrumented ones (``benchmarks/bench_telemetry.py``
-gates it).  Probes never touch RNG state or cache-key parameters, so
-flipping the flag cannot perturb results or store keys
-(``tests/test_telemetry.py`` pins both).
+noise of the uninstrumented ones (the ``perf`` benchmark measures the
+enabled cost as ``driver.trace_overhead_share``).  Probes never touch
+RNG state or cache-key parameters, so flipping the flag cannot perturb
+results or store keys (``tests/test_telemetry.py`` pins both).
 
 Process pools: workers inherit the flag (fork) or re-read the
 environment (spawn); each process records into its own tracer and

@@ -40,10 +40,10 @@ class MemoryProbe:
     """Bracket a region: peak RSS delta plus optional tracemalloc peak.
 
     The tracemalloc section never touches an outer trace: if tracing was
-    already started (e.g. by ``benchmarks/bench_memory.py`` or
-    ``tests/test_memory_budget.py``), the region's own peak cannot be
-    read without resetting the outer one, so the probe neither resets nor
-    stops tracing and reports no ``tracemalloc_peak_bytes``.
+    already started (e.g. by ``tests/test_memory_budget.py``), the
+    region's own peak cannot be read without resetting the outer one, so
+    the probe neither resets nor stops tracing and reports no
+    ``tracemalloc_peak_bytes``.
     """
 
     __slots__ = ("_use_tracemalloc", "_started_tracemalloc", "_rss_before", "result")

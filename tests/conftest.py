@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
 Plain helper functions live in :mod:`tests.helpers`; importing them from a
-conftest by bare name is exactly the pattern that once let
-``benchmarks/conftest.py`` shadow this file and knock six modules out of
+conftest by bare name is exactly the pattern that once let another
+directory's ``conftest.py`` shadow this file and knock six modules out of
 collection.  Only pytest fixtures and Hypothesis profiles belong here.
 """
 

@@ -1,9 +1,9 @@
 """Shared test helpers (plain functions, no fixtures).
 
 These used to live in ``tests/conftest.py`` and were imported with a bare
-``from conftest import ...`` — which pytest could resolve against
-*benchmarks*' conftest instead, silently breaking collection of every
-module that did so.  They now live in a regular module imported by its
+``from conftest import ...`` — which pytest could resolve against another
+directory's conftest instead, silently breaking collection of every module
+that did so.  They now live in a regular module imported by its
 package-qualified name, which is shadow-proof.
 """
 

@@ -37,7 +37,9 @@ class TestClosedForm:
 
 
 class TestStationarySolve:
-    @pytest.mark.parametrize("n,rho", [(4, 0.5), (8, 0.9), (16, 0.8), (32, 0.6)])
+    @pytest.mark.parametrize(
+        "n,rho", [(4, 0.5), (8, 0.9), (16, 0.8), (32, 0.6), (64, 0.9)]
+    )
     def test_numeric_matches_closed_form(self, n, rho):
         numeric = expected_queue_length_numeric(n, rho)
         closed = expected_queue_length(n, rho)

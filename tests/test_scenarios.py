@@ -409,8 +409,10 @@ class TestEngineParity:
         assert gen.arrivals.phases == 2
 
     def test_ordering_preserved_under_stress(self):
-        # Sprinklers' core claim must survive the nastiest scenarios.
-        for name in ("mmpp-bursty", "matrix-drift", "adversarial-stride"):
+        # Sprinklers' core claim must survive every registered scenario,
+        # the nastiest (mmpp-bursty, matrix-drift, adversarial-stride)
+        # included.
+        for name in list_scenarios():
             result = run_single(
                 "sprinklers",
                 scenario=name,
