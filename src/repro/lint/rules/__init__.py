@@ -69,7 +69,8 @@ RULE_DOCS: Dict[str, str] = {
     ),
     "REG001": (
         "feedback-coupled switch model carries a kernel, or a registered "
-        "stream_kernel does not produce a StreamKernel"
+        "stream_kernel(matrix, seed, total_slots) does not produce a "
+        "StreamKernel"
     ),
     "REG002": (
         "vectorized coverage floor regressed — a paper-grid switch lost "

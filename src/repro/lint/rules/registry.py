@@ -106,13 +106,13 @@ def _check_registry(builtin: ModuleSource) -> List[Finding]:
             )
         if model.stream_kernel is not None:
             try:
-                streamer = model.stream_kernel(np.full((2, 2), 0.25), [0], 4)
+                streamer = model.stream_kernel(np.full((2, 2), 0.25), 0, 4)
             except Exception as exc:
                 streamer = exc
             if not isinstance(streamer, StreamKernel):
                 fail(
                     "REG001",
-                    "switch %r: stream_kernel(matrix, seeds, total_slots) "
+                    "switch %r: stream_kernel(matrix, seed, total_slots) "
                     "produced %r, not a repro.sim.kernels.base.StreamKernel"
                     % (name, streamer),
                 )

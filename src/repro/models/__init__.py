@@ -5,11 +5,10 @@ One registry for everything the system knows about a switch algorithm:
 * the **object-engine builder** ``(n, matrix, seed, **params) -> switch``;
 * the optional **vectorized kernel** ``(batch, matrix, seed) ->
   (Departures, extras)`` the batch engine dispatches to, and with it
-* the **stream kernel** ``(matrix, seeds, total_slots, **params) ->
+* the **stream kernel** ``(matrix, seed, total_slots, **params) ->
   streamer`` (:class:`repro.sim.kernels.base.StreamKernel`) — the
-  kernel's resumable form, replaying a run window-by-window with bounded
-  memory, or many seeds in one stacked pass; a model carries both
-  kernels or neither;
+  kernel's resumable form, replaying one seed's run window-by-window
+  with bounded memory; a model carries both kernels or neither;
 * a declared **capability set** (:class:`Capability`: feedback-coupled,
   supports-drift, supports-adaptive);
 * a **parameter schema** (:class:`ParamSpec`) for constructor knobs.

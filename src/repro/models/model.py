@@ -61,11 +61,11 @@ SwitchBuilder = Callable[..., object]
 #: Vectorized kernel signature:
 #: ``(batch, matrix, seed, **params) -> (Departures, extras | None)``.
 VectorizedKernel = Callable[..., tuple]
-#: Stream-kernel factory signature: ``(matrix, seeds, total_slots,
+#: Stream-kernel factory signature: ``(matrix, seed, total_slots,
 #: **params) -> streamer`` — in practice a subclass of
 #: :class:`repro.sim.kernels.base.StreamKernel`, whose
-#: ``feed(windows) -> Departures`` and ``finish(windows=None) ->
-#: (Departures, [extras per seed])`` carry the seed-stacked record.
+#: ``feed(window) -> Departures`` and ``finish(window=None) ->
+#: (Departures, extras | None)`` replay one seed window by window.
 StreamKernel = Callable[..., object]
 
 
@@ -86,8 +86,8 @@ class SwitchModel:
     description: str = ""
     aliases: Tuple[str, ...] = ()
     reported_name: Optional[str] = None
-    #: The monolithic replay (one seed, the whole run in one pass) and the
-    #: resumable windowed / multi-seed form of the same data path: a
+    #: The monolithic replay (the whole run in one pass) and the
+    #: resumable windowed form of the same data path, one seed each: a
     #: vectorized switch carries both, an object-only switch neither.
     kernel: Optional[VectorizedKernel] = None
     stream_kernel: Optional[StreamKernel] = None
@@ -117,7 +117,7 @@ class SwitchModel:
             raise ValueError(
                 f"switch model {self.name!r}: kernel and stream_kernel "
                 f"must be set together (the engine picks between them by "
-                f"window and seed count)"
+                f"window)"
             )
         declared = {p.name for p in self.params}
         stray = set(self.kernel_params) - declared

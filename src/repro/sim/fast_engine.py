@@ -24,21 +24,17 @@ rather than hardcoding the list.  Switches whose control loops are
 feedback-coupled (adaptive Sprinklers) or not yet modeled (CMS, hashing)
 keep the object engine.
 
-Three replay shapes, selected by what the call can observe (window and
-seed count), never by a flag:
+Two replay shapes, selected by the window the call asks for, never by
+a flag; every replay is one seed:
 
-* **Monolithic** — one seed, one window: ``run_single_fast`` replays the
-  whole run through the model's ``kernel`` (the observed-fastest
-  one-window path).
+* **Monolithic** — one window: ``run_single_fast`` replays the whole run
+  through the model's ``kernel`` (the observed-fastest one-window path).
+  Replications run it seed by seed.
 * **Windowed (streaming)** — ``run_single_fast(..., window_slots=W)``
   with ``W`` below the run length draws and replays consecutive
   ``W``-slot windows through the model's stream kernel
   (:class:`~repro.sim.kernels.base.StreamKernel`), with bit-identical
   results and O(``W``) peak arrival-array memory instead of O(run).
-* **Grouped stacked flush** — :func:`run_replications_fast` replays many
-  seeds at once, each group of seeds as one ``finish`` of one
-  stream-kernel instance, amortizing the array-setup overheads that
-  dominate short replications.
 """
 
 from __future__ import annotations
@@ -60,21 +56,6 @@ __all__ = [
     "run_single_fast",
     "run_replications_fast",
 ]
-
-
-#: Target stacked-event count per seed group in the batched replication
-#: path: wide enough to amortize per-call overheads across seeds, small
-#: enough that the stacked working set stays cache-resident.  Re-measured
-#: once the monolithic kernels freed each per-packet column at its last
-#: use, on the ``replicate_short`` benchmark workload (six switches x 32
-#: seeds, N=16, 1000 slots, 12 800 events per seed, so 1 << 14 stacks one
-#: seed per group; medians of four runs, allocator pinned as in ``perf/``,
-#: 2-vCPU Xeon): 1 << 14: 2.41 M packets/s, peak RSS 125.1 MiB (125.0
-#: before); 1 << 15: 2.68 M, 132.1 MiB; 1 << 16: 2.77 M, 153.0 MiB.  The
-#: stacked flush runs the stream kernels, whose working set is unchanged,
-#: so wider groups still buy 10-15 % of the throughput with 6-22 % more
-#: memory, and the constant stays.
-_STACK_TARGET_EVENTS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -269,156 +250,6 @@ class _MetricsAccumulator:
         )
 
 
-class _StackedMetricsAccumulator:
-    """Per-seed metrics from one *stacked* multi-seed departure record.
-
-    The multi-seed replay keeps all seeds in one event block (VOQ ids
-    ``seed * n^2 + voq``); folding metrics per seed with segmented
-    reductions (``np.add.at`` / ``bincount`` keyed by the seed block)
-    costs a handful of stacked passes instead of R per-seed accumulator
-    calls plus a split pass — the accounting that used to dominate short
-    batched replications.  Sample retention needs per-seed observation
-    order, so this path serves ``keep_samples=False`` (what replications
-    use); results are identical to the per-seed accumulator.
-    """
-
-    def __init__(self, n: int, num_blocks: int, warmup: int) -> None:
-        self.n = n
-        self.num_blocks = num_blocks
-        self.warmup = warmup
-        big = np.iinfo(np.int64).max
-        self.count = np.zeros(num_blocks, dtype=np.int64)
-        self.total = np.zeros(num_blocks, dtype=np.int64)
-        self.total_sq = np.zeros(num_blocks, dtype=np.int64)
-        self.min = np.full(num_blocks, big, dtype=np.int64)
-        self.max = np.full(num_blocks, -1, dtype=np.int64)
-        self.hist: List[Dict[int, int]] = [{} for _ in range(num_blocks)]
-        self.departed = np.zeros(num_blocks, dtype=np.int64)
-        self.late = np.zeros(num_blocks, dtype=np.int64)
-        self.displacement = np.zeros(num_blocks, dtype=np.int64)
-        self._prev_max = np.full(num_blocks * n * n, -1, dtype=np.int64)
-        self.has_breakdown = False
-        self.assembly_total = np.zeros(num_blocks, dtype=np.int64)
-        self.input_queue_total = np.zeros(num_blocks, dtype=np.int64)
-        self.transit_total = np.zeros(num_blocks, dtype=np.int64)
-
-    @staticmethod
-    def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """Exact int64 per-segment sums via one padded prefix sum."""
-        prefix = np.concatenate(([0], np.cumsum(values)))
-        return prefix[bounds[1:]] - prefix[bounds[:-1]]
-
-    def add(self, dep: Departures) -> None:
-        """Fold a stacked record (``dep.voq`` seed-extended)."""
-        if len(dep.voq) == 0:
-            return
-        n2 = self.n * self.n
-
-        # One (voq, observation) sort serves double duty: it is the
-        # reordering-detector order AND it groups events by seed block
-        # (block is the VOQ id's high digits), so every per-seed
-        # statistic below folds with prefix sums over block slices —
-        # no scattered np.add.at passes.
-        order = _voq_observation_order(dep)
-        voq = dep.voq[order]
-        seq = dep.seq[order]
-        block = voq // n2
-        bounds = np.searchsorted(block, np.arange(self.num_blocks + 1))
-        self.departed += bounds[1:] - bounds[:-1]
-
-        late, prev = _fold_reordering(voq, seq, self._prev_max)
-        if late.any():
-            late_block = block[late]
-            np.add.at(self.late, late_block, 1)
-            np.maximum.at(
-                self.displacement, late_block, prev[late] - seq[late]
-            )
-
-        measured = (dep.arrival >= self.warmup)[order].astype(np.int64)
-        arrival = dep.arrival[order]
-        departure = dep.departure[order]
-        delays = (departure - arrival) * measured
-        self.count += self._segment_sums(measured, bounds)
-        self.total += self._segment_sums(delays, bounds)
-        self.total_sq += self._segment_sums(delays * delays, bounds)
-        is_measured = measured.astype(bool)
-        np.minimum.at(
-            self.min, block[is_measured], delays[is_measured]
-        )
-        np.maximum.at(
-            self.max, block[is_measured], delays[is_measured]
-        )
-        if is_measured.any():
-            # Per-seed exact delay histograms in one stacked unique pass
-            # (composite key: block * stride + delay).
-            mdelays = delays[is_measured]
-            stride = int(mdelays.max()) + 1
-            values, counts = np.unique(
-                block[is_measured] * stride + mdelays, return_counts=True
-            )
-            for key, cnt in zip(values.tolist(), counts.tolist()):
-                h = self.hist[key // stride]
-                delay = key % stride
-                h[delay] = h.get(delay, 0) + cnt
-
-        if dep.assembled is not None and dep.tx is not None:
-            self.has_breakdown = True
-            assembled = dep.assembled[order]
-            tx = dep.tx[order]
-            self.assembly_total += self._segment_sums(
-                (assembled - arrival) * measured, bounds
-            )
-            self.input_queue_total += self._segment_sums(
-                (tx - assembled) * measured, bounds
-            )
-            self.transit_total += self._segment_sums(
-                (departure - tx) * measured, bounds
-            )
-
-    def results(
-        self,
-        switch_name: str,
-        injected: Sequence[int],
-        num_slots: int,
-        load_label: float,
-        extras: Sequence[Optional[Dict[str, float]]],
-    ) -> List[SimulationResult]:
-        out = []
-        for b in range(self.num_blocks):
-            metrics = SimulationMetrics(keep_samples=False)
-            stats = metrics.delays
-            stats.count = int(self.count[b])
-            stats.total = int(self.total[b])
-            stats.total_sq = int(self.total_sq[b])
-            if stats.count:
-                stats.min = int(self.min[b])
-                stats.max = int(self.max[b])
-            stats._hist = dict(self.hist[b])
-            metrics.measured_departures = stats.count
-            metrics.reordering.observed = int(self.departed[b])
-            metrics.reordering.late_packets = int(self.late[b])
-            metrics.reordering.max_displacement = int(self.displacement[b])
-            if self.has_breakdown:
-                metrics.breakdown_count = stats.count
-                metrics.assembly_total = int(self.assembly_total[b])
-                metrics.input_queue_total = int(self.input_queue_total[b])
-                metrics.transit_total = int(self.transit_total[b])
-            out.append(
-                SimulationResult(
-                    switch_name=switch_name,
-                    n=self.n,
-                    load=load_label,
-                    slots=num_slots,
-                    warmup=self.warmup,
-                    metrics=metrics,
-                    injected=int(injected[b]),
-                    departed=int(self.departed[b]),
-                    extras=extras[b],
-                )
-            )
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
@@ -577,83 +408,14 @@ def run_single_fast(
 
 
 def run_replications_fast(
-    switch_name: str,
-    matrix,
-    num_slots: int,
-    seeds: Sequence[int],
-    load_label: float = float("nan"),
-    warmup_fraction: float = 0.1,
-    batch_traffics: Optional[Sequence[BatchTrafficGenerator]] = None,
-    switch_params: Optional[Dict] = None,
+    switch_name: str, matrix, num_slots: int, seeds: Sequence[int], **kwargs
 ) -> List[SimulationResult]:
-    """Replay many seeds of one configuration in stacked kernel passes.
-
-    Each seed's traffic is drawn for the whole run and a group of seeds
-    is stacked into one event block; the switch's stream kernel replays
-    the stack in a single ``finish`` with a leading seed axis (disjoint
-    per-seed id blocks, so the seeds' dynamics stay exactly independent
-    — the frame-at-a-time PF/FOFF included: their array-stepped
-    formation engine treats each (seed, input) pair as one more lane, so
-    stacking seeds widens the per-cycle vector step instead of
-    multiplying the step count) and the per-seed metrics fold with
-    segmented reductions over the stack.  Per-seed results are
-    bit-identical to ``run_single_fast(..., keep_samples=False)`` run
-    seed-by-seed — what changes is wall-clock: one array pass over a
-    group's events amortizes the per-call overheads that dominate short
-    replications.
-
-    ``batch_traffics`` substitutes pre-built per-seed packet sources (one
-    per seed, e.g. scenario traffic).
-    """
-    switch_params = switch_params or {}
-    model = _checked_model(switch_name, switch_params)
-    if num_slots <= 0:
-        raise ValueError("num_slots must be positive")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError("warmup_fraction must be in [0, 1)")
-    matrix = validate_matrix(matrix)
-    n = matrix.shape[0]
-    seeds = list(seeds)
-    if batch_traffics is None:
-        batch_traffics = [
-            BatchTrafficGenerator(matrix, traffic_rng(seed))
-            for seed in seeds
-        ]
-    if len(batch_traffics) != len(seeds):
-        raise ValueError("need one traffic source per seed")
-    for traffic in batch_traffics:
-        if traffic.n != n:
-            raise ValueError("batch traffic size does not match matrix")
-
-    warmup = int(num_slots * warmup_fraction)
-    # Seeds are stacked in cache-sized groups: stacking amortizes
-    # per-call overheads, but an over-wide stack spills the working
-    # set out of cache and loses more than it amortizes.
-    per_seed = max(1.0, float(np.sum(matrix)) * num_slots)
-    group = max(1, min(len(seeds), int(_STACK_TARGET_EVENTS / per_seed)))
-    results: List[SimulationResult] = []
-    for lo in range(0, len(seeds), group):
-        chunk = seeds[lo : lo + group]
-        with telemetry.trace(
-            "replay.seed_batch", seeds=len(chunk), slots=num_slots
-        ):
-            streamer = model.stream_kernel(
-                matrix, chunk, num_slots, **switch_params
-            )
-            batches = [
-                t.draw(num_slots)
-                for t in batch_traffics[lo : lo + group]
-            ]
-            dep, extras = streamer.finish(batches)
-            acc = _StackedMetricsAccumulator(n, len(chunk), warmup)
-            acc.add(dep)
-        results.extend(
-            acc.results(
-                model.reported_name,
-                [len(b) for b in batches],
-                num_slots,
-                load_label,
-                extras,
-            )
+    """:func:`run_single_fast` of each seed, retaining no samples (the
+    name ``perf``'s tracer probes)."""
+    return [
+        run_single_fast(
+            switch_name, matrix, num_slots, seed=seed, keep_samples=False,
+            **kwargs,
         )
-    return results
+        for seed in seeds
+    ]

@@ -41,7 +41,6 @@ __all__ = [
     "StreamKernel",
     "UnitAssembler",
     "Units",
-    "WindowStacker",
     "composite_argsort",
     "concat_ranges",
     "mid_residues",
@@ -81,8 +80,8 @@ def stable_id_argsort(ids: np.ndarray, id_space: int) -> np.ndarray:
     """Stable argsort of small nonnegative ids (radix path when they fit).
 
     The generalization of :func:`repro.traffic.batch.stable_voq_argsort`
-    to an arbitrary id space — the streamed kernels group by seed-extended
-    VOQ ids (``seed * n^2 + voq``), which outgrow ``n^2``.
+    to an arbitrary id space — ports, lanes and the polled-queue replay's
+    packed ``(queue, level)`` keys, which outgrow ``n^2``.
     """
     if id_space <= np.iinfo(np.uint16).max:
         return np.argsort(ids.astype(np.uint16), kind="stable")
@@ -506,15 +505,11 @@ class Departures:
 #   fresh peel over polls >= ``B`` only.
 # * a :class:`UnitAssembler` holds each VOQ's trailing partial
 #   aggregation unit (stripe/frame) until later arrivals complete it.
-# * a :class:`WindowStacker` assigns run-global generation indices (the
-#   FIFO tie-breaks of the monolithic kernels) across windows, and
-#   stacks multiple seeds' windows into disjoint id blocks for the
-#   multi-seed replay (block ``s`` uses VOQ ids ``s * n^2 + voq``; queues
-#   of different blocks never interact, so one replay pass serves every
-#   seed at once).
 #
 # :class:`StreamKernel` is the contract the six per-switch stream kernels
-# share: stacked windows in, one stacked :class:`Departures` record out.
+# share: one seed's windows in, finalized :class:`Departures` out; it
+# numbers packets with the run-global generation indices (the FIFO
+# tie-breaks of the monolithic kernels) across windows.
 
 
 class PolledQueueBank:
@@ -671,96 +666,54 @@ class UnitAssembler:
         )
 
 
-class WindowStacker:
-    """Stack per-seed arrival windows into one disjoint-id event block.
-
-    Tracks per-block generation counters so every packet gets the same
-    run-global generation index it would have in a monolithic batch (the
-    FIFO tie-break the kernels key on), and checks the windows advance in
-    lock-step.
-    """
-
-    def __init__(self, num_blocks: int) -> None:
-        self._gnext = np.zeros(num_blocks, dtype=np.int64)
-        self.num_blocks = num_blocks
-
-    def stack(self, windows) -> Tuple[np.ndarray, ...]:
-        """Returns ``(block, slots, inputs, outputs, seqs, gidx, boundary)``.
-
-        ``block[k]`` is the window (seed) index of event ``k``; ``gidx``
-        is the per-block generation index; ``boundary`` is the common end
-        slot of the windows (events of later windows are all at or past
-        it).
-        """
-        if len(windows) != self.num_blocks:
-            raise ValueError(
-                f"expected {self.num_blocks} windows, got {len(windows)}"
-            )
-        spans = {(w.start_slot, w.num_slots) for w in windows}
-        if len(spans) != 1:
-            raise ValueError("seed windows must cover the same slot range")
-        parts_b, parts_g = [], []
-        for b, w in enumerate(windows):
-            count = len(w)
-            parts_b.append(np.full(count, b, dtype=np.int64))
-            parts_g.append(
-                self._gnext[b] + np.arange(count, dtype=np.int64)
-            )
-            self._gnext[b] += count
-        return (
-            np.concatenate(parts_b),
-            np.concatenate([w.slots for w in windows]),
-            np.concatenate([w.inputs for w in windows]),
-            np.concatenate([w.outputs for w in windows]),
-            np.concatenate([w.seqs for w in windows]),
-            np.concatenate(parts_g),
-            windows[0].end_slot,
-        )
-
-
 class StreamKernel:
-    """The stream-kernel contract: stacked windows in, stacked record out.
+    """The stream-kernel contract: one seed's windows in, records out.
 
-    A stream kernel replays one switch for a *list* of seeds at once.
-    ``feed(windows)`` takes one arrival window per seed (all covering the
-    same slot range) and returns the :class:`Departures` now finalized —
-    departing strictly before the windows' end, never re-emitted;
-    ``finish(windows=None)`` takes the optional last windows, flushes all
-    carried state and returns ``(Departures, [extras per seed])``.  The
-    record is always the seed-stacked one: seed block ``b`` owns VOQ ids
-    ``b * n^2 + voq`` and every other field is per-packet data, so for
-    one seed it *is* the plain record.  Passing the whole run to
-    ``finish`` replays it in a single pass (what multi-seed replication
-    does).
+    A stream kernel replays one switch for one seed.  ``feed(window)``
+    takes the next arrival window and returns the :class:`Departures`
+    now finalized — departing strictly before the window's end, never
+    re-emitted; ``finish(window=None)`` takes the optional last window,
+    flushes all carried state and returns ``(Departures, extras)``.
+    Passing the whole run to ``finish`` replays it in a single pass.
 
     Subclasses supply :meth:`_replay` and, when the switch reports
     extras, :meth:`_extras`; ``feed`` / ``finish`` are not overridden.
     """
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
         self.n = int(matrix.shape[0])
-        self.num_blocks = len(seeds)
-        self._stacker = WindowStacker(self.num_blocks)
+        #: Run-global generation index of the next packet: the FIFO
+        #: tie-break of the monolithic kernels, continued across windows.
+        self._generated = 0
 
     def _replay(
         self, events: Tuple[np.ndarray, ...], boundary: Optional[int]
     ) -> Departures:
-        """Advance the data path over ``events`` — ``(block, slots,
-        inputs, outputs, seqs, gidx)`` in generation order per block —
-        finalizing everything below ``boundary`` (``None``: flush)."""
+        """Advance the data path over ``events`` — ``(slots, inputs,
+        outputs, seqs, gidx)`` in generation order — finalizing
+        everything below ``boundary`` (``None``: flush)."""
         raise NotImplementedError
 
-    def _extras(self) -> list:
-        """Per-seed extras dicts of the finished run."""
-        return [None] * self.num_blocks
+    def _extras(self) -> Optional[dict]:
+        """The extras dict of the finished run."""
+        return None
 
-    def feed(self, windows) -> Departures:
-        *events, end = self._stacker.stack(windows)
-        return self._replay(tuple(events), end)
+    def _events(self, window: ArrivalBatch) -> Tuple[np.ndarray, ...]:
+        """A window's columns plus their generation indices."""
+        gidx = np.arange(
+            self._generated, self._generated + len(window), dtype=np.int64
+        )
+        self._generated += len(window)
+        return window.slots, window.inputs, window.outputs, window.seqs, gidx
 
-    def finish(self, windows=None) -> Tuple[Departures, list]:
-        if windows is None:
-            events = [np.empty(0, dtype=np.int64)] * 6
+    def feed(self, window: ArrivalBatch) -> Departures:
+        return self._replay(self._events(window), window.end_slot)
+
+    def finish(
+        self, window: Optional[ArrivalBatch] = None
+    ) -> Tuple[Departures, Optional[dict]]:
+        if window is None:
+            events = (np.empty(0, dtype=np.int64),) * 5
         else:
-            *events, _ = self._stacker.stack(windows)
-        return self._replay(tuple(events), None), self._extras()
+            events = self._events(window)
+        return self._replay(events, None), self._extras()

@@ -226,7 +226,7 @@ def departures(
 
 
 class Stream(StreamKernel):
-    """Windowed (and seed-stacked) replay of the FOFF switch.
+    """Windowed replay of the FOFF switch.
 
     The input side streams like PF without padding; the new carried
     state is the in-flight resequencer replay: per VOQ, the next rank
@@ -237,17 +237,13 @@ class Stream(StreamKernel):
     ``max_resequencer`` extra.
     """
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        super().__init__(matrix, seeds, total_slots)
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix, seed, total_slots)
         n = self.n
-        num_voqs = self.num_blocks * n * n
-        self._formation = FrameFormationStream(
-            n, self.num_blocks, foff_rule()
-        )
+        num_voqs = n * n
+        self._formation = FrameFormationStream(n, foff_rule())
         self._packets = FramedPacketBuffer(num_voqs)
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
         self._cut = drain_cut(total_slots, n)
         # Resequencer replay state.
         self._next_rank = np.zeros(num_voqs, dtype=np.int64)
@@ -255,13 +251,13 @@ class Stream(StreamKernel):
         self._trig_mid = np.zeros(num_voqs, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
         # Wire-arrived packets whose release awaits a predecessor:
-        # (voq_x, rank, wire, mid, seq, slot, assembled, tx).
+        # (voq, rank, wire, mid, seq, slot, assembled, tx).
         self._held = (empty,) * 8
-        # Per-block observation-rank counters, per-(block, output)
-        # resequencer occupancies, per-block peaks.
-        self._obs_next = np.zeros(self.num_blocks, dtype=np.int64)
-        self._occupancy = np.zeros(self.num_blocks * n, dtype=np.int64)
-        self._peak = np.zeros(self.num_blocks, dtype=np.int64)
+        # The next observation rank, the per-output resequencer
+        # occupancies and their peak.
+        self._obs_next = 0
+        self._occupancy = np.zeros(n, dtype=np.int64)
+        self._peak = 0
 
     def _resequence(self, new):
         """Absorb newly wire-arrived packets; release what is now in order.
@@ -367,9 +363,7 @@ class Stream(StreamKernel):
         # arrived) and newly arrived held packets; previously buffered
         # released packets already counted.
         emit = ~held_p | new_p.astype(bool)
-        voq_e = voq_p[emit]
-        out = np.concatenate([voq_e % n, h_voq % n])
-        block = np.concatenate([voq_e, h_voq]) // (n * n)
+        out = np.concatenate([voq_p[emit] % n, h_voq % n])
         wire = np.concatenate([wire_p[emit], h_wire])
         delta = np.concatenate(
             [delta_p[emit], np.ones(len(h_voq), dtype=np.int64)]
@@ -379,37 +373,32 @@ class Stream(StreamKernel):
             # Wire arrivals past the drain horizon never reach the
             # output in the object engine; their events do not exist.
             live = wire <= self._cut
-            out, block, wire, delta, held = (
-                out[live], block[live], wire[live], delta[live], held[live]
+            out, wire, delta, held = (
+                out[live], wire[live], delta[live], held[live]
             )
         if len(out) == 0:
             return
-        out_x = block * n + out
-        order = composite_argsort(out_x, wire)
-        out_x, delta, held, block = (
-            out_x[order], delta[order], held[order], block[order]
-        )
+        order = composite_argsort(out, wire)
+        out, delta, held = out[order], delta[order], held[order]
         running = np.cumsum(delta)
-        starts = np.r_[True, out_x[1:] != out_x[:-1]]
+        starts = np.r_[True, out[1:] != out[:-1]]
         seg = np.cumsum(starts) - 1
         seg_first = np.flatnonzero(starts)
         before = np.r_[0, running[:-1]]
         occupancy = (
-            self._occupancy[out_x]
+            self._occupancy[out]
             + running
             - before[seg_first[seg]]
         )
         bounds = np.flatnonzero(np.r_[starts, True])
         last = bounds[1:] - 1
-        self._occupancy[out_x[last]] = occupancy[last]
+        self._occupancy[out[last]] = occupancy[last]
         if held.any():
-            np.maximum.at(self._peak, block[held], occupancy[held])
+            self._peak = max(self._peak, int(occupancy[held].max()))
 
     def _emit(self, released, final: bool):
-        """The stacked Departures record with per-block observation ranks
-        (the metrics fold compares ranks only within a block, so a
-        block-major composite sort assigns them in one pass).
-        """
+        """The Departures record, ``wire`` holding run-global observation
+        ranks continued across rounds."""
         n = self.n
         (voq_p, rank_p, wire_p, mid_p, seq_p, slot_p, asm_p, tx_p,
          departure, t_mid, new_p) = released
@@ -421,20 +410,12 @@ class Stream(StreamKernel):
                 voq_p[ok], rank_p[ok], seq_p[ok], slot_p[ok], asm_p[ok],
                 tx_p[ok], departure[ok], t_mid[ok],
             )
-        block = voq_p // (n * n)
-        observation = composite_argsort(
-            (block * np.int64(self._cut + 2) + departure) * n + t_mid, rank_p
-        )
-        counts = np.bincount(block, minlength=self.num_blocks)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        sorted_block = block[observation]
-        within = (
-            np.arange(len(observation), dtype=np.int64)
-            - starts[sorted_block]
-        )
+        observation = composite_argsort(departure * n + t_mid, rank_p)
         wire = np.empty(len(observation), dtype=np.int64)
-        wire[observation] = self._obs_next[sorted_block] + within
-        self._obs_next += counts
+        wire[observation] = np.arange(
+            self._obs_next, self._obs_next + len(observation), dtype=np.int64
+        )
+        self._obs_next += len(observation)
         return Departures(
             voq=voq_p,
             seq=seq_p,
@@ -448,29 +429,24 @@ class Stream(StreamKernel):
 
     def _replay(self, events, boundary):
         n = self.n
-        block, slots, inputs, outputs, seqs, gidx = events
-        schedule = self._formation.feed(
-            block, slots, inputs, outputs, boundary
-        )
-        voq_x, slot, seq, gidx, rank, assembled, position = (
+        slots, inputs, outputs, seqs, gidx = events
+        schedule = self._formation.feed(slots, inputs, outputs, boundary)
+        voq, slot, seq, gidx, rank, assembled, position = (
             self._packets.feed(
-                block * n * n + inputs * n + outputs, slots, seqs, gidx,
-                schedule,
+                inputs * n + outputs, slots, seqs, gidx, schedule
             )
         )
         tx = assembled + position
-        block = voq_x // (n * n)
-        out = voq_x % n
         wire, tx, payload = self._stage2.feed(
-            block * n * n + position * n + out,
+            position * n + voq % n,
             np.zeros(len(tx), dtype=np.int64),
             tx + 1,
             tx,
-            (voq_x, rank, position, seq, slot, assembled),
+            (voq, rank, position, seq, slot, assembled),
             boundary,
         )
-        voq_x, rank, position, seq, slot, assembled = payload
-        arrived = (voq_x, rank, wire, position, seq, slot, assembled, tx)
+        voq, rank, position, seq, slot, assembled = payload
+        arrived = (voq, rank, wire, position, seq, slot, assembled, tx)
         result = self._resequence(arrived)
         released, held_events = result[:11], result[11:]
         final = boundary is None
@@ -488,7 +464,4 @@ class Stream(StreamKernel):
         return self._emit(released, final)
 
     def _extras(self):
-        return [
-            {"max_resequencer": float(self._peak[b])}
-            for b in range(self.num_blocks)
-        ]
+        return {"max_resequencer": float(self._peak)}

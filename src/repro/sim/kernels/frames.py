@@ -12,22 +12,20 @@ switch), and occupancies are arrivals-so-far minus packets already taken
 *sequential per input but exactly replayable*.
 
 The NumPy path is the **table formation engine**
-(:class:`_TableFormation`): every ``(seed block, input)`` pair is one
-*lane*, and each NumPy step gives every lane one decision at its own
-cycle — that cycle's arrivals come from a dense ``(lane, cycle, VOQ)``
-count table built once per window, the PF/FOFF pickers are one argmax
-over per-VOQ scores, and round-robin pointers are vectors.  A lane that
-declines jumps straight to its next arrival cycle, so quiescent spans
-cost nothing.  A run's formation is O(num_cycles) vector steps instead
-of O(num_slots) Python iterations, and stacking seeds widens the
-per-step arrays instead of multiplying the step count — which is what
-makes PF/FOFF seed-batchable.
+(:class:`_TableFormation`): every input is one *lane*, and each NumPy
+step gives every lane one decision at its own cycle — that cycle's
+arrivals come from a dense ``(cycle, lane, VOQ)`` count table built once
+per window, the PF/FOFF pickers are one argmax over per-VOQ scores, and
+round-robin pointers are vectors.  A lane that declines jumps straight
+to its next arrival cycle, so quiescent spans cost nothing.  A run's
+formation is O(num_cycles) vector steps instead of O(num_slots) Python
+iterations.
 
 :func:`build_frame_schedule` runs the engine over a monolithic batch;
-:class:`FrameFormationStream` is its resumable (windowed / multi-seed)
-form; :func:`frame_membership` maps the VOQ-grouped packets to their
-frames with one scatter, since a VOQ's frames tile its run of grouped
-rows (:func:`voq_grouping`, :func:`frame_ids`).  Where numba imports,
+:class:`FrameFormationStream` is its resumable (windowed) form;
+:func:`frame_membership` maps the VOQ-grouped packets to their frames
+with one scatter, since a VOQ's frames tile its run of grouped rows
+(:func:`voq_grouping`, :func:`frame_ids`).  Where numba imports,
 both run :class:`_CompiledLaneFormation` instead: the same lanes, each
 stepped through its cycles by the scalar per-lane recursion
 :func:`~repro.sim.kernels.compiled.frames_pass.form_lanes`.  That
@@ -152,12 +150,12 @@ class _TableFormation:
     """Frame formation with every lane stepping at its own cycle.
 
     Carried state is flat per-lane arrays: the ``(lane, voq)`` occupancy
-    and taken grids (cell ``lane * n + j`` is the block-extended VOQ id),
-    the round-robin pointers and each lane's current cycle.  Pending
-    arrivals live in a dense ``(block, cycle, input, voq)`` count table
-    (cycle-major within a block, uint8 unless a count outgrows it, one
-    all-zero row closing each block) and a next-arrival table: per
-    ``(lane, cycle)``, the lane's next cycle with arrivals.  One
+    and taken grids (cell ``lane * n + j`` is the VOQ id), the
+    round-robin pointers and each lane's current cycle.  Pending
+    arrivals live in a dense ``(cycle, input, voq)`` count table (uint8
+    unless a count outgrows it, one all-zero row closing it) and a
+    next-arrival table: per ``(cycle, lane)``, the lane's next cycle with
+    arrivals.  One
     :meth:`run` step gives every lane below its limit one decision at
     its own cycle ``c``:
 
@@ -180,14 +178,13 @@ class _TableFormation:
     recursion of :class:`_CompiledLaneFormation`, step-skipping included.
     """
 
-    def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
+    def __init__(self, n: int, rule: FormationRule) -> None:
         self.n = n
-        self.num_blocks = num_blocks
-        self.num_lanes = num_blocks * n
+        self.num_lanes = n
         self.rule = rule
-        lanes = np.arange(self.num_lanes, dtype=np.int64)
+        lanes = np.arange(n, dtype=np.int64)
         #: Cycle-boundary slot of lane cycle ``c`` is ``residue + c * n``.
-        self.residue = (n - lanes % n) % n
+        self.residue = (n - lanes) % n
         self.avail = np.zeros(self.num_lanes * n, dtype=np.int64)
         self.taken = np.zeros(self.num_lanes * n, dtype=np.int64)
         self.full_rr = np.zeros(self.num_lanes, dtype=np.int64)
@@ -204,25 +201,22 @@ class _TableFormation:
         #: yields, 0 for a decline.
         self._size = np.arange(n + 1, dtype=np.int64)
         self._size[: rule.threshold] = 0
-        self._install(np.zeros((num_blocks, 1, n, n), dtype=np.uint8), 0)
+        self._install(np.zeros((1, n, n), dtype=np.uint8), 0)
 
     def _install(self, table: np.ndarray, c0: int) -> None:
         """Adopt a count table whose row ``r`` is cycle ``c0 + r`` and
         derive its next-arrival table (absolute cycles, INT64_MAX for
         none) with one reverse running minimum."""
-        num_blocks, rows, n, _ = table.shape
+        rows, n, _ = table.shape
         self._table, self._c0, self._last = table, c0, rows - 1
-        lanes = np.arange(self.num_lanes, dtype=np.int64)
-        #: Row ``(block, c0, input)`` of the table viewed as ``(-1, n)``.
-        self._row0 = (lanes // n) * rows * n + lanes % n
-        nxt = np.full((num_blocks, rows, n), _INT64_MAX, dtype=np.int64)
+        nxt = np.full((rows, n), _INT64_MAX, dtype=np.int64)
         np.copyto(
-            nxt[:, :-1],
+            nxt[:-1],
             np.arange(c0 + 1, c0 + rows, dtype=np.int64)[:, None],
-            where=table[:, 1:].any(axis=3),
+            where=table[1:].any(axis=2),
         )
-        backward = nxt[:, ::-1]
-        np.minimum.accumulate(backward, axis=1, out=backward)
+        backward = nxt[::-1]
+        np.minimum.accumulate(backward, axis=0, out=backward)
         self._next = nxt.reshape(-1)
 
     def absorb(
@@ -245,20 +239,17 @@ class _TableFormation:
         if hi < lo:
             lo, hi = 0, -1
         rows = hi - lo + 2
-        table = np.zeros((self.num_blocks, rows, n, n), dtype=old.dtype)
+        table = np.zeros((rows, n, n), dtype=old.dtype)
         first = max(lo, c_old)
         if first < end:
             # A lane has absorbed exactly its rows below its cycle.
-            keep = np.arange(first, end)[:, None] >= self.cycle.reshape(
-                self.num_blocks, 1, n
-            )
-            table[:, first - lo : end - lo] = (
-                old[:, first - c_old : end - c_old] * keep[..., None]
+            keep = np.arange(first, end)[:, None] >= self.cycle
+            table[first - lo : end - lo] = (
+                old[first - c_old : end - c_old] * keep[..., None]
             )
         del old
         flat = table.reshape(-1)
-        lane_base = (self._lane_cell // nn) * rows * nn
-        lane_base += self._lane_cell % nn - lo * nn
+        lane_base = self._lane_cell - lo * nn
         slab = max(1 << 12, min(len(flat) // 16, len(tags) // 2))
         step = max(1, len(tags) * slab // len(flat))
         for s in range(0, len(tags), step):
@@ -292,7 +283,7 @@ class _TableFormation:
         grid = avail.reshape(num_lanes, n)
         rows = self._table.reshape(-1, n)
         nxt, last = self._next, self._c0 + self._last
-        row0 = self._row0 - self._c0 * n
+        row0 = np.arange(num_lanes, dtype=np.int64) - self._c0 * n
         full_score, partial_score = self._full_score, self._partial_score
         succ, size, lane_cell = self._succ, self._size, self._lane_cell
         is_pf = self.rule.kind == "pf"
@@ -359,7 +350,7 @@ class _TableFormation:
         del rows, nxt
         if drain:
             # Every lane is parked for good: no table row is read again.
-            self._install(np.zeros((self.num_blocks, 1, n, n), np.uint8), 0)
+            self._install(np.zeros((1, n, n), np.uint8), 0)
         formed = np.flatnonzero(rec[1, :pos])
         voq, k, cyc, start = rec[:, formed]
         del rec
@@ -387,17 +378,16 @@ class _CompiledLaneFormation:
     formation order.
     """
 
-    def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
+    def __init__(self, n: int, rule: FormationRule) -> None:
         if rule.kind not in ("pf", "foff"):
             raise ValueError(f"unknown formation rule kind {rule.kind!r}")
         self.n = n
-        self.num_lanes = num_blocks * n
+        self.num_lanes = n
         self.rule = rule
-        lanes = np.arange(self.num_lanes, dtype=np.int64)
-        inputs = lanes % n
+        lanes = np.arange(n, dtype=np.int64)
         #: Cycle-boundary slot of lane cycle ``c`` is ``residue + c * n``.
-        self.residue = (n - inputs) % n
-        self.voq_base = (lanes // n) * n * n + inputs * n
+        self.residue = (n - lanes) % n
+        self.voq_base = lanes * n
         self.avail = np.zeros((self.num_lanes, n), dtype=np.int64)
         self.taken = np.zeros((self.num_lanes, n), dtype=np.int64)
         self.full_rr = np.zeros(self.num_lanes, dtype=np.int64)
@@ -504,14 +494,14 @@ def check_rule(rule: FormationRule, n: int) -> None:
         )
 
 
-def _make_formation(n: int, num_blocks: int, rule: FormationRule):
+def _make_formation(n: int, rule: FormationRule):
     """The formation engine replays run on, for a checked rule: the
     compiled per-lane stepper where numba imports, the NumPy table
     engine otherwise."""
     check_rule(rule, n)
     if compiled.ACTIVE:
-        return _CompiledLaneFormation(n, num_blocks, rule)
-    return _TableFormation(n, num_blocks, rule)
+        return _CompiledLaneFormation(n, rule)
+    return _TableFormation(n, rule)
 
 
 def arrival_tags(
@@ -532,7 +522,7 @@ def build_frame_schedule(
 ) -> FrameSchedule:
     """Run the formation engine over one monolithic batch."""
     n = batch.n
-    form = _make_formation(n, 1, rule)
+    form = _make_formation(n, rule)
     form.absorb(
         batch.inputs,
         arrival_tags(batch.slots, form.residue[batch.inputs], n),
@@ -631,25 +621,22 @@ def frame_membership(
 
 
 class FrameFormationStream:
-    """Resumable frame formation across all inputs (and seed blocks).
+    """Resumable frame formation across all inputs.
 
     The windowed form of :func:`build_frame_schedule`: one formation
-    lane per (block, input); block ``b`` of a
-    multi-seed replay owns VOQ ids ``b * n^2 + i * n + j``.  ``feed``
-    absorbs one window of arrivals and forms every frame whose cycle
-    boundary slot is strictly below the window's end (later cycles could
-    still see this window's backlog *plus future arrivals*, so they must
-    wait); ``finish`` runs the quiescence (drain) loop.
+    lane per input.  ``feed`` absorbs one window of arrivals and forms
+    every frame whose cycle boundary slot is strictly below the window's
+    end (later cycles could still see this window's backlog *plus future
+    arrivals*, so they must wait); ``finish`` runs the quiescence (drain)
+    loop.
     """
 
-    def __init__(self, n: int, num_blocks: int, rule: FormationRule) -> None:
+    def __init__(self, n: int, rule: FormationRule) -> None:
         self.n = n
-        self.num_blocks = num_blocks
-        self._form = _make_formation(n, num_blocks, rule)
+        self._form = _make_formation(n, rule)
 
     def feed(
         self,
-        blocks: np.ndarray,
         slots: np.ndarray,
         inputs: np.ndarray,
         outputs: np.ndarray,
@@ -661,10 +648,9 @@ class FrameFormationStream:
         forms (the object engine's post-arrival quiescence loop).
         """
         n = self.n
-        if len(blocks):
-            lanes = blocks * n + inputs
-            tags = arrival_tags(slots, self._form.residue[lanes], n)
-            self._form.absorb(lanes, tags, outputs)
+        if len(slots):
+            tags = arrival_tags(slots, self._form.residue[inputs], n)
+            self._form.absorb(inputs, tags, outputs)
         if boundary is None:
             return self._form.run(None)
         limit = (boundary - self._form.residue + n - 1) // n

@@ -49,52 +49,47 @@ def departures(
 
 
 class Stream(StreamKernel):
-    """Windowed (and seed-stacked) replay of the baseline LB switch.
+    """Windowed replay of the baseline LB switch.
 
     Stage 1 is a bank of per-input FIFOs served every slot — a
     :class:`PolledQueueBank` with period 1 — and stage 2 the usual
     per-(mid, output) polled queues.
     """
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        super().__init__(matrix, seeds, total_slots)
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix, seed, total_slots)
         n = self.n
         # Stage-1 events arrive in generation order — FIFO order within
         # every input queue — so the bank can group by radix sort alone.
         self._stage1 = PolledQueueBank(
-            np.zeros(self.num_blocks * n, dtype=np.int64), 1, presorted=True
+            np.zeros(n, dtype=np.int64), 1, presorted=True
         )
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
 
     def _replay(self, events, boundary):
         n = self.n
-        block, slots, inputs, outputs, seqs, gidx = events
-        voq_x = block * n * n + inputs * n + outputs
+        slots, inputs, outputs, seqs, gidx = events
         tx, _, payload = self._stage1.feed(
-            block * n + inputs,
+            inputs,
             np.zeros(len(slots), dtype=np.int64),
             slots,
             gidx,
-            (voq_x, seqs, slots, inputs),
+            (inputs * n + outputs, seqs, slots, inputs),
             boundary,
         )
-        voq_x, seqs, slots, inputs = payload
-        block = voq_x // (n * n)
-        out = voq_x % n
+        voq, seqs, slots, inputs = payload
         mid = (inputs + tx) % n
         departure, tx, payload = self._stage2.feed(
-            block * n * n + mid * n + out,
+            mid * n + voq % n,
             np.zeros(len(tx), dtype=np.int64),
             tx + 1,
             tx,
-            (voq_x, seqs, slots, mid),
+            (voq, seqs, slots, mid),
             boundary,
         )
-        voq_x, seqs, slots, mid = payload
+        voq, seqs, slots, mid = payload
         return Departures(
-            voq=voq_x,
+            voq=voq,
             seq=seqs,
             arrival=slots,
             departure=departure,

@@ -34,35 +34,33 @@ def departures(
 
 
 class Stream(StreamKernel):
-    """Windowed (and seed-stacked) replay of the OQ reference switch:
-    one period-1 FIFO bank keyed by (seed block, output)."""
+    """Windowed replay of the OQ reference switch: one period-1 FIFO
+    bank keyed by output."""
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        super().__init__(matrix, seeds, total_slots)
-        n = self.n
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix, seed, total_slots)
         # Arrivals reach the bank in generation order — FIFO order
         # within every output queue — so radix grouping suffices.
         self._bank = PolledQueueBank(
-            np.zeros(self.num_blocks * n, dtype=np.int64), 1, presorted=True
+            np.zeros(self.n, dtype=np.int64), 1, presorted=True
         )
 
     def _replay(self, events, boundary):
         n = self.n
-        block, slots, inputs, outputs, seqs, gidx = events
-        voq_x = block * n * n + inputs * n + outputs
+        slots, inputs, outputs, seqs, gidx = events
         # Departure is service + 1, so finalize services below
         # boundary - 1 to keep finalized departures strictly windowed.
         service, _, payload = self._bank.feed(
-            block * n + outputs,
+            outputs,
             np.zeros(len(slots), dtype=np.int64),
             slots,
             gidx,
-            (voq_x, seqs, slots, outputs),
+            (inputs * n + outputs, seqs, slots, outputs),
             None if boundary is None else boundary - 1,
         )
-        voq_x, seqs, slots, outputs = payload
+        voq, seqs, slots, outputs = payload
         return Departures(
-            voq=voq_x,
+            voq=voq,
             seq=seqs,
             arrival=slots,
             departure=service + 1,

@@ -70,7 +70,7 @@ def departures(
     # Real cell k of a frame crosses to intermediate k at assembled + k.
     tx += assembled
     voq = grouping.voqs()[rows]
-    fake_queue, fake_tx, _ = _fake_cells(schedule, n)
+    fake_queue, fake_tx = _fake_cells(schedule, n)
     service = replay_polled_queues(
         np.concatenate([(tx - assembled) * n + voq % n, fake_queue]),
         np.broadcast_to(0, len(tx) + len(fake_tx)),
@@ -109,26 +109,23 @@ def _fake_cells(schedule, n: int):
     """Stage-2 events of a frame schedule's fake cells.
 
     Fake cells fill positions size .. n-1 of their frame, heading to the
-    padded VOQ's output.  Returns ``(queue_local, tx, block)`` — the
-    (mid, output) queue id within the frame's seed block, the crossing
-    slot, and the block.
+    padded VOQ's output.  Returns ``(queue, tx)`` — the (mid, output)
+    queue id and the crossing slot.
     """
     padded = schedule.fakes > 0
     reps = schedule.fakes[padded]
     num_fakes = int(reps.sum())
     if num_fakes == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
+        return empty, empty
     fake_pos = concat_ranges(schedule.size[padded], reps)
     fake_tx = np.repeat(schedule.slot[padded], reps) + fake_pos
-    voq_x = np.repeat(schedule.voq[padded], reps)
-    fake_out = voq_x % n
-    block = voq_x // (n * n)
-    return fake_pos * n + fake_out, fake_tx, block
+    fake_out = np.repeat(schedule.voq[padded] % n, reps)
+    return fake_pos * n + fake_out, fake_tx
 
 
 class Stream(StreamKernel):
-    """Windowed (and seed-stacked) replay of the Padded Frames switch.
+    """Windowed replay of the Padded Frames switch.
 
     Frame formation streams cycle-by-cycle (:class:`FrameFormationStream`),
     framed packets and fake cells enter the stage-2 polled queues as they
@@ -140,55 +137,43 @@ class Stream(StreamKernel):
     def __init__(
         self,
         matrix: np.ndarray,
-        seeds,
+        seed: int,
         total_slots: int,
         threshold: Optional[int] = None,
     ) -> None:
-        super().__init__(matrix, seeds, total_slots)
+        super().__init__(matrix, seed, total_slots)
         n = self.n
         threshold = _check_threshold(n, threshold)
-        self._formation = FrameFormationStream(
-            n, self.num_blocks, pf_rule(threshold)
-        )
-        self._packets = FramedPacketBuffer(self.num_blocks * n * n)
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+        self._formation = FrameFormationStream(n, pf_rule(threshold))
+        self._packets = FramedPacketBuffer(n * n)
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
         # The drain horizon needs the run length: services past it are
         # unobserved in the object engine.
         self._cut = drain_cut(total_slots, n)
-        self._fakes_departed = np.zeros(self.num_blocks, dtype=np.int64)
-        self._real_departed = np.zeros(self.num_blocks, dtype=np.int64)
+        self._fakes_departed = 0
+        self._real_departed = 0
 
     def _replay(self, events, boundary):
         n = self.n
-        block, slots, inputs, outputs, seqs, gidx = events
-        schedule = self._formation.feed(
-            block, slots, inputs, outputs, boundary
-        )
-        voq_x, slot, seq, gidx, rank, assembled, position = (
+        slots, inputs, outputs, seqs, gidx = events
+        schedule = self._formation.feed(slots, inputs, outputs, boundary)
+        voq, slot, seq, gidx, rank, assembled, position = (
             self._packets.feed(
-                block * n * n + inputs * n + outputs, slots, seqs, gidx,
-                schedule,
+                inputs * n + outputs, slots, seqs, gidx, schedule
             )
         )
         tx = assembled + position
-        block = voq_x // (n * n)
-        out = voq_x % n
-        fake_queue, fake_tx, fake_block = _fake_cells(schedule, n)
+        fake_queue, fake_tx = _fake_cells(schedule, n)
         is_fake = np.concatenate([
             np.zeros(len(tx), dtype=np.int64),
             np.ones(len(fake_tx), dtype=np.int64),
         ])
         zero = np.zeros(len(fake_tx), dtype=np.int64)
-        queues = np.concatenate([
-            block * n * n + position * n + out,
-            fake_block * n * n + fake_queue,
-        ])
+        queues = np.concatenate([position * n + voq % n, fake_queue])
         ready = np.concatenate([tx, fake_tx]) + 1
         fifo_order = np.concatenate([tx, fake_tx])
         payload = (
-            np.concatenate([voq_x, fake_block * n * n]),
+            np.concatenate([voq, zero]),
             np.concatenate([seq, zero]),
             np.concatenate([slot, zero]),
             np.concatenate([position, zero]),
@@ -203,20 +188,19 @@ class Stream(StreamKernel):
             payload,
             boundary,
         )
-        voq_x, seq, slot, position, assembled, is_fake = payload
+        voq, seq, slot, position, assembled, is_fake = payload
         # The object engine's drain phase is finite: cells that would
         # depart after its horizon stay in flight there, unobserved.
         # Window-finalized services are always below the horizon (the
         # boundary never exceeds the run length); the final flush is
         # where the cut actually bites.
         seen = service <= self._cut
-        block = voq_x // (n * n)
         fake = is_fake == 1
-        np.add.at(self._fakes_departed, block[fake & seen], 1)
+        self._fakes_departed += int(np.count_nonzero(fake & seen))
         real = ~fake & seen
-        np.add.at(self._real_departed, block[real], 1)
+        self._real_departed += int(np.count_nonzero(real))
         return Departures(
-            voq=voq_x[real],
+            voq=voq[real],
             seq=seq[real],
             arrival=slot[real],
             departure=service[real],
@@ -226,12 +210,7 @@ class Stream(StreamKernel):
         )
 
     def _extras(self):
-        extras = []
-        for b in range(self.num_blocks):
-            sent = int(self._real_departed[b] + self._fakes_departed[b])
-            extras.append({
-                "padding_overhead": (
-                    int(self._fakes_departed[b]) / sent if sent else 0.0
-                )
-            })
-        return extras
+        sent = self._real_departed + self._fakes_departed
+        return {
+            "padding_overhead": self._fakes_departed / sent if sent else 0.0
+        }

@@ -126,59 +126,49 @@ def _insertion_slots(
 
 
 class Stream(StreamKernel):
-    """Windowed (and seed-stacked) replay of the Sprinklers data path.
+    """Windowed replay of the Sprinklers data path: stripes assemble in a
+    :class:`UnitAssembler` and cross both stages' :class:`PolledQueueBank`
+    replays, bit-identical to the monolithic :func:`departures`."""
 
-    Seed block ``b`` owns VOQ ids ``b * n^2 + voq`` and queue ids in the
-    matching blocks, so one :class:`PolledQueueBank` replay pass serves
-    every seed at once while keeping the seeds' dynamics exactly
-    independent — per-seed results are bit-identical to the monolithic
-    :func:`departures`.
-    """
-
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        super().__init__(matrix, seeds, total_slots)
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix, seed, total_slots)
         n = self.n
-        tables = [_placement_tables(matrix, seed) for seed in seeds]
-        self._sizes = np.concatenate([t[0] for t in tables])
-        self._starts = np.concatenate([t[1] for t in tables])
-        self._levels = np.concatenate([t[2] for t in tables])
+        self._sizes, self._starts, self._levels = _placement_tables(
+            matrix, seed
+        )
         self._assembler = UnitAssembler(self._sizes)
-        self._stage1 = PolledQueueBank(
-            np.tile(row_residues(n), self.num_blocks), n
-        )
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+        self._stage1 = PolledQueueBank(row_residues(n), n)
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
 
     def _replay(self, events, boundary):
         """Assemble stripes, then push the completed ones through both
         stages up to ``boundary``."""
         n = self.n
-        block, slots, inputs, outputs, seqs, gidx = events
-        voq_x, slot, seq, gidx, pos, c_slot, c_order = self._assembler.feed(
-            block * n * n + inputs * n + outputs, slots, seqs, gidx
+        slots, inputs, outputs, seqs, gidx = events
+        voq, slot, seq, gidx, pos, c_slot, c_order = self._assembler.feed(
+            inputs * n + outputs, slots, seqs, gidx
         )
-        row = self._starts[voq_x] + pos
+        row = self._starts[voq] + pos
         tx, _, payload = self._stage1.feed(
-            voq_x // n * n + row,
-            self._levels[voq_x],
-            _insertion_slots(voq_x, c_slot, self._sizes, self._starts, n),
+            voq // n * n + row,
+            self._levels[voq],
+            _insertion_slots(voq, c_slot, self._sizes, self._starts, n),
             c_order,
-            (voq_x, seq, slot, row, c_slot),
+            (voq, seq, slot, row, c_slot),
             boundary,
         )
-        voq_x, seq, slot, row, c_slot = payload
+        voq, seq, slot, row, c_slot = payload
         departure, tx, payload = self._stage2.feed(
-            (voq_x // (n * n)) * n * n + row * n + (voq_x % n),
-            self._levels[voq_x],
+            row * n + voq % n,
+            self._levels[voq],
             tx + 1,
             tx,
-            (voq_x, seq, slot, row, c_slot),
+            (voq, seq, slot, row, c_slot),
             boundary,
         )
-        voq_x, seq, slot, row, c_slot = payload
+        voq, seq, slot, row, c_slot = payload
         return Departures(
-            voq=voq_x,
+            voq=voq,
             seq=seq,
             arrival=slot,
             departure=departure,
@@ -188,5 +178,4 @@ class Stream(StreamKernel):
         )
 
     def _extras(self):
-        # Oracle sizing never resizes.
-        return [{"resizes": 0.0}] * self.num_blocks
+        return {"resizes": 0.0}  # oracle sizing never resizes

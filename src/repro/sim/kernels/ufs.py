@@ -85,7 +85,7 @@ def _frame_starts(
 
 
 class Stream(StreamKernel):
-    """Windowed (and seed-stacked) replay of Uniform Frame Spreading.
+    """Windowed replay of Uniform Frame Spreading.
 
     Full frames assemble in a :class:`UnitAssembler`; each completed
     frame then waits as *one event* in a per-input periodic FIFO bank
@@ -94,59 +94,51 @@ class Stream(StreamKernel):
     frame's packets replay through the stage-2 polled queues.
     """
 
-    def __init__(self, matrix: np.ndarray, seeds, total_slots: int) -> None:
-        super().__init__(matrix, seeds, total_slots)
+    def __init__(self, matrix: np.ndarray, seed: int, total_slots: int) -> None:
+        super().__init__(matrix, seed, total_slots)
         n = self.n
-        self._assembler = UnitAssembler(
-            np.full(self.num_blocks * n * n, n, dtype=np.int64)
-        )
-        ports = np.arange(n, dtype=np.int64)
+        self._assembler = UnitAssembler(np.full(n * n, n, dtype=np.int64))
         # (Frames are emitted VOQ-grouped, not completion-ordered, so
         # this bank cannot use the presorted radix grouping.)
         self._frame_bank = PolledQueueBank(
-            np.tile((-ports) % n, self.num_blocks), n
+            (-np.arange(n, dtype=np.int64)) % n, n
         )
-        self._stage2 = PolledQueueBank(
-            np.tile(mid_residues(n), self.num_blocks), n
-        )
+        self._stage2 = PolledQueueBank(mid_residues(n), n)
         # Packets of completed frames awaiting their frame's start slot,
         # sorted by (frame key, position).  The frame key is the
-        # completing packet's generation index, block-tagged for
-        # cross-seed uniqueness.
+        # completing packet's generation index.
         empty = np.empty(0, dtype=np.int64)
-        self._parked = (empty,) * 6  # fkey, voq_x, seq, slot, pos, c_slot
+        self._parked = (empty,) * 6  # fkey, voq, seq, slot, pos, c_slot
 
     def _replay(self, events, boundary):
         """Assemble frames, then run the frame-start FIFO and stage 2 up
         to ``boundary``."""
         n = self.n
-        block, slots, inputs, outputs, seqs, gidx = events
-        voq_c, slot_c, seq_c, _, pos_c, c_slot, c_order = self._assembler.feed(
-            block * n * n + inputs * n + outputs, slots, seqs, gidx
+        slots, inputs, outputs, seqs, gidx = events
+        voq_c, slot_c, seq_c, _, pos_c, c_slot, fkey = self._assembler.feed(
+            inputs * n + outputs, slots, seqs, gidx
         )
-        blk_c = voq_c // (n * n)
-        fkey = c_order * self.num_blocks + blk_c
         last = pos_c == n - 1
-        # Frame events: queue = block * n + input, ready = completion
-        # slot, FIFO order = completion index (per-input completion
-        # order, as in the monolithic kernel).
-        f_queue = blk_c[last] * n + (voq_c[last] % (n * n)) // n
+        # Frame events: queue = input, ready = completion slot, FIFO
+        # order = completion index (per-input completion order, as in the
+        # monolithic kernel).
+        f_queue = voq_c[last] // n
         start, _, payload = self._frame_bank.feed(
             f_queue, np.zeros(len(f_queue), dtype=np.int64),
-            c_slot[last], c_order[last], (fkey[last],), boundary,
+            c_slot[last], fkey[last], (fkey[last],), boundary,
         )
         (done_key,) = payload
 
         # Park the new frames' packets, keep the store (fkey, pos)-sorted.
-        fkey, voq_x, seq, slot, pos, c_slot = tuple(
+        fkey, voq, seq, slot, pos, c_slot = tuple(
             np.concatenate([old, new])
             for old, new in zip(
                 self._parked, (fkey, voq_c, seq_c, slot_c, pos_c, c_slot)
             )
         )
         order = composite_argsort(fkey, pos) if len(fkey) else fkey
-        fkey, voq_x, seq, slot, pos, c_slot = (
-            fkey[order], voq_x[order], seq[order], slot[order],
+        fkey, voq, seq, slot, pos, c_slot = (
+            fkey[order], voq[order], seq[order], slot[order],
             pos[order], c_slot[order],
         )
 
@@ -161,30 +153,28 @@ class Stream(StreamKernel):
             member[inb] = done_sorted[at[inb]] == fkey[inb]
         keep = ~member
         self._parked = (
-            fkey[keep], voq_x[keep], seq[keep], slot[keep],
+            fkey[keep], voq[keep], seq[keep], slot[keep],
             pos[keep], c_slot[keep],
         )
         frame_start = np.zeros(int(member.sum()), dtype=np.int64)
         if len(done_sorted):
             frame_start = start_sorted[at[member]]
-        voq_x, seq, slot, pos, c_slot = (
-            voq_x[member], seq[member], slot[member], pos[member],
+        voq, seq, slot, pos, c_slot = (
+            voq[member], seq[member], slot[member], pos[member],
             c_slot[member],
         )
         tx = frame_start + pos
-        block = voq_x // (n * n)
-        out = voq_x % n
         departure, tx, payload = self._stage2.feed(
-            block * n * n + pos * n + out,
+            pos * n + voq % n,
             np.zeros(len(tx), dtype=np.int64),
             tx + 1,
             tx,
-            (voq_x, seq, slot, pos, c_slot),
+            (voq, seq, slot, pos, c_slot),
             boundary,
         )
-        voq_x, seq, slot, pos, c_slot = payload
+        voq, seq, slot, pos, c_slot = payload
         return Departures(
-            voq=voq_x,
+            voq=voq,
             seq=seq,
             arrival=slot,
             departure=departure,

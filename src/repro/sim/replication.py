@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .. import telemetry
 from ..store import coerce_store
-from .experiment import RunPlan, execute, plan_run
-from .fast_engine import run_replications_fast
+from .experiment import execute, plan_run
 from .metrics import SimulationResult
 
 __all__ = ["ReplicatedResult", "replicate"]
@@ -40,48 +39,6 @@ class ReplicatedResult(NamedTuple):
     def interval(self) -> tuple:
         """The (low, high) confidence interval for the metric's mean."""
         return (self.mean - self.half_width, self.mean + self.half_width)
-
-
-def _replicate_batched(plans: Sequence[RunPlan], store) -> List[SimulationResult]:
-    """All seeds in one stacked kernel pass, store-compatible per seed.
-
-    ``plans`` differ only in seed.  Each is keyed by its own
-    :meth:`~repro.sim.experiment.RunPlan.store_params` — exactly the
-    sequential path's keys — so batched and sequential replications
-    share hits; only the missing seeds run, as one
-    :func:`~repro.sim.fast_engine.run_replications_fast` call.
-    """
-    cache = coerce_store(store)
-    results = {}
-    missing = []
-    for plan in plans:
-        params = plan.store_params()
-        cached = cache.fetch(params) if cache is not None else None
-        if cached is not None:
-            results[plan.seed] = cached
-        else:
-            missing.append((plan, params))
-    if missing:
-        first = missing[0][0]
-        fresh = run_replications_fast(
-            first.subject,
-            first.matrix,
-            first.num_slots,
-            [plan.seed for plan, _ in missing],
-            load_label=first.load_label,
-            warmup_fraction=first.warmup_fraction,
-            batch_traffics=(
-                [plan.batch_traffic() for plan, _ in missing]
-                if first.spec is not None
-                else None
-            ),
-            switch_params=first.switch_params,
-        )
-        for (plan, params), result in zip(missing, fresh):
-            results[plan.seed] = result
-            if cache is not None:
-                cache.save(params, result)
-    return [results[plan.seed] for plan in plans]
 
 
 def replicate(
@@ -122,13 +79,11 @@ def replicate(
     so an invalid one raises its ``ValueError`` here, before any seed
     runs.
 
-    ``batch_seeds=True`` replays the seeds of a vectorized plan in
-    stacked kernel passes (:func:`~repro.sim.fast_engine.
-    run_replications_fast` — a stream kernel takes a seed list by
-    contract) — exactly the same per-seed values, but the array-setup
-    overheads that dominate short replications are paid once per group
-    of seeds instead of R times.  A fabric or an object-engine plan
-    falls back to per-seed runs.
+    Each seed is one run, exactly as :func:`~repro.sim.experiment.
+    run_single` with ``keep_samples=False`` would make it (a vectorized
+    switch replays through its monolithic kernel).  ``batch_seeds`` is
+    still accepted and selects nothing.  ``confidence`` must lie in the
+    open interval (0, 1).
 
     >>> from repro.traffic.matrices import uniform_matrix
     >>> res = replicate("load-balanced", uniform_matrix(4, 0.5), 800,
@@ -138,6 +93,10 @@ def replicate(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for an interval")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(
+            f"confidence must be in the open interval (0, 1), got {confidence}"
+        )
     # One plan validates and resolves the configuration once, up front;
     # every seed's run differs from it in the seed alone.
     first = plan_run(
@@ -151,23 +110,14 @@ def replicate(
         dataclasses.replace(first, seed=seed)
         for seed in range(base_seed, base_seed + replications)
     ]
-    # A fabric replicates seed-by-seed (no stacked seed axis across a
-    # coupled chain yet), as does an object-engine plan.
-    batched = (
-        batch_seeds and first.engine == "vectorized" and first.fabric is None
-    )
     with telemetry.trace(
         "run.replicate",
         switch=first.subject,
         replications=replications,
         engine=first.engine,
-        batched=batched,
     ):
-        if batched:
-            results = _replicate_batched(plans, store)
-        else:
-            cache = coerce_store(store)
-            results = [execute(plan, cache) for plan in plans]
+        cache = coerce_store(store)
+        results = [execute(plan, cache) for plan in plans]
     values = [float(metric(result)) for result in results]
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1)) / math.sqrt(replications)

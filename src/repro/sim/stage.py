@@ -69,11 +69,8 @@ class KernelStage(Stage):
     """A stream kernel (vectorized resumable replay) behind the Stage
     interface.
 
-    Thin single-seed adapter over the kernel's multi-seed streamer:
-    windows are wrapped in one-element lists and the one-seed extras
-    list unwrapped; the seed-stacked record of one seed *is* the plain
-    record, so the Stage contract and the stream-kernel contract are the
-    same thing seen from two sides.
+    The Stage contract and the stream-kernel contract are the same thing
+    seen from two sides; this adapter adds the per-stage telemetry.
     """
 
     def __init__(
@@ -96,14 +93,14 @@ class KernelStage(Stage):
         self._feed_metric = f"stage.feed_s.{self.label}"
         self._finish_metric = f"stage.finish_s.{self.label}"
         self._streamer = model.stream_kernel(
-            matrix, [seed], total_slots, **(params or {})
+            matrix, seed, total_slots, **(params or {})
         )
 
     def feed(self, window: ArrivalBatch) -> Departures:
         if not telemetry.enabled():
-            return self._streamer.feed([window])
+            return self._streamer.feed(window)
         with telemetry.trace("stage.feed", stage=self.label) as span:
-            dep = self._streamer.feed([window])
+            dep = self._streamer.feed(window)
             span.set(packets=len(window), finalized=len(dep.voq))
         telemetry.observe(self._feed_metric, span.span.dur_s)
         return dep
@@ -111,15 +108,13 @@ class KernelStage(Stage):
     def finish(
         self, window: Optional[ArrivalBatch] = None
     ) -> Tuple[Departures, Optional[Dict[str, float]]]:
-        windows = [window] if window is not None else None
         if not telemetry.enabled():
-            final, extras = self._streamer.finish(windows)
-            return final, extras[0]
+            return self._streamer.finish(window)
         with telemetry.trace("stage.finish", stage=self.label) as span:
-            final, extras = self._streamer.finish(windows)
+            final, extras = self._streamer.finish(window)
             span.set(finalized=len(final.voq))
         telemetry.observe(self._finish_metric, span.span.dur_s)
-        return final, extras[0]
+        return final, extras
 
 
 class ObjectStage(Stage):

@@ -126,12 +126,11 @@ def assert_schedules_equal(got, want):
 
 def stream_schedule(rule, n, batches, windows):
     """Feed a run through a formation stream; concatenate the schedules."""
-    stream = FrameFormationStream(n, 1, rule)
+    stream = FrameFormationStream(n, rule)
     parts = []
     for batch in batches:
         parts.append(
             stream.feed(
-                np.zeros(len(batch), dtype=np.int64),
                 batch.slots,
                 batch.inputs,
                 batch.outputs,
@@ -232,18 +231,15 @@ class TestStreamedParity:
             WORKLOADS["mmpp-bursty"](n, 9, SLOTS).draw_chunks(SLOTS, window)
         )
         engine(False)
-        vec = FrameFormationStream(n, 1, rule)
+        vec = FrameFormationStream(n, rule)
         engine(True)
-        ref = FrameFormationStream(n, 1, rule)
-        zeros = lambda b: np.zeros(len(b), dtype=np.int64)  # noqa: E731
+        ref = FrameFormationStream(n, rule)
         for batch in batches:
             got = vec.feed(
-                zeros(batch), batch.slots, batch.inputs, batch.outputs,
-                batch.end_slot,
+                batch.slots, batch.inputs, batch.outputs, batch.end_slot
             )
             want = ref.feed(
-                zeros(batch), batch.slots, batch.inputs, batch.outputs,
-                batch.end_slot,
+                batch.slots, batch.inputs, batch.outputs, batch.end_slot
             )
             assert_schedules_equal(got, want)
         assert_schedules_equal(vec.finish(), ref.finish())
@@ -287,7 +283,7 @@ class TestRuleValidation:
         with pytest.raises(ValueError, match=r"threshold must be in \[1, 4\]"):
             build_frame_schedule(batch, pf_rule(threshold))
         with pytest.raises(ValueError, match=r"threshold must be in \[1, 4\]"):
-            FrameFormationStream(4, 2, pf_rule(threshold))
+            FrameFormationStream(4, pf_rule(threshold))
 
 
 #: The formation-loop counters both engines report: frames formed, and
@@ -298,23 +294,21 @@ COUNTERS = ("kernel.frames.lane_advances", "kernel.frames.cursor_jumps")
 
 @st.composite
 def formation_runs(draw):
-    """``(n, num_blocks, rule, windows)`` of one generated formation run.
+    """``(n, rule, windows)`` of one generated formation run.
 
     ``windows`` is a list of ``(boundary, events)``: ``events`` rows are
-    ``(block, slot, input, output)`` in window-stacker order (block, then
-    slot), ``boundary`` the window's end slot, or ``None`` for a single
-    monolithic feed that drains.  An event row repeats up to 4 times or
-    250-270 times — the latter overflows a uint8 table cell — and inputs
-    or whole blocks without events leave lanes empty.
+    ``(slot, input, output)`` in slot order, ``boundary`` the window's
+    end slot, or ``None`` for a single monolithic feed that drains.  An
+    event row repeats up to 4 times or 250-270 times — the latter
+    overflows a uint8 table cell — and inputs without events leave lanes
+    empty.
     """
     n = draw(st.integers(2, 12))
-    num_blocks = draw(st.integers(1, 3))
     threshold = draw(st.integers(0, n))
     rule = foff_rule() if threshold == 0 else pf_rule(threshold)
     horizon = draw(st.integers(1, 90))
     rows = draw(st.lists(
         st.tuples(
-            st.integers(0, num_blocks - 1),
             st.integers(0, horizon - 1),
             st.integers(0, n - 1),
             st.integers(0, n - 1),
@@ -323,25 +317,25 @@ def formation_runs(draw):
         max_size=25,
     ))
     events = np.array(
-        [row[:4] for row in sorted(rows) for _ in range(row[4])],
+        [row[:3] for row in sorted(rows) for _ in range(row[3])],
         dtype=np.int64,
-    ).reshape(-1, 4)
+    ).reshape(-1, 3)
     if draw(st.booleans()):
-        return n, num_blocks, rule, [(None, events)]
+        return n, rule, [(None, events)]
     cuts = sorted(set(draw(st.lists(st.integers(1, horizon), max_size=6))))
     windows, lo = [], 0
     for end in cuts + [horizon + 1]:
-        inside = (events[:, 1] >= lo) & (events[:, 1] < end)
+        inside = (events[:, 0] >= lo) & (events[:, 0] < end)
         windows.append((end, events[inside]))
         lo = end
-    return n, num_blocks, rule, windows
+    return n, rule, windows
 
 
-def formation_run(reference, n, num_blocks, rule, windows):
+def formation_run(reference, n, rule, windows):
     """Every window's schedule (then the drain's) and the counters."""
     with pytest.MonkeyPatch.context() as patch, telemetry.scope() as tel:
         patch.setattr(compiled, "ACTIVE", reference)
-        stream = FrameFormationStream(n, num_blocks, rule)
+        stream = FrameFormationStream(n, rule)
         schedules = [
             stream.feed(*events.T, boundary) for boundary, events in windows
         ]

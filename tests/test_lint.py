@@ -393,7 +393,8 @@ def test_reg004_lazy_getattr_module_skips_undefined_names(tmp_path):
     assert result.ok, codes(result)
 
 
-def test_reg001_stream_kernel_must_honor_the_contract(monkeypatch):
+def _reg001_with_stream_kernel(monkeypatch, stream_kernel):
+    """REG001 over the registry plus one model carrying ``stream_kernel``."""
     from repro import models
     from repro.models import registry as registry_module
 
@@ -401,18 +402,36 @@ def test_reg001_stream_kernel_must_honor_the_contract(monkeypatch):
         registry_module, "_MODELS", dict(registry_module._MODELS)
     )
     models.register(models.SwitchModel(
-        name="loose-stream",
+        name="probe-stream",
         builder=lambda n, matrix, seed: None,
         kernel=lambda batch, matrix, seed: None,
-        stream_kernel=lambda matrix, seeds, total_slots: object(),
+        stream_kernel=stream_kernel,
     ))
-    result = lint_paths(
+    return lint_paths(
         [REPO_ROOT / "src" / "repro" / "models" / "builtin.py"],
         root=REPO_ROOT, select=["REG001"],
     )
+
+
+def test_reg001_stream_kernel_must_honor_the_contract(monkeypatch):
+    result = _reg001_with_stream_kernel(
+        monkeypatch, lambda matrix, seed, total_slots: object()
+    )
     assert codes(result) == ["REG001"]
-    assert "'loose-stream'" in result.findings[0].message
-    assert "StreamKernel" in result.findings[0].message
+    message = result.findings[0].message
+    assert "'probe-stream'" in message
+    assert "StreamKernel" in message
+    assert "(matrix, seed, total_slots)" in message
+
+
+def test_reg001_silent_for_a_one_seed_stream_kernel(monkeypatch):
+    from repro.sim.kernels.base import StreamKernel
+
+    def factory(matrix, seed, total_slots):
+        assert isinstance(seed, int)  # one seed, not a seed list
+        return StreamKernel(matrix, seed, total_slots)
+
+    assert _reg001_with_stream_kernel(monkeypatch, factory).ok
 
 
 # -- Suppressions --------------------------------------------------------------

@@ -169,7 +169,7 @@ class TestBuiltinRegistry:
     def test_kernel_params_must_be_declared(self):
         kernels = dict(
             kernel=lambda batch, matrix, seed: None,
-            stream_kernel=lambda matrix, seeds, total_slots: None,
+            stream_kernel=lambda matrix, seed, total_slots: None,
         )
         with pytest.raises(ValueError, match="not in the declared"):
             SwitchModel(

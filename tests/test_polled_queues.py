@@ -46,7 +46,7 @@ from repro.traffic.matrices import diagonal_matrix
 def banks(draw, time_ordered=False):
     """``(queues, levels, ready, order, residues, n)`` of one bank.
 
-    Queue ids form seed-stacked blocks with unused ids between them; every
+    Queue ids form blocks with unused ids between them; every
     queue draws its levels from its own subset of 1-6 levels (so some
     levels are empty and single-level queues sit beside multi-level ones);
     ready slots are optionally clamped to a floor, as carried events are,

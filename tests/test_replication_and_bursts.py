@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import models
 from repro.figures.burst_sensitivity import generate as burst_generate
 from repro.models import FabricSpec
 from repro.sim.experiment import run_single
@@ -66,25 +67,50 @@ class TestReplicate:
     @pytest.mark.parametrize(
         "subject, engine, workload",
         [
-            ("sprinklers", "object", {"matrix": uniform_matrix(4, 0.6)}),
-            (
+            pytest.param(
+                "sprinklers", "object", {"matrix": uniform_matrix(4, 0.6)},
+                id="object-switch",
+            ),
+            pytest.param(
                 "leaf-spine", "vectorized",
                 {"scenario": "ring-allreduce", "n": 4, "load": 0.6},
+                id="fabric",
             ),
-            (
+            pytest.param(
                 # An unregistered fabric travels as the spec itself.
                 FabricSpec(name="solo-test", stages=({"switch": "ufs"},)),
                 "object",
                 {"scenario": "paper-uniform", "n": 4, "load": 0.6},
+                id="fabric-spec",
+            ),
+        ] + [
+            pytest.param(
+                switch, "vectorized",
+                {"matrix": uniform_matrix(8, 0.7), "load_label": 0.7},
+                id=switch,
+            )
+            for switch in models.available(engine="vectorized")
+        ] + [
+            pytest.param(
+                "sprinklers", "vectorized",
+                {"scenario": "mmpp-bursty", "n": 8, "load": 0.8},
+                id="sprinklers-mmpp-bursty",
+            ),
+            pytest.param(
+                "pf", "vectorized",
+                {
+                    "matrix": uniform_matrix(8, 0.75),
+                    "switch_params": {"threshold": 2},
+                },
+                id="pf-threshold-2",
             ),
         ],
-        ids=["object-switch", "fabric", "fabric-spec"],
     )
     def test_per_seed_runs_are_run_single(
         self, subject, engine, workload, tmp_path
     ):
-        """Non-batched replication is ``run_single(seed=s)`` per seed:
-        the same values under the same store keys."""
+        """Replication is ``run_single(seed=s, keep_samples=False)`` per
+        seed: the same values under the same store keys."""
         rep_store = ExperimentStore(tmp_path / "replicate")
         rep = replicate(
             subject, num_slots=400, replications=3, base_seed=5,
@@ -108,6 +134,21 @@ class TestReplicate:
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):
             replicate("ufs", uniform_matrix(4, 0.5), 500, replications=1)
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, -0.2])
+    def test_confidence_outside_open_unit_interval(self, confidence, monkeypatch):
+        """1.5, 1.0 and -0.2 used to give a nan, inf and negative
+        half-width; they are rejected before any seed runs."""
+        from repro.sim import replication
+
+        def no_seed_runs(*args, **kwargs):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(replication, "execute", no_seed_runs)
+        with pytest.raises(ValueError, match="confidence"):
+            replicate(
+                "ufs", uniform_matrix(4, 0.5), 200, confidence=confidence
+            )
 
 
 class TestBurstSensitivity:

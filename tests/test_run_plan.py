@@ -102,6 +102,7 @@ def via_replicate(subject, engine, tmp_path, **kwargs):
 
 
 def via_replicate_batched(subject, engine, tmp_path, **kwargs):
+    # batch_seeds is still accepted and selects nothing: same checks.
     _replicate(subject, engine, tmp_path, True, **kwargs)
 
 
@@ -119,8 +120,6 @@ ENTRY_POINTS = {
 def _rows():
     for entry, not_taken in ENTRY_POINTS.items():
         for subject, engine in SUBJECTS:
-            if entry is via_replicate_batched and engine != "vectorized":
-                continue  # batch_seeds has its own engine check
             for name in INVALID:
                 if name in not_taken:
                     continue

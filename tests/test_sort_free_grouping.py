@@ -219,72 +219,47 @@ class TestFrameMembership:
 
 class TestFramedPacketBuffer:
     @settings(max_examples=120, deadline=None)
-    @given(
-        case=cases,
-        blocks=st.integers(1, 3),
-        cuts=st.lists(st.integers(1, 299), max_size=6),
-    )
-    def test_window_cuts_equal_monolithic(self, case, blocks, cuts):
+    @given(case=cases, cuts=st.lists(st.integers(1, 299), max_size=6))
+    def test_window_cuts_equal_monolithic(self, case, cuts):
         n, slots = case["n"], case["slots"]
         rule = rule_for(case["rule"], n)
-        batches = [
-            traffic(case["kind"], n, case["load"], case["seed"] + b, slots)
-            .draw(slots)
-            for b in range(blocks)
-        ]
-        # Monolithic membership per block, keyed by generation index.
-        want = []
-        for batch in batches:
-            want.append(
-                batch_membership(batch, build_frame_schedule(batch, rule))
-            )
+        batch = traffic(
+            case["kind"], n, case["load"], case["seed"], slots
+        ).draw(slots)
+        # Monolithic membership, keyed by generation index.
+        member, w_asm, w_pos, w_rank = batch_membership(
+            batch, build_frame_schedule(batch, rule)
+        )
 
-        formation = FrameFormationStream(n, blocks, rule)
-        buffer = FramedPacketBuffer(blocks * n * n)
-        seen = [np.zeros(len(b), dtype=bool) for b in batches]
+        formation = FrameFormationStream(n, rule)
+        buffer = FramedPacketBuffer(n * n)
+        seen = np.zeros(len(batch), dtype=bool)
         lo = 0
         for boundary in sorted(c for c in set(cuts) if c < slots) + [None]:
             hi = slots if boundary is None else boundary
-            parts = []
-            for b, batch in enumerate(batches):
-                idx = np.flatnonzero((batch.slots >= lo) & (batch.slots < hi))
-                parts.append((np.full(len(idx), b), idx, batch))
-            block = np.concatenate([p[0] for p in parts]).astype(np.int64)
-            gidx = np.concatenate([p[1] for p in parts]).astype(np.int64)
+            gidx = np.flatnonzero(
+                (batch.slots >= lo) & (batch.slots < hi)
+            ).astype(np.int64)
             w_slots, inputs, outputs, seqs = (
-                np.concatenate(
-                    [getattr(batch, name)[idx] for _, idx, batch in parts]
-                ).astype(np.int64)
+                getattr(batch, name)[gidx]
                 for name in ("slots", "inputs", "outputs", "seqs")
             )
-            schedule = formation.feed(block, w_slots, inputs, outputs, boundary)
+            schedule = formation.feed(w_slots, inputs, outputs, boundary)
             voq, slot, seq, g, rank, assembled, position = buffer.feed(
-                block * n * n + inputs * n + outputs, w_slots, seqs, gidx,
-                schedule,
+                inputs * n + outputs, w_slots, seqs, gidx, schedule
             )
             # Output is grouped by VOQ, ranks ascending within a VOQ.
             assert (np.diff(voq) >= 0).all()
             same = np.diff(voq) == 0
             assert (np.diff(rank)[same] > 0).all()
-            for b in range(blocks):
-                mine = voq // (n * n) == b
-                rows = g[mine]
-                member, w_asm, w_pos, w_rank = want[b]
-                assert member[rows].all()
-                assert not seen[b][rows].any()  # framed exactly once
-                seen[b][rows] = True
-                np.testing.assert_array_equal(assembled[mine], w_asm[rows])
-                np.testing.assert_array_equal(position[mine], w_pos[rows])
-                np.testing.assert_array_equal(rank[mine], w_rank[rows])
-                np.testing.assert_array_equal(
-                    seq[mine], batches[b].seqs[rows]
-                )
-                np.testing.assert_array_equal(
-                    slot[mine], batches[b].slots[rows]
-                )
+            assert member[g].all()
+            assert not seen[g].any()  # framed exactly once
+            seen[g] = True
+            np.testing.assert_array_equal(assembled, w_asm[g])
+            np.testing.assert_array_equal(position, w_pos[g])
+            np.testing.assert_array_equal(rank, w_rank[g])
+            np.testing.assert_array_equal(seq, batch.seqs[g])
+            np.testing.assert_array_equal(slot, batch.slots[g])
             lo = hi
-        for b in range(blocks):
-            np.testing.assert_array_equal(seen[b], want[b][0])
-        assert buffer.pending() == sum(
-            int((~w[0]).sum()) for w in want
-        )
+        np.testing.assert_array_equal(seen, member)
+        assert buffer.pending() == int((~member).sum())

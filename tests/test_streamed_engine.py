@@ -1,14 +1,12 @@
-"""Streamed-replay equivalence: windowed/multi-seed engine vs monolithic.
+"""Streamed-replay equivalence: windowed engine vs monolithic.
 
 The windowed replay (``run_single_fast(..., window_slots=W)``) claims to
 reproduce the monolithic vectorized replay *bit-identically* — same
 departure slots, same extras, same retained delay samples in the same
 observation order — while materializing only O(W) arrival slots at a
-time.  Multi-seed batching (``run_replications_fast`` /
-``replicate(batch_seeds=True)``) claims the same per seed while stacking
-seeds into one kernel pass.  These tests pin both claims across every
-vectorized switch, switch sizes, workloads, and window sizes (including
-windows that do not divide the run and windows larger than the run).
+time.  These tests pin that claim across every vectorized switch,
+switch sizes, workloads, and window sizes (including windows that do not
+divide the run and windows larger than the run).
 
 The monolithic vectorized path is itself pinned against the object
 engine in ``tests/test_fast_engine.py``, so equality here chains all the
@@ -24,13 +22,13 @@ import pytest
 
 from repro import models, telemetry
 from repro.sim.experiment import run_single
-from repro.sim.fast_engine import run_replications_fast, run_single_fast
+from repro.sim.fast_engine import run_single_fast
 from repro.sim.replication import replicate
 from repro.traffic.batch import BatchTrafficGenerator
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
-#: Every vectorized switch streams and stacks seeds: a stream kernel
-#: takes a seed list and a window list by contract.
+#: Every vectorized switch streams: a stream kernel takes one seed and
+#: its windows by contract.
 VECTORIZED_SWITCHES = list(models.available(engine="vectorized"))
 
 #: (name, kwargs-for-run_single) — two §6 matrix families plus two
@@ -188,83 +186,19 @@ class TestDrawChunks:
             list(gen.draw_chunks(100, 0))
 
 
-class TestSeedBatched:
-    """Multi-seed stacking: per-seed results identical to one-at-a-time."""
+class TestReplicate:
+    """Per-seed values: tests/test_replication_and_bursts.py."""
 
-    @pytest.mark.parametrize("switch", VECTORIZED_SWITCHES)
-    def test_stacked_equals_sequential(self, switch):
-        matrix = uniform_matrix(8, 0.85)
-        seeds = list(range(4, 9))
-        stacked = run_replications_fast(
-            switch, matrix, SLOTS, seeds, load_label=0.85
-        )
-        for seed, got in zip(seeds, stacked):
-            # The stacked fold retains no samples (replications never do).
-            want = run_single_fast(
-                switch, matrix, SLOTS, seed=seed, load_label=0.85,
-                keep_samples=False,
-            )
-            assert_identical(want, got)
-
-
-    def test_frame_switches_are_seed_batched(self):
-        """The ISSUE-5 bar: the array-stepped formation engine lets the
-        frame-at-a-time switches stack seeds too — the whole vectorized
-        roster replicates in one pass."""
-        assert {"pf", "foff"} <= set(VECTORIZED_SWITCHES)
-
-
-class TestBatchedReplicate:
-    """replicate(batch_seeds=True): same values tuple, any switch."""
-
-    @pytest.mark.parametrize(
-        "switch", models.available(engine="vectorized")
-    )
-    def test_values_equal_sequential(self, switch):
-        matrix = uniform_matrix(8, 0.7)
-        sequential = replicate(
-            switch, matrix, 900, replications=4, engine="vectorized",
-            load_label=0.7,
-        )
-        batched = replicate(
-            switch, matrix, 900, replications=4, engine="vectorized",
-            load_label=0.7, batch_seeds=True,
-        )
-        assert batched.values == sequential.values
-        assert batched.mean == sequential.mean
-        assert batched.half_width == sequential.half_width
-
-    def test_scenario_values_equal(self):
-        kw = dict(
-            scenario="mmpp-bursty", n=8, load=0.8, num_slots=900,
-            replications=3, engine="vectorized",
-        )
-        assert (
-            replicate("sprinklers", batch_seeds=True, **kw).values
-            == replicate("sprinklers", **kw).values
-        )
-
-    def test_switch_params_values_equal(self):
-        matrix = uniform_matrix(8, 0.75)
-        kw = dict(
-            num_slots=900, replications=3, engine="vectorized",
-            switch_params={"threshold": 2},
-        )
-        assert (
-            replicate("pf", matrix, batch_seeds=True, **kw).values
-            == replicate("pf", matrix, **kw).values
-        )
-
-    def test_batched_store_keys_shared_with_sequential(self, tmp_path):
-        """A batched run fills the cache the sequential path hits, and
-        vice versa — the keys are the per-seed run_single keys."""
+    def test_batch_seeds_shares_store_keys(self, tmp_path):
+        """Both settings of batch_seeds fill and hit the same cache
+        entries — the keys are the per-seed run_single keys."""
         matrix = uniform_matrix(4, 0.6)
         store = str(tmp_path / "store")
         first = replicate(
             "sprinklers", matrix, 600, replications=3, engine="vectorized",
             load_label=0.6, batch_seeds=True, store=store,
         )
-        # Sequential re-run must be pure cache hits (same values object).
+        # The re-run must be pure cache hits (same values object).
         second = replicate(
             "sprinklers", matrix, 600, replications=3, engine="vectorized",
             load_label=0.6, store=store,
@@ -275,23 +209,6 @@ class TestBatchedReplicate:
         stats = ExperimentStore(store).stats()
         assert stats.entries == 3
         assert stats.hits >= 3
-
-    def test_batch_seeds_follows_the_plan_engine(self):
-        """batch_seeds stacks the default (vectorized) plan and runs an
-        object-engine plan seed by seed: the same values either way."""
-        kw = dict(replications=2, batch_seeds=True)
-        matrix = uniform_matrix(4, 0.5)
-        with telemetry.scope():
-            stacked = replicate("sprinklers", matrix, 500, **kw)
-            oracle = replicate(
-                "sprinklers", matrix, 500, engine="object", **kw
-            )
-            spans = telemetry.state().tracer.find("run.replicate")
-        assert [span.attrs["batched"] for span in spans] == [True, False]
-        assert [span.attrs["engine"] for span in spans] == [
-            "vectorized", "object",
-        ]
-        assert stacked.values == oracle.values
 
 
 class TestRunSingleIntegration:

@@ -356,10 +356,9 @@ class TestRunProbes:
                 400,
                 replications=2,
                 engine="vectorized",
-                batch_seeds=True,
             )
             (span,) = tel.tracer.find("run.replicate")
-        assert span.attrs["batched"] is True
+        assert span.attrs["engine"] == "vectorized"
         assert span.attrs["replications"] == 2
 
     def test_sweep_span_and_capture_extras(self):
