@@ -861,13 +861,15 @@ def _cmd_validate(args: argparse.Namespace) -> tuple:
         result = run_single(
             name, matrix, args.slots, seed=args.seed, keep_samples=False
         )
-        switch_ok = result.measured_packets > 0
-        # Ordering is required of every switch except the baseline (which
-        # is *expected* to reorder under load — that is its known flaw).
-        if name != "load-balanced":
-            switch_ok = switch_ok and result.is_ordered
-        else:
-            switch_ok = switch_ok and not result.is_ordered
+        # A switch that does not declare order preservation (the plain
+        # load-balanced baseline) is *expected* to reorder under load —
+        # that is its known flaw.
+        ordered = (
+            models.Capability.ORDER_PRESERVING in models.get(name).capabilities
+        )
+        switch_ok = (
+            result.measured_packets > 0 and result.is_ordered == ordered
+        )
         ok = ok and switch_ok
         lines.append(
             f"{name:20s} {result.measured_packets:9d} "

@@ -91,7 +91,7 @@ register(SwitchModel(
     builder=_build_sprinklers,
     kernel=_k_sprinklers.departures,
     stream_kernel=_k_sprinklers.Stream,
-    capabilities={Capability.SUPPORTS_DRIFT},
+    capabilities={Capability.ORDER_PRESERVING, Capability.SUPPORTS_DRIFT},
 ))
 
 register(SwitchModel(
@@ -104,6 +104,7 @@ register(SwitchModel(
     reported_name="sprinklers",  # the switch class reports its base name
     capabilities={
         Capability.FEEDBACK_COUPLED,
+        Capability.ORDER_PRESERVING,
         Capability.SUPPORTS_ADAPTIVE,
         Capability.SUPPORTS_DRIFT,
     },
@@ -115,7 +116,7 @@ register(SwitchModel(
     builder=_build_ufs,
     kernel=_k_ufs.departures,
     stream_kernel=_k_ufs.Stream,
-    capabilities={Capability.SUPPORTS_DRIFT},
+    capabilities={Capability.ORDER_PRESERVING, Capability.SUPPORTS_DRIFT},
     params=(
         ParamSpec("input_buffer", int, None,
                   "per-input buffer cap (packets); None = infinite"),
@@ -131,7 +132,7 @@ register(SwitchModel(
     builder=_build_foff,
     kernel=_k_foff.departures,
     stream_kernel=_k_foff.Stream,
-    capabilities={Capability.SUPPORTS_DRIFT},
+    capabilities={Capability.ORDER_PRESERVING, Capability.SUPPORTS_DRIFT},
 ))
 
 register(SwitchModel(
@@ -143,7 +144,7 @@ register(SwitchModel(
     builder=_build_pf,
     kernel=_k_pf.departures,
     stream_kernel=_k_pf.Stream,
-    capabilities={Capability.SUPPORTS_DRIFT},
+    capabilities={Capability.ORDER_PRESERVING, Capability.SUPPORTS_DRIFT},
     params=(
         ParamSpec("threshold", int, None,
                   "minimum VOQ length to pad (default N // 2)"),
@@ -176,7 +177,7 @@ register(SwitchModel(
     kernel=_k_oq.departures,
     stream_kernel=_k_oq.Stream,
     aliases=("oq",),
-    capabilities={Capability.SUPPORTS_DRIFT},
+    capabilities={Capability.ORDER_PRESERVING, Capability.SUPPORTS_DRIFT},
 ))
 
 register(SwitchModel(
@@ -186,7 +187,7 @@ register(SwitchModel(
         "over the intermediate stage."
     ),
     builder=lambda n, matrix, seed: CmsSwitch(n),
-    capabilities={Capability.SUPPORTS_DRIFT},
+    capabilities={Capability.ORDER_PRESERVING, Capability.SUPPORTS_DRIFT},
 ))
 
 register(SwitchModel(
@@ -196,7 +197,7 @@ register(SwitchModel(
         "balance (salted from the run seed)."
     ),
     builder=_build_hashing,
-    capabilities={Capability.SUPPORTS_DRIFT},
+    capabilities={Capability.ORDER_PRESERVING, Capability.SUPPORTS_DRIFT},
     params=(
         ParamSpec("per_flow", bool, True,
                   "hash on flow ids (True) or whole VOQs (False)"),

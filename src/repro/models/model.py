@@ -36,6 +36,10 @@ class Capability(str, enum.Enum):
     #: Has an online adaptation mode (e.g. Sprinklers' adaptive stripe
     #: resizing).
     SUPPORTS_ADAPTIVE = "supports-adaptive"
+    #: Delivers every VOQ's packets in arrival order (the paper's title
+    #: claim for Sprinklers); ``repro validate`` fails such a switch on
+    #: any late packet.
+    ORDER_PRESERVING = "order-preserving"
 
 
 class ParamSpec:

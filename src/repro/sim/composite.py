@@ -54,12 +54,7 @@ from ..traffic.batch import (
     stable_voq_argsort,
 )
 from ..traffic.matrices import validate_matrix
-from .fast_engine import (
-    _MetricsAccumulator,
-    _fold_reordering,
-    _observe_throughput,
-    _voq_observation_order,
-)
+from .fast_engine import _MetricsAccumulator, _ReorderFold, _observe_throughput
 from .kernels.base import Departures, composite_argsort, concat_ranges
 from .metrics import SimulationResult
 from .rng import derive_seed, traffic_rng
@@ -243,29 +238,14 @@ class _StageStats:
     gated on the packet's *original* (fabric-ingress) warm-up."""
 
     def __init__(self, n: int) -> None:
-        self._prev_max = np.full(n * n, -1, dtype=np.int64)
-        self.observed = 0
-        self.late = 0
-        self.displacement = 0
+        self.reordering = _ReorderFold(n)
         self.delay_total = 0
         self.measured = 0
 
-    def add(
-        self, dep: Departures, measured: np.ndarray, order: np.ndarray
-    ) -> None:
-        """Fold one window; ``order`` sorts its rows by (VOQ,
-        observation order)."""
+    def add(self, dep: Departures, measured: np.ndarray) -> None:
         if len(dep.voq) == 0:
             return
-        self.observed += len(dep.voq)
-        voq = dep.voq[order]
-        seq = dep.seq[order]
-        late, prev = _fold_reordering(voq, seq, self._prev_max)
-        if late.any():
-            self.late += int(late.sum())
-            self.displacement = max(
-                self.displacement, int(np.max(prev[late] - seq[late]))
-            )
+        self.reordering.add(dep)
         delays = (dep.departure - dep.arrival)[measured]
         self.delay_total += int(delays.sum())
         self.measured += int(len(delays))
@@ -277,9 +257,9 @@ class _StageStats:
         return {
             f"stage{k}_mean_delay": mean,
             f"stage{k}_measured": float(self.measured),
-            f"stage{k}_observed": float(self.observed),
-            f"stage{k}_late_packets": float(self.late),
-            f"stage{k}_max_displacement": float(self.displacement),
+            f"stage{k}_observed": float(self.reordering.observed),
+            f"stage{k}_late_packets": float(self.reordering.late),
+            f"stage{k}_max_displacement": float(self.reordering.displacement),
         }
 
 
@@ -312,6 +292,8 @@ class _FabricRun:
     record — synthetic :class:`Departures` carrying the *original*
     identity with the last stage's departure slot and observation keys
     — into the same :class:`_MetricsAccumulator` single-switch runs use.
+    Every reordering view is a :class:`_ReorderFold` fed the block's
+    own observation keys, so no caller sorts for it.
     """
 
     def __init__(
@@ -368,12 +350,7 @@ class _FabricRun:
                 dep, orig = _reordered(dep, orig, coupler.link_order(dep))
                 win = coupler.couple(dep, orig, start, win_end)
             with telemetry.trace("fabric.fold", stage=k):
-                # Within a VOQ the link's delivery order is the stage's
-                # observation order, so grouping is one radix pass.
-                stats.add(
-                    dep, orig[2] >= self.warmup,
-                    stable_voq_argsort(dep.voq, self.n),
-                )
+                stats.add(dep, orig[2] >= self.warmup)
             del dep, orig  # a window of arrays the next stage need not hold
             if final:
                 dep, extras = self.stages[k + 1].finish(win)
@@ -394,13 +371,7 @@ class _FabricRun:
     ) -> None:
         """The last stage's window: its own stats, and the end-to-end
         record — its departures under their original identity."""
-        order = _voq_observation_order(dep)
-        self.stats[-1].add(dep, orig[2] >= self.warmup, order)
-        # An original VOQ leaves through one output, so inside one VOQ of
-        # the last stage (routing preserves destinations; a one-stage
-        # fabric's VOQs are the original ones): its rows are already in
-        # observation order, and one stable radix pass regroups them.
-        e2e_order = order[stable_voq_argsort(orig[0][order], self.n)]
+        self.stats[-1].add(dep, orig[2] >= self.warmup)
         self.e2e.add(
             Departures(
                 voq=orig[0],
@@ -409,8 +380,7 @@ class _FabricRun:
                 departure=dep.departure,
                 wire=dep.wire,
                 wire_is_rank=dep.wire_is_rank,
-            ),
-            e2e_order,
+            )
         )
 
     def result(

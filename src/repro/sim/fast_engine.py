@@ -57,6 +57,7 @@ __all__ = [
     "run_replications_fast",
 ]
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
 
 # ---------------------------------------------------------------------------
 # Metrics assembly
@@ -99,18 +100,82 @@ def _voq_observation_order(dep: Departures) -> np.ndarray:
     return composite_argsort(dep.voq, within)
 
 
+def _in_order(
+    voq: np.ndarray, seq: np.ndarray, key: np.ndarray, prev_max: np.ndarray
+) -> bool:
+    """Prove without sorting that a block holds no late packet.
+
+    The proof holds when every VOQ's block seqs are exactly ``prev_max +
+    1 .. prev_max + count`` and its observation keys strictly rise with
+    seq: scattering each key to ``voq_start + seq - prev_max - 1`` must
+    fill the VOQ's run of the block with a strictly increasing run.  On
+    success ``prev_max`` advances by the counts; on failure it is left
+    as it was.
+    """
+    counts = np.bincount(voq, minlength=len(prev_max))
+    rel = seq - (prev_max + 1)[voq]
+    # One unsigned comparison is ``0 <= rel < count``.
+    if not np.all(rel.view(np.uint64) < counts.view(np.uint64)[voq]):
+        return False
+    starts = np.cumsum(counts) - counts
+    rel += starts[voq]
+    ranked = np.full(len(key), _INT64_MIN, dtype=np.int64)
+    ranked[rel] = key
+    rising = ranked[1:] > ranked[:-1]
+    # A duplicated seq leaves a hole, which fails ``rising`` unless it
+    # opens its VOQ's run.
+    firsts = starts[counts > 0]
+    rising[firsts[1:] - 1] = True
+    if not (rising.all() and np.all(ranked[firsts] != _INT64_MIN)):
+        return False
+    prev_max += counts
+    return True
+
+
+class _ReorderFold:
+    """The vectorized :class:`~repro.switching.resequencer.ReorderingDetector`
+    over departure blocks: per VOQ in observation order (``departure``,
+    or ``wire`` when ``wire_is_rank``), a packet is late iff an
+    earlier-observed packet of its VOQ carries a higher sequence number.
+
+    ``prev_max`` carries each VOQ's running max across blocks (windows).
+    A block :func:`_in_order` proves reorder-free skips the sort; any
+    other block runs the exact sort fold.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.prev_max = np.full(n * n, -1, dtype=np.int64)
+        self.observed = 0
+        self.late = 0
+        self.displacement = 0
+
+    def add(self, dep: Departures) -> None:
+        self.observed += len(dep.voq)
+        key = dep.wire if dep.wire_is_rank else dep.departure
+        if _in_order(dep.voq, dep.seq, key, self.prev_max):
+            return
+        order = _voq_observation_order(dep)
+        voq = dep.voq[order]
+        seq = dep.seq[order]
+        del order  # a sorted copy of each column is all the fold needs
+        late, prev = _fold_reordering(voq, seq, self.prev_max)
+        if late.any():
+            self.late += int(late.sum())
+            self.displacement = max(
+                self.displacement, int(np.max(prev[late] - seq[late]))
+            )
+
+
 class _MetricsAccumulator:
     """Streaming fold of :class:`Departures` into run metrics.
 
     Consumes departures one finalized window at a time (windows arrive in
     nondecreasing departure order, as the stream kernels guarantee) and
     carries exactly the state the final :class:`SimulationResult` needs:
-    scalar delay statistics, the retained samples (observation order),
-    the per-VOQ running max sequence number of the vectorized
-    :class:`~repro.switching.resequencer.ReorderingDetector` — a packet
-    is late iff an earlier-observed packet of its VOQ carries a higher
-    sequence number — and the delay-breakdown sums.  The monolithic path
-    is the one-window special case, so both paths share this logic.
+    scalar delay statistics and their exact sparse histogram, the
+    retained samples (observation order), the :class:`_ReorderFold`
+    state, and the delay-breakdown sums.  The monolithic path is the
+    one-window special case, so both paths share this logic.
     """
 
     def __init__(self, n: int, warmup: int, keep_samples: bool) -> None:
@@ -124,46 +189,37 @@ class _MetricsAccumulator:
         self.max: Optional[int] = None
         self.hist: Dict[int, int] = {}
         self.samples: List[int] = []
-        self.departed = 0
-        self.late = 0
-        self.displacement = 0
-        self._prev_max = np.full(n * n, -1, dtype=np.int64)
+        self.reordering = _ReorderFold(n)
         self.has_breakdown = False
         self.assembly_total = 0
         self.input_queue_total = 0
         self.transit_total = 0
 
-    def add(
-        self, dep: Departures, order: Optional[np.ndarray] = None
-    ) -> None:
-        """Fold one finalized window; ``order`` is the argsort of its
-        rows by (VOQ, observation order) when the caller has it already
-        (the fabric path derives it from the last stage's)."""
+    def add(self, dep: Departures) -> None:
+        """Fold one finalized window."""
         if len(dep.voq) == 0:
             return
-        self.departed += len(dep.voq)
-        self._add_reordering(dep, order)
+        self.reordering.add(dep)
 
         # Delay statistics over measured (post-warm-up arrival) packets.
         measured = dep.arrival >= self.warmup
         delays = dep.departure[measured] - dep.arrival[measured]
-        self.count += int(len(delays))
-        self.total += int(delays.sum())
-        self.total_sq += int(np.sum(delays * delays))
         if len(delays):
-            self.min = (
-                int(delays.min()) if self.min is None
-                else min(self.min, int(delays.min()))
-            )
-            self.max = (
-                int(delays.max()) if self.max is None
-                else max(self.max, int(delays.max()))
-            )
             # The exact sparse delay histogram: integer slot-count delays
             # fold per window, so percentiles stay exact with zero
-            # retained per-packet arrays (the fused-metrics path).
+            # retained per-packet arrays (the fused-metrics path).  Every
+            # scalar statistic is read off its nonzero bins.
+            bins = np.bincount(delays)
+            values = np.flatnonzero(bins)
+            counts = bins[values]
+            self.count += len(delays)
+            weighted = values * counts
+            self.total += int(weighted.sum())
+            self.total_sq += int(np.dot(weighted, values))
+            lo, hi = int(values[0]), int(values[-1])
+            self.min = lo if self.min is None else min(self.min, lo)
+            self.max = hi if self.max is None else max(self.max, hi)
             hist = self.hist
-            values, counts = np.unique(delays, return_counts=True)
             for value, cnt in zip(values.tolist(), counts.tolist()):
                 hist[value] = hist.get(value, 0) + cnt
         if self.keep_samples:
@@ -185,23 +241,6 @@ class _MetricsAccumulator:
             )
             self.transit_total += int(
                 (dep.departure[measured] - dep.tx[measured]).sum()
-            )
-
-    def _add_reordering(
-        self, dep: Departures, order: Optional[np.ndarray]
-    ) -> None:
-        """Per VOQ in observation order, a packet is late iff the running
-        max sequence number already exceeds its own."""
-        if order is None:
-            order = _voq_observation_order(dep)
-        voq = dep.voq[order]
-        seq = dep.seq[order]
-        del order  # a sorted copy of each column is all the fold needs
-        late, prev = _fold_reordering(voq, seq, self._prev_max)
-        if late.any():
-            self.late += int(late.sum())
-            self.displacement = max(
-                self.displacement, int(np.max(prev[late] - seq[late]))
             )
 
     def result(
@@ -227,9 +266,9 @@ class _MetricsAccumulator:
             stats._samples = self.samples
         metrics.measured_departures = self.count
 
-        metrics.reordering.observed = self.departed
-        metrics.reordering.late_packets = self.late
-        metrics.reordering.max_displacement = self.displacement
+        metrics.reordering.observed = self.reordering.observed
+        metrics.reordering.late_packets = self.reordering.late
+        metrics.reordering.max_displacement = self.reordering.displacement
 
         if self.has_breakdown:
             metrics.breakdown_count = self.count
@@ -245,7 +284,7 @@ class _MetricsAccumulator:
             warmup=self.warmup,
             metrics=metrics,
             injected=injected,
-            departed=self.departed,
+            departed=self.reordering.observed,
             extras=extras,
         )
 

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from ... import telemetry
-from ...traffic.batch import ArrivalBatch, stable_voq_argsort
+from ...traffic.batch import ArrivalBatch
 from . import compiled
 from .compiled.polled_pass import serve_polled
 
@@ -400,6 +400,39 @@ class Units(NamedTuple):
     c_order: np.ndarray
 
 
+def _cut_units(
+    voq: np.ndarray, unit_size: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Group rows by VOQ and cut each VOQ's run into units from its first
+    row: the grouping :func:`unit_completion` and :class:`UnitAssembler`
+    share.
+
+    Returns ``(rows, voq, pos, last, rest)``: the rows of completed units
+    (VOQ ascending, row order within), their VOQ, position within the
+    unit and the row completing the unit, then the rows after each VOQ's
+    last completed unit, grouped the same way.
+    """
+    num = len(unit_size)
+    counts = np.bincount(voq, minlength=num)
+    full = counts - counts % unit_size
+    grouped = stable_id_argsort(voq, num)
+    starts = np.cumsum(counts) - counts
+    rows = grouped[concat_ranges(starts, full)]
+    rest = grouped[concat_ranges(starts + full, counts - full)]
+    del grouped
+    voq = np.repeat(np.arange(num, dtype=np.int64), full)
+    at = np.arange(len(rows), dtype=np.int64)
+    pos = (np.cumsum(full) - full)[voq]
+    np.subtract(at, pos, out=pos)
+    size = unit_size[voq]
+    pos %= size
+    # A unit's completing packet is its last row.
+    at -= pos
+    at += size
+    at -= 1
+    return rows, voq, pos, rows[at], rest
+
+
 def unit_completion(batch: ArrivalBatch, unit_size: np.ndarray) -> Units:
     """The :class:`Units` of a batch's aggregation units (stripes/frames).
 
@@ -408,25 +441,7 @@ def unit_completion(batch: ArrivalBatch, unit_size: np.ndarray) -> Units:
     completed units are its first ``count - count % unit_size`` packets
     and the packets after them never leave their VOQ inside the batch.
     """
-    n = batch.n
-    voq = batch.voqs
-    counts = np.bincount(voq, minlength=n * n)
-    full = counts - counts % unit_size
-    packet = stable_voq_argsort(voq, n)[
-        concat_ranges(np.cumsum(counts) - counts, full)
-    ]
-    voq = np.repeat(np.arange(n * n, dtype=np.int64), full)
-    rows = np.arange(len(packet), dtype=np.int64)
-    pos = (np.cumsum(full) - full)[voq]
-    np.subtract(rows, pos, out=pos)
-    size = unit_size[voq]
-    pos %= size
-    # A unit's completing packet is its last row.
-    rows -= pos
-    rows += size
-    rows -= 1
-    c_order = packet[rows]
-    del rows, size
+    packet, voq, pos, c_order, _ = _cut_units(batch.voqs, unit_size)
     return Units(packet, voq, pos, batch.slots[c_order], c_order)
 
 
@@ -505,11 +520,16 @@ class Departures:
 #   fresh peel over polls >= ``B`` only.
 # * a :class:`UnitAssembler` holds each VOQ's trailing partial
 #   aggregation unit (stripe/frame) until later arrivals complete it.
+#   The carry starts on a unit boundary, so cutting carry ++ window
+#   with :func:`unit_completion`'s grouping is the whole-stream cut.
 #
 # :class:`StreamKernel` is the contract the six per-switch stream kernels
 # share: one seed's windows in, finalized :class:`Departures` out; it
 # numbers packets with the run-global generation indices (the FIFO
-# tie-breaks of the monolithic kernels) across windows.
+# tie-breaks of the monolithic kernels) across windows.  A window's
+# departures come out in no particular row order: the metrics fold
+# (:class:`repro.sim.fast_engine._ReorderFold`) proves per-VOQ order
+# without sorting and sorts only a block that fails the proof.
 
 
 class PolledQueueBank:
@@ -596,11 +616,9 @@ class UnitAssembler:
 
     def __init__(self, unit_size: np.ndarray) -> None:
         self._size = np.asarray(unit_size, dtype=np.int64)
-        self._num = len(self._size)
-        #: Rank of the next packet to arrive per VOQ.
-        self._rank_next = np.zeros(self._num, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        self._buf = (empty, empty, empty, empty)
+        #: Each VOQ's trailing partial unit, VOQ-grouped, as ``(voq,
+        #: slot, seq, gidx)``; a VOQ's carry starts on a unit boundary.
+        self._carry = (np.empty(0, dtype=np.int64),) * 4
 
     def feed(
         self,
@@ -615,54 +633,18 @@ class UnitAssembler:
         per-packet unit data of :func:`unit_completion`, restricted to
         units whose completing packet has now arrived.
         """
-        b_voq, b_slot, b_seq, b_g = self._buf
-        voq = np.concatenate([b_voq, voqs])
-        slot = np.concatenate([b_slot, slots])
-        seq = np.concatenate([b_seq, seqs])
-        g = np.concatenate([b_g, gidx])
-        if len(voq) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return (empty,) * 7
-        if len(voqs):
-            self._rank_next += np.bincount(voqs, minlength=self._num)
-        # One stable sort groups the union by VOQ; buffered packets come
-        # first (lower concat index and lower ranks), new packets follow
-        # in generation order, so group ranks are consecutive from the
-        # group's first buffered rank — no per-packet rank storage.
-        order = stable_id_argsort(voq, self._num)
-        voq_s = voq[order]
-        slot_s = slot[order]
-        seq_s = seq[order]
-        g_s = g[order]
-        is_start = np.r_[True, voq_s[1:] != voq_s[:-1]]
-        seg = np.cumsum(is_start) - 1
-        seg_first = np.flatnonzero(is_start)
-        seg_bounds = np.flatnonzero(np.r_[is_start, True])
-        seg_last = seg_bounds[1:] - 1
-        # rank = first buffered rank of the VOQ + index within the group;
-        # the first buffered rank is rank_next minus everything now held
-        # (note rank_next was already advanced by the new arrivals).
-        within = np.arange(len(voq_s), dtype=np.int64) - seg_first[seg]
-        group_count = (seg_last - seg_first + 1)[seg]
-        base = self._rank_next[voq_s] - group_count
-        rank_s = base + within
-        size = self._size[voq_s]
-        pos = rank_s % size
-        completer_rank = rank_s - pos + size - 1
-        complete = completer_rank <= rank_s[seg_last][seg]
-        completer_at = np.minimum(
-            seg_first[seg] + (completer_rank - base), len(voq_s) - 1
+        # Carried packets precede the window's inside every VOQ and start
+        # on a unit boundary, so cutting carry ++ window from each VOQ's
+        # first row is the whole-stream cut.
+        cols = tuple(
+            np.concatenate(pair)
+            for pair in zip(self._carry, (voqs, slots, seqs, gidx))
         )
-        keep = ~complete
-        self._buf = (voq_s[keep], slot_s[keep], seq_s[keep], g_s[keep])
+        rows, voq, pos, last, rest = _cut_units(cols[0], self._size)
+        self._carry = tuple(col[rest] for col in cols)
+        _, slot, seq, g = cols
         return (
-            voq_s[complete],
-            slot_s[complete],
-            seq_s[complete],
-            g_s[complete],
-            pos[complete],
-            slot_s[completer_at][complete],
-            g_s[completer_at][complete],
+            voq, slot[rows], seq[rows], g[rows], pos, slot[last], g[last],
         )
 
 

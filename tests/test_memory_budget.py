@@ -21,7 +21,8 @@ as the run grows 4x, for one switch and for a two-stage fabric.  With
 percentiles match the retained-samples twin while its peak stays at
 least most of one int64 per measured packet below it.
 
-Print the per-switch table (CI appends it to the run's summary page)::
+Print the per-switch table and the windowed rows (CI appends both to the
+run's summary page)::
 
     PYTHONPATH=src python tests/test_memory_budget.py --table
 """
@@ -68,8 +69,9 @@ CASE_IDS = [
 
 
 #: The windowed rows: a run 4x the slots of its short twin, streamed in
-#: windows of ``WINDOW_SLOTS``.
+#: windows of ``WINDOW_SLOTS``, for one switch and one two-stage fabric.
 WINDOW_SLOTS, STREAM_SLOTS = 4096, 60_000
+WINDOWED = ("sprinklers", "leaf-spine")
 #: Windowed peak over the monolithic peak at ``STREAM_SLOTS`` (measured
 #: 0.25 for sprinklers, 0.09 for leaf-spine) and over its own peak at a
 #: quarter of the slots (measured 1.00 for both).
@@ -127,7 +129,7 @@ def test_bytes_per_packet_within_budget(switch, load, budget):
     )
 
 
-@pytest.mark.parametrize("subject", ["sprinklers", "leaf-spine"])
+@pytest.mark.parametrize("subject", WINDOWED)
 def test_windowed_peak_is_flat_and_below_monolithic(subject):
     monolithic, _ = traced_run(subject, STREAM_SLOTS)
     short, short_run = traced_run(
@@ -170,7 +172,8 @@ def test_fused_metrics_hold_no_per_packet_array():
 
 
 def table() -> str:
-    """The per-case measurement as a Markdown table."""
+    """The per-case measurements as Markdown tables: the monolithic
+    rows against their budgets, then the windowed rows."""
     lines = [
         f"Traced bytes per packet (N={N}, uniform, {SLOTS} slots, "
         f"seed {SEED})",
@@ -184,6 +187,23 @@ def table() -> str:
         lines.append(
             f"| {switch} | {load} | {peak / 2**20:.1f} | {packets} | "
             f"{peak / packets:.0f} | {budget} |"
+        )
+    lines += [
+        "",
+        f"Windowed replay ({STREAM_SLOTS} slots in windows of "
+        f"{WINDOW_SLOTS}, load {LOAD})",
+        "",
+        "| subject | traced peak (MiB) | packets | bytes/packet |",
+        "|---|---:|---:|---:|",
+    ]
+    for subject in WINDOWED:
+        peak, result = traced_run(
+            subject, STREAM_SLOTS, window_slots=WINDOW_SLOTS
+        )
+        packets = result.injected
+        lines.append(
+            f"| {subject} | {peak / 2**20:.1f} | {packets} | "
+            f"{peak / packets:.1f} |"
         )
     return "\n".join(lines)
 

@@ -78,6 +78,18 @@ class TestBuiltinRegistry:
         assert Capability.FEEDBACK_COUPLED in adaptive.capabilities
         assert adaptive.kernel is None
 
+    def test_every_switch_but_the_baseline_preserves_order(self):
+        """``repro validate`` keys its ordering verdict off this set."""
+        declared = {
+            name for name in models.available()
+            if Capability.ORDER_PRESERVING in models.get(name).capabilities
+        }
+        assert declared == {
+            "cms", "foff", "output-queued", "pf", "sprinklers",
+            "sprinklers-adaptive", "tcp-hashing", "ufs",
+        }
+        assert "load-balanced" in models.available()
+
     def test_param_schema_validated(self):
         matrix = uniform_matrix(4, 0.5)
         pf = models.get("pf")

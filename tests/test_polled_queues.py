@@ -14,9 +14,12 @@ monolithic call, levels that do not fit the 4-bit packing are rejected,
 a zero-stride level column replays like a real one,
 :func:`segmented_running_max` equals a Python loop on both of its
 branches (in place too), :func:`unit_completion` /
-:func:`port_fifo_service` equal per-VOQ / per-port Python walks, and the
-un-jitted ``compiled.fold_pass.fold_running_max`` equals the NumPy
-reordering fold window by window.
+:func:`port_fifo_service` equal per-VOQ / per-port Python walks,
+:class:`UnitAssembler` under random window cuts equals one
+:func:`unit_completion`, the un-jitted
+``compiled.fold_pass.fold_running_max`` equals the NumPy reordering fold
+window by window, and the reorder fold's sort-free proof folds exactly
+as the sort fold does (only load-balanced ever reaches the sort).
 """
 
 from __future__ import annotations
@@ -26,10 +29,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.fast_engine import _fold_reordering
+from repro import models
+from repro.sim import fast_engine
+from repro.sim.experiment import run_single
+from repro.sim.fast_engine import _fold_reordering, _ReorderFold
 from repro.sim.kernels import compiled
 from repro.sim.kernels.base import (
+    Departures,
     PolledQueueBank,
+    UnitAssembler,
     Units,
     port_fifo_service,
     replay_polled_queues,
@@ -39,7 +47,7 @@ from repro.sim.kernels.base import (
 from repro.sim.kernels.compiled.fold_pass import fold_running_max
 from repro.sim.kernels.compiled.polled_pass import serve_polled
 from repro.traffic.batch import BatchTrafficGenerator
-from repro.traffic.matrices import diagonal_matrix
+from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
 
 @st.composite
@@ -298,6 +306,121 @@ class TestFoldRunningMax:
                 np.testing.assert_array_equal(numpy_max, scalar_max)
 
 
+@st.composite
+def observed_blocks(draw):
+    """``(n, [(voq, seq, key), ...])``: the departure blocks of one run.
+
+    Every VOQ's packets (seq ``0..m-1``) are observed at keys that rise
+    with seq and fall into blocks by key, except where the draw swaps a
+    key with its predecessor's (an inversion), ties it to its
+    predecessor's, moves the packet to a later block, never observes it,
+    or observes it twice, the copy after its successor.  Rows of a block
+    come in drawn order, not observation order.
+    """
+    n = draw(st.integers(1, 3))
+    num_blocks = draw(st.integers(1, 4))
+    rows = []  # (block, voq, seq, key)
+    for voq in draw(st.lists(st.integers(0, n * n - 1), max_size=5,
+                             unique=True)):
+        actions = draw(st.lists(st.sampled_from("......stldu"), max_size=12))
+        keys = [3 * seq + voq % 3 for seq in range(len(actions))]
+        for seq, action in enumerate(actions):
+            if action == "s" and seq:
+                keys[seq - 1], keys[seq] = keys[seq], keys[seq - 1]
+            elif action == "t" and seq:
+                keys[seq] = keys[seq - 1]
+        horizon = 3 * len(actions) + 3
+        for seq, (action, key) in enumerate(zip(actions, keys)):
+            block = key * num_blocks // horizon + (action == "l")
+            if action != "d" and block < num_blocks:
+                rows.append((block, voq, seq, key))
+            if action == "u" and block < num_blocks:
+                rows.append((block, voq, seq, key + 4))
+    rows = draw(st.permutations(rows))
+    blocks = []
+    for b in range(num_blocks):
+        block = [row[1:] for row in rows if row[0] == b]
+        blocks.append(tuple(
+            np.array([row[k] for row in block], dtype=np.int64)
+            for k in range(3)
+        ))
+    return n, blocks
+
+
+class TestInOrderProof:
+    """The merged reorder fold: a block :func:`_in_order` proves late-free
+    skips the sort, and every block still folds exactly as the sort fold
+    does."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(case=(1, [
+        tuple(np.array(c, dtype=np.int64)) for c in (
+            ([0, 0, 0], [0, 2, 1], [0, 3, 5]),  # seq 1 is late: the sort
+            ([0, 0], [3, 4], [7, 8]),  # the proof holds again
+        )
+    ]), wire_is_rank=False)
+    @example(case=(1, [
+        # Seq 0 unseen, seq 1 twice: in range, but a hole opens the run.
+        tuple(np.array(c, dtype=np.int64)) for c in (
+            ([0, 0, 0], [1, 2, 1], [7, 6, 3]),
+        )
+    ]), wire_is_rank=True)
+    @given(case=observed_blocks(), wire_is_rank=st.booleans())
+    def test_equals_the_sort_fold(self, case, wire_is_rank):
+        """Window by window: same late count, same max displacement, same
+        carried ``prev_max``."""
+        n, blocks = case
+        fold = _ReorderFold(n)
+        want_max = np.full(n * n, -1, dtype=np.int64)
+        want_late = want_displacement = 0
+        for voq, seq, key in blocks:
+            if len(voq):
+                order = np.lexsort((key, voq))  # ties keep row order
+                late, prev = _fold_reordering(
+                    voq[order], seq[order], want_max
+                )
+                want_late += int(late.sum())
+                want_displacement = max(
+                    want_displacement,
+                    int((prev - seq[order])[late].max(initial=0)),
+                )
+            fold.add(Departures(
+                voq=voq, seq=seq, arrival=np.zeros_like(seq),
+                departure=np.zeros_like(key) if wire_is_rank else key,
+                wire=key if wire_is_rank else np.zeros_like(key),
+                wire_is_rank=wire_is_rank,
+            ))
+            assert (fold.late, fold.displacement) == (
+                want_late, want_displacement,
+            )
+            np.testing.assert_array_equal(fold.prev_max, want_max)
+
+    @pytest.mark.parametrize(
+        "window_slots", [None, 300], ids=["mono", "windowed"]
+    )
+    @pytest.mark.parametrize("subject", [
+        "load-balanced", "sprinklers", "ufs", "pf", "foff", "output-queued",
+        *models.available_fabrics(),
+    ])
+    def test_only_the_reordering_switch_sorts(
+        self, monkeypatch, subject, window_slots
+    ):
+        """Every block of a reorder-free switch or fabric passes the
+        proof; load-balanced reorders, so it reaches the sort."""
+        sorts = []
+        real = fast_engine._voq_observation_order
+        monkeypatch.setattr(
+            fast_engine, "_voq_observation_order",
+            lambda dep: sorts.append(len(dep)) or real(dep),
+        )
+        result = run_single(
+            subject, uniform_matrix(4, 0.9), 1500, seed=3,
+            keep_samples=False, engine="vectorized", window_slots=window_slots,
+        )
+        assert result.is_ordered == (subject != "load-balanced")
+        assert bool(sorts) == (subject == "load-balanced")
+
+
 def arrivals(n, load, seed, slots):
     matrix = diagonal_matrix(n, load)
     return BatchTrafficGenerator(matrix, np.random.default_rng(seed)).draw(slots)
@@ -334,6 +457,62 @@ class TestUnitCompletion:
         for field in Units._fields:
             np.testing.assert_array_equal(
                 getattr(got, field), np.array(want[field], dtype=np.int64)
+            )
+
+
+class TestUnitAssembler:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2 ** 16),
+        slots=st.integers(1, 120),
+        data=st.data(),
+    )
+    def test_feeds_equal_one_unit_completion(self, n, seed, slots, data):
+        """Fed under random window cuts (empty windows too), the emitted
+        rows are :func:`unit_completion` of the whole batch, keyed by
+        generation index; after every feed each VOQ holds back fewer
+        than a unit, and what it holds are its latest arrivals."""
+        batch = arrivals(n, 0.9, seed, slots)
+        unit_size = np.array(
+            data.draw(st.lists(st.integers(1, n), min_size=n * n,
+                               max_size=n * n)),
+            dtype=np.int64,
+        )
+        ones, fulls = data.draw(st.permutations(range(n * n)))[:2]
+        unit_size[ones], unit_size[fulls] = 1, n
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(batch)),
+                                         max_size=6)))
+        bounds = [0, *cuts, len(batch)]
+        gidx = np.arange(len(batch), dtype=np.int64)
+        assembler = UnitAssembler(unit_size)
+        emitted = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            voq, slot, seq, g, pos, c_slot, c_order = assembler.feed(
+                batch.voqs[lo:hi], batch.slots[lo:hi], batch.seqs[lo:hi],
+                gidx[lo:hi],
+            )
+            np.testing.assert_array_equal(voq, batch.voqs[g])
+            np.testing.assert_array_equal(slot, batch.slots[g])
+            np.testing.assert_array_equal(seq, batch.seqs[g])
+            emitted.append(np.stack([g, voq, pos, c_slot, c_order]))
+            held = np.ones(hi, dtype=bool)
+            held[np.concatenate([e[0] for e in emitted])] = False
+            for v in range(n * n):
+                arrived = np.flatnonzero(batch.voqs[:hi] == v)
+                kept = np.flatnonzero(held & (batch.voqs[:hi] == v))
+                assert len(kept) < unit_size[v]
+                np.testing.assert_array_equal(
+                    kept, arrived[len(arrived) - len(kept):]
+                )
+        got = np.concatenate(emitted, axis=1)
+        got = got[:, np.argsort(got[0])]
+        want = unit_completion(batch, unit_size)
+        by_packet = np.argsort(want.packet)
+        for row, field in zip(got, ("packet", "voq", "pos", "c_slot",
+                                    "c_order")):
+            np.testing.assert_array_equal(
+                row, getattr(want, field)[by_packet]
             )
 
 
