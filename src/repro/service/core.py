@@ -11,6 +11,16 @@
   keys are queued to the worker pool (source ``new``).  Identical
   concurrent submissions therefore compute each shard exactly once —
   the acceptance property the e2e tests pin.
+* **Grouping**: a job's new shards that can share one draw (one
+  :attr:`~repro.sim.experiment.RunPlan.traffic_key` and
+  :attr:`~repro.sim.experiment.RunPlan.shares_draw`: the same cell for
+  different vectorized switches) go to the pool as one group, which one
+  worker runs under one shared draw; every other shard is a group of
+  its own.  While a job has fewer groups than the pool has workers, its
+  heaviest multi-shard group is split in two, so no worker idles for
+  want of work.  Groups are queued largest first by expected packets,
+  so the heaviest group does not start last and leave a core idle at
+  the end; ties keep submission order.
 * **Execution** happens in the crash-tolerant pool
   (:mod:`repro.service.pool`); workers save through the shared store,
   and the collector marks every subscribed job as each shard lands.
@@ -33,7 +43,7 @@ import tempfile
 import threading
 import time
 from contextlib import ExitStack
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import telemetry
 from ..sim.metrics import SimulationResult
@@ -44,7 +54,7 @@ from .jobs import (
     _json_row,
     execute_shard,
     expand_shards,
-    shard_params,
+    shard_plan,
 )
 from .pool import WorkerPool
 
@@ -175,20 +185,32 @@ class SimulationService:
         planned = []
         seen = set()
         for spec in shards:
-            params = shard_params(spec)
+            plan = shard_plan(spec)
+            params = plan.store_params()
             key = cache_key(params)
             if key in seen:
                 continue  # a degenerate grid repeating a cell
             seen.add(key)
-            planned.append((spec, key, params))
+            # A shard that draws its own arrivals is a group of one.
+            group_key = plan.traffic_key if plan.shares_draw else key
+            planned.append((spec, key, params, group_key))
         with self._lock:
             self._seq += 1
             job = JobState(f"job-{self._seq:04d}", request)
             self._jobs[job.job_id] = job
             telemetry.count("service.jobs")
-            for spec, key, params in planned:
+            groups: Dict[str, List[Tuple[ShardSpec, str]]] = {}
+            for spec, key, params, group_key in planned:
                 job.shard_keys.append(key)
-                self._plan_shard(job, spec, key, params)
+                if self._plan_shard(job, spec, key, params):
+                    groups.setdefault(group_key, []).append((spec, key))
+            for group in _dispatch_order(
+                list(groups.values()), self.pool.workers
+            ):
+                self.pool.submit([
+                    (key, {"shard": spec.to_dict(), "store": self._store_path})
+                    for spec, key in group
+                ])
             job.events.insert(0, {
                 "event": "job",
                 "job_id": job.job_id,
@@ -204,20 +226,21 @@ class SimulationService:
     # requires: self._lock
     def _plan_shard(
         self, job: JobState, spec: ShardSpec, key: str, params: Dict
-    ) -> None:
-        """Route one shard: attach, serve from store, or enqueue."""
+    ) -> bool:
+        """Route one shard: attach, serve from store, or register it as
+        new.  True for a new shard, which the caller queues."""
         state = self._shards.get(key)
         if state is not None and state.status == "queued":
             state.jobs.append(job.job_id)
             job.sources[key] = "shared"
             job.pending.add(key)
             telemetry.count("service.shards_shared")
-            return
+            return False
         if state is not None and state.status == "done":
             job.sources[key] = "cached"
             telemetry.count("service.shards_cached")
             job.events.append(self._shard_event(job.job_id, state, "cached"))
-            return
+            return False
         # Unseen key — or one whose last attempt failed, which a fresh
         # submission retries rather than inheriting the stale failure.
         cached = self.store.fetch(params)
@@ -229,16 +252,14 @@ class SimulationService:
             job.sources[key] = "cached"
             telemetry.count("service.shards_cached")
             job.events.append(self._shard_event(job.job_id, state, "cached"))
-            return
+            return False
         state = ShardState(spec, key)
         state.jobs.append(job.job_id)
         self._shards[key] = state
         job.sources[key] = "new"
         job.pending.add(key)
         telemetry.count("service.shards_queued")
-        self.pool.submit(
-            key, {"shard": spec.to_dict(), "store": self._store_path}
-        )
+        return True
 
     # -- pool callbacks (collector thread) ---------------------------------
 
@@ -467,6 +488,36 @@ def run_sweep(
         )
         raise RuntimeError("\n".join(lines))
     return [SimulationResult.from_dict(cell["result"]) for cell in cells]
+
+
+def _expected_packets(group: List[Tuple[ShardSpec, str]]) -> float:
+    """A shard group's expected arrivals: ``n x load x slots`` per
+    shard (its shards share one traffic stream, so one cell's figures
+    stand for all)."""
+    spec = group[0][0]
+    return spec.n * spec.load * spec.num_slots * len(group)
+
+
+def _dispatch_order(
+    groups: List[List[Tuple[ShardSpec, str]]], workers: int
+) -> List[List[Tuple[ShardSpec, str]]]:
+    """A job's shard groups as the pool should queue them.
+
+    While there are fewer groups than ``workers``, the heaviest group
+    of two or more shards is split in two in place: a job whose cells
+    are few (one load, many switches) keeps every worker busy instead
+    of running its switches back to back.  Then largest expected
+    packets first; ``sorted`` is stable, so equal groups keep
+    submission order.
+    """
+    while len(groups) < workers:
+        splittable = [i for i, group in enumerate(groups) if len(group) > 1]
+        if not splittable:
+            break
+        i = max(splittable, key=lambda i: _expected_packets(groups[i]))
+        half = (len(groups[i]) + 1) // 2
+        groups[i:i + 1] = [groups[i][:half], groups[i][half:]]
+    return sorted(groups, key=_expected_packets, reverse=True)
 
 
 #: Condition-wait slice: bounds stream latency for follow/wait loops.

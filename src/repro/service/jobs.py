@@ -5,7 +5,7 @@ switches x loads x seeds).  The service decomposes it into
 :class:`ShardSpec` cells, one per (switch, load, seed): the unit of
 computation, queueing, and dedup.  A shard is an *unresolved* request;
 :func:`shard_run_kwargs` maps it to run arguments, and both the
-daemon's key (:func:`shard_params`) and the worker's run
+daemon's plan (:func:`shard_plan`) and the worker's run
 (:func:`execute_shard`) reach the same
 :class:`~repro.sim.experiment.RunPlan` through them.  Every shard is
 therefore keyed by exactly the :attr:`RunPlan.key` its result is saved
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..sim.experiment import cell_workload, resolve_run_params, run_single
+from ..sim.experiment import RunPlan, cell_workload, plan_run, run_single
 from ..store import cache_key
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "expand_shards",
     "shard_key",
     "shard_params",
+    "shard_plan",
     "shard_run_kwargs",
 ]
 
@@ -171,8 +172,8 @@ def expand_shards(request: JobRequest) -> List[ShardSpec]:
 def shard_run_kwargs(shard: ShardSpec) -> Dict:
     """The :func:`~repro.sim.experiment.run_single` arguments for a shard.
 
-    The one place the shard -> run mapping lives: the daemon keys shards
-    with it (:func:`shard_params`) and workers execute with it
+    The one place the shard -> run mapping lives: the daemon plans shards
+    with it (:func:`shard_plan`) and workers execute with it
     (:func:`execute_shard`), so planner and executor build the same plan.
     """
     return {
@@ -187,13 +188,19 @@ def shard_run_kwargs(shard: ShardSpec) -> Dict:
     }
 
 
-def shard_params(shard: ShardSpec) -> Dict:
-    """The shard's full store cache-key parameter dict.
+def shard_plan(shard: ShardSpec) -> RunPlan:
+    """The :class:`~repro.sim.experiment.RunPlan` the shard's worker
+    executes.
 
     Raises for invalid shards (unknown switch, bad scenario), so
     submission-time validation comes for free.
     """
-    return resolve_run_params(**shard_run_kwargs(shard))
+    return plan_run(**shard_run_kwargs(shard))
+
+
+def shard_params(shard: ShardSpec) -> Dict:
+    """The shard's full store cache-key parameter dict."""
+    return shard_plan(shard).store_params()
 
 
 def shard_key(shard: ShardSpec) -> str:

@@ -4,23 +4,29 @@ The repo's one process pool: local sweeps
 (:func:`repro.service.run_sweep`) and the daemon both run on it.  A
 worker OOM-ing on one shard must not abandon every queued cell (the
 stdlib executor pool's ``BrokenProcessPool``), so this pool runs plain
-``multiprocessing`` workers, each on its own pipe.  The parent keeps
-the unassigned tasks in a FIFO and hands the next to an idle worker,
-recording the assignment *before* it sends.  The worker answers with
-``("done", task_id, payload)`` or ``("failed", task_id, error, tb)``;
-``failed`` carries the worker-side traceback (task exceptions never kill
-a worker).
+``multiprocessing`` workers, each on its own pipe.  The unit of
+dispatch is a *group* of tasks: the parent keeps unassigned groups in a
+FIFO and hands the next whole group to an idle worker, recording the
+assignment *before* it sends.  The worker runs the group's tasks in
+order inside one :func:`~repro.sim.experiment.shared_draws` scope (the
+service groups shards that replay one traffic stream, so the group
+draws it once) and answers each task with ``("done", task_id,
+payload)`` or ``("failed", task_id, error, tb)``; ``failed`` carries
+the worker-side traceback (task exceptions never kill a worker).  The
+worker is idle again once its group's last task has reported.
 
 A collector thread waits on every pipe and every process sentinel.  A
 worker's death (crash, OOM kill, SIGKILL) is seen by its sentinel, not
 by pipe EOF: forked siblings can hold copies of each other's pipe ends.
 The parent drains the dead worker's pipe, so a result sent before the
-death is delivered and not run again, then requeues the task the worker
-held and spawns a replacement.  Execution is thus exactly-once except
-for a worker killed mid-run, whose task runs again elsewhere: the
-service's at-least-once guarantee.  A task that has killed
-:attr:`WorkerPool.MAX_ATTEMPTS` workers is a poison shard: it is failed
-(``on_failed``) instead of requeued, so it cannot cycle forever.
+death is delivered and not run again, then requeues each task of the
+group the worker had not finished, as a group of its own, and spawns a
+replacement.  Execution is thus exactly-once except for a worker killed
+mid-run, whose task runs again elsewhere: the service's at-least-once
+guarantee.  Only the task that was running counts the death against
+itself; one that has killed :attr:`WorkerPool.MAX_ATTEMPTS` workers is a
+poison shard: it is failed (``on_failed``) instead of requeued, so it
+cannot cycle forever.
 
 Workers are ``fork``-started: the runner needs no pickling, and tests
 can monkeypatch it before workers spawn.  Shards re-open the experiment
@@ -34,9 +40,10 @@ import threading
 import traceback
 from collections import deque
 from multiprocessing.connection import Connection, wait
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
+from ..sim.experiment import shared_draws
 
 __all__ = ["WorkerPool"]
 
@@ -47,19 +54,22 @@ Task = Tuple[str, object]
 
 
 def _worker_main(runner: Callable, conn: Connection) -> None:
-    """Worker process body: run each assigned task, report; ``None`` stops."""
+    """Worker process body: run each assigned group's tasks in order
+    under one shared-draw scope, reporting each; ``None`` stops."""
     while True:
-        item = conn.recv()
-        if item is None:
+        group = conn.recv()
+        if group is None:
             return
-        task_id, payload = item
-        try:
-            out = runner(payload)
-        except BaseException as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            conn.send(("failed", task_id, error, traceback.format_exc()))
-        else:
-            conn.send(("done", task_id, out))
+        with shared_draws():
+            for task_id, payload in group:
+                try:
+                    out = runner(payload)
+                except BaseException as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    tb = traceback.format_exc()
+                    conn.send(("failed", task_id, error, tb))
+                else:
+                    conn.send(("done", task_id, out))
 
 
 class WorkerPool:
@@ -67,7 +77,8 @@ class WorkerPool:
 
     ``on_done(task_id, payload)`` / ``on_failed(task_id, error, tb)``
     fire in the collector thread as completions arrive (callers do their
-    own locking).  ``requeues`` counts crash-recovered tasks.
+    own locking).  ``requeues`` counts crash-recovered tasks (every
+    unfinished task of a dead worker's group counts).
     """
 
     #: Collector wake-up cadence; bounds shutdown latency.
@@ -91,8 +102,9 @@ class WorkerPool:
         self.requeues = 0
         self._ctx = mp.get_context("fork")
         self._workers: Dict[int, Tuple[mp.Process, Connection]] = {}  # guarded by: self._lock
-        self._assigned: Dict[int, Task] = {}  # guarded by: self._lock
-        self._queue: Deque[Task] = deque()  # guarded by: self._lock
+        #: Each busy worker's unfinished tasks, in the order it runs them.
+        self._assigned: Dict[int, Deque[Task]] = {}  # guarded by: self._lock
+        self._queue: Deque[List[Task]] = deque()  # guarded by: self._lock
         self._kills: Dict[str, int] = {}  # guarded by: self._lock
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -140,29 +152,33 @@ class WorkerPool:
 
     # -- task flow ---------------------------------------------------------
 
-    def submit(self, task_id: str, payload) -> None:
-        """Queue one task.  ``task_id`` must be unique among live tasks."""
+    def submit(self, tasks: Sequence[Task]) -> None:
+        """Queue one group: tasks that one worker runs in order.  Each
+        ``task_id`` must be unique among live tasks."""
         with self._lock:
-            self._queue.append((task_id, payload))
+            self._queue.append(list(tasks))
             self._dispatch()
 
     def outstanding(self) -> int:
         """Tasks submitted but not yet completed (queued or assigned)."""
         with self._lock:
-            return len(self._queue) + len(self._assigned)
+            return sum(map(len, self._queue)) + sum(
+                map(len, self._assigned.values())
+            )
 
     # requires: self._lock
     def _dispatch(self) -> None:
-        """Hand queued tasks to idle workers, recording each first."""
+        """Hand queued groups to idle workers, recording each first."""
         for pid, (_, conn) in self._workers.items():
             if not self._queue or self._stopping.is_set():
                 return
             if pid in self._assigned:
                 continue
-            task = self._assigned[pid] = self._queue.popleft()
+            group = self._queue.popleft()
+            self._assigned[pid] = deque(group)
             try:
-                conn.send(task)
-            except OSError:  # dead already: its sentinel requeues the task
+                conn.send(group)
+            except OSError:  # dead already: its sentinel requeues the group
                 pass
 
     def _collect(self) -> None:
@@ -185,9 +201,12 @@ class WorkerPool:
         except (EOFError, OSError):  # the worker died: see _bury
             return False
         with self._lock:
-            self._assigned.pop(pid, None)
+            unfinished = self._assigned[pid]
+            unfinished.popleft()  # workers report in group order
+            if not unfinished:
+                del self._assigned[pid]
+                self._dispatch()
             self._kills.pop(task_id, None)
-            self._dispatch()
         callback = self.on_done if kind == "done" else self.on_failed
         if callback is not None:
             callback(task_id, *result)
@@ -201,24 +220,28 @@ class WorkerPool:
         while conn.poll() and self._receive(pid, conn):
             pass
         with self._lock:
-            task = self._assigned.pop(pid, None)
+            unfinished = self._assigned.pop(pid, ())
         proc.join(timeout=0.1)
         conn.close()
         logger.warning("worker %d died (exitcode %s)", pid, proc.exitcode)
-        if task is not None:
-            self._requeue(*task)
+        # The first unfinished task was running when the worker died.
+        for rank, task in enumerate(unfinished):
+            self._requeue(*task, killed=rank == 0)
         if not self._stopping.is_set():
             self._spawn()
 
-    def _requeue(self, task_id: str, payload) -> None:
+    def _requeue(self, task_id: str, payload, killed: bool) -> None:
+        """Requeue one task of a dead worker as a group of its own; the
+        task that ``killed`` it is failed instead at its last attempt."""
         with self._lock:
-            kills = self._kills[task_id] = self._kills.get(task_id, 0) + 1
+            kills = self._kills.get(task_id, 0) + killed
             if kills < self.MAX_ATTEMPTS:
+                self._kills[task_id] = kills
                 self.requeues += 1
-                self._queue.append((task_id, payload))
+                self._queue.append([(task_id, payload)])
                 self._dispatch()
             else:
-                del self._kills[task_id]
+                self._kills.pop(task_id, None)
         if kills < self.MAX_ATTEMPTS:
             telemetry.count("service.shard_requeues")
             logger.warning("requeueing task %s from dead worker", task_id)

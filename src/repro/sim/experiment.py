@@ -17,6 +17,11 @@ described by exactly one value, a :class:`RunPlan`:
 * :func:`execute` is fetch-or-simulate-and-save, for switches
   (:mod:`repro.models`) and fabrics alike, on the engine the plan
   resolved.
+* :attr:`RunPlan.traffic_key` names the arrival stream a plan replays:
+  the store key minus the subject.  Inside a :func:`shared_draws`
+  scope, plans with one traffic key draw their arrivals once and
+  replay that one batch (the paper's §6 runs every switch on the same
+  arrivals at each load).
 
 :func:`run_single` is ``execute(plan_run(...), store)`` and
 :func:`resolve_run_params` is ``plan_run(...).store_params()``, so the
@@ -29,8 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from ..sim.fast_engine import run_single_fast
 from ..sim.metrics import SimulationResult
 from ..sim.rng import traffic_rng
 from ..store import ExperimentStore, cache_key, coerce_store
-from ..traffic.batch import BatchTrafficGenerator
+from ..traffic.batch import ArrivalBatch, BatchTrafficGenerator
 from ..traffic.generator import TrafficGenerator
 from ..traffic.matrices import diagonal_matrix, uniform_matrix, validate_matrix
 
@@ -61,6 +68,7 @@ __all__ = [
     "resolve_pattern",
     "resolve_run_params",
     "run_single",
+    "shared_draws",
 ]
 
 #: Simulation engines: the per-packet object model (the auditable
@@ -76,6 +84,13 @@ TRAFFIC_PATTERNS: Dict[str, Callable[[int, float], np.ndarray]] = {
     "uniform": uniform_matrix,
     "diagonal": diagonal_matrix,
 }
+
+
+#: Store-key fields that name what replays the traffic, not the traffic
+#: itself; :attr:`RunPlan.traffic_key` drops them.
+_SUBJECT_FIELDS = frozenset(
+    {"switch", "switch_params", "kind", "fabric", "keep_samples"}
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +172,40 @@ class RunPlan:
         """The content address :func:`execute` saves this run under."""
         return cache_key(self.store_params())
 
-    def batch_traffic(self) -> Optional[BatchTrafficGenerator]:
-        """The scenario's batch packet source; ``None`` for a matrix run,
-        whose engine draws i.i.d. Bernoulli arrivals from the matrix."""
+    @property
+    def traffic_key(self) -> str:
+        """The identity of the arrival stream this run replays: the cache
+        key of :meth:`store_params` without the fields that name the
+        subject.  Runs with one traffic key replay the same arrivals
+        whatever their switch."""
+        return cache_key({
+            k: v
+            for k, v in self.store_params().items()
+            if k not in _SUBJECT_FIELDS
+        })
+
+    @property
+    def monolithic(self) -> bool:
+        """True when the run replays its whole arrival batch at once
+        (no window, or one that covers the run)."""
+        return self.window_slots is None or self.window_slots >= self.num_slots
+
+    @property
+    def shares_draw(self) -> bool:
+        """True for a monolithic vectorized switch run: the one kind a
+        :func:`shared_draws` scope hands a held batch.  Fabrics, windowed
+        and object-engine runs draw their own arrivals."""
+        return (
+            self.fabric is None
+            and self.engine == "vectorized"
+            and self.monolithic
+        )
+
+    def batch_traffic(self) -> BatchTrafficGenerator:
+        """The run's batch packet source: the scenario's, or i.i.d.
+        Bernoulli arrivals from the matrix on the run's traffic stream."""
         if self.spec is None:
-            return None
+            return BatchTrafficGenerator(self.matrix, traffic_rng(self.seed))
         return build_batch_traffic(
             self.spec, self.n, self.scenario_load, self.seed, self.num_slots
         )
@@ -250,6 +294,48 @@ def plan_run(
     )
 
 
+#: The arrival batches the innermost :func:`shared_draws` scope holds,
+#: by traffic key; ``None`` outside every scope.
+_HELD: ContextVar[Optional[Dict[str, ArrivalBatch]]] = ContextVar(
+    "held_draws", default=None
+)
+
+
+@contextmanager
+def shared_draws() -> Iterator[None]:
+    """Within this scope, runs that share a :attr:`RunPlan.traffic_key`
+    share one draw: the first monolithic vectorized run draws the
+    arrivals, and every later one replays that same batch.
+
+    The held columns are read-only, so a kernel that wrote its input
+    would raise instead of perturbing the next run.  Windowed, fabric
+    and object-engine runs draw their own arrivals, as outside a scope.
+    The batches die with the scope.
+    """
+    token = _HELD.set({})
+    try:
+        yield
+    finally:
+        _HELD.reset(token)
+
+
+def _shared_arrivals(plan: RunPlan) -> Optional[ArrivalBatch]:
+    """A monolithic vectorized switch run's arrivals from the enclosing
+    :func:`shared_draws` scope, drawn on first use; ``None`` when the
+    run draws its own."""
+    held = _HELD.get()
+    if held is None or not plan.shares_draw:
+        return None
+    key = plan.traffic_key
+    batch = held.get(key)
+    if batch is None:
+        with telemetry.trace("traffic.draw"):
+            batch = held[key] = plan.batch_traffic().draw(plan.num_slots)
+        for column in (batch.slots, batch.inputs, batch.outputs, batch.seqs):
+            column.flags.writeable = False
+    return batch
+
+
 def _simulate(plan: RunPlan) -> SimulationResult:
     """The uncached simulation (:func:`execute` wraps exactly this)."""
     if plan.fabric is not None:
@@ -272,6 +358,7 @@ def _simulate(plan: RunPlan) -> SimulationResult:
             window_slots=plan.window_slots,
         )
     if plan.engine == "vectorized":
+        arrivals = _shared_arrivals(plan)
         return run_single_fast(
             plan.subject,
             plan.matrix,
@@ -280,9 +367,10 @@ def _simulate(plan: RunPlan) -> SimulationResult:
             load_label=plan.load_label,
             warmup_fraction=plan.warmup_fraction,
             keep_samples=plan.keep_samples,
-            batch_traffic=plan.batch_traffic(),
+            batch_traffic=plan.batch_traffic() if arrivals is None else None,
             switch_params=plan.switch_params,
             window_slots=plan.window_slots,
+            arrivals=arrivals,
         )
     switch = models.get(plan.subject).build(
         plan.n, plan.matrix, plan.seed, **plan.switch_params
@@ -506,7 +594,8 @@ def delay_vs_load_sweep(
     :func:`repro.scenarios.resolve_scenario` (registry name or spec-file
     path).  Returns one result per (switch, load), each cell on the
     engine :func:`plan_run` resolves for it; ``store`` caches every cell
-    so a repeated sweep recomputes nothing.
+    so a repeated sweep recomputes nothing.  Each load's switches run in
+    one :func:`shared_draws` scope, so a row draws its arrivals once.
     """
     pattern = resolve_pattern(pattern)
     if switches is None:
@@ -519,14 +608,17 @@ def delay_vs_load_sweep(
         loads=len(loads),
         switches=len(switches),
     ):
-        return [
-            execute(
-                plan_cell(
-                    pattern, name, n, load, num_slots, seed, keep_samples,
-                    engine, window_slots=window_slots,
-                ),
-                cache,
-            )
-            for load in loads
-            for name in switches
-        ]
+        results: List[SimulationResult] = []
+        for load in loads:
+            with shared_draws():
+                results.extend(
+                    execute(
+                        plan_cell(
+                            pattern, name, n, load, num_slots, seed,
+                            keep_samples, engine, window_slots=window_slots,
+                        ),
+                        cache,
+                    )
+                    for name in switches
+                )
+        return results

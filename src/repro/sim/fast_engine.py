@@ -46,7 +46,7 @@ import numpy as np
 from .. import models, telemetry
 from ..sim.metrics import SimulationMetrics, SimulationResult
 from ..sim.rng import traffic_rng
-from ..traffic.batch import BatchTrafficGenerator
+from ..traffic.batch import ArrivalBatch, BatchTrafficGenerator
 from ..traffic.matrices import validate_matrix
 from .kernels.base import Departures, composite_argsort, segmented_running_max
 from .kernels import compiled
@@ -326,22 +326,26 @@ def _checked_model(switch_name: str, switch_params: Dict) -> "models.SwitchModel
 
 def _replay_whole_run(
     model: "models.SwitchModel",
-    batch_traffic: BatchTrafficGenerator,
+    batch_traffic: Optional[BatchTrafficGenerator],
+    arrivals: Optional[ArrivalBatch],
     matrix: np.ndarray,
     seed: int,
     num_slots: int,
     switch_params: Dict,
 ) -> Tuple[Departures, Optional[Dict[str, float]], int]:
-    """Draw a whole run and replay it in one kernel pass.
+    """Replay a whole run in one kernel pass: ``arrivals`` when given,
+    else a fresh draw from ``batch_traffic``.
 
-    Returns ``(departures, extras, injected)``; the arrival batch dies
+    Returns ``(departures, extras, injected)``; a drawn batch dies
     here, before the metrics fold, which reads nothing from it.
     """
     with telemetry.trace(
         "replay.monolithic", switch=model.reported_name, slots=num_slots
     ) as run_span:
-        with telemetry.trace("traffic.draw"):
-            batch = batch_traffic.draw(num_slots)
+        batch = arrivals
+        if batch is None:
+            with telemetry.trace("traffic.draw"):
+                batch = batch_traffic.draw(num_slots)
         with telemetry.trace("kernel.replay"):
             dep, extras = model.kernel(batch, matrix, seed, **switch_params)
         run_span.set(packets=len(batch))
@@ -360,6 +364,7 @@ def run_single_fast(
     batch_traffic: Optional[BatchTrafficGenerator] = None,
     switch_params: Optional[Dict] = None,
     window_slots: Optional[int] = None,
+    arrivals: Optional[ArrivalBatch] = None,
 ) -> SimulationResult:
     """Vectorized counterpart of :func:`repro.sim.experiment.run_single`.
 
@@ -383,6 +388,10 @@ def run_single_fast(
     memory — the mode for multi-million-slot runs that cannot
     materialize their arrivals at once.  A window covering the whole run
     is the monolithic replay.
+
+    ``arrivals`` is the whole run already drawn (a batch
+    :func:`repro.sim.experiment.shared_draws` shares between switches);
+    the monolithic replay reads it instead of drawing.
     """
     switch_params = switch_params or {}
     model = _checked_model(switch_name, switch_params)
@@ -394,17 +403,22 @@ def run_single_fast(
         raise ValueError("window_slots must be positive")
     matrix = validate_matrix(matrix)
     n = matrix.shape[0]
-    if batch_traffic is None:
+    monolithic = window_slots is None or window_slots >= num_slots
+    if arrivals is not None:
+        if not monolithic or (arrivals.n, arrivals.num_slots) != (n, num_slots):
+            raise ValueError("arrivals must be one whole run of the matrix")
+    elif batch_traffic is None:
         batch_traffic = BatchTrafficGenerator(matrix, traffic_rng(seed))
-    if batch_traffic.n != n:
+    if batch_traffic is not None and batch_traffic.n != n:
         raise ValueError("batch traffic size does not match matrix")
     acc = _MetricsAccumulator(
         n, int(num_slots * warmup_fraction), keep_samples
     )
 
-    if window_slots is None or window_slots >= num_slots:
+    if monolithic:
         dep, extras, injected = _replay_whole_run(
-            model, batch_traffic, matrix, seed, num_slots, switch_params
+            model, batch_traffic, arrivals, matrix, seed, num_slots,
+            switch_params,
         )
         acc.add(dep)
         return acc.result(

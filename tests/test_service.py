@@ -281,7 +281,7 @@ class TestPoolConcurrency:
 
         def submit(first):
             for k in range(first, first + per_thread):
-                pool.submit(f"task-{k}", k)
+                pool.submit([(f"task-{k}", k)])
 
         pool = WorkerPool(_double_runner, workers=6, on_done=on_done)
         interval = sys.getswitchinterval()
@@ -322,7 +322,7 @@ class TestWorkerCrashRecovery:
         pool = WorkerPool(_hang_once_runner, workers=1, on_done=on_done)
         pool.start()
         try:
-            pool.submit("shard-1", {"flag": str(flag)})
+            pool.submit([("shard-1", {"flag": str(flag)})])
             _wait_for(
                 lambda: not flag.exists(), 15,
                 "worker never picked the task up",
@@ -368,7 +368,8 @@ class TestWorkerCrashRecovery:
         self, tmp_path, monkeypatch, workers
     ):
         """The worker dies the instant it gets a shard, before it could
-        tell anyone: the parent assigned the shard, so it is requeued."""
+        tell anyone: the parent assigned the shard's group, so every
+        task of it is requeued."""
         flag = tmp_path / "crash-flag"
         flag.touch()
         monkeypatch.setenv(_CRASH_FLAG_ENV, str(flag))
@@ -381,9 +382,67 @@ class TestWorkerCrashRecovery:
             status = service.status(jid)
             assert status["status"] == "done"
             assert status["failed"] == 0
-            assert service.pool.requeues == 1
+            # Each load's two switches share one traffic stream, so the
+            # killed worker held a group of two unfinished tasks.
+            assert service.pool.requeues == 2
             for key in service._jobs[jid].shard_keys:
                 assert service.store.fetch_by_key(key) is not None
+
+
+    def test_worker_killed_on_the_second_shard_of_its_group(
+        self, tmp_path, monkeypatch
+    ):
+        """One load's four switches are one group.  The worker dies on
+        the group's second shard: the first is settled once, and the
+        other three are requeued one by one and complete."""
+        flag = tmp_path / "crash-flag"
+        flag.touch()
+        monkeypatch.setenv(_CRASH_FLAG_ENV, str(flag))
+        requeued = []
+        requeue = WorkerPool._requeue
+
+        def spy(pool, task_id, payload, killed):
+            requeued.append((task_id, killed))
+            requeue(pool, task_id, payload, killed)
+
+        monkeypatch.setattr(WorkerPool, "_requeue", spy)
+        request = small_request(
+            switches=("sprinklers", "pf", "ufs", "foff"), loads=(0.5,)
+        )
+        with SimulationService(
+            tmp_path / "store", workers=1, runner=_die_on_pf_once_execute
+        ) as service:
+            jid = service.submit(request)
+            assert service.wait(jid, timeout=60), "a shard was orphaned"
+            assert not flag.exists(), "no worker was killed"
+            assert service.status(jid)["status"] == "done"
+            keys = service._jobs[jid].shard_keys
+            assert requeued == [
+                (keys[1], True), (keys[2], False), (keys[3], False)
+            ]
+            assert service.pool.requeues == 3
+            settled = Counter(
+                event["key"]
+                for event in service.events(jid)
+                if event["event"] == "shard"
+            )
+            assert settled == Counter(keys)
+            saves = Counter(
+                record["key"]
+                for record in service.store.manifest_records()
+                if record.get("event") != "hit"
+            )
+            assert saves == Counter(keys)
+
+
+def _die_on_pf_once_execute(payload):
+    """The first PF shard to see the crash flag consumes it and is
+    SIGKILLed; every later run is normal."""
+    if payload["shard"]["switch"] == "pf" and _consume(
+        os.environ[_CRASH_FLAG_ENV]
+    ):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_shard(payload)
 
 
 def _die_on_pf_execute(payload):
@@ -393,12 +452,20 @@ def _die_on_pf_execute(payload):
     return execute_shard(payload)
 
 
+def _consume(flag):
+    """Remove ``flag``; True for the one caller that removed it (two
+    workers may race for it)."""
+    try:
+        os.unlink(flag)
+    except FileNotFoundError:
+        return False
+    return True
+
+
 def _die_once_execute(payload):
     """The first worker to see the crash flag consumes it and is
     SIGKILLed mid-shard; every later run is normal."""
-    flag = os.environ[_CRASH_FLAG_ENV]
-    if os.path.exists(flag):
-        os.unlink(flag)
+    if _consume(os.environ[_CRASH_FLAG_ENV]):
         os.kill(os.getpid(), signal.SIGKILL)
     return execute_shard(payload)
 
@@ -417,14 +484,125 @@ def _sweep_with(monkeypatch, runner):
     )
 
 
+#: The file whose creation releases :func:`_block_until_released`.
+_RELEASE_ENV = "REPRO_TEST_RELEASE"
+
+
+def _block_until_released(payload):
+    """Hold the worker until the test creates the release file."""
+    release = os.environ[_RELEASE_ENV]
+    while not os.path.exists(release):
+        time.sleep(0.02)
+    return {"row": {"ok": True}, "wall_s": 0.0}
+
+
+class TestDispatchOrder:
+    def test_groups_are_queued_largest_first(self, tmp_path, monkeypatch):
+        """Shards that share a traffic stream (one seed and load) form
+        a group; groups go to the pool by expected packets, largest
+        first, and equal groups (two seeds) keep submission order."""
+        release = tmp_path / "release"
+        monkeypatch.setenv(_RELEASE_ENV, str(release))
+        request = small_request(loads=(0.3, 0.9, 0.6), seeds=(0, 1))
+        with SimulationService(
+            tmp_path / "store", workers=1, runner=_block_until_released
+        ) as service:
+            try:
+                jid = service.submit(request)
+                pool = service.pool
+                with pool._lock:
+                    (running,) = pool._assigned.values()
+                    groups = [list(running)] + [list(g) for g in pool._queue]
+            finally:
+                release.touch()
+            assert service.wait(jid, timeout=60)
+        order = [
+            [
+                (task["shard"]["load"], task["shard"]["seed"],
+                 task["shard"]["switch"])
+                for _, task in group
+            ]
+            for group in groups
+        ]
+        assert order == [
+            [(load, seed, "sprinklers"), (load, seed, "pf")]
+            for load in (0.9, 0.6, 0.3)
+            for seed in (0, 1)
+        ]
+
+
+    @pytest.fixture()
+    def groups(self, tmp_path, monkeypatch):
+        """The switch names of every group the service hands the pool;
+        shards finish at once."""
+        release = tmp_path / "release"
+        release.touch()
+        monkeypatch.setenv(_RELEASE_ENV, str(release))
+        seen = []
+        submit = WorkerPool.submit
+
+        def spy(pool, tasks):
+            seen.append([task["shard"]["switch"] for _, task in tasks])
+            submit(pool, tasks)
+
+        monkeypatch.setattr(WorkerPool, "submit", spy)
+        return seen
+
+    def _run(self, tmp_path, request, workers):
+        with SimulationService(
+            tmp_path / "store", workers=workers,
+            runner=_block_until_released,
+        ) as service:
+            assert service.wait(service.submit(request), timeout=60)
+
+    def test_shards_that_draw_their_own_arrivals_go_alone(
+        self, tmp_path, groups
+    ):
+        """Only vectorized switch runs share a draw: an object-only
+        model, a fabric and every shard of an object-engine job are
+        groups of one."""
+        self._run(tmp_path, small_request(
+            switches=("sprinklers", "cms", "pf", "leaf-spine"), loads=(0.5,),
+        ), workers=1)
+        self._run(tmp_path, small_request(
+            switches=("sprinklers", "pf"), loads=(0.7,), engine="object",
+        ), workers=1)
+        assert groups == [
+            ["sprinklers", "pf"], ["cms"], ["leaf-spine"],
+            ["sprinklers"], ["pf"],
+        ]
+
+    def test_fewer_groups_than_workers_are_split(self, tmp_path, groups):
+        """One load's five switches on four workers: the heaviest
+        multi-shard group is halved until every worker has a group."""
+        self._run(tmp_path, small_request(
+            switches=("sprinklers", "pf", "foff", "ufs", "load-balanced"),
+            loads=(0.5,),
+        ), workers=4)
+        assert groups == [
+            ["ufs", "load-balanced"], ["sprinklers"], ["pf"], ["foff"]
+        ]
+
+
 class TestPoisonShard:
     """A shard that kills every worker it touches fails; it is not
     requeued forever (bounded by ``MAX_ATTEMPTS`` worker deaths, each
     seen at once by its process sentinel)."""
 
     def test_poison_shard_fails_its_job_in_bounded_time(self, tmp_path):
+        """Two workers: the job's one group is split, so PF runs alone
+        and only PF is charged with the deaths (requeued twice)."""
+        self._assert_only_pf_fails(tmp_path, workers=2)
+
+    def test_poison_shards_group_mate_completes(self, tmp_path):
+        """One worker: PF's group-mate runs first in the same group and
+        completes; the deaths are still PF's alone."""
+        self._assert_only_pf_fails(tmp_path, workers=1)
+
+    @staticmethod
+    def _assert_only_pf_fails(tmp_path, workers):
         with SimulationService(
-            tmp_path, workers=2, runner=_die_on_pf_execute
+            tmp_path, workers=workers, runner=_die_on_pf_execute
         ) as service:
             jid = service.submit(small_request(loads=(0.3,)))
             assert service.wait(jid, timeout=30), "poison shard cycled"
