@@ -11,10 +11,9 @@ Layers, bottom-up:
 
 * :mod:`repro.service.jobs` — requests, shards, and the store-key
   planning that makes shard identity equal store identity.
-* :mod:`repro.service.pool` — the worker pool: the parent assigns each
-  group of shards that share a traffic stream to an idle worker over
-  that worker's pipe, and requeues each shard a dead worker had not
-  finished on its own.
+* :mod:`repro.service.pool` — the worker pool: the parent hands each
+  idle worker one shard over its pipe, preferring a shard of the
+  traffic stream that worker drew last, and requeues a dead worker's.
 * :mod:`repro.service.core` — :class:`SimulationService`: submission,
   dedup, job event logs, streaming; :func:`run_sweep`, its blocking
   in-process form (how a local sweep runs across processes).

@@ -11,16 +11,13 @@
   keys are queued to the worker pool (source ``new``).  Identical
   concurrent submissions therefore compute each shard exactly once —
   the acceptance property the e2e tests pin.
-* **Grouping**: a job's new shards that can share one draw (one
-  :attr:`~repro.sim.experiment.RunPlan.traffic_key` and
-  :attr:`~repro.sim.experiment.RunPlan.shares_draw`: the same cell for
-  different vectorized switches) go to the pool as one group, which one
-  worker runs under one shared draw; every other shard is a group of
-  its own.  While a job has fewer groups than the pool has workers, its
-  heaviest multi-shard group is split in two, so no worker idles for
-  want of work.  Groups are queued largest first by expected packets,
-  so the heaviest group does not start last and leave a core idle at
-  the end; ties keep submission order.
+* **Affinity**: each new shard goes to the pool as one task, tagged
+  with its :attr:`~repro.sim.experiment.RunPlan.traffic_key` when it
+  :attr:`~repro.sim.experiment.RunPlan.shares_draw` (the same cell for
+  different vectorized switches) and weighted by its expected packets.
+  The pool hands an idle worker a shard of the traffic key it last
+  drew first, so that worker replays the batch it holds instead of
+  drawing it again (:mod:`repro.service.pool`).
 * **Execution** happens in the crash-tolerant pool
   (:mod:`repro.service.pool`); workers save through the shared store,
   and the collector marks every subscribed job as each shard lands.
@@ -43,7 +40,7 @@ import tempfile
 import threading
 import time
 from contextlib import ExitStack
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from .. import telemetry
 from ..sim.metrics import SimulationResult
@@ -174,10 +171,17 @@ class SimulationService:
         """Plan and enqueue a request; returns its job id immediately.
 
         Raises ``ValueError`` for invalid requests (unknown switch,
-        unknown workload, empty grid) before any state is created.
+        unknown workload, empty grid, inadmissible load), and
+        ``TypeError`` for one that is neither a dict nor a
+        :class:`JobRequest`, before any state is created.
         """
         if isinstance(request, dict):
             request = JobRequest.from_dict(request)
+        elif not isinstance(request, JobRequest):
+            raise TypeError(
+                f"a job request is a JSON object or a JobRequest, not "
+                f"{type(request).__name__}"
+            )
         shards = expand_shards(request)
         # Key every shard (and thereby validate the whole grid) before
         # touching service state: a half-registered invalid job would
@@ -191,26 +195,21 @@ class SimulationService:
             if key in seen:
                 continue  # a degenerate grid repeating a cell
             seen.add(key)
-            # A shard that draws its own arrivals is a group of one.
-            group_key = plan.traffic_key if plan.shares_draw else key
-            planned.append((spec, key, params, group_key))
+            draw_key = plan.traffic_key if plan.shares_draw else None
+            planned.append((spec, key, params, draw_key))
         with self._lock:
             self._seq += 1
             job = JobState(f"job-{self._seq:04d}", request)
             self._jobs[job.job_id] = job
             telemetry.count("service.jobs")
-            groups: Dict[str, List[Tuple[ShardSpec, str]]] = {}
-            for spec, key, params, group_key in planned:
+            tasks = []
+            for spec, key, params, draw_key in planned:
                 job.shard_keys.append(key)
                 if self._plan_shard(job, spec, key, params):
-                    groups.setdefault(group_key, []).append((spec, key))
-            for group in _dispatch_order(
-                list(groups.values()), self.pool.workers
-            ):
-                self.pool.submit([
-                    (key, {"shard": spec.to_dict(), "store": self._store_path})
-                    for spec, key in group
-                ])
+                    payload = {"shard": spec.to_dict(), "store": self._store_path}
+                    weight = spec.n * spec.load * spec.num_slots
+                    tasks.append((key, payload, draw_key, weight))
+            self.pool.submit(tasks)
             job.events.insert(0, {
                 "event": "job",
                 "job_id": job.job_id,
@@ -488,36 +487,6 @@ def run_sweep(
         )
         raise RuntimeError("\n".join(lines))
     return [SimulationResult.from_dict(cell["result"]) for cell in cells]
-
-
-def _expected_packets(group: List[Tuple[ShardSpec, str]]) -> float:
-    """A shard group's expected arrivals: ``n x load x slots`` per
-    shard (its shards share one traffic stream, so one cell's figures
-    stand for all)."""
-    spec = group[0][0]
-    return spec.n * spec.load * spec.num_slots * len(group)
-
-
-def _dispatch_order(
-    groups: List[List[Tuple[ShardSpec, str]]], workers: int
-) -> List[List[Tuple[ShardSpec, str]]]:
-    """A job's shard groups as the pool should queue them.
-
-    While there are fewer groups than ``workers``, the heaviest group
-    of two or more shards is split in two in place: a job whose cells
-    are few (one load, many switches) keeps every worker busy instead
-    of running its switches back to back.  Then largest expected
-    packets first; ``sorted`` is stable, so equal groups keep
-    submission order.
-    """
-    while len(groups) < workers:
-        splittable = [i for i, group in enumerate(groups) if len(group) > 1]
-        if not splittable:
-            break
-        i = max(splittable, key=lambda i: _expected_packets(groups[i]))
-        half = (len(groups[i]) + 1) // 2
-        groups[i:i + 1] = [groups[i][:half], groups[i][half:]]
-    return sorted(groups, key=_expected_packets, reverse=True)
 
 
 #: Condition-wait slice: bounds stream latency for follow/wait loops.

@@ -19,9 +19,10 @@ described by exactly one value, a :class:`RunPlan`:
   resolved.
 * :attr:`RunPlan.traffic_key` names the arrival stream a plan replays:
   the store key minus the subject.  Inside a :func:`shared_draws`
-  scope, plans with one traffic key draw their arrivals once and
-  replay that one batch (the paper's §6 runs every switch on the same
-  arrivals at each load).
+  scope, which holds the last batch drawn, plans that follow one
+  another with one traffic key draw their arrivals once and replay
+  that batch (the paper's §6 runs every switch on the same arrivals at
+  each load).
 
 :func:`run_single` is ``execute(plan_run(...), store)`` and
 :func:`resolve_run_params` is ``plan_run(...).store_params()``, so the
@@ -52,8 +53,8 @@ from ..sim.metrics import SimulationResult
 from ..sim.rng import traffic_rng
 from ..store import ExperimentStore, cache_key, coerce_store
 from ..traffic.batch import ArrivalBatch, BatchTrafficGenerator
-from ..traffic.generator import TrafficGenerator
-from ..traffic.matrices import diagonal_matrix, uniform_matrix, validate_matrix
+from ..traffic.generator import TrafficGenerator, destination_distributions
+from ..traffic.matrices import diagonal_matrix, uniform_matrix
 
 __all__ = [
     "ENGINES",
@@ -268,7 +269,9 @@ def plan_run(
             load_label = float(load)
     elif matrix is None:
         raise ValueError("need a matrix or a scenario")
-    matrix = validate_matrix(matrix)
+    # The generators' own check: row sums above 1 packet/slot raise here,
+    # not in every worker that would draw the traffic.
+    matrix, _, _ = destination_distributions(matrix)
     if num_slots <= 0:
         raise ValueError("num_slots must be positive")
     if not 0.0 <= warmup_fraction < 1.0:
@@ -294,8 +297,8 @@ def plan_run(
     )
 
 
-#: The arrival batches the innermost :func:`shared_draws` scope holds,
-#: by traffic key; ``None`` outside every scope.
+#: The arrival batch the innermost :func:`shared_draws` scope holds, by
+#: traffic key (at most one entry); ``None`` outside every scope.
 _HELD: ContextVar[Optional[Dict[str, ArrivalBatch]]] = ContextVar(
     "held_draws", default=None
 )
@@ -303,14 +306,17 @@ _HELD: ContextVar[Optional[Dict[str, ArrivalBatch]]] = ContextVar(
 
 @contextmanager
 def shared_draws() -> Iterator[None]:
-    """Within this scope, runs that share a :attr:`RunPlan.traffic_key`
-    share one draw: the first monolithic vectorized run draws the
-    arrivals, and every later one replays that same batch.
+    """Within this scope, consecutive runs that share a
+    :attr:`RunPlan.traffic_key` share one draw: the first monolithic
+    vectorized run draws the arrivals, and every later one replays that
+    same batch until a run with another key replaces it.
 
-    The held columns are read-only, so a kernel that wrote its input
-    would raise instead of perturbing the next run.  Windowed, fabric
-    and object-engine runs draw their own arrivals, as outside a scope.
-    The batches die with the scope.
+    The scope holds one batch, the last one drawn, so a long-lived
+    scope (a pool worker's) stays bounded.  The held columns are
+    read-only, so a kernel that wrote its input would raise instead of
+    perturbing the next run.  Windowed, fabric and object-engine runs
+    draw their own arrivals, as outside a scope.  The batch dies with
+    the scope.
     """
     token = _HELD.set({})
     try:
@@ -329,6 +335,7 @@ def _shared_arrivals(plan: RunPlan) -> Optional[ArrivalBatch]:
     key = plan.traffic_key
     batch = held.get(key)
     if batch is None:
+        held.clear()  # drop the last key's batch before drawing this one
         with telemetry.trace("traffic.draw"):
             batch = held[key] = plan.batch_traffic().draw(plan.num_slots)
         for column in (batch.slots, batch.inputs, batch.outputs, batch.seqs):

@@ -49,10 +49,14 @@ def destination_distributions(matrix):
             "matrix row sums exceed 1 packet/slot; not realizable by a "
             "slotted input line"
         )
-    dists: List[Optional[np.ndarray]] = []
-    for i in range(matrix.shape[0]):
-        total = row_sums[i]
-        dists.append(matrix[i] / total if total > 0 else None)
+    # One division for every row (the same per-element quotients as
+    # row by row): run planning calls this once per run, cached or not.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = matrix / row_sums[:, None]
+    dists: List[Optional[np.ndarray]] = [
+        row if rated else None
+        for row, rated in zip(normalized, (row_sums > 0).tolist())
+    ]
     return matrix, row_sums, dists
 
 

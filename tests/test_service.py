@@ -41,8 +41,10 @@ from repro.service import (
 from repro.scenarios import resolve_scenario
 from repro.service import core as service_core
 from repro.service.daemon import MAX_BODY_BYTES
+from repro.service.pool import Task, pick
 from repro.sim.experiment import (
     TRAFFIC_PATTERNS,
+    cell_workload,
     delay_vs_load_sweep,
     run_single,
 )
@@ -183,6 +185,35 @@ class TestServiceDedup:
             with pytest.raises(ValueError, match="unknown switch"):
                 service.submit(small_request(switches=("nonesuch",)))
             assert service.status()["jobs"] == []
+
+    @pytest.mark.parametrize(
+        "body", [[1, 2], "x", 3, None], ids=["list", "str", "int", "null"]
+    )
+    def test_non_object_request_is_a_type_error(self, tmp_path, body):
+        with SimulationService(tmp_path, workers=1) as service:
+            with pytest.raises(TypeError, match="JSON object"):
+                service.submit(body)
+            assert service.status()["jobs"] == []
+
+    @pytest.mark.parametrize("workload", ["uniform", "mmpp-bursty"])
+    def test_inadmissible_load_rejected_before_any_state(
+        self, tmp_path, workload
+    ):
+        """A load above 1 packet/slot fails at planning, not in every
+        worker that would draw its traffic."""
+        with SimulationService(tmp_path / "store", workers=1) as service:
+            with pytest.raises(ValueError, match="row sums exceed 1"):
+                service.submit(
+                    small_request(workload=workload, loads=(0.5, 2.0))
+                )
+            assert service.status()["jobs"] == []
+            assert service.pool.outstanding() == 0
+        with pytest.raises(ValueError, match="row sums exceed 1"):
+            run_single(
+                "sprinklers", num_slots=300, store=tmp_path / "store",
+                **cell_workload(workload, 8, 2.0),
+            )
+        assert ExperimentStore(tmp_path / "store").manifest_records() == []
 
     def test_unknown_job_raises(self, tmp_path):
         with SimulationService(tmp_path, workers=1) as service:
@@ -368,8 +399,8 @@ class TestWorkerCrashRecovery:
         self, tmp_path, monkeypatch, workers
     ):
         """The worker dies the instant it gets a shard, before it could
-        tell anyone: the parent assigned the shard's group, so every
-        task of it is requeued."""
+        tell anyone: the parent recorded the assignment, so that one
+        shard is requeued."""
         flag = tmp_path / "crash-flag"
         flag.touch()
         monkeypatch.setenv(_CRASH_FLAG_ENV, str(flag))
@@ -382,28 +413,25 @@ class TestWorkerCrashRecovery:
             status = service.status(jid)
             assert status["status"] == "done"
             assert status["failed"] == 0
-            # Each load's two switches share one traffic stream, so the
-            # killed worker held a group of two unfinished tasks.
-            assert service.pool.requeues == 2
+            assert service.pool.requeues == 1
             for key in service._jobs[jid].shard_keys:
                 assert service.store.fetch_by_key(key) is not None
 
 
-    def test_worker_killed_on_the_second_shard_of_its_group(
-        self, tmp_path, monkeypatch
-    ):
-        """One load's four switches are one group.  The worker dies on
-        the group's second shard: the first is settled once, and the
-        other three are requeued one by one and complete."""
+    def test_worker_killed_on_its_second_shard(self, tmp_path, monkeypatch):
+        """One load's four switches share one traffic stream.  The one
+        worker dies on its second shard, PF: the first is settled once,
+        only PF is requeued and charged with the kill, and every shard
+        completes."""
         flag = tmp_path / "crash-flag"
         flag.touch()
         monkeypatch.setenv(_CRASH_FLAG_ENV, str(flag))
         requeued = []
         requeue = WorkerPool._requeue
 
-        def spy(pool, task_id, payload, killed):
-            requeued.append((task_id, killed))
-            requeue(pool, task_id, payload, killed)
+        def spy(pool, task):
+            requeued.append(task.task_id)
+            requeue(pool, task)
 
         monkeypatch.setattr(WorkerPool, "_requeue", spy)
         request = small_request(
@@ -417,10 +445,8 @@ class TestWorkerCrashRecovery:
             assert not flag.exists(), "no worker was killed"
             assert service.status(jid)["status"] == "done"
             keys = service._jobs[jid].shard_keys
-            assert requeued == [
-                (keys[1], True), (keys[2], False), (keys[3], False)
-            ]
-            assert service.pool.requeues == 3
+            assert requeued == [keys[1]]
+            assert service.pool.requeues == 1
             settled = Counter(
                 event["key"]
                 for event in service.events(jid)
@@ -496,92 +522,134 @@ def _block_until_released(payload):
     return {"row": {"ok": True}, "wall_s": 0.0}
 
 
+class TestPickRule:
+    """The pool's dispatch rule on hand-built queues of ``(draw_key,
+    weight)`` tasks."""
+
+    @staticmethod
+    def _queue(*tasks):
+        return [
+            Task(f"task-{i}", None, key, weight)
+            for i, (key, weight) in enumerate(tasks)
+        ]
+
+    def test_own_key_first_oldest_not_heaviest(self):
+        queue = self._queue(("b", 9), ("a", 1), ("a", 5))
+        assert pick(queue, "a", held={"b"}) == 1
+
+    def test_unheld_key_next_heaviest(self):
+        queue = self._queue(("a", 9), ("b", 3), ("c", 5))
+        assert pick(queue, "z", held={"a"}) == 2
+
+    def test_a_none_key_is_never_held(self):
+        queue = self._queue(("a", 9), (None, 2))
+        assert pick(queue, None, held={"a", None}) == 1
+        # Nor is it anyone's own key: a worker without a key takes the
+        # heaviest, not the oldest keyless task.
+        assert pick(self._queue((None, 1), ("a", 5)), None, set()) == 1
+
+    def test_heaviest_when_every_key_is_held(self):
+        queue = self._queue(("a", 2), ("b", 7), ("b", 7))
+        assert pick(queue, "c", held={"a", "b"}) == 1
+
+    def test_ties_keep_queue_order(self):
+        assert pick(self._queue(("a", 4), ("b", 4)), None, set()) == 0
+
+
 class TestDispatchOrder:
-    def test_groups_are_queued_largest_first(self, tmp_path, monkeypatch):
-        """Shards that share a traffic stream (one seed and load) form
-        a group; groups go to the pool by expected packets, largest
-        first, and equal groups (two seeds) keep submission order."""
-        release = tmp_path / "release"
-        monkeypatch.setenv(_RELEASE_ENV, str(release))
-        request = small_request(loads=(0.3, 0.9, 0.6), seeds=(0, 1))
-        with SimulationService(
-            tmp_path / "store", workers=1, runner=_block_until_released
-        ) as service:
-            try:
-                jid = service.submit(request)
-                pool = service.pool
-                with pool._lock:
-                    (running,) = pool._assigned.values()
-                    groups = [list(running)] + [list(g) for g in pool._queue]
-            finally:
-                release.touch()
-            assert service.wait(jid, timeout=60)
-        order = [
-            [
-                (task["shard"]["load"], task["shard"]["seed"],
-                 task["shard"]["switch"])
-                for _, task in group
-            ]
-            for group in groups
-        ]
-        assert order == [
-            [(load, seed, "sprinklers"), (load, seed, "pf")]
-            for load in (0.9, 0.6, 0.3)
-            for seed in (0, 1)
-        ]
-
-
     @pytest.fixture()
-    def groups(self, tmp_path, monkeypatch):
-        """The switch names of every group the service hands the pool;
-        shards finish at once."""
+    def tasks(self, tmp_path, monkeypatch):
+        """Every task the service hands the pool, as ``(switch,
+        draw_key, weight)``; shards finish at once."""
         release = tmp_path / "release"
         release.touch()
         monkeypatch.setenv(_RELEASE_ENV, str(release))
         seen = []
         submit = WorkerPool.submit
 
-        def spy(pool, tasks):
-            seen.append([task["shard"]["switch"] for _, task in tasks])
-            submit(pool, tasks)
+        def spy(pool, batch):
+            seen.extend(
+                (payload["shard"]["switch"], draw_key, weight)
+                for _, payload, draw_key, weight in batch
+            )
+            submit(pool, batch)
 
         monkeypatch.setattr(WorkerPool, "submit", spy)
         return seen
 
-    def _run(self, tmp_path, request, workers):
+    @staticmethod
+    def _run(tmp_path, request, workers=1):
+        """Run ``request``; its shard events in completion order."""
         with SimulationService(
             tmp_path / "store", workers=workers,
             runner=_block_until_released,
         ) as service:
-            assert service.wait(service.submit(request), timeout=60)
+            jid = service.submit(request)
+            assert service.wait(jid, timeout=60)
+            return [
+                (event["load"], event["seed"], event["switch"])
+                for event in service.events(jid)
+                if event["event"] == "shard"
+            ]
 
-    def test_shards_that_draw_their_own_arrivals_go_alone(
-        self, tmp_path, groups
+    def test_only_shards_that_share_a_draw_carry_a_key(
+        self, tmp_path, tasks
     ):
-        """Only vectorized switch runs share a draw: an object-only
-        model, a fabric and every shard of an object-engine job are
-        groups of one."""
+        """Vectorized switch runs of one cell share a key; an
+        object-only model, a fabric and every shard of an object-engine
+        job draw their own.  Weights are expected packets."""
         self._run(tmp_path, small_request(
             switches=("sprinklers", "cms", "pf", "leaf-spine"), loads=(0.5,),
-        ), workers=1)
+        ))
         self._run(tmp_path, small_request(
             switches=("sprinklers", "pf"), loads=(0.7,), engine="object",
-        ), workers=1)
-        assert groups == [
-            ["sprinklers", "pf"], ["cms"], ["leaf-spine"],
-            ["sprinklers"], ["pf"],
+        ))
+        (key,) = {draw_key for switch, draw_key, _ in tasks[:4]} - {None}
+        assert [draw_key for _, draw_key, _ in tasks] == [
+            key, None, key, None, None, None,
+        ]
+        assert [weight for _, _, weight in tasks] == pytest.approx(
+            [8 * 0.5 * 300] * 4 + [8 * 0.7 * 300] * 2
+        )
+
+    def test_heaviest_first_then_the_held_key(self, tmp_path, tasks):
+        """One worker: the heaviest cell starts, its traffic-mate
+        follows on the held batch, and equal cells (two seeds) keep
+        submission order."""
+        order = self._run(
+            tmp_path, small_request(loads=(0.3, 0.9, 0.6), seeds=(0, 1))
+        )
+        assert order == [
+            (load, seed, switch)
+            for load in (0.9, 0.6, 0.3)
+            for seed in (0, 1)
+            for switch in ("sprinklers", "pf")
         ]
 
-    def test_fewer_groups_than_workers_are_split(self, tmp_path, groups):
-        """One load's five switches on four workers: the heaviest
-        multi-shard group is halved until every worker has a group."""
-        self._run(tmp_path, small_request(
+    def test_few_cells_keep_every_worker_busy(self, tmp_path, monkeypatch):
+        """One load's five switches on four workers: four shards run at
+        once, with no split heuristic."""
+        release = tmp_path / "release"
+        monkeypatch.setenv(_RELEASE_ENV, str(release))
+        request = small_request(
             switches=("sprinklers", "pf", "foff", "ufs", "load-balanced"),
             loads=(0.5,),
-        ), workers=4)
-        assert groups == [
-            ["ufs", "load-balanced"], ["sprinklers"], ["pf"], ["foff"]
-        ]
+        )
+        with SimulationService(
+            tmp_path / "store", workers=4, runner=_block_until_released
+        ) as service:
+            try:
+                jid = service.submit(request)
+                pool = service.pool
+                _wait_for(
+                    lambda: len(pool._assigned) == 4, 15,
+                    "fewer than four shards in flight",
+                )
+                assert pool.outstanding() == 5
+            finally:
+                release.touch()
+            assert service.wait(jid, timeout=60)
+            assert service.status(jid)["status"] == "done"
 
 
 class TestPoisonShard:
@@ -590,13 +658,13 @@ class TestPoisonShard:
     seen at once by its process sentinel)."""
 
     def test_poison_shard_fails_its_job_in_bounded_time(self, tmp_path):
-        """Two workers: the job's one group is split, so PF runs alone
-        and only PF is charged with the deaths (requeued twice)."""
+        """Two workers: PF and its traffic-mate run side by side, and
+        only PF is charged with the deaths (requeued twice)."""
         self._assert_only_pf_fails(tmp_path, workers=2)
 
     def test_poison_shards_group_mate_completes(self, tmp_path):
-        """One worker: PF's group-mate runs first in the same group and
-        completes; the deaths are still PF's alone."""
+        """One worker: PF's traffic-mate runs first on the same worker
+        and completes; the deaths are still PF's alone."""
         self._assert_only_pf_fails(tmp_path, workers=1)
 
     @staticmethod
@@ -812,6 +880,25 @@ class TestHTTPSurface:
             client.status("job-9999")
         with pytest.raises(ServiceError, match="unknown switch"):
             client.submit(small_request(switches=("nonesuch",)))
+
+    @pytest.mark.parametrize("body", [b"[1, 2]", b'"x"'], ids=["list", "str"])
+    def test_non_object_body_is_rejected(self, server, body):
+        split = urlsplit(server.address)
+        conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
+        try:
+            conn.request("POST", "/submit", body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "JSON object" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert ServiceClient(server.address).status()["jobs"] == []
+
+    def test_inadmissible_load_is_rejected(self, server):
+        client = ServiceClient(server.address)
+        with pytest.raises(ServiceError, match="HTTP 400.*row sums exceed 1"):
+            client.submit(small_request(loads=(2.0,)))
+        assert client.status()["jobs"] == []
 
     @pytest.mark.parametrize(
         "length, status",

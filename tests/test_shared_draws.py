@@ -9,18 +9,24 @@ pin that:
 
 * no vectorized kernel writes its input batch (a write would raise);
 * the traffic key ignores exactly the fields that name the subject;
+* a scope holds one batch, the last one drawn;
 * ``delay_vs_load_sweep`` and ``run_sweep`` (one and two workers) equal
-  per-cell ``run_single`` and draw once per traffic key;
+  per-cell ``run_single``; the sweep draws once per traffic key, and a
+  pool worker draws a key at most once;
 * windowed, fabric and object-engine runs still draw once per run.
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from repro import models
 from repro.service import JobRequest, expand_shards, run_sweep, shard_run_kwargs
+from repro.sim import experiment
 from repro.sim.experiment import (
     TRAFFIC_PATTERNS,
     cell_workload,
@@ -212,19 +218,39 @@ class TestSerialSweep:
             True, True, False, False, True
         ]
 
+    def test_a_scope_holds_only_the_last_batch(self, draws):
+        """A scope that sees a second key drops the first key's batch:
+        coming back to the first key draws it again."""
+        with shared_draws():
+            for load in (0.4, 0.8, 0.8, 0.4):
+                run_single(
+                    "ufs", num_slots=SLOTS, seed=SEED,
+                    **cell_workload("uniform", N, load),
+                )
+                (held,) = experiment._HELD.get().values()
+                assert held is draws["draw"][-1]
+        assert len(draws["draw"]) == 3
+
 
 class TestPooledSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_draw_per_traffic_key(self, workers, tmp_path, monkeypatch):
+        """Each worker draws a traffic stream at most once.  One worker
+        draws each key exactly once; two may both draw the last key
+        (the pick rule splits a key rather than idle a worker), so at
+        most one draw more than there are keys."""
         # Workers are forked after this patch: each appends a line per
-        # whole-run draw to one file the parent reads back.
+        # whole-run draw (its pid and the drawn stream) to one file the
+        # parent reads back.
         log = tmp_path / "draws.log"
         draw = BatchTrafficGenerator.draw
 
         def logging_draw(self, num_slots):
+            batch = draw(self, num_slots)
+            stream = hashlib.sha256(batch.slots.tobytes() + batch.voqs.tobytes())
             with open(log, "a") as fh:
-                fh.write(f"{num_slots}\n")
-            return draw(self, num_slots)
+                fh.write(f"{os.getpid()} {stream.hexdigest()}\n")
+            return batch
 
         monkeypatch.setattr(BatchTrafficGenerator, "draw", logging_draw)
         request = JobRequest(
@@ -232,7 +258,11 @@ class TestPooledSweep:
             num_slots=SLOTS, seeds=(SEED, SEED + 1),
         )
         pooled = run_sweep(request, tmp_path / "store", workers=workers)
-        assert log.read_text().split() == [str(SLOTS)] * 4
+        drawn = [tuple(line.split()) for line in log.read_text().splitlines()]
+        keys = len(LOADS) * len(request.seeds)
+        assert len(set(drawn)) == len(drawn)  # no worker draws a key twice
+        assert len({stream for _, stream in drawn}) == keys
+        assert len(drawn) == keys if workers == 1 else len(drawn) <= keys + 1
         shards = expand_shards(request)
         assert len(pooled) == len(shards) == 16
         for shard, result in zip(shards, pooled):
