@@ -51,7 +51,7 @@ from ..models.composite import (
 from ..traffic.batch import (
     ArrivalBatch,
     BatchTrafficGenerator,
-    stable_voq_argsort,
+    stable_id_argsort,
 )
 from ..traffic.matrices import validate_matrix
 from .fast_engine import _MetricsAccumulator, _ReorderFold, _observe_throughput
@@ -145,7 +145,7 @@ class _LinkCoupler:
         exact.
         """
         return composite_argsort(
-            dep.departure * self.n + self._inputs[dep.voq], dep.wire
+            dep.departure * np.int64(self.n) + self._inputs[dep.voq], dep.wire
         )
 
     def _starts(self) -> np.ndarray:
@@ -171,8 +171,9 @@ class _LinkCoupler:
         # reordering detector watches the link order, as a wire would
         # deliver).
         held = len(self._gone)
-        order = stable_voq_argsort(
-            np.concatenate((np.repeat(np.arange(n * n), self._held), voqs)), n
+        order = stable_id_argsort(
+            np.concatenate((np.repeat(np.arange(n * n), self._held), voqs)),
+            n * n,
         )
         self._orig = tuple(
             np.concatenate(pair)[order] for pair in zip(self._orig, orig)
@@ -184,7 +185,7 @@ class _LinkCoupler:
         rows = np.empty(len(order), dtype=np.int64)
         rows[order] = np.arange(len(order), dtype=np.int64)
         seqs = rows[held:] - (self._starts() - self._base)[voqs]
-        return ArrivalBatch(
+        return ArrivalBatch.of(
             n=n,
             num_slots=end_slot - start_slot,
             slots=dep.departure,
@@ -275,7 +276,7 @@ def _reordered(
         seq=dep.seq[order],
         arrival=dep.arrival[order],
         departure=dep.departure[order],
-        wire=np.arange(len(order), dtype=np.int64),
+        wire=np.arange(len(order), dtype=dep.departure.dtype),
         wire_is_rank=True,
     )
     if own:

@@ -57,8 +57,6 @@ __all__ = [
     "run_replications_fast",
 ]
 
-_INT64_MIN = int(np.iinfo(np.int64).min)
-
 # ---------------------------------------------------------------------------
 # Metrics assembly
 # ---------------------------------------------------------------------------
@@ -75,14 +73,14 @@ def _fold_reordering(
     ``prev_max`` carries each VOQ's running max across blocks (windows);
     it is seeded from and updated **in place**.  Returns ``(late_mask,
     prev)`` where ``prev`` is the per-packet predecessor max (for
-    displacement).
+    displacement), in ``seq``'s dtype.
     """
     if compiled.ACTIVE:
-        prev = np.empty(len(voq), dtype=np.int64)
+        prev = np.empty(len(voq), dtype=seq.dtype)
         fold_running_max(voq, seq, prev_max, prev)
         return prev > seq, prev
     run = segmented_running_max(seq, voq)
-    prev = np.empty(len(run), dtype=np.int64)
+    prev = np.empty(len(run), dtype=run.dtype)
     prev[0] = -1
     prev[1:] = run[:-1]
     first = np.r_[True, voq[1:] != voq[:-1]]
@@ -110,7 +108,9 @@ def _in_order(
     seq: scattering each key to ``voq_start + seq - prev_max - 1`` must
     fill the VOQ's run of the block with a strictly increasing run.  On
     success ``prev_max`` advances by the counts; on failure it is left
-    as it was.
+    as it was.  ``rel`` stays int64 (``prev_max`` is), which its
+    unsigned view needs; ``key`` (nonnegative) is scattered in its own
+    dtype, under that dtype's minimum as the hole marker.
     """
     counts = np.bincount(voq, minlength=len(prev_max))
     rel = seq - (prev_max + 1)[voq]
@@ -119,14 +119,15 @@ def _in_order(
         return False
     starts = np.cumsum(counts) - counts
     rel += starts[voq]
-    ranked = np.full(len(key), _INT64_MIN, dtype=np.int64)
+    hole = np.iinfo(key.dtype).min
+    ranked = np.full(len(key), hole, dtype=key.dtype)
     ranked[rel] = key
     rising = ranked[1:] > ranked[:-1]
     # A duplicated seq leaves a hole, which fails ``rising`` unless it
     # opens its VOQ's run.
     firsts = starts[counts > 0]
     rising[firsts[1:] - 1] = True
-    if not (rising.all() and np.all(ranked[firsts] != _INT64_MIN)):
+    if not (rising.all() and np.all(ranked[firsts] != hole)):
         return False
     prev_max += counts
     return True

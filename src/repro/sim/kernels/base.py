@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from ... import telemetry
-from ...traffic.batch import ArrivalBatch
+from ...traffic.batch import ArrivalBatch, column_types, stable_id_argsort
 from . import compiled
 from .compiled.polled_pass import serve_polled
 
@@ -57,8 +57,11 @@ __all__ = [
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated index ranges ``[starts[i], starts[i] + counts[i])``.
+def concat_ranges(
+    starts: np.ndarray, counts: np.ndarray, dtype: type = np.int64
+) -> np.ndarray:
+    """Concatenated index ranges ``[starts[i], starts[i] + counts[i])``,
+    as ``dtype``.
 
     The vectorized form of ``np.concatenate([np.arange(s, s + c) ...])``
     — one ``repeat`` plus one ``arange`` regardless of how many ranges
@@ -69,23 +72,11 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     ends = np.cumsum(counts)
-    out = np.repeat(starts - (ends - counts), counts)
-    out += np.arange(total, dtype=np.int64)
+    out = np.repeat((starts - (ends - counts)).astype(dtype), counts)
+    out += np.arange(total, dtype=dtype)
     return out
-
-
-def stable_id_argsort(ids: np.ndarray, id_space: int) -> np.ndarray:
-    """Stable argsort of small nonnegative ids (radix path when they fit).
-
-    The generalization of :func:`repro.traffic.batch.stable_voq_argsort`
-    to an arbitrary id space — ports, lanes and the polled-queue replay's
-    packed ``(queue, level)`` keys, which outgrow ``n^2``.
-    """
-    if id_space <= np.iinfo(np.uint16).max:
-        return np.argsort(ids.astype(np.uint16), kind="stable")
-    return np.argsort(ids, kind="stable")
 
 
 def composite_argsort(
@@ -129,7 +120,7 @@ def composite_argsort(
     if minor is None:
         return np.argsort(major, kind="stable")
     if hi < (_INT64_MAX // span) - 1:
-        return np.argsort(major * span + minor)
+        return np.argsort(major * np.int64(span) + minor)
     return np.lexsort((minor, major))
 
 
@@ -156,21 +147,31 @@ def segmented_running_max(
     nonnegative ids) changes.
 
     Per-segment offsets spaced wider than the value range make one global
-    ``np.maximum.accumulate`` segment-local; if they would overflow an
-    int64, a doubling scan (log2 of the length passes) takes over.
-    ``out`` (``values`` itself allowed) receives the result instead of a
-    new array.
+    ``np.maximum.accumulate`` segment-local.  The offset sum runs in the
+    result's own dtype while it fits there (an int32 column stays int32),
+    else in an int64 copy; if it would overflow even an int64, a doubling
+    scan (log2 of the length passes) takes over.  ``out`` (``values``
+    itself allowed) receives the result instead of a new array.
     """
     if len(values) == 0:
         return values if out is None else out
     lo, hi = int(values.min()), int(values.max())
     span = hi - lo + 1
-    if (int(segment[-1]) + 1) * span + max(hi, -lo) < np.iinfo(np.int64).max:
-        offset = segment * np.int64(span)
+    reach = (int(segment[-1]) + 1) * span + max(hi, -lo)
+    dtype = values.dtype if out is None else out.dtype
+    if reach < np.iinfo(dtype).max:
+        offset = segment.astype(dtype)
+        offset *= span
         run = np.add(values, offset, out=out)
         np.maximum.accumulate(run, out=run)
         run -= offset
         return run
+    if reach < _INT64_MAX:
+        wide = segmented_running_max(values.astype(np.int64), segment)
+        if out is None:
+            return wide
+        np.copyto(out, wide, casting="same_kind")
+        return out
     if out is None:
         run = values.copy()
     else:
@@ -191,13 +192,15 @@ def segmented_fifo_service(
     """Per-segment FIFO served once per slot, arrivals servable the slot
     they become ready (events pre-sorted within segment).
 
-    ``segment`` must be nondecreasing.  ``service_k = max(ready_k,
-    service_{k-1} + 1)`` is a running max of ``ready_k - k``.  ``out``
-    (``ready`` itself allowed) receives the result instead of a new array.
+    ``segment`` must be nondecreasing and ``ready`` signed.
+    ``service_k = max(ready_k, service_{k-1} + 1)`` is a running max of
+    ``ready_k - k``, computed in ``ready``'s dtype.  ``out`` (``ready``
+    itself allowed) receives the result instead of a new array.
     """
-    run = np.subtract(ready, np.arange(len(ready), dtype=np.int64), out=out)
+    k = np.arange(len(ready), dtype=ready.dtype)
+    run = np.subtract(ready, k, out=out)
     segmented_running_max(run, segment, out=run)
-    run += np.arange(len(ready), dtype=np.int64)
+    run += k
     return run
 
 
@@ -248,14 +251,15 @@ def replay_polled_queues(
 
     Parameters are parallel per-event arrays (queue id, size level in
     ``[0, 16)``, ready slot, FIFO tie-break) plus the per-queue poll
-    residue; returns the per-event service slot, aligned with the inputs.
-    The inputs are never written; a bank with one level may pass a
-    zero-stride ``np.broadcast_to(0, num_events)``, and arguments the
-    caller holds no other reference to are freed as soon as they are read.
+    residue; returns the per-event service slot in ``ready``'s dtype,
+    aligned with the inputs.  The inputs are never written; a bank with
+    one level may pass a zero-stride ``np.broadcast_to(0, num_events)``,
+    and arguments the caller holds no other reference to are freed as
+    soon as they are read.
     """
     num_events = len(queues)
     if num_events == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=ready.dtype)
     level_lo, level_hi = int(levels.min()), int(levels.max())
     if level_lo < 0 or level_hi > 15:
         raise ValueError("levels must lie in [0, 16): they pack into 4 bits")
@@ -263,15 +267,18 @@ def replay_polled_queues(
         [level_hi] if level_lo == level_hi
         else np.flatnonzero(np.bincount(levels))[::-1]
     )
-    # Each event's first usable poll; queue and level pack into one sort
-    # key (level needs 4 bits up to n = 2^15).
+    # Each event's first usable poll, in the ready slots' dtype; queue and
+    # level pack into one sort key (level needs 4 bits up to n = 2^15),
+    # 16 bits wide while the bank has at most 4096 queues.
+    residues = residues.astype(ready.dtype)
     polls = residues[queues]
     np.subtract(ready, polls, out=polls)
     polls += n - 1
     polls //= n
     np.maximum(polls, 0, out=polls)
-    packed = queues << 4
-    packed |= levels
+    packed = queues.astype(np.uint16 if len(residues) <= 4096 else np.int64)
+    packed <<= 4
+    np.bitwise_or(packed, levels, out=packed, casting="unsafe")
     del queues, levels, ready  # temporaries a caller passed free here
     # Group by queue, then level ascending, then FIFO order.
     if presorted:
@@ -290,15 +297,16 @@ def replay_polled_queues(
         # numba imports: the same grouping feeds the compiled scalar
         # mirror (queue by queue); bit-identical by the parity grid.
         serve_polled(packed, polls.copy(), polls)
+        packed >>= 4
     else:
         _peel_levels(packed, polls, present)
     polls *= n
-    packed >>= 4
     polls += residues[packed]
     del packed
-    service = np.empty(num_events, dtype=np.int64)
+    service = np.empty_like(polls)
     service[grouping] = polls
     return service
+
 
 
 def _peel_levels(packed: np.ndarray, polls: np.ndarray, present) -> None:
@@ -306,7 +314,7 @@ def _peel_levels(packed: np.ndarray, polls: np.ndarray, present) -> None:
 
     ``packed`` / ``polls`` are in grouped order; ``present`` lists the
     levels largest first.  On return ``polls`` holds each event's serving
-    poll.
+    poll and ``packed`` its queue id.
     """
     single = len(present) == 1
     # No event is served past the latest first poll plus one poll per
@@ -317,8 +325,10 @@ def _peel_levels(packed: np.ndarray, polls: np.ndarray, present) -> None:
     taken = gaps = None
     for level in present:
         if single:
-            # One level: the packed keys segment like the queue ids, and
-            # the level's FIFO is served in place.
+            # One level: the level's FIFO is served in place, segmented
+            # by queue id (small ids keep the running max's offset sum in
+            # the polls' own dtype).
+            packed >>= 4
             queue, rank = packed, polls
         else:
             at = np.flatnonzero((packed & 15) == level)
@@ -329,7 +339,7 @@ def _peel_levels(packed: np.ndarray, polls: np.ndarray, present) -> None:
         if not single:
             polls[at] = rank
         if level != present[-1]:
-            keys = queue * stride
+            keys = queue * np.int64(stride)
             keys += rank
             if taken is not None:
                 # Two sorted runs: the stable sort is one merge pass.
@@ -337,6 +347,8 @@ def _peel_levels(packed: np.ndarray, polls: np.ndarray, present) -> None:
                 keys.sort(kind="stable")
             taken = keys
             gaps = taken - np.arange(len(taken), dtype=np.int64)
+    if not single:
+        packed >>= 4
 
 
 def _serve_level(
@@ -352,7 +364,7 @@ def _serve_level(
     if taken is None:
         segmented_fifo_service(queue, rank, out=rank)
         return
-    base = queue * stride
+    base = queue * np.int64(stride)
     before = np.searchsorted(taken, base)  # of earlier queues
     rank -= np.searchsorted(taken, base + rank)
     rank += before
@@ -401,7 +413,7 @@ class Units(NamedTuple):
 
 
 def _cut_units(
-    voq: np.ndarray, unit_size: np.ndarray
+    voq: np.ndarray, unit_size: np.ndarray, row_type: type
 ) -> Tuple[np.ndarray, ...]:
     """Group rows by VOQ and cut each VOQ's run into units from its first
     row: the grouping :func:`unit_completion` and :class:`UnitAssembler`
@@ -410,21 +422,22 @@ def _cut_units(
     Returns ``(rows, voq, pos, last, rest)``: the rows of completed units
     (VOQ ascending, row order within), their VOQ, position within the
     unit and the row completing the unit, then the rows after each VOQ's
-    last completed unit, grouped the same way.
+    last completed unit, grouped the same way.  VOQ ids keep ``voq``'s
+    dtype; rows and positions are ``row_type``.
     """
     num = len(unit_size)
     counts = np.bincount(voq, minlength=num)
     full = counts - counts % unit_size
-    grouped = stable_id_argsort(voq, num)
+    grouped = stable_id_argsort(voq, num).astype(row_type)
     starts = np.cumsum(counts) - counts
-    rows = grouped[concat_ranges(starts, full)]
-    rest = grouped[concat_ranges(starts + full, counts - full)]
+    rows = grouped[concat_ranges(starts, full, row_type)]
+    rest = grouped[concat_ranges(starts + full, counts - full, row_type)]
     del grouped
-    voq = np.repeat(np.arange(num, dtype=np.int64), full)
-    at = np.arange(len(rows), dtype=np.int64)
-    pos = (np.cumsum(full) - full)[voq]
+    voq = np.repeat(np.arange(num, dtype=voq.dtype), full)
+    at = np.arange(len(rows), dtype=row_type)
+    pos = (np.cumsum(full) - full).astype(row_type)[voq]
     np.subtract(at, pos, out=pos)
-    size = unit_size[voq]
+    size = unit_size.astype(row_type)[voq]
     pos %= size
     # A unit's completing packet is its last row.
     at -= pos
@@ -441,7 +454,9 @@ def unit_completion(batch: ArrivalBatch, unit_size: np.ndarray) -> Units:
     completed units are its first ``count - count % unit_size`` packets
     and the packets after them never leave their VOQ inside the batch.
     """
-    packet, voq, pos, c_order, _ = _cut_units(batch.voqs, unit_size)
+    packet, voq, pos, c_order, _ = _cut_units(
+        batch.voqs, unit_size, batch.slots.dtype
+    )
     return Units(packet, voq, pos, batch.slots[c_order], c_order)
 
 
@@ -576,7 +591,7 @@ class PolledQueueBank:
         if len(queues) == 0:
             self._pending = None
             self._payload = ()
-            return np.empty(0, dtype=np.int64), order, payload
+            return np.empty(0, dtype=ready.dtype), order, payload
         service = replay_polled_queues(
             queues, levels, ready, order, self._residues, self._n,
             presorted=self._presorted,
@@ -618,7 +633,8 @@ class UnitAssembler:
         self._size = np.asarray(unit_size, dtype=np.int64)
         #: Each VOQ's trailing partial unit, VOQ-grouped, as ``(voq,
         #: slot, seq, gidx)``; a VOQ's carry starts on a unit boundary.
-        self._carry = (np.empty(0, dtype=np.int64),) * 4
+        #: (None until the first feed sets the columns' dtypes.)
+        self._carry: Optional[Tuple[np.ndarray, ...]] = None
 
     def feed(
         self,
@@ -636,11 +652,14 @@ class UnitAssembler:
         # Carried packets precede the window's inside every VOQ and start
         # on a unit boundary, so cutting carry ++ window from each VOQ's
         # first row is the whole-stream cut.
-        cols = tuple(
-            np.concatenate(pair)
-            for pair in zip(self._carry, (voqs, slots, seqs, gidx))
+        cols = (voqs, slots, seqs, gidx)
+        if self._carry is not None:
+            cols = tuple(
+                np.concatenate(pair) for pair in zip(self._carry, cols)
+            )
+        rows, voq, pos, last, rest = _cut_units(
+            cols[0], self._size, cols[1].dtype
         )
-        rows, voq, pos, last, rest = _cut_units(cols[0], self._size)
         self._carry = tuple(col[rest] for col in cols)
         _, slot, seq, g = cols
         return (
@@ -667,12 +686,13 @@ class StreamKernel:
         #: Run-global generation index of the next packet: the FIFO
         #: tie-break of the monolithic kernels, continued across windows.
         self._generated = 0
+        self._types = column_types(self.n, total_slots)
 
     def _replay(
         self, events: Tuple[np.ndarray, ...], boundary: Optional[int]
     ) -> Departures:
         """Advance the data path over ``events`` — ``(slots, inputs,
-        outputs, seqs, gidx)`` in generation order — finalizing
+        outputs, voqs, seqs, gidx)`` in generation order — finalizing
         everything below ``boundary`` (``None``: flush)."""
         raise NotImplementedError
 
@@ -683,10 +703,15 @@ class StreamKernel:
     def _events(self, window: ArrivalBatch) -> Tuple[np.ndarray, ...]:
         """A window's columns plus their generation indices."""
         gidx = np.arange(
-            self._generated, self._generated + len(window), dtype=np.int64
+            self._generated,
+            self._generated + len(window),
+            dtype=window.slots.dtype,
         )
         self._generated += len(window)
-        return window.slots, window.inputs, window.outputs, window.seqs, gidx
+        return (
+            window.slots, window.inputs, window.outputs, window.voqs,
+            window.seqs, gidx,
+        )
 
     def feed(self, window: ArrivalBatch) -> Departures:
         return self._replay(self._events(window), window.end_slot)
@@ -695,7 +720,11 @@ class StreamKernel:
         self, window: Optional[ArrivalBatch] = None
     ) -> Tuple[Departures, Optional[dict]]:
         if window is None:
-            events = (np.empty(0, dtype=np.int64),) * 5
+            slot, port, voq = self._types
+            events = tuple(
+                np.empty(0, dtype)
+                for dtype in (slot, port, port, voq, slot, slot)
+            )
         else:
             events = self._events(window)
         return self._replay(events, None), self._extras()

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...traffic.batch import ArrivalBatch, stable_voq_argsort
+from ...traffic.batch import ArrivalBatch, stable_id_argsort
 from .base import (
     Departures,
     PolledQueueBank,
@@ -136,18 +136,18 @@ def _trigger_mids(
     the running argmax of the wire arrivals along the VOQ-grouped rows;
     its intermediate port is the oracle's within-slot observation key.
     """
-    trigger = np.arange(len(departure), dtype=np.int64)
+    trigger = np.arange(len(departure), dtype=departure.dtype)
     trigger[wire_slot != departure] = -1
     np.maximum.accumulate(trigger, out=trigger)
     mid = tx - assembled
     return mid[trigger]
 
 
-def _ranks(key: np.ndarray) -> np.ndarray:
-    """Each row's rank in the stable order of ``key``."""
+def _ranks(key: np.ndarray, dtype: type) -> np.ndarray:
+    """Each row's rank in the stable order of ``key``, as ``dtype``."""
     order = composite_argsort(key)
-    ranks = np.empty(len(order), dtype=np.int64)
-    ranks[order] = np.arange(len(order), dtype=np.int64)
+    ranks = np.empty(len(order), dtype=dtype)
+    ranks[order] = np.arange(len(order), dtype=dtype)
     return ranks
 
 
@@ -160,8 +160,9 @@ def departures(
     VOQ's sequence order — the resequencer's — is the row order.
     """
     n = batch.n
+    slot = batch.slots.dtype
     if len(batch) == 0:
-        empty = np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=slot)
         dep = Departures(
             voq=empty, seq=empty, arrival=empty, departure=empty,
             wire=empty, assembled=empty, tx=empty,
@@ -170,7 +171,7 @@ def departures(
 
     schedule = build_frame_schedule(batch, foff_rule())
     grouping = voq_grouping(batch)
-    rows, assembled, tx = frame_membership(grouping, schedule)
+    rows, assembled, tx = frame_membership(grouping, schedule, slot)
     # FOFF never leaves a packet behind: partial frames sweep every
     # nonempty VOQ, so the whole batch is framed.
     assert len(rows) == len(batch), "FOFF frame formation left packets unframed"
@@ -197,20 +198,21 @@ def departures(
     # so one VOQ, whose sequence order is the row order: the key sorts
     # stably.  Stored as a global rank so (departure, wire) is a unique
     # sort key downstream.
-    key = _trigger_mids(wire_slot, departure, tx, assembled)
+    key = departure * np.int64(n)
+    key += _trigger_mids(wire_slot, departure, tx, assembled)
     del wire_slot
-    key += departure * n
 
     # The object engine's drain phase is finite: packets released after
     # its horizon stay in the resequencers there, unobserved.
     released = departure <= cut
-    packet = stable_voq_argsort(batch.voqs, n)  # grouped rows -> batch rows
+    # Grouped rows -> batch rows.
+    packet = stable_id_argsort(batch.voqs, n * n).astype(slot)
     if not released.all():
         voq, departure, assembled, tx, packet, key = (
             voq[released], departure[released], assembled[released],
             tx[released], packet[released], key[released],
         )
-    wire = _ranks(key)
+    wire = _ranks(key, slot)
     del key
     dep = Departures(
         voq=voq,
@@ -410,10 +412,13 @@ class Stream(StreamKernel):
                 voq_p[ok], rank_p[ok], seq_p[ok], slot_p[ok], asm_p[ok],
                 tx_p[ok], departure[ok], t_mid[ok],
             )
-        observation = composite_argsort(departure * n + t_mid, rank_p)
-        wire = np.empty(len(observation), dtype=np.int64)
+        observation = composite_argsort(
+            departure * np.int64(n) + t_mid, rank_p
+        )
+        wire = np.empty(len(observation), dtype=departure.dtype)
         wire[observation] = np.arange(
-            self._obs_next, self._obs_next + len(observation), dtype=np.int64
+            self._obs_next, self._obs_next + len(observation),
+            dtype=departure.dtype,
         )
         self._obs_next += len(observation)
         return Departures(
@@ -429,17 +434,15 @@ class Stream(StreamKernel):
 
     def _replay(self, events, boundary):
         n = self.n
-        slots, inputs, outputs, seqs, gidx = events
+        slots, inputs, outputs, voqs, seqs, gidx = events
         schedule = self._formation.feed(slots, inputs, outputs, boundary)
         voq, slot, seq, gidx, rank, assembled, position = (
-            self._packets.feed(
-                inputs * n + outputs, slots, seqs, gidx, schedule
-            )
+            self._packets.feed(voqs, slots, seqs, gidx, schedule)
         )
         tx = assembled + position
         wire, tx, payload = self._stage2.feed(
             position * n + voq % n,
-            np.zeros(len(tx), dtype=np.int64),
+            np.zeros(len(tx), dtype=np.uint8),
             tx + 1,
             tx,
             (voq, rank, position, seq, slot, assembled),

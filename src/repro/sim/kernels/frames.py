@@ -41,12 +41,13 @@ quiescence the drain detects.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ... import telemetry
-from ...traffic.batch import ArrivalBatch
+from ...traffic.batch import ArrivalBatch, column_types
 from . import compiled
 from .base import concat_ranges, stable_id_argsort
 from .compiled.frames_pass import form_lanes
@@ -535,20 +536,21 @@ class VoqGrouping(NamedTuple):
     """A batch's stable grouping by VOQ, as per-VOQ runs.
 
     Grouped row ``starts[v] + r`` holds rank ``r`` (arrival order) of VOQ
-    ``v``, which runs ``counts[v]`` rows — the order of
-    :func:`~repro.traffic.batch.stable_voq_argsort`, which maps grouped
-    rows back to batch rows.  The monolithic framed kernels replay in this
-    order: a VOQ's frames tile its run and its resequencing order is the
-    row order.
+    ``v``, which runs ``counts[v]`` rows — the order of a stable argsort
+    of the batch's VOQ ids (:func:`~repro.traffic.batch.stable_id_argsort`),
+    which maps grouped rows back to batch rows.  The monolithic framed
+    kernels replay in this order: a VOQ's frames tile its run and its
+    resequencing order is the row order.
     """
 
     counts: np.ndarray
     starts: np.ndarray
 
     def voqs(self) -> np.ndarray:
-        """The VOQ id of every grouped row."""
+        """The VOQ id of every grouped row, in the batch's VOQ dtype."""
+        num = len(self.counts)
         return np.repeat(
-            np.arange(len(self.counts), dtype=np.int64), self.counts
+            np.arange(num, dtype=column_types(isqrt(num), 0).voq), self.counts
         )
 
 
@@ -574,9 +576,13 @@ def voq_grouping(batch: ArrivalBatch) -> VoqGrouping:
 
 
 def frame_ids(
-    rank0: np.ndarray, schedule: FrameSchedule, size: int
+    rank0: np.ndarray,
+    schedule: FrameSchedule,
+    size: int,
+    dtype: type = np.int64,
 ) -> np.ndarray:
-    """The frame covering each index of a VOQ-grouped packet array (-1: none).
+    """The frame covering each index of a VOQ-grouped packet array (-1: none),
+    as a ``dtype`` array.
 
     ``rank0[v]`` is where rank 0 of VOQ ``v`` would sit in the grouped
     array (its run start minus the first rank the run holds).  A VOQ's
@@ -584,35 +590,37 @@ def frame_ids(
     count taken before it — so frame ``f`` covers grouped indices
     ``rank0[f.voq] + f.start + [0, f.size)``: one scatter, no search.
     """
-    fid = np.full(size, -1, dtype=np.int64)
+    fid = np.full(size, -1, dtype=dtype)
     if len(schedule):
         covered = concat_ranges(
-            rank0[schedule.voq] + schedule.start, schedule.size
+            rank0[schedule.voq] + schedule.start, schedule.size, dtype
         )
         fid[covered] = np.repeat(
-            np.arange(len(schedule), dtype=np.int64), schedule.size
+            np.arange(len(schedule), dtype=dtype), schedule.size
         )
     return fid
 
 
 def frame_membership(
-    grouping: VoqGrouping, schedule: FrameSchedule
+    grouping: VoqGrouping, schedule: FrameSchedule, dtype: type = np.int64
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map the grouped packets to their frames: ``(rows, assembled_slot,
-    position)``.
+    position)``, each a ``dtype`` array (the batch's slot dtype).
 
     ``rows`` are the grouped rows of the framed packets, ascending (PF
     leaves sub-threshold VOQ tails unframed); ``assembled_slot`` and
     ``position`` are per framed packet.
     """
-    fid = frame_ids(grouping.starts, schedule, int(grouping.counts.sum()))
-    rows = np.flatnonzero(fid >= 0)
+    size = int(grouping.counts.sum())
+    fid = frame_ids(grouping.starts, schedule, size, dtype)
+    rows = np.flatnonzero(fid >= 0).astype(dtype)
     if len(rows) < len(fid):
         fid = fid[rows]
     # Frame f covers grouped rows starts[f.voq] + f.start + [0, f.size).
-    position = (grouping.starts[schedule.voq] + schedule.start)[fid]
+    position = (grouping.starts[schedule.voq] + schedule.start).astype(dtype)
+    position = position[fid]
     np.subtract(rows, position, out=position)
-    return rows, schedule.slot[fid], position
+    return rows, schedule.slot.astype(dtype)[fid], position
 
 
 # ---------------------------------------------------------------------------

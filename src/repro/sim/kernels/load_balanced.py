@@ -68,20 +68,20 @@ class Stream(StreamKernel):
 
     def _replay(self, events, boundary):
         n = self.n
-        slots, inputs, outputs, seqs, gidx = events
+        slots, inputs, _, voqs, seqs, gidx = events
         tx, _, payload = self._stage1.feed(
             inputs,
-            np.zeros(len(slots), dtype=np.int64),
+            np.zeros(len(slots), dtype=np.uint8),
             slots,
             gidx,
-            (inputs * n + outputs, seqs, slots, inputs),
+            (voqs, seqs, slots, inputs),
             boundary,
         )
         voq, seqs, slots, inputs = payload
         mid = (inputs + tx) % n
         departure, tx, payload = self._stage2.feed(
             mid * n + voq % n,
-            np.zeros(len(tx), dtype=np.int64),
+            np.zeros(len(tx), dtype=np.uint8),
             tx + 1,
             tx,
             (voq, seqs, slots, mid),

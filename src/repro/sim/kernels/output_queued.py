@@ -46,16 +46,15 @@ class Stream(StreamKernel):
         )
 
     def _replay(self, events, boundary):
-        n = self.n
-        slots, inputs, outputs, seqs, gidx = events
+        slots, _, outputs, voqs, seqs, gidx = events
         # Departure is service + 1, so finalize services below
         # boundary - 1 to keep finalized departures strictly windowed.
         service, _, payload = self._bank.feed(
             outputs,
-            np.zeros(len(slots), dtype=np.int64),
+            np.zeros(len(slots), dtype=np.uint8),
             slots,
             gidx,
-            (inputs * n + outputs, seqs, slots, outputs),
+            (voqs, seqs, slots, outputs),
             None if boundary is None else boundary - 1,
         )
         voq, seqs, slots, outputs = payload

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...traffic.batch import ArrivalBatch, stable_voq_argsort
+from ...traffic.batch import ArrivalBatch, stable_id_argsort
 from .base import (
     Departures,
     PolledQueueBank,
@@ -64,13 +64,14 @@ def departures(
     """Replay the Padded Frames switch (in VOQ-grouped rows, like FOFF)."""
     n = batch.n
     threshold = _check_threshold(n, threshold)
+    slot = batch.slots.dtype
     schedule = build_frame_schedule(batch, pf_rule(threshold))
     grouping = voq_grouping(batch)
-    rows, assembled, tx = frame_membership(grouping, schedule)
+    rows, assembled, tx = frame_membership(grouping, schedule, slot)
     # Real cell k of a frame crosses to intermediate k at assembled + k.
     tx += assembled
     voq = grouping.voqs()[rows]
-    fake_queue, fake_tx = _fake_cells(schedule, n)
+    fake_queue, fake_tx = _fake_cells(schedule, n, slot)
     service = replay_polled_queues(
         np.concatenate([(tx - assembled) * n + voq % n, fake_queue]),
         np.broadcast_to(0, len(tx) + len(fake_tx)),
@@ -85,7 +86,8 @@ def departures(
     departure = service[: len(tx)]
     departed = departure <= cut
     fakes_departed = int(np.count_nonzero(service[len(tx) :] <= cut))
-    packet = stable_voq_argsort(batch.voqs, n)[rows]  # framed rows -> batch rows
+    # Framed rows -> batch rows.
+    packet = stable_id_argsort(batch.voqs, n * n).astype(slot)[rows]
     if not departed.all():
         voq, departure, assembled, tx, packet = (
             voq[departed], departure[departed], assembled[departed],
@@ -105,23 +107,26 @@ def departures(
     return dep, extras
 
 
-def _fake_cells(schedule, n: int):
+def _fake_cells(schedule, n: int, dtype: type):
     """Stage-2 events of a frame schedule's fake cells.
 
     Fake cells fill positions size .. n-1 of their frame, heading to the
     padded VOQ's output.  Returns ``(queue, tx)`` — the (mid, output)
-    queue id and the crossing slot.
+    queue id and the crossing slot — as ``dtype`` arrays.
     """
     padded = schedule.fakes > 0
     reps = schedule.fakes[padded]
     num_fakes = int(reps.sum())
     if num_fakes == 0:
-        empty = np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=dtype)
         return empty, empty
-    fake_pos = concat_ranges(schedule.size[padded], reps)
-    fake_tx = np.repeat(schedule.slot[padded], reps) + fake_pos
-    fake_out = np.repeat(schedule.voq[padded] % n, reps)
-    return fake_pos * n + fake_out, fake_tx
+    fake_pos = concat_ranges(schedule.size[padded], reps, dtype)
+    fake_tx = np.repeat(schedule.slot[padded].astype(dtype), reps)
+    fake_tx += fake_pos
+    fake_out = np.repeat((schedule.voq[padded] % n).astype(dtype), reps)
+    fake_pos *= n
+    fake_pos += fake_out
+    return fake_pos, fake_tx
 
 
 class Stream(StreamKernel):
@@ -155,20 +160,18 @@ class Stream(StreamKernel):
 
     def _replay(self, events, boundary):
         n = self.n
-        slots, inputs, outputs, seqs, gidx = events
+        slots, inputs, outputs, voqs, seqs, gidx = events
         schedule = self._formation.feed(slots, inputs, outputs, boundary)
         voq, slot, seq, gidx, rank, assembled, position = (
-            self._packets.feed(
-                inputs * n + outputs, slots, seqs, gidx, schedule
-            )
+            self._packets.feed(voqs, slots, seqs, gidx, schedule)
         )
         tx = assembled + position
-        fake_queue, fake_tx = _fake_cells(schedule, n)
+        fake_queue, fake_tx = _fake_cells(schedule, n, tx.dtype)
         is_fake = np.concatenate([
-            np.zeros(len(tx), dtype=np.int64),
-            np.ones(len(fake_tx), dtype=np.int64),
+            np.zeros(len(tx), dtype=np.uint8),
+            np.ones(len(fake_tx), dtype=np.uint8),
         ])
-        zero = np.zeros(len(fake_tx), dtype=np.int64)
+        zero = np.zeros(len(fake_tx), dtype=np.uint8)
         queues = np.concatenate([position * n + voq % n, fake_queue])
         ready = np.concatenate([tx, fake_tx]) + 1
         fifo_order = np.concatenate([tx, fake_tx])
@@ -182,7 +185,7 @@ class Stream(StreamKernel):
         )
         service, tx, payload = self._stage2.feed(
             queues,
-            np.zeros(len(queues), dtype=np.int64),
+            np.zeros(len(queues), dtype=np.uint8),
             ready,
             fifo_order,
             payload,

@@ -28,8 +28,10 @@ def _placement_tables(matrix: np.ndarray, seed: int):
 
     Drawn from the same derived seed as the object-engine builder
     (``derive_seed(seed, "sprinklers-placement")``), so the placement —
-    and therefore every departure slot — is identical.  Levels are below
-    16 (the polled-queue replay packs them into 4 bits): one byte each.
+    and therefore every departure slot — is identical.  Sizes and starts
+    are at most ``n``: int32, no wider than any per-packet slot column
+    they are added to.  Levels are below 16 (the polled-queue replay
+    packs them into 4 bits): one byte each.
     """
     n = matrix.shape[0]
     placement_rng = np.random.default_rng(
@@ -38,8 +40,8 @@ def _placement_tables(matrix: np.ndarray, seed: int):
     assignment = StripeIntervalAssignment(
         matrix, rng=placement_rng, mode=PlacementMode.OLS
     )
-    sizes = np.empty(n * n, dtype=np.int64)
-    starts = np.empty(n * n, dtype=np.int64)
+    sizes = np.empty(n * n, dtype=np.int32)
+    starts = np.empty(n * n, dtype=np.int32)
     for i in range(n):
         for j in range(n):
             interval = assignment.interval(i, j)
@@ -113,13 +115,12 @@ def _insertion_slots(
     the stripe waits until the pointer reaches the interval's end.
     """
     # The fabric-1 pointer (input + slot, mod n) less the interval start.
-    offset = voq // n
-    offset += c
+    offset = c + voq // n
     offset %= n
     offset -= starts[voq]
-    wait = sizes[voq]
-    inside = (offset > 0) & (offset < wait)
-    wait -= offset
+    size = sizes[voq]
+    inside = (offset > 0) & (offset < size)
+    wait = np.subtract(size, offset, out=offset)
     wait *= inside
     wait += c
     return wait
@@ -144,9 +145,9 @@ class Stream(StreamKernel):
         """Assemble stripes, then push the completed ones through both
         stages up to ``boundary``."""
         n = self.n
-        slots, inputs, outputs, seqs, gidx = events
+        slots, _, _, voqs, seqs, gidx = events
         voq, slot, seq, gidx, pos, c_slot, c_order = self._assembler.feed(
-            inputs * n + outputs, slots, seqs, gidx
+            voqs, slots, seqs, gidx
         )
         row = self._starts[voq] + pos
         tx, _, payload = self._stage1.feed(

@@ -70,7 +70,7 @@ def _frame_starts(
     f_inp = voq[last] // n
     f_c = c[last]
     f_sort = np.lexsort((packet[last], f_inp))
-    start = np.empty(len(f_inp), dtype=np.int64)
+    start = np.empty(len(f_inp), dtype=c.dtype)
     # No completed frame at all (short run / tiny load): nothing departs.
     bounds = np.flatnonzero(
         np.r_[True, f_inp[f_sort][1:] != f_inp[f_sort][:-1], True]
@@ -107,16 +107,18 @@ class Stream(StreamKernel):
         # Packets of completed frames awaiting their frame's start slot,
         # sorted by (frame key, position).  The frame key is the
         # completing packet's generation index.
-        empty = np.empty(0, dtype=np.int64)
-        self._parked = (empty,) * 6  # fkey, voq, seq, slot, pos, c_slot
+        slot, _, voq = self._types
+        self._parked = tuple(  # fkey, voq, seq, slot, pos, c_slot
+            np.empty(0, dtype) for dtype in (slot, voq, slot, slot, slot, slot)
+        )
 
     def _replay(self, events, boundary):
         """Assemble frames, then run the frame-start FIFO and stage 2 up
         to ``boundary``."""
         n = self.n
-        slots, inputs, outputs, seqs, gidx = events
+        slots, _, _, voqs, seqs, gidx = events
         voq_c, slot_c, seq_c, _, pos_c, c_slot, fkey = self._assembler.feed(
-            inputs * n + outputs, slots, seqs, gidx
+            voqs, slots, seqs, gidx
         )
         last = pos_c == n - 1
         # Frame events: queue = input, ready = completion slot, FIFO
@@ -124,7 +126,7 @@ class Stream(StreamKernel):
         # monolithic kernel).
         f_queue = voq_c[last] // n
         start, _, payload = self._frame_bank.feed(
-            f_queue, np.zeros(len(f_queue), dtype=np.int64),
+            f_queue, np.zeros(len(f_queue), dtype=np.uint8),
             c_slot[last], fkey[last], (fkey[last],), boundary,
         )
         (done_key,) = payload
@@ -156,7 +158,7 @@ class Stream(StreamKernel):
             fkey[keep], voq[keep], seq[keep], slot[keep],
             pos[keep], c_slot[keep],
         )
-        frame_start = np.zeros(int(member.sum()), dtype=np.int64)
+        frame_start = np.zeros(int(member.sum()), dtype=start.dtype)
         if len(done_sorted):
             frame_start = start_sorted[at[member]]
         voq, seq, slot, pos, c_slot = (
@@ -166,7 +168,7 @@ class Stream(StreamKernel):
         tx = frame_start + pos
         departure, tx, payload = self._stage2.feed(
             pos * n + voq % n,
-            np.zeros(len(tx), dtype=np.int64),
+            np.zeros(len(tx), dtype=np.uint8),
             tx + 1,
             tx,
             (voq, seq, slot, pos, c_slot),

@@ -14,12 +14,21 @@ block for the whole chunk by the shared destination sampler) — but
 returns an :class:`ArrivalBatch` of arrays instead of objects.  That
 equivalence is what makes seeded object-vs-vectorized engine parity
 *exact*, and it is pinned by tests.  Per-VOQ sequence numbers are
-assigned chunk by chunk in arrival order (:func:`assign_voq_seqs`).
+assigned chunk by chunk in arrival order (:func:`assign_voq_seqs`), and
+each chunk's flat VOQ ids are stored beside them.
+
+The columns are as narrow as the run allows (:func:`column_types`, a
+function of the port count and the slot horizon alone): slots and seqs
+int32, ports uint8 and VOQ ids uint16 at every paper size — 12 bytes a
+packet instead of 32.  The kernels keep their per-packet columns just as
+narrow.  NumPy 2 keeps a narrow array's dtype in arithmetic with a Python
+int (``inputs * n`` stays uint8 and wraps), so code that computes on a
+column widens it first or reads the stored ``voqs``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,28 +42,63 @@ from .generator import (
 __all__ = [
     "ArrivalBatch",
     "BatchTrafficGenerator",
+    "ColumnTypes",
     "assign_voq_seqs",
     "bernoulli_batch",
-    "stable_voq_argsort",
+    "column_types",
+    "stable_id_argsort",
 ]
 
+_RADIX_IDS = 1 << 16
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
-def stable_voq_argsort(voqs: np.ndarray, n: int) -> np.ndarray:
-    """Stable argsort of flat VOQ ids, radix-accelerated when they fit.
+
+class ColumnTypes(NamedTuple):
+    """The dtypes of one run's per-packet columns (:func:`column_types`)."""
+
+    #: Arrival slots and seqs, packet rows, and every slot a replay
+    #: derives from them (service, departure, completion).
+    slot: type
+    #: Input and output ports.
+    port: type
+    #: Flat VOQ ids ``input * n + output``.
+    voq: type
+
+
+def column_types(n: int, num_slots: int) -> ColumnTypes:
+    """The narrowest dtypes that hold an ``n``-port run of ``num_slots``
+    slots.
+
+    ``num_slots`` bounds every arrival slot and sequence number of the
+    run.  A run holds at most ``n * num_slots`` packets, and a polled
+    queue serves one of them per ``n``-slot poll, so no slot a replay
+    derives — two polled stages, frame starts, the drain — reaches
+    ``4 n^2 (num_slots + n)``: int32 holds them all while that bound
+    does.  Ports are uint8 up to 256 of them and VOQ ids uint16 up to
+    ``n^2 = 65536``.  Past each bound its columns are int64.
+    """
+    slot = np.int32 if 4 * n * n * (num_slots + n) <= _INT32_MAX else np.int64
+    port = np.uint8 if n <= 256 else np.int64
+    voq = np.uint16 if n * n <= _RADIX_IDS else np.int64
+    return ColumnTypes(slot, port, voq)
+
+
+def stable_id_argsort(ids: np.ndarray, id_space: int) -> np.ndarray:
+    """Stable argsort of nonnegative ids below ``id_space``.
 
     NumPy's stable sort is an O(P) radix sort for 16-bit integers but an
-    O(P log P) mergesort for wider ones; VOQ ids are below ``n^2``, so for
-    every realistic switch size the cheap path applies.  Grouping packets
-    by VOQ is the backbone of both sequence numbering and the fast
-    engine's stripe/frame assembly, so this is worth the cast.
+    O(P log P) mergesort for wider ones; VOQ ids, ports, lanes and the
+    polled-queue replay's packed ``(queue, level)`` keys fit 16 bits at
+    every realistic switch size, so the cheap path applies (a uint16
+    column sorts as it is, anything else through one cast).
     """
-    if n * n <= np.iinfo(np.uint16).max:
-        return np.argsort(voqs.astype(np.uint16), kind="stable")
-    return np.argsort(voqs, kind="stable")
+    if id_space <= _RADIX_IDS:
+        return np.argsort(ids.astype(np.uint16, copy=False), kind="stable")
+    return np.argsort(ids, kind="stable")
 
 
 def assign_voq_seqs(
-    voqs: np.ndarray, seq_next: np.ndarray, n: int
+    voqs: np.ndarray, seq_next: np.ndarray, n: int, dtype: type = np.int64
 ) -> np.ndarray:
     """Per-VOQ consecutive sequence numbers of ``voqs``, in their order.
 
@@ -62,24 +106,24 @@ def assign_voq_seqs(
     place, so successive calls continue each VOQ's count.  A packet's
     number is its place in the VOQ-grouped order minus where its group
     starts there, plus the group's ``seq_next``: computed in grouped
-    order and scattered back once.
+    order and scattered back once, as ``dtype``.
     """
     counts = np.bincount(voqs, minlength=n * n)
     offsets = np.cumsum(counts)
     offsets -= counts
     offsets -= seq_next
-    seqs = np.empty(len(voqs), dtype=np.int64)
-    seqs[stable_voq_argsort(voqs, n)] = np.arange(len(voqs)) - np.repeat(
+    seqs = np.empty(len(voqs), dtype=dtype)
+    seqs[stable_id_argsort(voqs, n * n)] = np.arange(len(voqs)) - np.repeat(
         offsets, counts
     )
     seq_next += counts
     return seqs
 
 
-def _joined(parts: List[np.ndarray]) -> np.ndarray:
-    """Concatenate ``parts`` and empty the list, so the chunks free as
-    soon as the whole column exists."""
-    whole = np.concatenate(parts) if parts else np.empty(0, np.int64)
+def _joined(parts: List[np.ndarray], dtype: type) -> np.ndarray:
+    """Concatenate ``parts`` (a ``dtype`` column) and empty the list, so
+    the chunks free as soon as the whole column exists."""
+    whole = np.concatenate(parts) if parts else np.empty(0, dtype)
     parts.clear()
     return whole
 
@@ -91,6 +135,10 @@ class ArrivalBatch(NamedTuple):
     ``(slot, input)`` — the exact order in which ``TrafficGenerator``
     hands packets to a switch (its per-slot lists are sorted by input
     port).
+
+    Columns have the dtypes :func:`column_types` picks for the run
+    (:meth:`of` narrows given columns); ``voqs`` is stored, not derived,
+    so no reader recomputes it from the narrow ports.
 
     A batch covers the slot range ``[start_slot, start_slot +
     num_slots)``.  :meth:`BatchTrafficGenerator.draw` always emits a
@@ -112,6 +160,8 @@ class ArrivalBatch(NamedTuple):
     outputs: np.ndarray
     #: Per-VOQ sequence number of each packet (assigned at arrival).
     seqs: np.ndarray
+    #: Flat VOQ id ``input * n + output`` of each packet.
+    voqs: np.ndarray
     #: First slot the batch covers (0 for a monolithic draw).
     start_slot: int = 0
 
@@ -123,10 +173,63 @@ class ArrivalBatch(NamedTuple):
         """One past the last slot the batch covers."""
         return self.start_slot + self.num_slots
 
-    @property
-    def voqs(self) -> np.ndarray:
-        """Flat VOQ id ``input * n + output`` of each packet."""
-        return self.inputs * self.n + self.outputs
+    @classmethod
+    def of(
+        cls,
+        n: int,
+        num_slots: int,
+        slots: np.ndarray,
+        inputs: np.ndarray,
+        outputs: np.ndarray,
+        seqs: np.ndarray,
+        start_slot: int = 0,
+        horizon: Optional[int] = None,
+    ) -> "ArrivalBatch":
+        """A batch of the given columns, narrowed to their
+        :func:`column_types` and with its VOQ ids computed.
+
+        ``horizon`` bounds every slot and seq value (default: the
+        batch's end slot).
+        """
+        if horizon is None:
+            horizon = start_slot + num_slots
+        types = column_types(n, horizon)
+        inputs = np.asarray(inputs)
+        voqs = inputs.astype(types.voq) * types.voq(n)
+        voqs += np.asarray(outputs, dtype=types.voq)
+        return cls(
+            n=n,
+            num_slots=num_slots,
+            slots=np.asarray(slots, dtype=types.slot),
+            inputs=inputs.astype(types.port, copy=False),
+            outputs=np.asarray(outputs, dtype=types.port),
+            seqs=np.asarray(seqs, dtype=types.slot),
+            voqs=voqs,
+            start_slot=start_slot,
+        )
+
+
+def _make(cls, iterable) -> ArrivalBatch:
+    """``NamedTuple._make`` without its length check, which would read
+    the packet count :meth:`ArrivalBatch.__len__` reports (and so broke
+    ``_replace``) instead of the field count."""
+    result = tuple.__new__(cls, iterable)
+    if tuple.__len__(result) != len(cls._fields):
+        raise TypeError(
+            f"Expected {len(cls._fields)} arguments, got "
+            f"{tuple.__len__(result)}"
+        )
+    return result
+
+
+# NamedTuple forbids defining ``_make`` in the class body.
+ArrivalBatch._make = classmethod(_make)  # type: ignore[assignment]
+
+
+def _chunk_dtypes(types: ColumnTypes) -> Tuple[type, ...]:
+    """The dtypes of an event chunk's ``(slots, inputs, outputs, seqs,
+    voqs)``."""
+    return types.slot, types.port, types.port, types.slot, types.voq
 
 
 class BatchTrafficGenerator:
@@ -161,9 +264,18 @@ class BatchTrafficGenerator:
         self.arrivals = arrivals
         self._seq_next = np.zeros(self.n * self.n, dtype=np.int64)
         self.generated = 0
+        #: Slots drawn so far, this run's included: the bound on every
+        #: slot and seq (seqs continue across draws) the columns hold.
+        self._horizon = 0
 
-    def _event_chunks(self, num_slots: int):
-        """Iterate ``(slots, inputs, outputs, seqs)`` chunks of one run.
+    def _types(self, num_slots: int) -> ColumnTypes:
+        """The column types of the next ``num_slots``-slot run."""
+        self._horizon += num_slots
+        return column_types(self.n, self._horizon)
+
+    def _event_chunks(self, num_slots: int, types: ColumnTypes):
+        """Iterate ``(slots, inputs, outputs, seqs, voqs)`` chunks of one
+        run, as ``types`` columns.
 
         This is *the* RNG-consumption unit shared by :meth:`draw` and
         :meth:`draw_chunks`: the arrival process is stepped in chunks of
@@ -174,23 +286,35 @@ class BatchTrafficGenerator:
         destinations come from the same shared sampler — hence the same
         RNG consumption — as ``TrafficGenerator.slots()``.)  Sequence
         numbers continue from chunk to chunk, so they are numbered here,
-        where a chunk's columns are still small enough to sort in cache.
+        where a chunk's columns are still small enough to sort in cache,
+        and so are the VOQ ids they are numbered by.
         """
         n = self.n
         for slots, inputs in self.arrivals.events(num_slots):
             outputs = self._destinations.draw(self._rng, slots, inputs, n)
-            seqs = assign_voq_seqs(inputs * n + outputs, self._seq_next, n)
-            yield slots, inputs, outputs, seqs
+            voqs = inputs * n + outputs
+            seqs = assign_voq_seqs(voqs, self._seq_next, n, types.slot)
+            yield (
+                slots.astype(types.slot),
+                inputs.astype(types.port),
+                outputs.astype(types.port),
+                seqs,
+                voqs.astype(types.voq),
+            )
 
     def draw(self, num_slots: int) -> ArrivalBatch:
         """Draw ``num_slots`` slots of arrivals as one batch of arrays."""
         if num_slots <= 0:
             raise ValueError("num_slots must be positive")
-        columns: List[List[np.ndarray]] = [[], [], [], []]
-        for chunk in self._event_chunks(num_slots):
+        types = self._types(num_slots)
+        columns: List[List[np.ndarray]] = [[], [], [], [], []]
+        for chunk in self._event_chunks(num_slots, types):
             for parts, values in zip(columns, chunk):
                 parts.append(values)
-        slots, inputs, outputs, seqs = (_joined(parts) for parts in columns)
+        slots, inputs, outputs, seqs, voqs = (
+            _joined(parts, dtype)
+            for parts, dtype in zip(columns, _chunk_dtypes(types))
+        )
         self.generated += len(slots)
         return ArrivalBatch(
             n=self.n,
@@ -199,6 +323,7 @@ class BatchTrafficGenerator:
             inputs=inputs,
             outputs=outputs,
             seqs=seqs,
+            voqs=voqs,
         )
 
     def draw_chunks(
@@ -221,11 +346,12 @@ class BatchTrafficGenerator:
             raise ValueError("num_slots must be positive")
         if window_slots <= 0:
             raise ValueError("window_slots must be positive")
-        # (slots, inputs, outputs, seqs) drawn but not yet emitted.
-        pending = tuple(np.empty(0, np.int64) for _ in range(4))
+        types = self._types(num_slots)
+        # (slots, inputs, outputs, seqs, voqs) drawn but not yet emitted.
+        pending = tuple(np.empty(0, dtype) for dtype in _chunk_dtypes(types))
         covered = 0  # slots fully drawn so far
         emitted = 0  # slots already yielded as windows
-        chunks = self._event_chunks(num_slots)
+        chunks = self._event_chunks(num_slots, types)
         while emitted < num_slots:
             window_end = min(emitted + window_slots, num_slots)
             parts = [pending]
@@ -235,7 +361,9 @@ class BatchTrafficGenerator:
             if len(parts) > 1:
                 pending = tuple(np.concatenate(f) for f in zip(*parts))
             cut = int(np.searchsorted(pending[0], window_end, side="left"))
-            w_slots, w_inputs, w_outputs, w_seqs = (f[:cut] for f in pending)
+            w_slots, w_inputs, w_outputs, w_seqs, w_voqs = (
+                f[:cut] for f in pending
+            )
             pending = tuple(f[cut:] for f in pending)
             self.generated += len(w_slots)
             yield ArrivalBatch(
@@ -245,6 +373,7 @@ class BatchTrafficGenerator:
                 inputs=w_inputs,
                 outputs=w_outputs,
                 seqs=w_seqs,
+                voqs=w_voqs,
                 start_slot=emitted,
             )
             emitted = window_end

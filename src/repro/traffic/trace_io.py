@@ -231,7 +231,9 @@ class TraceBatchSource:
         outputs = self._outputs[lo:hi]
         seqs = assign_voq_seqs(inputs * self.n + outputs, seq_next, self.n)
         self.generated += len(slots)
-        return ArrivalBatch(
+        # A trace may put several events of one input in a slot, so its
+        # event count bounds the seqs too.
+        return ArrivalBatch.of(
             n=self.n,
             num_slots=end_slot - start_slot,
             slots=slots,
@@ -239,6 +241,7 @@ class TraceBatchSource:
             outputs=outputs,
             seqs=seqs,
             start_slot=start_slot,
+            horizon=max(end_slot, self._total),
         )
 
     def draw(self, num_slots: int) -> ArrivalBatch:

@@ -35,6 +35,9 @@ from repro.sim.replication import replicate
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_results.json"
 
 N = 8
+#: The wide size: every ``input * n + output`` of N = 8 fits a uint8, so
+#: only rows at N = 32 can show a narrow column wrapping silently.
+N_WIDE = 32
 SLOTS = 2_000
 SEED = 1
 LOAD = 0.8
@@ -54,10 +57,12 @@ def result_dict(result) -> Dict:
     return data
 
 
-def _cell(switch: str, workload: str = "uniform", **kwargs) -> Callable:
+def _cell(
+    switch: str, workload: str = "uniform", n: int = N, **kwargs
+) -> Callable:
     return lambda: result_dict(run_single(
         switch, num_slots=SLOTS, seed=SEED,
-        **cell_workload(workload, N, LOAD), **kwargs,
+        **cell_workload(workload, n, LOAD), **kwargs,
     ))
 
 
@@ -116,6 +121,16 @@ def rows() -> Dict[str, Callable]:
         "shard/foff/mmpp-bursty": _shard,
         "sweep/delay_vs_load/uniform": _sweep,
         "sweep/run_sweep/diagonal": _service_sweep,
+    })
+    table.update({
+        f"n32/model/{name}/uniform": _cell(name, n=N_WIDE)
+        for name in repro.models.available(engine="vectorized")
+    })
+    table.update({
+        "n32/windowed/sprinklers/diagonal": _cell(
+            "sprinklers", "diagonal", n=N_WIDE, window_slots=256
+        ),
+        "n32/fabric/leaf-spine/uniform": _cell("leaf-spine", n=N_WIDE),
     })
     return table
 

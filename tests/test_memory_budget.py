@@ -41,23 +41,26 @@ from repro.sim.experiment import run_single
 from repro.sim.metrics import SimulationResult
 from repro.traffic.matrices import uniform_matrix
 
-N, LOAD, SLOTS, SEED = 16, 0.9, 8000, 1
+#: At 8000 slots the draw's per-chunk temporaries (one 4096-slot chunk
+#: of uniforms and event indices) set every switch's peak once the
+#: columns are narrow; 32 000 slots keep the per-packet columns dominant.
+N, LOAD, SLOTS, SEED = 16, 0.9, 32_000, 1
 
 #: Traced peak bytes per injected packet allowed per switch.
 BUDGET = {
-    "foff": 121,
-    "load-balanced": 103,
-    "output-queued": 93,
-    "pf": 132,
-    "sprinklers": 120,
-    "ufs": 118,
+    "foff": 66,
+    "load-balanced": 52,
+    "output-queued": 38,
+    "pf": 68,
+    "sprinklers": 61,
+    "ufs": 60,
 }
 
 #: The frame switches again at a light load, where fixed per-cell state
 #: (frame formation's dense per-cycle arrival table costs about 1/load
 #: bytes per packet) weighs most against the packets.
 LIGHT_LOAD = 0.1
-LIGHT_BUDGET = {"foff": 153, "pf": 190}
+LIGHT_BUDGET = {"foff": 78, "pf": 104}
 
 CASES = [(switch, LOAD, BUDGET[switch]) for switch in sorted(BUDGET)] + [
     (switch, LIGHT_LOAD, LIGHT_BUDGET[switch]) for switch in sorted(LIGHT_BUDGET)
@@ -73,11 +76,11 @@ CASE_IDS = [
 WINDOW_SLOTS, STREAM_SLOTS = 4096, 60_000
 WINDOWED = ("sprinklers", "leaf-spine")
 #: Windowed peak over the monolithic peak at ``STREAM_SLOTS`` (measured
-#: 0.25 for sprinklers, 0.09 for leaf-spine) and over its own peak at a
+#: 0.24 for sprinklers, 0.09 for leaf-spine) and over its own peak at a
 #: quarter of the slots (measured 1.00 for both).
 MAX_WINDOWED_FRACTION, MAX_WINDOWED_GROWTH = 0.5, 1.2
 #: Peak bytes the windowed run may add per extra injected packet from the
-#: short run to the long one (measured -0.02 to 0.08): anything retained per
+#: short run to the long one (measured -0.05 to 0.05): anything retained per
 #: packet, even one byte, is O(run).
 MAX_WINDOWED_BYTES_PER_PACKET = 1.0
 #: Bytes per measured packet a retained int64 delay sample must add to
