@@ -32,7 +32,7 @@ from .core.striping import Stripe, StripeAssembler, stripe_size_for_rate
 from .models import Capability, SwitchModel
 from .models import register as register_switch_model
 from .sim.engine import SimulationEngine, simulate
-from .sim.experiment import delay_vs_load_sweep, run_single
+from .sim.experiment import run_single
 from .sim.fast_engine import run_single_fast
 from .sim.metrics import SimulationResult
 
@@ -72,7 +72,6 @@ __all__ = [
     "TcpHashingSwitch",
     "TrafficGenerator",
     "UfsSwitch",
-    "delay_vs_load_sweep",
     "dyadic_interval_for",
     "get_scenario",
     "list_scenarios",

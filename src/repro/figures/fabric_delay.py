@@ -18,50 +18,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
-from ..models import CompositeSwitchModel, resolve_fabric
-from ..sim.experiment import execute, plan_cell, resolve_pattern
-from ..store import coerce_store
+from ..models import CompositeSwitchModel, get_fabric
+from ..service import JobRequest, run_sweep
+from ..sim.experiment import resolve_pattern
 from .delay_figures import DEFAULT_LOADS
 from .render import ascii_log_chart, format_table
 
-__all__ = ["generate", "render", "figure_params", "DEFAULT_LOADS"]
-
-
-def figure_params(
-    fabric_spec,
-    pattern,
-    n: int,
-    loads: Sequence[float],
-    num_slots: int,
-    seed: int,
-) -> Dict:
-    """Store cache-key parameters of one rendered decomposition figure.
-
-    Content-addressed over the figure spec and the per-load plan keys —
-    the same any-cell-misses-the-table discipline as
-    :func:`repro.figures.delay_figures.table_params`.
-    """
-    pattern = resolve_pattern(pattern)
-    return {
-        "schema": 1,
-        "kind": "fabric_delay_figure",
-        "fabric": fabric_spec.to_dict(),
-        "pattern": pattern if isinstance(pattern, str) else pattern.to_dict(),
-        "n": int(n),
-        "loads": [float(load) for load in loads],
-        "num_slots": int(num_slots),
-        "seed": int(seed),
-        "runs": [
-            plan_cell(
-                pattern, fabric_spec, n, float(load), num_slots, seed
-            ).key
-            for load in loads
-        ],
-    }
+__all__ = ["generate", "render", "DEFAULT_LOADS"]
 
 
 def generate(
-    fabric="leaf-spine",
+    fabric: str = "leaf-spine",
     pattern: str = "uniform",
     n: int = 16,
     loads: Sequence[float] = DEFAULT_LOADS,
@@ -72,26 +39,27 @@ def generate(
 ) -> List[Dict[str, float]]:
     """One row per load: end-to-end mean delay plus each stage's share.
 
-    ``fabric`` is a registered fabric name, spec dict, or
-    :class:`~repro.models.FabricSpec`; ``pattern`` a §6 pattern name or
-    any registered scenario.  Each row's ``stage{k}_mean_delay`` columns
-    sum to its ``mean_delay`` exactly (delays telescope across the link
-    couplers).
+    ``fabric`` is a registered fabric name; ``pattern`` a §6 pattern
+    name or any registered scenario.  The loads run as one
+    :class:`~repro.service.JobRequest` on
+    :func:`~repro.service.run_sweep`'s worker pool.  Each row's
+    ``stage{k}_mean_delay`` columns sum to its ``mean_delay`` exactly
+    (delays telescope across the link couplers).
     """
-    fabric_spec = resolve_fabric(fabric)
-    num_stages = fabric_spec.num_stages
+    num_stages = get_fabric(fabric).num_stages
+    request = JobRequest(
+        workload=resolve_pattern(pattern),
+        switches=(fabric,),
+        loads=loads,
+        n=n,
+        num_slots=num_slots,
+        seeds=(seed,),
+        window_slots=window_slots,
+    )
     rows: List[Dict[str, float]] = []
-    pattern = resolve_pattern(pattern)
-    for load in loads:
-        result = execute(
-            plan_cell(
-                pattern, fabric_spec, n, float(load), num_slots, seed,
-                window_slots=window_slots,
-            ),
-            store,
-        )
+    for result in run_sweep(request, store):
         row: Dict[str, float] = {
-            "load": float(load),
+            "load": result.load,
             "mean_delay": result.mean_delay,
         }
         for k in range(num_stages):
@@ -105,7 +73,7 @@ def generate(
 
 
 def render(
-    fabric="leaf-spine",
+    fabric: str = "leaf-spine",
     pattern: str = "uniform",
     n: int = 16,
     loads: Sequence[float] = DEFAULT_LOADS,
@@ -116,20 +84,9 @@ def render(
 ) -> str:
     """Decomposition table and log-scale chart for one fabric + pattern.
 
-    With a ``store``, the rendered figure is memoized through the
-    experiment store on top of the per-run caching (see
-    :func:`figure_params`).
+    With a ``store``, a re-render is served run by run from it.
     """
-    fabric_spec = resolve_fabric(fabric)
-    cache = coerce_store(store)
-    params: Optional[Dict] = None
-    if cache is not None:
-        params = figure_params(
-            fabric_spec, pattern, n, loads, num_slots, seed,
-        )
-        cached = cache.fetch_artifact(params)
-        if cached is not None:
-            return cached["text"]
+    fabric_spec = get_fabric(fabric)
     with telemetry.trace(
         "figure.table",
         figure=f"fabric-delay:{fabric_spec.name}",
@@ -137,13 +94,13 @@ def render(
         n=n,
     ):
         rows = generate(
-            fabric_spec,
+            fabric,
             pattern,
             n=n,
             loads=loads,
             num_slots=num_slots,
             seed=seed,
-            store=cache,
+            store=store,
             window_slots=window_slots,
         )
     series: Dict[str, List[tuple]] = {"end-to-end": []}
@@ -155,7 +112,7 @@ def render(
                 (row["load"], row[f"stage{k}_mean_delay"])
             )
     chart = ascii_log_chart(series, x_label="load", y_label="mean delay")
-    text = (
+    return (
         f"Fabric delay decomposition: {fabric_spec.name} "
         f"({' -> '.join(fabric_spec.switch_names)}), {pattern} traffic, "
         f"N={n}, {num_slots} slots\n"
@@ -163,6 +120,3 @@ def render(
         + "\n\n"
         + chart
     )
-    if cache is not None:
-        cache.save_artifact(params, {"text": text})
-    return text

@@ -461,21 +461,24 @@ def run_sweep(
 
     The blocking, in-process form of ``repro serve`` + ``repro submit``:
     the same shards, store keys, dedup and crash recovery, and results
-    ``to_dict()``-identical to :func:`~repro.sim.experiment.
-    delay_vs_load_sweep`.  ``store`` is shared with every other run path
-    (a repeated sweep recomputes nothing); without one the results live
-    in a temporary directory for the duration of the call.  An invalid
-    grid raises its ``ValueError`` before any worker starts; failed
-    cells raise one ``RuntimeError`` naming each with its worker-side
-    message, after every other cell has completed (and been stored).
+    ``to_dict()``-identical to per-cell
+    :func:`~repro.sim.experiment.run_single` calls.  ``store`` is shared
+    with every other run path (a repeated sweep recomputes nothing, and
+    one whose every cell is stored starts no worker); without one the
+    results live in a temporary directory for the duration of the call.
+    An invalid grid raises its ``ValueError`` before any worker starts;
+    failed cells raise one ``RuntimeError`` naming each with its
+    worker-side message, after every other cell has completed (and been
+    stored).
     """
     with ExitStack() as stack:
         if store is None:
             store = stack.enter_context(tempfile.TemporaryDirectory())
         service = SimulationService(store, workers or os.cpu_count() or 1)
         job_id = service.submit(request)  # validates the whole grid
-        with service:
-            service.wait(job_id)
+        if service.status(job_id)["status"] == "running":
+            with service:
+                service.wait(job_id)
         cells = list(service.results(job_id))
     failed = [cell for cell in cells if "result" not in cell]
     if failed:

@@ -58,6 +58,9 @@ class ShardSpec:
     #: keys) are invariant to it.
     engine: Optional[str] = None
     switch_params: Optional[Dict] = None
+    #: Replay window, an execution detail like ``engine``: it never
+    #: enters the shard key.
+    window_slots: Optional[int] = None
 
     def to_dict(self) -> Dict:
         return {
@@ -71,6 +74,7 @@ class ShardSpec:
             "switch_params": (
                 dict(self.switch_params) if self.switch_params else None
             ),
+            "window_slots": self.window_slots,
         }
 
     @classmethod
@@ -84,6 +88,7 @@ class ShardSpec:
             seed=int(data["seed"]),
             engine=data.get("engine") or None,
             switch_params=data.get("switch_params") or None,
+            window_slots=data.get("window_slots"),
         )
 
 
@@ -95,7 +100,8 @@ class JobRequest:
     ``trace:<path>``, or is a scenario spec dict; ``seeds`` is the seed
     block (one full grid per seed).  ``switch_params``, when given,
     applies to every switch in the request — parameter studies submit
-    one request per setting.
+    one request per setting.  ``engine`` and ``window_slots`` ride on
+    every shard as execution details: they never change a key.
     """
 
     workload: Union[str, Dict]
@@ -106,6 +112,7 @@ class JobRequest:
     seeds: Tuple[int, ...] = (0,)
     engine: Optional[str] = None
     switch_params: Optional[Dict] = None
+    window_slots: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "switches", tuple(self.switches))
@@ -134,6 +141,7 @@ class JobRequest:
             "switch_params": (
                 dict(self.switch_params) if self.switch_params else None
             ),
+            "window_slots": self.window_slots,
         }
 
     @classmethod
@@ -147,6 +155,7 @@ class JobRequest:
             seeds=tuple(data.get("seeds") or (0,)),
             engine=data.get("engine") or None,
             switch_params=data.get("switch_params") or None,
+            window_slots=data.get("window_slots"),
         )
 
 
@@ -162,6 +171,7 @@ def expand_shards(request: JobRequest) -> List[ShardSpec]:
             seed=seed,
             engine=request.engine,
             switch_params=request.switch_params,
+            window_slots=request.window_slots,
         )
         for seed in request.seeds
         for load in request.loads
@@ -184,6 +194,7 @@ def shard_run_kwargs(shard: ShardSpec) -> Dict:
         "switch_params": shard.switch_params,
         # Validated at plan time, never part of the key.
         "engine": shard.engine,
+        "window_slots": shard.window_slots,
         **cell_workload(shard.workload, shard.n, shard.load),
     }
 

@@ -5,7 +5,6 @@ from .experiment import (
     ENGINES,
     PAPER_SWITCHES,
     TRAFFIC_PATTERNS,
-    delay_vs_load_sweep,
     run_single,
 )
 from .fast_engine import run_single_fast
@@ -28,7 +27,6 @@ __all__ = [
     "batch_means",
     "compare_means",
     "mser_truncation",
-    "delay_vs_load_sweep",
     "derive_seed",
     "replicate",
     "run_single",

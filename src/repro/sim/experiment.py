@@ -1,4 +1,4 @@
-"""Experiment orchestration: plan, key, execute; sweeps.
+"""Experiment orchestration: plan, key, execute.
 
 This is the layer the figure generators and the benchmark sit on.  One
 experiment — a switch or fabric, an admissible workload, a seed — is
@@ -28,7 +28,8 @@ described by exactly one value, a :class:`RunPlan`:
 :func:`resolve_run_params` is ``plan_run(...).store_params()``, so the
 key a planner computes and the key a run is saved under are the same
 expression.  :func:`plan_cell` plans one cell of the paper's §6 grid
-(pattern x load x switch) for the sweeps and figure generators.
+(pattern x load x switch); a whole grid runs as a
+:class:`~repro.service.JobRequest` through :func:`repro.service.run_sweep`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,7 +63,6 @@ __all__ = [
     "RunPlan",
     "TRAFFIC_PATTERNS",
     "cell_workload",
-    "delay_vs_load_sweep",
     "execute",
     "plan_cell",
     "plan_run",
@@ -526,11 +526,12 @@ def resolve_run_params(
     ).store_params()
 
 
-def resolve_pattern(pattern) -> Union[str, ScenarioSpec]:
-    """A sweep's ``pattern`` argument, checked and resolved once: a
+def resolve_pattern(pattern) -> Union[str, Dict]:
+    """A figure's ``pattern`` argument, checked and resolved once into
+    the workload a :class:`~repro.service.JobRequest` carries: a
     :data:`TRAFFIC_PATTERNS` key comes back as is, any scenario
     designator (registry name, spec file, ``trace:<path>``, dict, spec)
-    as its :class:`~repro.scenarios.spec.ScenarioSpec`."""
+    as its :class:`~repro.scenarios.spec.ScenarioSpec`'s dict form."""
     if isinstance(pattern, str):
         if pattern in TRAFFIC_PATTERNS:
             return pattern
@@ -544,7 +545,7 @@ def resolve_pattern(pattern) -> Union[str, ScenarioSpec]:
                 f"scenarios: {known}"
             )
     # File and validation errors propagate with their own messages.
-    return resolve_scenario(pattern)
+    return resolve_scenario(pattern).to_dict()
 
 
 def cell_workload(pattern, n: int, load: float) -> Dict:
@@ -581,51 +582,3 @@ def plan_cell(
         **cell_workload(pattern, n, load),
     )
 
-
-def delay_vs_load_sweep(
-    pattern: str,
-    n: int = 32,
-    loads: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95),
-    num_slots: int = 50_000,
-    switches: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    keep_samples: bool = False,
-    engine: Optional[str] = None,
-    store: Union[None, str, ExperimentStore] = None,
-    window_slots: Optional[int] = None,
-) -> List[SimulationResult]:
-    """The paper's §6 experiment grid: all switches across a load sweep.
-
-    ``pattern`` is a :data:`TRAFFIC_PATTERNS` key ("uniform" for Fig. 6,
-    "diagonal" for Fig. 7) or any scenario designator accepted by
-    :func:`repro.scenarios.resolve_scenario` (registry name or spec-file
-    path).  Returns one result per (switch, load), each cell on the
-    engine :func:`plan_run` resolves for it; ``store`` caches every cell
-    so a repeated sweep recomputes nothing.  Each load's switches run in
-    one :func:`shared_draws` scope, so a row draws its arrivals once.
-    """
-    pattern = resolve_pattern(pattern)
-    if switches is None:
-        switches = PAPER_SWITCHES
-    cache = coerce_store(store)
-    with telemetry.trace(
-        "sweep.delay_vs_load",
-        pattern=pattern if isinstance(pattern, str) else pattern.name,
-        n=n,
-        loads=len(loads),
-        switches=len(switches),
-    ):
-        results: List[SimulationResult] = []
-        for load in loads:
-            with shared_draws():
-                results.extend(
-                    execute(
-                        plan_cell(
-                            pattern, name, n, load, num_slots, seed,
-                            keep_samples, engine, window_slots=window_slots,
-                        ),
-                        cache,
-                    )
-                    for name in switches
-                )
-        return results

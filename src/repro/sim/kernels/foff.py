@@ -244,17 +244,19 @@ class Stream(StreamKernel):
         n = self.n
         num_voqs = n * n
         self._formation = FrameFormationStream(n, foff_rule())
-        self._packets = FramedPacketBuffer(num_voqs)
+        self._packets = FramedPacketBuffer(num_voqs, self._types)
         self._stage2 = PolledQueueBank(mid_residues(n), n)
         self._cut = drain_cut(total_slots, n)
-        # Resequencer replay state.
+        # Resequencer replay state, in the run's slot dtype where it
+        # meets per-packet columns.
+        slot, _, voq = self._types
         self._next_rank = np.zeros(num_voqs, dtype=np.int64)
-        self._run_max = np.full(num_voqs, -1, dtype=np.int64)
-        self._trig_mid = np.zeros(num_voqs, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
+        self._run_max = np.full(num_voqs, -1, dtype=slot)
+        self._trig_mid = np.zeros(num_voqs, dtype=slot)
+        empty = np.empty(0, dtype=slot)
         # Wire-arrived packets whose release awaits a predecessor:
         # (voq, rank, wire, mid, seq, slot, assembled, tx).
-        self._held = (empty,) * 8
+        self._held = (np.empty(0, dtype=voq),) + (empty,) * 7
         # The next observation rank, the per-output resequencer
         # occupancies and their peak.
         self._obs_next = 0
@@ -276,8 +278,11 @@ class Stream(StreamKernel):
         is_new = np.zeros(len(voq), dtype=bool)
         is_new[len(voq) - new_count :] = True
         if len(voq) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return (empty,) * 11 + (empty, empty, empty)
+            # Typed empties: departure and t_mid as wire and mid.
+            return (
+                voq, rank, wire, mid, seq, slot, assembled, tx, wire, mid,
+                is_new, voq, wire, mid,
+            )
         order = composite_argsort(voq, rank)
         voq, rank, wire, mid, seq, slot, assembled, tx, is_new = (
             voq[order], rank[order], wire[order], mid[order], seq[order],
@@ -303,8 +308,10 @@ class Stream(StreamKernel):
             slot[proc], assembled[proc], tx[proc], is_new[proc],
         )
         if len(voq_p) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return (empty,) * 11 + held_events
+            return (
+                voq_p, rank_p, wire_p, mid_p, seq_p, slot_p, asm_p, tx_p,
+                wire_p, mid_p, new_p,
+            ) + held_events
         # Per-VOQ running max of wire arrivals, seeded with the carried
         # max: departure = latest wire among self and predecessors.
         p_start = np.r_[True, voq_p[1:] != voq_p[:-1]]

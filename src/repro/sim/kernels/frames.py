@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from ... import telemetry
-from ...traffic.batch import ArrivalBatch, column_types
+from ...traffic.batch import ArrivalBatch, ColumnTypes, column_types
 from . import compiled
 from .base import concat_ranges, stable_id_argsort
 from .compiled.frames_pass import form_lanes
@@ -564,7 +564,7 @@ def voq_ranks(voqs: np.ndarray, seqs: np.ndarray, num_voqs: int) -> np.ndarray:
     ``np.minimum.at`` reduction, which — unlike a repeated-index
     assignment — does not depend on which write NumPy applies last.
     """
-    first = np.full(num_voqs, _INT64_MAX, dtype=np.int64)
+    first = np.full(num_voqs, np.iinfo(seqs.dtype).max, dtype=seqs.dtype)
     np.minimum.at(first, voqs, seqs)
     return seqs - first[voqs]
 
@@ -677,17 +677,19 @@ class FramedPacketBuffer:
     consume a contiguous rank prefix), then leave with their frame's
     formation slot and their position inside it.  PF's sub-threshold VOQ
     tails simply stay buffered forever, exactly like the object engine's
-    never-framed packets.
+    never-framed packets.  Per-packet columns keep the run's
+    :func:`~repro.traffic.batch.column_types`.
     """
 
-    def __init__(self, num_voqs: int) -> None:
+    def __init__(self, num_voqs: int, types: ColumnTypes) -> None:
         self._num = num_voqs
+        self._slot = types.slot
         #: Per VOQ: the first unframed rank and the next rank to arrive;
         #: the buffer holds exactly the ranks in between.
         self._rank_lo = np.zeros(num_voqs, dtype=np.int64)
         self._rank_next = np.zeros(num_voqs, dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        self._buf = (empty, empty, empty, empty, empty)
+        empty = np.empty(0, dtype=types.slot)
+        self._buf = (np.empty(0, dtype=types.voq), empty, empty, empty, empty)
 
     def pending(self) -> int:
         """Packets still waiting for a frame."""
@@ -706,7 +708,9 @@ class FramedPacketBuffer:
         Returns ``(voq, slot, seq, gidx, rank, assembled, position)``,
         grouped by VOQ in rank order.
         """
-        ranks = voq_ranks(voqs, seqs, self._num) + self._rank_next[voqs]
+        slot = self._slot
+        ranks = voq_ranks(voqs, seqs, self._num)
+        ranks += self._rank_next[voqs].astype(slot)
         self._rank_next += np.bincount(voqs, minlength=self._num)
         union = tuple(
             np.concatenate(pair)
@@ -714,7 +718,7 @@ class FramedPacketBuffer:
         )
         voq, rank = union[:2]
         if len(voq) == 0:
-            return (np.empty(0, dtype=np.int64),) * 7
+            return (voq,) + (rank,) * 6
         # Each VOQ's buffered ranks run contiguously from its first
         # unframed one, so a packet's grouped index is its VOQ's run
         # start plus its rank offset: the union groups by one scatter.
@@ -727,7 +731,7 @@ class FramedPacketBuffer:
             out[place] = column
             grouped.append(out)
         voq_s, rank_s, slot_s, seq_s, g_s = grouped
-        at = frame_ids(rank0, schedule, len(voq))
+        at = frame_ids(rank0, schedule, len(voq), slot)
         member = at >= 0
         np.add.at(self._rank_lo, schedule.voq, schedule.size)
         keep = ~member
@@ -742,6 +746,6 @@ class FramedPacketBuffer:
             seq_s[member],
             g_s[member],
             rank_m,
-            schedule.slot[at],
-            rank_m - schedule.start[at],
+            schedule.slot.astype(slot)[at],
+            rank_m - schedule.start.astype(slot)[at],
         )

@@ -150,7 +150,7 @@ class Stream(StreamKernel):
         n = self.n
         threshold = _check_threshold(n, threshold)
         self._formation = FrameFormationStream(n, pf_rule(threshold))
-        self._packets = FramedPacketBuffer(n * n)
+        self._packets = FramedPacketBuffer(n * n, self._types)
         self._stage2 = PolledQueueBank(mid_residues(n), n)
         # The drain horizon needs the run length: services past it are
         # unobserved in the object engine.

@@ -55,7 +55,7 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from .. import telemetry
 from ..sim.metrics import SimulationResult
@@ -146,12 +146,8 @@ class ExperimentStore:
         self.misses = 0
         self._hit_log_failed = False
 
-    def _fetch_payload(
-        self, params: Dict, load: Callable[[dict], Any]
-    ) -> Optional[Any]:
-        """Shared miss/hit/manifest flow of :meth:`fetch` and
-        :meth:`fetch_artifact`; ``load(payload)`` extracts (and may
-        deserialize) the wanted field, any failure reading as a miss."""
+    def fetch(self, params: Dict) -> Optional[SimulationResult]:
+        """The cached result for ``params``, or None (counted as a miss)."""
         key = cache_key(params)
         t0 = time.perf_counter()
         payload = self.backend.get(key)
@@ -160,11 +156,10 @@ class ExperimentStore:
             telemetry.count("store.miss")
             return None
         try:
-            value = load(payload)
+            result = SimulationResult.from_dict(payload["result"])
         except (ValueError, KeyError, TypeError):
-            # A wrong-shaped payload — an artifact under a result fetch,
-            # say — is a miss, not an error; the recomputation will
-            # overwrite it atomically.
+            # A wrong-shaped payload is a miss, not an error; the
+            # recomputation will overwrite it atomically.
             self.misses += 1
             telemetry.count("store.miss")
             return None
@@ -187,14 +182,7 @@ class ExperimentStore:
                     "store %s: hit logging disabled for this process "
                     "(manifest append failed: %s)", self.root, exc,
                 )
-        return value
-
-    def fetch(self, params: Dict) -> Optional[SimulationResult]:
-        """The cached result for ``params``, or None (counted as a miss)."""
-        return self._fetch_payload(
-            params,
-            lambda payload: SimulationResult.from_dict(payload["result"]),
-        )
+        return result
 
     def fetch_by_key(self, key: str) -> Optional[SimulationResult]:
         """The cached result stored under ``key`` directly, or None.
@@ -246,36 +234,6 @@ class ExperimentStore:
         )
         return key
 
-    def fetch_artifact(self, params: Dict) -> Optional[Dict]:
-        """The cached artifact payload for ``params``, or None.
-
-        Artifacts are non-result derived objects — rendered figure
-        tables, for one — stored under the same content-addressed scheme
-        as simulation results (``params`` must carry a distinguishing
-        ``kind``).  Same miss semantics as :meth:`fetch`: absent,
-        corrupt, or result-shaped objects all read as misses.
-        """
-        return self._fetch_payload(
-            params, lambda payload: payload["artifact"]
-        )
-
-    def save_artifact(self, params: Dict, artifact: Dict) -> str:
-        """Store a derived artifact (JSON-serializable) under its params
-        key; append to the manifest."""
-        key = cache_key(params)
-        t0 = time.perf_counter()
-        self.backend.put(key, {"params": params, "artifact": artifact})
-        telemetry.count("store.save")
-        telemetry.observe("store.save_s", time.perf_counter() - t0)
-        self._append_manifest(
-            {
-                "key": key,
-                "created": time.time(),
-                "kind": params.get("kind"),
-            }
-        )
-        return key
-
     def _append_manifest(self, record: Dict) -> None:
         self.backend.append_manifest(canonical_params(record))
 
@@ -291,9 +249,6 @@ class ExperimentStore:
             except ValueError:
                 continue
         return records
-
-    # Backwards-compatible private alias (pre-backend name).
-    _manifest_records = manifest_records
 
     def stats(self) -> StoreStats:
         """Entry count, size on disk, and lifetime hit rate (manifest)."""

@@ -1,13 +1,15 @@
 """Tests for the command-line interface (cli.py)."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.cli import build_parser, main
 from repro.figures.delay_figures import DEFAULT_LOADS
 from repro.models import PAPER_SWITCHES
+from repro.service import core as service_core
+from repro.service.jobs import shard_plan
 from repro.sim import experiment
+from repro.sim.fast_engine import run_single_fast
+from repro.traffic.matrices import uniform_matrix
 
 
 class TestParser:
@@ -92,19 +94,25 @@ class TestEngineResolution:
         self, monkeypatch, capsys
     ):
         """The command a reader types first runs the fast engine for all
-        five paper switches, with no engine flag to remember."""
+        five paper switches, with no engine flag to remember.  The parent
+        plans every shard at submit; the forked workers inherit a small
+        stand-in simulation, so no paper-scale cell runs."""
         plans = []
 
-        def record(plan):
+        def record(shard):
+            plan = shard_plan(shard)
             plans.append(plan)
-            return SimpleNamespace(
-                switch_name=plan.subject, load=plan.load_label,
-                mean_delay=1.0, late_packets=0, measured_packets=1,
-                extras={},
+            return plan
+
+        def stand_in(plan):
+            return run_single_fast(
+                plan.subject, uniform_matrix(4, 0.5), 100,
+                load_label=plan.load_label, keep_samples=False,
             )
 
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.setattr(experiment, "_simulate", record)
+        monkeypatch.setattr(service_core, "shard_plan", record)
+        monkeypatch.setattr(experiment, "_simulate", stand_in)
         assert main(["fig6", "--n", "32", "--slots", "200000"]) == 0
         assert "Figure 6" in capsys.readouterr().out
         assert {plan.subject for plan in plans} == set(PAPER_SWITCHES)

@@ -97,6 +97,25 @@ def test_departure_columns_at_most_four_bytes(switch):
             assert column.dtype.itemsize <= 4, (name, column.dtype)
 
 
+@pytest.mark.parametrize("switch", models.available(engine="vectorized"))
+def test_stream_departure_columns_at_most_four_bytes(switch):
+    """Every fed window's record and the flush stay narrow too: the
+    windowed replay and fabric stages run on these."""
+    matrix = uniform_matrix(32, 0.9)
+    stream = models.get(switch).stream_kernel(matrix, 1, 2_000)
+    records = [
+        stream.feed(window)
+        for window in _generator(32).draw_chunks(2_000, 512)
+    ]
+    records.append(stream.finish()[0])
+    assert sum(len(dep) for dep in records[:-1]) > 0
+    for dep in records:
+        for name in DEPARTURE_COLUMNS:
+            column = getattr(dep, name)
+            if column is not None:
+                assert column.dtype.itemsize <= 4, (name, column.dtype)
+
+
 @pytest.mark.parametrize("n", [256, 257])
 def test_edge_and_wide_runs_match_the_object_engine(n):
     # 256 ports fill a uint8 port and a uint16 VOQ id to the top; 257

@@ -3,10 +3,11 @@
 import pytest
 
 from repro import models
+from repro.figures import delay_figures
+from repro.service import JobRequest, WorkerPool, run_sweep
 from repro.sim.experiment import (
     PAPER_SWITCHES,
     TRAFFIC_PATTERNS,
-    delay_vs_load_sweep,
     run_single,
 )
 from repro.traffic.matrices import uniform_matrix
@@ -47,12 +48,15 @@ class TestRunSingle:
 
 class TestSweep:
     def test_grid_shape(self):
-        results = delay_vs_load_sweep(
-            "uniform",
-            n=8,
-            loads=(0.3, 0.6),
-            num_slots=800,
-            switches=("load-balanced", "sprinklers"),
+        results = run_sweep(
+            JobRequest(
+                workload="uniform",
+                switches=("load-balanced", "sprinklers"),
+                loads=(0.3, 0.6),
+                n=8,
+                num_slots=800,
+            ),
+            workers=2,
         )
         assert len(results) == 4
         # Registry keys build the switches; results carry the switches'
@@ -60,14 +64,18 @@ class TestSweep:
         assert {r.switch_name for r in results} == {"baseline-lb", "sprinklers"}
         assert {r.load for r in results} == {0.3, 0.6}
 
-    def test_unknown_pattern_rejected(self):
+    def test_unknown_pattern_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            WorkerPool, "start",
+            lambda self: pytest.fail("a worker pool was started"),
+        )
         with pytest.raises(ValueError, match="unknown pattern"):
-            delay_vs_load_sweep("bogus", n=8)
+            delay_figures.generate("bogus", n=8)
 
     def test_default_switches_are_papers(self):
-        results = delay_vs_load_sweep(
+        rows = delay_figures.generate(
             "uniform", n=4, loads=(0.5,), num_slots=400
         )
-        assert [r.switch_name for r in results] == [
+        assert [row["switch"] for row in rows] == [
             "baseline-lb", "ufs", "foff", "pf", "sprinklers",
         ]

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.figures import fig5, fig6, fig7, table1
 from repro.figures.render import ascii_log_chart, format_table, rows_to_csv
 
@@ -84,77 +86,27 @@ class TestDelayFigures:
         assert "10^" in text
 
 
-class TestRenderedTableMemoization:
-    """The figure layer memoizes whole rendered tables through the
-    experiment store: same figure spec + same constituent run keys =>
-    the second render is one artifact fetch, zero sweep work."""
+class TestStoreServedRerender:
+    """The figures run on ``run_sweep``'s pool: a re-render on a filled
+    store is served cell by cell from it and starts no worker."""
 
     KW = dict(n=4, loads=(0.4, 0.7), num_slots=400, seed=2)
 
-    def _render_counting_sweeps(self, monkeypatch, store):
-        from repro.figures import delay_figures
+    def test_second_render_starts_no_worker(self, tmp_path, monkeypatch):
+        from repro.service import WorkerPool
 
-        calls = {"sweeps": 0}
-        real = delay_figures.delay_vs_load_sweep
-
-        def counting(*args, **kwargs):
-            calls["sweeps"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(
-            delay_figures, "delay_vs_load_sweep", counting
-        )
-        text = fig6.render(store=store, **self.KW)
-        return text, calls["sweeps"]
-
-    def test_second_render_skips_the_sweep(self, tmp_path, monkeypatch):
         store = str(tmp_path / "store")
-        first, sweeps1 = self._render_counting_sweeps(monkeypatch, store)
-        assert sweeps1 == 1
-        second, sweeps2 = self._render_counting_sweeps(monkeypatch, store)
-        assert sweeps2 == 0  # whole-table artifact hit
-        assert second == first
-
-    def test_no_store_disables_memoization(self, monkeypatch):
-        first, sweeps1 = self._render_counting_sweeps(monkeypatch, None)
-        second, sweeps2 = self._render_counting_sweeps(monkeypatch, None)
-        assert sweeps1 == sweeps2 == 1
-        assert second == first
-
-    def test_key_tracks_figure_spec(self, tmp_path):
-        """Different slots/figure => different artifact (no false hits),
-        and scenario-overridden figures key on the scenario spec."""
-        from repro.figures.delay_figures import table_params
-        from repro.store import cache_key
-
-        base = table_params(
-            "uniform", "Figure 6", 4, (0.4,), 400,
-            ("sprinklers",), 2,
+        first = fig6.render(store=store, **self.KW)
+        monkeypatch.setattr(
+            WorkerPool, "start",
+            lambda self: pytest.fail("a worker pool was started"),
         )
-        longer = table_params(
-            "uniform", "Figure 6", 4, (0.4,), 800,
-            ("sprinklers",), 2,
-        )
-        scenario = table_params(
-            "mmpp-bursty", "Figure 6 [mmpp-bursty]", 4, (0.4,), 400,
-            ("sprinklers",), 2,
-        )
-        keys = {cache_key(p) for p in (base, longer, scenario)}
-        assert len(keys) == 3
-        assert scenario["pattern"]["name"] == "mmpp-bursty"
-        # The constituent run keys are part of the content address.
-        assert base["runs"] and base["runs"] != longer["runs"]
+        assert fig6.render(store=store, **self.KW) == first
 
-    def test_artifact_coexists_with_run_objects(self, tmp_path):
-        """Rendered tables and per-cell results share one store; stats
-        counts both, and a run fetch never returns an artifact."""
-        from repro.models import PAPER_SWITCHES
-        from repro.store import ExperimentStore
+    def test_no_store_renders_the_same_table(self, tmp_path):
+        stored = fig6.render(store=str(tmp_path / "store"), **self.KW)
+        assert fig6.render(store=None, **self.KW) == stored
 
-        store_dir = str(tmp_path / "store")
-        fig6.render(store=store_dir, **self.KW)
-        store = ExperimentStore(store_dir)
-        stats = store.stats()
-        # One cell per (switch, load), plus the rendered table.
-        assert stats.entries == len(PAPER_SWITCHES) * len(self.KW["loads"]) + 1
-        assert store.fetch_artifact({"kind": "nope"}) is None
+    def test_windowed_rows_equal_monolithic(self):
+        kw = dict(n=8, loads=(0.3, 0.9), num_slots=1_000, seed=1)
+        assert fig6.generate(window_slots=256, **kw) == fig6.generate(**kw)

@@ -9,27 +9,25 @@ Regenerate (only when a key change is intended and documented)::
 
     PYTHONPATH=src:. python tests/test_golden_keys.py --regen
 
-The keys come from public entry points only (``resolve_run_params``,
-``shard_key``, the two figure-table key functions), so the generator
-runs unchanged on any commit that has them.
+The keys come from public entry points only (``resolve_run_params`` and
+``shard_key``), so the generator runs unchanged on any commit that has
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import sys
 import tempfile
 from pathlib import Path
 from typing import Dict
 
-from repro.figures import delay_figures, fabric_delay
 from repro.models import FabricSpec, get_fabric
 from repro.scenarios import get_scenario
 from repro.scenarios.spec import save_scenario_file
 from repro.service.jobs import ShardSpec, shard_key
-from repro.sim.experiment import plan_cell, resolve_run_params
+from repro.sim.experiment import resolve_run_params
 from repro.store import cache_key
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
@@ -121,25 +119,6 @@ SHARDS = {
 }
 
 
-def artifact_params() -> Dict[str, Dict]:
-    loads = (0.3, 0.8)
-    return {
-        "figure/table-pattern": delay_figures.table_params(
-            "uniform", "Fig. 6", 4, loads, 300,
-            ("sprinklers", "oq", "leaf-spine"), 1,
-        ),
-        "figure/table-scenario": delay_figures.table_params(
-            "hotspot-4x", "Fig. S", 4, loads, 300, ("ufs", "cms"), 1,
-        ),
-        "figure/fabric-pattern": fabric_delay.figure_params(
-            get_fabric("leaf-spine"), "diagonal", 4, loads, 300, 1,
-        ),
-        "figure/fabric-scenario": fabric_delay.figure_params(
-            TWO_STAGE, "ring-allreduce", 4, loads, 300, 1,
-        ),
-    }
-
-
 def compute_keys() -> Dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         spec_file = save_scenario_file(
@@ -150,9 +129,6 @@ def compute_keys() -> Dict[str, str]:
             for name, kwargs in run_configs(spec_file).items()
         }
     keys.update({name: shard_key(shard) for name, shard in SHARDS.items()})
-    keys.update(
-        {name: cache_key(params) for name, params in artifact_params().items()}
-    )
     return keys
 
 
@@ -192,11 +168,15 @@ def test_execution_detail_never_changes_a_key(tmp_path):
             assert plan_run(**kwargs, **detail).key == golden[name], (
                 name, detail,
             )
+    for name, shard in SHARDS.items():
+        for window_slots in (64, 1):
+            windowed = dataclasses.replace(shard, window_slots=window_slots)
+            assert shard_key(windowed) == golden[name], (name, window_slots)
 
 
-def test_the_engine_never_changes_a_key(tmp_path, monkeypatch):
-    """Every golden run, shard and figure case keys the same on the
-    object oracle as on the default (resolved) engine."""
+def test_the_engine_never_changes_a_key(tmp_path):
+    """Every golden run and shard keys the same on the object oracle as
+    on the default (resolved) engine."""
     golden = json.loads(GOLDEN_PATH.read_text())
     spec_file = save_scenario_file(
         get_scenario("mmpp-bursty"), tmp_path / "bursty.json"
@@ -208,13 +188,6 @@ def test_the_engine_never_changes_a_key(tmp_path, monkeypatch):
     for name, shard in SHARDS.items():
         oracle = dataclasses.replace(shard, engine="object")
         assert shard_key(oracle) == golden[name], name
-    # The figure keys list their cells' run keys: plan those on the
-    # oracle and the figure keys must not move.
-    oracle_cell = functools.partial(plan_cell, engine="object")
-    monkeypatch.setattr(delay_figures, "plan_cell", oracle_cell)
-    monkeypatch.setattr(fabric_delay, "plan_cell", oracle_cell)
-    for name, params in artifact_params().items():
-        assert cache_key(params) == golden[name], name
 
 
 if __name__ == "__main__":

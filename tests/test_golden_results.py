@@ -13,9 +13,10 @@ by row, with the reason each moved)::
     PYTHONPATH=src:. python tests/test_golden_results.py --regen
 
 The rows come from public entry points only (``run_single``,
-``replicate``, ``execute_shard``, ``delay_vs_load_sweep``,
-``run_sweep``), so the generator runs unchanged on any commit that has
-them.
+``replicate``, ``execute_shard``, ``run_sweep``), so the generator runs
+unchanged on any commit that has them.  ``sweep/delay_vs_load/uniform``
+keeps the name of the serial sweep that first computed it; it is the
+same grid on ``run_sweep`` now.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Dict
 
 import repro.models
 from repro.service import JobRequest, ShardSpec, execute_shard, run_sweep
-from repro.sim.experiment import cell_workload, delay_vs_load_sweep, run_single
+from repro.sim.experiment import cell_workload, run_single
 from repro.sim.replication import replicate
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_results.json"
@@ -87,14 +88,12 @@ def _shard() -> Dict:
 
 
 def _sweep() -> list:
-    return [
-        result_dict(result)
-        for result in delay_vs_load_sweep(
-            "uniform", n=N, loads=(0.5, 0.9), num_slots=SLOTS,
-            switches=("sprinklers", "ufs", "pf", "output-queued"),
-            seed=SEED,
-        )
-    ]
+    request = JobRequest(
+        workload="uniform",
+        switches=("sprinklers", "ufs", "pf", "output-queued"),
+        loads=(0.5, 0.9), n=N, num_slots=SLOTS, seeds=(SEED,),
+    )
+    return [result_dict(r) for r in run_sweep(request, workers=2)]
 
 
 def _service_sweep() -> list:

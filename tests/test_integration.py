@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.delay_model import expected_queue_length, simulate_chain
-from repro.sim.experiment import delay_vs_load_sweep, run_single
+from repro.models import PAPER_SWITCHES
+from repro.service import JobRequest, run_sweep
+from repro.sim.experiment import run_single
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
 
@@ -17,16 +19,18 @@ N = 16
 SLOTS = 15_000
 
 
+def paper_sweep(pattern, loads, seed):
+    """The §6 grid of the paper's five switches, on the worker pool."""
+    return run_sweep(JobRequest(
+        workload=pattern, switches=PAPER_SWITCHES, loads=loads, n=N,
+        num_slots=SLOTS, seeds=(seed,),
+    ))
+
+
 @pytest.fixture(scope="module")
 def uniform_results():
     """One shared sweep for the shape assertions below (module-scoped)."""
-    results = delay_vs_load_sweep(
-        "uniform",
-        n=N,
-        loads=(0.15, 0.5, 0.85),
-        num_slots=SLOTS,
-        seed=11,
-    )
+    results = paper_sweep("uniform", (0.15, 0.5, 0.85), seed=11)
     return {(r.switch_name, r.load): r for r in results}
 
 
@@ -90,13 +94,7 @@ class TestFig6Shapes:
 
 class TestFig7Shapes:
     def test_diagonal_pattern_preserves_claims(self):
-        results = delay_vs_load_sweep(
-            "diagonal",
-            n=N,
-            loads=(0.2, 0.8),
-            num_slots=SLOTS,
-            seed=13,
-        )
+        results = paper_sweep("diagonal", (0.2, 0.8), seed=13)
         table = {(r.switch_name, r.load): r for r in results}
         for (name, load), result in table.items():
             if name != "baseline-lb":

@@ -466,32 +466,31 @@ class TestRunSingleScenarioApi:
 
 class TestSweepPatternResolution:
     def test_unknown_name_lists_patterns_and_scenarios(self):
-        from repro.sim.experiment import delay_vs_load_sweep
+        from repro.figures.delay_figures import generate
 
         with pytest.raises(ValueError, match="unknown pattern") as exc:
-            delay_vs_load_sweep("no-such-thing", n=4, loads=[0.5], num_slots=50)
+            generate("no-such-thing", n=4, loads=[0.5], num_slots=50)
         assert "uniform" in str(exc.value)
         assert "mmpp-bursty" in str(exc.value)
 
     def test_spec_file_errors_propagate(self, tmp_path):
         # A typo'd field inside an existing spec file must surface its
         # own actionable message, not a generic "unknown pattern".
-        from repro.sim.experiment import delay_vs_load_sweep
+        from repro.figures.delay_figures import generate
 
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({"name": "x", "matrx": {}}))
         with pytest.raises(ValueError, match="unknown scenario fields"):
-            delay_vs_load_sweep(str(path), n=4, loads=[0.5], num_slots=50)
+            generate(str(path), n=4, loads=[0.5], num_slots=50)
 
     def test_sweep_accepts_spec_object(self):
-        from repro.sim.experiment import delay_vs_load_sweep
+        from repro.figures.delay_figures import generate
 
-        results = delay_vs_load_sweep(
+        rows = generate(
             get_scenario("hotspot-4x"),
             n=4,
             loads=[0.5],
             num_slots=200,
             switches=["ufs"],
-            engine="vectorized",
         )
-        assert results[0].measured_packets > 0
+        assert rows[0]["measured"] > 0

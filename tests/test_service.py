@@ -45,7 +45,6 @@ from repro.service.pool import Task, pick
 from repro.sim.experiment import (
     TRAFFIC_PATTERNS,
     cell_workload,
-    delay_vs_load_sweep,
     run_single,
 )
 from repro.store import ExperimentStore
@@ -79,12 +78,37 @@ class TestJobModel:
         shard = expand_shards(request)[0]
         assert ShardSpec.from_dict(shard.to_dict()) == shard
 
+    def test_window_slots_rides_on_every_shard(self):
+        request = small_request(window_slots=64)
+        assert JobRequest.from_dict(request.to_dict()) == request
+        shards = expand_shards(request)
+        assert {s.window_slots for s in shards} == {64}
+        assert ShardSpec.from_dict(shards[0].to_dict()) == shards[0]
+        assert shard_run_kwargs(shards[0])["window_slots"] == 64
+
+    def test_older_dicts_parse_without_window_slots(self):
+        data = small_request().to_dict()
+        del data["window_slots"]
+        assert JobRequest.from_dict(data).window_slots is None
+        shard = expand_shards(small_request())[0].to_dict()
+        del shard["window_slots"]
+        assert ShardSpec.from_dict(shard).window_slots is None
+
+    def test_invalid_window_raises_at_planning(self):
+        shard = expand_shards(small_request(window_slots=0))[0]
+        with pytest.raises(ValueError, match="window_slots must be positive"):
+            shard_key(shard)
+
     def test_engine_never_splits_a_shard(self):
         """Object and vectorized submissions of one cell are one shard
         key, so the service computes the cell once."""
         keys = {
             shard_key(expand_shards(small_request(engine=engine))[0])
             for engine in (None, "object", "vectorized")
+        }
+        keys |= {
+            shard_key(expand_shards(small_request(window_slots=w))[0])
+            for w in (1, 64)
         }
         assert len(keys) == 1
 
@@ -697,8 +721,8 @@ class TestPoisonShard:
 
 
 class TestRunSweep:
-    """``run_sweep`` == ``delay_vs_load_sweep`` cell for cell, on the
-    service's workers (what ``sim/parallel.py``'s tests pinned)."""
+    """``run_sweep`` == per-cell ``run_single`` over ``expand_shards``,
+    on the service's workers (what ``sim/parallel.py``'s tests pinned)."""
 
     GRID = dict(n=4, loads=(0.4, 0.7), num_slots=500)
     SWITCHES = ("load-balanced", "sprinklers")
@@ -725,14 +749,12 @@ class TestRunSweep:
         ids=["pattern", "scenario", "spec-dict"],
     )
     def test_matches_sequential_sweep(self, workload, engine, tmp_path):
-        pooled = run_sweep(
-            self._request(workload, engine=engine),
-            tmp_path / "pooled", workers=2,
-        )
-        sequential = delay_vs_load_sweep(
-            workload, switches=self.SWITCHES, seed=3, engine=engine,
-            store=tmp_path / "sequential", **self.GRID,
-        )
+        request = self._request(workload, engine=engine)
+        pooled = run_sweep(request, tmp_path / "pooled", workers=2)
+        sequential = [
+            run_single(store=tmp_path / "sequential", **shard_run_kwargs(s))
+            for s in expand_shards(request)
+        ]
         assert len(pooled) == len(sequential) == 4
         for a, b in zip(pooled, sequential):
             assert a.to_dict() == b.to_dict()
@@ -805,14 +827,25 @@ class TestRunSweep:
         flag.touch()
         monkeypatch.setenv(_CRASH_FLAG_ENV, str(flag))
         _sweep_with(monkeypatch, _die_once_execute)
-        pooled = run_sweep(self._request("uniform"), workers=2)
+        request = self._request("uniform")
+        pooled = run_sweep(request, workers=2)
         assert not flag.exists(), "no worker was killed"
-        sequential = delay_vs_load_sweep(
-            "uniform", switches=self.SWITCHES, seed=3, **self.GRID
-        )
+        sequential = [
+            run_single(**shard_run_kwargs(s)) for s in expand_shards(request)
+        ]
         assert [r.to_dict() for r in pooled] == [
             r.to_dict() for r in sequential
         ]
+
+    def test_fully_stored_sweep_starts_no_worker(self, tmp_path, monkeypatch):
+        request = self._request("uniform", window_slots=128)
+        first = run_sweep(request, tmp_path, workers=2)
+        monkeypatch.setattr(
+            WorkerPool, "start",
+            lambda self: pytest.fail("a worker pool was started"),
+        )
+        second = run_sweep(request, tmp_path, workers=2)
+        assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
 
 
 class TestHTTPSurface:

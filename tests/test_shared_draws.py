@@ -10,9 +10,9 @@ pin that:
 * no vectorized kernel writes its input batch (a write would raise);
 * the traffic key ignores exactly the fields that name the subject;
 * a scope holds one batch, the last one drawn;
-* ``delay_vs_load_sweep`` and ``run_sweep`` (one and two workers) equal
-  per-cell ``run_single``; the sweep draws once per traffic key, and a
-  pool worker draws a key at most once;
+* a serial grid (each load's cells in one scope) and ``run_sweep`` (one
+  and two workers) equal per-cell ``run_single``; the serial grid draws
+  once per traffic key, and a pool worker draws a key at most once;
 * windowed, fabric and object-engine runs still draw once per run.
 """
 
@@ -30,7 +30,7 @@ from repro.sim import experiment
 from repro.sim.experiment import (
     TRAFFIC_PATTERNS,
     cell_workload,
-    delay_vs_load_sweep,
+    execute,
     plan_cell,
     run_single,
     shared_draws,
@@ -148,13 +148,27 @@ def _single(pattern, result, **kwargs):
     )
 
 
+def _serial_sweep(
+    pattern, switches, loads=LOADS, n=N, num_slots=SLOTS, **kwargs
+):
+    """The serial §6 grid, load-major: each load's cells in one
+    :func:`shared_draws` scope."""
+    results = []
+    for load in loads:
+        with shared_draws():
+            results.extend(
+                execute(plan_cell(
+                    pattern, name, n, load, num_slots, SEED, **kwargs
+                ))
+                for name in switches
+            )
+    return results
+
+
 class TestSerialSweep:
     @pytest.mark.parametrize("pattern", ["uniform", "mmpp-bursty"])
     def test_one_draw_per_load_and_equal_results(self, pattern, draws):
-        results = delay_vs_load_sweep(
-            pattern, n=N, loads=LOADS, num_slots=SLOTS, switches=SWITCHES,
-            seed=SEED,
-        )
+        results = _serial_sweep(pattern, SWITCHES)
         assert len(draws["draw"]) == len(LOADS)
         assert all(
             not column.flags.writeable
@@ -167,10 +181,7 @@ class TestSerialSweep:
         assert len(draws["draw"]) == len(results)
 
     def test_windowed_cells_draw_per_cell(self, draws):
-        results = delay_vs_load_sweep(
-            "uniform", n=N, loads=LOADS, num_slots=SLOTS, switches=SWITCHES,
-            seed=SEED, window_slots=400,
-        )
+        results = _serial_sweep("uniform", SWITCHES, window_slots=400)
         assert draws["draw"] == []
         assert draws["draw_chunks"] == len(results) == 8
         for result in results:
@@ -178,10 +189,9 @@ class TestSerialSweep:
             assert result.to_dict() == want.to_dict()
 
     def test_fabric_cells_draw_per_cell(self, draws):
-        results = delay_vs_load_sweep(
-            "uniform", n=N, loads=(0.5,), num_slots=SLOTS,
-            switches=("leaf-spine", "dual-sprinklers", "sprinklers"),
-            seed=SEED,
+        results = _serial_sweep(
+            "uniform", ("leaf-spine", "dual-sprinklers", "sprinklers"),
+            loads=(0.5,),
         )
         assert len(draws["draw"]) == 3
         assert draws["draw"][0].slots.flags.writeable  # a fabric's own
@@ -197,9 +207,9 @@ class TestSerialSweep:
             return slots(self, num_slots)
 
         monkeypatch.setattr(TrafficGenerator, "slots", counting_slots)
-        delay_vs_load_sweep(
-            "uniform", n=4, loads=(0.5,), num_slots=300,
-            switches=("sprinklers", "pf", "cms"), seed=SEED, engine="object",
+        _serial_sweep(
+            "uniform", ("sprinklers", "pf", "cms"), loads=(0.5,), n=4,
+            num_slots=300, engine="object",
         )
         assert draws["draw"] == []
         assert runs == [300, 300, 300]

@@ -38,7 +38,7 @@ from repro.sim.kernels.frames import (
     pf_rule,
     voq_grouping,
 )
-from repro.traffic.batch import BatchTrafficGenerator
+from repro.traffic.batch import BatchTrafficGenerator, column_types
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -232,7 +232,7 @@ class TestFramedPacketBuffer:
         )
 
         formation = FrameFormationStream(n, rule)
-        buffer = FramedPacketBuffer(n * n)
+        buffer = FramedPacketBuffer(n * n, column_types(n, slots))
         seen = np.zeros(len(batch), dtype=bool)
         lo = 0
         for boundary in sorted(c for c in set(cuts) if c < slots) + [None]:

@@ -2,7 +2,8 @@
 
 The acceptance bar is the sweep test: re-running an identical sweep with
 the store enabled performs *zero* simulation recomputation — pinned by
-counting calls into the (monkeypatched) execution layer.
+counting calls into the (monkeypatched) execution layer, and for pooled
+sweeps by counting the store's saves and failing any worker start.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 import repro.sim.experiment as experiment
-from repro.sim.experiment import delay_vs_load_sweep, plan_run, run_single
+from repro.service import JobRequest, WorkerPool, run_sweep
+from repro.sim.experiment import plan_run, run_single
 from repro.sim.metrics import SimulationResult
 from repro.sim.replication import replicate
 from repro.scenarios import get_scenario
@@ -202,39 +204,47 @@ class TestZeroRecompute:
 
     @pytest.mark.parametrize("engine", ["object", "vectorized"])
     def test_identical_sweep_recomputes_nothing(
-        self, store, counting_execute, engine
+        self, store, monkeypatch, engine
     ):
-        kwargs = dict(
+        request = JobRequest(
+            workload="paper-uniform",
+            switches=("sprinklers", "ufs", "load-balanced"),
+            loads=(0.3, 0.7),
             n=8,
-            loads=[0.3, 0.7],
             num_slots=600,
-            switches=["sprinklers", "ufs", "load-balanced"],
-            seed=0,
             engine=engine,
-            store=store,
         )
-        first = delay_vs_load_sweep("paper-uniform", **kwargs)
-        assert len(counting_execute) == 6
-        counting_execute.clear()
-        second = delay_vs_load_sweep("paper-uniform", **kwargs)
-        assert counting_execute == []  # zero simulation recomputation
+        first = run_sweep(request, store, workers=2)
+        assert store.stats().saves == 6
+        monkeypatch.setattr(
+            WorkerPool, "start",
+            lambda self: pytest.fail("a worker pool was started"),
+        )
+        second = run_sweep(request, store, workers=2)
+        assert store.stats().saves == 6  # zero simulation recomputation
         for a, b in zip(first, second):
             assert_results_identical(a, b)
 
-    def test_widening_a_sweep_computes_only_new_cells(
-        self, tmp_path, counting_execute
-    ):
+    def test_widening_a_sweep_computes_only_new_cells(self, tmp_path):
         base = dict(
+            workload="paper-uniform",
+            switches=("ufs",),
             n=8,
             num_slots=500,
-            switches=["ufs"],
             engine="vectorized",
-            store=tmp_path,
         )
-        delay_vs_load_sweep("paper-uniform", loads=[0.3, 0.5], **base)
-        counting_execute.clear()
-        delay_vs_load_sweep("paper-uniform", loads=[0.3, 0.5, 0.9], **base)
-        assert counting_execute == ["ufs"]  # only the 0.9 cell ran
+        run_sweep(JobRequest(loads=(0.3, 0.5), **base), tmp_path, workers=2)
+        store = ExperimentStore(tmp_path)
+        before = {record["key"] for record in store.manifest_records()}
+        run_sweep(
+            JobRequest(loads=(0.3, 0.5, 0.9), **base), tmp_path, workers=2
+        )
+        saved = [
+            record for record in store.manifest_records()
+            if record.get("event") != "hit" and record["key"] not in before
+        ]
+        assert [record["switch"] for record in saved] == ["ufs"]
+        assert store.stats().saves == 3  # only the 0.9 cell ran
 
     def test_replication_cache(self, tmp_path, counting_execute):
         kwargs = dict(
@@ -277,34 +287,19 @@ class TestZeroRecompute:
 
 class TestStoreDoesNotChangeResults:
     def test_store_transparent_for_sweep(self, store):
-        plain = delay_vs_load_sweep(
-            "quasi-diagonal",
+        request = JobRequest(
+            workload="quasi-diagonal",
+            switches=("sprinklers",),
+            loads=(0.5,),
             n=8,
-            loads=[0.5],
             num_slots=500,
-            switches=["sprinklers"],
             engine="vectorized",
         )
-        stored = delay_vs_load_sweep(
-            "quasi-diagonal",
-            n=8,
-            loads=[0.5],
-            num_slots=500,
-            switches=["sprinklers"],
-            engine="vectorized",
-            store=store,
-        )
-        cached = delay_vs_load_sweep(
-            "quasi-diagonal",
-            n=8,
-            loads=[0.5],
-            num_slots=500,
-            switches=["sprinklers"],
-            engine="vectorized",
-            store=store,
-        )
-        assert_results_identical(plain[0], stored[0])
-        assert_results_identical(plain[0], cached[0])
+        (plain,) = run_sweep(request, workers=1)
+        (stored,) = run_sweep(request, store, workers=1)
+        (cached,) = run_sweep(request, store, workers=1)
+        assert_results_identical(plain, stored)
+        assert_results_identical(plain, cached)
 
 
 class TestStatsAndGc:

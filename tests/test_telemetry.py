@@ -22,7 +22,8 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
-from repro.sim.experiment import delay_vs_load_sweep, plan_run, run_single
+from repro.service import JobRequest, run_sweep
+from repro.sim.experiment import plan_run, run_single
 from repro.store import ExperimentStore
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.spans import (
@@ -362,18 +363,21 @@ class TestRunProbes:
         assert span.attrs["replications"] == 2
 
     def test_sweep_span_and_capture_extras(self):
+        """A pooled sweep's worker captures come back with the stored
+        result; the parent records the job span."""
+        request = JobRequest(
+            workload="uniform", switches=("ufs",), loads=(0.5,), n=4,
+            num_slots=300, engine="object",
+        )
         with telemetry.scope():
-            results = delay_vs_load_sweep(
-                "uniform", n=4, loads=[0.5], switches=["ufs"],
-                num_slots=300, engine="object",
-            )
-            (sweep_span,) = telemetry.state().tracer.find("sweep.delay_vs_load")
+            results = run_sweep(request, workers=1)
+            (job_span,) = telemetry.state().tracer.find("service.job")
         (result,) = results
         payload = result.extras["telemetry"]
         assert payload["span"] == "run.single"
         assert payload["wall_s"] > 0
         assert "metrics" in payload
-        assert sweep_span.attrs["loads"] == 1
+        assert job_span.attrs["shards"] == 1
 
     def test_capture_memory_payload(self):
         with telemetry.scope(memory=True):
@@ -412,14 +416,13 @@ class TestParity:
     """Telemetry observes; it must never change what runs compute."""
 
     def test_grid_bit_identical_and_extras_clean(self):
-        kwargs = dict(
-            pattern="uniform", n=4, loads=[0.4, 0.8],
-            switches=["sprinklers", "ufs"], num_slots=400,
-            engine="vectorized",
+        request = JobRequest(
+            workload="uniform", switches=("sprinklers", "ufs"),
+            loads=(0.4, 0.8), n=4, num_slots=400, engine="vectorized",
         )
-        baseline = delay_vs_load_sweep(**kwargs)
+        baseline = run_sweep(request, workers=2)
         with telemetry.scope():
-            observed = delay_vs_load_sweep(**kwargs)
+            observed = run_sweep(request, workers=2)
         assert len(baseline) == len(observed)
         for base, obs in zip(baseline, observed):
             base_dict, obs_dict = base.to_dict(), obs.to_dict()
