@@ -23,7 +23,7 @@ Usage (also installed as the ``sprinklers`` console script)::
     python -m repro telemetry check trace.jsonl --coverage 0.95
     python -m repro lint --format text
     python -m repro lint src/repro/service --select LOCK
-    python -m repro serve --workers 4 --store .repro-store --backend sqlite
+    python -m repro serve --workers 4 --store .repro-store
     python -m repro submit --workload uniform --loads 0.3 0.9 --watch
     python -m repro status job-0001
     python -m repro watch job-0001
@@ -418,13 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "experiment store directory the service computes into "
             f"(default $REPRO_STORE_DIR or {DEFAULT_STORE_DIR!r})"
-        ),
-    )
-    serve_p.add_argument(
-        "--backend", choices=("dir", "sqlite"), default=None,
-        help=(
-            "store backend for a NEW store (existing stores auto-detect; "
-            "sqlite is the shared database built for concurrent workers)"
         ),
     )
     _add_trace_flag(serve_p)
@@ -959,23 +952,20 @@ def _cmd_serve(args: argparse.Namespace) -> tuple:
     import json
 
     from .service import serve
-    from .store import ExperimentStore
 
     directory = (
         args.store
         or os.environ.get("REPRO_STORE_DIR")
         or DEFAULT_STORE_DIR
     )
-    store = ExperimentStore(directory, backend=args.backend)
     server = serve(
-        store, host=args.host, port=args.port, workers=args.workers
+        directory, host=args.host, port=args.port, workers=args.workers
     )
     print(
         json.dumps({
             "event": "serving",
             "url": server.address,
             "store": directory,
-            "backend": store.backend.name,
             "workers": args.workers,
         }),
         flush=True,

@@ -235,13 +235,18 @@ class SimulationService:
             job.pending.add(key)
             telemetry.count("service.shards_shared")
             return False
-        if state is not None and state.status == "done":
+        if (
+            state is not None
+            and state.status == "done"
+            and key in self.store  # not pruned since by a gc
+        ):
             job.sources[key] = "cached"
             telemetry.count("service.shards_cached")
             job.events.append(self._shard_event(job.job_id, state, "cached"))
             return False
         # Unseen key — or one whose last attempt failed, which a fresh
-        # submission retries rather than inheriting the stale failure.
+        # submission retries rather than inheriting the stale failure, or
+        # one served before whose object a gc has since removed.
         cached = self.store.fetch(params)
         if cached is not None:
             state = ShardState(spec, key)
@@ -424,7 +429,9 @@ class SimulationService:
         """Full per-shard results (store payloads) in cell order.
 
         Yields one dict per shard: identity, status, and — for completed
-        shards — the complete lossless result payload from the store.
+        shards — the stored result dict, read once and passed on as
+        stored.  Result streams are summaries for clients: the exact
+        histogram travels, the bulky per-packet samples do not.
         """
         job = self._job(job_id)
         with self._lock:
@@ -442,11 +449,10 @@ class SimulationService:
                 )
                 if state.error is not None:
                     entry["error"] = state.error
-            result = self.store.fetch_by_key(key)
+            result = self.store.result_dict(key)
             if result is not None:
-                # Result streams are summaries for clients: the exact
-                # histogram travels, the bulky per-packet samples do not.
-                entry["result"] = result.to_dict(include_samples=False)
+                result.pop("delay_samples", None)
+                entry["result"] = result
                 entry["status"] = "done"
             yield entry
 

@@ -88,7 +88,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json({
                     "status": "ok",
                     "store": str(self.service.store.root),
-                    "backend": self.service.store.backend.name,
                 })
             elif path == "/status":
                 self._send_json(self.service.status(query.get("job")))

@@ -228,10 +228,10 @@ def execute_shard(payload: Dict) -> Dict:
     """Worker-side shard execution (the pool's runner).
 
     ``payload`` carries the shard dict plus the store path; the worker
-    re-opens the store locally (backend auto-detected from the path) and
-    runs through the ordinary :func:`~repro.sim.experiment.run_single`
-    path, so the result is saved under exactly the key the daemon planned
-    for.  Returns the flattened result row plus the measured wall time —
+    re-opens the store locally by that path and runs through the
+    ordinary :func:`~repro.sim.experiment.run_single` path, so the
+    result is saved under exactly the key the daemon planned for.
+    Returns the flattened result row plus the measured wall time —
     small enough to stream, complete enough for watch events.
     """
     shard = ShardSpec.from_dict(payload["shard"])

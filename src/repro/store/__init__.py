@@ -5,19 +5,12 @@ full simulation configuration — scenario (or matrix digest), switch,
 N, slots, seed, measurement knobs — so re-running an identical sweep,
 replication, or figure performs zero simulation recomputation.
 See :class:`~repro.store.store.ExperimentStore` for the key scheme and
-on-disk layout (documented in EXPERIMENTS.md).  ``repro store stats`` /
-``repro store gc`` expose :meth:`~repro.store.store.ExperimentStore.
-stats` and :meth:`~repro.store.store.ExperimentStore.gc` from the shell.
+the one-database layout (documented in EXPERIMENTS.md).  ``repro store
+stats`` / ``repro store gc`` expose :meth:`~repro.store.store.
+ExperimentStore.stats` and :meth:`~repro.store.store.ExperimentStore.gc`
+from the shell.
 """
 
-from .backends import (
-    BACKENDS,
-    DirBackend,
-    ObjectBackend,
-    ObjectEntry,
-    SqliteBackend,
-    resolve_backend,
-)
 from .store import (
     ExperimentStore,
     GcReport,
@@ -29,17 +22,11 @@ from .store import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "DirBackend",
     "ExperimentStore",
     "GcReport",
-    "ObjectBackend",
-    "ObjectEntry",
-    "SqliteBackend",
     "StoreStats",
     "cache_key",
     "canonical_params",
     "coerce_store",
-    "resolve_backend",
     "store_dir",
 ]

@@ -13,34 +13,29 @@ are not part of it.
 Canonical JSON sorts keys and uses minimal separators, so semantically
 identical configurations hash identically across processes and runs.
 
-Backends
---------
-Where the bytes live is pluggable (:mod:`repro.store.backends`):
+Layout
+------
+One SQLite database, ``<root>/store.sqlite``, in WAL mode.  Its
+``objects`` table holds each stored run (key, canonical-JSON payload
+text, byte size, save time); its ``manifest`` table holds the event log,
+one canonical-JSON line per row in insert order.  WAL lets readers run
+during writes and ``busy_timeout`` rides out bursts of writers, so the
+pool and service workers that each reopen the store by path share one
+consistent database.  Every write is one transaction, so a crashed run
+never leaves a half-written object; a corrupt payload reads as a miss
+and is recomputed.  Content addressing makes concurrent writes of the
+same key idempotent.
 
-* ``dir`` (default) — ``objects/<key[:2]>/<key>.json.gz`` plus an
-  append-only ``manifest.jsonl``, the seed layout.  Manifest appends
-  are single atomic O_APPEND writes, so concurrent pool/service
-  workers never interleave torn lines.
-* ``sqlite`` — one WAL-mode ``store.sqlite`` database holding objects
-  and manifest, the shared consistent result database for the
-  simulation service's worker fabric.
-
-``ExperimentStore(root)`` auto-detects (a root containing
-``store.sqlite`` reopens as sqlite), so paths flattened for process
-pools land on the right backend without plumbing.
+A store in the older gzip-directory layout (``objects/<key[:2]>/
+<key>.json.gz`` plus ``manifest.jsonl``) is not read: opening its root
+creates an empty database beside the old files, and every cell
+recomputes, as after a :data:`SCHEMA_VERSION` bump.
 
 Manifest lines are store *events*: a save (one per stored run; lines
 without an ``event`` field predate hit logging and read as saves) or a
 cache hit (``{"event": "hit", ...}``) — which is what makes
 ``ExperimentStore.stats`` able to report a lifetime hit rate, not just
 the current process's counters.
-
-Writes are atomic per entry (temp file + ``os.replace``, or a SQLite
-transaction), so a crashed run never leaves a truncated object behind;
-corrupt or unreadable objects are treated as misses and silently
-recomputed.  Process-pool workers each open the store by path and write
-independently — content addressing makes concurrent writes of the same
-key idempotent.
 
 ``gc`` prunes by age and/or total size (oldest objects first) and
 compacts the manifest to the surviving save lines; ``stats`` summarizes
@@ -52,14 +47,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sqlite3
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Union
 
 from .. import telemetry
 from ..sim.metrics import SimulationResult
-from .backends import DirBackend, ObjectBackend, resolve_backend
 
 logger = telemetry.get_logger(__name__)
 
@@ -76,6 +73,9 @@ __all__ = [
 #: Bump when the params layout or result payload schema changes; old
 #: entries simply stop matching (no migration needed — it is a cache).
 SCHEMA_VERSION = 1
+
+#: The store's database file, under its root directory.
+SQLITE_FILENAME = "store.sqlite"
 
 
 def canonical_params(params: Dict) -> str:
@@ -98,7 +98,7 @@ class StoreStats(NamedTuple):
 
     #: Cached objects currently on disk.
     entries: int
-    #: Their total compressed size.
+    #: Their total payload size in bytes.
     total_bytes: int
     #: Save events in the manifest (each save was a computed miss).
     saves: int
@@ -120,46 +120,65 @@ class GcReport(NamedTuple):
 
 
 class ExperimentStore:
-    """Cached simulation results plus a run manifest, on a backend.
+    """Cached simulation results plus a run manifest, in one database.
 
-    ``backend`` selects the byte layer by name (``"dir"``/``"sqlite"``),
-    accepts a ready :class:`~repro.store.backends.ObjectBackend`, or —
-    left ``None`` — auto-detects from the root (see the module
-    docstring).  Dir-backed stores keep the historical ``objects_dir``
-    and ``manifest_path`` attributes for direct inspection.
+    Connections are per thread (SQLite connections are not thread-safe)
+    and per process, opened lazily, so a store object may cross
+    ``fork()``: a child opens its own connection on first use.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        backend: Union[None, str, ObjectBackend] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        if isinstance(backend, ObjectBackend):
-            self.backend = backend
-        else:
-            self.backend = resolve_backend(self.root, backend)
-        if isinstance(self.backend, DirBackend):
-            self.objects_dir = self.backend.objects_dir
-            self.manifest_path = self.backend.manifest_path
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.db_path = self.root / SQLITE_FILENAME
+        self._local = threading.local()
+        with self._cursor() as cur:
+            cur.execute(
+                "CREATE TABLE IF NOT EXISTS objects ("
+                "  key TEXT PRIMARY KEY,"
+                "  payload TEXT NOT NULL,"
+                "  size INTEGER NOT NULL,"
+                "  mtime REAL NOT NULL)"
+            )
+            cur.execute(
+                "CREATE TABLE IF NOT EXISTS manifest ("
+                "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
+                "  line TEXT NOT NULL)"
+            )
         self.hits = 0
         self.misses = 0
         self._hit_log_failed = False
+
+    def _connect(self) -> sqlite3.Connection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None or getattr(self._local, "pid", None) != os.getpid():
+            conn = sqlite3.connect(self.db_path, timeout=30.0)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute("PRAGMA busy_timeout=30000")
+            self._local.conn = conn
+            self._local.pid = os.getpid()
+        return conn
+
+    @contextmanager
+    def _cursor(self) -> Iterator[sqlite3.Cursor]:
+        """``with self._cursor() as cur`` — commit on success, rollback
+        on error (every call is one transaction)."""
+        conn = self._connect()
+        try:
+            yield conn.cursor()
+        except BaseException:
+            conn.rollback()
+            raise
+        else:
+            conn.commit()
 
     def fetch(self, params: Dict) -> Optional[SimulationResult]:
         """The cached result for ``params``, or None (counted as a miss)."""
         key = cache_key(params)
         t0 = time.perf_counter()
-        payload = self.backend.get(key)
-        if payload is None:
-            self.misses += 1
-            telemetry.count("store.miss")
-            return None
-        try:
-            result = SimulationResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            # A wrong-shaped payload is a miss, not an error; the
-            # recomputation will overwrite it atomically.
+        result = _rebuild(self.result_dict(key))
+        if result is None:
             self.misses += 1
             telemetry.count("store.miss")
             return None
@@ -170,7 +189,7 @@ class ExperimentStore:
             self._append_manifest(
                 {"event": "hit", "key": key, "created": time.time()}
             )
-        except (OSError, sqlite3.Error) as exc:
+        except sqlite3.Error as exc:
             # Hit logging is best-effort bookkeeping: a read-only store
             # (shared cache, another user's CI artifact) must still serve
             # hits, exactly as corrupt objects silently read as misses.
@@ -187,19 +206,40 @@ class ExperimentStore:
     def fetch_by_key(self, key: str) -> Optional[SimulationResult]:
         """The cached result stored under ``key`` directly, or None.
 
-        For callers that planned work by key ahead of time (the
-        simulation service serves full shard results this way).  No
-        hit/miss accounting or manifest logging — this is an internal
-        read of an object the caller already knows exists, not a cache
-        lookup that should skew hit-rate statistics.
+        For callers that planned work by key ahead of time.  No hit/miss
+        accounting or manifest logging — this is an internal read of an
+        object the caller already knows exists, not a cache lookup that
+        should skew hit-rate statistics.
         """
-        payload = self.backend.get(key)
-        if payload is None:
+        return _rebuild(self.result_dict(key))
+
+    def result_dict(self, key: str) -> Optional[Dict]:
+        """The stored result dict under ``key`` (the
+        :meth:`~repro.sim.metrics.SimulationResult.to_dict` form), or
+        None; like :meth:`fetch_by_key`, without accounting, and without
+        rebuilding a result object.
+        """
+        with self._cursor() as cur:
+            row = cur.execute(
+                "SELECT payload FROM objects WHERE key = ?", (key,)
+            ).fetchone()
+        if row is None:
             return None
         try:
-            return SimulationResult.from_dict(payload["result"])
+            result = json.loads(row[0])["result"]
         except (ValueError, KeyError, TypeError):
+            # A corrupt or wrong-shaped payload (partial copy, manual
+            # tampering) is a miss; the recomputation overwrites it.
             return None
+        return result if isinstance(result, dict) else None
+
+    def __contains__(self, key: object) -> bool:
+        """Whether an object is stored under ``key`` (one existence query)."""
+        with self._cursor() as cur:
+            row = cur.execute(
+                "SELECT 1 FROM objects WHERE key = ?", (key,)
+            ).fetchone()
+        return row is not None
 
     def save(self, params: Dict, result: SimulationResult) -> str:
         """Store a result under its params key; append to the manifest."""
@@ -210,13 +250,18 @@ class ExperimentStore:
         # histogram is always stored, so fetch round-trips losslessly
         # either way and keys are unaffected.
         include_samples = bool(params.get("keep_samples", True))
-        self.backend.put(
-            key,
+        text = canonical_params(
             {
                 "params": params,
                 "result": result.to_dict(include_samples=include_samples),
-            },
+            }
         )
+        with self._cursor() as cur:
+            cur.execute(
+                "INSERT OR REPLACE INTO objects (key, payload, size, mtime) "
+                "VALUES (?, ?, ?, ?)",
+                (key, text, len(text.encode()), time.time()),
+            )
         telemetry.count("store.save")
         telemetry.observe("store.save_s", time.perf_counter() - t0)
         self._append_manifest(
@@ -235,15 +280,20 @@ class ExperimentStore:
         return key
 
     def _append_manifest(self, record: Dict) -> None:
-        self.backend.append_manifest(canonical_params(record))
+        with self._cursor() as cur:
+            cur.execute(
+                "INSERT INTO manifest (line) VALUES (?)",
+                (canonical_params(record),),
+            )
 
     def manifest_records(self) -> List[Dict]:
         """Parsed manifest lines, skipping any corrupt ones."""
+        with self._cursor() as cur:
+            rows = cur.execute(
+                "SELECT line FROM manifest ORDER BY id"
+            ).fetchall()
         records: List[Dict] = []
-        for line in self.backend.manifest_lines():
-            line = line.strip()
-            if not line:
-                continue
+        for (line,) in rows:
             try:
                 records.append(json.loads(line))
             except ValueError:
@@ -252,7 +302,10 @@ class ExperimentStore:
 
     def stats(self) -> StoreStats:
         """Entry count, size on disk, and lifetime hit rate (manifest)."""
-        entries = self.backend.entries()
+        with self._cursor() as cur:
+            entries, total_bytes = cur.execute(
+                "SELECT COUNT(*), COALESCE(SUM(size), 0) FROM objects"
+            ).fetchone()
         saves = hits = 0
         oldest: Optional[float] = None
         newest: Optional[float] = None
@@ -267,8 +320,8 @@ class ExperimentStore:
                 newest = created if newest is None else max(newest, created)
         total = hits + saves
         return StoreStats(
-            entries=len(entries),
-            total_bytes=int(sum(entry.size for entry in entries)),
+            entries=int(entries),
+            total_bytes=int(total_bytes),
             saves=saves,
             hits=hits,
             hit_rate=hits / total if total else float("nan"),
@@ -283,67 +336,89 @@ class ExperimentStore:
     ) -> GcReport:
         """Prune cached objects by age and/or total size.
 
-        Objects older than ``max_age_seconds`` (by entry mtime — robust
-        even when manifest lines are missing) are removed first; then, if
-        the survivors still exceed ``max_total_bytes``, the oldest are
-        removed until they fit.  The manifest is compacted to the
-        surviving saves (hit events are pruned — they have served their
-        statistical purpose).  With neither bound set this is a no-op
-        that still compacts the manifest.
-
-        Run gc while the store is quiescent: compaction is read-rewrite-
-        replace, so manifest lines appended by a concurrently running
-        sweep inside that window are dropped from the *log* (stats may
-        undercount until their objects are re-saved).  Cached objects
-        themselves are never affected — fetches hit regardless of what
-        the manifest says.
+        Objects saved more than ``max_age_seconds`` ago (by the object's
+        own save time, robust even when manifest lines are missing) are
+        removed first; then, if the survivors still exceed
+        ``max_total_bytes``, the oldest are removed until they fit.  The
+        manifest is compacted to the surviving saves (hit events are
+        pruned — they have served their statistical purpose).  With
+        neither bound set this is a no-op that still compacts the
+        manifest.  The whole pass is one write transaction, so a sweep
+        saving concurrently waits for it rather than losing its lines.
         """
         now = time.time()
-        objects = sorted(self.backend.entries(), key=lambda e: e.mtime)
-        doomed: List[str] = []
-        if max_age_seconds is not None:
-            cutoff = now - max_age_seconds
-            doomed.extend(e.key for e in objects if e.mtime < cutoff)
-        if max_total_bytes is not None:
-            doomed_set = set(doomed)
-            remaining = [e for e in objects if e.key not in doomed_set]
-            excess = sum(e.size for e in remaining) - max_total_bytes
-            for entry in remaining:  # oldest first
-                if excess <= 0:
-                    break
-                doomed.append(entry.key)
-                excess -= entry.size
-        bytes_freed = 0
-        for key in doomed:
-            bytes_freed += self.backend.delete(key)
-        survivors = {entry.key for entry in self.backend.entries()}
-        # Compact the manifest: surviving saves only, newest line per key.
-        keep: Dict[str, Dict] = {}
-        for record in self.manifest_records():
-            if record.get("event") == "hit":
-                continue
-            key = record.get("key")
-            if key in survivors:
-                keep[key] = record
-        self.backend.rewrite_manifest(
-            [canonical_params(record) for record in keep.values()]
-        )
+        with self._cursor() as cur:
+            cur.execute("BEGIN IMMEDIATE")
+            objects = cur.execute(
+                "SELECT key, size, mtime FROM objects ORDER BY mtime"
+            ).fetchall()
+            doomed: Dict[str, int] = {}
+            if max_age_seconds is not None:
+                cutoff = now - max_age_seconds
+                doomed.update(
+                    (key, size) for key, size, mtime in objects
+                    if mtime < cutoff
+                )
+            if max_total_bytes is not None:
+                remaining = [
+                    (key, size) for key, size, _ in objects
+                    if key not in doomed
+                ]
+                excess = sum(size for _, size in remaining) - max_total_bytes
+                for key, size in remaining:  # oldest first
+                    if excess <= 0:
+                        break
+                    doomed[key] = size
+                    excess -= size
+            cur.executemany(
+                "DELETE FROM objects WHERE key = ?", [(k,) for k in doomed]
+            )
+            survivors = {key for key, _, _ in objects if key not in doomed}
+            # Compact the manifest: surviving saves only, newest line per key.
+            keep: Dict[str, str] = {}
+            for (line,) in cur.execute(
+                "SELECT line FROM manifest ORDER BY id"
+            ).fetchall():
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                key = record.get("key")
+                if record.get("event") != "hit" and key in survivors:
+                    keep[key] = canonical_params(record)
+            cur.execute("DELETE FROM manifest")
+            cur.executemany(
+                "INSERT INTO manifest (line) VALUES (?)",
+                [(line,) for line in keep.values()],
+            )
         return GcReport(
             removed=len(doomed),
             kept=len(survivors),
-            bytes_freed=bytes_freed,
+            bytes_freed=int(sum(doomed.values())),
         )
 
     def __len__(self) -> int:
         """Number of stored objects."""
-        return len(self.backend.entries())
+        with self._cursor() as cur:
+            (count,) = cur.execute("SELECT COUNT(*) FROM objects").fetchone()
+        return int(count)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ExperimentStore({str(self.root)!r}, "
-            f"backend={self.backend.name!r}, hits={self.hits}, "
+            f"ExperimentStore({str(self.root)!r}, hits={self.hits}, "
             f"misses={self.misses})"
         )
+
+
+def _rebuild(data: Optional[Dict]) -> Optional[SimulationResult]:
+    """A result from its stored dict; None for a missing or wrong-shaped
+    one (a miss, not an error)."""
+    if data is None:
+        return None
+    try:
+        return SimulationResult.from_dict(data)
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def coerce_store(
@@ -351,13 +426,14 @@ def coerce_store(
 ) -> Optional[ExperimentStore]:
     """Accept None, a path, or a store instance at API boundaries.
 
-    A string path may carry an explicit backend prefix
-    (``"sqlite:/path/to/store"``); plain paths auto-detect.
+    A string path may carry a ``sqlite:`` prefix
+    (``"sqlite:/path/to/store"``), the form older callers use to ask for
+    the layout every store now has; it is stripped.
     """
     if store is None or isinstance(store, ExperimentStore):
         return store
     if isinstance(store, str) and store.startswith("sqlite:"):
-        return ExperimentStore(store[len("sqlite:"):], backend="sqlite")
+        store = store[len("sqlite:"):]
     return ExperimentStore(store)
 
 
@@ -367,9 +443,7 @@ def store_dir(
     """The inverse of :func:`coerce_store`: a picklable directory string.
 
     Process-pool jobs carry the store by path (workers reopen it
-    locally); this is the one place that flattening lives.  Backend
-    identity survives the round trip via auto-detection (a sqlite store
-    root contains its database file).
+    locally); this is the one place that flattening lives.
     """
     if store is None:
         return None

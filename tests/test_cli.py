@@ -134,6 +134,13 @@ class TestEngineResolution:
         assert exc.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
+    def test_serve_has_no_backend_flag(self, capsys):
+        # The store has one layout, so there is nothing to choose.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--backend", "sqlite"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestScenarioCommands:
     def test_scenarios_list(self, capsys):
@@ -176,7 +183,7 @@ class TestScenarioCommands:
         first = capsys.readouterr().out
         assert main(argv) == 0  # second run served from the store
         assert capsys.readouterr().out == first
-        assert (tmp_path / "store" / "manifest.jsonl").exists()
+        assert (tmp_path / "store" / "store.sqlite").exists()
 
     def test_no_store_wins(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "env-store"))

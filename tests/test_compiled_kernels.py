@@ -254,9 +254,9 @@ class TestSerialization:
             "sprinklers", matrix, 240, seed=6, engine="vectorized",
             keep_samples=False,
         )
-        payload = store.backend.get(cache_key(params))
-        assert "delay_samples" not in payload["result"]
-        assert payload["result"]["delay_histogram"]
+        stored = store.result_dict(cache_key(params))
+        assert "delay_samples" not in stored
+        assert stored["delay_histogram"]
 
 
 class TestOlderClients:

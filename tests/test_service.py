@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import signal
+import sqlite3
 import sys
 import threading
 import time
@@ -41,13 +42,15 @@ from repro.service import (
 from repro.scenarios import resolve_scenario
 from repro.service import core as service_core
 from repro.service.daemon import MAX_BODY_BYTES
+from repro.service.jobs import shard_params
 from repro.service.pool import Task, pick
 from repro.sim.experiment import (
     TRAFFIC_PATTERNS,
     cell_workload,
     run_single,
 )
-from repro.store import ExperimentStore
+from repro.sim.metrics import SimulationResult
+from repro.store import ExperimentStore, canonical_params
 
 
 def small_request(**overrides):
@@ -187,6 +190,21 @@ class TestServiceDedup:
             jid = service.submit(request)
             assert service.wait(jid, timeout=5)
             assert service.status(jid)["sources"]["cached"] == 4
+
+    def test_a_shard_pruned_by_gc_is_recomputed(self, tmp_path):
+        # Another process's ``repro store gc`` removes objects this
+        # daemon has served: they must not keep serving as cached.
+        request = small_request()
+        with SimulationService(tmp_path, workers=2) as service:
+            first = service.submit(request)
+            assert service.wait(first, timeout=120)
+            assert ExperimentStore(tmp_path).gc(max_age_seconds=0).kept == 0
+            again = service.submit(request)
+            assert service.wait(again, timeout=120)
+            assert service.status(again)["sources"]["new"] == 4
+            cells = list(service.results(again))
+        assert [cell["status"] for cell in cells] == ["done"] * 4
+        assert all(cell["result"]["measured_packets"] > 0 for cell in cells)
 
     def test_event_stream_order_and_content(self, tmp_path):
         request = small_request()
@@ -848,6 +866,78 @@ class TestRunSweep:
         assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
 
 
+class TestStoreServedCells:
+    """A store-served cell is read once by ``results`` and rebuilt at
+    most twice by ``run_sweep``: once to plan it, once to return it."""
+
+    @pytest.fixture()
+    def rebuilds(self, monkeypatch):
+        calls = Counter()
+        from_dict = SimulationResult.from_dict.__func__
+        to_dict = SimulationResult.to_dict
+
+        def counted_from_dict(cls, data):
+            calls["from_dict"] += 1
+            return from_dict(cls, data)
+
+        def counted_to_dict(self, *args, **kwargs):
+            calls["to_dict"] += 1
+            return to_dict(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            SimulationResult, "from_dict", classmethod(counted_from_dict)
+        )
+        monkeypatch.setattr(SimulationResult, "to_dict", counted_to_dict)
+        return calls
+
+    def test_run_sweep_rebuilds_each_cell_at_most_twice(
+        self, tmp_path, monkeypatch, rebuilds
+    ):
+        request = small_request()
+        first = [r.as_row() for r in run_sweep(request, tmp_path, workers=2)]
+        monkeypatch.setattr(
+            WorkerPool, "start",
+            lambda self: pytest.fail("a worker pool was started"),
+        )
+        rebuilds.clear()
+        again = run_sweep(request, tmp_path, workers=2)
+        assert len(again) == 4
+        assert rebuilds["from_dict"] <= 2 * len(again)
+        assert rebuilds["to_dict"] == 0
+        assert [r.as_row() for r in again] == first
+
+    def test_results_pass_the_stored_dict_on(self, tmp_path, rebuilds):
+        request = small_request()
+        shards = expand_shards(request)
+        store = ExperimentStore(tmp_path)
+        # One shard's object carries per-packet samples, as a
+        # keep_samples=True run stores them: results leaves them out.
+        sampled = run_single(
+            **{**shard_run_kwargs(shards[0]), "keep_samples": True}
+        ).to_dict()
+        assert sampled["delay_samples"]
+        payload = {"params": shard_params(shards[0]), "result": sampled}
+        with sqlite3.connect(store.db_path) as conn:
+            conn.execute(
+                "INSERT INTO objects VALUES (?, ?, 0, 0)",
+                (shard_key(shards[0]), canonical_params(payload)),
+            )
+        with SimulationService(store, workers=2) as service:
+            job_id = service.submit(request)
+            assert service.wait(job_id, timeout=120)
+            rebuilds.clear()
+            cells = list(service.results(job_id))
+        assert rebuilds == Counter()
+        assert len(cells) == 4
+        assert service.status(job_id)["sources"]["cached"] == 1
+        for cell in cells:
+            want = store.fetch_by_key(cell["key"]).to_dict(
+                include_samples=False
+            )
+            assert cell["result"] == want
+        assert cells[0]["result"]["delay_histogram"]
+
+
 class TestHTTPSurface:
     @pytest.fixture()
     def server(self, tmp_path):
@@ -858,7 +948,9 @@ class TestHTTPSurface:
         client = ServiceClient(server.address)
         health = client.health()
         assert health["status"] == "ok"
-        assert health["backend"] in ("dir", "sqlite")
+        assert health == {
+            "status": "ok", "store": str(server.service.store.root),
+        }
 
         job_id = client.submit(small_request())
         events = list(client.watch(job_id, timeout=120))
@@ -876,6 +968,9 @@ class TestHTTPSurface:
         assert len(rows) == 4
         assert all(row["status"] == "done" for row in rows)
         assert all(row["result"]["measured_packets"] > 0 for row in rows)
+        for row in rows:
+            stored = server.service.store.fetch_by_key(row["key"])
+            assert row["result"] == stored.to_dict(include_samples=False)
 
         overall = client.status()
         assert [job["job_id"] for job in overall["jobs"]] == [job_id]

@@ -12,9 +12,9 @@ import json
 import math
 import multiprocessing
 import sqlite3
+import time
 from collections import Counter
 
-import numpy as np
 import pytest
 
 import repro.sim.experiment as experiment
@@ -26,21 +26,34 @@ from repro.scenarios import get_scenario
 from repro.store import (
     ExperimentStore,
     cache_key,
-    canonical_params,
     coerce_store,
+    store_dir,
 )
 from repro.traffic.matrices import uniform_matrix
 
 from tests.test_scenarios import assert_results_identical
 
-#: Every ObjectBackend implementation must pass the backend-agnostic
-#: tests below identically — the `store` fixture runs them on each.
-STORE_BACKENDS = ("dir", "sqlite")
+
+@pytest.fixture()
+def store(tmp_path):
+    return ExperimentStore(tmp_path / "store")
 
 
-@pytest.fixture(params=STORE_BACKENDS)
-def store(tmp_path, request):
-    return ExperimentStore(tmp_path / "store", backend=request.param)
+def set_mtimes(store, mtimes):
+    """Backdate stored objects: ``mtimes`` maps key -> save time."""
+    with sqlite3.connect(store.db_path) as conn:
+        conn.executemany(
+            "UPDATE objects SET mtime = ? WHERE key = ?",
+            [(mtime, key) for key, mtime in mtimes.items()],
+        )
+
+
+def object_sizes(store):
+    """``{key: payload bytes}`` of every stored object, by save time."""
+    with sqlite3.connect(store.db_path) as conn:
+        return dict(
+            conn.execute("SELECT key, size FROM objects ORDER BY mtime")
+        )
 
 
 def params_for(**overrides):
@@ -122,25 +135,30 @@ class TestRoundTrip:
         assert clone.is_ordered == result.is_ordered
         assert clone.throughput == result.throughput
 
-    def test_corrupt_object_is_a_miss(self, tmp_path):
-        store = ExperimentStore(tmp_path)
-        run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
-        (obj,) = list(store.objects_dir.glob("*/*.json.gz"))
-        obj.write_bytes(b"not gzip at all")
-        result = run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
-        assert result.measured_packets > 0
-        assert store.hits == 0
-
-    def test_truncated_object_is_a_miss(self, tmp_path):
-        # gzip raises EOFError (not OSError) on truncation — e.g. a
-        # partially copied store directory; it must read as a miss.
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: "not json",
+            lambda text: b"not gzip at all",
+            lambda text: text[:-8],
+            lambda text: '{"params": {}}',
+        ],
+        ids=["not-json", "binary", "truncated", "wrong-shape"],
+    )
+    def test_corrupt_sqlite_payload_is_a_miss(self, tmp_path, corrupt):
+        # A corrupt, partially copied or wrong-shaped payload reads as a
+        # miss, and the recomputation overwrites it.
         store = ExperimentStore(tmp_path)
         expected = run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
-        (obj,) = list(store.objects_dir.glob("*/*.json.gz"))
-        obj.write_bytes(obj.read_bytes()[:-8])
+        with sqlite3.connect(store.db_path) as conn:
+            (text,) = conn.execute("SELECT payload FROM objects").fetchone()
+            conn.execute("UPDATE objects SET payload = ?", (corrupt(text),))
         result = run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
         assert store.hits == 0
+        assert result.measured_packets > 0
         assert result.mean_delay == expected.mean_delay
+        run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
+        assert store.hits == 1 and len(store) == 1
 
     def test_manifest_lines_appended(self, tmp_path):
         store = ExperimentStore(tmp_path)
@@ -152,20 +170,22 @@ class TestRoundTrip:
             num_slots=300,
             store=store,
         )
-        lines = store.manifest_path.read_text().splitlines()
-        assert len(lines) == 1
-        assert '"scenario":"paper-uniform"' in lines[0]
+        (record,) = store.manifest_records()
+        assert record["scenario"] == "paper-uniform"
 
     def test_read_only_manifest_still_serves_hits(self, tmp_path, caplog):
         # A shared/read-only store must keep serving hits even when the
         # best-effort hit log cannot be appended — and must say so once
         # at DEBUG instead of swallowing every failure silently.
-        # (chmod is bypassed by root, so force the append to fail with
-        # IsADirectoryError — also an OSError — by squatting the path.)
+        # (chmod is bypassed by root, so a trigger makes the hit insert
+        # fail instead.)
         store = ExperimentStore(tmp_path)
         expected = run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
-        store.manifest_path.unlink()
-        store.manifest_path.mkdir()
+        with sqlite3.connect(store.db_path) as conn:
+            conn.execute(
+                "CREATE TRIGGER read_only BEFORE INSERT ON manifest "
+                "BEGIN SELECT RAISE(ABORT, 'read-only manifest'); END"
+            )
         with caplog.at_level("DEBUG", logger="repro"):
             for _ in range(3):
                 hit = run_single(
@@ -173,6 +193,7 @@ class TestRoundTrip:
                 )
                 assert hit.mean_delay == expected.mean_delay
         assert store.hits == 3
+        assert store.stats().hits == 0  # no hit was logged
         debug_records = [
             r for r in caplog.records
             if "hit logging disabled" in r.getMessage()
@@ -185,6 +206,59 @@ class TestRoundTrip:
         store = coerce_store(tmp_path / "s")
         assert isinstance(store, ExperimentStore)
         assert coerce_store(store) is store
+
+    def test_sqlite_prefix_coerce(self, tmp_path):
+        # The prefix names the one layout; it is stripped, so the store
+        # flattens back to its bare directory.
+        store = coerce_store(f"sqlite:{tmp_path / 's'}")
+        assert isinstance(store, ExperimentStore)
+        assert store_dir(store) == str(tmp_path / "s")
+        assert store.db_path == tmp_path / "s" / "store.sqlite"
+
+    def test_store_reopens_by_bare_path(self, tmp_path):
+        # store_dir() flattens stores to a path for pool workers; the
+        # path alone reopens the same database.
+        store = ExperimentStore(tmp_path)
+        expected = run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
+        reopened = ExperimentStore(store_dir(store))
+        again = run_single("ufs", uniform_matrix(4, 0.5), 300, store=reopened)
+        assert reopened.hits == 1
+        assert_results_identical(expected, again)
+
+    @pytest.mark.parametrize("keep_samples", [True, False])
+    def test_result_dict_is_the_stored_dict(self, store, keep_samples):
+        result = run_single(
+            "ufs", uniform_matrix(4, 0.5), 300, load_label=0.5,
+            keep_samples=keep_samples, store=store,
+        )
+        key = cache_key(params_for(num_slots=300, keep_samples=keep_samples))
+        assert store.result_dict(key) == result.to_dict(
+            include_samples=keep_samples
+        )
+        assert ("delay_samples" in store.result_dict(key)) is keep_samples
+        assert store.result_dict("0" * 64) is None
+
+    def test_reads_by_key_are_not_hits(self, store):
+        run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
+        key = cache_key(params_for(num_slots=300, load_label=float("nan")))
+        assert key in store and "0" * 64 not in store
+        assert store.fetch_by_key(key) is not None
+        assert store.result_dict(key) is not None
+        assert store.hits == 0 and store.stats().hits == 0
+        store.gc(max_age_seconds=0.0)
+        assert key not in store
+        assert store.fetch_by_key(key) is None
+
+    def test_a_gzip_directory_store_is_not_read(self, tmp_path):
+        # The older layout's files stay where they are, unread: its
+        # cells recompute, as after a SCHEMA_VERSION bump.
+        old = tmp_path / "objects" / "ab" / f"ab{'0' * 62}.json.gz"
+        old.parent.mkdir(parents=True)
+        old.write_bytes(b"\x1f\x8b")
+        (tmp_path / "manifest.jsonl").write_text('{"key":"ab"}\n')
+        store = ExperimentStore(tmp_path)
+        assert len(store) == 0 and store.stats().saves == 0
+        assert old.exists()
 
 
 class TestZeroRecompute:
@@ -329,33 +403,33 @@ class TestStatsAndGc:
 
     def test_gc_by_age(self, store):
         self._populate(store, runs=3)
+        sizes = object_sizes(store)
+        *old, fresh = sizes
+        hour_ago = time.time() - 3600
+        set_mtimes(store, {key: hour_ago for key in old})
+        report = store.gc(max_age_seconds=60.0)
+        assert report.removed == 2
+        assert report.kept == 1
+        assert report.bytes_freed == sum(sizes[key] for key in old)
+        assert list(object_sizes(store)) == [fresh]
+        # Manifest compacted: only the survivor's save line is left.
+        assert [r["key"] for r in store.manifest_records()] == [fresh]
         report = store.gc(max_age_seconds=0.0)
-        assert report.removed == 3
-        assert report.kept == 0
-        assert report.bytes_freed > 0
+        assert (report.removed, report.kept) == (1, 0)
         assert len(store) == 0
-        # Manifest compacted: no stale lines survive.
         assert store.stats().saves == 0
 
-    def test_gc_by_size_removes_oldest_first(self, tmp_path):
-        # Dir-only: drives object age through file mtimes on disk.
-        import os
-        import time
-
-        store = ExperimentStore(tmp_path)
+    def test_gc_by_size_removes_oldest_first(self, store):
         self._populate(store, runs=3)
-        paths = sorted(
-            store.objects_dir.glob("*/*.json.gz"), key=lambda p: p.stat().st_mtime
-        )
-        # Force distinct mtimes so "oldest" is well defined.
+        keys = list(object_sizes(store))
+        # Force distinct save times so "oldest" is well defined.
         now = time.time()
-        for rank, path in enumerate(paths):
-            os.utime(path, (now + rank, now + rank))
-        one_size = paths[0].stat().st_size
-        report = store.gc(max_total_bytes=one_size)
+        set_mtimes(
+            store, {key: now - 100 + rank for rank, key in enumerate(keys)}
+        )
+        report = store.gc(max_total_bytes=object_sizes(store)[keys[-1]])
         assert report.kept == 1
-        survivors = list(store.objects_dir.glob("*/*.json.gz"))
-        assert survivors == [paths[-1]]  # newest kept
+        assert list(object_sizes(store)) == [keys[-1]]  # newest kept
 
     def test_gc_without_bounds_keeps_everything(self, store):
         self._populate(store, runs=2)
@@ -380,56 +454,16 @@ class TestStatsAndGc:
         assert_results_identical(first, again)
 
 
-class TestBackendParity:
-    """SqliteBackend stores what DirBackend stores — bit for bit."""
-
-    def test_payload_bit_identical_across_backends(self, tmp_path):
-        blobs = {}
-        for name in STORE_BACKENDS:
-            store = ExperimentStore(tmp_path / name, backend=name)
-            run_single(
-                "ufs", uniform_matrix(4, 0.5), 500, load_label=0.5,
-                store=store,
-            )
-            payload = store.backend.get(cache_key(params_for()))
-            assert payload is not None
-            blobs[name] = canonical_params(payload)
-        assert blobs["dir"] == blobs["sqlite"]
-
-    def test_sqlite_store_reopens_by_bare_path(self, tmp_path):
-        # store_dir() flattens stores to a path for pool workers; the
-        # database file must be enough to pick the backend back up.
-        store = ExperimentStore(tmp_path, backend="sqlite")
-        expected = run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
-        reopened = ExperimentStore(tmp_path)
-        assert reopened.backend.name == "sqlite"
-        again = run_single("ufs", uniform_matrix(4, 0.5), 300, store=reopened)
-        assert reopened.hits == 1
-        assert_results_identical(expected, again)
-
-    def test_sqlite_prefix_coerce(self, tmp_path):
-        store = coerce_store(f"sqlite:{tmp_path / 's'}")
-        assert isinstance(store, ExperimentStore)
-        assert store.backend.name == "sqlite"
-
-    def test_corrupt_sqlite_payload_is_a_miss(self, tmp_path):
-        store = ExperimentStore(tmp_path, backend="sqlite")
-        run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
-        with sqlite3.connect(store.backend.db_path) as conn:
-            conn.execute("UPDATE objects SET payload = 'not json'")
-        result = run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
-        assert store.hits == 0
-        assert result.measured_packets > 0
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            ExperimentStore(tmp_path, backend="postgres")
-
-
-def _append_burst(root, backend, worker, count):
-    store = ExperimentStore(root, backend=backend)
+def _append_burst(root, worker, count):
+    store = ExperimentStore(root)
     for i in range(count):
         store._append_manifest({"worker": worker, "i": i})
+
+
+def _save_burst(root, worker, result):
+    store = ExperimentStore(root)
+    store.save(params_for(seed=worker), result)
+    store.save(params_for(seed=100), result)  # every worker, one key
 
 
 class TestManifestConcurrency:
@@ -438,17 +472,14 @@ class TestManifestConcurrency:
     WORKERS = 8
     APPENDS = 50
 
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_parallel_appends_keep_every_line_intact(
-        self, tmp_path, backend
-    ):
-        root = tmp_path / backend
-        ExperimentStore(root, backend=backend)  # create the layout once
+    def test_parallel_appends_keep_every_line_intact(self, tmp_path):
+        root = tmp_path / "store"
+        store = ExperimentStore(root)  # create the database once
         ctx = multiprocessing.get_context("fork")
         procs = [
             ctx.Process(
                 target=_append_burst,
-                args=(str(root), backend, worker, self.APPENDS),
+                args=(str(root), worker, self.APPENDS),
             )
             for worker in range(self.WORKERS)
         ]
@@ -457,10 +488,10 @@ class TestManifestConcurrency:
         for proc in procs:
             proc.join(timeout=60)
             assert proc.exitcode == 0
-        store = ExperimentStore(root, backend=backend)
-        lines = [
-            line for line in store.backend.manifest_lines() if line.strip()
-        ]
+        with sqlite3.connect(store.db_path) as conn:
+            lines = [
+                line for (line,) in conn.execute("SELECT line FROM manifest")
+            ]
         expected = self.WORKERS * self.APPENDS
         assert len(lines) == expected
         # Every line parses (no torn/interleaved writes) and every
@@ -469,3 +500,25 @@ class TestManifestConcurrency:
         counts = Counter((r["worker"], r["i"]) for r in records)
         assert len(counts) == expected
         assert set(counts.values()) == {1}
+
+    def test_parallel_saves_keep_every_object(self, tmp_path):
+        root = tmp_path / "store"
+        store = ExperimentStore(root)
+        result = run_single("ufs", uniform_matrix(4, 0.5), 300)
+        ctx = multiprocessing.get_context("fork")
+        procs = [
+            ctx.Process(target=_save_burst, args=(str(root), worker, result))
+            for worker in range(self.WORKERS)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        stats = store.stats()
+        # One object per distinct key; one save line per save call.
+        assert (stats.entries, stats.saves) == (self.WORKERS + 1, 16)
+        for seed in [*range(self.WORKERS), 100]:
+            assert_results_identical(
+                store.fetch(params_for(seed=seed)), result
+            )
