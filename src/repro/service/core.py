@@ -431,7 +431,9 @@ class SimulationService:
         Yields one dict per shard: identity, status, and — for completed
         shards — the stored result dict, read once and passed on as
         stored.  Result streams are summaries for clients: the exact
-        histogram travels, the bulky per-packet samples do not.
+        histogram travels, the bulky per-packet samples do not.  A
+        finished shard whose object a gc has since removed yields
+        status ``pruned`` and an error instead of a result.
         """
         job = self._job(job_id)
         with self._lock:
@@ -454,6 +456,11 @@ class SimulationService:
                 result.pop("delay_samples", None)
                 entry["result"] = result
                 entry["status"] = "done"
+            elif entry.get("status") == "done":
+                # Finished, but its object has since been removed by a
+                # ``repro store gc``: say so; resubmitting recomputes it.
+                entry["status"] = "pruned"
+                entry["error"] = PRUNED_ERROR
             yield entry
 
 
@@ -500,3 +507,8 @@ def run_sweep(
 
 #: Condition-wait slice: bounds stream latency for follow/wait loops.
 WAIT_SLICE = 0.25
+
+#: ``results``' error for a finished shard whose stored object is gone.
+PRUNED_ERROR = (
+    "result no longer in the store (removed by gc); resubmit to recompute"
+)

@@ -206,6 +206,21 @@ class TestServiceDedup:
         assert [cell["status"] for cell in cells] == ["done"] * 4
         assert all(cell["result"]["measured_packets"] > 0 for cell in cells)
 
+    def test_results_of_a_pruned_job_say_so(self, tmp_path):
+        # A finished job whose objects a gc removed has no result to
+        # yield: each cell says why instead of reading "done".
+        request = small_request()
+        with SimulationService(tmp_path, workers=2) as service:
+            jid = service.submit(request)
+            assert service.wait(jid, timeout=120)
+            assert ExperimentStore(tmp_path).gc(max_age_seconds=0).kept == 0
+            cells = list(service.results(jid))
+        assert [cell["status"] for cell in cells] == ["pruned"] * 4
+        assert all("result" not in cell for cell in cells)
+        assert all(
+            cell["error"] == service_core.PRUNED_ERROR for cell in cells
+        )
+
     def test_event_stream_order_and_content(self, tmp_path):
         request = small_request()
         with SimulationService(tmp_path, workers=2) as service:

@@ -26,6 +26,7 @@ from repro.scenarios import get_scenario
 from repro.store import (
     ExperimentStore,
     cache_key,
+    canonical_params,
     coerce_store,
     store_dir,
 )
@@ -237,6 +238,28 @@ class TestRoundTrip:
         )
         assert ("delay_samples" in store.result_dict(key)) is keep_samples
         assert store.result_dict("0" * 64) is None
+
+    @pytest.mark.parametrize("keep_samples", [True, False])
+    def test_stored_payload_is_canonical_text(self, store, keep_samples):
+        # The payload column is the canonical JSON of params and result,
+        # byte for byte, and the size column is its length in bytes.
+        result = run_single(
+            "ufs", uniform_matrix(4, 0.5), 300, load_label=0.5,
+            keep_samples=keep_samples, store=store,
+        )
+        params = params_for(num_slots=300, keep_samples=keep_samples)
+        with sqlite3.connect(store.db_path) as conn:
+            key, payload, size = conn.execute(
+                "SELECT key, payload, size FROM objects"
+            ).fetchone()
+        assert key == cache_key(params)
+        assert payload == canonical_params(
+            {
+                "params": params,
+                "result": result.to_dict(include_samples=keep_samples),
+            }
+        )
+        assert size == len(payload.encode())
 
     def test_reads_by_key_are_not_hits(self, store):
         run_single("ufs", uniform_matrix(4, 0.5), 300, store=store)
