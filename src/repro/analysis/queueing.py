@@ -30,7 +30,7 @@ def lindley_waits(
     ``services[k]`` is customer ``k``'s service time.  Returns the waiting
     time of every customer (``W_0 = 0``).
 
-    >>> list(lindley_waits([1, 1, 5], [2, 2, 2]))
+    >>> lindley_waits([1, 1, 5], [2, 2, 2]).tolist()
     [0.0, 1.0, 2.0, 0.0]
     """
     interarrivals = np.asarray(interarrivals, dtype=float)

@@ -43,6 +43,7 @@ kernel; only ``demo --engine object`` asks for the per-packet oracle.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -777,7 +778,8 @@ def _cmd_store(args: argparse.Namespace) -> str:
                 else None
             ),
             max_total_bytes=(
-                int(args.max_size_mb * 1e6)
+                # floor, not int(): -0.1 bytes must stay negative
+                math.floor(args.max_size_mb * 1e6)
                 if args.max_size_mb is not None
                 else None
             ),

@@ -2,16 +2,10 @@
 
 from .dyadic import DyadicInterval, all_dyadic_intervals, dyadic_interval_for
 from .interval_assignment import PlacementMode, StripeIntervalAssignment
-from .latin import (
-    JacobsonMatthewsSampler,
-    circulant_ols,
-    is_latin_square,
-    weakly_uniform_ols,
-)
+from .latin import circulant_ols, is_latin_square, weakly_uniform_ols
 from .lsf import LsfInputScheduler, LsfIntermediateScheduler
 from .permutation import inverse_permutation, is_permutation, random_permutation
 from .rate_estimation import EwmaRateEstimator, HysteresisSizer
-from .schedule_grid import render_fifo_array, render_input_grid
 from .sprinklers_switch import SprinklersSwitch, VoqPipeline
 from .striping import (
     Stripe,
@@ -25,7 +19,6 @@ __all__ = [
     "DyadicInterval",
     "EwmaRateEstimator",
     "HysteresisSizer",
-    "JacobsonMatthewsSampler",
     "LsfInputScheduler",
     "LsfIntermediateScheduler",
     "PlacementMode",
@@ -43,8 +36,6 @@ __all__ = [
     "load_per_share",
     "per_port_budget",
     "random_permutation",
-    "render_fifo_array",
-    "render_input_grid",
     "stripe_size_for_rate",
     "weakly_uniform_ols",
 ]

@@ -7,22 +7,19 @@ permutation of the port set.  Such a matrix is a Latin square (the paper
 calls it an Orthogonal Latin Square, following its combinatorics reference;
 we keep the paper's acronym OLS in API names for traceability).
 
-Two constructions are provided:
-
-* :func:`weakly_uniform_ols` — the paper's O(N log N) construction
-  ``A[i][j] = (sigma_R(i) + sigma_C(j)) mod N`` from two independent uniform
-  random permutations.  Every row and every column is *marginally* a uniform
-  random permutation, which is all the worst-case analysis of §4 needs.
-* :class:`JacobsonMatthewsSampler` — the Jacobson–Matthews Markov chain
-  (paper reference [8]), which samples approximately *strongly* uniform
-  Latin squares.  Generating exactly uniform OLS in polynomial time is the
-  open problem the paper cites; the MCMC sampler is the standard practical
-  approximation and is included as an extension for ablation studies.
+The switch uses one construction, :func:`weakly_uniform_ols` — the paper's
+O(N log N) ``A[i][j] = (sigma_R(i) + sigma_C(j)) mod N`` from two
+independent uniform random permutations.  Every row and every column is
+*marginally* a uniform random permutation, which is all the worst-case
+analysis of §4 needs.  Sampling *strongly* uniform Latin squares is not
+provided: exact sampling in polynomial time is the open problem the paper
+cites, and its Markov-chain approximation (reference [8]) is not needed.
+:func:`circulant_ols` is the deterministic no-randomization baseline.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -34,7 +31,6 @@ __all__ = [
     "is_latin_square",
     "row_permutations",
     "column_permutations",
-    "JacobsonMatthewsSampler",
 ]
 
 
@@ -94,122 +90,3 @@ def column_permutations(square: Sequence[Sequence[int]]) -> List[List[int]]:
     """The columns of the square as a list of permutations."""
     n = len(square)
     return [[square[i][j] for i in range(n)] for j in range(n)]
-
-
-class JacobsonMatthewsSampler:
-    """Approximately uniform Latin-square sampling via the JM Markov chain.
-
-    The state is the 0/1 incidence cube ``X[r][c][s]`` of a Latin square
-    (``X[r][c][s] == 1`` iff cell ``(r, c)`` holds symbol ``s``), extended
-    with "improper" states containing exactly one ``-1`` entry.  Each move
-    perturbs a 2x2x2 subcube by +/-1 so that all line sums stay equal to 1;
-    the chain is connected and converges to the uniform distribution over
-    Latin squares (Jacobson & Matthews, 1996).
-
-    Parameters
-    ----------
-    n:
-        Order of the Latin square.
-    rng:
-        Source of randomness.
-    initial:
-        Optional starting square; defaults to the circulant square.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        rng: np.random.Generator,
-        initial: Optional[Sequence[Sequence[int]]] = None,
-    ) -> None:
-        if n < 2:
-            raise ValueError("Latin square order must be at least 2")
-        self.n = n
-        self._rng = rng
-        square = initial if initial is not None else circulant_ols(n)
-        if not is_latin_square(square):
-            raise ValueError("initial state is not a Latin square")
-        self._cube = np.zeros((n, n, n), dtype=np.int8)
-        for r in range(n):
-            for c in range(n):
-                self._cube[r, c, square[r][c]] = 1
-        # Location of the -1 cell when the state is improper, else None.
-        self._improper_cell: Optional[tuple] = None
-
-    @property
-    def is_proper(self) -> bool:
-        """Whether the current state is a genuine (proper) Latin square."""
-        return self._improper_cell is None
-
-    def _apply_move(self, r: int, c: int, s: int, r2: int, c2: int, s2: int) -> None:
-        """Add the +/-1 pattern of the 2x2x2 subcube move."""
-        cube = self._cube
-        cube[r, c, s] += 1
-        cube[r, c2, s2] += 1
-        cube[r2, c, s2] += 1
-        cube[r2, c2, s] += 1
-        cube[r, c, s2] -= 1
-        cube[r, c2, s] -= 1
-        cube[r2, c, s] -= 1
-        cube[r2, c2, s2] -= 1
-        if cube[r2, c2, s2] == -1:
-            self._improper_cell = (r2, c2, s2)
-        else:
-            self._improper_cell = None
-
-    def _ones_on_line(self, axis: int, fixed: tuple) -> List[int]:
-        """Indices with value 1 along one line of the cube."""
-        if axis == 0:
-            line = self._cube[:, fixed[0], fixed[1]]
-        elif axis == 1:
-            line = self._cube[fixed[0], :, fixed[1]]
-        else:
-            line = self._cube[fixed[0], fixed[1], :]
-        return [int(i) for i in np.nonzero(line == 1)[0]]
-
-    def step(self) -> None:
-        """One move of the JM chain (proper -> maybe improper, or back)."""
-        rng = self._rng
-        n = self.n
-        if self._improper_cell is None:
-            # Pick a random 0-cell (rejection sampling; density of zeros is
-            # (n-1)/n per line so this terminates quickly).
-            while True:
-                r = int(rng.integers(n))
-                c = int(rng.integers(n))
-                s = int(rng.integers(n))
-                if self._cube[r, c, s] == 0:
-                    break
-            (s2,) = self._ones_on_line(2, (r, c))
-            (r2,) = self._ones_on_line(0, (c, s))
-            (c2,) = self._ones_on_line(1, (r, s))
-        else:
-            r, c, s = self._improper_cell
-            s_choices = self._ones_on_line(2, (r, c))
-            r_choices = self._ones_on_line(0, (c, s))
-            c_choices = self._ones_on_line(1, (r, s))
-            s2 = s_choices[int(rng.integers(len(s_choices)))]
-            r2 = r_choices[int(rng.integers(len(r_choices)))]
-            c2 = c_choices[int(rng.integers(len(c_choices)))]
-        self._apply_move(r, c, s, r2, c2, s2)
-
-    def run_until_proper(self, min_steps: int) -> None:
-        """Run at least ``min_steps`` moves, then continue until proper."""
-        for _ in range(min_steps):
-            self.step()
-        while not self.is_proper:
-            self.step()
-
-    def sample(self, mixing_steps: Optional[int] = None) -> List[List[int]]:
-        """Mix the chain and return the current (proper) Latin square.
-
-        ``mixing_steps`` defaults to ``n**3`` moves, the customary heuristic
-        for near-uniform samples.
-        """
-        steps = mixing_steps if mixing_steps is not None else self.n**3
-        self.run_until_proper(steps)
-        square = [[-1] * self.n for _ in range(self.n)]
-        rows, cols, syms = np.nonzero(self._cube == 1)
-        for r, c, s in zip(rows, cols, syms):
-            square[int(r)][int(c)] = int(s)
-        return square

@@ -19,11 +19,9 @@ import numpy as np
 __all__ = [
     "random_permutation",
     "durstenfeld_shuffle",
-    "identity_permutation",
     "inverse_permutation",
     "compose_permutations",
     "is_permutation",
-    "cyclic_shift_permutation",
 ]
 
 
@@ -49,20 +47,6 @@ def random_permutation(n: int, rng: np.random.Generator) -> List[int]:
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     return durstenfeld_shuffle(list(range(n)), rng)
-
-
-def identity_permutation(n: int) -> List[int]:
-    """The identity permutation of ``0..n-1`` (the ablation baseline)."""
-    return list(range(n))
-
-
-def cyclic_shift_permutation(n: int, shift: int) -> List[int]:
-    """The permutation ``i -> (i + shift) mod n``.
-
-    Rows of the weakly uniform random OLS are cyclic shifts of one another
-    composed with a column permutation; this helper is used in tests.
-    """
-    return [(i + shift) % n for i in range(n)]
 
 
 def is_permutation(values: Sequence[int]) -> bool:

@@ -10,8 +10,8 @@ from .experiment import (
 from .fast_engine import run_single_fast
 from .metrics import DelayStats, SimulationMetrics, SimulationResult
 from .replication import ReplicatedResult, replicate
-from .stats import BatchMeansResult, batch_means, compare_means, mser_truncation
-from .rng import RngRegistry, derive_seed, spawn_generator
+from .stats import BatchMeansResult, batch_means, mser_truncation
+from .rng import derive_seed, spawn_generator
 
 __all__ = [
     "BatchMeansResult",
@@ -19,13 +19,11 @@ __all__ = [
     "ENGINES",
     "PAPER_SWITCHES",
     "ReplicatedResult",
-    "RngRegistry",
     "SimulationEngine",
     "SimulationMetrics",
     "SimulationResult",
     "TRAFFIC_PATTERNS",
     "batch_means",
-    "compare_means",
     "mser_truncation",
     "derive_seed",
     "replicate",

@@ -253,7 +253,14 @@ def plan_run(
             "vectorized"
         )
     else:
-        subject = models.canonical_name(switch_name)
+        try:
+            subject = models.canonical_name(switch_name)
+        except ValueError:
+            raise ValueError(
+                f"unknown switch or fabric {switch_name!r}; "
+                f"switches: {', '.join(models.available())}; "
+                f"fabrics: {', '.join(models.available_fabrics())}"
+            ) from None
         model = models.get(subject)
         model.validate_params(switch_params or {})
         vectorizable = model.supports_engine("vectorized", switch_params)

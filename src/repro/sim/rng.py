@@ -13,11 +13,10 @@ high-quality, collision-resistant child seeds.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator
 
 import numpy as np
 
-__all__ = ["RngRegistry", "derive_seed", "spawn_generator", "traffic_rng"]
+__all__ = ["derive_seed", "spawn_generator", "traffic_rng"]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -52,47 +51,3 @@ def traffic_rng(master_seed: int) -> np.random.Generator:
     them drawing from identical generators.
     """
     return spawn_generator(master_seed, "traffic")
-
-
-class RngRegistry:
-    """A registry of named, independently seeded random generators.
-
-    Components ask the registry for their stream by name; the registry
-    memoizes generators so that repeated lookups return the same stream
-    object (and therefore continue the same random sequence).
-
-    >>> reg = RngRegistry(master_seed=42)
-    >>> g1 = reg.stream("traffic")
-    >>> g1 is reg.stream("traffic")
-    True
-    >>> reg2 = RngRegistry(master_seed=42)
-    >>> float(reg2.stream("traffic").random()) == float(
-    ...     RngRegistry(master_seed=42).stream("traffic").random())
-    True
-    """
-
-    def __init__(self, master_seed: int = 0) -> None:
-        if master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        self.master_seed = int(master_seed)
-        self._streams: Dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return (creating if needed) the generator for stream ``name``."""
-        if name not in self._streams:
-            self._streams[name] = spawn_generator(self.master_seed, name)
-        return self._streams[name]
-
-    def reset(self) -> None:
-        """Forget all streams; subsequent lookups restart their sequences."""
-        self._streams.clear()
-
-    def names(self) -> Iterator[str]:
-        """Iterate over the names of streams created so far."""
-        return iter(sorted(self._streams))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RngRegistry(master_seed={self.master_seed}, "
-            f"streams={sorted(self._streams)})"
-        )

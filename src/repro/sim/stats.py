@@ -25,7 +25,6 @@ __all__ = [
     "mser_truncation",
     "batch_means",
     "BatchMeansResult",
-    "compare_means",
 ]
 
 
@@ -121,23 +120,3 @@ def batch_means(
         batches=batches,
         batch_size=batch_size,
     )
-
-
-def compare_means(
-    a: Sequence[float],
-    b: Sequence[float],
-    batches: int = 20,
-    confidence: float = 0.95,
-) -> tuple:
-    """Difference of two steady-state means with a pooled t interval.
-
-    Returns ``(difference_a_minus_b, half_width)``; the difference is
-    statistically significant at the given confidence iff
-    ``abs(difference) > half_width``.  Used by the ablation analyses to
-    rank switches honestly rather than by point estimates.
-    """
-    result_a = batch_means(a, batches=batches, confidence=confidence)
-    result_b = batch_means(b, batches=batches, confidence=confidence)
-    diff = result_a.mean - result_b.mean
-    half_width = math.hypot(result_a.half_width, result_b.half_width)
-    return diff, half_width

@@ -345,7 +345,15 @@ class ExperimentStore:
         neither bound set this is a no-op that still compacts the
         manifest.  The whole pass is one write transaction, so a sweep
         saving concurrently waits for it rather than losing its lines.
+        A negative (or NaN) bound raises ``ValueError`` before anything is
+        touched: it would otherwise remove every object.
         """
+        for name, bound in (
+            ("max_age_seconds", max_age_seconds),
+            ("max_total_bytes", max_total_bytes),
+        ):
+            if bound is not None and not bound >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {bound}")
         now = time.time()
         with self._cursor() as cur:
             cur.execute("BEGIN IMMEDIATE")

@@ -2,7 +2,6 @@
 
 from .baseline import BaselineLoadBalancedSwitch
 from .cms import CmsSwitch
-from .fabric import DecreasingFabric, IncreasingFabric, PeriodicFabric
 from .foff import FoffSwitch
 from .hashing import TcpHashingSwitch
 from .output_queued import OutputQueuedSwitch
@@ -16,15 +15,12 @@ from .ufs import UfsSwitch
 __all__ = [
     "BaselineLoadBalancedSwitch",
     "CmsSwitch",
-    "DecreasingFabric",
     "FifoQueue",
     "FoffSwitch",
-    "IncreasingFabric",
     "OutputQueuedSwitch",
     "Packet",
     "PaddedFramesSwitch",
     "PerOutputBank",
-    "PeriodicFabric",
     "ReorderingDetector",
     "Resequencer",
     "TcpHashingSwitch",

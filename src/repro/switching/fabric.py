@@ -19,22 +19,18 @@ source intermediate port also increases by one each slot.  A stripe written
 to consecutive intermediate ports in consecutive slots is therefore read out
 in consecutive slots as well — the alignment behind Sprinklers' distributed
 Largest-Stripe-First consistency (§3.4.3).
+
+Both patterns are plain formulas: :class:`TwoStageSwitch` calls
+:func:`increasing_connection` and :func:`decreasing_connection` each slot,
+and no permutation table is ever built.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional, Sequence
-
-from ..core.permutation import is_permutation
 
 __all__ = [
     "increasing_connection",
     "decreasing_connection",
     "output_source",
-    "input_poll_slot",
-    "PeriodicFabric",
-    "IncreasingFabric",
-    "DecreasingFabric",
 ]
 
 
@@ -61,122 +57,3 @@ def output_source(output_port: int, slot: int, n: int) -> int:
     True
     """
     return (output_port + slot) % n
-
-
-def input_poll_slot(input_port: int, intermediate_port: int, n: int) -> int:
-    """The smallest nonnegative slot at which fabric 1 connects the pair.
-
-    Fabric 1 reconnects them every ``n`` slots thereafter.
-    """
-    return (intermediate_port - input_port) % n
-
-
-class PeriodicFabric:
-    """A fabric executing an arbitrary periodic sequence of permutations.
-
-    ``sequence[k]`` is the permutation used at slots ``t`` with
-    ``t mod len(sequence) == k``; ``sequence[k][a]`` is the egress port
-    connected to ingress ``a``.  The two standard fabrics are special cases;
-    this generic form supports experimenting with other patterns (e.g.
-    bit-reversal sequences).
-
-    Subclasses that define the pattern by formula override :meth:`egress`
-    and construct with ``(n=..., period=...)`` instead of an explicit
-    sequence; the permutation table is then never materialized unless
-    :attr:`sequence` is read, keeping construction O(1) rather than O(N²).
-    """
-
-    def __init__(
-        self,
-        sequence: Optional[Sequence[Sequence[int]]] = None,
-        *,
-        n: Optional[int] = None,
-        period: Optional[int] = None,
-    ) -> None:
-        if sequence is not None:
-            if n is not None or period is not None:
-                raise ValueError(
-                    "pass either an explicit sequence or (n=, period=), "
-                    "not both"
-                )
-            if not sequence:
-                raise ValueError("fabric sequence must be nonempty")
-            n = len(sequence[0])
-            perms: List[List[int]] = []
-            for k, perm in enumerate(sequence):
-                perm = list(perm)
-                if len(perm) != n or not is_permutation(perm):
-                    raise ValueError(
-                        f"sequence[{k}] is not a permutation of 0..{n-1}"
-                    )
-                perms.append(perm)
-            self.n = n
-            self.period = len(perms)
-            self._perms: Optional[List[List[int]]] = perms
-        else:
-            if n is None or period is None:
-                raise ValueError(
-                    "without an explicit sequence, both n= and period= "
-                    "are required"
-                )
-            if n <= 0 or period <= 0:
-                raise ValueError("n and period must be positive")
-            self.n = int(n)
-            self.period = int(period)
-            self._perms = None
-
-    @property
-    def sequence(self) -> List[List[int]]:
-        """The full permutation table, built lazily from :meth:`egress`."""
-        if self._perms is None:
-            perms = [
-                [self.egress(i, t) for i in range(self.n)]
-                for t in range(self.period)
-            ]
-            for k, perm in enumerate(perms):
-                if not is_permutation(perm):
-                    raise ValueError(
-                        f"egress() at slot {k} is not a permutation of "
-                        f"0..{self.n - 1}"
-                    )
-            self._perms = perms
-        return self._perms
-
-    def egress(self, ingress: int, slot: int) -> int:
-        """The egress port connected to ``ingress`` at ``slot``."""
-        return self.sequence[slot % self.period][ingress]
-
-    def connects_each_pair_once_per_period(self) -> bool:
-        """Whether every (ingress, egress) pair appears exactly once per period.
-
-        This is the property both standard fabrics have with period N; it is
-        what gives every ingress a dedicated 1/N-rate channel to every
-        egress.
-        """
-        if self.period != self.n:
-            return False
-        for ingress in range(self.n):
-            targets = {self.egress(ingress, t) for t in range(self.period)}
-            if len(targets) != self.n:
-                return False
-        return True
-
-
-class IncreasingFabric(PeriodicFabric):
-    """The first-stage fabric: ``ingress i -> (i + t) mod N``."""
-
-    def __init__(self, n: int) -> None:
-        super().__init__(n=n, period=n)
-
-    def egress(self, ingress: int, slot: int) -> int:
-        return (ingress + slot) % self.n
-
-
-class DecreasingFabric(PeriodicFabric):
-    """The second-stage fabric: ``ingress m -> (m - t) mod N``."""
-
-    def __init__(self, n: int) -> None:
-        super().__init__(n=n, period=n)
-
-    def egress(self, ingress: int, slot: int) -> int:
-        return (ingress - slot) % self.n

@@ -1,11 +1,6 @@
 """Workload generation: arrival processes, traffic matrices, packet sources."""
 
-from .arrivals import (
-    BernoulliArrivals,
-    ModulatedBernoulliArrivals,
-    OnOffArrivals,
-    TraceArrivals,
-)
+from .arrivals import BernoulliArrivals, ModulatedBernoulliArrivals, OnOffArrivals
 from .batch import ArrivalBatch, BatchTrafficGenerator, bernoulli_batch
 from .generator import (
     DriftingDestinations,
@@ -35,7 +30,6 @@ __all__ = [
     "MatrixDestinations",
     "ModulatedBernoulliArrivals",
     "OnOffArrivals",
-    "TraceArrivals",
     "TrafficGenerator",
     "bernoulli_batch",
     "bernoulli_traffic",

@@ -3,7 +3,8 @@
 The paper's §6 uses Bernoulli i.i.d. arrivals: at each input port, a packet
 arrives in each slot independently with probability ``rho``.  This module
 also provides a two-state Markov-modulated (bursty on/off) process — the
-standard stress generalization — and trace replay.
+standard stress generalization.  Recorded traces replay through
+:mod:`repro.traffic.trace_io`, whole packets and not just arrival times.
 
 All processes generate arrivals in *chunks* (numpy-vectorized blocks of
 slots) because per-slot Python-level sampling would dominate simulation
@@ -13,7 +14,7 @@ nondecreasing slot order, each arrival event's slot and input port.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "BernoulliArrivals",
     "ModulatedBernoulliArrivals",
     "OnOffArrivals",
-    "TraceArrivals",
 ]
 
 Chunk = Tuple[np.ndarray, np.ndarray]
@@ -244,39 +244,3 @@ class OnOffArrivals(ArrivalProcess):
         self._state_on = states[-1].copy()
         rel_slots, inputs = np.nonzero(states[:-1, self._chain] & emits)
         return rel_slots + start_slot, inputs
-
-
-class TraceArrivals(ArrivalProcess):
-    """Replay an explicit list of (slot, input) arrival events.
-
-    Events must be sorted by slot; at most one arrival per (slot, input).
-    Useful for regression tests and for replaying externally captured
-    workloads.
-    """
-
-    def __init__(self, n: int, events: Sequence[Tuple[int, int]]) -> None:
-        if n <= 0:
-            raise ValueError("n must be positive")
-        self.n = n
-        slots: List[int] = []
-        inputs: List[int] = []
-        seen = set()
-        last_slot = -1
-        for slot, inp in events:
-            if slot < 0 or not 0 <= inp < n:
-                raise ValueError(f"bad event ({slot}, {inp})")
-            if slot < last_slot:
-                raise ValueError("trace events must be sorted by slot")
-            if (slot, inp) in seen:
-                raise ValueError(f"duplicate arrival at slot {slot} input {inp}")
-            seen.add((slot, inp))
-            last_slot = slot
-            slots.append(slot)
-            inputs.append(inp)
-        self._slots = np.asarray(slots, dtype=np.int64)
-        self._inputs = np.asarray(inputs, dtype=np.int64)
-
-    def chunk(self, start_slot: int, num_slots: int) -> Chunk:
-        lo = np.searchsorted(self._slots, start_slot, side="left")
-        hi = np.searchsorted(self._slots, start_slot + num_slots, side="left")
-        return self._slots[lo:hi].copy(), self._inputs[lo:hi].copy()

@@ -23,7 +23,6 @@ import numpy as np
 
 from .. import telemetry
 from ..switching.packet import Packet
-from .arrivals import TraceArrivals
 from .batch import ArrivalBatch, assign_voq_seqs
 from .generator import TrafficGenerator
 
@@ -35,9 +34,7 @@ __all__ = [
     "write_trace",
     "read_trace",
     "replay_generator",
-    "trace_batch_source",
     "trace_matrix",
-    "trace_to_arrival_process",
 ]
 
 TraceEvent = Tuple[int, int, int, Optional[int]]  # slot, input, output, flow
@@ -265,18 +262,3 @@ class TraceBatchSource:
         for start in range(0, num_slots, window_slots):
             end = min(start + window_slots, num_slots)
             yield self._window(start, end, seq_next)
-
-
-def trace_batch_source(n: int, events: List[TraceEvent]) -> TraceBatchSource:
-    """Batch-engine counterpart of :func:`replay_generator`."""
-    return TraceBatchSource(n, events)
-
-
-def trace_to_arrival_process(n: int, events: List[TraceEvent]) -> TraceArrivals:
-    """Project a trace onto its (slot, input) arrival skeleton.
-
-    Destinations are dropped; use :func:`replay_generator` to preserve
-    them.  Useful for driving a :class:`TrafficGenerator` with recorded
-    arrival *timing* but fresh destination draws.
-    """
-    return TraceArrivals(n, [(slot, inp) for slot, inp, _, _ in events])

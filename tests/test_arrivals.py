@@ -10,7 +10,6 @@ from repro.traffic.arrivals import (
     BernoulliArrivals,
     ModulatedBernoulliArrivals,
     OnOffArrivals,
-    TraceArrivals,
 )
 
 
@@ -207,31 +206,3 @@ class TestOnOffClosedForm:
             np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(closed._state_on, loop._state_on)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-
-
-class TestTrace:
-    def test_replay(self):
-        events = [(0, 1), (0, 0), (5, 1), (9, 0)]
-        # must be sorted by slot; same-slot any input order
-        proc = TraceArrivals(2, events)
-        slots, inputs = proc.chunk(0, 10)
-        assert len(slots) == 4
-
-    def test_chunk_windows(self):
-        proc = TraceArrivals(2, [(1, 0), (5, 1), (8, 0)])
-        slots, inputs = proc.chunk(0, 5)
-        assert slots.tolist() == [1]
-        slots, inputs = proc.chunk(5, 5)
-        assert slots.tolist() == [5, 8]
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            TraceArrivals(2, [(5, 0), (1, 0)])
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            TraceArrivals(2, [(1, 0), (1, 0)])
-
-    def test_rejects_bad_ports(self):
-        with pytest.raises(ValueError):
-            TraceArrivals(2, [(0, 5)])

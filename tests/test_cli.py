@@ -9,6 +9,7 @@ from repro.service import core as service_core
 from repro.service.jobs import shard_plan
 from repro.sim import experiment
 from repro.sim.fast_engine import run_single_fast
+from repro.store import ExperimentStore
 from repro.traffic.matrices import uniform_matrix
 
 
@@ -220,6 +221,9 @@ class TestBadNamesAndPaths:
         assert captured.out == ""
         assert captured.err.startswith(f"repro {argv[0]}: ")
         assert len(captured.err.splitlines()) == 1
+        if argv[0] == "fabrics":
+            # plan_run resolves switches and fabrics, so it names both
+            assert "leaf-spine" in captured.err
 
 
 class TestSwitchesCommands:
@@ -282,6 +286,20 @@ class TestStoreCommands:
         assert "removed 1" in out
         assert main(["store", "stats", "--store", store_dir]) == 0
         assert "entries      0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--max-age-days", "--max-size-mb"])
+    def test_gc_with_a_negative_bound_exits_2_and_keeps_the_store(
+        self, tmp_path, capsys, flag
+    ):
+        store_dir = str(tmp_path / "store")
+        self._populate(store_dir)
+        capsys.readouterr()
+        assert main(["store", "gc", flag, "-1", "--store", store_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro store: ")
+        assert len(captured.err.splitlines()) == 1
+        assert len(ExperimentStore(store_dir)) == 1
 
     def test_missing_store_is_not_an_error(self, tmp_path, capsys):
         assert main(["store", "stats", "--store",

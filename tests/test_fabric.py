@@ -1,18 +1,11 @@
-"""Unit tests for the periodic fabrics (switching/fabric.py)."""
+"""Unit tests for the fabric connection patterns (switching/fabric.py)."""
 
-import random
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.switching.fabric import (
-    DecreasingFabric,
-    IncreasingFabric,
-    PeriodicFabric,
     decreasing_connection,
     increasing_connection,
-    input_poll_slot,
     output_source,
 )
 
@@ -61,140 +54,13 @@ class TestConnectionFunctions:
                     == (increasing_connection(i, t, n) + 1) % n
                 )
 
-    def test_input_poll_slot(self):
-        n = 8
-        for i in range(n):
-            for m in range(n):
-                t = input_poll_slot(i, m, n)
-                assert 0 <= t < n
-                assert increasing_connection(i, t, n) == m
-
-
-class TestPeriodicFabric:
-    def test_standard_fabrics_connect_each_pair_once(self):
-        assert IncreasingFabric(8).connects_each_pair_once_per_period()
-        assert DecreasingFabric(8).connects_each_pair_once_per_period()
-
-    def test_subclass_fast_paths_match_sequences(self):
-        n = 8
-        inc = IncreasingFabric(n)
-        dec = DecreasingFabric(n)
-        for t in range(3 * n):
-            for a in range(n):
-                assert inc.egress(a, t) == PeriodicFabric.egress(inc, a, t)
-                assert dec.egress(a, t) == PeriodicFabric.egress(dec, a, t)
-
-    def test_generic_fabric_periodicity(self):
-        fabric = PeriodicFabric([[1, 0], [0, 1]])
-        assert fabric.period == 2
-        assert fabric.egress(0, 0) == 1
-        assert fabric.egress(0, 1) == 0
-        assert fabric.egress(0, 2) == 1
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            PeriodicFabric([[0, 0]])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PeriodicFabric([])
-
-    def test_short_period_lacks_full_connectivity(self):
-        fabric = PeriodicFabric([[0, 1]])  # identity only
-        assert not fabric.connects_each_pair_once_per_period()
-
-    def test_lazy_subclasses_never_materialize_table(self):
-        # The formula fabrics construct in O(1): no O(N^2) table unless
-        # someone reads .sequence explicitly.
-        inc = IncreasingFabric(512)
-        dec = DecreasingFabric(512)
-        assert inc._perms is None and dec._perms is None
-        assert inc.connects_each_pair_once_per_period()
-        assert inc._perms is None  # the check uses egress(), not the table
-        small = IncreasingFabric(4)
-        assert small.sequence == [[(i + t) % 4 for i in range(4)]
-                                  for t in range(4)]
-        assert small._perms is not None
-
-    def test_lazy_constructor_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicFabric(n=4)  # period missing
-        with pytest.raises(ValueError):
-            PeriodicFabric(period=4)  # n missing
-        with pytest.raises(ValueError):
-            PeriodicFabric(n=0, period=4)
-        with pytest.raises(ValueError):
-            PeriodicFabric([[0, 1]], n=2)  # both forms at once
-
-    def test_lazy_build_validates_egress(self):
-        class Broken(PeriodicFabric):
-            def __init__(self):
-                super().__init__(n=3, period=2)
-
-            def egress(self, ingress, slot):
-                return 0  # not a permutation
-
-        fabric = Broken()
-        with pytest.raises(ValueError):
-            fabric.sequence
-
-
-def _random_permutation_sequence(n, period, seed):
-    rng = random.Random(seed)
-    return [rng.sample(range(n), n) for _ in range(period)]
-
-
-class TestPeriodicFabricProperties:
-    """Property tests over arbitrary periodic permutation sequences."""
-
-    @given(
-        n=st.integers(min_value=1, max_value=12),
-        period=st.integers(min_value=1, max_value=24),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_connects_each_pair_once_iff_latin(self, n, period, seed):
-        seq = _random_permutation_sequence(n, period, seed)
-        fabric = PeriodicFabric(seq)
-        assert fabric.n == n and fabric.period == period
-        # Ground truth straight from the definition: period == n and every
-        # ingress reaches every egress exactly once per period.
-        expected = period == n and all(
-            sorted(seq[t][i] for t in range(period)) == list(range(n))
-            for i in range(n)
-        )
-        assert fabric.connects_each_pair_once_per_period() == expected
-
-    @given(
-        n=st.integers(min_value=1, max_value=10),
-        period=st.integers(min_value=1, max_value=17),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_egress_is_periodic(self, n, period, seed):
-        seq = _random_permutation_sequence(n, period, seed)
-        fabric = PeriodicFabric(seq)
-        for t in range(period):
-            for i in range(n):
-                assert fabric.egress(i, t) == seq[t][i]
-                assert fabric.egress(i, t + period) == seq[t][i]
-                assert fabric.egress(i, t + 3 * period) == seq[t][i]
-
     @given(n=st.integers(min_value=1, max_value=64))
     @settings(max_examples=20, deadline=None)
     def test_standard_fabrics_are_latin_at_any_n(self, n):
-        assert IncreasingFabric(n).connects_each_pair_once_per_period()
-        assert DecreasingFabric(n).connects_each_pair_once_per_period()
-
-    @given(
-        n=st.integers(min_value=2, max_value=8),
-        shift=st.integers(min_value=1, max_value=7),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_nonstandard_period_detected(self, n, shift):
-        # A cyclic-shift sequence with period != n never yields the
-        # once-per-period property, even though every slot is a valid
-        # permutation.
-        period = n + (shift % 3) + 1  # strictly > n
-        seq = [[(i + t) % n for i in range(n)] for t in range(period)]
-        assert not PeriodicFabric(seq).connects_each_pair_once_per_period()
+        # Fig. 1: each slot is a permutation, and every pair of either
+        # fabric is connected exactly once every n slots.
+        for connect in (increasing_connection, decreasing_connection):
+            for t in range(n):
+                assert sorted(connect(a, t, n) for a in range(n)) == list(range(n))
+            for a in range(n):
+                assert sorted(connect(a, t, n) for t in range(n)) == list(range(n))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.traffic.arrivals import TraceArrivals
+from repro.traffic.arrivals import ArrivalProcess
 from repro.traffic.generator import (
     FlowModel,
     TrafficGenerator,
@@ -15,6 +15,19 @@ from repro.traffic.generator import (
     destination_distributions,
 )
 from repro.traffic.matrices import diagonal_matrix, uniform_matrix
+
+
+class _FixedArrivals(ArrivalProcess):
+    """Arrivals at the given ``(slot, input)`` events, sorted by slot."""
+
+    def __init__(self, n, events):
+        self.n = n
+        self._events = np.array(events, dtype=np.int64).reshape(-1, 2)
+
+    def chunk(self, start_slot, num_slots):
+        slots = self._events[:, 0]
+        keep = (slots >= start_slot) & (slots < start_slot + num_slots)
+        return slots[keep], self._events[keep, 1]
 
 
 class TestDrawDestinations:
@@ -231,7 +244,7 @@ class TestTrafficGenerator:
             TrafficGenerator(uniform_matrix(4, 1.2), rng)
 
     def test_custom_arrival_process(self, rng):
-        trace = TraceArrivals(2, [(0, 0), (3, 1)])
+        trace = _FixedArrivals(2, [(0, 0), (3, 1)])
         gen = TrafficGenerator(
             uniform_matrix(2, 0.5), rng, arrivals=trace
         )
@@ -241,7 +254,7 @@ class TestTrafficGenerator:
         assert packets[1].arrival_slot == 3
 
     def test_arrival_size_mismatch_rejected(self, rng):
-        trace = TraceArrivals(3, [])
+        trace = _FixedArrivals(3, [])
         with pytest.raises(ValueError):
             TrafficGenerator(uniform_matrix(2, 0.5), rng, arrivals=trace)
 

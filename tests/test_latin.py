@@ -1,10 +1,8 @@
 """Unit tests for Latin-square generation (core/latin.py)."""
 
 import numpy as np
-import pytest
 
 from repro.core.latin import (
-    JacobsonMatthewsSampler,
     circulant_ols,
     column_permutations,
     is_latin_square,
@@ -72,38 +70,3 @@ class TestWeaklyUniformOls:
         delta = (square[1][0] - square[0][0]) % 8
         for j in range(8):
             assert (square[1][j] - square[0][j]) % 8 == delta
-
-
-class TestJacobsonMatthews:
-    def test_stays_latin_after_sampling(self, rng):
-        sampler = JacobsonMatthewsSampler(5, rng)
-        square = sampler.sample(mixing_steps=200)
-        assert is_latin_square(square)
-
-    def test_multiple_samples_all_latin(self, rng):
-        sampler = JacobsonMatthewsSampler(4, rng)
-        for _ in range(5):
-            assert is_latin_square(sampler.sample(mixing_steps=64))
-
-    def test_reaches_many_squares(self, rng):
-        # Order 4 has 576 Latin squares; the chain should visit plenty.
-        sampler = JacobsonMatthewsSampler(4, rng)
-        seen = set()
-        for _ in range(60):
-            seen.add(tuple(map(tuple, sampler.sample(mixing_steps=32))))
-        assert len(seen) > 20
-
-    def test_rejects_bad_initial(self, rng):
-        with pytest.raises(ValueError):
-            JacobsonMatthewsSampler(3, rng, initial=[[0, 1, 2]] * 3)
-
-    def test_rejects_tiny_order(self, rng):
-        with pytest.raises(ValueError):
-            JacobsonMatthewsSampler(1, rng)
-
-    def test_improper_states_resolve(self, rng):
-        sampler = JacobsonMatthewsSampler(4, rng)
-        # Run raw steps; chain may pass through improper states but
-        # run_until_proper must land on a proper square.
-        sampler.run_until_proper(min_steps=100)
-        assert sampler.is_proper

@@ -5,9 +5,7 @@ import pytest
 
 from repro.core.permutation import (
     compose_permutations,
-    cyclic_shift_permutation,
     durstenfeld_shuffle,
-    identity_permutation,
     inverse_permutation,
     is_permutation,
     random_permutation,
@@ -71,13 +69,6 @@ class TestShuffleAndHelpers:
         items = list("abcdefgh")
         shuffled = durstenfeld_shuffle(items[:], rng)
         assert sorted(shuffled) == sorted(items)
-
-    def test_identity(self):
-        assert identity_permutation(4) == [0, 1, 2, 3]
-
-    def test_cyclic_shift(self):
-        assert cyclic_shift_permutation(4, 1) == [1, 2, 3, 0]
-        assert is_permutation(cyclic_shift_permutation(9, 5))
 
     def test_inverse(self):
         perm = [2, 0, 3, 1]

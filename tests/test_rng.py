@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.rng import RngRegistry, derive_seed, spawn_generator
+from repro.sim.rng import derive_seed, spawn_generator
 
 
 class TestDeriveSeed:
@@ -30,25 +30,3 @@ class TestSpawnGenerator:
         a = spawn_generator(3, "s1").random(5)
         b = spawn_generator(3, "s2").random(5)
         assert (a != b).any()
-
-
-class TestRegistry:
-    def test_memoizes(self):
-        reg = RngRegistry(1)
-        assert reg.stream("a") is reg.stream("a")
-
-    def test_reset_restarts_sequences(self):
-        reg = RngRegistry(1)
-        first = reg.stream("a").random()
-        reg.reset()
-        assert reg.stream("a").random() == first
-
-    def test_names_listed_sorted(self):
-        reg = RngRegistry(1)
-        reg.stream("b")
-        reg.stream("a")
-        assert list(reg.names()) == ["a", "b"]
-
-    def test_negative_master_rejected(self):
-        with pytest.raises(ValueError):
-            RngRegistry(-2)

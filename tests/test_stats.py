@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.stats import batch_means, compare_means, mser_truncation
+from repro.sim.stats import batch_means, mser_truncation
 
 
 class TestMser:
@@ -76,18 +76,3 @@ class TestBatchMeans:
             batch_means([1.0] * 10, batches=20)
         with pytest.raises(ValueError):
             batch_means([1.0] * 100, confidence=1.5)
-
-
-class TestCompareMeans:
-    def test_detects_real_difference(self, rng):
-        a = 10 + rng.standard_normal(4000)
-        b = 12 + rng.standard_normal(4000)
-        diff, half_width = compare_means(a, b)
-        assert diff == pytest.approx(-2.0, abs=0.3)
-        assert abs(diff) > half_width  # significant
-
-    def test_no_false_positive_on_equal_means(self, rng):
-        a = 3 + rng.standard_normal(4000)
-        b = 3 + rng.standard_normal(4000)
-        diff, half_width = compare_means(a, b)
-        assert abs(diff) < 3 * half_width

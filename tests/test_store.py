@@ -464,6 +464,21 @@ class TestStatsAndGc:
         run_single("ufs", uniform_matrix(4, 0.5), 300, seed=0, store=store)
         assert store.hits == before + 1
 
+    @pytest.mark.parametrize("bound", [
+        {"max_age_seconds": -1.0},
+        {"max_total_bytes": -1},
+        {"max_age_seconds": float("nan")},
+    ], ids=["age", "size", "nan-age"])
+    def test_gc_rejects_a_negative_bound_untouched(self, store, bound):
+        """A negative bound would remove every object; it is refused
+        before the transaction, so even the manifest keeps its hit line."""
+        self._populate(store, runs=2)
+        run_single("ufs", uniform_matrix(4, 0.5), 300, seed=0, store=store)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            store.gc(**bound)
+        assert len(store) == 2
+        assert store.stats().hits == 1
+
     def test_gc_then_recompute_round_trips(self, store):
         first = run_single(
             "foff", uniform_matrix(4, 0.6), 400, seed=2, store=store,

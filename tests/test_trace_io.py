@@ -11,7 +11,6 @@ from repro.traffic.trace_io import (
     read_trace,
     record_trace,
     replay_generator,
-    trace_to_arrival_process,
     write_trace,
 )
 
@@ -156,15 +155,3 @@ class TestReplay:
         source = replay_generator(4, [])
         params = inspect.signature(source.slots).parameters
         assert list(params) == ["num_slots"]
-
-    def test_exported_in_all(self):
-        import repro.traffic.trace_io as trace_io
-
-        assert "trace_to_arrival_process" in trace_io.__all__
-
-    def test_arrival_skeleton_projection(self):
-        events = [(0, 1, 3, None), (2, 0, 2, 7)]
-        proc = trace_to_arrival_process(4, events)
-        slots, inputs = proc.chunk(0, 5)
-        assert slots.tolist() == [0, 2]
-        assert inputs.tolist() == [1, 0]
