@@ -54,6 +54,68 @@ class TestConnectionFunctions:
                     == (increasing_connection(i, t, n) + 1) % n
                 )
 
+    def test_slot_zero_connects_straight_through(self):
+        n = 8
+        for a in range(n):
+            assert increasing_connection(a, 0, n) == a
+            assert decreasing_connection(a, 0, n) == a
+            assert output_source(a, 0, n) == a
+
+    def test_input_reaches_each_intermediate_at_one_slot(self):
+        # Input i meets intermediate m at slot (m - i) mod n, and at no
+        # other slot of the period.
+        n = 8
+        for i in range(n):
+            for m in range(n):
+                slots = [
+                    t for t in range(n) if increasing_connection(i, t, n) == m
+                ]
+                assert slots == [(m - i) % n]
+
+    def test_output_reads_each_intermediate_at_one_slot(self):
+        # Output j reads intermediate m at slot (m - j) mod n, and at no
+        # other slot of the period.
+        n = 8
+        for j in range(n):
+            for m in range(n):
+                slots = [t for t in range(n) if output_source(j, t, n) == m]
+                assert slots == [(m - j) % n]
+                assert decreasing_connection(m, slots[0], n) == j
+
+    @given(
+        n=st.integers(min_value=1, max_value=64),
+        slot=st.integers(min_value=0, max_value=10_000),
+        periods=st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_connections_repeat_every_n_slots(self, n, slot, periods):
+        later = slot + periods * n
+        for connect in (increasing_connection, decreasing_connection, output_source):
+            for a in range(n):
+                assert connect(a, later, n) == connect(a, slot, n)
+
+    @given(
+        n=st.integers(min_value=2, max_value=64),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_shorter_window_misses_a_pair(self, n, data):
+        # Fewer than n consecutive slots never connect an input to every
+        # intermediate port: the period is exactly n.
+        width = data.draw(st.integers(min_value=1, max_value=n - 1))
+        start = data.draw(st.integers(min_value=0, max_value=10 * n))
+        for a in range(n):
+            window = range(start, start + width)
+            reached = {increasing_connection(a, t, n) for t in window}
+            assert len(reached) == width < n
+
+    @given(n=st.integers(min_value=1, max_value=64))
+    @settings(max_examples=20, deadline=None)
+    def test_output_source_inverts_decreasing_at_any_n(self, n):
+        for t in range(n):
+            for j in range(n):
+                assert decreasing_connection(output_source(j, t, n), t, n) == j
+
     @given(n=st.integers(min_value=1, max_value=64))
     @settings(max_examples=20, deadline=None)
     def test_standard_fabrics_are_latin_at_any_n(self, n):

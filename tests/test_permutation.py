@@ -82,6 +82,39 @@ class TestShuffleAndHelpers:
             range(32)
         )
 
+    def test_identity_is_neutral_for_compose(self, rng):
+        perm = random_permutation(16, rng)
+        identity = list(range(16))
+        assert compose_permutations(perm, identity) == perm
+        assert compose_permutations(identity, perm) == perm
+        assert inverse_permutation(identity) == identity
+
+    def test_compose_is_associative(self, rng):
+        a, b, c = (random_permutation(12, rng) for _ in range(3))
+        assert compose_permutations(
+            compose_permutations(a, b), c
+        ) == compose_permutations(a, compose_permutations(b, c))
+
+    def test_inverse_of_cyclic_shift_shifts_back(self):
+        # The fabric patterns are cyclic shifts: i -> (i + k) mod n is
+        # undone by i -> (i - k) mod n.
+        n = 9
+        for k in range(n):
+            shift = [(i + k) % n for i in range(n)]
+            assert is_permutation(shift)
+            assert inverse_permutation(shift) == [(i - k) % n for i in range(n)]
+
+    def test_durstenfeld_short_lists_draw_nothing(self, rng):
+        # A list of length 0 or 1 has one ordering: no randomness is used.
+        before = rng.bit_generator.state
+        assert durstenfeld_shuffle([], rng) == []
+        assert durstenfeld_shuffle(["x"], rng) == ["x"]
+        assert rng.bit_generator.state == before
+
+    def test_durstenfeld_shuffles_in_place(self, rng):
+        items = list(range(10))
+        assert durstenfeld_shuffle(items, rng) is items
+
     def test_compose_length_mismatch(self):
         with pytest.raises(ValueError):
             compose_permutations([0, 1], [0])

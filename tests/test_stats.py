@@ -69,6 +69,27 @@ class TestBatchMeans:
         low, high = result.interval
         assert low < result.mean < high
 
+    def test_contains_is_the_closed_interval(self, rng):
+        result = batch_means(rng.standard_normal(400), batches=10)
+        low, high = result.interval
+        assert result.contains(low) and result.contains(high)
+        assert not result.contains(high + 1e-9)
+        assert not result.contains(low - 1e-9)
+
+    def test_constant_series_has_zero_width(self):
+        result = batch_means([3.0] * 200, batches=10)
+        assert result.mean == 3.0
+        assert result.half_width == 0.0
+        assert result.contains(3.0)
+
+    def test_trailing_remainder_is_dropped(self):
+        # 105 samples in 10 batches: batch size 10, the last 5 unused.
+        series = [1.0] * 100 + [1000.0] * 5
+        result = batch_means(series, batches=10)
+        assert result.batch_size == 10
+        assert result.batches == 10
+        assert result.mean == 1.0
+
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             batch_means([1.0] * 100, batches=1)

@@ -8,6 +8,7 @@ from repro.sim.metrics import SimulationMetrics
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.matrices import uniform_matrix
 from repro.traffic.trace_io import (
+    TraceBatchSource,
     read_trace,
     record_trace,
     replay_generator,
@@ -155,3 +156,53 @@ class TestReplay:
         source = replay_generator(4, [])
         params = inspect.signature(source.slots).parameters
         assert list(params) == ["num_slots"]
+
+    def test_same_slot_events_arrive_in_input_order(self):
+        # Events of one slot may be recorded in any input order; replay
+        # delivers them by input port.
+        events = [(0, 1, 0, None), (0, 0, 1, None), (5, 1, 1, None)]
+        source = replay_generator(2, events)
+        delivered = [
+            (slot, p.input_port) for slot, packets in source.slots(10)
+            for p in packets
+        ]
+        assert delivered == [(0, 0), (0, 1), (5, 1)]
+
+    def test_replay_numbers_each_voq_from_zero(self):
+        events = [(0, 0, 1, None), (1, 0, 1, None), (1, 1, 1, None),
+                  (3, 0, 1, None)]
+        source = replay_generator(2, events)
+        seqs = [
+            ((p.input_port, p.output_port), p.seq)
+            for _slot, packets in source.slots(4) for p in packets
+        ]
+        assert seqs == [((0, 1), 0), ((0, 1), 1), ((1, 1), 0), ((0, 1), 2)]
+
+    def test_replay_rejects_an_output_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            replay_generator(2, [(0, 0, 2, None)])
+
+
+class TestBatchSource:
+    def test_chunk_windows(self):
+        events = [(1, 0, 1, None), (5, 1, 0, None), (8, 0, 1, None)]
+        chunks = list(TraceBatchSource(2, events).draw_chunks(10, 5))
+        assert [c.slots.tolist() for c in chunks] == [[1], [5, 8]]
+        assert [c.inputs.tolist() for c in chunks] == [[0], [1, 0]]
+        # VOQ (0, 1) keeps counting across the window boundary.
+        assert [c.seqs.tolist() for c in chunks] == [[0], [0, 1]]
+
+    def test_same_slot_events_sorted_by_input(self):
+        events = [(0, 1, 0, None), (0, 0, 1, None)]
+        batch = TraceBatchSource(2, events).draw(1)
+        assert batch.inputs.tolist() == [0, 1]
+        assert batch.outputs.tolist() == [1, 0]
+
+    def test_rejects_nonpositive_lengths(self):
+        source = TraceBatchSource(2, [(0, 0, 1, None)])
+        with pytest.raises(ValueError, match="num_slots"):
+            source.draw(0)
+        with pytest.raises(ValueError, match="num_slots"):
+            list(source.draw_chunks(0, 5))
+        with pytest.raises(ValueError, match="window_slots"):
+            list(source.draw_chunks(10, 0))
