@@ -29,8 +29,6 @@ __all__ = [
     "weakly_uniform_ols",
     "circulant_ols",
     "is_latin_square",
-    "row_permutations",
-    "column_permutations",
 ]
 
 
@@ -80,13 +78,3 @@ def weakly_uniform_ols(n: int, rng: np.random.Generator) -> List[List[int]]:
     sigma_c = random_permutation(n, rng)
     return [[(sigma_r[i] + sigma_c[j]) % n for j in range(n)] for i in range(n)]
 
-
-def row_permutations(square: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The rows of the square as a list of permutations (defensive copies)."""
-    return [list(row) for row in square]
-
-
-def column_permutations(square: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The columns of the square as a list of permutations."""
-    n = len(square)
-    return [[square[i][j] for i in range(n)] for j in range(n)]

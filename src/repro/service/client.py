@@ -109,7 +109,14 @@ class ServiceClient:
                            if timeout is not None else 86_400.0)
 
     def results(self, job_id: str) -> Iterator[Dict]:
-        """Stream a job's full per-shard result payloads."""
+        """Stream a job's per-shard result rows, in cell order.
+
+        Each row is what
+        :meth:`~repro.service.core.SimulationService.results` yields for
+        the shard (the daemon sends stored results undecoded; this
+        decodes each line once): identity, status, and for a completed
+        shard the stored result dict without per-packet samples.
+        """
         return self._jsonl(f"/results?job={job_id}")
 
     def shutdown(self) -> Dict:

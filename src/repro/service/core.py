@@ -35,12 +35,13 @@ failures, and requeues.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import threading
 import time
 from contextlib import ExitStack
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import telemetry
 from ..sim.metrics import SimulationResult
@@ -429,11 +430,29 @@ class SimulationService:
         """Full per-shard results (store payloads) in cell order.
 
         Yields one dict per shard: identity, status, and — for completed
-        shards — the stored result dict, read once and passed on as
-        stored.  Result streams are summaries for clients: the exact
-        histogram travels, the bulky per-packet samples do not.  A
-        finished shard whose object a gc has since removed yields
-        status ``pruned`` and an error instead of a result.
+        shards — the stored result dict, read once and decoded once.
+        Result streams are summaries for clients: the exact histogram
+        travels, the bulky per-packet samples do not.  A finished shard
+        whose object a gc has since removed yields status ``pruned`` and
+        an error instead of a result; one whose object is present but
+        unreadable yields status ``failed`` and an error saying so, and
+        the next submission recomputes it.
+        """
+        for entry, result in self._result_rows(job_id):
+            if isinstance(result, str):
+                result = json.loads(result)
+            if result is not None:
+                entry["result"] = result
+            yield entry
+
+    def _result_rows(
+        self, job_id: str
+    ) -> Iterator[Tuple[Dict, Union[None, str, Dict]]]:
+        """What :meth:`results` yields, with each stored result left as
+        :meth:`~repro.store.ExperimentStore.result_text` reads it: its
+        JSON text where the store can hand that out (the daemon writes
+        it to the wire undecoded), else a dict without
+        ``delay_samples``, else None and the entry saying why.
         """
         job = self._job(job_id)
         with self._lock:
@@ -451,17 +470,28 @@ class SimulationService:
                 )
                 if state.error is not None:
                     entry["error"] = state.error
-            result = self.store.result_dict(key)
-            if result is not None:
+            result = self.store.result_text(key)
+            if isinstance(result, dict):
                 result.pop("delay_samples", None)
-                entry["result"] = result
+            if result is not None:
                 entry["status"] = "done"
             elif entry.get("status") == "done":
-                # Finished, but its object has since been removed by a
-                # ``repro store gc``: say so; resubmitting recomputes it.
-                entry["status"] = "pruned"
-                entry["error"] = PRUNED_ERROR
-            yield entry
+                if key in self.store:
+                    # Present but unreadable: fail the shard, so the next
+                    # submission re-plans it instead of serving it as
+                    # cached (the warm plan path never decodes).
+                    entry["status"] = "failed"
+                    entry["error"] = UNREADABLE_ERROR
+                    with self._lock:
+                        if state.status == "done":
+                            state.status = "failed"
+                            state.error = UNREADABLE_ERROR
+                else:
+                    # Finished, but its object has since been removed by
+                    # a ``repro store gc``; resubmitting recomputes it.
+                    entry["status"] = "pruned"
+                    entry["error"] = PRUNED_ERROR
+            yield entry, result
 
 
 def run_sweep(
@@ -511,4 +541,10 @@ WAIT_SLICE = 0.25
 #: ``results``' error for a finished shard whose stored object is gone.
 PRUNED_ERROR = (
     "result no longer in the store (removed by gc); resubmit to recompute"
+)
+
+#: ``results``' error for a finished shard whose stored object is present
+#: but cannot be read (a corrupt or hand-edited payload).
+UNREADABLE_ERROR = (
+    "stored result is unreadable (corrupt payload); resubmit to recompute"
 )

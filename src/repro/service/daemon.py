@@ -17,7 +17,11 @@ one handler thread per connection.  Endpoints:
     HTTP/1.0 close-delimited framing, which every stdlib client reads
     incrementally.  A malformed or non-finite ``timeout`` is a 400.
 ``GET /results?job=ID``
-    JSONL of full per-shard store payloads (lossless result dicts).
+    JSONL, one row per shard in cell order: its identity and status
+    and, for a completed shard, the stored result dict without
+    per-packet samples (lossless otherwise).  A stored result goes out
+    as the store's own JSON text, spliced into the row undecoded; rows
+    decode equal to :meth:`SimulationService.results`' dicts.
 ``POST /shutdown``
     Stops the server loop (the CLI owns daemonization; shutdown is an
     endpoint so a smoke test can end a foreground daemon cleanly).
@@ -166,8 +170,16 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("results requires ?job=ID")
         self.service.status(job_id)
         self._start_stream()
-        for entry in self.service.results(job_id):
-            self.wfile.write((json.dumps(entry) + "\n").encode())
+        for entry, result in self.service._result_rows(job_id):
+            if isinstance(result, str):
+                # The stored text goes out as read: splice it in as the
+                # envelope's last member instead of decoding it.
+                line = f'{json.dumps(entry)[:-1]}, "result": {result}}}'
+            else:
+                if result is not None:
+                    entry["result"] = result
+                line = json.dumps(entry)
+            self.wfile.write((line + "\n").encode())
             self.wfile.flush()
 
 

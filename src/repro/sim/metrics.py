@@ -297,10 +297,9 @@ class SimulationResult:
             setattr(result, field, data[field])
         result.extras = dict(data.get("extras") or {})
         result._delay_samples = list(data.get("delay_samples") or [])
-        result._delay_histogram = {
-            int(delay): int(count)
-            for delay, count in (data.get("delay_histogram") or [])
-        }
+        # JSON decodes each ``[delay, count]`` pair to two ints already;
+        # ``dict`` builds the histogram from them in C.
+        result._delay_histogram = dict(data.get("delay_histogram") or [])
         return result
 
     def as_row(self) -> Dict[str, float]:

@@ -223,15 +223,32 @@ class ExperimentStore:
             row = cur.execute(
                 "SELECT payload FROM objects WHERE key = ?", (key,)
             ).fetchone()
+        return None if row is None else _stored_result(row[0])
+
+    def result_text(self, key: str) -> Union[None, str, Dict]:
+        """The stored result under ``key`` as its JSON text, read once.
+
+        ``save`` writes ``canonical_params({"params": P, "result": R})``,
+        so the text of ``R`` lies inside the payload; it is handed out as
+        is, undecoded, when the payload provably has that shape: valid
+        (strict) JSON with exactly those two members, both objects, and
+        no ``delay_samples`` in ``R``.  SQLite checks the shape; it renders
+        only ``P``, to find where ``R`` starts, and the text handed out
+        is always the stored bytes.  Any other payload (one carrying
+        samples, a NaN or infinite value, a hand-made or corrupt one)
+        takes :meth:`result_dict`'s path from the same read: its decoded
+        dict, or None.
+        """
+        with self._cursor() as cur:
+            row = cur.execute(_RESULT_TEXT_SQL, (key,)).fetchone()
         if row is None:
             return None
-        try:
-            result = json.loads(row[0])["result"]
-        except (ValueError, KeyError, TypeError):
-            # A corrupt or wrong-shaped payload (partial copy, manual
-            # tampering) is a miss; the recomputation overwrites it.
-            return None
-        return result if isinstance(result, dict) else None
+        payload, params_text = row
+        if isinstance(payload, str) and params_text is not None:
+            head = f'{{"params":{params_text},"result":'
+            if payload.startswith(head) and payload.endswith("}"):
+                return payload[len(head):-1]
+        return _stored_result(payload)
 
     def __contains__(self, key: object) -> bool:
         """Whether an object is stored under ``key`` (one existence query)."""
@@ -416,6 +433,35 @@ class ExperimentStore:
             f"ExperimentStore({str(self.root)!r}, hits={self.hits}, "
             f"misses={self.misses})"
         )
+
+
+#: One read of a payload plus, when its result can be handed out as
+#: text, ``P`` rendered by SQLite (see :meth:`ExperimentStore.result_text`).
+#: ``json_valid`` is strict (no NaN, no JSON5) and guards the other
+#: calls, which raise on malformed input; ``json_remove`` leaving ``{}``
+#: proves there is no third or repeated member.  ``P`` must be an
+#: object: braces delimit it, so a rendering that matches the stored
+#: bytes after ``{"params":`` ends exactly where the stored ``P`` ends.
+_RESULT_TEXT_SQL = (
+    "SELECT payload, CASE WHEN json_valid(payload)"
+    " AND json_type(payload, '$.params') = 'object'"
+    " AND json_type(payload, '$.result') = 'object'"
+    " AND json_type(payload, '$.result.delay_samples') IS NULL"
+    " AND json_remove(payload, '$.params', '$.result') = '{}'"
+    " THEN json_extract(payload, '$.params') END"
+    " FROM objects WHERE key = ?"
+)
+
+
+def _stored_result(payload) -> Optional[Dict]:
+    """The result dict of one payload; None for a corrupt or
+    wrong-shaped one (partial copy, manual tampering), which is a miss
+    that the recomputation overwrites."""
+    try:
+        result = json.loads(payload)["result"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return result if isinstance(result, dict) else None
 
 
 def _rebuild(data: Optional[Dict]) -> Optional[SimulationResult]:

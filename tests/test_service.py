@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import signal
 import sqlite3
@@ -220,6 +221,34 @@ class TestServiceDedup:
         assert all(
             cell["error"] == service_core.PRUNED_ERROR for cell in cells
         )
+
+    def test_an_unreadable_object_is_recomputed_not_served(self, tmp_path):
+        # A payload corrupted under a running service is still present,
+        # so it is neither pruned nor cached: results say it is
+        # unreadable, and the next submission recomputes it.
+        request = small_request()
+        with SimulationService(tmp_path, workers=2) as service:
+            first = service.submit(request)
+            assert service.wait(first, timeout=120)
+            with sqlite3.connect(service.store.db_path) as conn:
+                conn.execute("UPDATE objects SET payload = 'not json'")
+            cells = list(service.results(first))
+            assert [cell["status"] for cell in cells] == ["failed"] * 4
+            assert all(
+                cell["error"] == service_core.UNREADABLE_ERROR
+                for cell in cells
+            )
+            assert all("result" not in cell for cell in cells)
+            again = service.submit(request)
+            assert service.wait(again, timeout=120)
+            assert service.status(again)["sources"]["new"] == 4
+            for job_id in (again, first):
+                cells = list(service.results(job_id))
+                assert [cell["status"] for cell in cells] == ["done"] * 4
+                assert all("error" not in cell for cell in cells)
+                assert all(
+                    cell["result"]["measured_packets"] > 0 for cell in cells
+                )
 
     def test_event_stream_order_and_content(self, tmp_path):
         request = small_request()
@@ -989,6 +1018,119 @@ class TestHTTPSurface:
 
         overall = client.status()
         assert [job["job_id"] for job in overall["jobs"]] == [job_id]
+
+    def test_results_rows_are_the_stored_results(self, server):
+        # Plain cells travel as stored text, a samples-carrying object
+        # and a NaN-mean one through the decode path: every row still
+        # decodes to the stored dict without samples, and to what the
+        # in-process results yield.  (NaN != NaN, so rows are compared
+        # as canonical text.)
+        request = small_request()
+        shards = expand_shards(request)
+        store = server.service.store
+        sampled = run_single(
+            **{**shard_run_kwargs(shards[0]), "keep_samples": True}
+        ).to_dict()
+        nan_mean = run_single(**shard_run_kwargs(shards[1])).to_dict(
+            include_samples=False
+        )
+        nan_mean["mean_delay"] = float("nan")
+        with sqlite3.connect(store.db_path) as conn:
+            conn.executemany(
+                "INSERT INTO objects VALUES (?, ?, 0, 0)",
+                [
+                    (
+                        shard_key(shard),
+                        canonical_params(
+                            {"params": shard_params(shard), "result": result}
+                        ),
+                    )
+                    for shard, result in zip(shards, (sampled, nan_mean))
+                ],
+            )
+        client = ServiceClient(server.address)
+        job_id = client.submit(request)
+        list(client.watch(job_id, timeout=120))
+        rows = list(client.results(job_id))
+        assert [row["status"] for row in rows] == ["done"] * 4
+        assert client.status(job_id)["sources"]["cached"] == 2
+        assert "delay_samples" not in rows[0]["result"]
+        assert math.isnan(rows[1]["result"]["mean_delay"])
+        for row in rows:
+            want = store.fetch_by_key(row["key"]).to_dict(
+                include_samples=False
+            )
+            assert canonical_params(row["result"]) == canonical_params(want)
+        assert canonical_params(rows) == canonical_params(
+            list(server.service.results(job_id))
+        )
+
+    def test_corrupt_payloads_keep_their_status_and_error(self, server):
+        # A finished job's objects corrupted four ways: each row says
+        # the payload is unreadable, on every read, over HTTP as in
+        # process.
+        client = ServiceClient(server.address)
+        request = small_request()
+        job_id = client.submit(request)
+        list(client.watch(job_id, timeout=120))
+        corruptions = [
+            lambda text: "not json",
+            lambda text: b"not gzip at all",
+            lambda text: text[:-8],
+            lambda text: '{"params": {}}',
+        ]
+        with sqlite3.connect(server.service.store.db_path) as conn:
+            for shard, corrupt in zip(expand_shards(request), corruptions):
+                key = shard_key(shard)
+                (text,) = conn.execute(
+                    "SELECT payload FROM objects WHERE key = ?", (key,)
+                ).fetchone()
+                conn.execute(
+                    "UPDATE objects SET payload = ? WHERE key = ?",
+                    (corrupt(text), key),
+                )
+        for _ in range(2):
+            rows = list(client.results(job_id))
+            assert [row["status"] for row in rows] == ["failed"] * 4
+            assert all(
+                row["error"] == service_core.UNREADABLE_ERROR for row in rows
+            )
+            assert all("result" not in row for row in rows)
+            assert rows == list(server.service.results(job_id))
+
+    def test_a_cached_row_is_served_undecoded(self, server, monkeypatch):
+        # The daemon writes a plain stored result to the wire as the
+        # store's text: serving /results runs no JSON decode at all.
+        client = ServiceClient(server.address)
+        request = small_request()
+        list(client.watch(client.submit(request), timeout=120))
+        job_id = client.submit(request)
+        list(client.watch(job_id, timeout=120))
+        assert client.status(job_id)["sources"]["cached"] == 4
+        decodes = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def counted(self, s, *args, **kwargs):
+            decodes.append(s)
+            return raw_decode(self, s, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+        host = urlsplit(server.address)
+        conn = http.client.HTTPConnection(host.hostname, host.port)
+        conn.request("GET", f"/results?job={job_id}")
+        body = conn.getresponse().read().decode()
+        conn.close()
+        monkeypatch.undo()
+        assert decodes == []
+        store = server.service.store
+        rows = [json.loads(line) for line in body.splitlines()]
+        assert len(rows) == 4
+        for line, row in zip(body.splitlines(), rows):
+            text = store.result_text(row["key"])
+            assert line.endswith(f', "result": {text}}}')
+            assert row["result"] == store.fetch_by_key(row["key"]).to_dict(
+                include_samples=False
+            )
 
     def test_watch_streams_incrementally(self, server):
         """Partial results arrive while later shards are still running."""

@@ -240,6 +240,70 @@ class TestRoundTrip:
         assert store.result_dict("0" * 64) is None
 
     @pytest.mark.parametrize("keep_samples", [True, False])
+    def test_result_text_is_the_stored_text(self, store, keep_samples):
+        # A result without samples comes back as the very text save
+        # wrote; one with samples comes back decoded, samples and all.
+        result = run_single(
+            "ufs", uniform_matrix(4, 0.5), 300, load_label=0.5,
+            keep_samples=keep_samples, store=store,
+        )
+        key = cache_key(params_for(num_slots=300, keep_samples=keep_samples))
+        if keep_samples:
+            assert store.result_text(key) == result.to_dict()
+        else:
+            assert store.result_text(key) == canonical_params(
+                result.to_dict(include_samples=False)
+            )
+        assert store.result_text("0" * 64) is None
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            ('{"params":{"a":"\\"\\u00e9","b":1.50e3},"result":{"x":1}}',
+             '{"x":1}'),
+            ('{"params": {}, "result": {"x": 1}}', {"x": 1}),
+            ('{"params":{},"result":{"x":1},"z":2}', {"x": 1}),
+            ('{"params":{},"result":{"x":1},"result":{"x":2}}', {"x": 2}),
+            ('{"params":{"result":{}},"result":{"x":1},"params":{}}',
+             {"x": 1}),
+            ('{"params":"{}","result":{"x":1}}', {"x": 1}),
+            ('{"params":{},"result":{"x":1,"delay_samples":[2]}}',
+             {"x": 1, "delay_samples": [2]}),
+            ('{"params":{},"result":[1]}', None),
+            ("not json", None),
+            (b'{"params":{},"result":{"x":1}}', {"x": 1}),
+        ],
+        ids=[
+            "escapes-in-params", "whitespace", "third-member",
+            "repeated-result", "repeated-params", "params-not-object",
+            "samples", "result-not-object", "not-json", "blob",
+        ],
+    )
+    def test_result_text_only_for_the_two_member_shape(
+        self, store, payload, expected
+    ):
+        # Text is handed out only for exactly {"params": P, "result": R}
+        # with no samples; every other payload reads as result_dict does.
+        with sqlite3.connect(store.db_path) as conn:
+            conn.execute(
+                "INSERT INTO objects VALUES (?, ?, 0, 0)", ("k", payload)
+            )
+        assert store.result_text("k") == expected
+        if not isinstance(expected, str):
+            assert store.result_dict("k") == expected
+
+    def test_a_nan_result_is_decoded_not_passed_as_text(self, store):
+        # SQLite's strict JSON rejects the NaN token canonical_params
+        # writes, so such a result takes the decode path.
+        text = canonical_params({"params": {}, "result": {"x": math.nan}})
+        with sqlite3.connect(store.db_path) as conn:
+            conn.execute(
+                "INSERT INTO objects VALUES (?, ?, 0, 0)", ("k", text)
+            )
+        result = store.result_text("k")
+        assert isinstance(result, dict) and math.isnan(result["x"])
+
+    @pytest.mark.parametrize("keep_samples", [True, False])
     def test_stored_payload_is_canonical_text(self, store, keep_samples):
         # The payload column is the canonical JSON of params and result,
         # byte for byte, and the size column is its length in bytes.

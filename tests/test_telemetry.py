@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -471,8 +472,15 @@ class TestParity:
             "print(json.dumps(d, sort_keys=True))\n"
         )
 
+        # pyproject's ``pythonpath`` reaches this process only: hand the
+        # child the package directory itself.
+        src = str(Path(telemetry.__file__).resolve().parents[2])
+
         def run(env_value):
             env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + [p for p in [env.get("PYTHONPATH")] if p]
+            )
             env.pop("REPRO_TELEMETRY", None)
             if env_value is not None:
                 env["REPRO_TELEMETRY"] = env_value
