@@ -20,12 +20,12 @@ import numpy as np
 from repro.core.interval_assignment import StripeIntervalAssignment
 from repro.core.sprinklers_switch import SprinklersSwitch
 from repro.core.striping import stripe_size_for_rate
-from repro.sim.metrics import SimulationMetrics
+from repro.switching.resequencer import ReorderingDetector
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.matrices import uniform_matrix
 
 
-def drive(switch, matrix, slots, start_slot, metrics, seed, seq_state):
+def drive(switch, matrix, slots, start_slot, reordering, seed, seq_state):
     # seq_state keeps per-VOQ sequence numbers continuous across phases so
     # the reordering detector measures the switch, not the phase boundary.
     traffic = TrafficGenerator(
@@ -36,7 +36,7 @@ def drive(switch, matrix, slots, start_slot, metrics, seed, seq_state):
         for p in packets:
             p.arrival_slot += start_slot
         for packet in switch.step(start_slot + slot, packets):
-            metrics.observe_departure(packet, measure=True)
+            reordering.observe(packet)
     return start_slot + slots
 
 
@@ -52,11 +52,13 @@ def main() -> None:
     switch = SprinklersSwitch(
         assignment, adaptive=True, estimator_beta=0.02, sizer_patience=6
     )
-    metrics = SimulationMetrics(keep_samples=False)
+    reordering = ReorderingDetector()  # fakes ignored; counts departures
     seq_state = {}
 
     print(f"N={n}; phase A: uniform load 0.6; phase B: uniform load 0.15")
-    clock = drive(switch, phase_a, 20_000, 0, metrics, seed=1, seq_state=seq_state)
+    clock = drive(
+        switch, phase_a, 20_000, 0, reordering, seed=1, seq_state=seq_state
+    )
     resizes_a = switch.resizes
     oracle_a = stripe_size_for_rate(float(phase_a[1][1]), n)
     print(f"\nafter phase A ({clock} slots): {resizes_a} resizes")
@@ -64,7 +66,7 @@ def main() -> None:
           f"(oracle for its rate: {oracle_a})")
 
     clock = drive(
-        switch, phase_b, 40_000, clock, metrics, seed=2, seq_state=seq_state
+        switch, phase_b, 40_000, clock, reordering, seed=2, seq_state=seq_state
     )
     print(f"\nafter phase B ({clock} slots): "
           f"{switch.resizes - resizes_a} further resizes")
@@ -73,10 +75,10 @@ def main() -> None:
           f"(oracle for its new rate: {oracle_b})")
 
     for packet in switch.drain(80 * n):
-        metrics.observe_departure(packet, measure=True)
-    print(f"\npackets delivered: {metrics.delays.count}")
-    print(f"reordered across all resizes: {metrics.reordering.late_packets}")
-    assert metrics.reordering.late_packets == 0
+        reordering.observe(packet)
+    print(f"\npackets delivered: {reordering.observed}")
+    print(f"reordered across all resizes: {reordering.late_packets}")
+    assert reordering.late_packets == 0
     print("OK: clearance kept every resize reordering-free.")
 
 

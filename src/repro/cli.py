@@ -49,8 +49,7 @@ import sys
 from typing import List, Optional
 
 from . import models, telemetry
-from .analysis.chernoff import overload_probability_bound, switch_wide_bound
-from .figures import fig5, fig6, fig7, table1
+from .figures import fig6, fig7
 from .figures.delay_figures import DEFAULT_LOADS
 from .figures.render import rows_to_csv
 from .models import PAPER_SWITCHES
@@ -875,6 +874,8 @@ def _cmd_validate(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str:
+    from .analysis.chernoff import overload_probability_bound, switch_wide_bound
+
     per_queue = overload_probability_bound(args.rho, args.n)
     switch_wide = switch_wide_bound(args.rho, args.n)
     return (
@@ -1064,8 +1065,12 @@ def _cmd_lint(args: argparse.Namespace) -> tuple:
 def _dispatch(args: argparse.Namespace) -> tuple:
     """Run one parsed command; returns ``(output_text, exit_code)``."""
     if args.command == "table1":
+        from .figures import table1
+
         return table1.render(), 0
     if args.command == "fig5":
+        from .figures import fig5
+
         return fig5.render(rho=args.rho), 0
     if args.command == "fig6":
         return _cmd_fig(args, fig6), 0

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -207,13 +208,21 @@ class ServiceServer:
         self._thread: Optional[threading.Thread] = None
 
     def serve_forever(self) -> None:
-        """Run in the calling thread until /shutdown (or KeyboardInterrupt)."""
+        """Run in the calling thread until /shutdown, KeyboardInterrupt or
+        (on the main thread) SIGTERM; each stops the worker pool."""
+        restore = None
+        if threading.current_thread() is threading.main_thread():
+            # SIGTERM's default action would end the process without the
+            # ``finally`` below, orphaning the pool's workers.
+            restore = signal.signal(signal.SIGTERM, _interrupt)
         self.service.start()
         try:
             self.httpd.serve_forever(poll_interval=0.2)
-        except KeyboardInterrupt:  # pragma: no cover - interactive stop
+        except KeyboardInterrupt:
             pass
         finally:
+            if restore is not None:
+                signal.signal(signal.SIGTERM, restore)
             self.close()
 
     def start_background(self) -> "ServiceServer":
@@ -239,6 +248,11 @@ class ServiceServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _interrupt(signum, frame) -> None:
+    """Leave the server loop as a KeyboardInterrupt does."""
+    raise KeyboardInterrupt
 
 
 def serve(

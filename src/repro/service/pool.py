@@ -39,6 +39,7 @@ store by path, so forked state stays trivial.
 from __future__ import annotations
 
 import multiprocessing as mp
+import signal
 import threading
 import traceback
 from multiprocessing.connection import Connection, wait
@@ -88,6 +89,8 @@ def pick(queue: Sequence[Task], own: Optional[str], held: AbstractSet) -> int:
 def _worker_main(runner: Callable, conn: Connection) -> None:
     """Worker process body: run each assigned task, reporting it, under
     one shared-draw scope for the worker's life; ``None`` stops."""
+    # Forked from the daemon: die of terminate(), not its SIGTERM handler.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     with shared_draws():
         while True:
             task = conn.recv()

@@ -8,19 +8,17 @@ from .experiment import (
     run_single,
 )
 from .fast_engine import run_single_fast
-from .metrics import DelayStats, SimulationMetrics, SimulationResult
+from .metrics import SimulationResult
 from .replication import ReplicatedResult, replicate
 from .stats import BatchMeansResult, batch_means, mser_truncation
 from .rng import derive_seed, spawn_generator
 
 __all__ = [
     "BatchMeansResult",
-    "DelayStats",
     "ENGINES",
     "PAPER_SWITCHES",
     "ReplicatedResult",
     "SimulationEngine",
-    "SimulationMetrics",
     "SimulationResult",
     "TRAFFIC_PATTERNS",
     "batch_means",

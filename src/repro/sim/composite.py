@@ -54,9 +54,9 @@ from ..traffic.batch import (
     stable_id_argsort,
 )
 from ..traffic.matrices import validate_matrix
-from .fast_engine import _MetricsAccumulator, _ReorderFold, _observe_throughput
+from .fast_engine import _observe_throughput
 from .kernels.base import Departures, composite_argsort, concat_ranges
-from .metrics import SimulationResult
+from .metrics import SimulationResult, _MetricsAccumulator, _ReorderFold
 from .rng import derive_seed, traffic_rng
 from .stage import KernelStage, ObjectStage, Stage
 

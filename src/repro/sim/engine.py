@@ -1,20 +1,26 @@
-"""Slotted-time simulation driver.
+"""Slotted-time simulation driver: the object engine.
 
-Wires a traffic generator to a switch, steps them slot by slot, applies the
-standard warm-up discipline (delays are measured only for packets that
-*arrived* after the warm-up window, so start-up transients do not bias the
-averages), and optionally drains the switch at the end so late packets are
-still checked for ordering.
+Wires a traffic generator to a switch, steps them slot by slot, drains
+the switch after the arrival stream ends (so late packets are still
+checked for ordering), and folds the released packets through the one
+metrics fold (:class:`repro.sim.metrics._MetricsAccumulator`) in bounded
+blocks.  Delays are measured only for packets that *arrived* after the
+warm-up window, so start-up transients do not bias the averages.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import List
 
-from ..sim.metrics import SimulationMetrics, SimulationResult
+from ..switching.packet import Packet
 from ..traffic.generator import TrafficGenerator
+from .metrics import SimulationResult, _MetricsAccumulator
+from .stage import ObjectStage
 
 __all__ = ["SimulationEngine", "simulate"]
+
+#: Released packets per folded block: memory is O(block), not O(run).
+_FOLD_BLOCK = 4096
 
 
 class SimulationEngine:
@@ -31,12 +37,13 @@ class SimulationEngine:
     warmup_fraction:
         Fraction of the run treated as warm-up (delay samples from packets
         arriving in this window are discarded).
-    drain:
-        After the arrival stream ends, keep stepping (up to ``drain_slots``)
-        so in-flight packets can depart and be checked/measured.
     keep_samples:
-        Retain every delay for percentile computation (off for very long
+        Retain every delay in observation order, for the confidence
+        interval of :meth:`SimulationResult.delay_ci` (off for very long
         runs to save memory).
+
+    Collecting, draining and the extras go through
+    :class:`~repro.sim.stage.ObjectStage`, as a fabric's object stages do.
     """
 
     def __init__(
@@ -44,8 +51,6 @@ class SimulationEngine:
         switch,
         traffic: TrafficGenerator,
         warmup_fraction: float = 0.1,
-        drain: bool = True,
-        drain_slots: Optional[int] = None,
         keep_samples: bool = True,
     ) -> None:
         if switch.n != traffic.n:
@@ -57,55 +62,26 @@ class SimulationEngine:
         self.switch = switch
         self.traffic = traffic
         self.warmup_fraction = warmup_fraction
-        self.drain = drain
-        self.drain_slots = drain_slots
         self.keep_samples = keep_samples
 
     def run(self, num_slots: int, load_label: float = float("nan")) -> SimulationResult:
         """Simulate ``num_slots`` slots of arrivals; return the summary."""
-        if num_slots <= 0:
-            raise ValueError("num_slots must be positive")
-        warmup = int(num_slots * self.warmup_fraction)
-        metrics = SimulationMetrics(keep_samples=self.keep_samples)
         switch = self.switch
-
+        stage = ObjectStage(switch, num_slots)  # rejects num_slots <= 0
+        acc = _MetricsAccumulator(
+            switch.n, int(num_slots * self.warmup_fraction), self.keep_samples
+        )
+        released: List[Packet] = []
         for slot, packets in self.traffic.slots(num_slots):
-            for packet in switch.step(slot, packets):
-                metrics.observe_departure(
-                    packet, measure=packet.arrival_slot >= warmup
-                )
-        if self.drain:
-            limit = self.drain_slots
-            if limit is None:
-                limit = max(50 * switch.n, num_slots)
-            for packet in switch.drain(limit):
-                metrics.observe_departure(
-                    packet, measure=packet.arrival_slot >= warmup
-                )
-
-        extras: Dict[str, float] = {}
-        if getattr(switch, "dropped", 0):
-            extras["dropped"] = float(switch.dropped)
-            extras["loss_rate"] = switch.dropped / max(1, switch.injected)
-        if hasattr(switch, "max_resequencer_occupancy"):
-            extras["max_resequencer"] = float(switch.max_resequencer_occupancy())
-        if hasattr(switch, "padding_overhead"):
-            extras["padding_overhead"] = float(switch.padding_overhead())
-        if hasattr(switch, "max_input_backlog"):
-            extras["max_input_backlog"] = float(switch.max_input_backlog())
-        if hasattr(switch, "resizes"):
-            extras["resizes"] = float(switch.resizes)
-
-        return SimulationResult(
-            switch_name=switch.name,
-            n=switch.n,
-            load=load_label,
-            slots=num_slots,
-            warmup=warmup,
-            metrics=metrics,
-            injected=switch.injected,
-            departed=switch.departed,
-            extras=extras,
+            released.extend(switch.step(slot, packets))
+            if len(released) >= _FOLD_BLOCK:
+                acc.add(stage._collect(released))
+                released = []
+        acc.add(stage._collect(released))
+        final, extras = stage.finish()
+        acc.add(final)
+        return acc.result(
+            switch.name, switch.injected, num_slots, load_label, extras
         )
 
 

@@ -19,7 +19,7 @@ on:
   sequence (:func:`unit_completion`).
 
 :class:`Departures` is the structure-of-arrays record every kernel
-returns; :mod:`repro.sim.fast_engine` turns it into a
+returns; the metrics fold of :mod:`repro.sim.metrics` turns it into a
 :class:`~repro.sim.metrics.SimulationResult` identical to the object
 engine's.
 """
@@ -543,7 +543,7 @@ class Departures:
 # numbers packets with the run-global generation indices (the FIFO
 # tie-breaks of the monolithic kernels) across windows.  A window's
 # departures come out in no particular row order: the metrics fold
-# (:class:`repro.sim.fast_engine._ReorderFold`) proves per-VOQ order
+# (:class:`repro.sim.metrics._ReorderFold`) proves per-VOQ order
 # without sorting and sorts only a block that fails the proof.
 
 

@@ -1,5 +1,5 @@
 """Compiled per-VOQ running-max pass (scalar mirror of
-:func:`repro.sim.fast_engine._fold_reordering`'s segmented fold).
+:func:`repro.sim.metrics._fold_reordering`'s segmented fold).
 
 Events arrive grouped by VOQ in observation order; the pass carries one
 running maximum per segment, seeded from (and written back to) the

@@ -77,10 +77,11 @@ _INT64_MAX = np.iinfo(np.int64).max
 def drain_cut(num_slots: int, n: int) -> int:
     """Last slot the object engine's drain phase steps (inclusive).
 
-    :class:`~repro.sim.engine.SimulationEngine` drains for at most
-    ``max(50 * n, num_slots)`` slots after the arrival stream ends;
-    packets that would depart later stay in flight there, so any replay
-    (monolithic or streamed) must discard their departures too.  (The
+    The object engine drains for at most ``max(50 * n, num_slots)``
+    slots after the arrival stream ends (the horizon
+    :meth:`repro.sim.stage.ObjectStage.finish` defines); packets that
+    would depart later stay in flight there, so any replay (monolithic
+    or streamed) must discard their departures too.  (The
     drain's other stop — ``4n`` departure-free slots — only fires at
     quiescence for the frame-at-a-time switches: while any backlog
     remains a frame forms every ``n``-slot cycle and departs within two

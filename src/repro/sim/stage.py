@@ -120,16 +120,20 @@ class KernelStage(Stage):
 class ObjectStage(Stage):
     """An object-engine switch instance behind the Stage interface.
 
-    Steps the switch one slot at a time over each window's packets —
-    exactly :class:`~repro.sim.engine.SimulationEngine`'s loop, re-cut at
-    window boundaries — and converts released packets to the
-    :class:`Departures` record.  ``wire`` is a running global observation
-    rank (``wire_is_rank=True``): the object engine's within-slot
-    observation order is definitional, so the rank *is* the tie-break.
+    Steps the switch one slot at a time over each window's packets and
+    converts released packets to the :class:`Departures` record
+    (:meth:`_collect`, which drops fakes).  ``wire`` is a running global
+    observation rank (``wire_is_rank=True``): the object engine's
+    within-slot observation order is definitional, so the rank *is* the
+    tie-break.  :class:`~repro.sim.engine.SimulationEngine` steps its
+    switch from a :class:`~repro.traffic.generator.TrafficGenerator`
+    instead of windows, but collects, drains and harvests extras through
+    this class, so both object paths fold alike.
 
     ``num_slots`` is the run's arrival horizon; the final drain steps at
-    most ``max(50 * n, num_slots)`` extra slots, matching the
-    single-switch engine's drain cut.
+    most ``max(50 * n, num_slots)`` extra slots.  This is the object
+    engine's one drain horizon; :func:`repro.sim.kernels.frames.drain_cut`
+    replays it.
     """
 
     def __init__(
@@ -147,23 +151,20 @@ class ObjectStage(Stage):
         self._rank = 0  # global observation rank
 
     def _collect(self, packets: List[Packet]) -> Departures:
-        """Released packets (observation order) as a Departures record."""
-        real = [p for p in packets if not p.fake]
+        """Released packets (observation order) as a Departures record,
+        fakes dropped."""
         n = self.n
-        count = len(real)
-        voq = np.empty(count, dtype=np.int64)
-        seq = np.empty(count, dtype=np.int64)
-        arrival = np.empty(count, dtype=np.int64)
-        departure = np.empty(count, dtype=np.int64)
-        assembled = np.empty(count, dtype=np.int64)
-        tx = np.empty(count, dtype=np.int64)
-        for i, p in enumerate(real):
-            voq[i] = p.input_port * n + p.output_port
-            seq[i] = p.seq
-            arrival[i] = p.arrival_slot
-            departure[i] = p.departure_slot
-            assembled[i] = p.assembled_slot
-            tx[i] = p.tx_slot
+        rows = np.array(
+            [
+                (p.input_port * n + p.output_port, p.seq, p.arrival_slot,
+                 p.departure_slot, p.assembled_slot, p.tx_slot)
+                for p in packets
+                if not p.fake
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 6)
+        voq, seq, arrival, departure, assembled, tx = rows.T.copy()
+        count = len(voq)
         wire = np.arange(self._rank, self._rank + count, dtype=np.int64)
         self._rank += count
         stamped = count > 0 and bool(
@@ -238,7 +239,7 @@ class ObjectStage(Stage):
         return dep, self._extras()
 
     def _extras(self) -> Optional[Dict[str, float]]:
-        """Harvest switch telemetry exactly as the simulation engine does."""
+        """Harvest the switch telemetry every object run reports."""
         switch = self.switch
         extras: Dict[str, float] = {}
         if getattr(switch, "dropped", 0):

@@ -1,6 +1,5 @@
 """Behavioral tests for the Concurrent Matching Switch (switching/cms.py)."""
 
-import numpy as np
 import pytest
 
 from repro.switching.cms import CmsSwitch
@@ -16,7 +15,7 @@ class TestCmsOrdering:
     def test_never_reorders_uniform(self):
         switch = CmsSwitch(N)
         metrics = drive_switch(switch, uniform_matrix(N, 0.7), 6000, drain_slots=6000)
-        assert metrics.delays.count > 0
+        assert metrics.delays
         assert metrics.reordering.late_packets == 0
 
     def test_never_reorders_diagonal(self):
@@ -64,7 +63,7 @@ class TestCmsMechanics:
         metrics = drive_switch(
             switch, uniform_matrix(N, 0.5), 3000, drain_slots=5000
         )
-        assert metrics.delays.min >= N
+        assert min(metrics.delays) >= N
 
     def test_throughput_under_high_load(self):
         switch = CmsSwitch(N)

@@ -17,12 +17,7 @@ samples), serialization round-trips, old clients that still send a
 ``backend``, and the CLI's rejection of the removed flag.
 """
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.sim.experiment import resolve_run_params, run_single
@@ -32,7 +27,7 @@ from repro.sim.kernels.compiled import (
     get_kernel_backend,
     resolve_compiled_passes,
 )
-from repro.sim.metrics import DelayStats, SimulationResult
+from repro.sim.metrics import SimulationResult
 from repro.store import ExperimentStore, cache_key
 from repro.traffic.matrices import (
     diagonal_matrix,
@@ -185,30 +180,6 @@ class TestFusedMetrics:
         assert (
             sum(fused._delay_histogram.values()) == fused.measured_packets
         )
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        samples=st.lists(
-            st.integers(min_value=0, max_value=500), min_size=1, max_size=400
-        ),
-        q=st.one_of(
-            st.integers(min_value=0, max_value=100),
-            st.floats(
-                min_value=0.0, max_value=100.0,
-                allow_nan=False, allow_infinity=False,
-            ),
-        ),
-    )
-    def test_histogram_percentile_pins_numpy(self, samples, q):
-        stats = DelayStats(keep_samples=False)
-        for s in samples:
-            stats.add(s)
-        assert stats.percentile(q) == pytest.approx(
-            float(np.percentile(samples, q)), rel=1e-12, abs=1e-12
-        )
-
-    def test_empty_stats_percentile_nan(self):
-        assert math.isnan(DelayStats(keep_samples=False).percentile(50))
 
 
 class TestSerialization:

@@ -13,9 +13,10 @@ import numpy as np
 
 from repro.core.interval_assignment import StripeIntervalAssignment
 from repro.core.sprinklers_switch import SprinklersSwitch
-from repro.sim.metrics import SimulationMetrics
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.matrices import uniform_matrix
+
+from tests.helpers import drive_switch
 
 
 class MispairedSprinklers(SprinklersSwitch):
@@ -35,26 +36,20 @@ def run(switch_cls, n=8, load=0.8, slots=6000, seed=2):
     )
     switch = switch_cls(assignment)
     traffic = TrafficGenerator(matrix, np.random.default_rng(seed + 1))
-    metrics = SimulationMetrics(keep_samples=False)
-    for slot, packets in traffic.slots(slots):
-        for packet in switch.step(slot, packets):
-            metrics.observe_departure(packet, measure=True)
-    for packet in switch.drain(50 * n):
-        metrics.observe_departure(packet, measure=True)
-    return metrics
+    return drive_switch(switch, traffic, slots, drain_slots=50 * n)
 
 
 class TestFabricPairing:
     def test_stock_pairing_is_ordered(self):
         metrics = run(SprinklersSwitch)
-        assert metrics.delays.count > 0
+        assert metrics.delays
         assert metrics.reordering.late_packets == 0
 
     def test_mispaired_fabrics_reorder(self):
         # Identical assignment, traffic and seeds — only the stage-2
         # connection pattern differs — and ordering collapses.
         metrics = run(MispairedSprinklers)
-        assert metrics.delays.count > 0
+        assert metrics.delays
         assert metrics.reordering.late_packets > 0
 
     def test_mispairing_still_conserves_packets(self):
@@ -66,7 +61,5 @@ class TestFabricPairing:
             matrix, rng=np.random.default_rng(0)
         )
         switch = MispairedSprinklers(assignment)
-        traffic = TrafficGenerator(matrix, np.random.default_rng(1))
-        for slot, packets in traffic.slots(2000):
-            switch.step(slot, packets)
+        drive_switch(switch, matrix, 2000, seed=1)
         assert switch.conservation_ok()

@@ -18,6 +18,8 @@ from repro.switching.ufs import UfsSwitch
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.matrices import uniform_matrix
 
+from tests.helpers import drive_switch
+
 
 def run_and_drain(switch, matrix, slots, seed=3):
     traffic = TrafficGenerator(matrix, np.random.default_rng(seed))
@@ -89,23 +91,16 @@ class TestFrameAccounting:
         # partial frame.
         n = 8
         switch = UfsSwitch(n)
-        traffic = TrafficGenerator(
-            uniform_matrix(n, 0.7), np.random.default_rng(1)
+        drive_switch(
+            switch, uniform_matrix(n, 0.7), 3000, seed=1, drain_slots=4000
         )
-        departed = 0
-        for slot, packets in traffic.slots(3000):
-            departed += len(switch.step(slot, packets))
-        departed += len(switch.drain(4000))
-        assert departed % n == 0
+        assert switch.departed % n == 0
 
     def test_pf_wire_volume_is_whole_frames(self):
         # Real + fake departures together form whole frames.
         n = 8
         switch = PaddedFramesSwitch(n, threshold=2)
-        traffic = TrafficGenerator(
-            uniform_matrix(n, 0.4), np.random.default_rng(2)
+        drive_switch(
+            switch, uniform_matrix(n, 0.4), 3000, seed=2, drain_slots=6000
         )
-        for slot, packets in traffic.slots(3000):
-            switch.step(slot, packets)
-        switch.drain(6000)
         assert (switch.departed + switch.fake_departed) % n == 0

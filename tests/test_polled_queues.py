@@ -30,9 +30,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import models
-from repro.sim import fast_engine
+from repro.sim import metrics
 from repro.sim.experiment import run_single
-from repro.sim.fast_engine import _fold_reordering, _ReorderFold
+from repro.sim.metrics import _fold_reordering, _ReorderFold
 from repro.sim.kernels import compiled
 from repro.sim.kernels.base import (
     Departures,
@@ -408,9 +408,9 @@ class TestInOrderProof:
         """Every block of a reorder-free switch or fabric passes the
         proof; load-balanced reorders, so it reaches the sort."""
         sorts = []
-        real = fast_engine._voq_observation_order
+        real = metrics._voq_observation_order
         monkeypatch.setattr(
-            fast_engine, "_voq_observation_order",
+            metrics, "_voq_observation_order",
             lambda dep: sorts.append(len(dep)) or real(dep),
         )
         result = run_single(

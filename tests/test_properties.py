@@ -172,18 +172,14 @@ class TestEndToEndOrderingProperty:
     )
     def test_sprinklers_never_reorders(self, n, load, placement_seed, traffic_seed):
         from repro.core.sprinklers_switch import SprinklersSwitch
-        from repro.sim.metrics import SimulationMetrics
-        from repro.traffic.generator import TrafficGenerator
         from repro.traffic.matrices import uniform_matrix
+
+        from tests.helpers import drive_switch
 
         matrix = uniform_matrix(n, load)
         switch = SprinklersSwitch.from_rates(matrix, seed=placement_seed)
-        traffic = TrafficGenerator(matrix, np.random.default_rng(traffic_seed))
-        metrics = SimulationMetrics(keep_samples=False)
-        for slot, packets in traffic.slots(600):
-            for packet in switch.step(slot, packets):
-                metrics.observe_departure(packet, measure=True)
-        for packet in switch.drain(40 * n):
-            metrics.observe_departure(packet, measure=True)
+        metrics = drive_switch(
+            switch, matrix, 600, seed=traffic_seed, drain_slots=40 * n
+        )
         assert metrics.reordering.late_packets == 0
         assert switch.conservation_ok()

@@ -54,12 +54,13 @@ class TestReadmeQuickstart:
 class TestColdStart:
     def test_service_and_replication_import_without_scipy(self):
         """scipy is most of a cold start, and only the Student-t quantile
-        of a confidence interval needs it: importing the run, service and
-        store layers must not pull it in."""
+        of a confidence interval and the analytic artifacts (Table 1,
+        Fig. 5, bounds) need it: importing the run, service, store and
+        CLI layers must not pull it in."""
         code = (
             "import sys\n"
             "import repro, repro.service, repro.sim.experiment\n"
-            "import repro.sim.replication, repro.store\n"
+            "import repro.sim.replication, repro.store, repro.cli\n"
             "assert 'scipy' not in sys.modules, sorted(\n"
             "    m for m in sys.modules if m.startswith('scipy'))\n"
         )

@@ -17,15 +17,18 @@ import math
 import os
 import signal
 import sqlite3
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from functools import partial
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
 
+import repro
 from repro.service import (
     JobRequest,
     ServiceClient,
@@ -1226,6 +1229,49 @@ class TestHTTPSurface:
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(ServiceError, match="repro serve"):
             client.health()
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        return f.read().split()
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="lists child processes through /proc",
+)
+class TestDaemonProcess:
+    def test_sigterm_stops_the_worker_pool(self, tmp_path):
+        """``kill <daemon>`` leaves no worker behind: SIGTERM leaves the
+        server loop the way Ctrl-C does, so the pool is stopped."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "2",
+             "--port", "0", "--store", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        workers = []
+        try:
+            assert json.loads(daemon.stdout.readline())["event"] == "serving"
+            _wait_for(
+                lambda: len(_children(daemon.pid)) >= 2, 30,
+                "the daemon never started its workers",
+            )
+            workers = _children(daemon.pid)
+            daemon.send_signal(signal.SIGTERM)
+            daemon.wait(timeout=30)
+            _wait_for(
+                lambda: not any(os.path.exists(f"/proc/{p}") for p in workers),
+                10, f"workers {workers} outlived the daemon",
+            )
+        finally:
+            daemon.kill()
+            daemon.wait()
+            daemon.stdout.close()
+            for pid in workers:
+                if os.path.exists(f"/proc/{pid}"):
+                    os.kill(int(pid), signal.SIGKILL)
 
 
 class TestServiceTelemetry:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.sprinklers_switch import SprinklersSwitch
-from repro.sim.metrics import SimulationMetrics
 from repro.traffic.generator import TrafficGenerator
 from repro.traffic.matrices import uniform_matrix
 from repro.traffic.trace_io import (
@@ -14,6 +13,8 @@ from repro.traffic.trace_io import (
     replay_generator,
     write_trace,
 )
+
+from tests.helpers import drive_switch
 
 
 def make_events(n=4, slots=200, seed=5):
@@ -98,13 +99,8 @@ class TestReplay:
 
         def run(source):
             switch = SprinklersSwitch.from_rates(matrix, seed=3)
-            metrics = SimulationMetrics()
-            for slot, packets in source.slots(400):
-                for p in switch.step(slot, packets):
-                    metrics.observe_departure(p, measure=True)
-            for p in switch.drain(200):
-                metrics.observe_departure(p, measure=True)
-            return metrics.delays.count, metrics.delays.mean
+            metrics = drive_switch(switch, source, 400, drain_slots=200)
+            return len(metrics.delays), metrics.mean
 
         first = run(replay_generator(n, events))
         second = run(replay_generator(n, events))
