@@ -20,8 +20,8 @@ Quickstart::
     assert result.is_ordered                          # never reorders
     print(result.mean_delay)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-vs-measured comparison of every table and figure.
+See ``EXPERIMENTS.md`` for the paper-vs-measured comparison of every table
+and figure.
 """
 
 from .core.dyadic import DyadicInterval, dyadic_interval_for

@@ -32,7 +32,8 @@ __all__ = [
     "bound_vs_empirical_rows",
 ]
 
-MatrixFamily = Callable[[int, float, np.random.Generator], np.ndarray]
+# A string, so that importing this module does not load numpy.random.
+MatrixFamily = Callable[[int, float, "np.random.Generator"], np.ndarray]
 
 
 def balance_profile(

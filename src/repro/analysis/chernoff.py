@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from scipy import optimize
-
 from .stability import theorem1_threshold
 
 __all__ = [
@@ -98,14 +96,26 @@ def log_mgf_bound_per_port_pair(a: float, rho: float, n: int) -> float:
 
 
 def _optimal_exponent(rho: float, n: int) -> Tuple[float, float]:
-    """Minimize ``g(a)``; return ``(a*, g(a*))``."""
-    result = optimize.minimize_scalar(
-        lambda a: log_mgf_bound_per_port_pair(a, rho, n),
-        bounds=(1e-9, 100.0),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(result.x), float(result.fun)
+    """Minimize ``g(a)`` on ``(1e-9, 100)``; return ``(a*, g(a*))``.
+
+    Golden-section search to ``1e-10`` in ``a``.  ``g`` is convex, so
+    unimodal: ``ln h(p*(a), a) = sup_p ln h(p, a)`` is a supremum of
+    log-MGFs, each convex in ``a``, and ``-a (1 - rho)`` is linear.
+    """
+
+    def g(a: float) -> float:
+        return log_mgf_bound_per_port_pair(a, rho, n)
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0  # the golden ratio's inverse
+    lo, hi = 1e-9, 100.0
+    while hi - lo > 1e-10:
+        step = shrink * (hi - lo)
+        if g(hi - step) <= g(lo + step):
+            hi = lo + step
+        else:
+            lo = hi - step
+    a = 0.5 * (lo + hi)
+    return a, g(a)
 
 
 def overload_probability_bound(rho: float, n: int) -> float:

@@ -8,17 +8,17 @@ Markov chain
 
     Q' = max(Q + A - 1, 0),    A = N w.p. rho/N, else 0.
 
-(The paper's transition table swaps the two probabilities, which would make
-the chain transient; we implement the consistent version — see DESIGN.md
-§2.1.)  The paper plots the expected queue length (equivalently, the
-expected clearance duration in cycles) against N at ``rho = 0.9``; it grows
-linearly in N.
+(The paper's transition table swaps the two probabilities; a batch with
+probability ``1 - rho/N`` drifts the queue up by ``N - rho - 1`` per cycle,
+so that chain is transient, and we implement the consistent version.)  The
+paper plots the expected queue length (equivalently, the expected clearance
+duration in cycles) against N at ``rho = 0.9``; it grows linearly in N.
 
 Three independent evaluations are provided, cross-checked in tests:
 
 * a closed form from the standard drift/square argument:
   ``E[Q] = rho (N - 1) / (2 (1 - rho))``;
-* an exact truncated stationary solve (sparse linear algebra);
+* an exact truncated stationary solve (level-cut recursion);
 * direct Monte-Carlo simulation of the chain.
 """
 
@@ -27,8 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 __all__ = [
     "expected_queue_length",
@@ -66,30 +64,25 @@ def stationary_distribution(
     _validate(n, rho)
     if truncation is None:
         truncation = int(40 * (expected_queue_length(n, rho) + 1)) + 4 * n
-    k = truncation
+    if truncation < 1:
+        raise ValueError(f"truncation must be at least 1, got {truncation}")
+    # Level-cut balance: the only move from level m+1 down across the cut
+    # below it is a service step, the only moves up are batches from the
+    # last n-1 levels, so (1 - p) pi[m+1] = p * sum(pi[max(0, m-n+2)..m]).
+    # A batch reflected into the top state still crosses every cut below
+    # it, so the truncation changes none of these equations.
     p = rho / n
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    for i in range(k):
-        down = max(i - 1, 0)
-        rows.append(i)
-        cols.append(down)
-        vals.append(1.0 - p)
-        up = min(i + n - 1, k - 1)
-        rows.append(i)
-        cols.append(up)
-        vals.append(p)
-    transition = sparse.csr_matrix((vals, (rows, cols)), shape=(k, k))
-    # Solve pi (P - I) = 0 with sum(pi) = 1: replace one balance equation
-    # by the normalization row.
-    system = (transition.T - sparse.identity(k, format="csr")).tolil()
-    system[k - 1, :] = 1.0
-    rhs = np.zeros(k)
-    rhs[k - 1] = 1.0
-    pi = sparse_linalg.spsolve(system.tocsr(), rhs)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    ratio = p / (1.0 - p)
+    pi = [1.0]
+    window = 0.0
+    for m in range(truncation - 1):
+        window += pi[m]
+        if m >= n - 1:
+            window -= pi[m - n + 1]
+        pi.append(ratio * window)
+    # The running sum's rounding leaves a +-eps floor far out in the tail.
+    law = np.clip(np.array(pi), 0.0, None)
+    return law / law.sum()
 
 
 def expected_queue_length_numeric(

@@ -43,19 +43,30 @@ kernel; only ``demo --engine object`` asks for the per-packet oracle.
 from __future__ import annotations
 
 import argparse
+import datetime
+import json
 import math
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from . import models, telemetry
-from .figures import fig6, fig7
+from .analysis.balance import bound_vs_empirical_rows
+from .analysis.chernoff import overload_probability_bound, switch_wide_bound
+from .figures import fabric_delay, fig5, fig6, fig7, table1
+from .figures.burst_sensitivity import render as burst_render
 from .figures.delay_figures import DEFAULT_LOADS
-from .figures.render import rows_to_csv
+from .figures.render import format_table, rows_to_csv
 from .models import PAPER_SWITCHES
+from .models.composite import CompositeSwitchModel, available_fabrics, get_fabric
 from .scenarios import apply_overrides, list_scenarios, resolve_scenario
+from .service import DEFAULT_URL, ServiceClient, ServiceError, serve
 from .sim.experiment import ENGINES, execute, plan_run, run_single
-from .traffic.matrices import uniform_matrix
+from .store import ExperimentStore
+from .traffic.matrices import diagonal_matrix, uniform_matrix
 
 __all__ = ["main", "build_parser"]
 
@@ -565,8 +576,6 @@ def _cmd_fig(args: argparse.Namespace, module) -> str:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> str:
-    import json
-
     if args.scenario_command == "list":
         lines = [f"{'scenario':20s} summary"]
         for name in list_scenarios():
@@ -652,8 +661,6 @@ def _cmd_switches(args: argparse.Namespace) -> str:
 
 
 def _cmd_fabrics(args: argparse.Namespace) -> str:
-    from .models.composite import CompositeSwitchModel, available_fabrics, get_fabric
-
     if args.fabrics_command == "list":
         lines = [f"{'fabric':20s} {'stages':28s} summary"]
         for name in available_fabrics():
@@ -715,8 +722,6 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
             lines.append(f"  {key:28s} {value}")
         return "\n".join(lines)
     if args.fabrics_command == "delay":
-        from .figures import fabric_delay
-
         loads = tuple(args.loads) if args.loads else DEFAULT_LOADS
         kwargs = dict(
             fabric=args.fabric,
@@ -737,8 +742,6 @@ def _cmd_fabrics(args: argparse.Namespace) -> str:
 
 
 def _cmd_store(args: argparse.Namespace) -> str:
-    from .store import ExperimentStore
-
     directory = (
         args.store
         or os.environ.get("REPRO_STORE_DIR")
@@ -761,8 +764,6 @@ def _cmd_store(args: argparse.Namespace) -> str:
         else:
             lines.append("  hit rate     n/a (empty manifest)")
         if stats.oldest is not None:
-            import datetime
-
             fmt = lambda ts: datetime.datetime.fromtimestamp(ts).isoformat(  # noqa: E731
                 sep=" ", timespec="seconds"
             )
@@ -816,12 +817,6 @@ def _cmd_demo(args: argparse.Namespace) -> str:
 
 
 def _cmd_balance(args: argparse.Namespace) -> str:
-    import numpy as np
-
-    from .analysis.balance import bound_vs_empirical_rows
-    from .figures.render import format_table
-    from .traffic.matrices import diagonal_matrix
-
     family = (
         (lambda n, rho, rng: uniform_matrix(n, rho))
         if args.pattern == "uniform"
@@ -874,8 +869,6 @@ def _cmd_validate(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str:
-    from .analysis.chernoff import overload_probability_bound, switch_wide_bound
-
     per_queue = overload_probability_bound(args.rho, args.n)
     switch_wide = switch_wide_bound(args.rho, args.n)
     return (
@@ -952,10 +945,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> tuple:
 
 def _cmd_serve(args: argparse.Namespace) -> tuple:
     """Run the service daemon in the foreground until /shutdown."""
-    import json
-
-    from .service import serve
-
     directory = (
         args.store
         or os.environ.get("REPRO_STORE_DIR")
@@ -978,8 +967,6 @@ def _cmd_serve(args: argparse.Namespace) -> tuple:
 
 
 def _service_url(args: argparse.Namespace) -> str:
-    from .service import DEFAULT_URL
-
     return (
         args.url or os.environ.get("REPRO_SERVICE_URL") or DEFAULT_URL
     )
@@ -987,8 +974,6 @@ def _service_url(args: argparse.Namespace) -> str:
 
 def _print_jsonl(events) -> Optional[dict]:
     """Print each event as one flushed JSON line; returns the last one."""
-    import json
-
     last = None
     for event in events:
         print(json.dumps(event), flush=True)
@@ -998,10 +983,6 @@ def _print_jsonl(events) -> Optional[dict]:
 
 def _cmd_service_client(args: argparse.Namespace) -> tuple:
     """``submit``/``status``/``watch``/``results`` against a daemon."""
-    import json
-
-    from .service import ServiceClient
-
     client = ServiceClient(_service_url(args))
     if args.command == "submit":
         job_id = client.submit({
@@ -1033,8 +1014,6 @@ def _cmd_service_client(args: argparse.Namespace) -> tuple:
 
 def _cmd_lint(args: argparse.Namespace) -> tuple:
     """``repro lint``: run the analyzer; exit 1 when findings remain."""
-    from pathlib import Path
-
     from .lint import RULE_DOCS, format_findings, lint_paths
     from .lint.report import format_result
 
@@ -1065,12 +1044,8 @@ def _cmd_lint(args: argparse.Namespace) -> tuple:
 def _dispatch(args: argparse.Namespace) -> tuple:
     """Run one parsed command; returns ``(output_text, exit_code)``."""
     if args.command == "table1":
-        from .figures import table1
-
         return table1.render(), 0
     if args.command == "fig5":
-        from .figures import fig5
-
         return fig5.render(rho=args.rho), 0
     if args.command == "fig6":
         return _cmd_fig(args, fig6), 0
@@ -1083,8 +1058,6 @@ def _dispatch(args: argparse.Namespace) -> tuple:
     if args.command == "balance":
         return _cmd_balance(args), 0
     if args.command == "bursts":
-        from .figures.burst_sensitivity import render as burst_render
-
         return (
             burst_render(
                 n=args.n, load=args.load, num_slots=args.slots, seed=args.seed
@@ -1106,8 +1079,6 @@ def _dispatch(args: argparse.Namespace) -> tuple:
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command in ("submit", "status", "watch", "results"):
-        from .service import ServiceError
-
         try:
             return _cmd_service_client(args)
         except ServiceError as exc:

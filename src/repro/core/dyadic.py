@@ -99,7 +99,8 @@ class DyadicInterval:
 
         This is the condition under which inserting a stripe into the LSF
         structure while the connection pointer is at ``port`` would split the
-        stripe's service across two frames (DESIGN.md §2.2).
+        stripe's service across two frames: the pointer serves the rows from
+        ``port`` on first and reaches the rows before it only after it wraps.
         """
         return self.start < port < self.end
 

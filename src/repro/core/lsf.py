@@ -13,8 +13,8 @@ Two deployments of the structure:
 * :class:`LsfInputScheduler` — at an input port.  Whole stripes are
   "plastered" into the rows of their dyadic interval, one packet per row,
   but only at *safe* instants (when the fabric-1 connection pointer is not
-  strictly inside the interval; see DESIGN.md §2.2) so that each stripe
-  leaves the input in consecutive slots.
+  strictly inside the interval) so that each stripe leaves the input in
+  consecutive slots.
 * :class:`LsfIntermediateScheduler` — at an intermediate port, which holds
   one *row* of the virtual schedule grid of each output (paper §3.4.3).
   Packets arrive individually (already staggered correctly by fabric 1) and

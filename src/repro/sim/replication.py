@@ -21,6 +21,7 @@ from .. import telemetry
 from ..store import coerce_store
 from .experiment import execute, plan_run
 from .metrics import SimulationResult
+from .stats import t_quantile
 
 __all__ = ["ReplicatedResult", "replicate"]
 
@@ -121,16 +122,10 @@ def replicate(
     values = [float(metric(result)) for result in results]
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1)) / math.sqrt(replications)
-    # Imported here: scipy is most of the package's cold-start cost.
-    from scipy import stats as scipy_stats
-
-    t_crit = float(
-        scipy_stats.t.ppf(0.5 + confidence / 2.0, df=replications - 1)
-    )
     return ReplicatedResult(
         metric=metric_name,
         mean=mean,
-        half_width=t_crit * stderr,
+        half_width=t_quantile(confidence, replications - 1) * stderr,
         confidence=confidence,
         replications=replications,
         values=tuple(values),

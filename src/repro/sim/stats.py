@@ -25,6 +25,7 @@ __all__ = [
     "mser_truncation",
     "batch_means",
     "BatchMeansResult",
+    "t_quantile",
 ]
 
 
@@ -109,14 +110,49 @@ def batch_means(
     means = trimmed.reshape(batches, batch_size).mean(axis=1)
     grand = float(means.mean())
     stderr = float(means.std(ddof=1)) / math.sqrt(batches)
-    # Imported here: scipy is most of the package's cold-start cost.
-    from scipy import stats as scipy_stats
-
-    t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=batches - 1))
     return BatchMeansResult(
         mean=grand,
-        half_width=t_crit * stderr,
+        half_width=t_quantile(confidence, batches - 1) * stderr,
         confidence=confidence,
         batches=batches,
         batch_size=batch_size,
     )
+
+
+def t_quantile(confidence: float, df: int) -> float:
+    """The ``t`` with ``P(|T| <= t) = confidence``, ``T`` Student-t.
+
+    Two-sided critical value at integer ``df >= 1``.  The t CDF of integer
+    ``df`` is a finite sum in ``theta = atan(t / sqrt(df))`` (Abramowitz &
+    Stegun 26.7.3-4); it rises with ``theta``, so bisect on ``theta`` until
+    the midpoint stops moving.
+
+    >>> round(t_quantile(0.95, 2), 6)
+    4.302653
+    """
+    if df < 1:
+        raise ValueError(f"df must be at least 1, got {df}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    lo, hi = 0.0, math.pi / 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _t_central_mass(mid, df) < confidence:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(df) * math.tan(mid)
+
+
+def _t_central_mass(theta: float, df: int) -> float:
+    """``P(|T| <= sqrt(df) tan(theta))`` at ``df`` degrees of freedom."""
+    # Odd df: 2/pi (theta + sin cos (1 + 2/3 cos^2 + 2*4/(3*5) cos^4 ...)),
+    # even df: sin (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 ...), to cos^(df-3).
+    cos2 = math.cos(theta) ** 2
+    odd = df % 2
+    term, total = 1.0, float(df > 1)
+    for k in range(1 + odd, df - 1, 2):
+        term *= cos2 * k / (k + 1)
+        total += term
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+    return math.sin(theta) * total

@@ -8,7 +8,7 @@ intermediate stage, so packets can reach their output out of order — but
 only boundedly so (O(N^2) in [11]) — and a resequencing buffer at each
 output restores order before delivery.
 
-Mechanics implemented here (choices documented in DESIGN.md §2.5):
+Mechanics implemented here:
 
 * frame-at-a-time service per input; a new frame starts the slot after the
   previous one finishes, at whatever fabric offset that is;

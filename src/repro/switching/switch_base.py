@@ -7,7 +7,7 @@ N outputs, and the two deterministic periodic fabrics of
 input and intermediate ports, so this base class fixes the per-slot protocol
 and the bookkeeping, and subclasses implement three hooks.
 
-Slot protocol (the timing convention of DESIGN.md §1.5), executed by
+Slot protocol (the timing convention every switch shares), executed by
 :meth:`TwoStageSwitch.step` for each slot ``t``:
 
 1. **deliver** — packets that crossed fabric 1 during slot ``t-1`` are
@@ -113,7 +113,7 @@ class TwoStageSwitch:
 
         Default: the paper's "increasing" sequence.  Overridable so tests
         can demonstrate that the increasing/decreasing *pairing* of the two
-        fabrics is load-bearing for stripe continuity (DESIGN.md §2.3).
+        fabrics is load-bearing for stripe continuity.
         """
         return increasing_connection(input_port, slot, self.n)
 

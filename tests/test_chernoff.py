@@ -7,7 +7,9 @@ import pytest
 
 from repro.analysis.chernoff import (
     PAPER_TABLE1,
+    _optimal_exponent,
     h_function,
+    log_mgf_bound_per_port_pair,
     log10_overload_probability_bound,
     overload_probability_bound,
     p_star,
@@ -102,6 +104,22 @@ class TestOverloadBound:
             overload_probability_bound(1.5, 1024)
         with pytest.raises(ValueError):
             overload_probability_bound(0.9, 1000)
+
+
+class TestOptimalExponent:
+    @pytest.mark.parametrize("rho,n", [(0.7, 64), (0.9, 1024), (0.97, 4096)])
+    def test_no_grid_point_beats_the_search(self, rho, n):
+        """``g`` is convex with an interior minimum at these loads: no
+        point of a 1e-3 grid over the bracket, nor of a 1e-7 grid around
+        the search's answer, may lie below it."""
+        a_star, g_star = _optimal_exponent(rho, n)
+        grid = np.concatenate([
+            np.linspace(1e-9, 100.0, 100_001),
+            a_star + np.linspace(-1e-5, 1e-5, 201),
+        ])
+        grid_min = min(log_mgf_bound_per_port_pair(a, rho, n) for a in grid)
+        assert g_star <= grid_min
+        assert g_star == log_mgf_bound_per_port_pair(a_star, rho, n)
 
 
 class TestTable1Rows:

@@ -41,9 +41,38 @@ class TestStationarySolve:
         "n,rho", [(4, 0.5), (8, 0.9), (16, 0.8), (32, 0.6), (64, 0.9)]
     )
     def test_numeric_matches_closed_form(self, n, rho):
+        # The level-cut recursion agrees to <= 9.1e-13 relative on this grid.
         numeric = expected_queue_length_numeric(n, rho)
         closed = expected_queue_length(n, rho)
-        assert numeric == pytest.approx(closed, rel=0.02)
+        assert numeric == pytest.approx(closed, rel=2e-12)
+
+    @pytest.mark.parametrize(
+        "n,rho,k", [(1, 0.5, 6), (4, 0.5, 3), (4, 0.7, 40), (8, 0.9, 90),
+                    (3, 0.2, 1), (5, 0.6, 5)]
+    )
+    def test_matches_dense_balance_solve(self, n, rho, k):
+        """The same truncated chain solved densely: ``pi (P - I) = 0`` with
+        one balance equation replaced by normalisation.  ``n = 1`` has no
+        batches, and ``k < n`` reflects every batch into the top state."""
+        p = rho / n
+        transition = np.zeros((k, k))
+        for i in range(k):
+            transition[i, max(i - 1, 0)] += 1.0 - p
+            transition[i, min(i + n - 1, k - 1)] += p
+        system = transition.T - np.eye(k)
+        system[k - 1, :] = 1.0
+        rhs = np.zeros(k)
+        rhs[k - 1] = 1.0
+        dense = np.linalg.solve(system, rhs)
+        np.testing.assert_allclose(
+            stationary_distribution(n, rho, truncation=k), dense,
+            rtol=0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("truncation", [0, -3])
+    def test_truncation_below_one_rejected(self, truncation):
+        with pytest.raises(ValueError, match="truncation"):
+            stationary_distribution(4, 0.5, truncation=truncation)
 
     def test_distribution_normalized_and_nonnegative(self):
         pi = stationary_distribution(8, 0.8)

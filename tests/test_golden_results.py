@@ -72,8 +72,8 @@ def _replicate() -> Dict:
         "pf", num_slots=SLOTS, replications=3, base_seed=SEED,
         **cell_workload("diagonal", N, LOAD),
     )
-    # The per-seed values and their mean; the half width goes through
-    # scipy's t quantile, which is no result of this package.
+    # The per-seed values and their mean.  The half width is left out:
+    # adding it would change this file's row schema.
     return {"metric": res.metric, "mean": res.mean, "values": res.values}
 
 

@@ -52,17 +52,31 @@ class TestReadmeQuickstart:
 
 
 class TestColdStart:
-    def test_service_and_replication_import_without_scipy(self):
-        """scipy is most of a cold start, and only the Student-t quantile
-        of a confidence interval and the analytic artifacts (Table 1,
-        Fig. 5, bounds) need it: importing the run, service, store and
-        CLI layers must not pull it in."""
+    def test_package_is_numpy_only(self):
+        """With scipy unimportable, every module imports and the analytic
+        artifacts (Table 1, the Fig. 5 chain, the overload bound) and
+        both confidence intervals (batch means, replications) compute."""
         code = (
             "import sys\n"
-            "import repro, repro.service, repro.sim.experiment\n"
-            "import repro.sim.replication, repro.store, repro.cli\n"
-            "assert 'scipy' not in sys.modules, sorted(\n"
-            "    m for m in sys.modules if m.startswith('scipy'))\n"
+            "sys.modules['scipy'] = None\n"
+            "import importlib, pkgutil\n"
+            "import numpy as np\n"
+            "import repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not info.name.endswith('__main__'):\n"
+            "        importlib.import_module(info.name)\n"
+            "from repro.analysis import (overload_probability_bound,\n"
+            "    stationary_distribution, table1_rows)\n"
+            "from repro.sim.replication import replicate\n"
+            "from repro.sim.stats import batch_means\n"
+            "from repro.traffic.matrices import uniform_matrix\n"
+            "assert len(table1_rows()) == 8\n"
+            "assert abs(stationary_distribution(8, 0.9).sum() - 1) < 1e-12\n"
+            "assert 0 < overload_probability_bound(0.93, 2048) < 1e-15\n"
+            "assert batch_means(np.arange(100.0), batches=5).half_width > 0\n"
+            "res = replicate('sprinklers', uniform_matrix(8, 0.5),\n"
+            "                num_slots=400, replications=3)\n"
+            "assert res.replications == 3 and res.half_width >= 0\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)

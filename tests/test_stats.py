@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.stats import batch_means, mser_truncation
+from repro.sim.stats import batch_means, mser_truncation, t_quantile
 
 
 class TestMser:
@@ -97,3 +97,35 @@ class TestBatchMeans:
             batch_means([1.0] * 10, batches=20)
         with pytest.raises(ValueError):
             batch_means([1.0] * 100, confidence=1.5)
+
+
+class TestTQuantile:
+    # scipy.stats.t.ppf(0.5 + confidence / 2, df), recorded once.
+    REFERENCE = {
+        1: (3.0776835371752544, 12.706204736174694, 63.656741162871526),
+        2: (1.8856180831641272, 4.302652729749462, 9.924843200918287),
+        3: (1.637744353696209, 3.1824463052837078, 5.840909309733355),
+        9: (1.3830287383966329, 2.262157162798205, 3.249835541592126),
+        31: (1.3094635494946454, 2.039513446396408, 2.744041919294269),
+        1023: (1.282379662386784, 1.962285619647268, 2.58064376625203),
+    }
+
+    @pytest.mark.parametrize("df", sorted(REFERENCE))
+    def test_matches_reference(self, df):
+        for confidence, expected in zip((0.8, 0.95, 0.99), self.REFERENCE[df]):
+            assert t_quantile(confidence, df) == pytest.approx(
+                expected, rel=1e-12
+            ), confidence
+
+    def test_validation(self):
+        for df in (0, -1):
+            with pytest.raises(ValueError, match="df"):
+                t_quantile(0.95, df)
+        for confidence in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="confidence"):
+                t_quantile(confidence, 5)
+
+    def test_batch_means_uses_it(self):
+        series = np.repeat([1.0, 3.0], 5)
+        result = batch_means(series, batches=2, confidence=0.9)
+        assert result.half_width == pytest.approx(t_quantile(0.9, 1) * 1.0)
